@@ -93,8 +93,6 @@ let stack_tests =
              Stacked.pop s ~mask));
     ]
 
-let fib_jit = Autobatch.jit fib_compiled ~batch:32
-
 let vm_tests =
   Test.make_grouped ~name:"vm"
     [
@@ -102,8 +100,6 @@ let vm_tests =
         (Staged.stage (fun () -> Autobatch.run_local fib_compiled ~batch:fib_batch));
       Test.make ~name:"fib-pc-z32"
         (Staged.stage (fun () -> Autobatch.run_pc fib_compiled ~batch:fib_batch));
-      Test.make ~name:"fib-jit-z32"
-        (Staged.stage (fun () -> Pc_jit.run fib_jit ~batch:fib_batch));
       Test.make ~name:"fib-unbatched-z32"
         (Staged.stage (fun () -> Autobatch.run_unbatched fib_compiled ~batch:fib_batch));
       Test.make ~name:"compile-fib"
@@ -113,13 +109,10 @@ let vm_tests =
 
 let nuts_tests =
   let compiled, batch = Lazy.force nuts_fixture in
-  let jit = Autobatch.jit compiled ~batch:16 in
   Test.make_grouped ~name:"nuts"
     [
       Test.make ~name:"trajectory-pc-z16"
         (Staged.stage (fun () -> Autobatch.run_pc compiled ~batch));
-      Test.make ~name:"trajectory-jit-z16"
-        (Staged.stage (fun () -> Pc_jit.run jit ~batch));
       Test.make ~name:"trajectory-local-z16"
         (Staged.stage (fun () -> Autobatch.run_local compiled ~batch));
     ]
@@ -197,6 +190,30 @@ let run_ablations ?seed () =
     (Ablations.stack_optimizations ?seed ());
   print_newline ()
 
+(* A stage whose document is simulated-clock deterministic at the default
+   seed commits it as a regression baseline: the first run writes [path],
+   every later run must reproduce it or the stage fails. *)
+let check_baseline ~stage ~path doc =
+  if not (Sys.file_exists path) then begin
+    Obs_report.write ~path doc;
+    Printf.printf "%s: wrote new baseline %s\n\n" stage path
+  end
+  else begin
+    let committed = In_channel.with_open_text path In_channel.input_all in
+    let same =
+      match Obs_json.of_string committed with
+      | Ok old -> Obs_json.to_string old = Obs_json.to_string doc
+      | Error _ -> false
+    in
+    if same then Printf.printf "%s: matches committed %s\n\n" stage path
+    else begin
+      prerr_endline
+        (stage ^ " stage failed: output drifted from committed " ^ path
+       ^ " (delete the file and rerun to re-baseline intentionally)");
+      exit 1
+    end
+  end
+
 let run_serve ?seed () =
   (* Bench-sized serving comparison: one load level, all three policies.
      The sweep is simulated-clock deterministic at the default seed, so
@@ -208,49 +225,92 @@ let run_serve ?seed () =
   match seed with
   | Some _ -> ()
   | None ->
-    let doc =
-      Obs_json.Obj
-        [
-          ("bench", Obs_json.Str "serve");
-          ("source", Obs_json.Str "bench/main.exe serve");
-          ( "note",
-            Obs_json.Str
-              "bench-sized serving sweep at the default seed; every field \
-               is on the simulated clock, so the document is byte-stable \
-               across hosts and committed as the regression baseline — \
-               the stage fails on any drift" );
-          ("payload", Serving.to_json stats);
-        ]
-    in
-    let path = "BENCH_serve.json" in
-    if not (Sys.file_exists path) then begin
-      Obs_report.write ~path doc;
-      Printf.printf "serve: wrote new baseline %s\n\n" path
-    end
-    else begin
-      let committed = In_channel.with_open_text path In_channel.input_all in
-      let same =
-        match Obs_json.of_string committed with
-        | Ok old -> Obs_json.to_string old = Obs_json.to_string doc
-        | Error _ -> false
-      in
-      if same then Printf.printf "serve: matches committed %s\n\n" path
-      else begin
-        prerr_endline
-          ("serve stage failed: output drifted from committed " ^ path
-         ^ " (delete the file and rerun to re-baseline intentionally)");
-        exit 1
-      end
-    end
+    check_baseline ~stage:"serve" ~path:"BENCH_serve.json"
+      (Obs_json.Obj
+         [
+           ("bench", Obs_json.Str "serve");
+           ("source", Obs_json.Str "bench/main.exe serve");
+           ( "note",
+             Obs_json.Str
+               "bench-sized serving sweep at the default seed; every field \
+                is on the simulated clock, so the document is byte-stable \
+                across hosts and committed as the regression baseline — \
+                the stage fails on any drift" );
+           ("payload", Serving.to_json stats);
+         ])
 
 let run_resil ?seed () =
   (* Bench-sized resilience sweep: checkpoint overhead at intervals
      {1, 8, 64, inf} and recovery under a 5% per-superstep fault rate,
-     with the bitwise-identity check live in the last column. *)
-  let seed = Option.map Int64.to_int seed in
-  Resilience.print
-    (Resilience.run ~z:16 ~intervals:[ 1; 8; 64; 0 ] ~rates:[ 0.; 0.05 ] ?seed ());
-  print_newline ()
+     with the bitwise-identity check live in the last column. Committed
+     as BENCH_resil.json and diffed like the serve stage; figures carry
+     the CSV export's precision. *)
+  let intervals = [ 1; 8; 64; 0 ] in
+  let stats =
+    Resilience.run ~z:16 ~intervals ~rates:[ 0.; 0.05 ]
+      ?seed:(Option.map Int64.to_int seed) ()
+  in
+  Resilience.print stats;
+  print_newline ();
+  let fixed digits x = Obs_json.Float (float_of_string (Printf.sprintf "%.*f" digits x)) in
+  let interval i = if i = 0 then Obs_json.Null else Obs_json.Int i in
+  match seed with
+  | Some _ -> ()
+  | None ->
+    check_baseline ~stage:"resil" ~path:"BENCH_resil.json"
+      (Obs_json.Obj
+         [
+           ("bench", Obs_json.Str "resil");
+           ( "source",
+             Obs_json.Str
+               "bench/main.exe resil (dune exec bin/experiments.exe -- \
+                resilience -z 16 --rates 0,0.05 --csv)" );
+           ("workload", Obs_json.Str "batched recursive fib, z=16");
+           ("intervals", Obs_json.List (List.map interval intervals));
+           ( "note",
+             Obs_json.Str
+               "interval null = initial checkpoint only (infinite interval); \
+                overhead is analytic checkpoint I/O (bytes / bandwidth) over \
+                useful supersteps; bitwise_identical compares the recovered \
+                run against the fault-free run; the stage (and CI) fails on \
+                any drift from this document" );
+           ("z", Obs_json.Int stats.Resilience.z);
+           ( "ckpt_bandwidth_bytes_per_superstep",
+             Obs_json.Float stats.Resilience.ckpt_bandwidth );
+           ("delta_steps_per_checkpoint", fixed 4 stats.Resilience.delta_steps);
+           ( "young_optimal",
+             Obs_json.List
+               (List.map
+                  (fun (rate, t_opt) ->
+                    Obs_json.Obj
+                      [
+                        ("rate", fixed 3 rate);
+                        ("mtbf", fixed 1 (1. /. rate));
+                        ("t_opt", fixed 1 t_opt);
+                      ])
+                  stats.Resilience.young) );
+           ( "points",
+             Obs_json.List
+               (List.map
+                  (fun (p : Resilience.point) ->
+                    Obs_json.Obj
+                      [
+                        ("vm", Obs_json.Str p.vm);
+                        ("interval", interval p.interval);
+                        ("rate", fixed 3 p.rate);
+                        ("faults", Obs_json.Int p.faults);
+                        ("restores", Obs_json.Int p.restores);
+                        ("link_retries", Obs_json.Int p.link_retries);
+                        ("checkpoints", Obs_json.Int p.checkpoints);
+                        ("ckpt_bytes", Obs_json.Int p.ckpt_bytes);
+                        ("useful_supersteps", Obs_json.Int p.useful);
+                        ("wasted_supersteps", Obs_json.Int p.wasted);
+                        ("overhead_pct", fixed 4 p.overhead_pct);
+                        ("recovered_pct", fixed 2 p.recovered_pct);
+                        ("bitwise_identical", Obs_json.Bool p.identical);
+                      ])
+                  stats.Resilience.points) );
+         ])
 
 let run_obs ?seed () =
   (* Observability overhead smoke: the same workload with no sink and with
@@ -406,7 +466,7 @@ let run_prof ?seed () =
 let run_fuse ?seed () =
   (* Superblock fusion A/B gate: compile each workload twice — plain and
      through the lib/fuse passes — and hold the fused build to the PR's
-     bar: bitwise-identical outputs on every runtime (pc, jit, local,
+     bar: bitwise-identical outputs on every runtime (pc, local,
      sharded), at least 25% fewer supersteps (= fused kernel launches on
      the merged-PC runtime), and a lower total simulated cost. Also
      writes the committed BENCH_fuse.json baseline; everything recorded
@@ -424,19 +484,19 @@ let run_fuse ?seed () =
         ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
     in
     let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter:2 ~n_burn:0 ~batch:16 () in
-    ("eight_schools-z16", compile, batch, 16)
+    ("eight_schools-z16", compile, batch)
   in
   let fib_fixture =
     let compile fuse =
       Autobatch.compile ?fuse ~input_shapes:[ Shape.scalar ] fib_program
     in
-    ("fib-z32", compile, fib_batch, 32)
+    ("fib-z32", compile, fib_batch)
   in
   let failed = ref false in
   let points = ref [] in
   let rows =
     List.map
-      (fun (name, compile, batch, z) ->
+      (fun (name, compile, batch) ->
         let plain = compile None in
         let fused = compile (Some Fuse.default_options) in
         let exec compiled =
@@ -450,7 +510,6 @@ let run_fuse ?seed () =
         let out_p, steps_p, sim_p = exec plain in
         let out_f, steps_f, sim_f = exec fused in
         let others compiled =
-          let jit = Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch in
           let local = Autobatch.run_local compiled ~batch in
           let shard =
             (Autobatch.run_sharded
@@ -459,7 +518,7 @@ let run_fuse ?seed () =
                compiled ~batch)
               .Shard_vm.outputs
           in
-          List.map (List.map Tensor.data) [ jit; local; shard ]
+          List.map (List.map Tensor.data) [ local; shard ]
         in
         let bitwise =
           out_f = out_p && List.for_all (( = ) out_p) (others fused)
@@ -520,7 +579,7 @@ let run_fuse ?seed () =
            Obs_json.Str
              "supersteps = Engine.Counters.blocks = fused kernel launches \
               on the merged-PC runtime; bitwise compares Tensor.data of \
-              every output across pc/jit/local/sharded runtimes between the \
+              every output across pc/local/sharded runtimes between the \
               plain and fused builds; the stage (and CI) fails unless every \
               workload is bitwise identical, saves >=25% of its supersteps, \
               and lowers the simulated cost" );
@@ -537,10 +596,10 @@ let run_fuse ?seed () =
 let run_sched ?seed () =
   (* Scheduling-policy and lane-defragmentation gate, two halves.
 
-     Determinism: every runtime — pc, jit, local, sharded, the serving
+     Determinism: every runtime — pc, local, sharded, the serving
      stack, and the defragmenting Sched_vm under both migration plans —
      must produce outputs bitwise identical to the Earliest pc baseline
-     under every scheduling policy (Sched_sweep.bitwise_matrix; 35
+     under every scheduling policy (Sched_sweep.bitwise_matrix; 30
      checks per workload). Policies and migration only move cost, never
      results.
 
@@ -651,7 +710,7 @@ let run_sched ?seed () =
          ( "note",
            Obs_json.Str
              "checks = bitwise_matrix comparisons against the Earliest pc \
-              baseline (5 policies x {pc, jit, local, shard, server} plus \
+              baseline (5 policies x {pc, local, shard, server} plus \
               Sched_vm under {no-migration, aggressive}); effective \
               utilization = Obs_prof.effective_utilization (useful lanes \
               over issued lanes weighted by simulated kernel time); the \
@@ -672,9 +731,9 @@ let run_eff ?seed () =
   (* Handler-DSL frontend gate (DESIGN.md S22), four parts.
 
      Elaboration: each migrated model's spec elaborates to a log-density
-     program whose outputs are bitwise identical across pc/jit/local/
-     shard; the gaussian spec's density is additionally bitwise equal to
-     the hand closure, and eight_schools' NUTS pipeline (which uses the
+     program whose outputs are bitwise identical across pc/local/shard;
+     the gaussian spec's density is additionally bitwise equal to the
+     hand closure, and eight_schools' NUTS pipeline (which uses the
      unchanged hand closures as prims) still matches the single-chain
      reference bitwise — the old-vs-new migration proof.
 
@@ -719,8 +778,7 @@ let run_eff ?seed () =
         let pc = Autobatch.run_pc compiled ~batch in
         let same outs = List.for_all2 Tensor.equal pc outs in
         let ok =
-          same (Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch)
-          && same (Autobatch.run_local compiled ~batch)
+          same (Autobatch.run_local compiled ~batch)
           && same
                (Autobatch.run_sharded
                   ~config:
@@ -732,7 +790,7 @@ let run_eff ?seed () =
                  .Shard_vm.outputs
         in
         check (Printf.sprintf "elaborate %s" name)
-          "pc = jit = local = shard" ok;
+          "pc = local = shard" ok;
         (name, ok))
       Zoo.known
   in
@@ -832,7 +890,7 @@ let run_eff ?seed () =
            ( "workload",
              Obs_json.Str
                "handler-DSL elaboration matrix over the model zoo (bitwise \
-                across pc/jit/local/shard, gaussian spec bitwise vs hand \
+                across pc/local/shard, gaussian spec bitwise vs hand \
                 density, eight_schools NUTS vs single-chain reference), \
                 plus the three DSL workloads: SMC bootstrap filter (512 \
                 particles x 40 steps, resampling through the S20 \

@@ -1053,8 +1053,8 @@ let resilience_cmd =
     in
     List.iter
       (fun vm ->
-        if not (List.mem vm [ "pc"; "jit"; "shard"; "server" ]) then begin
-          Printf.eprintf "unknown vm %S (pc|jit|shard|server)\n" vm;
+        if not (List.mem vm [ "pc"; "shard"; "server" ]) then begin
+          Printf.eprintf "unknown vm %S (pc|shard|server)\n" vm;
           exit 1
         end)
       vms;
@@ -1091,7 +1091,7 @@ let resilience_cmd =
   let vms =
     Arg.(value & opt (list string) []
          & info [ "vms" ] ~docv:"VM,VM,..."
-             ~doc:"Runtimes to sweep: pc, jit, shard, server (default all).")
+             ~doc:"Runtimes to sweep: pc, shard, server (default all).")
   in
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard count for the sharded VM.")

@@ -46,7 +46,7 @@ dune exec bench/main.exe -- prof
 # Superblock fusion must pay for itself and stay invisible: the fuse
 # stage compiles fib and eight_schools NUTS plain and fused, exits
 # nonzero unless the fused builds are bitwise identical on every runtime
-# (pc/jit/local/sharded), save >=25% of their supersteps, and lower the
+# (pc/local/sharded), save >=25% of their supersteps, and lower the
 # simulated cost. Regenerates BENCH_fuse.json (deterministic).
 step "bench fuse gate"
 dune exec bench/main.exe -- fuse
@@ -82,6 +82,14 @@ fi
 step "bench serve baseline"
 dune exec bench/main.exe -- serve
 
+# Checkpoint/restore must stay deterministic: the resil stage sweeps
+# checkpoint intervals and fault rates over the pc, sharded and server
+# runtimes, and exits nonzero if the sweep (checkpoint bytes, replayed
+# supersteps, the bitwise-recovery column) drifts from the committed
+# BENCH_resil.json.
+step "bench resil baseline"
+dune exec bench/main.exe -- resil
+
 # Request-scoped tracing must also be free: the obs2 stage replays the
 # tenant trace bare and with a span recorder + SLO burn-rate monitor
 # attached, and exits nonzero unless the observed run is bitwise
@@ -108,7 +116,7 @@ dune exec bench/main.exe -- regress
 # The handler-DSL frontend must elaborate to exactly the programs the
 # hand-written models used to be: the eff stage exits nonzero unless
 # every zoo model's elaborated density is bitwise identical across
-# pc/jit/local/shard, the gaussian spec matches its hand-rolled density
+# pc/local/shard, the gaussian spec matches its hand-rolled density
 # bitwise, eight_schools NUTS matches the single-chain reference, and
 # the three DSL workloads clear their gates (SMC vs the Kalman log
 # marginal with real S20 lane migrations, tempering vs closed-form

@@ -209,14 +209,13 @@ let charge_host_call t =
 
 let block_name = "block"
 
-let charge_block t ~ops ~control_ops ~traffic_bytes =
+let charge_priced_block t ~ops ~flops:block_flops ~control_ops ~traffic_bytes =
   emit t (Obs_sink.Launch { kind = Obs_sink.Fused_block; name = block_name });
   let t0 = t.st.time in
   let d = t.device in
   t.st.blocks <- t.st.blocks + 1;
-  let block_flops = List.fold_left (fun acc (_, f) -> acc +. f) 0. ops in
   t.st.flops <- t.st.flops +. block_flops;
-  List.iter (fun (name, _) -> bump_tally t name) ops;
+  List.iter (bump_tally t) ops;
   let n_ops = List.length ops in
   let arithmetic = compute_time t block_flops in
   let traffic = traffic_time t traffic_bytes in
@@ -256,6 +255,11 @@ let charge_block t ~ops ~control_ops ~traffic_bytes =
   emit t
     (Obs_sink.Launched
        { kind = Obs_sink.Fused_block; name = block_name; t0; t1 = t.st.time })
+
+let charge_block t ~ops ~control_ops ~traffic_bytes =
+  charge_priced_block t ~ops:(List.map fst ops)
+    ~flops:(List.fold_left (fun acc (_, f) -> acc +. f) 0. ops)
+    ~control_ops ~traffic_bytes
 
 let elapsed t = t.st.time
 

@@ -66,6 +66,12 @@ val charge_block :
     updates), and the bookkeeping bytes moved (masked writes, stack
     gathers/scatters). *)
 
+val charge_priced_block :
+  t -> ops:string list -> flops:float -> control_ops:int -> traffic_bytes:float -> unit
+(** {!charge_block} for a block priced ahead of time: [ops] names its
+    primitives in order and [flops] is their summed flops (summed left to
+    right, as {!charge_block} would). *)
+
 val charge_kernel : t -> name:string -> flops:float -> unit
 (** One standalone eagerly dispatched kernel (used by the unbatched
     reference execution), priced as launch + host dispatch + arithmetic. *)

@@ -46,7 +46,6 @@ let run_sharded ?config ?(runtime = `Pc) c ~batch =
     match runtime with `Pc -> `Pc c.stack | `Local -> `Local c.cfg
   in
   Shard_vm.run ?config c.registry program ~batch
-let jit c ~batch = Pc_jit.compile c.registry c.stack ~batch
 
 let run_single ?max_steps c ~member ~args =
   Interp.run ?max_steps c.registry c.source ~member ~args

@@ -67,12 +67,6 @@ val run_sharded :
     OCaml domain per shard; [runtime] picks the per-shard VM (default
     [`Pc]). Outputs are bitwise identical to the unsharded run. *)
 
-val jit : compiled -> batch:int -> Pc_jit.t
-(** Precompile the stack program's blocks into closures for a fixed batch
-    size ({!Pc_jit}); requires the program to have been compiled with
-    [input_shapes]. Run with {!Pc_jit.run}; results are bitwise identical
-    to {!run_pc}. *)
-
 val run_single :
   ?max_steps:int -> compiled -> member:int -> args:Tensor.t list -> Tensor.t list
 (** The single-example reference interpreter (no batch dimension on

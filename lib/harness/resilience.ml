@@ -80,7 +80,7 @@ type runner = {
 }
 
 let run ?(z = 32) ?(intervals = [ 1; 8; 64; 0 ]) ?(rates = [ 0.; 0.02; 0.1 ])
-    ?(vms = [ "pc"; "jit"; "shard"; "server" ]) ?(shards = 4)
+    ?(vms = [ "pc"; "shard"; "server" ]) ?(shards = 4)
     ?(server_lanes = 4) ?(n_requests = 12) ?(ckpt_bandwidth = 262144.)
     ?(seed = 24389) () =
   List.iter
@@ -102,22 +102,6 @@ let run ?(z = 32) ?(intervals = [ 1; 8; 64; 0 ]) ?(rates = [ 0.; 0.02; 0.1 ])
           let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
           let config = { Pc_vm.default_config with Pc_vm.engine = Some engine } in
           let outs, st = Recovery.run_pc ~config ~interval ~plan reg stack ~batch in
-          ( digest (fun buf ->
-                w_tensors buf outs;
-                Codec.w_float buf (Engine.elapsed engine)),
-            st ));
-    }
-  in
-  let jit_exe = Autobatch.jit compiled ~batch:z in
-  let jit_runner =
-    {
-      name = "jit";
-      kinds = [ Fault.Device_kill; Fault.Kernel_poison ];
-      devices = 1;
-      exec =
-        (fun ~interval ~plan ->
-          let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-          let outs, st = Recovery.run_jit ~engine ~interval ~plan jit_exe ~batch in
           ( digest (fun buf ->
                 w_tensors buf outs;
                 Codec.w_float buf (Engine.elapsed engine)),
@@ -162,7 +146,6 @@ let run ?(z = 32) ?(intervals = [ 1; 8; 64; 0 ]) ?(rates = [ 0.; 0.02; 0.1 ])
       (fun name ->
         match name with
         | "pc" -> Some pc_runner
-        | "jit" -> Some jit_runner
         | "shard" -> Some shard_runner
         | "server" -> Some server_runner
         | other -> invalid_arg (Printf.sprintf "Resilience.run: unknown vm %S" other))

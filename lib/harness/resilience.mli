@@ -19,7 +19,7 @@
       the measured sweep. *)
 
 type point = {
-  vm : string;  (** ["pc"], ["jit"], ["shard"], or ["server"] *)
+  vm : string;  (** ["pc"], ["shard"], or ["server"] *)
   interval : int;  (** checkpoint interval in supersteps; 0 = initial only *)
   rate : float;  (** per-superstep fault probability *)
   faults : int;
@@ -55,7 +55,7 @@ val run :
   unit ->
   stats
 (** Defaults: z 32, intervals [[1; 8; 64; 0]] (0 = initial checkpoint
-    only), rates [[0.; 0.02; 0.1]], all four VMs, 4 shards, 4 server
+    only), rates [[0.; 0.02; 0.1]], all three VMs, 4 shards, 4 server
     lanes, 12 requests, bandwidth 256 KiB per superstep. Raises
     [Invalid_argument] on a negative interval, an unknown VM name, or a
     non-positive bandwidth. *)

@@ -113,13 +113,8 @@ let run_server ~policy (compiled : Autobatch.compiled) ~lanes ~batch =
       first.Server.outputs
 
 let bitwise_matrix ?(policies = Sched_policy.all) ?(plans = default_plans)
-    ?(lanes = 4) ?(shards = 2) ?(include_jit = true)
+    ?(lanes = 4) ?(shards = 2)
     (compiled : Autobatch.compiled) ~batch =
-  let z =
-    match batch with
-    | [] -> invalid_arg "Sched_sweep: at least one input required"
-    | t :: _ -> (Tensor.shape t).(0)
-  in
   let baseline = Autobatch.run_pc compiled ~batch in
   let checks = ref [] in
   let check ~runtime ~policy ?(plan = "-") outputs =
@@ -132,16 +127,12 @@ let bitwise_matrix ?(policies = Sched_policy.all) ?(plans = default_plans)
       }
       :: !checks
   in
-  let jit = if include_jit then Some (Autobatch.jit compiled ~batch:z) else None in
   List.iter
     (fun policy ->
       check ~runtime:"pc" ~policy
         (Autobatch.run_pc
            ~config:{ Pc_vm.default_config with sched = policy }
            compiled ~batch);
-      (match jit with
-      | None -> ()
-      | Some jit -> check ~runtime:"jit" ~policy (Pc_jit.run ~sched:policy jit ~batch));
       check ~runtime:"local" ~policy
         (Autobatch.run_local
            ~config:{ Local_vm.default_config with sched = policy }

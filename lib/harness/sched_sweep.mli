@@ -51,7 +51,7 @@ val defrag_view :
 (** {1 Bitwise matrix} *)
 
 type check = {
-  c_runtime : string;  (** pc | jit | local | shard | server | sched *)
+  c_runtime : string;  (** pc | local | shard | server | sched *)
   c_policy : string;
   c_plan : string;  (** migration plan name; ["-"] for plain runtimes *)
   c_ok : bool;
@@ -65,7 +65,6 @@ val bitwise_matrix :
   ?plans:(string * Sched_plan.config) list ->
   ?lanes:int ->
   ?shards:int ->
-  ?include_jit:bool ->
   Autobatch.compiled ->
   batch:Tensor.t list ->
   check list
@@ -73,8 +72,7 @@ val bitwise_matrix :
     {!Sched_vm} under every (policy, plan) pair on a [shards]-device
     mesh with [lanes] lanes each, and the server as one width-1 request
     per member — and compare outputs bitwise against the [Earliest] PC
-    baseline. [include_jit] (default true) requires the program compiled
-    with [input_shapes]. *)
+    baseline. *)
 
 val failures : check list -> check list
 

@@ -103,7 +103,7 @@ type result = {
   migrations : int;  (** resampling moves with ancestor <> self *)
   migrated_bytes : float;  (** lane-state payload moved through S20 *)
   migration_seconds : float;  (** priced as p2p transfers on [mesh] *)
-  bitwise : (string * bool) list;  (** jit/local/shard/lanes vs pc *)
+  bitwise : (string * bool) list;  (** local/shard/lanes vs pc *)
 }
 
 let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
@@ -116,7 +116,6 @@ let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
     Autobatch.compile ~registry:el.Eff.el_registry
       ~input_shapes:(Eff.input_shapes el) el.Eff.el_program
   in
-  let jit = Autobatch.jit compiled ~batch:n_particles in
   let shard_config =
     { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:(Mesh.size mesh) () }
   in
@@ -125,7 +124,7 @@ let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
      bitwise agreement of each runtime arm against the pc baseline. *)
   let x = ref (Tensor.zeros [| n_particles |]) in
   let cnt = ref (Tensor.zeros [| n_particles |]) in
-  let agree = [ "jit"; "local"; "shard"; "lanes" ] in
+  let agree = [ "local"; "shard"; "lanes" ] in
   let ok = Hashtbl.create 4 in
   List.iter (fun a -> Hashtbl.replace ok a true) agree;
   let log_z = ref 0. in
@@ -145,7 +144,6 @@ let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
       if not (List.for_all2 Tensor.equal pc outs) then
         Hashtbl.replace ok arm false
     in
-    note "jit" (Pc_jit.run jit ~batch);
     note "local" (Autobatch.run_local compiled ~batch);
     note "shard"
       (Autobatch.run_sharded ~config:shard_config compiled ~batch)

@@ -39,7 +39,7 @@ type result = {
   migrations : int;  (** resampling moves with ancestor <> self *)
   migrated_bytes : float;  (** lane-state payload moved through S20 *)
   migration_seconds : float;  (** priced as p2p transfers on [mesh] *)
-  bitwise : (string * bool) list;  (** jit/local/shard/lanes vs pc *)
+  bitwise : (string * bool) list;  (** local/shard/lanes vs pc *)
 }
 
 val run :

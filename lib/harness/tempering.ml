@@ -89,7 +89,7 @@ type result = {
   mode_balance : float;  (** min(frac left, frac right) of cold samples *)
   exchange_seconds : float;  (** p2p pricing of accepted exchanges *)
   gather_seconds : float;  (** all-gather pricing of collection *)
-  bitwise : (string * bool) list;  (** jit/local/shard vs pc *)
+  bitwise : (string * bool) list;  (** local/shard vs pc *)
 }
 
 let run ?(seed = 0x7E4BL) ?(c = default_config) ?(mesh = Mesh.gpu_pod ~n:4 ())
@@ -100,7 +100,6 @@ let run ?(seed = 0x7E4BL) ?(c = default_config) ?(mesh = Mesh.gpu_pod ~n:4 ())
     Autobatch.compile ~registry:el.Eff.el_registry
       ~input_shapes:(Eff.input_shapes el) el.Eff.el_program
   in
-  let jit = Autobatch.jit compiled ~batch:c.chains in
   let shard_config =
     { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
   in
@@ -117,7 +116,7 @@ let run ?(seed = 0x7E4BL) ?(c = default_config) ?(mesh = Mesh.gpu_pod ~n:4 ())
       if i.(0) mod 2 = 0 then -.c.mu0 else c.mu0))
   in
   let cnt = ref (Tensor.zeros [| c.chains |]) in
-  let agree = [ "jit"; "local"; "shard" ] in
+  let agree = [ "local"; "shard" ] in
   let ok = Hashtbl.create 4 in
   List.iter (fun a -> Hashtbl.replace ok a true) agree;
   let attempted = ref 0 and accepted = ref 0 in
@@ -132,7 +131,6 @@ let run ?(seed = 0x7E4BL) ?(c = default_config) ?(mesh = Mesh.gpu_pod ~n:4 ())
       if not (List.for_all2 Tensor.equal pc outs) then
         Hashtbl.replace ok arm false
     in
-    note "jit" (Pc_jit.run jit ~batch);
     note "local" (Autobatch.run_local compiled ~batch);
     note "shard"
       (Autobatch.run_sharded ~config:shard_config compiled ~batch)

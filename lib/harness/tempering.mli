@@ -42,7 +42,7 @@ type result = {
   mode_balance : float;  (** min(frac left, frac right) of cold samples *)
   exchange_seconds : float;  (** p2p pricing of accepted exchanges *)
   gather_seconds : float;  (** all-gather pricing of collection *)
-  bitwise : (string * bool) list;  (** jit/local/shard vs pc *)
+  bitwise : (string * bool) list;  (** local/shard vs pc *)
 }
 
 val run : ?seed:int64 -> ?c:config -> ?mesh:Mesh.t -> unit -> result

@@ -72,7 +72,7 @@ type result = {
   z : int;
   supersteps : int;  (** lane-pool basic blocks to drain the batch *)
   distinct_leaves : int;  (** paths actually taken by the batch *)
-  bitwise : (string * bool) list;  (** pc/jit/local/shard/lanes vs host *)
+  bitwise : (string * bool) list;  (** pc/local/shard/lanes vs host *)
 }
 
 let run ?(seed = 0x73EEL) ?(depth = 6) ?(n_features = 8) ?(z = 64) () =
@@ -97,7 +97,6 @@ let run ?(seed = 0x73EEL) ?(depth = 6) ?(n_features = 8) ?(z = 64) () =
   let value outs = List.hd outs in
   let check outs = Tensor.equal (value outs) expected in
   let pc = Autobatch.run_pc compiled ~batch in
-  let jit = Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch in
   let local = Autobatch.run_local compiled ~batch in
   let shard =
     (Autobatch.run_sharded
@@ -129,7 +128,6 @@ let run ?(seed = 0x73EEL) ?(depth = 6) ?(n_features = 8) ?(z = 64) () =
     bitwise =
       [
         ("pc", check pc);
-        ("jit", check jit);
         ("local", check local);
         ("shard", check shard);
         ("lanes", Tensor.equal lane_vals expected);

@@ -29,7 +29,7 @@ type result = {
   z : int;
   supersteps : int;  (** lane-pool basic blocks to drain the batch *)
   distinct_leaves : int;  (** paths actually taken by the batch *)
-  bitwise : (string * bool) list;  (** pc/jit/local/shard/lanes vs host *)
+  bitwise : (string * bool) list;  (** pc/local/shard/lanes vs host *)
 }
 
 val run :

@@ -1,5 +1,3 @@
-exception Step_limit_exceeded
-
 exception Return_values of Tensor.t list
 
 let truthy t =
@@ -13,7 +11,7 @@ let run ?(max_steps = 1_000_000) reg (p : Lang.program) ~member ~args =
   let steps = ref 0 in
   let tick () =
     incr steps;
-    if !steps > max_steps then raise Step_limit_exceeded
+    if !steps > max_steps then raise Ir_util.Step_limit_exceeded
   in
   let rec eval_expr env (e : Lang.expr) : Tensor.t =
     match e with

@@ -8,8 +8,6 @@
     primitives, so randomized programs are reproducible and comparable
     across the three execution paths. *)
 
-exception Step_limit_exceeded
-
 val run :
   ?max_steps:int ->
   Prim.registry ->
@@ -19,9 +17,10 @@ val run :
   Tensor.t list
 (** Execute the entry function on one example. [max_steps] (default
     [1_000_000]) bounds the number of executed statements and raises
-    {!Step_limit_exceeded} beyond it (used when fuzzing random programs).
-    Raises [Invalid_argument]/[Failure] on malformed programs — run
-    {!Validate.check_program} first for good error messages. *)
+    {!Ir_util.Step_limit_exceeded} beyond it (used when fuzzing random
+    programs). Raises [Invalid_argument]/[Failure] on malformed
+    programs — run {!Validate.check_program} first for good error
+    messages. *)
 
 val truthy : Tensor.t -> bool
 (** Branch semantics: a condition is a one-element tensor, false iff 0. *)

@@ -1,10 +1,8 @@
-exception Step_limit_exceeded
-
 let run ?(max_steps = 1_000_000) reg (p : Cfg.program) ~member ~args =
   let steps = ref 0 in
   let tick () =
     incr steps;
-    if !steps > max_steps then raise Step_limit_exceeded
+    if !steps > max_steps then raise Ir_util.Step_limit_exceeded
   in
   let rec call (f : Cfg.func) arg_values =
     if List.length f.Cfg.params <> List.length arg_values then

@@ -6,8 +6,6 @@
     a failure to {!Lower_cfg}; agreement with the batched runtimes
     localizes it to the VMs. *)
 
-exception Step_limit_exceeded
-
 val run :
   ?max_steps:int ->
   Prim.registry ->

@@ -143,62 +143,6 @@ let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg pro
       loop ());
   (Pc_vm.Lanes.outputs lanes, finish tl inj ~useful:(Pc_vm.Lanes.steps lanes))
 
-(* ---- Precompiled (JIT) VM --------------------------------------------- *)
-
-let run_jit ?sched ?engine ?instrument ?sink:user_sink ?max_steps ?(interval = 0)
-    ?(plan = []) exe ~batch =
-  check_interval interval;
-  let inj = Fault.injector plan in
-  let sink = fault_sink user_sink inj in
-  Pc_jit.load exe ~batch;
-  let tl = tally () in
-  let capture () =
-    let blob =
-      Snapshot.encode_jit
-        {
-          Snapshot.ck_vm = Pc_jit.capture exe;
-          ck_engine = Option.map Engine.snapshot engine;
-          ck_instrument = Option.map Instrument.capture instrument;
-        }
-    in
-    tl.t_checkpoints <- tl.t_checkpoints + 1;
-    tl.t_bytes <- tl.t_bytes + String.length blob;
-    notify user_sink
-      (Obs_sink.Checkpoint { step = Pc_jit.steps exe; bytes = String.length blob });
-    blob
-  in
-  let restore blob =
-    let ck = Snapshot.decode_jit blob in
-    Pc_jit.restore exe ck.Snapshot.ck_vm;
-    (match (engine, ck.Snapshot.ck_engine) with
-    | Some e, Some s -> Engine.restore e s
-    | _ -> ());
-    (match (instrument, ck.Snapshot.ck_instrument) with
-    | Some i, Some s -> Instrument.restore i s
-    | _ -> ());
-    notify user_sink (Obs_sink.Restore { step = Pc_jit.steps exe })
-  in
-  let latest = ref (capture ()) in
-  with_engine_sink engine inj (fun () ->
-      let rec loop () =
-        (* The executor's [Step] event carries the tick: it fires after
-           the step counter advances but before the block's effects, so
-           the aborted superstep is the one the injector's clock names. *)
-        match Pc_jit.step ?sched ?engine ?instrument ~sink ?max_steps exe with
-        | true ->
-          if interval > 0 && Pc_jit.steps exe mod interval = 0 then latest := capture ();
-          loop ()
-        | false -> ()
-        | exception Fault.Injected _ ->
-          let completed = max 0 (Pc_jit.steps exe - 1) in
-          restore !latest;
-          tl.t_restores <- tl.t_restores + 1;
-          tl.t_wasted <- tl.t_wasted + max 0 (completed - Pc_jit.steps exe);
-          loop ()
-      in
-      loop ());
-  (Pc_jit.outputs exe, finish tl inj ~useful:(Pc_jit.steps exe))
-
 (* ---- Sharded execution ------------------------------------------------ *)
 
 type sharded_result = {

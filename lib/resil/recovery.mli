@@ -50,22 +50,6 @@ val run_pc :
     [i] runs member [config.member_base + i] on [batch] row [i], as
     {!Pc_vm.run} does. *)
 
-val run_jit :
-  ?sched:Sched_policy.t ->
-  ?engine:Engine.t ->
-  ?instrument:Instrument.t ->
-  ?sink:Obs_sink.t ->
-  ?max_steps:int ->
-  ?interval:int ->
-  ?plan:Fault.event list ->
-  Pc_jit.t ->
-  batch:Tensor.t list ->
-  Tensor.t list * stats
-(** Precompiled executor under faults. The executor's [Step] event
-    carries the injector tick (composed after [sink], which also gets the
-    [Checkpoint]/[Restore] lifecycle) — the same at-most-once semantics
-    as the interpreter's seam. *)
-
 type sharded_result = {
   sh_outputs : Tensor.t list;  (** rows reassembled in shard order *)
   sh_rounds : int;  (** lockstep rounds driven across the shard set *)

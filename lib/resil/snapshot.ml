@@ -154,21 +154,6 @@ let r_lanes r : Pc_vm.Lanes.image =
   let li_store = r_store r in
   { Pc_vm.Lanes.li_z; li_steps; li_last; li_members; li_occupied; li_pc; li_store }
 
-let w_jit b (img : Pc_jit.image) =
-  Codec.w_int b img.Pc_jit.ji_z;
-  Codec.w_int b img.Pc_jit.ji_steps;
-  Codec.w_int b img.Pc_jit.ji_last;
-  w_pc b img.Pc_jit.ji_pc;
-  w_store b img.Pc_jit.ji_store
-
-let r_jit r : Pc_jit.image =
-  let ji_z = Codec.r_int r in
-  let ji_steps = Codec.r_int r in
-  let ji_last = Codec.r_int r in
-  let ji_pc = r_pc r in
-  let ji_store = r_store r in
-  { Pc_jit.ji_z; ji_steps; ji_last; ji_pc; ji_store }
-
 let w_counters b (c : Engine.counters) =
   Codec.w_int b c.Engine.Counters.kernel_launches;
   Codec.w_int b c.Engine.Counters.fused_launches;
@@ -440,10 +425,6 @@ let r_checkpoint r_vm r =
 let pc_kind = "pc-vm-checkpoint"
 let encode_pc ck = encode ~kind:pc_kind (fun b -> w_checkpoint w_lanes b ck)
 let decode_pc blob = decode ~kind:pc_kind blob (r_checkpoint r_lanes)
-
-let jit_kind = "pc-jit-checkpoint"
-let encode_jit ck = encode ~kind:jit_kind (fun b -> w_checkpoint w_jit b ck)
-let decode_jit blob = decode ~kind:jit_kind blob (r_checkpoint r_jit)
 
 let shard_kind = "shard-checkpoint"
 

@@ -5,9 +5,9 @@
     {v magic | version | kind | payload | fnv1a-64 checksum v}
 
     around a typed payload built from the runtimes' plain-data images
-    ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Pc_jit.image},
-    {!Engine.snapshot}, {!Instrument.image}, {!Server.image}). Decoding
-    verifies the checksum before trusting a single length field and
+    ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Engine.snapshot},
+    {!Instrument.image}, {!Server.image}). Decoding verifies the
+    checksum before trusting a single length field and
     rejects wrong magic, unknown versions, mismatched kinds, truncation,
     and trailing bytes with a descriptive {!Codec.Corrupt}. Floats travel
     as IEEE-754 bit patterns, so a decoded state is bitwise identical to
@@ -47,8 +47,6 @@ val w_store : Buffer.t -> Vm_image.store -> unit
 val r_store : Codec.reader -> Vm_image.store
 val w_lanes : Buffer.t -> Pc_vm.Lanes.image -> unit
 val r_lanes : Codec.reader -> Pc_vm.Lanes.image
-val w_jit : Buffer.t -> Pc_jit.image -> unit
-val r_jit : Codec.reader -> Pc_jit.image
 val w_counters : Buffer.t -> Engine.counters -> unit
 val r_counters : Codec.reader -> Engine.counters
 val w_engine : Buffer.t -> Engine.snapshot -> unit
@@ -75,9 +73,6 @@ type 'vm checkpoint = {
 
 val encode_pc : Pc_vm.Lanes.image checkpoint -> string
 val decode_pc : string -> Pc_vm.Lanes.image checkpoint
-
-val encode_jit : Pc_jit.image checkpoint -> string
-val decode_jit : string -> Pc_jit.image checkpoint
 
 val encode_shards : Pc_vm.Lanes.image array -> string
 (** One image per shard, shard order. *)

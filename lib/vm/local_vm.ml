@@ -21,8 +21,6 @@ let default_config =
     sink = None;
   }
 
-exception Step_limit_exceeded
-
 let batch_size batch =
   match batch with
   | [] -> invalid_arg "Local_vm: at least one input required"
@@ -46,7 +44,7 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
   let steps = ref 0 in
   let tick () =
     incr steps;
-    if !steps > config.max_steps then raise Step_limit_exceeded
+    if !steps > config.max_steps then raise Ir_util.Step_limit_exceeded
   in
   (* Function-local cost tables for the table-driven policies, built on
      first entry per function (host recursion re-enters run_function for

@@ -41,8 +41,6 @@ type config = {
 val default_config : config
 (** Masking, earliest-block, no engine, no instrumentation, 10^8 steps. *)
 
-exception Step_limit_exceeded
-
 val run :
   ?config:config ->
   Prim.registry ->

@@ -3,7 +3,6 @@ type config = {
   engine : Engine.t option;
   instrument : Instrument.t option;
   max_steps : int;
-  initial_depth : int;
   top_cache : bool;
   naive_stack_writes : bool;
   member_base : int;
@@ -16,14 +15,11 @@ let default_config =
     engine = None;
     instrument = None;
     max_steps = 100_000_000;
-    initial_depth = 4;
     top_cache = true;
     naive_stack_writes = false;
     member_base = 0;
     sink = None;
   }
-
-exception Step_limit_exceeded
 
 (* The program-counter stack: same layout as Stacked but over ints. *)
 module Pc_stack = struct
@@ -130,7 +126,12 @@ module Pc_stack = struct
     Array.blit img.Vm_image.pc_top 0 t.top 0 t.z
 end
 
-type storage = Reg of Tensor.t ref | Msk of Tensor.t ref | Stk of Stacked.t
+(* One variable's storage. A slot stays [None] until its first write
+   when the program was compiled without input shapes (lazy allocation). *)
+type storage = Reg of Tensor.t | Msk of Tensor.t | Stk of Stacked.t
+
+(* Initial capacity of the pc stack and of every variable stack. *)
+let initial_depth = 4
 
 let batch_size batch =
   match batch with
@@ -146,70 +147,301 @@ let batch_size batch =
       batch;
     z
 
+(* A variable's slot: its index in the sorted [names], by binary search. *)
+let slot_of names v =
+  let rec go lo hi =
+    if lo >= hi then invalid_arg (Printf.sprintf "Pc_vm: unknown variable %s" v);
+    let mid = (lo + hi) / 2 in
+    let c = compare v names.(mid) in
+    if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length names)
+
+(* A block with its variables resolved to slots, its primitives looked up
+   and its constants broadcast to the pool's width. [cond] is the slot of
+   the terminator's branch condition, if it has one. *)
+type op =
+  | Prim of { dst : int; args : int list; impl : Prim.t }
+  | Const of { dst : int; value : Tensor.t }
+  | Mov of { dst : int; src : int }
+  | Push of int
+  | Pop of int
+
+type block = { ops : op array; term : Stack_ir.terminator; cond : int }
+
+let resolve names reg ~z (b : Stack_ir.block) =
+  let slot = slot_of names in
+  let op : Stack_ir.op -> op = function
+    | Stack_ir.Sprim { dst; prim; args } ->
+      Prim { dst = slot dst; args = List.map slot args; impl = Prim.find_exn reg prim }
+    | Stack_ir.Sconst { dst; value } ->
+      Const { dst = slot dst; value = Tensor.broadcast_rows value z }
+    | Stack_ir.Smov { dst; src } -> Mov { dst = slot dst; src = slot src }
+    | Stack_ir.Spush v -> Push (slot v)
+    | Stack_ir.Spop v -> Pop (slot v)
+  in
+  let cond =
+    match b.Stack_ir.term with
+    | Stack_ir.Sbranch { cond; _ } | Stack_ir.Spushbranch { cond; _ } -> slot cond
+    | Stack_ir.Sjump _ | Stack_ir.Spushjump _ | Stack_ir.Sreturn -> -1
+  in
+  { ops = Array.of_list (List.map op b.Stack_ir.ops); term = b.Stack_ir.term; cond }
+
 (* The steppable lane pool: all of the program-counter VM's state, with
    per-lane occupancy so a serving layer can retire a halted lane and
    refill it with a new request mid-run. [run] below is the classic
-   whole-batch entry point, now a thin driver over this engine. *)
+   whole-batch entry point, a thin driver over this engine.
+
+   Lookups happen once, in [create]: every variable gets a slot in
+   [slots] and every block is resolved over slot indices. A block's
+   engine charge depends only on shapes, so it is computed on the block's
+   first execution and reused. *)
 module Lanes = struct
+  (* One execution of a block, priced: its primitives' names and summed
+     flops, its control actions, and its bookkeeping bytes. *)
+  type charge = { ops : string list; flops : float; control_ops : int; traffic : float }
+
   type t = {
     config : config;
-    reg : Prim.registry;
     p : Stack_ir.program;
     z : int;
     halt : int;
-    nb : int;
-    store : (string, storage) Hashtbl.t;
+    names : string array;    (* slot -> variable, sorted *)
+    slots : storage option array;
+    blocks : block array;
+    charges : charge option array;
     pc : Pc_stack.t;
     members : int array;     (* per-lane global RNG member identity *)
     occupied : bool array;   (* lane currently carries a request *)
     counts : int array;
+    mask : bool array;       (* lanes the current block runs on *)
+    active : int array;      (* their indices, the first [n_active] *)
+    mutable n_active : int;
     tables : Sched_policy.tables option;  (* for the table-driven policies *)
     mutable last : int;
     mutable steps : int;
-    mutable traffic : float;
-    mutable charged_ops : (string * float) list;
   }
 
-  let allocate t v elem =
+  let slot t v = slot_of t.names v
+
+  let allocate t k elem =
     let s =
-      match Stack_ir.class_of t.p v with
-      | Var_class.Temp -> Reg (ref (Tensor.zeros (Shape.concat_outer t.z elem)))
-      | Var_class.Masked -> Msk (ref (Tensor.zeros (Shape.concat_outer t.z elem)))
-      | Var_class.Stacked ->
-        Stk (Stacked.create ~z:t.z ~elem ~initial_depth:t.config.initial_depth ())
+      match Stack_ir.class_of t.p t.names.(k) with
+      | Var_class.Temp -> Reg (Tensor.zeros (Shape.concat_outer t.z elem))
+      | Var_class.Masked -> Msk (Tensor.zeros (Shape.concat_outer t.z elem))
+      | Var_class.Stacked -> Stk (Stacked.create ~z:t.z ~elem ~initial_depth ())
     in
-    Hashtbl.replace t.store v s;
+    t.slots.(k) <- Some s;
     s
+
+  (* The slot's storage, allocated with element shape [elem] if empty. *)
+  let materialize t k elem =
+    match t.slots.(k) with Some s -> s | None -> allocate t k elem
+
+  let read_slot t k =
+    match t.slots.(k) with
+    | Some (Reg r | Msk r) -> r
+    | Some (Stk s) -> Stacked.top s
+    | None ->
+      invalid_arg (Printf.sprintf "Pc_vm: read of unwritten variable %s" t.names.(k))
+
+  let read t v = read_slot t (slot t v)
+
+  let check_shape t k cur_shape out =
+    if not (Shape.equal cur_shape (Tensor.shape out)) then
+      invalid_arg
+        (Printf.sprintf "Pc_vm: variable %s changes shape from %s to %s" t.names.(k)
+           (Shape.to_string cur_shape)
+           (Shape.to_string (Tensor.shape out)))
+
+  let write t k out =
+    match materialize t k (Vm_util.elem_shape_of_batched out) with
+    | Reg r ->
+      check_shape t k (Tensor.shape r) out;
+      (* Copy, never alias: [out] may be another variable's storage (a
+         register move), and that storage is mutated in place by later
+         masked writes. *)
+      Array.blit (Tensor.data out) 0 (Tensor.data r) 0 (Tensor.numel out)
+    | Msk r ->
+      check_shape t k (Tensor.shape r) out;
+      Tensor.blit_rows_masked ~mask:t.mask ~src:out ~dst:r
+    | Stk s ->
+      check_shape t k (Tensor.shape (Stacked.top s)) out;
+      Stacked.write_top_masked s ~mask:t.mask out
+
+  let stacked t k what =
+    match t.slots.(k) with
+    | Some (Stk s) -> s
+    | Some (Reg _ | Msk _) ->
+      invalid_arg
+        (Printf.sprintf "Pc_vm: %s of non-stacked variable %s" what t.names.(k))
+    | None ->
+      invalid_arg (Printf.sprintf "Pc_vm: %s of unwritten variable %s" what t.names.(k))
+
+  let exec_op t = function
+    | Prim { dst; args; impl } ->
+      let out = impl.Prim.batched ~members:t.members (List.map (read_slot t) args) in
+      (match t.config.instrument with
+      | None -> ()
+      | Some ins ->
+        Instrument.record_prim ins ~name:impl.Prim.name ~useful:t.n_active ~issued:t.z);
+      write t dst out
+    | Const { dst; value } -> write t dst value
+    | Mov { dst; src } -> write t dst (read_slot t src)
+    | Push k -> (
+      let s = stacked t k "push" in
+      Stacked.push s ~mask:t.mask;
+      match t.config.instrument with
+      | None -> ()
+      | Some ins ->
+        Instrument.record_push ins ~lanes:t.n_active;
+        Instrument.record_depth ins (Stacked.max_depth s))
+    | Pop k -> (
+      Stacked.pop (stacked t k "pop") ~mask:t.mask;
+      match t.config.instrument with
+      | None -> ()
+      | Some ins -> Instrument.record_pop ins ~lanes:t.n_active)
+
+  (* Point every active lane's pc at [if_true] or [if_false] by [cond]. *)
+  let branch t cond ~if_true ~if_false =
+    let top = t.pc.Pc_stack.top in
+    for j = 0 to t.n_active - 1 do
+      let b = t.active.(j) in
+      top.(b) <- (if cond.(b) <> 0. then if_true else if_false)
+    done
+
+  (* Save [ret] as the active lanes' return address. *)
+  let push_return t ret =
+    Pc_stack.set_top_masked t.pc ~mask:t.mask ret;
+    Pc_stack.push t.pc ~mask:t.mask;
+    match t.config.instrument with
+    | None -> ()
+    | Some ins -> Instrument.record_depth ins (Pc_stack.max_depth t.pc)
+
+  let exec_term t (b : block) =
+    match b.term with
+    | Stack_ir.Sjump j -> Pc_stack.set_top_masked t.pc ~mask:t.mask j
+    | Stack_ir.Sbranch { if_true; if_false; _ } ->
+      branch t (Tensor.data (read_slot t b.cond)) ~if_true ~if_false
+    | Stack_ir.Spushjump { ret; entry } ->
+      push_return t ret;
+      Pc_stack.set_top_masked t.pc ~mask:t.mask entry
+    | Stack_ir.Spushbranch { ret; if_true; if_false; _ } ->
+      let cond = Tensor.data (read_slot t b.cond) in
+      push_return t ret;
+      branch t cond ~if_true ~if_false
+    | Stack_ir.Sreturn -> Pc_stack.pop t.pc ~mask:t.mask
+
+  (* The engine charge of block [b], from the shapes of the variables it
+     touches (all allocated once it has executed). Traffic is summed in
+     the order the block moves bytes — reads, then the write, op by op,
+     then the terminator — since float addition is not associative. *)
+  let charge_of t (b : block) =
+    let z = t.z in
+    let traffic = ref 0. and flops = ref 0. and names = ref [] in
+    let add bytes = traffic := !traffic +. bytes in
+    let charge name f =
+      names := name :: !names;
+      flops := !flops +. f
+    in
+    let stored k =
+      match t.slots.(k) with
+      | Some s -> s
+      | None ->
+        invalid_arg (Printf.sprintf "Pc_vm: read of unwritten variable %s" t.names.(k))
+    in
+    let elem k =
+      match stored k with
+      | Reg r | Msk r -> Vm_util.elem_shape_of_batched r
+      | Stk s -> Stacked.elem s
+    in
+    let row k = Shape.numel (elem k) in
+    let read k =
+      match stored k with
+      | Stk s when not t.config.top_cache ->
+        (* Without the top cache every stacked read is a gather. *)
+        add (Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s))
+      | Reg _ | Msk _ | Stk _ -> ()
+    in
+    let write k =
+      let row = row k in
+      match stored k with
+      | Reg _ -> add (Vm_util.bytes_per_elem *. float_of_int (z * row))
+      | Msk _ -> add (Vm_util.masked_write_bytes ~lanes:z ~row)
+      | Stk _ ->
+        add (Vm_util.masked_write_bytes ~lanes:z ~row);
+        if t.config.naive_stack_writes then
+          (* Pre-O5 cost: the write would be a pop followed by a push. *)
+          add (2. *. Vm_util.stack_move_bytes ~lanes:z ~row)
+    in
+    Array.iter
+      (function
+        | Prim { dst; args; impl } ->
+          List.iter read args;
+          write dst;
+          charge impl.Prim.name (impl.Prim.flops (List.map elem args) *. float_of_int z)
+        | Const { dst; value } ->
+          write dst;
+          charge "const" (float_of_int (Tensor.numel value))
+        | Mov { dst; src } ->
+          read src;
+          write dst;
+          charge "mov" (float_of_int (row src * z))
+        | Push k | Pop k -> add (Vm_util.stack_move_bytes ~lanes:z ~row:(row k)))
+      b.ops;
+    let pc_move () = add (Vm_util.stack_move_bytes ~lanes:z ~row:1) in
+    let control_ops =
+      match b.term with
+      | Stack_ir.Sjump _ -> 2
+      | Stack_ir.Sbranch _ -> read b.cond; 3
+      | Stack_ir.Spushjump _ | Stack_ir.Sreturn -> pc_move (); 2
+      | Stack_ir.Spushbranch _ -> read b.cond; pc_move (); 3
+    in
+    { ops = List.rev !names; flops = !flops; control_ops; traffic = !traffic }
+
+  let charge t i =
+    match t.charges.(i) with
+    | Some c -> c
+    | None ->
+      let c = charge_of t t.blocks.(i) in
+      t.charges.(i) <- Some c;
+      c
 
   let create ?(config = default_config) reg (p : Stack_ir.program) ~z =
     if z <= 0 then invalid_arg "Pc_vm.Lanes: need at least one lane";
     let halt = Stack_ir.halt p in
+    let nb = Array.length p.Stack_ir.blocks in
+    let names =
+      Stack_ir.all_vars p @ List.map fst (Ir_util.Smap.bindings p.Stack_ir.shapes)
+      |> List.sort_uniq compare |> Array.of_list
+    in
     let t =
       {
         config;
-        reg;
         p;
         z;
         halt;
-        nb = Array.length p.Stack_ir.blocks;
-        store = Hashtbl.create 64;
+        names;
+        slots = Array.make (Array.length names) None;
+        blocks = Array.map (resolve names reg ~z) p.Stack_ir.blocks;
+        charges = Array.make nb None;
         (* All lanes start idle: pc top parked at [halt]. *)
-        pc = Pc_stack.create ~z ~bottom:halt ~start:halt
-               ~initial_depth:config.initial_depth;
+        pc = Pc_stack.create ~z ~bottom:halt ~start:halt ~initial_depth;
         members = Array.init z (fun i -> config.member_base + i);
         occupied = Array.make z false;
-        counts = Array.make (Array.length p.Stack_ir.blocks) 0;
+        counts = Array.make nb 0;
+        mask = Array.make z false;
+        active = Array.make z 0;
+        n_active = 0;
         tables =
           (if Sched_policy.needs_tables config.sched then
              Some (Sched_cost.stack_tables ~registry:reg p)
            else None);
         last = -1;
         steps = 0;
-        traffic = 0.;
-        charged_ops = [];
       }
     in
-    Ir_util.Smap.iter (fun v elem -> ignore (allocate t v elem)) p.Stack_ir.shapes;
+    Ir_util.Smap.iter (fun v elem -> ignore (allocate t (slot t v) elem)) p.Stack_ir.shapes;
     t
 
   let z t = t.z
@@ -242,34 +474,33 @@ module Lanes = struct
     done;
     !acc
 
-  let read t v =
-    match Hashtbl.find_opt t.store v with
-    | Some (Reg r) | Some (Msk r) -> !r
-    | Some (Stk s) -> Stacked.top s
-    | None -> invalid_arg (Printf.sprintf "Pc_vm: read of unwritten variable %s" v)
+  (* The allocated variables, sorted by name. *)
+  let allocated t =
+    let acc = ref [] in
+    for k = Array.length t.slots - 1 downto 0 do
+      Option.iter (fun s -> acc := (t.names.(k), s) :: !acc) t.slots.(k)
+    done;
+    !acc
 
   (* Restore one lane of every allocated variable to the all-zeros state a
      fresh VM would give it. Variables allocated on demand *after* this
      point start zeroed anyway, so a recycled lane is indistinguishable
      from lane [lane] of a brand-new VM. *)
   let reset_lane_storage t ~lane =
-    Hashtbl.iter
-      (fun _ s ->
-        match s with
-        | Reg r | Msk r ->
-          let row = Tensor.row_numel !r in
-          Array.fill (Tensor.data !r) (lane * row) row 0.
-        | Stk s -> Stacked.reset_lane s lane)
-      t.store
+    Array.iter
+      (function
+        | None -> ()
+        | Some (Reg r | Msk r) ->
+          let row = Tensor.row_numel r in
+          Array.fill (Tensor.data r) (lane * row) row 0.
+        | Some (Stk s) -> Stacked.reset_lane s lane)
+      t.slots
 
   let write_lane_row t v ~lane elem_t =
-    let s =
-      match Hashtbl.find_opt t.store v with
-      | Some s -> s
-      | None -> allocate t v (Tensor.shape elem_t)
-    in
     let dst =
-      match s with Reg r | Msk r -> !r | Stk st -> Stacked.top st
+      match materialize t (slot t v) (Tensor.shape elem_t) with
+      | Reg r | Msk r -> r
+      | Stk st -> Stacked.top st
     in
     let row = Tensor.row_numel dst in
     if Tensor.numel elem_t <> row then
@@ -333,21 +564,18 @@ module Lanes = struct
       invalid_arg
         (Printf.sprintf "Pc_vm.Lanes.export_lane: lane %d is idle" lane);
     let row_of r =
-      let row = Tensor.row_numel !r in
-      (Vm_util.elem_shape_of_batched !r, Array.sub (Tensor.data !r) (lane * row) row)
+      let row = Tensor.row_numel r in
+      (Vm_util.elem_shape_of_batched r, Array.sub (Tensor.data r) (lane * row) row)
     in
     let vars =
-      Hashtbl.fold
-        (fun v s acc ->
-          let vl =
+      List.map
+        (fun (v, s) ->
+          ( v,
             match s with
             | Reg r -> let e, d = row_of r in Lane_reg (e, d)
             | Msk r -> let e, d = row_of r in Lane_msk (e, d)
-            | Stk s -> Lane_stk (Stacked.capture_lane s lane)
-          in
-          (v, vl) :: acc)
-        t.store []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+            | Stk s -> Lane_stk (Stacked.capture_lane s lane) ))
+        (allocated t)
     in
     {
       ls_member = t.members.(lane);
@@ -380,24 +608,20 @@ module Lanes = struct
             (Printf.sprintf
                "Pc_vm.Lanes.import_lane: variable %s changes storage class" v)
         in
-        let lookup elem =
-          match Hashtbl.find_opt t.store v with
-          | Some s -> s
-          | None -> allocate t v elem
-        in
+        let k = slot t v in
         match vl with
         | Lane_reg (elem, data) | Lane_msk (elem, data) -> (
-          match lookup elem with
+          match materialize t k elem with
           | Reg r | Msk r ->
-            let row = Tensor.row_numel !r in
+            let row = Tensor.row_numel r in
             if Array.length data <> row then
               invalid_arg
                 (Printf.sprintf
                    "Pc_vm.Lanes.import_lane: variable %s row width mismatch" v);
-            Array.blit data 0 (Tensor.data !r) (lane * row) row
+            Array.blit data 0 (Tensor.data r) (lane * row) row
           | Stk _ -> class_err ())
         | Lane_stk l -> (
-          match lookup l.Stacked.l_elem with
+          match materialize t k l.Stacked.l_elem with
           | Stk s -> Stacked.restore_lane s lane l
           | Reg _ | Msk _ -> class_err ()))
       st.ls_vars;
@@ -440,19 +664,16 @@ module Lanes = struct
 
   let capture t =
     let store =
-      Hashtbl.fold
-        (fun v s acc ->
-          let img =
+      List.map
+        (fun (v, s) ->
+          ( v,
             match s with
             | Reg r ->
-              Vm_image.Reg (Array.copy (Tensor.shape !r), Array.copy (Tensor.data !r))
+              Vm_image.Reg (Array.copy (Tensor.shape r), Array.copy (Tensor.data r))
             | Msk r ->
-              Vm_image.Msk (Array.copy (Tensor.shape !r), Array.copy (Tensor.data !r))
-            | Stk s -> Vm_image.Stk (Stacked.capture s)
-          in
-          (v, img) :: acc)
-        t.store []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+              Vm_image.Msk (Array.copy (Tensor.shape r), Array.copy (Tensor.data r))
+            | Stk s -> Vm_image.Stk (Stacked.capture s) ))
+        (allocated t)
     in
     {
       li_z = t.z;
@@ -474,72 +695,26 @@ module Lanes = struct
     (* Rebuild the store from the image alone: a variable first allocated
        after the capture must disappear, or its stale masked rows would
        leak into lanes the image knows nothing about. *)
-    Hashtbl.reset t.store;
+    Array.fill t.slots 0 (Array.length t.slots) None;
     List.iter
       (fun (v, s) ->
-        match s with
-        | Vm_image.Reg (shape, data) ->
-          Hashtbl.replace t.store v (Reg (ref (Tensor.of_array shape data)))
-        | Vm_image.Msk (shape, data) ->
-          Hashtbl.replace t.store v (Msk (ref (Tensor.of_array shape data)))
-        | Vm_image.Stk simg ->
-          let s =
-            Stacked.create ~z:t.z ~elem:simg.Stacked.i_elem
-              ~initial_depth:t.config.initial_depth ()
-          in
-          Stacked.restore s simg;
-          Hashtbl.replace t.store v (Stk s))
+        let s =
+          match s with
+          | Vm_image.Reg (shape, data) -> Reg (Tensor.of_array shape data)
+          | Vm_image.Msk (shape, data) -> Msk (Tensor.of_array shape data)
+          | Vm_image.Stk simg ->
+            let s = Stacked.create ~z:t.z ~elem:simg.Stacked.i_elem ~initial_depth () in
+            Stacked.restore s simg;
+            Stk s
+        in
+        t.slots.(slot t v) <- Some s)
       img.li_store
-
-  let check_shape v cur_shape out =
-    if not (Shape.equal cur_shape (Tensor.shape out)) then
-      invalid_arg
-        (Printf.sprintf "Pc_vm: variable %s changes shape from %s to %s" v
-           (Shape.to_string cur_shape)
-           (Shape.to_string (Tensor.shape out)))
-
-  let write t v ~mask out =
-    let row = Tensor.row_numel out in
-    let s =
-      match Hashtbl.find_opt t.store v with
-      | Some s -> s
-      | None -> allocate t v (Vm_util.elem_shape_of_batched out)
-    in
-    match s with
-    | Reg r ->
-      check_shape v (Tensor.shape !r) out;
-      (* Copy, never alias: [out] may be another variable's storage (a
-         register move), and that storage is mutated in place by later
-         masked writes. *)
-      Array.blit (Tensor.data out) 0 (Tensor.data !r) 0 (Tensor.numel out);
-      t.traffic <- t.traffic +. (Vm_util.bytes_per_elem *. float_of_int (t.z * row))
-    | Msk r ->
-      check_shape v (Tensor.shape !r) out;
-      Tensor.blit_rows_masked ~mask ~src:out ~dst:!r;
-      t.traffic <- t.traffic +. Vm_util.masked_write_bytes ~lanes:t.z ~row
-    | Stk s ->
-      check_shape v (Tensor.shape (Stacked.top s)) out;
-      Stacked.write_top_masked s ~mask out;
-      t.traffic <- t.traffic +. Vm_util.masked_write_bytes ~lanes:t.z ~row;
-      if t.config.naive_stack_writes then
-        (* Pre-O5 cost: the write would be a pop followed by a push. *)
-        t.traffic <- t.traffic +. (2. *. Vm_util.stack_move_bytes ~lanes:t.z ~row)
-
-  let read_charged t v =
-    let x = read t v in
-    (match Hashtbl.find_opt t.store v with
-    | Some (Stk _) when not t.config.top_cache ->
-      (* Without the top cache every stacked read is a gather. *)
-      t.traffic <-
-        t.traffic +. Vm_util.stack_move_bytes ~lanes:t.z ~row:(Tensor.row_numel x)
-    | Some _ | None -> ());
-    x
 
   (* Execute one scheduled basic block over the currently live lanes.
      Returns [false] (and does nothing) when no lane is runnable. *)
   let step t =
     let z = t.z and halt = t.halt and pc = t.pc and config = t.config in
-    Array.fill t.counts 0 t.nb 0;
+    Array.fill t.counts 0 (Array.length t.counts) 0;
     let live = ref 0 in
     for b = 0 to z - 1 do
       if pc.Pc_stack.top.(b) < halt then begin
@@ -551,7 +726,7 @@ module Lanes = struct
     | None -> false
     | Some i ->
       t.steps <- t.steps + 1;
-      if t.steps > config.max_steps then raise Step_limit_exceeded;
+      if t.steps > config.max_steps then raise Ir_util.Step_limit_exceeded;
       (* The superstep event fires before the block executes, so a sink
          that raises (an injected fault) aborts the superstep whole —
          never a half-applied block. The occupancy event follows under the
@@ -581,111 +756,30 @@ module Lanes = struct
           (fun ins -> Instrument.observe_occupancy ins occ)
           instrument);
       t.last <- i;
-      let mask = Array.init z (fun b -> pc.Pc_stack.top.(b) = i) in
-      let members = Vm_util.indices_of_mask mask in
-      let n_active = Array.length members in
-      t.traffic <- 0.;
-      t.charged_ops <- [];
-      let record_prim name =
-        Option.iter
-          (fun ins -> Instrument.record_prim ins ~name ~useful:n_active ~issued:z)
-          config.instrument
-      in
-      let block = t.p.Stack_ir.blocks.(i) in
-      List.iter
-        (fun (op : Stack_ir.op) ->
-          match op with
-          | Stack_ir.Sprim { dst; prim; args } ->
-            let impl = Prim.find_exn t.reg prim in
-            let arg_tensors = List.map (read_charged t) args in
-            let out = impl.Prim.batched ~members:t.members arg_tensors in
-            let elem_shapes = List.map Vm_util.elem_shape_of_batched arg_tensors in
-            t.charged_ops <-
-              (prim, impl.Prim.flops elem_shapes *. float_of_int z) :: t.charged_ops;
-            record_prim prim;
-            write t dst ~mask out
-          | Stack_ir.Sconst { dst; value } ->
-            let out = Tensor.broadcast_rows value z in
-            t.charged_ops <-
-              ("const", float_of_int (Tensor.numel value * z)) :: t.charged_ops;
-            write t dst ~mask out
-          | Stack_ir.Smov { dst; src } ->
-            let out = read_charged t src in
-            t.charged_ops <-
-              ("mov", float_of_int (Tensor.row_numel out * z)) :: t.charged_ops;
-            write t dst ~mask out
-          | Stack_ir.Spush v -> (
-            match Hashtbl.find_opt t.store v with
-            | Some (Stk s) ->
-              Stacked.push s ~mask;
-              t.traffic <-
-                t.traffic +. Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s);
-              Option.iter
-                (fun ins ->
-                  Instrument.record_push ins ~lanes:n_active;
-                  Instrument.record_depth ins (Stacked.max_depth s))
-                config.instrument
-            | Some (Reg _ | Msk _) ->
-              invalid_arg (Printf.sprintf "Pc_vm: push of non-stacked variable %s" v)
-            | None ->
-              invalid_arg (Printf.sprintf "Pc_vm: push of unwritten variable %s" v))
-          | Stack_ir.Spop v -> (
-            match Hashtbl.find_opt t.store v with
-            | Some (Stk s) ->
-              Stacked.pop s ~mask;
-              t.traffic <-
-                t.traffic +. Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s);
-              Option.iter
-                (fun ins -> Instrument.record_pop ins ~lanes:n_active)
-                config.instrument
-            | Some (Reg _ | Msk _) ->
-              invalid_arg (Printf.sprintf "Pc_vm: pop of non-stacked variable %s" v)
-            | None ->
-              invalid_arg (Printf.sprintf "Pc_vm: pop of unwritten variable %s" v)))
-        block.Stack_ir.ops;
-      (* Terminator. *)
-      let control_ops = ref 2 in
-      (match block.Stack_ir.term with
-      | Stack_ir.Sjump j -> Pc_stack.set_top_masked pc ~mask j
-      | Stack_ir.Sbranch { cond; if_true; if_false } ->
-        incr control_ops;
-        let data = Tensor.data (read_charged t cond) in
-        Array.iter
-          (fun b ->
-            pc.Pc_stack.top.(b) <- (if data.(b) <> 0. then if_true else if_false))
-          members
-      | Stack_ir.Spushjump { ret; entry } ->
-        Pc_stack.set_top_masked pc ~mask ret;
-        Pc_stack.push pc ~mask;
-        Pc_stack.set_top_masked pc ~mask entry;
-        t.traffic <- t.traffic +. Vm_util.stack_move_bytes ~lanes:z ~row:1;
-        Option.iter
-          (fun ins -> Instrument.record_depth ins (Pc_stack.max_depth pc))
-          config.instrument
-      | Stack_ir.Spushbranch { ret; cond; if_true; if_false } ->
-        incr control_ops;
-        let data = Tensor.data (read_charged t cond) in
-        Pc_stack.set_top_masked pc ~mask ret;
-        Pc_stack.push pc ~mask;
-        Array.iter
-          (fun b ->
-            pc.Pc_stack.top.(b) <- (if data.(b) <> 0. then if_true else if_false))
-          members;
-        t.traffic <- t.traffic +. Vm_util.stack_move_bytes ~lanes:z ~row:1;
-        Option.iter
-          (fun ins -> Instrument.record_depth ins (Pc_stack.max_depth pc))
-          config.instrument
-      | Stack_ir.Sreturn ->
-        Pc_stack.pop pc ~mask;
-        t.traffic <- t.traffic +. Vm_util.stack_move_bytes ~lanes:z ~row:1);
-      Option.iter
-        (fun eng ->
-          Engine.charge_block eng ~ops:(List.rev t.charged_ops)
-            ~control_ops:!control_ops ~traffic_bytes:t.traffic)
-        config.engine;
-      Option.iter
-        (fun ins -> Instrument.record_block ~block:i ins ~active:n_active ~batch:z)
-        config.instrument;
+      let n = ref 0 in
+      for b = 0 to z - 1 do
+        let m = pc.Pc_stack.top.(b) = i in
+        t.mask.(b) <- m;
+        if m then begin
+          t.active.(!n) <- b;
+          incr n
+        end
+      done;
+      t.n_active <- !n;
+      let (b : block) = t.blocks.(i) in
+      for j = 0 to Array.length b.ops - 1 do
+        exec_op t b.ops.(j)
+      done;
+      exec_term t b;
+      (match config.engine with
+      | None -> ()
+      | Some eng ->
+        let c = charge t i in
+        Engine.charge_priced_block eng ~ops:c.ops ~flops:c.flops
+          ~control_ops:c.control_ops ~traffic_bytes:c.traffic);
+      (match config.instrument with
+      | None -> ()
+      | Some ins -> Instrument.record_block ~block:i ins ~active:!n ~batch:z);
       true
 end
 
@@ -700,6 +794,4 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
     ()
   done;
   (* Fresh tensors: the VM's storage buffers must not escape. *)
-  List.map (fun v -> Tensor.copy (Lanes.read lanes v)) p.Stack_ir.outputs
-
-let final_max_depth = Instrument.max_depth
+  Lanes.outputs lanes

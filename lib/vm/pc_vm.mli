@@ -11,14 +11,20 @@
     program (Figure 5).
 
     Execution is masking-style (all lanes computed, inactive results
-    discarded), matching the paper's static-shape target platforms. *)
+    discarded), matching the paper's static-shape target platforms.
+
+    The interpretive work is done once per lane pool, in {!Lanes.create}:
+    every variable is resolved to a storage slot, every block's operands
+    to slot indices, its primitives to their implementations and its
+    constants to batch-wide tensors, and each block's engine charge (op
+    flops, control actions, traffic) is priced on its first execution
+    and reused. A superstep then does no name lookups and no pricing. *)
 
 type config = {
   sched : Sched_policy.t;
   engine : Engine.t option;
   instrument : Instrument.t option;
   max_steps : int;
-  initial_depth : int;        (** initial per-variable stack capacity *)
   top_cache : bool;
       (** O4. The implementation always keeps the cache (reads are host
           arrays either way); disabling charges the simulated cost of
@@ -41,8 +47,6 @@ type config = {
 }
 
 val default_config : config
-
-exception Step_limit_exceeded
 
 (** The program-counter stack: the {!Stacked} layout over block indices.
     Exposed for direct testing of the hot growth/underflow paths the VM
@@ -144,7 +148,7 @@ module Lanes : sig
   val step : t -> bool
   (** Execute one scheduled basic block over the live lanes; [false] when
       no lane is runnable (all idle or finished). Raises
-      {!Step_limit_exceeded} past [config.max_steps]. *)
+      {!Ir_util.Step_limit_exceeded} past [config.max_steps]. *)
 
   val retire : t -> lane:int -> Tensor.t list
   (** Extract a finished lane's outputs (element tensors, freshly copied)
@@ -239,6 +243,3 @@ val run :
   Tensor.t list
 (** [run reg p ~batch] executes the program on inputs carrying a common
     leading batch dimension; results do too. *)
-
-val final_max_depth : Instrument.t -> int
-(** Convenience alias of {!Instrument.max_depth}. *)

@@ -69,5 +69,5 @@ val run :
   batch:Tensor.t list ->
   result
 (** Raises [Invalid_argument] on an empty batch, [lanes <= 0], or a plan
-    with refills disabled; {!Pc_vm.Step_limit_exceeded} past
+    with refills disabled; {!Ir_util.Step_limit_exceeded} past
     [max_steps]. *)

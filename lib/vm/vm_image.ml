@@ -1,6 +1,6 @@
-(* Shared plain-data checkpoint types for the batched VMs. Both Pc_vm and
-   Pc_jit checkpoint into these shapes; the binary encoding lives entirely
-   in lib/resil, keeping the dependency direction runtime <- resilience. *)
+(* Plain-data checkpoint types for the batched VMs. Pc_vm checkpoints
+   into these shapes; the binary encoding lives entirely in lib/resil,
+   keeping the dependency direction runtime <- resilience. *)
 
 type pc = {
   pc_cap : int;

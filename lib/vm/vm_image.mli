@@ -1,9 +1,9 @@
 (** Shared plain-data checkpoint types for the batched VMs.
 
-    Both {!Pc_vm.Lanes} and {!Pc_jit} capture their execution state into
-    these transparent shapes; binary serialization lives entirely in the
-    resilience layer ([lib/resil]), which depends on the runtimes and not
-    the other way round. Store entries are kept sorted by variable name so
+    {!Pc_vm.Lanes} captures its execution state into these transparent
+    shapes; binary serialization lives entirely in the resilience layer
+    ([lib/resil]), which depends on the runtimes and not the other way
+    round. Store entries are kept sorted by variable name so
     images of equal states are structurally equal ([=]). *)
 
 (** The program-counter stack: the full depth-major data array (block

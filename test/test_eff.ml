@@ -67,7 +67,7 @@ let test_log_density_matches_hand () =
 
 let test_runtime_matrix_bitwise () =
   (* The elaborated log-density program of every zoo model produces
-     bitwise-identical outputs on pc, jit, local and sharded. *)
+     bitwise-identical outputs on pc, local and sharded. *)
   List.iter
     (fun name ->
       let m = Zoo.resolve ~dim:6 name in
@@ -90,7 +90,6 @@ let test_runtime_matrix_bitwise () =
           true
           (List.for_all2 Tensor.equal pc outs)
       in
-      check "jit" (Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch);
       check "local" (Autobatch.run_local compiled ~batch);
       check "shard"
         (Autobatch.run_sharded
@@ -179,9 +178,6 @@ let test_simulate_bitwise_across_runtimes () =
   let z = 6 in
   let batch = [ Tensor.zeros [| z |] ] in
   let pc = Autobatch.run_pc compiled ~batch in
-  Alcotest.(check bool) "jit" true
-    (List.for_all2 Tensor.equal pc
-       (Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch));
   Alcotest.(check bool) "local" true
     (List.for_all2 Tensor.equal pc (Autobatch.run_local compiled ~batch))
 
@@ -357,7 +353,6 @@ let test_nuts_bitwise_all_models () =
       let pc = Autobatch.run_pc compiled ~batch in
       let arms =
         [
-          ("jit", Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch);
           ("local", Autobatch.run_local compiled ~batch);
           ( "shard",
             (Autobatch.run_sharded

@@ -292,8 +292,6 @@ let test_fib_entry_duplication () =
     (Printf.sprintf "fewer supersteps (%d -> %d)" plain_steps fused_steps)
     true (fused_steps < plain_steps);
   check_bitwise "local" expected (Autobatch.run_local fused ~batch:fib_batch);
-  check_bitwise "jit" expected
-    (Pc_jit.run (Autobatch.jit fused ~batch:6) ~batch:fib_batch);
   check_bitwise "shard" expected
     (Autobatch.run_sharded
        ~config:{ Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:3 () }

@@ -571,7 +571,7 @@ let test_interp_cfg_step_limit () =
       ]
   in
   let cfg = Lower_cfg.lower spin in
-  Alcotest.check_raises "cfg step limit" Interp_cfg.Step_limit_exceeded (fun () ->
+  Alcotest.check_raises "cfg step limit" Ir_util.Step_limit_exceeded (fun () ->
       ignore (Interp_cfg.run ~max_steps:50 reg cfg ~member:0 ~args:[ Tensor.scalar 0. ]))
 
 let interp_cfg_suite =

@@ -375,7 +375,6 @@ let test_hmc_dsl_bitwise () =
     [
       ("pc", Autobatch.run_pc compiled ~batch);
       ("local", Autobatch.run_local compiled ~batch);
-      ("jit", Pc_jit.run (Autobatch.jit compiled ~batch:chains) ~batch);
     ]
 
 let test_hmc_dsl_posterior () =
@@ -413,7 +412,7 @@ let hmc_dsl_suite =
   ( "hmc-dsl",
     [
       t "non-recursive => no stacks" `Quick test_hmc_dsl_no_stacks;
-      t "bitwise vs reference (pc/local/jit)" `Quick test_hmc_dsl_bitwise;
+      t "bitwise vs reference (pc/local VMs)" `Quick test_hmc_dsl_bitwise;
       t "posterior moments" `Slow test_hmc_dsl_posterior;
     ] )
 

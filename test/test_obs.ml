@@ -287,15 +287,6 @@ let test_sink_off_on_pc () =
       let outs = Autobatch.run_pc ~config compiled ~batch:(fib_batch 8) in
       (outs, Engine.elapsed engine))
 
-let test_sink_off_on_jit () =
-  let compiled = Lazy.force fib_compiled in
-  let exe = Autobatch.jit compiled ~batch:8 in
-  check_unperturbed "jit" (fun sink ->
-      let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let outs = Pc_jit.run ~engine ?sink exe ~batch:(fib_batch 8) in
-      (outs, Engine.elapsed engine))
-
 let test_sink_off_on_local () =
   let compiled = Lazy.force fib_compiled in
   check_unperturbed "local" (fun sink ->
@@ -373,7 +364,6 @@ let suites =
         t "trace limit and csv" `Quick test_trace_limit_and_csv;
         t "live trace well-formed" `Quick test_live_trace_well_formed;
         t "sink off/on pc" `Quick test_sink_off_on_pc;
-        t "sink off/on jit" `Quick test_sink_off_on_jit;
         t "sink off/on local" `Quick test_sink_off_on_local;
         t "sink off/on shard" `Quick test_sink_off_on_shard;
         t "sink off/on server" `Quick test_sink_off_on_server;

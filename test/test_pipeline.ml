@@ -59,8 +59,6 @@ let differential ?(options = Lower_stack.default_options) name program batch =
     Sched_policy.all;
   let naive = { Pc_vm.default_config with naive_stack_writes = true; top_cache = false } in
   check_config "pc/naive" (Autobatch.run_pc ~config:naive compiled ~batch);
-  (* Precompiled executor. *)
-  check_config "jit" (Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch);
   (* Optimizer on. *)
   let optimized =
     Autobatch.compile ~options ~optimize:true

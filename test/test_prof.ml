@@ -182,12 +182,6 @@ let test_occupancy_invariant_pc () =
       let config = { Pc_vm.default_config with sink = Some sink } in
       ignore (Autobatch.run_pc ~config compiled ~batch:(fib_batch 8)))
 
-let test_occupancy_invariant_jit () =
-  let compiled = Lazy.force fib_compiled in
-  let exe = Autobatch.jit compiled ~batch:8 in
-  check_occupancy "jit" (fun sink ->
-      ignore (Pc_jit.run ~sink exe ~batch:(fib_batch 8)))
-
 let test_occupancy_invariant_local () =
   let compiled = Lazy.force fib_compiled in
   check_occupancy "local" (fun sink ->
@@ -293,16 +287,6 @@ let test_conservation_pc () =
   ignore (Autobatch.run_pc ~config compiled ~batch:(fib_batch 16));
   check_conservation "pc" (Engine.elapsed engine) prof
 
-let test_conservation_jit () =
-  let compiled = Lazy.force fib_compiled in
-  let exe = Autobatch.jit compiled ~batch:16 in
-  let prof = Obs_prof.create () in
-  let sink = Obs_prof.sink prof in
-  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-  Engine.set_sink engine sink;
-  ignore (Pc_jit.run ~engine ~sink exe ~batch:(fib_batch 16));
-  check_conservation "jit" (Engine.elapsed engine) prof
-
 let test_conservation_shard () =
   (* Each shard has its own engine and domain; attribution must conserve
      the sum of the per-shard clocks (collectives live on the mesh
@@ -349,15 +333,6 @@ let test_prof_off_on_pc () =
       (match sink with Some s -> Engine.set_sink engine s | None -> ());
       let config = { Pc_vm.default_config with engine = Some engine; sink } in
       let outs = Autobatch.run_pc ~config compiled ~batch:(fib_batch 8) in
-      (outs, Engine.elapsed engine))
-
-let test_prof_off_on_jit () =
-  let compiled = Lazy.force fib_compiled in
-  let exe = Autobatch.jit compiled ~batch:8 in
-  check_prof_unperturbed "jit" (fun sink ->
-      let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let outs = Pc_jit.run ~engine ?sink exe ~batch:(fib_batch 8) in
       (outs, Engine.elapsed engine))
 
 let test_prof_off_on_local () =
@@ -538,16 +513,13 @@ let suites =
         t "metrics merge" `Quick test_metrics_merge;
         t "histogram raw buckets json" `Quick test_hist_buckets_json;
         t "occupancy invariant pc" `Quick test_occupancy_invariant_pc;
-        t "occupancy invariant jit" `Quick test_occupancy_invariant_jit;
         t "occupancy invariant local" `Quick test_occupancy_invariant_local;
         t "occupancy invariant shard" `Quick test_occupancy_invariant_shard;
         t "occupancy invariant server" `Quick test_occupancy_invariant_server;
         t "occupancy feeds the gauge" `Quick test_occupancy_feeds_gauge;
         t "conservation pc" `Quick test_conservation_pc;
-        t "conservation jit" `Quick test_conservation_jit;
         t "conservation shard" `Quick test_conservation_shard;
         t "profiler off/on pc" `Quick test_prof_off_on_pc;
-        t "profiler off/on jit" `Quick test_prof_off_on_jit;
         t "profiler off/on local" `Quick test_prof_off_on_local;
         t "profiler off/on shard" `Quick test_prof_off_on_shard;
         t "profiler off/on server" `Quick test_prof_off_on_server;

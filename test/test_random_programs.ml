@@ -378,7 +378,6 @@ let vector_runs_agree prog =
          ~config:{ Local_vm.default_config with style = Local_vm.Gather_scatter }
          compiled ~batch:batch_inputs);
     check "pc" (Autobatch.run_pc compiled ~batch:batch_inputs);
-    check "jit" (Pc_jit.run (Autobatch.jit compiled ~batch:z) ~batch:batch_inputs);
     check "pc-optimized"
       (Autobatch.run_pc
          (Autobatch.compile ~registry:reg ~optimize:true
@@ -431,14 +430,6 @@ let fused_runs_agree prog =
     in
     check "fused pc" (Autobatch.run_pc fused ~batch:batch_inputs);
     check "fused local" (Autobatch.run_local fused ~batch:batch_inputs);
-    (* A never-called function leaves its variables without inferred
-       shapes and the JIT refuses to preallocate (fused or not); only
-       require jit agreement when the unfused program jit-compiles. *)
-    (match Autobatch.jit plain ~batch:z with
-    | exception Invalid_argument _ -> ()
-    | _ ->
-      check "fused jit"
-        (Pc_jit.run (Autobatch.jit fused ~batch:z) ~batch:batch_inputs));
     check "fused shard"
       (Autobatch.run_sharded
          ~config:{ Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
@@ -471,16 +462,7 @@ let migration_runs_agree prog =
       Autobatch.compile ~registry:reg ~input_shapes:[ Shape.scalar; Shape.scalar ]
         prog
     in
-    (* Same caveat as the fusion differential: a never-called function
-       leaves shapes uninferred and the JIT refuses to preallocate. *)
-    let include_jit =
-      match Autobatch.jit compiled ~batch:5 with
-      | exception Invalid_argument _ -> false
-      | _ -> true
-    in
-    let checks =
-      Sched_sweep.bitwise_matrix ~include_jit compiled ~batch:batch_inputs
-    in
+    let checks = Sched_sweep.bitwise_matrix compiled ~batch:batch_inputs in
     (match Sched_sweep.failures checks with
     | [] -> true
     | bad ->

@@ -177,6 +177,26 @@ let test_envelope_rejects_version () =
   in
   expect_corrupt "future version" (fun () -> decode_sample resigned)
 
+(* The precompiled executor's checkpoint kind is retired: a blob that
+   carries it, even with a well-formed pc payload, is not a pc checkpoint. *)
+let test_envelope_rejects_retired_kind () =
+  let compiled = Lazy.force fib_compiled in
+  let lanes =
+    Pc_vm.Lanes.create compiled.Autobatch.registry compiled.Autobatch.stack ~z:2
+  in
+  let img = Pc_vm.Lanes.capture lanes in
+  let blob =
+    Snapshot.encode ~kind:"pc-jit-checkpoint" (fun buf ->
+        Codec.w_int buf img.Pc_vm.Lanes.li_z;
+        Codec.w_int buf img.Pc_vm.Lanes.li_steps;
+        Codec.w_int buf img.Pc_vm.Lanes.li_last;
+        Snapshot.w_pc buf img.Pc_vm.Lanes.li_pc;
+        Snapshot.w_store buf img.Pc_vm.Lanes.li_store;
+        Codec.w_option Snapshot.w_engine buf None;
+        Codec.w_option Snapshot.w_instrument buf None)
+  in
+  expect_corrupt "pc-jit-checkpoint blob" (fun () -> Snapshot.decode_pc blob)
+
 let test_file_roundtrip () =
   let blob = sample_blob () in
   let path = Filename.temp_file "abresil" ".ckpt" in
@@ -340,33 +360,6 @@ let test_recovery_pc_instrument_identical () =
   Alcotest.(check bool) "faults fired" true (st.Recovery.restores > 0);
   Alcotest.(check bool) "instrument gauges bitwise identical" true (img = base_img)
 
-let test_recovery_jit_bitwise () =
-  let compiled = Lazy.force fib_compiled in
-  let z = 8 in
-  let batch = fib_batch z in
-  let exe = Autobatch.jit compiled ~batch:z in
-  let e0 = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-  let base, base_st = Recovery.run_jit ~engine:e0 exe ~batch in
-  let horizon = base_st.Recovery.useful_supersteps + 1 in
-  List.iter
-    (fun interval ->
-      let e = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      let outs, st =
-        Recovery.run_jit ~engine:e ~interval
-          ~plan:
-            (fault_plan ~seed:11 ~horizon
-               ~kinds:[ Fault.Device_kill; Fault.Kernel_poison ])
-          exe ~batch
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "interval %d: faults fired" interval)
-        true (st.Recovery.restores > 0);
-      check_bits_tensors (Printf.sprintf "interval %d: outputs" interval) base outs;
-      check_bits_float
-        (Printf.sprintf "interval %d: engine clock" interval)
-        (Engine.elapsed e0) (Engine.elapsed e))
-    [ 1; 6; 0 ]
-
 let test_recovery_sharded_bitwise () =
   let compiled = Lazy.force fib_compiled in
   let reg = compiled.Autobatch.registry and stack = compiled.Autobatch.stack in
@@ -492,20 +485,8 @@ let prop_recovery_bitwise =
           ~kinds:[ Fault.Device_kill; Fault.Link_drop ] ()
       in
       let pc_outs, _ = Recovery.run_pc ~interval ~plan reg stack ~batch in
-      (* The jit refuses programs whose dead branches leave a variable's
-         shape uninferred (the differential suite only jits the vector
-         generator for the same reason) — recovery is vacuous there. *)
-      let jit_ok =
-        match Autobatch.jit compiled ~batch:(Tensor.shape (List.hd batch)).(0) with
-        | exe ->
-          let jit_outs, _ = Recovery.run_jit ~interval ~plan exe ~batch in
-          bits jit_outs = bits base
-        | exception Invalid_argument _ -> true
-      in
       let shard_r = Recovery.run_sharded ~shards ~interval ~plan reg stack ~batch in
-      bits pc_outs = bits base
-      && jit_ok
-      && bits shard_r.Recovery.sh_outputs = bits base)
+      bits pc_outs = bits base && bits shard_r.Recovery.sh_outputs = bits base)
 
 let suites =
   [
@@ -520,6 +501,7 @@ let suites =
         t "round trip" `Quick test_envelope_roundtrip;
         t "rejects corruption" `Quick test_envelope_rejects_corruption;
         t "rejects future versions" `Quick test_envelope_rejects_version;
+        t "rejects the retired pc-jit kind" `Quick test_envelope_rejects_retired_kind;
         t "file round trip" `Quick test_file_roundtrip;
       ] );
     ( "resil-images",
@@ -534,7 +516,6 @@ let suites =
         t "pc bitwise with engine" `Quick test_recovery_pc_bitwise;
         t "checkpoints are effect-free" `Quick test_recovery_pc_checkpoints_do_not_perturb;
         t "instrument identical after recovery" `Quick test_recovery_pc_instrument_identical;
-        t "jit bitwise with engine" `Quick test_recovery_jit_bitwise;
         t "sharded bitwise, localized restore" `Quick test_recovery_sharded_bitwise;
         t "server bitwise under every policy" `Quick
           test_recovery_server_bitwise_all_policies;

@@ -425,7 +425,8 @@ let prop_migration_fuzz =
 let expect_all_bitwise label checks =
   Alcotest.(check int)
     (label ^ ": policies x runtimes x plans covered")
-    (List.length Sched_policy.all * 7)
+    (* pc, local, shard, server, and Sched_vm under two plans *)
+    (List.length Sched_policy.all * 6)
     (List.length checks);
   match Sched_sweep.failures checks with
   | [] -> ()

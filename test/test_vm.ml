@@ -188,17 +188,17 @@ let test_vm_step_limit () =
   in
   let compiled = Autobatch.compile ~input_shapes:[ Shape.scalar ] infinite in
   let batch = [ Tensor.of_list [ 0. ] ] in
-  Alcotest.check_raises "local step limit" Local_vm.Step_limit_exceeded (fun () ->
+  Alcotest.check_raises "local step limit" Ir_util.Step_limit_exceeded (fun () ->
       ignore
         (Autobatch.run_local
            ~config:{ Local_vm.default_config with max_steps = 100 }
            compiled ~batch));
-  Alcotest.check_raises "pc step limit" Pc_vm.Step_limit_exceeded (fun () ->
+  Alcotest.check_raises "pc step limit" Ir_util.Step_limit_exceeded (fun () ->
       ignore
         (Autobatch.run_pc
            ~config:{ Pc_vm.default_config with max_steps = 100 }
            compiled ~batch));
-  Alcotest.check_raises "interp step limit" Interp.Step_limit_exceeded (fun () ->
+  Alcotest.check_raises "interp step limit" Ir_util.Step_limit_exceeded (fun () ->
       ignore
         (Autobatch.run_single ~max_steps:100 compiled ~member:0
            ~args:[ Tensor.scalar 0. ]))
@@ -284,88 +284,149 @@ let suites =
       ] );
   ]
 
-(* ---------- precompiled executor (Pc_jit) ---------- *)
+(* ---------- the pre-resolved lane pool ---------- *)
 
-let test_jit_matches_pc_fib () =
-  let batch = [ Tensor.of_list [ 3.; 7.; 4.; 5.; 10. ] ] in
-  let expected = Autobatch.run_pc fib_compiled ~batch in
-  let exe = Autobatch.jit fib_compiled ~batch:5 in
-  let got = Pc_jit.run exe ~batch in
-  List.iter2
-    (fun a b -> Alcotest.(check bool) "jit = pc (fib)" true (Tensor.equal a b))
-    expected got;
-  (* Reusable: a second run with different inputs. *)
-  let batch2 = [ Tensor.of_list [ 1.; 2.; 9.; 0.; 6. ] ] in
-  let expected2 = Autobatch.run_pc fib_compiled ~batch:batch2 in
-  let got2 = Pc_jit.run exe ~batch:batch2 in
-  List.iter2
-    (fun a b -> Alcotest.(check bool) "jit reusable" true (Tensor.equal a b))
-    expected2 got2
+(* One pool, several load -> step* -> retire cycles: lanes that held a
+   deep recursion are recycled for shallow requests and vice versa, and
+   every retired row must equal the single-example interpreter. *)
+let test_lanes_reusable () =
+  let reg = fib_compiled.Autobatch.registry and stack = fib_compiled.Autobatch.stack in
+  let z = 3 in
+  let lanes = Pc_vm.Lanes.create reg stack ~z in
+  let member = ref 0 in
+  List.iter
+    (fun ns ->
+      List.iteri
+        (fun lane n ->
+          Pc_vm.Lanes.load lanes ~lane ~member:!member ~inputs:[ Tensor.scalar n ];
+          incr member)
+        ns;
+      while Pc_vm.Lanes.step lanes do
+        ()
+      done;
+      List.iteri
+        (fun lane n ->
+          let got = Pc_vm.Lanes.retire lanes ~lane in
+          let want =
+            Autobatch.run_single fib_compiled
+              ~member:(Pc_vm.Lanes.member lanes ~lane)
+              ~args:[ Tensor.scalar n ]
+          in
+          List.iter2
+            (fun a b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "fib %g in lane %d" n lane)
+                true (Tensor.equal a b))
+            want got)
+        ns)
+    [ [ 12.; 11.; 10. ]; [ 3.; 1.; 5. ]; [ 9.; 0.; 13. ]; [ 2.; 2.; 2. ] ]
 
-let test_jit_matches_pc_nuts () =
-  let model = Gaussian_model.model ~dim:6 () in
-  let reg, _ = Nuts_dsl.setup ~model () in
-  let prog = Nuts_dsl.program () in
-  let compiled =
-    Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
+(* A program compiled without input shapes allocates each variable on its
+   first write. Capturing before some variable exists and restoring after
+   it does must drop that variable again: the replay then passes through
+   exactly the states of the uninterrupted run, image for image. *)
+let test_lanes_lazy_restore () =
+  let compiled = Autobatch.compile Test_programs.fib in
+  let reg = compiled.Autobatch.registry and stack = compiled.Autobatch.stack in
+  let z = 4 in
+  let lanes = Pc_vm.Lanes.create reg stack ~z in
+  List.iteri
+    (fun lane n -> Pc_vm.Lanes.load lanes ~lane ~member:lane ~inputs:[ Tensor.scalar n ])
+    [ 6.; 2.; 8.; 4. ];
+  ignore (Pc_vm.Lanes.step lanes);
+  let img = Pc_vm.Lanes.capture lanes in
+  let drain () =
+    let trace = ref [] in
+    while Pc_vm.Lanes.step lanes do
+      trace := Pc_vm.Lanes.capture lanes :: !trace
+    done;
+    (List.rev !trace, Pc_vm.Lanes.outputs lanes)
   in
-  let batch =
-    Nuts_dsl.inputs ~q0:(Tensor.zeros [| 6 |]) ~eps:0.3 ~n_iter:4 ~n_burn:0 ~batch:4 ()
-  in
-  let expected = Autobatch.run_pc compiled ~batch in
-  let exe = Autobatch.jit compiled ~batch:4 in
-  let got = Pc_jit.run exe ~batch in
+  let trace, outs = drain () in
+  let vars (i : Pc_vm.Lanes.image) = List.length i.Pc_vm.Lanes.li_store in
+  Alcotest.(check bool) "variables first written after the capture" true
+    (vars (Pc_vm.Lanes.capture lanes) > vars img);
+  Pc_vm.Lanes.restore lanes img;
+  Alcotest.(check int) "restored store is the image's" (vars img)
+    (vars (Pc_vm.Lanes.capture lanes));
+  let trace', outs' = drain () in
+  Alcotest.(check int) "same supersteps" (List.length trace) (List.length trace');
+  Alcotest.(check bool) "every replayed image equals the original" true
+    (trace = trace');
   List.iter2
-    (fun a b -> Alcotest.(check bool) "jit = pc (NUTS)" true (Tensor.equal a b))
-    expected got
+    (fun a b -> Alcotest.(check bool) "outputs bitwise" true (Tensor.equal a b))
+    outs outs'
 
-let test_jit_requires_shapes () =
+(* The engine charges and instrument counts of fib, pinned to the values
+   the per-step interpreter produced before blocks were pre-resolved. The
+   naive arm also prices the O4 gathers and O5 pop+push writes.
+   Statically shaped and lazily allocated builds must agree. *)
+let accounting_cases () =
+  let naive =
+    { Pc_vm.default_config with top_cache = false; naive_stack_writes = true }
+  in
+  [
+    ( "gpu fused",
+      Pc_vm.default_config,
+      Engine.create ~device:Device.gpu ~mode:Engine.Fused,
+      [ 6.; 8. ],
+      (0, 201, 0x1.d2p+9, 0x1.5d8p+14, 0x1.8b2eed49c572cp-6),
+      (201, 66, 66, 8, 0x1.5cf9a1c051833p-1) );
+    ( "cpu eager naive",
+      naive,
+      Engine.create ~device:Device.cpu ~mode:Engine.Eager,
+      [ 9.; 4.; 11. ],
+      (4083, 876, 0x1.7e5p+12, 0x1.b48cp+17, 0x1.d44b9522e9138p-4),
+      (876, 291, 289, 11, 0x1.d84176105d841p-2) );
+  ]
+
+(* Runs every case on both builds and hands [check] the label maker, the
+   case's expected values, and the engine and instrument of the run. *)
+let each_accounting_run check =
   let lazy_compiled = Autobatch.compile Test_programs.fib in
-  (match Autobatch.jit lazy_compiled ~batch:2 with
-  | _ -> Alcotest.fail "expected shape requirement error"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "mentions input_shapes" true
-      (String.length msg > 0))
+  List.iter
+    (fun (build, compiled) ->
+      List.iter
+        (fun (name, config, engine, batch, charges, counts) ->
+          let label what = Printf.sprintf "%s %s: %s" build name what in
+          let engine = engine () and ins = Instrument.create () in
+          let config = { config with Pc_vm.engine = Some engine; instrument = Some ins } in
+          ignore (Autobatch.run_pc ~config compiled ~batch:[ Tensor.of_list batch ]);
+          check label charges counts engine ins)
+        (accounting_cases ()))
+    [ ("static", fib_compiled); ("lazy", lazy_compiled) ]
 
-let test_jit_engine_matches_pc () =
-  (* Cost accounting agrees with the interpreted VM (static shapes make
-     the per-block charges identical). *)
-  let batch = [ Tensor.of_list [ 6.; 8. ] ] in
-  let e1 = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-  let config = { Pc_vm.default_config with engine = Some e1 } in
-  ignore (Autobatch.run_pc ~config fib_compiled ~batch);
-  let e2 = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-  let exe = Autobatch.jit fib_compiled ~batch:2 in
-  ignore (Pc_jit.run ~engine:e2 exe ~batch);
-  Alcotest.(check (float 1e-12)) "same simulated time" (Engine.elapsed e1)
-    (Engine.elapsed e2);
-  Alcotest.(check int) "same fused launches" ((Engine.snapshot e1).Engine.at).Engine.Counters.fused_launches
-    ((Engine.snapshot e2).Engine.at).Engine.Counters.fused_launches
+let test_lanes_engine_golden () =
+  each_accounting_run
+    (fun label (kernels, blocks, flops, traffic, elapsed) _ engine _ ->
+      let c = (Engine.snapshot engine).Engine.at in
+      Alcotest.(check int) (label "kernel launches") kernels
+        c.Engine.Counters.kernel_launches;
+      Alcotest.(check int) (label "blocks") blocks c.Engine.Counters.blocks;
+      Alcotest.(check (float 0.)) (label "flops") flops c.Engine.Counters.flops;
+      Alcotest.(check (float 0.)) (label "traffic") traffic
+        c.Engine.Counters.traffic_bytes;
+      Alcotest.(check (float 0.)) (label "elapsed") elapsed
+        c.Engine.Counters.elapsed_seconds)
 
-let test_jit_instrument () =
-  let ins_pc = Instrument.create () in
-  let config = { Pc_vm.default_config with instrument = Some ins_pc } in
-  let batch = [ Tensor.of_list [ 9.; 4.; 11. ] ] in
-  ignore (Autobatch.run_pc ~config fib_compiled ~batch);
-  let ins_jit = Instrument.create () in
-  let exe = Autobatch.jit fib_compiled ~batch:3 in
-  ignore (Pc_jit.run ~instrument:ins_jit exe ~batch);
-  Alcotest.(check int) "same blocks" (Instrument.blocks_executed ins_pc)
-    (Instrument.blocks_executed ins_jit);
-  Alcotest.(check int) "same pushes" (Instrument.pushes ins_pc)
-    (Instrument.pushes ins_jit);
-  Alcotest.(check (float 1e-12)) "same utilization"
-    (Instrument.overall_utilization ins_pc)
-    (Instrument.overall_utilization ins_jit)
+let test_lanes_instrument_golden () =
+  each_accounting_run
+    (fun label _ (ins_blocks, pushes, pops, depth, util) _ ins ->
+      Alcotest.(check int) (label "instrument blocks") ins_blocks
+        (Instrument.blocks_executed ins);
+      Alcotest.(check int) (label "pushes") pushes (Instrument.pushes ins);
+      Alcotest.(check int) (label "pops") pops (Instrument.pops ins);
+      Alcotest.(check int) (label "max depth") depth (Instrument.max_depth ins);
+      Alcotest.(check (float 0.)) (label "utilization") util
+        (Instrument.overall_utilization ins))
 
-let jit_suite =
-  ( "pc-jit",
+let lanes_suite =
+  ( "pc-lanes",
     [
-      t "matches pc on fib + reusable" `Quick test_jit_matches_pc_fib;
-      t "matches pc on NUTS" `Quick test_jit_matches_pc_nuts;
-      t "requires inferred shapes" `Quick test_jit_requires_shapes;
-      t "engine accounting matches" `Quick test_jit_engine_matches_pc;
-      t "instrumentation matches" `Quick test_jit_instrument;
+      t "reusable over load/retire" `Quick test_lanes_reusable;
+      t "lazy restore drops late vars" `Quick test_lanes_lazy_restore;
+      t "engine accounting golden" `Quick test_lanes_engine_golden;
+      t "instrumentation golden" `Quick test_lanes_instrument_golden;
     ] )
 
 (* ---------- the program-counter stack itself ---------- *)
@@ -422,4 +483,4 @@ let pc_stack_suite =
       t "underflow raises" `Quick test_pc_stack_underflow;
     ] )
 
-let suites = suites @ [ jit_suite; pc_stack_suite ]
+let suites = suites @ [ lanes_suite; pc_stack_suite ]
