@@ -946,9 +946,10 @@ let run_tenant ?seed () =
      later drains the lightly-loaded shard while its flight is still
      live, forcing a lane migration through the export/import seam.
 
-     Regenerates the committed BENCH_tenant.json (full runs only — the
-     AUTOBATCH_FAST arm caps the trace at 10k requests and must not
-     churn the committed baseline). *)
+     Full runs at the default seed diff against the committed
+     BENCH_tenant.json and fail on any drift (delete the file to
+     re-baseline); the AUTOBATCH_FAST arm caps the trace at 10k requests
+     and skips the diff. *)
   print_endline
     "== Multi-tenant gate (admission / preemption / pool / recovery) ==";
   let fast = Sys.getenv_opt "AUTOBATCH_FAST" <> None in
@@ -1151,8 +1152,8 @@ let run_tenant ?seed () =
         ("pass", Obs_json.Bool ok);
       ]
   in
-  if not fast then
-    Obs_report.write ~path:"BENCH_tenant.json"
+  if (not fast) && seed = None then
+    check_baseline ~stage:"tenant" ~path:"BENCH_tenant.json"
       (Obs_json.Obj
          [
            ("bench", Obs_json.Str "tenant");
@@ -1259,10 +1260,11 @@ let run_obs2 ?seed () =
      pattern (best-effort flood, shed storm) and stay silent on the
      uniform pattern.
 
-     Probes: re-measures the fixed-seed simulated-cost probes and (full
-     runs only — the AUTOBATCH_FAST arm caps the trace at 10k requests)
-     rewrites the committed BENCH_obs2.json that `bench regress` diffs
-     against. *)
+     Probes: re-measures the fixed-seed simulated-cost probes. Full runs
+     at the default seed diff the whole document against the committed
+     BENCH_obs2.json (which `bench regress` also reads) and fail on any
+     drift — delete the file to re-baseline; the AUTOBATCH_FAST arm caps
+     the trace at 10k requests and skips the diff. *)
   print_endline
     "== Request-scoped tracing (spans / burn rate / zero overhead) ==";
   let fast = Sys.getenv_opt "AUTOBATCH_FAST" <> None in
@@ -1375,8 +1377,8 @@ let run_obs2 ?seed () =
     ~header:[ "check"; "value"; "bar"; "status" ]
     ~rows:(List.rev !rows);
   let probes = regress_probes () in
-  if not fast then
-    Obs_report.write ~path:"BENCH_obs2.json"
+  if (not fast) && seed = None then
+    check_baseline ~stage:"obs2" ~path:"BENCH_obs2.json"
       (Obs_json.Obj
          [
            ("bench", Obs_json.Str "obs2");

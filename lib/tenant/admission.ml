@@ -23,10 +23,11 @@ let level_name = function
   | Cap_width -> "cap-width"
   | Reject_new -> "reject-new"
 
-type reason = Queue_full | Overloaded of level
+type reason = Queue_full | Overloaded of level | Invalid_input
 
 let reason_name = function
   | Queue_full -> "queue-full"
+  | Invalid_input -> "invalid-input"
   | Overloaded l -> "overloaded:" ^ level_name l
 
 type mode = Fair | Fifo
@@ -60,12 +61,12 @@ let capacity config =
   | Fifo -> config.depth
 
 (* A tiny mutable FIFO deque: [front] holds the head in order, [back]
-   the tail reversed. *)
-type dq = { mutable front : item list; mutable back : item list }
+   the tail reversed, [len] counts both so lengths are O(1). *)
+type dq = { mutable front : item list; mutable back : item list; mutable len : int }
 
-let dq_create () = { front = []; back = [] }
-let dq_length d = List.length d.front + List.length d.back
-let dq_is_empty d = d.front = [] && d.back = []
+let dq_create () = { front = []; back = []; len = 0 }
+let dq_length d = d.len
+let dq_is_empty d = d.len = 0
 
 let dq_norm d =
   if d.front = [] then begin
@@ -73,9 +74,13 @@ let dq_norm d =
     d.back <- []
   end
 
-let dq_push d it = d.back <- it :: d.back
+let dq_push d it =
+  d.back <- it :: d.back;
+  d.len <- d.len + 1
 
-let dq_push_front d it = d.front <- it :: d.front
+let dq_push_front d it =
+  d.front <- it :: d.front;
+  d.len <- d.len + 1
 
 let dq_peek d =
   dq_norm d;
@@ -87,6 +92,7 @@ let dq_pop d =
   | [] -> None
   | it :: rest ->
     d.front <- rest;
+    d.len <- d.len - 1;
     Some it
 
 (* Remove the first (oldest) element satisfying [pred]. Queues are
@@ -99,6 +105,7 @@ let dq_pop_first d pred =
     | x :: tl ->
       if pred x then begin
         d.front <- List.rev_append acc tl;
+        d.len <- d.len - 1;
         Some x
       end
       else split (x :: acc) tl

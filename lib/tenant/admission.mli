@@ -36,6 +36,9 @@ val level_name : level -> string
 type reason =
   | Queue_full   (** the class queue was full and the offer was weakest *)
   | Overloaded of level  (** refused by the ladder at this level *)
+  | Invalid_input
+      (** the request's inputs disagree with its program (count or
+          per-row shape); refused at ingest, before it can reach a lane *)
 
 val reason_name : reason -> string
 

@@ -1,85 +1,48 @@
-(* Structural hash-consing of Lang programs, in the style of Herbie's
-   progs->batch: a post-order walk interns each node — (constructor tag,
-   scalar/string payloads, child digests) — in a table, so every distinct
-   structure is assigned exactly one 64-bit digest and repeated subtrees
-   resolve through the table instead of being re-mixed. *)
+(* Structural program identity: one post-order walk, each node a left
+   fold of [Splitmix.hash2] from [Splitmix.hash_list]'s seed over its
+   constructor tag, its scalar payloads, its hashed strings and its
+   children's digests, in that order. The tests pin the resulting
+   values: digests break ties in the tenant server's shard placement,
+   so changing the order or the tags would move scheduling. *)
 
-type node = {
-  tag : int;
-  nums : int64 list;
-  strs : string list;
-  kids : int64 list;
-}
+let mix = Splitmix.hash2
 
 let hash_string s =
   let h = ref (Int64.of_int (String.length s)) in
-  String.iter
-    (fun c -> h := Splitmix.hash2 !h (Int64.of_int (Char.code c)))
-    s;
+  String.iter (fun c -> h := mix !h (Int64.of_int (Char.code c))) s;
   !h
 
-let node_digest n =
-  Splitmix.hash_list
-    ((Int64.of_int n.tag :: n.nums)
-    @ List.map hash_string n.strs
-    @ n.kids)
+(* A node's fold state after its tag: [hash_list [tag]]. *)
+let node tag = Splitmix.hash_list [ Int64.of_int tag ]
+let str acc s = mix acc (hash_string s)
+let strs acc l = List.fold_left str acc l
+let kids f acc l = List.fold_left (fun acc x -> mix acc (f x)) acc l
 
-type interner = (node, int64) Hashtbl.t
-
-let intern (tbl : interner) n =
-  match Hashtbl.find_opt tbl n with
-  | Some d -> d
-  | None ->
-    let d = node_digest n in
-    Hashtbl.add tbl n d;
-    d
-
-let leaf tbl tag ?(nums = []) ?(strs = []) () =
-  intern tbl { tag; nums; strs; kids = [] }
-
-let rec munge_expr tbl (e : Lang.expr) =
+let rec expr_digest (e : Lang.expr) =
   match e with
-  | Lang.Var x -> leaf tbl 1 ~strs:[ x ] ()
-  | Lang.Const v -> leaf tbl 2 ~nums:[ Int64.bits_of_float v ] ()
+  | Lang.Var x -> str (node 1) x
+  | Lang.Const v -> mix (node 2) (Int64.bits_of_float v)
   | Lang.Vec a ->
-    let nums = Array.to_list (Array.map Int64.bits_of_float a) in
-    leaf tbl 3 ~nums ()
-  | Lang.Prim (name, args) ->
-    let kids = List.map (munge_expr tbl) args in
-    intern tbl { tag = 4; nums = []; strs = [ name ]; kids }
+    Array.fold_left (fun acc v -> mix acc (Int64.bits_of_float v)) (node 3) a
+  | Lang.Prim (name, args) -> kids expr_digest (str (node 4) name) args
 
-let rec munge_stmt tbl (s : Lang.stmt) =
+let rec stmt_digest (s : Lang.stmt) =
   match s with
-  | Lang.Assign (x, e) ->
-    intern tbl { tag = 10; nums = []; strs = [ x ]; kids = [ munge_expr tbl e ] }
+  | Lang.Assign (x, e) -> mix (str (node 10) x) (expr_digest e)
   | Lang.Call_stmt (dsts, f, args) ->
-    intern tbl
-      { tag = 11; nums = []; strs = f :: dsts;
-        kids = List.map (munge_expr tbl) args }
+    kids expr_digest (strs (str (node 11) f) dsts) args
   | Lang.If (c, t, e) ->
-    intern tbl
-      { tag = 12; nums = []; strs = [];
-        kids = [ munge_expr tbl c; munge_body tbl t; munge_body tbl e ] }
-  | Lang.While (c, body) ->
-    intern tbl
-      { tag = 13; nums = []; strs = [];
-        kids = [ munge_expr tbl c; munge_body tbl body ] }
-  | Lang.Return es ->
-    intern tbl { tag = 14; nums = []; strs = []; kids = List.map (munge_expr tbl) es }
+    mix (mix (mix (node 12) (expr_digest c)) (body_digest t)) (body_digest e)
+  | Lang.While (c, body) -> mix (mix (node 13) (expr_digest c)) (body_digest body)
+  | Lang.Return es -> kids expr_digest (node 14) es
 
-and munge_body tbl stmts =
-  intern tbl { tag = 20; nums = []; strs = []; kids = List.map (munge_stmt tbl) stmts }
+and body_digest stmts = kids stmt_digest (node 20) stmts
 
-let munge_func tbl (f : Lang.func) =
-  intern tbl
-    { tag = 30; nums = []; strs = f.Lang.fname :: f.Lang.params;
-      kids = [ munge_body tbl f.Lang.body ] }
+let func_digest (f : Lang.func) =
+  mix (strs (str (node 30) f.Lang.fname) f.Lang.params) (body_digest f.Lang.body)
 
 let digest_program (p : Lang.program) =
-  let tbl : interner = Hashtbl.create 64 in
-  intern tbl
-    { tag = 31; nums = []; strs = [ p.Lang.main ];
-      kids = List.map (munge_func tbl) p.Lang.funcs }
+  kids func_digest (str (node 31) p.Lang.main) p.Lang.funcs
 
 let digest ?input_shapes p =
   let base = digest_program p in

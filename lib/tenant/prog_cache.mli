@@ -7,13 +7,15 @@
     the source {!Lang.program} (plus the input element shapes, which
     change what [compile] preallocates).
 
-    The digest is hash-consed in the style of Herbie's [progs->batch]
-    node dedup (SNIPPETS.md): a post-order walk interns every distinct
-    expression/statement node — constructor tag, payloads, child digests
-    — in a table, so each unique structure is mixed exactly once and
-    repeated subtrees resolve through the table. Alpha-renamed programs
-    hash differently by design — identity is the source text's
-    structure, not semantics.
+    The digest is one streaming post-order fold: each expression,
+    statement, function and program node mixes its constructor tag, its
+    scalar payloads, its hashed strings and its children's digests, in
+    that order, through {!Splitmix.hash2} — no table, no intermediate
+    node records. The values are those of the earlier table-interned
+    walk, bit for bit (the tests pin them): the tenant server breaks
+    placement ties on digests, so changing them would move scheduling.
+    Alpha-renamed programs hash differently by design — identity is the
+    source text's structure, not semantics.
 
     Physical sharing matters beyond speed: {!Server} (and the tenant
     stack's shard pools) admit a request only if its compiled program is

@@ -147,6 +147,19 @@ type shard = {
 let bytes_of outputs =
   List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. outputs
 
+(* A request's inputs agree with its program: one tensor per program
+   input, each row shaped as the program declares (inputs without a
+   declared shape take whatever the first write gives them). *)
+let inputs_fit (r : Request.t) =
+  let p = r.Request.program.Autobatch.stack in
+  List.compare_lengths p.Stack_ir.inputs r.Request.inputs = 0
+  && List.for_all2
+       (fun v x ->
+         match Ir_util.Smap.find_opt v p.Stack_ir.shapes with
+         | Some elem -> Shape.equal elem (Vm_util.elem_shape_of_batched x)
+         | None -> true)
+       p.Stack_ir.inputs r.Request.inputs
+
 let run ?config src =
   let cfg =
     match config with Some c -> c | None -> default_config ~mesh:(Mesh.gpu_pod ~n:4 ())
@@ -287,9 +300,7 @@ let run ?config src =
     let total = ref 64. in
     for lane = 0 to z - 1 do
       if Pc_vm.Lanes.occupied b.b_lanes ~lane then
-        total :=
-          !total
-          +. Pc_vm.Lanes.lane_state_bytes (Pc_vm.Lanes.export_lane b.b_lanes ~lane)
+        total := !total +. Pc_vm.Lanes.lane_bytes b.b_lanes ~lane
     done;
     !total
   in
@@ -321,7 +332,11 @@ let run ?config src =
     b.b_force_ckpt <- false;
     incr checkpoints;
     ops_span "checkpoint";
-    emit (Obs_sink.Checkpoint { step = !round; bytes = int_of_float (ckpt_bytes b) })
+    (* Only a sink reads the size: without one, skip the lane walk. *)
+    match cfg.sink with
+    | Some sink ->
+      sink (Obs_sink.Checkpoint { step = !round; bytes = int_of_float (ckpt_bytes b) })
+    | None -> ()
   in
   let restore_shard s b =
     (* Work admitted after the checkpoint goes back to the queue head in
@@ -394,7 +409,13 @@ let run ?config src =
       | Some it when it.Admission.request.Request.arrival <= !now ->
         ignore (src_pop src);
         let r = it.Admission.request in
-        if Request.width r > z then begin
+        if not (inputs_fit r) then begin
+          (* Malformed: refused here, before [Lanes.load] could raise
+             mid-round and abort the whole run. *)
+          rejected := (it, Admission.Invalid_input) :: !rejected;
+          emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
+        end
+        else if Request.width r > z then begin
           (* Wider than a whole shard: unservable by construction. *)
           rejected := (it, Admission.Queue_full) :: !rejected;
           emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
@@ -910,7 +931,10 @@ let run ?config src =
 
   (* ---------- rebind and demand binding ---------- *)
   let bind_pass () =
-    let tbl = need_table () in
+    (* Built on first use, at most once: neither loop below changes the
+       queue or the parked set, so one table serves the whole pass — and
+       a round with no empty binding and no idle capacity builds none. *)
+    let tbl = lazy (need_table ()) in
     (* Rebind: an empty binding turns toward starving work when its own
        digest has no backlog, or strictly less than the most starving
        digest's (strictness prevents two equal backlogs from trading the
@@ -919,6 +943,7 @@ let run ?config src =
       (fun s ->
         match s.s_b with
         | Some b when (not b.b_draining) && b.b_flight = [] -> (
+          let tbl = Lazy.force tbl in
           let own = need_count tbl b.b_digest in
           match starving tbl with
           | (digest, n, _, program) :: _
@@ -935,8 +960,7 @@ let run ?config src =
     while !continue do
       if active_count () >= !target then continue := false
       else begin
-        let tbl = need_table () in
-        match starving tbl with
+        match starving (Lazy.force tbl) with
         | (digest, _, _, program) :: _ -> (
           let idle =
             Array.fold_left

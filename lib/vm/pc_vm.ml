@@ -643,6 +643,22 @@ module Lanes = struct
     (* pc entries price like elements: sp saved slots plus the top. *)
     Vm_util.bytes_per_elem *. float_of_int (var_elems + st.ls_pc.Pc_stack.pl_sp + 1)
 
+  (* [lane_state_bytes (export_lane t ~lane)] without the copy: the same
+     element count, read off the live storage. *)
+  let lane_bytes t ~lane =
+    if lane < 0 || lane >= t.z then
+      invalid_arg "Pc_vm.Lanes.lane_bytes: lane out of range";
+    if not t.occupied.(lane) then
+      invalid_arg (Printf.sprintf "Pc_vm.Lanes.lane_bytes: lane %d is idle" lane);
+    let elems = ref (t.pc.Pc_stack.sp.(lane) + 1) in
+    Array.iter
+      (function
+        | None -> ()
+        | Some (Reg r | Msk r) -> elems := !elems + Tensor.row_numel r
+        | Some (Stk s) -> elems := !elems + ((Stacked.depth s lane + 1) * Stacked.row s))
+      t.slots;
+    Vm_util.bytes_per_elem *. float_of_int !elems
+
   let migrate t ~src ~dst =
     if src = dst then invalid_arg "Pc_vm.Lanes.migrate: src and dst coincide";
     let st = export_lane t ~lane:src in

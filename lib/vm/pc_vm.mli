@@ -201,6 +201,11 @@ module Lanes : sig
   val lane_state_bytes : lane_state -> float
   (** Payload size of a migration, for transfer pricing. *)
 
+  val lane_bytes : t -> lane:int -> float
+  (** [lane_state_bytes (export_lane t ~lane)], computed from the pool's
+      storage without copying the lane out. Raises [Invalid_argument]
+      unless the lane is occupied. *)
+
   val migrate : t -> src:int -> dst:int -> float
   (** [export_lane src; evict src; import_lane dst] within one pool;
       returns the bytes moved. *)

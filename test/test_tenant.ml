@@ -75,6 +75,56 @@ let test_digest_structural () =
        (Prog_cache.digest ~input_shapes:[ [||]; [||]; [| 2 |] ]
           (Tenant_load.family_program ~k:0)))
 
+(* One program touching every constructor the digest folds: Vec, If,
+   While, Call_stmt and Return (plus Var, Const, Prim, Assign). *)
+let mixed_program =
+  let open Lang in
+  let open Lang.Infix in
+  program ~main:"main"
+    [
+      func "step" ~params:[ "v"; "k" ]
+        [
+          if_ (var "k" > flt 0.)
+            [ return_ [ var "v" * flt 2.; var "k" - flt 1. ] ]
+            [ return_ [ var "v"; var "k" ] ];
+        ];
+      func "main" ~params:[ "x"; "n" ]
+        [
+          assign "v" (var "x" + vec [| 0.5; -1.25; 3. |]);
+          assign "k" (var "n");
+          while_ (var "k" > flt 0.) [ call [ "v"; "k" ] "step" [ var "v"; var "k" ] ];
+          return_ [ prim "sum" [ var "v" ] ];
+        ];
+    ]
+
+let test_digest_values_pinned () =
+  (* Digests break ties in the server's shard placement, so their values
+     are part of the scheduling contract: these literals were produced by
+     the table-interned digest and must never move. *)
+  let check name expected actual = Alcotest.(check int64) name expected actual in
+  List.iter
+    (fun (k, shaped, bare, prog) ->
+      let p = Tenant_load.family_program ~k in
+      check (Printf.sprintf "family %d with shapes" k) shaped
+        (Prog_cache.digest ~input_shapes:shapes p);
+      check (Printf.sprintf "family %d without shapes" k) bare (Prog_cache.digest p);
+      check (Printf.sprintf "family %d program" k) prog (Prog_cache.digest_program p))
+    [
+      (0, 6829859895245219420L, -2083110743599357038L, 6968893273049445109L);
+      (1, -7762627333856100331L, -1491358218407234642L, 3193534372948608001L);
+      (2, 2913883830905281627L, -8182442176101215171L, -2882314250059280984L);
+      (3, -8052270784529139565L, 2408071752734910065L, 3838564186800269803L);
+      (4, 3649586651130347449L, -6754201385964240178L, -6954723907864946101L);
+      (5, 5988838823436337957L, -8536350400797522917L, -6724484885072643762L);
+      (6, 2608213475722458345L, -4991330831992417574L, 853809949203518751L);
+      (7, -1328214944716656350L, 3227732257303701014L, 2664653330993247006L);
+      (1013, 8050152324900383149L, -5680019973708134039L, -1211037518460035513L);
+    ];
+  check "mixed with shapes" 1800378681560622475L
+    (Prog_cache.digest ~input_shapes:[ [| 3 |]; [||] ] mixed_program);
+  check "mixed without shapes" 387966044301021033L (Prog_cache.digest mixed_program);
+  check "mixed program" 7152476828149063451L (Prog_cache.digest_program mixed_program)
+
 let test_cache_hit_and_identity () =
   let cache = Prog_cache.create ~capacity:4 () in
   let p = Tenant_load.family_program ~k:3 in
@@ -301,6 +351,70 @@ let prop_admission_deterministic =
       in
       trace () = trace ())
 
+(* The queues keep O(1) length counters; they must agree with the items
+   actually queued after every operation — offers (sheds at capacity
+   included, with the ladder parked or live), fitting pops, head
+   re-queues, and the recovery path's [requeue_order] replays — in both
+   modes. *)
+let prop_admission_counters =
+  QCheck.Test.make ~name:"length counters match the queued items" ~count:200
+    QCheck.(
+      triple (pair bool bool)
+        (list_of_size Gen.(int_range 1 80)
+           (triple (int_range 0 4) (int_range 0 2) (int_range 1 4)))
+        unit)
+    (fun ((fair, ladder), ops, ()) ->
+      let config =
+        if fair then
+          if ladder then { Admission.default with depth = 3 }
+          else { Admission.default with depth = 3; high_water = 2.0; low_water = 1.0 }
+        else Admission.fifo ~depth:6 ()
+      in
+      let adm = Admission.create ~config () in
+      let popped = ref [] in
+      let consistent () =
+        let total = ref 0 and by_class = Array.make Tenant.n_slos 0 in
+        Admission.iter adm (fun it ->
+            incr total;
+            let r = Admission.item_rank it in
+            by_class.(r) <- by_class.(r) + 1);
+        Admission.length adm = !total
+        && List.for_all
+             (fun r -> Admission.class_length adm (Tenant.of_rank r) = by_class.(r))
+             (List.init Tenant.n_slos Fun.id)
+      in
+      let ok = ref true in
+      List.iteri
+        (fun i (op, rank, k) ->
+          (match op with
+          | 0 | 1 ->
+            let it =
+              mk_item ~tenant:(mk_tenant ~slo:(Tenant.of_rank rank) i) ~id:i ~width:k
+                ~n:4 ()
+            in
+            ignore (Admission.offer adm it)
+          | 2 -> (
+            match
+              Admission.pop adm ~fits:(fun it -> Request.width it.Admission.request <= k)
+            with
+            | Some it -> popped := it :: !popped
+            | None -> ())
+          | 3 -> (
+            match !popped with
+            | it :: rest ->
+              Admission.push_front adm it;
+              popped := rest
+            | [] -> ())
+          | _ ->
+            (* As a restore does: recovered work back at the heads, in
+               deterministic re-admission order. *)
+            List.iter (Admission.push_front adm)
+              (List.rev (Admission.requeue_order !popped));
+            popped := []);
+          if not (consistent ()) then ok := false)
+        ops;
+      !ok)
+
 (* ---------- pool controller ---------- *)
 
 let test_pool_decide () =
@@ -414,6 +528,55 @@ let test_server_kill_replay_deterministic () =
   Alcotest.(check bool) "same trace, same run" true
     (fingerprint (kill_scenario ()) = fingerprint (kill_scenario ()))
 
+let test_server_rejects_malformed_inputs () =
+  (* One request with a missing input and one whose per-row shape
+     disagrees with the program's declared shapes, among well-formed
+     work: both are refused at ingest with [Invalid_input] and the run
+     continues to the end. *)
+  let tenant = mk_tenant 0 in
+  let good = List.init 6 (fun i -> mk_item ~tenant ~id:i ~arrival:(1e-7 *. float_of_int i) ~n:(6 + i) ()) in
+  let bad ~id inputs =
+    {
+      Admission.tenant;
+      request =
+        Request.make ~id ~member:(id * 8) ~arrival:1.5e-7 ~program:(Lazy.force compiled0)
+          ~inputs ();
+      digest = Lazy.force digest0;
+    }
+  in
+  let row v = Tensor.stack_rows [ Tensor.scalar v ] in
+  let bad_count = bad ~id:100 [ row 4.; row 0.3 ] in
+  let bad_shape =
+    bad ~id:101 [ row 4.; Tensor.stack_rows [ Tensor.of_array [| 2 |] [| 0.3; 0.4 |] ]; row 0. ]
+  in
+  let items =
+    match good with
+    | a :: b :: rest -> a :: b :: bad_count :: bad_shape :: rest
+    | _ -> assert false
+  in
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(default_mesh 1)) with
+      Tenant_server.lanes_per_shard = 4;
+      checkpoint_interval = 4;
+    }
+  in
+  let st = Tenant_server.run ~config (Tenant_server.source_of_list items) in
+  Alcotest.(check int) "requests conserved" (List.length items)
+    (List.length st.Tenant_server.completions
+    + List.length st.Tenant_server.throttled
+    + List.length st.Tenant_server.rejected
+    + List.length st.Tenant_server.shed);
+  Alcotest.(check (list (pair int string)))
+    "both malformed requests refused as invalid-input"
+    [ (100, "invalid-input"); (101, "invalid-input") ]
+    (List.map
+       (fun (it, reason) -> (it.Admission.request.Request.id, Admission.reason_name reason))
+       st.Tenant_server.rejected);
+  Alcotest.(check int) "every well-formed request completed" 6
+    (List.length st.Tenant_server.completions);
+  check_all_solo "malformed" st
+
 (* ---------- the load harness under --seed ---------- *)
 
 let test_load_deterministic_under_seed () =
@@ -452,6 +615,7 @@ let suites =
     ( "tenant-cache",
       [
         t "digest is structural" `Quick test_digest_structural;
+        t "digest values are pinned" `Quick test_digest_values_pinned;
         t "hit returns the same artifact" `Quick test_cache_hit_and_identity;
         t "LRU eviction" `Quick test_cache_lru_eviction;
       ] );
@@ -465,6 +629,7 @@ let suites =
         t "ladder refusals by class" `Quick test_ladder_refusals_by_class;
         QCheck_alcotest.to_alcotest prop_shed_victim;
         QCheck_alcotest.to_alcotest prop_admission_deterministic;
+        QCheck_alcotest.to_alcotest prop_admission_counters;
       ] );
     ("tenant-pool", [ t "decide" `Quick test_pool_decide ]);
     ( "tenant-server",
@@ -472,6 +637,7 @@ let suites =
         t "preemption is bitwise invisible" `Quick test_server_preemption_bitwise;
         t "device kill recovers bitwise" `Quick test_server_kill_recovers_bitwise;
         t "kill replay is deterministic" `Quick test_server_kill_replay_deterministic;
+        t "malformed inputs rejected at ingest" `Quick test_server_rejects_malformed_inputs;
       ] );
     ( "tenant-load",
       [
