@@ -73,9 +73,25 @@ let tensor_tests =
       (Tensor.mul_scalar (Tensor.add a (Tensor.transpose a)) 0.01)
       (Tensor.mul_scalar (Tensor.eye 64) 100.)
   in
+  (* The kernels of NUTS on logistic regression at bench/e2e scale (32
+     chains, 250 data points, 20 features): the two products of
+     grad/logp, the row-broadcast [mul z y], a per-lane scale and a
+     per-lane select. *)
+  let fill s k = Tensor.init s (fun i -> Stdlib.sin (float_of_int ((i.(0) * k) + i.(1)))) in
+  let betas = fill [| 32; 20 |] 3 and xt = fill [| 20; 250 |] 5 in
+  let z = fill [| 32; 250 |] 7 and x = fill [| 250; 20 |] 11 in
+  let y = Tensor.init [| 250 |] (fun i -> float_of_int (i.(0) mod 2)) in
+  let lane = fill [| 32; 1 |] 13 in
+  let cond = Tensor.init [| 32; 1 |] (fun i -> if i.(0) mod 3 = 0 then 1. else 0.) in
   Test.make_grouped ~name:"tensor"
     [
       Test.make ~name:"matmul-64x64" (Staged.stage (fun () -> Tensor.matmul a b));
+      Test.make ~name:"matmul-32x20x250" (Staged.stage (fun () -> Tensor.matmul betas xt));
+      Test.make ~name:"matmul-32x250x20" (Staged.stage (fun () -> Tensor.matmul z x));
+      Test.make ~name:"mul-row-32x250" (Staged.stage (fun () -> Tensor.mul z y));
+      Test.make ~name:"mul-lane-32x20" (Staged.stage (fun () -> Tensor.mul betas lane));
+      Test.make ~name:"where-lane-32x20"
+        (Staged.stage (fun () -> Tensor.where cond betas lane));
       Test.make ~name:"elementwise-add-4k" (Staged.stage (fun () -> Tensor.add v v));
       Test.make ~name:"masked-blit-256x64"
         (Staged.stage (fun () -> Tensor.blit_rows_masked ~mask ~src:rows ~dst));

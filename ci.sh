@@ -1,9 +1,14 @@
 #!/bin/sh
 # Local CI: everything a commit must pass, in the order it fails fastest.
 #
-#   ./ci.sh         # build + fast test tier + obs/prof smokes + format check
+#   ./ci.sh         # build, fast test tier, then the bench gates: obs,
+#                   # prof, fuse, sched, tenant, serve, resil, obs2,
+#                   # regress, eff; then a format check if .ocamlformat
+#                   # exists
 #   ./ci.sh --fast  # same (the default tier, spelled out)
-#   ./ci.sh --full  # same, but the complete test suite instead of the fast tier
+#   ./ci.sh --full  # same, but the complete test suite instead of the fast
+#                   # tier, and the tenant/obs2/eff gates at full size
+#                   # (tenant and obs2 then diff their committed baselines)
 #
 # Mirrors HACKING.md: run before committing; run --full before merging.
 set -eu

@@ -64,7 +64,7 @@ let binary_shape name = function
   | ss ->
     raise (Shape_error (Printf.sprintf "%s: expected 2 arguments, got %d" name (List.length ss)))
 
-let elementwise name ?(flops_per_elem = 1.) f =
+let elementwise name ?(flops_per_elem = 1.) op =
   {
     name;
     arity = 1;
@@ -76,15 +76,15 @@ let elementwise name ?(flops_per_elem = 1.) f =
       | _ -> 0.);
     batched = (fun ~members:_ args ->
       match args with
-      | [ x ] -> Tensor.map f x
+      | [ x ] -> op x
       | _ -> invalid_arg (name ^ ": arity"));
     single = (fun ~member:_ args ->
       match args with
-      | [ x ] -> Tensor.map f x
+      | [ x ] -> op x
       | _ -> invalid_arg (name ^ ": arity"));
   }
 
-let elementwise2 name ?(flops_per_elem = 1.) f =
+let elementwise2 name ?(flops_per_elem = 1.) op =
   {
     name;
     arity = 2;
@@ -98,15 +98,13 @@ let elementwise2 name ?(flops_per_elem = 1.) f =
       match args with
       | [ a; b ] ->
         let a, b = batch_rank_align a b in
-        Tensor.map2 f a b
+        op a b
       | _ -> invalid_arg (name ^ ": arity"));
     single = (fun ~member:_ args ->
       match args with
-      | [ a; b ] -> Tensor.map2 f a b
+      | [ a; b ] -> op a b
       | _ -> invalid_arg (name ^ ": arity"));
   }
-
-let bool_f b = if b then 1. else 0.
 
 let select_prim =
   let shape = function
@@ -401,38 +399,38 @@ let standard ?(seed = 0x5EEDL) () =
   let add = register reg in
   List.iter add
     [
-      elementwise2 "add" ( +. );
-      elementwise2 "sub" ( -. );
-      elementwise2 "mul" ( *. );
-      elementwise2 "div" ( /. );
-      elementwise2 "pow" ~flops_per_elem:8. ( ** );
-      elementwise2 "min" Float.min;
-      elementwise2 "max" Float.max;
-      elementwise2 "logaddexp" ~flops_per_elem:8. Tensor.logaddexp_f;
-      elementwise "neg" (fun x -> -.x);
-      elementwise "abs" Float.abs;
-      elementwise "sign" (fun x -> if x > 0. then 1. else if x < 0. then -1. else 0.);
-      elementwise "exp" ~flops_per_elem:4. Stdlib.exp;
-      elementwise "log" ~flops_per_elem:4. Stdlib.log;
-      elementwise "sqrt" ~flops_per_elem:2. Stdlib.sqrt;
-      elementwise "square" (fun x -> x *. x);
-      elementwise "sigmoid" ~flops_per_elem:5. Tensor.sigmoid_f;
-      elementwise "log_sigmoid" ~flops_per_elem:6. Tensor.log_sigmoid_f;
-      elementwise "tanh" ~flops_per_elem:5. Stdlib.tanh;
-      elementwise "tan" ~flops_per_elem:5. Stdlib.tan;
-      elementwise "log1p" ~flops_per_elem:4. Stdlib.log1p;
-      elementwise "floor" Float.floor;
-      elementwise "ceil" Float.ceil;
-      elementwise "round" Float.round;
-      elementwise2 "eq" (fun a b -> bool_f (a = b));
-      elementwise2 "ne" (fun a b -> bool_f (a <> b));
-      elementwise2 "lt" (fun a b -> bool_f (a < b));
-      elementwise2 "le" (fun a b -> bool_f (a <= b));
-      elementwise2 "gt" (fun a b -> bool_f (a > b));
-      elementwise2 "ge" (fun a b -> bool_f (a >= b));
-      elementwise2 "and" (fun a b -> bool_f (a <> 0. && b <> 0.));
-      elementwise2 "or" (fun a b -> bool_f (a <> 0. || b <> 0.));
-      elementwise "not" (fun a -> bool_f (a = 0.));
+      elementwise2 "add" Tensor.add;
+      elementwise2 "sub" Tensor.sub;
+      elementwise2 "mul" Tensor.mul;
+      elementwise2 "div" Tensor.div;
+      elementwise2 "pow" ~flops_per_elem:8. Tensor.pow;
+      elementwise2 "min" Tensor.minimum;
+      elementwise2 "max" Tensor.maximum;
+      elementwise2 "logaddexp" ~flops_per_elem:8. Tensor.logaddexp;
+      elementwise "neg" Tensor.neg;
+      elementwise "abs" Tensor.abs;
+      elementwise "sign" Tensor.sign;
+      elementwise "exp" ~flops_per_elem:4. Tensor.exp;
+      elementwise "log" ~flops_per_elem:4. Tensor.log;
+      elementwise "sqrt" ~flops_per_elem:2. Tensor.sqrt;
+      elementwise "square" Tensor.square;
+      elementwise "sigmoid" ~flops_per_elem:5. Tensor.sigmoid;
+      elementwise "log_sigmoid" ~flops_per_elem:6. Tensor.log_sigmoid;
+      elementwise "tanh" ~flops_per_elem:5. Tensor.tanh;
+      elementwise "tan" ~flops_per_elem:5. Tensor.tan;
+      elementwise "log1p" ~flops_per_elem:4. Tensor.log1p;
+      elementwise "floor" Tensor.floor;
+      elementwise "ceil" Tensor.ceil;
+      elementwise "round" Tensor.round;
+      elementwise2 "eq" Tensor.eq;
+      elementwise2 "ne" Tensor.ne;
+      elementwise2 "lt" Tensor.lt;
+      elementwise2 "le" Tensor.le;
+      elementwise2 "gt" Tensor.gt;
+      elementwise2 "ge" Tensor.ge;
+      elementwise2 "and" Tensor.logical_and;
+      elementwise2 "or" Tensor.logical_or;
+      elementwise "not" Tensor.logical_not;
       select_prim;
       index_prim;
       update_prim;

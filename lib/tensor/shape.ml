@@ -55,7 +55,9 @@ let broadcast2 a b =
   for i = 0 to r - 1 do
     let da = if i < r - ra then 1 else a.(i - (r - ra)) in
     let db = if i < r - rb then 1 else b.(i - (r - rb)) in
-    if da = db || da = 1 || db = 1 then out.(i) <- max da db
+    (* A size-1 axis takes the other's size, 0 included. *)
+    if da = 1 then out.(i) <- db
+    else if db = 1 || da = db then out.(i) <- da
     else
       invalid_arg
         (Printf.sprintf "Shape.broadcast2: incompatible shapes %s and %s"

@@ -33,8 +33,8 @@ val unravel : t -> int -> int array
 
 val broadcast2 : t -> t -> t
 (** Numpy-style broadcast of two shapes. Dimensions are aligned at the
-    trailing end; a dimension broadcasts against an equal one or against 1.
-    Raises [Invalid_argument] when the shapes are incompatible. *)
+    trailing end; a dimension broadcasts against an equal one or against 1,
+    and 1 against 0 gives 0. Raises [Invalid_argument] when the shapes are incompatible. *)
 
 val broadcastable : t -> t -> bool
 

@@ -58,78 +58,43 @@ let reshape t shape =
 
 let to_flat_list t = Array.to_list t.data
 
-(* Elementwise *)
+(* Elementwise
 
-let map f t = { shape = t.shape; data = Array.map f t.data }
+   Every named operation runs one of two loops, [unary] and [binary],
+   applied to a constant operation code. Both loops and the [apply1]/
+   [apply2] dispatchers are [@inline], and ocamlopt folds a match on a
+   constant constructor after inlining, so each named operation compiles
+   to its own monomorphic loop with unboxed floats. (A float closure
+   passed to an inlined helper is not specialised without flambda: the
+   loop would call it, and box its result, once per element.) [map] and
+   [map2] run the same loops through [Fn1]/[Fn2], calling their closure
+   per element. *)
 
-(* Offset of multi-index [idx] (of the broadcast result shape) within an
-   operand of shape [s]: size-1 and missing leading dimensions contribute
-   nothing. *)
-let broadcast_offset result_shape s idx =
-  let r = Array.length result_shape and rs = Array.length s in
-  let off = ref 0 in
-  for i = 0 to rs - 1 do
-    let d = s.(i) in
-    let coord = if d = 1 then 0 else idx.(i + (r - rs)) in
-    off := (!off * d) + coord
-  done;
-  !off
+type op1 =
+  | Neg | Abs | Sign | Exp | Log | Sqrt | Square | Sigmoid | Tanh | Tan
+  | Log1p | Floor | Ceil | Round | Log_sigmoid | Not
+  | Fn1 of (float -> float)
 
-let map2 f a b =
-  if Shape.equal a.shape b.shape then
-    (* Fast path: aligned buffers. *)
-    { shape = a.shape;
-      data = Array.init (numel a) (fun i -> f a.data.(i) b.data.(i)) }
-  else if Array.length b.data = 1 then
-    { shape = a.shape; data = Array.map (fun x -> f x b.data.(0)) a.data }
-  else if Array.length a.data = 1 then
-    { shape = b.shape; data = Array.map (fun y -> f a.data.(0) y) b.data }
-  else begin
-    let out_shape = Shape.broadcast2 a.shape b.shape in
-    let n = Shape.numel out_shape in
-    let out = Array.make n 0. in
-    for off = 0 to n - 1 do
-      let idx = Shape.unravel out_shape off in
-      let x = a.data.(broadcast_offset out_shape a.shape idx) in
-      let y = b.data.(broadcast_offset out_shape b.shape idx) in
-      out.(off) <- f x y
-    done;
-    { shape = out_shape; data = out }
-  end
+type op2 =
+  | Add | Sub | Mul | Div | Pow | Max | Min | Logaddexp
+  | Eq | Ne | Lt | Le | Gt | Ge | And | Or
+  | Fn2 of (float -> float -> float)
 
-let add = map2 ( +. )
-let sub = map2 ( -. )
-let mul = map2 ( *. )
-let div = map2 ( /. )
-let pow = map2 ( ** )
-let maximum = map2 Float.max
-let minimum = map2 Float.min
-let neg = map (fun x -> -.x)
-let abs = map Float.abs
-let sign = map (fun x -> if x > 0. then 1. else if x < 0. then -1. else 0.)
-let exp = map Stdlib.exp
-let log = map Stdlib.log
-let sqrt = map Stdlib.sqrt
-let square = map (fun x -> x *. x)
-
-let sigmoid_f x =
+let[@inline] sigmoid_f x =
   if x >= 0. then 1. /. (1. +. Stdlib.exp (-.x))
   else
     let e = Stdlib.exp x in
     e /. (1. +. e)
 
-let sigmoid = map sigmoid_f
-let tanh = map Stdlib.tanh
-let log1p = map Stdlib.log1p
-
-let log_sigmoid_f x =
+let[@inline] log_sigmoid_f x =
   (* log(1/(1+e^-x)) = -log1p(e^-x), stable for both signs. *)
   if x >= 0. then -.Stdlib.log1p (Stdlib.exp (-.x))
   else x -. Stdlib.log1p (Stdlib.exp x)
 
-let log_sigmoid = map log_sigmoid_f
-
-let logaddexp_f a b =
+(* Kept out of line: inlined, ocamlopt may order the operands of its
+   final [+.] differently, which changes which NaN payload survives when
+   both operands are NaN. *)
+let[@inline never] logaddexp_f a b =
   (* Stable log(e^a + e^b); handles -inf identities exactly. *)
   if a = Float.neg_infinity then b
   else if b = Float.neg_infinity then a
@@ -138,54 +103,253 @@ let logaddexp_f a b =
     hi +. Stdlib.log1p (Stdlib.exp (lo -. hi))
   end
 
-let logaddexp = map2 logaddexp_f
-let add_scalar t v = map (fun x -> x +. v) t
-let mul_scalar t v = map (fun x -> x *. v) t
+let[@inline] bool_f b = if b then 1. else 0.
+
+let[@inline] apply1 op x =
+  match op with
+  | Neg -> -.x
+  | Abs -> Float.abs x
+  | Sign -> if x > 0. then 1. else if x < 0. then -1. else 0.
+  | Exp -> Stdlib.exp x
+  | Log -> Stdlib.log x
+  | Sqrt -> Stdlib.sqrt x
+  | Square -> x *. x
+  | Sigmoid -> sigmoid_f x
+  | Tanh -> Stdlib.tanh x
+  | Tan -> Stdlib.tan x
+  | Log1p -> Stdlib.log1p x
+  | Floor -> Float.floor x
+  | Ceil -> Float.ceil x
+  | Round -> Float.round x
+  | Log_sigmoid -> log_sigmoid_f x
+  | Not -> bool_f (x = 0.)
+  | Fn1 f -> f x
+
+let[@inline] apply2 op x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Pow -> x ** y
+  | Max -> Float.max x y
+  | Min -> Float.min x y
+  | Logaddexp -> logaddexp_f x y
+  | Eq -> bool_f (x = y)
+  | Ne -> bool_f (x <> y)
+  | Lt -> bool_f (x < y)
+  | Le -> bool_f (x <= y)
+  | Gt -> bool_f (x > y)
+  | Ge -> bool_f (x >= y)
+  | And -> bool_f (x <> 0. && y <> 0.)
+  | Or -> bool_f (x <> 0. || y <> 0.)
+  | Fn2 f -> f x y
+
+let[@inline] unary op t =
+  let src = t.data in
+  let n = Array.length src in
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    out.(i) <- apply1 op src.(i)
+  done;
+  { shape = t.shape; data = out }
+
+(* Row-major stride of an operand of shape [s] along each axis of the
+   broadcast result shape [out]: 0 along size-1 and missing leading
+   axes, so those axes re-read the same operand elements. *)
+let broadcast_strides out s =
+  let r = Array.length out and rs = Array.length s in
+  let st = Array.make r 0 in
+  let acc = ref 1 in
+  for i = rs - 1 downto 0 do
+    if s.(i) <> 1 then st.(i + (r - rs)) <- !acc;
+    acc := !acc * s.(i)
+  done;
+  st
+
+(* One odometer step over the outer axes (all but the last) of [shape]:
+   bump the multi-index [idx] and move each operand's offset [offs.(k)]
+   by its broadcast strides [strides.(k)]. *)
+let advance shape idx strides offs =
+  let ax = ref (Array.length shape - 2) in
+  while !ax >= 0 do
+    let a = !ax in
+    idx.(a) <- idx.(a) + 1;
+    if idx.(a) < shape.(a) then begin
+      for k = 0 to Array.length offs - 1 do
+        offs.(k) <- offs.(k) + strides.(k).(a)
+      done;
+      ax := -1
+    end
+    else begin
+      idx.(a) <- 0;
+      for k = 0 to Array.length offs - 1 do
+        offs.(k) <- offs.(k) - (strides.(k).(a) * (shape.(a) - 1))
+      done;
+      decr ax
+    end
+  done
+
+let[@inline] binary op a b =
+  let ad = a.data and bd = b.data in
+  if Shape.equal a.shape b.shape then begin
+    let n = Array.length ad in
+    let out = Array.create_float n in
+    for i = 0 to n - 1 do
+      out.(i) <- apply2 op ad.(i) bd.(i)
+    done;
+    { shape = a.shape; data = out }
+  end
+  else if Array.length bd = 1 && Array.length b.shape <= Array.length a.shape then begin
+    (* A one-element operand of no higher rank broadcasts to the other
+       operand's shape unchanged. *)
+    let y = bd.(0) in
+    let n = Array.length ad in
+    let out = Array.create_float n in
+    for i = 0 to n - 1 do
+      out.(i) <- apply2 op ad.(i) y
+    done;
+    { shape = a.shape; data = out }
+  end
+  else if Array.length ad = 1 && Array.length a.shape <= Array.length b.shape then begin
+    let x = ad.(0) in
+    let n = Array.length bd in
+    let out = Array.create_float n in
+    for i = 0 to n - 1 do
+      out.(i) <- apply2 op x bd.(i)
+    done;
+    { shape = b.shape; data = out }
+  end
+  else begin
+    (* General broadcast: an odometer over the outer axes, a strided
+       loop over the last one. *)
+    let shape = Shape.broadcast2 a.shape b.shape in
+    let n = Shape.numel shape in
+    let out = Array.create_float n in
+    if n > 0 then begin
+      let r = Array.length shape in
+      let strides = [| broadcast_strides shape a.shape; broadcast_strides shape b.shape |] in
+      let inner = shape.(r - 1) in
+      let sa = strides.(0).(r - 1) and sb = strides.(1).(r - 1) in
+      let idx = Array.make r 0 and offs = [| 0; 0 |] in
+      let po = ref 0 in
+      while !po < n do
+        let o = !po and pa = offs.(0) and pb = offs.(1) in
+        for j = 0 to inner - 1 do
+          out.(o + j) <- apply2 op ad.(pa + (j * sa)) bd.(pb + (j * sb))
+        done;
+        po := o + inner;
+        advance shape idx strides offs
+      done
+    end;
+    { shape; data = out }
+  end
+
+let map f t = unary (Fn1 f) t
+let map2 f a b = binary (Fn2 f) a b
+let add a b = binary Add a b
+let sub a b = binary Sub a b
+let mul a b = binary Mul a b
+let div a b = binary Div a b
+let pow a b = binary Pow a b
+let maximum a b = binary Max a b
+let minimum a b = binary Min a b
+let logaddexp a b = binary Logaddexp a b
+let neg t = unary Neg t
+let abs t = unary Abs t
+let sign t = unary Sign t
+let exp t = unary Exp t
+let log t = unary Log t
+let sqrt t = unary Sqrt t
+let square t = unary Square t
+let sigmoid t = unary Sigmoid t
+let tanh t = unary Tanh t
+let tan t = unary Tan t
+let log1p t = unary Log1p t
+let floor t = unary Floor t
+let ceil t = unary Ceil t
+let round t = unary Round t
+let log_sigmoid t = unary Log_sigmoid t
+let add_scalar t v = binary Add t (scalar v)
+let mul_scalar t v = binary Mul t (scalar v)
 
 (* Comparisons *)
 
-let bool_f b = if b then 1. else 0.
-let eq = map2 (fun x y -> bool_f (x = y))
-let ne = map2 (fun x y -> bool_f (x <> y))
-let lt = map2 (fun x y -> bool_f (x < y))
-let le = map2 (fun x y -> bool_f (x <= y))
-let gt = map2 (fun x y -> bool_f (x > y))
-let ge = map2 (fun x y -> bool_f (x >= y))
-let logical_and = map2 (fun x y -> bool_f (x <> 0. && y <> 0.))
-let logical_or = map2 (fun x y -> bool_f (x <> 0. || y <> 0.))
-let logical_not = map (fun x -> bool_f (x = 0.))
+let eq a b = binary Eq a b
+let ne a b = binary Ne a b
+let lt a b = binary Lt a b
+let le a b = binary Le a b
+let gt a b = binary Gt a b
+let ge a b = binary Ge a b
+let logical_and a b = binary And a b
+let logical_or a b = binary Or a b
+let logical_not t = unary Not t
 
 let where cond a b =
-  let s = Shape.broadcast2 (Shape.broadcast2 cond.shape a.shape) b.shape in
-  let n = Shape.numel s in
-  let out = Array.make n 0. in
-  for off = 0 to n - 1 do
-    let idx = Shape.unravel s off in
-    let c = cond.data.(broadcast_offset s cond.shape idx) in
-    out.(off) <-
-      (if c <> 0. then a.data.(broadcast_offset s a.shape idx)
-       else b.data.(broadcast_offset s b.shape idx))
-  done;
-  { shape = s; data = out }
+  let cd = cond.data and ad = a.data and bd = b.data in
+  if Shape.equal cond.shape a.shape && Shape.equal a.shape b.shape then begin
+    let n = Array.length cd in
+    let out = Array.create_float n in
+    for i = 0 to n - 1 do
+      out.(i) <- (if cd.(i) <> 0. then ad.(i) else bd.(i))
+    done;
+    { shape = a.shape; data = out }
+  end
+  else begin
+    let shape = Shape.broadcast2 (Shape.broadcast2 cond.shape a.shape) b.shape in
+    let n = Shape.numel shape in
+    let out = Array.create_float n in
+    if n > 0 then begin
+      let r = Array.length shape in
+      let strides =
+        [| broadcast_strides shape cond.shape; broadcast_strides shape a.shape;
+           broadcast_strides shape b.shape |]
+      in
+      let inner = shape.(r - 1) in
+      let sc = strides.(0).(r - 1) and sa = strides.(1).(r - 1)
+      and sb = strides.(2).(r - 1) in
+      let idx = Array.make r 0 and offs = [| 0; 0; 0 |] in
+      let po = ref 0 in
+      while !po < n do
+        let o = !po and pc = offs.(0) and pa = offs.(1) and pb = offs.(2) in
+        for j = 0 to inner - 1 do
+          out.(o + j) <-
+            (if cd.(pc + (j * sc)) <> 0. then ad.(pa + (j * sa)) else bd.(pb + (j * sb)))
+        done;
+        po := o + inner;
+        advance shape idx strides offs
+      done
+    end;
+    { shape; data = out }
+  end
 
 (* Reductions *)
 
-let full_reduce f init t = scalar (Array.fold_left f init t.data)
+let[@inline] full_reduce op init t =
+  let src = t.data in
+  let acc = ref init in
+  for i = 0 to Array.length src - 1 do
+    acc := apply2 op !acc src.(i)
+  done;
+  !acc
 
-let axis_reduce f init t axis =
+let[@inline] axis_reduce op init t axis =
   let r = rank t in
   if axis < 0 || axis >= r then
     invalid_arg (Printf.sprintf "Tensor: reduction axis %d out of range for rank %d" axis r);
+  let src = t.data in
   let out_shape = Shape.remove_axis t.shape axis in
   let inner = (Shape.strides t.shape).(axis) in
   let d = t.shape.(axis) in
-  let outer = Shape.numel t.shape / (inner * d) in
   let out = Array.make (Shape.numel out_shape) init in
+  (* With an empty axis every output keeps [init]; with an empty outer or
+     inner extent there are no outputs. *)
+  let outer = if inner * d = 0 then 0 else Array.length src / (inner * d) in
   for o = 0 to outer - 1 do
     for i = 0 to inner - 1 do
       let acc = ref init in
       for k = 0 to d - 1 do
-        acc := f !acc t.data.((o * d * inner) + (k * inner) + i)
+        acc := apply2 op !acc src.((o * d * inner) + (k * inner) + i)
       done;
       out.((o * inner) + i) <- !acc
     done
@@ -198,33 +362,33 @@ let check_nonempty_axis name t axis =
 
 let sum ?axis t =
   match axis with
-  | None -> full_reduce ( +. ) 0. t
-  | Some a -> axis_reduce ( +. ) 0. t a
+  | None -> scalar (full_reduce Add 0. t)
+  | Some a -> axis_reduce Add 0. t a
 
 let mean ?axis t =
   match axis with
-  | None -> scalar (Array.fold_left ( +. ) 0. t.data /. float_of_int (numel t))
+  | None -> scalar (full_reduce Add 0. t /. float_of_int (numel t))
   | Some a ->
-    let s = axis_reduce ( +. ) 0. t a in
+    let s = axis_reduce Add 0. t a in
     mul_scalar s (1. /. float_of_int t.shape.(a))
 
 let max_reduce ?axis t =
   match axis with
   | None ->
     if numel t = 0 then invalid_arg "Tensor.max_reduce: empty tensor";
-    full_reduce Float.max Float.neg_infinity t
+    scalar (full_reduce Max Float.neg_infinity t)
   | Some a ->
     check_nonempty_axis "max_reduce" t a;
-    axis_reduce Float.max Float.neg_infinity t a
+    axis_reduce Max Float.neg_infinity t a
 
 let min_reduce ?axis t =
   match axis with
   | None ->
     if numel t = 0 then invalid_arg "Tensor.min_reduce: empty tensor";
-    full_reduce Float.min Float.infinity t
+    scalar (full_reduce Min Float.infinity t)
   | Some a ->
     check_nonempty_axis "min_reduce" t a;
-    axis_reduce Float.min Float.infinity t a
+    axis_reduce Min Float.infinity t a
 
 let sum_last t =
   if rank t = 0 then copy t else sum ~axis:(rank t - 1) t
@@ -238,20 +402,42 @@ let matmul a b =
   if k <> k' then
     invalid_arg
       (Printf.sprintf "Tensor.matmul: inner dimensions %d and %d differ" k k');
-  let out = Array.make (n * m) 0. in
-  (* No skip-zero fast path: exact IEEE agreement with the equivalent
-     vector accumulation matters more than sparse speedups here (signed
-     zeros and NaN payloads must propagate identically). *)
+  let ad = a.data and bd = b.data in
+  let out = Array.create_float (n * m) in
+  (* Each output sums [a.(i).(l) *. b.(l).(j)] in ascending [l] starting
+     from [0.], exactly like {!matvec}; four outputs of a row accumulate
+     in registers at a time. No skip-zero fast path: exact IEEE agreement
+     with the equivalent vector accumulation matters more than sparse
+     speedups here (signed zeros and NaN payloads must propagate
+     identically). *)
   for i = 0 to n - 1 do
-    for l = 0 to k - 1 do
-      let x = a.data.((i * k) + l) in
-      let bo = l * m and oo = i * m in
-      for j = 0 to m - 1 do
-        out.(oo + j) <- out.(oo + j) +. (x *. b.data.(bo + j))
-      done
+    let ao = i * k and oo = i * m in
+    let j = ref 0 in
+    while !j + 3 < m do
+      let j0 = !j in
+      let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+      for l = 0 to k - 1 do
+        let x = ad.(ao + l) and bo = (l * m) + j0 in
+        s0 := !s0 +. (x *. bd.(bo));
+        s1 := !s1 +. (x *. bd.(bo + 1));
+        s2 := !s2 +. (x *. bd.(bo + 2));
+        s3 := !s3 +. (x *. bd.(bo + 3))
+      done;
+      out.(oo + j0) <- !s0;
+      out.(oo + j0 + 1) <- !s1;
+      out.(oo + j0 + 2) <- !s2;
+      out.(oo + j0 + 3) <- !s3;
+      j := j0 + 4
+    done;
+    for j = !j to m - 1 do
+      let s = ref 0. in
+      for l = 0 to k - 1 do
+        s := !s +. (ad.(ao + l) *. bd.((l * m) + j))
+      done;
+      out.(oo + j) <- !s
     done
   done;
-  create [| n; m |] out
+  { shape = [| n; m |]; data = out }
 
 let matvec a x =
   if rank a <> 2 || rank x <> 1 then invalid_arg "Tensor.matvec: wants [n;k] and [k]";

@@ -5,8 +5,19 @@
     dimension. Booleans are represented as 0.0/1.0 and small integers
     exactly in float64 (exact up to 2^53); see DESIGN.md section 1.
 
-    All operations are pure (they allocate fresh result tensors) unless the
-    name ends in an underscore-free "into"/"blit" form documented below. *)
+    Kernel contract. Every operation returns a fresh tensor, except
+    {!create} (wraps the given array), {!reshape} (a view of the same
+    buffer), {!data} (the buffer itself) and the in-place {!set},
+    {!blit_rows_masked} and {!blit_rows_indexed}.
+    Each output element sees a fixed sequence of IEEE operations on fixed
+    operands, independent of layout, broadcasting and fast paths:
+    elementwise ops apply their float function once to the operands that
+    meet at that element; broadcasting only decides which operand elements
+    meet, never the order or the operations; {!matmul} sums
+    [a.(i).(l) *. b.(l).(j)] in ascending [l] starting from [0.] (bitwise
+    equal to {!matvec} on each column); axis reductions fold from the
+    identity in ascending index order. So results are bitwise
+    reproducible, signed zeros and NaN payloads included. *)
 
 type t
 
@@ -60,7 +71,10 @@ val to_flat_list : t -> float list
 
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
-(** Numpy-style broadcasting; raises on incompatible shapes. *)
+(** Numpy-style broadcasting; raises on incompatible shapes. The result
+    shape is always [Shape.broadcast2] of the operand shapes. [map] and
+    [map2] call their closure per element; the named operations below run
+    the same loops with the float function inlined. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -78,7 +92,13 @@ val sqrt : t -> t
 val square : t -> t
 val sigmoid : t -> t
 val tanh : t -> t
+val tan : t -> t
 val log1p : t -> t
+val floor : t -> t
+val ceil : t -> t
+val round : t -> t
+(** [Float.round]: half away from zero. *)
+
 val log_sigmoid : t -> t
 (** Numerically stable [log (sigmoid x)]. *)
 

@@ -33,7 +33,7 @@ let test_prim_registry () =
     (Invalid_argument "Prim.find_exn: unknown primitive \"nope\"") (fun () ->
       ignore (Prim.find_exn reg "nope"));
   let copy = Prim.copy reg in
-  Prim.register copy (Prim.elementwise "custom" (fun x -> x +. 1.));
+  Prim.register copy (Prim.elementwise "custom" (Tensor.map (fun x -> x +. 1.)));
   Alcotest.(check bool) "copy extended" true (Option.is_some (Prim.find copy "custom"));
   Alcotest.(check bool) "original untouched" true (Option.is_none (Prim.find reg "custom"))
 

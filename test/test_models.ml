@@ -310,3 +310,42 @@ let schools_suite =
     ] )
 
 let suites = suites @ [ schools_suite ]
+
+(* ---------- batched densities are the single-example ones, bitwise ---------- *)
+
+(* The NUTS bitwise gates compare batched runs against single-chain
+   references, so each row of [logp_batch]/[grad_batch] must carry the
+   same bits as [logp]/[grad] of that row; [Model.check_shapes] only
+   checks agreement to [rtol 1e-8]. *)
+let check_rows_bitwise (m : Model.t) =
+  let stream = Splitmix.Stream.create 0xB175L in
+  let z = 6 in
+  for trial = 0 to 3 do
+    let scale = 0.5 *. float_of_int (trial + 1) in
+    let q =
+      Tensor.init [| z; m.Model.dim |] (fun _ -> scale *. Splitmix.Stream.normal stream)
+    in
+    let lp = Tensor.data (m.Model.logp_batch q) and g = m.Model.grad_batch q in
+    for i = 0 to z - 1 do
+      let row = Tensor.slice_row q i in
+      let what = Printf.sprintf "%s trial %d row %d" m.Model.name trial i in
+      Alcotest.(check int64) (what ^ " logp bits")
+        (Int64.bits_of_float (m.Model.logp row))
+        (Int64.bits_of_float lp.(i));
+      Alcotest.(check (list int64)) (what ^ " grad bits")
+        (List.map Int64.bits_of_float (Tensor.to_flat_list (m.Model.grad row)))
+        (List.map Int64.bits_of_float (Tensor.to_flat_list (Tensor.slice_row g i)))
+    done
+  done
+
+let rows_bitwise_suite =
+  ( "models-rows",
+    [
+      t "logistic" `Quick (fun () ->
+          check_rows_bitwise (Logistic_model.model ~n:60 ~dim:7 ()));
+      t "eight schools" `Quick (fun () -> check_rows_bitwise (Eight_schools.model ()));
+      t "gaussian" `Quick (fun () -> check_rows_bitwise (Gaussian_model.model ~dim:9 ()));
+      t "funnel" `Quick (fun () -> check_rows_bitwise (Funnel_model.model ~dim:6 ()));
+    ] )
+
+let suites = suites @ [ rows_bitwise_suite ]

@@ -245,6 +245,353 @@ let prop_matmul_transpose =
         (Tensor.transpose (Tensor.matmul a b))
         (Tensor.matmul (Tensor.transpose b) (Tensor.transpose a)))
 
+(* Shapes of broadcast results *)
+
+let test_one_element_broadcast_shape () =
+  let shape_of a b = Tensor.shape (Tensor.map2 ( +. ) a b) in
+  let check what expected a b =
+    Alcotest.(check (array int)) what expected (shape_of a b);
+    Alcotest.(check (array int))
+      (what ^ " agrees with Shape.broadcast2")
+      (Shape.broadcast2 (Tensor.shape a) (Tensor.shape b))
+      (shape_of a b)
+  in
+  let v3 = Tensor.of_list [ 1.; 2.; 3. ] and one11 = Tensor.create [| 1; 1 |] [| 10. |] in
+  check "[3] + [1;1]" [| 1; 3 |] v3 one11;
+  check "[1;1] + [3]" [| 1; 3 |] one11 v3;
+  check "[] + [1]" [| 1 |] (Tensor.scalar 1.) (Tensor.of_list [ 2. ]);
+  check "[3] + []" [| 3 |] v3 (Tensor.scalar 1.);
+  Alcotest.(check (list (float 0.))) "[3] + [1;1] values" [ 11.; 12.; 13. ]
+    (Tensor.to_flat_list (Tensor.add v3 one11))
+
+(* Kernel oracle: the naive kernels the optimized ones replaced, kept as
+   the reference. Every optimized kernel must match them bit for bit. *)
+
+module Naive = struct
+  (* Offset of multi-index [idx] (of the broadcast result shape) within an
+     operand of shape [s]: size-1 and missing leading dimensions contribute
+     nothing. *)
+  let broadcast_offset result_shape s idx =
+    let r = Array.length result_shape and rs = Array.length s in
+    let off = ref 0 in
+    for i = 0 to rs - 1 do
+      let d = s.(i) in
+      let coord = if d = 1 then 0 else idx.(i + (r - rs)) in
+      off := (!off * d) + coord
+    done;
+    !off
+
+  let map2 f a b =
+    let sa = Tensor.shape a and sb = Tensor.shape b in
+    let ad = Tensor.data a and bd = Tensor.data b in
+    let out_shape = Shape.broadcast2 sa sb in
+    let n = Shape.numel out_shape in
+    let out = Array.make n 0. in
+    for off = 0 to n - 1 do
+      let idx = Shape.unravel out_shape off in
+      let x = ad.(broadcast_offset out_shape sa idx) in
+      let y = bd.(broadcast_offset out_shape sb idx) in
+      out.(off) <- f x y
+    done;
+    Tensor.create out_shape out
+
+  let where cond a b =
+    let sc = Tensor.shape cond and sa = Tensor.shape a and sb = Tensor.shape b in
+    let s = Shape.broadcast2 (Shape.broadcast2 sc sa) sb in
+    let n = Shape.numel s in
+    let out = Array.make n 0. in
+    for off = 0 to n - 1 do
+      let idx = Shape.unravel s off in
+      let c = (Tensor.data cond).(broadcast_offset s sc idx) in
+      out.(off) <-
+        (if c <> 0. then (Tensor.data a).(broadcast_offset s sa idx)
+         else (Tensor.data b).(broadcast_offset s sb idx))
+    done;
+    Tensor.create s out
+
+  (* Raises [Division_by_zero] when the reduced axis or the axes after it
+     are empty. *)
+  let axis_reduce f init t axis =
+    let shape = Tensor.shape t and data = Tensor.data t in
+    let out_shape = Shape.remove_axis shape axis in
+    let inner = (Shape.strides shape).(axis) in
+    let d = shape.(axis) in
+    let outer = Shape.numel shape / (inner * d) in
+    let out = Array.make (Shape.numel out_shape) init in
+    for o = 0 to outer - 1 do
+      for i = 0 to inner - 1 do
+        let acc = ref init in
+        for k = 0 to d - 1 do
+          acc := f !acc data.((o * d * inner) + (k * inner) + i)
+        done;
+        out.((o * inner) + i) <- !acc
+      done
+    done;
+    Tensor.create out_shape out
+
+  let matmul a b =
+    let n = (Tensor.shape a).(0) and k = (Tensor.shape a).(1) in
+    let m = (Tensor.shape b).(1) in
+    let ad = Tensor.data a and bd = Tensor.data b in
+    let out = Array.make (n * m) 0. in
+    for i = 0 to n - 1 do
+      for l = 0 to k - 1 do
+        let x = ad.((i * k) + l) in
+        let bo = l * m and oo = i * m in
+        for j = 0 to m - 1 do
+          out.(oo + j) <- out.(oo + j) +. (x *. bd.(bo + j))
+        done
+      done
+    done;
+    Tensor.create [| n; m |] out
+end
+
+let same_bits a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && List.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (Tensor.to_flat_list a) (Tensor.to_flat_list b)
+
+(* Signed zeros, infinities, quiet and signalling NaNs with payloads,
+   subnormals and extremes, mixed with ordinary values. *)
+let special_floats =
+  [|
+    0.; -0.; 1.; -1.; 0.5; -2.75; Float.infinity; Float.neg_infinity; Float.nan;
+    Int64.float_of_bits 0x7FF8_0000_0000_0123L;
+    Int64.float_of_bits 0xFFF8_0000_DEAD_BEEFL;
+    Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+    4.9e-324; 1e308; -1e-300;
+  |]
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [ (1, oneofa special_floats); (2, float_range (-4.) 4.); (1, map float_of_int (int_range (-2) 2)) ])
+
+let gen_tensor shape =
+  QCheck.Gen.(
+    array_repeat (Shape.numel shape) gen_float >|= fun data -> Tensor.create shape data)
+
+let gen_dim = QCheck.Gen.(frequency [ (1, return 0); (3, return 1); (6, int_range 2 4) ])
+
+(* An operand shape that broadcasts to [out]: drop some leading axes and
+   squash some of the rest to 1. *)
+let gen_operand_shape out =
+  let r = Array.length out in
+  QCheck.Gen.(
+    int_range 0 r >>= fun drop ->
+    array_repeat (r - drop) (frequencyl [ (2, true); (1, false) ]) >|= fun keep ->
+    Array.mapi (fun i k -> if k then out.(drop + i) else 1) keep)
+
+let gen_out_shape = QCheck.Gen.(int_range 0 4 >>= fun r -> array_repeat r gen_dim)
+
+let show_tensor t =
+  Printf.sprintf "%s[%s]" (Shape.to_string (Tensor.shape t))
+    (String.concat "; "
+       (List.map (fun x -> Printf.sprintf "%h" x) (Tensor.to_flat_list t)))
+
+let arb_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> show_tensor a ^ " , " ^ show_tensor b)
+    QCheck.Gen.(
+      gen_out_shape >>= fun out ->
+      pair (gen_operand_shape out) (gen_operand_shape out) >>= fun (sa, sb) ->
+      pair (gen_tensor sa) (gen_tensor sb))
+
+let binary_ops =
+  [
+    ("add", Tensor.add, ( +. )); ("sub", Tensor.sub, ( -. ));
+    ("mul", Tensor.mul, ( *. )); ("div", Tensor.div, ( /. ));
+    ("pow", Tensor.pow, ( ** )); ("maximum", Tensor.maximum, Float.max);
+    ("minimum", Tensor.minimum, Float.min);
+    ("logaddexp", Tensor.logaddexp, Tensor.logaddexp_f);
+    ("eq", Tensor.eq, fun x y -> if x = y then 1. else 0.);
+    ("ne", Tensor.ne, fun x y -> if x <> y then 1. else 0.);
+    ("lt", Tensor.lt, fun x y -> if x < y then 1. else 0.);
+    ("le", Tensor.le, fun x y -> if x <= y then 1. else 0.);
+    ("gt", Tensor.gt, fun x y -> if x > y then 1. else 0.);
+    ("ge", Tensor.ge, fun x y -> if x >= y then 1. else 0.);
+    ("logical_and", Tensor.logical_and, fun x y -> if x <> 0. && y <> 0. then 1. else 0.);
+    ("logical_or", Tensor.logical_or, fun x y -> if x <> 0. || y <> 0. then 1. else 0.);
+  ]
+
+let unary_ops =
+  [
+    ("neg", Tensor.neg, fun x -> -.x); ("abs", Tensor.abs, Float.abs);
+    ("sign", Tensor.sign, fun x -> if x > 0. then 1. else if x < 0. then -1. else 0.);
+    ("exp", Tensor.exp, Stdlib.exp); ("log", Tensor.log, Stdlib.log);
+    ("sqrt", Tensor.sqrt, Stdlib.sqrt); ("square", Tensor.square, fun x -> x *. x);
+    ("sigmoid", Tensor.sigmoid, Tensor.sigmoid_f); ("tanh", Tensor.tanh, Stdlib.tanh);
+    ("tan", Tensor.tan, Stdlib.tan); ("log1p", Tensor.log1p, Stdlib.log1p);
+    ("floor", Tensor.floor, Float.floor); ("ceil", Tensor.ceil, Float.ceil);
+    ("round", Tensor.round, Float.round);
+    ("log_sigmoid", Tensor.log_sigmoid, Tensor.log_sigmoid_f);
+    ("logical_not", Tensor.logical_not, fun x -> if x = 0. then 1. else 0.);
+  ]
+
+let prop_binary_oracle =
+  QCheck.Test.make ~name:"binary kernels match the naive broadcast bitwise" ~count:300
+    arb_pair (fun (a, b) ->
+      let expect f = Naive.map2 f a b in
+      List.iter
+        (fun (name, op, f) ->
+          if not (same_bits (op a b) (expect f)) then
+            QCheck.Test.fail_reportf "%s: got %s" name (show_tensor (op a b)))
+        binary_ops;
+      let custom x y = (x *. 3.) -. y in
+      same_bits (Tensor.map2 custom a b) (expect custom)
+      && same_bits (Tensor.add_scalar a 0.25) (Naive.map2 ( +. ) a (Tensor.scalar 0.25))
+      && same_bits (Tensor.mul_scalar a (-0.)) (Naive.map2 ( *. ) a (Tensor.scalar (-0.))))
+
+let prop_unary_oracle =
+  QCheck.Test.make ~name:"unary kernels match Tensor.map bitwise" ~count:200
+    (QCheck.make ~print:show_tensor QCheck.Gen.(gen_out_shape >>= gen_tensor))
+    (fun a ->
+      List.for_all
+        (fun (name, op, f) ->
+          same_bits (op a) (Tensor.map f a)
+          && same_bits (Tensor.map f a)
+               (Tensor.create (Tensor.shape a) (Array.map f (Tensor.data a)))
+          || QCheck.Test.fail_reportf "%s differs" name)
+        unary_ops)
+
+let prop_where_oracle =
+  let gen_cond shape =
+    QCheck.Gen.(
+      array_repeat (Shape.numel shape) (oneofa [| 0.; -0.; 1.; 2.5; Float.nan |])
+      >|= Tensor.create shape)
+  in
+  QCheck.Test.make ~name:"where matches the naive broadcast bitwise" ~count:300
+    (QCheck.make
+       ~print:(fun (c, a, b) ->
+         String.concat " , " (List.map show_tensor [ c; a; b ]))
+       QCheck.Gen.(
+         gen_out_shape >>= fun out ->
+         triple (gen_operand_shape out) (gen_operand_shape out) (gen_operand_shape out)
+         >>= fun (sc, sa, sb) -> triple (gen_cond sc) (gen_tensor sa) (gen_tensor sb)))
+    (fun (c, a, b) -> same_bits (Tensor.where c a b) (Naive.where c a b))
+
+let prop_reduce_oracle =
+  QCheck.Test.make ~name:"axis reductions match the naive loop bitwise" ~count:300
+    (QCheck.make
+       ~print:(fun (t, axis) -> Printf.sprintf "%s axis %d" (show_tensor t) axis)
+       QCheck.Gen.(
+         int_range 1 4 >>= fun r ->
+         array_repeat r gen_dim >>= fun shape ->
+         pair (gen_tensor shape) (int_range 0 (r - 1))))
+    (fun (t, axis) ->
+      let shape = Tensor.shape t in
+      let check name op f init =
+        match Naive.axis_reduce f init t axis with
+        | expected -> same_bits (op ~axis t) expected
+        | exception Division_by_zero ->
+          (* An empty reduced axis (or empty trailing axes): every output,
+             if any, is the identity. *)
+          let out_shape = Shape.remove_axis shape axis in
+          same_bits (op ~axis t) (Tensor.full out_shape init)
+          || QCheck.Test.fail_reportf "%s on an empty extent" name
+      in
+      let sum ~axis t = Tensor.sum ~axis t in
+      let full_sum_ok =
+        same_bits (Tensor.sum t)
+          (Tensor.scalar (Array.fold_left ( +. ) 0. (Tensor.data t)))
+      in
+      full_sum_ok
+      && check "sum" sum ( +. ) 0.
+      && (shape.(axis) = 0
+         || check "max_reduce" (fun ~axis t -> Tensor.max_reduce ~axis t) Float.max
+              Float.neg_infinity
+            && check "min_reduce" (fun ~axis t -> Tensor.min_reduce ~axis t) Float.min
+                 Float.infinity))
+
+let prop_matmul_oracle =
+  QCheck.Test.make ~name:"matmul matches the naive i-l-j loop bitwise" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) -> show_tensor a ^ " x " ^ show_tensor b)
+       QCheck.Gen.(
+         (* m spans every residue mod 4, and k = 0 occurs. *)
+         triple (int_range 0 5) (int_range 0 6) (int_range 0 11) >>= fun (n, k, m) ->
+         pair (gen_tensor [| n; k |]) (gen_tensor [| k; m |])))
+    (fun (a, b) ->
+      let c = Tensor.matmul a b in
+      same_bits c (Naive.matmul a b)
+      && ((Tensor.shape b).(1) <> 1
+         || same_bits (Tensor.reshape c [| (Tensor.shape a).(0) |])
+              (Tensor.matvec a (Tensor.reshape b [| (Tensor.shape b).(0) |]))))
+
+(* Every elementwise primitive of the standard registry, with the float
+   function it computes. *)
+let prim_unary =
+  [
+    ("neg", fun x -> -.x); ("abs", Float.abs);
+    ("sign", fun x -> if x > 0. then 1. else if x < 0. then -1. else 0.);
+    ("exp", Stdlib.exp); ("log", Stdlib.log); ("sqrt", Stdlib.sqrt);
+    ("square", fun x -> x *. x); ("sigmoid", Tensor.sigmoid_f);
+    ("log_sigmoid", Tensor.log_sigmoid_f); ("tanh", Stdlib.tanh); ("tan", Stdlib.tan);
+    ("log1p", Stdlib.log1p); ("floor", Float.floor); ("ceil", Float.ceil);
+    ("round", Float.round); ("not", fun x -> if x = 0. then 1. else 0.);
+  ]
+
+let prim_binary =
+  [
+    ("add", ( +. )); ("sub", ( -. )); ("mul", ( *. )); ("div", ( /. )); ("pow", ( ** ));
+    ("min", Float.min); ("max", Float.max); ("logaddexp", Tensor.logaddexp_f);
+    ("eq", fun x y -> if x = y then 1. else 0.);
+    ("ne", fun x y -> if x <> y then 1. else 0.);
+    ("lt", fun x y -> if x < y then 1. else 0.);
+    ("le", fun x y -> if x <= y then 1. else 0.);
+    ("gt", fun x y -> if x > y then 1. else 0.);
+    ("ge", fun x y -> if x >= y then 1. else 0.);
+    ("and", fun x y -> if x <> 0. && y <> 0. then 1. else 0.);
+    ("or", fun x y -> if x <> 0. || y <> 0. then 1. else 0.);
+  ]
+
+let test_prim_table_complete () =
+  let covered = List.map fst prim_unary @ List.map fst prim_binary in
+  let not_elementwise =
+    [ "select"; "index"; "update"; "sum"; "sum_sq"; "dot"; "uniform"; "exponential";
+      "normal_like" ]
+  in
+  Alcotest.(check (list string)) "every standard primitive is classified"
+    (Prim.names (Prim.standard ()))
+    (List.sort compare (covered @ not_elementwise))
+
+let prop_prim_elementwise =
+  let reg = Prim.standard () in
+  QCheck.Test.make ~name:"standard elementwise prims equal Tensor.map/map2 bitwise"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (a, b) -> show_tensor a ^ " , " ^ show_tensor b)
+       QCheck.Gen.(
+         (* Batched operands: a batch axis, then element shapes that
+            broadcast trailing-aligned. *)
+         int_range 1 3 >>= fun z ->
+         int_range 0 3 >>= fun r ->
+         array_repeat r gen_dim >>= fun elem ->
+         pair (gen_operand_shape elem) (gen_operand_shape elem) >>= fun (ea, eb) ->
+         pair (gen_tensor (Array.append [| z |] ea)) (gen_tensor (Array.append [| z |] eb))))
+    (fun (a, b) ->
+      let z = (Tensor.shape a).(0) in
+      let members = Array.init z Fun.id in
+      let row t = Tensor.slice_row t 0 in
+      List.for_all
+        (fun (name, f) ->
+          let p = Prim.find_exn reg name in
+          (same_bits (p.Prim.batched ~members [ a ]) (Tensor.map f a)
+          && same_bits (p.Prim.single ~member:0 [ row a ]) (Tensor.map f (row a)))
+          || QCheck.Test.fail_reportf "%s differs" name)
+        prim_unary
+      && List.for_all
+           (fun (name, f) ->
+             let p = Prim.find_exn reg name in
+             let a', b' = Prim.batch_rank_align a b in
+             (same_bits (p.Prim.batched ~members [ a; b ]) (Tensor.map2 f a' b')
+             && same_bits
+                  (p.Prim.single ~member:0 [ row a; row b ])
+                  (Tensor.map2 f (row a) (row b)))
+             || QCheck.Test.fail_reportf "%s differs" name)
+           prim_binary)
+
 let suites =
   [
     ( "tensor",
@@ -266,5 +613,13 @@ let suites =
         QCheck_alcotest.to_alcotest prop_take_put_roundtrip;
         QCheck_alcotest.to_alcotest prop_transpose_involutive;
         QCheck_alcotest.to_alcotest prop_matmul_transpose;
+        t "one-element broadcast shapes" `Quick test_one_element_broadcast_shape;
+        QCheck_alcotest.to_alcotest prop_binary_oracle;
+        QCheck_alcotest.to_alcotest prop_unary_oracle;
+        QCheck_alcotest.to_alcotest prop_where_oracle;
+        QCheck_alcotest.to_alcotest prop_reduce_oracle;
+        QCheck_alcotest.to_alcotest prop_matmul_oracle;
+        t "standard prims all classified" `Quick test_prim_table_complete;
+        QCheck_alcotest.to_alcotest prop_prim_elementwise;
       ] );
   ]
