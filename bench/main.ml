@@ -230,14 +230,50 @@ let check_baseline ~stage ~path doc =
     end
   end
 
+(* The E5 claim, checked on the sweep itself: at every offered load,
+   continuous FIFO keeps more lanes live than the fixed-batch regime,
+   and every point's seeded sample of completions is bitwise equal to
+   running those requests alone. *)
+let serve_claim_failures (stats : Serving.stats) =
+  let occupancy policy load =
+    List.find_map
+      (fun (p : Serving.point) ->
+        if p.mode = "open" && p.policy = policy && p.load = load then Some p.mean_occupancy
+        else None)
+      stats.Serving.points
+  in
+  List.filter_map
+    (fun (p : Serving.point) ->
+      if p.mismatches > 0 || p.verified = 0 then
+        Some
+          (Printf.sprintf "%s/%s load %.2f: %d of %d sampled completions differ from solo"
+             p.mode p.policy p.load p.mismatches p.verified)
+      else if p.mode = "open" && p.policy = "fifo" then
+        match occupancy "synchronous" p.load with
+        | Some sync when p.mean_occupancy > sync -> None
+        | sync ->
+          Some
+            (Printf.sprintf "load %.2f: fifo occupancy %.4f is not above synchronous (%s)"
+               p.load p.mean_occupancy
+               (Option.fold ~none:"missing" ~some:(Printf.sprintf "%.4f") sync))
+      else None)
+    stats.Serving.points
+
 let run_serve ?seed () =
   (* Bench-sized serving comparison: one load level, all three policies.
-     The sweep is simulated-clock deterministic at the default seed, so
-     its JSON is committed as BENCH_serve.json and any drift fails the
-     stage (first run writes the baseline; --seed skips the diff). *)
+     The stage fails unless the E5 claim holds (serve_claim_failures),
+     with or without --seed. The sweep is simulated-clock deterministic
+     at the default seed, so its JSON is also committed as
+     BENCH_serve.json and any drift fails the stage (first run writes
+     the baseline; --seed skips the diff). *)
   let stats = Serving.run ~dim:10 ~lanes:8 ~n_requests:24 ~loads:[ 0.9 ] ?seed () in
   Serving.print stats;
   print_newline ();
+  (match serve_claim_failures stats with
+  | [] -> print_endline "serve: fifo occupancy above synchronous at every load; samples bitwise"
+  | failures ->
+    List.iter (fun f -> prerr_endline ("serve stage failed: " ^ f)) failures;
+    exit 1);
   match seed with
   | Some _ -> ()
   | None ->
@@ -248,10 +284,12 @@ let run_serve ?seed () =
            ("source", Obs_json.Str "bench/main.exe serve");
            ( "note",
              Obs_json.Str
-               "bench-sized serving sweep at the default seed; every field \
-                is on the simulated clock, so the document is byte-stable \
-                across hosts and committed as the regression baseline — \
-                the stage fails on any drift" );
+               "bench-sized serving sweep at the default seed on one shard of \
+                Tenant_server; every field is on the simulated clock \
+                (seconds), so the document is byte-stable across hosts and \
+                committed as the regression baseline — the stage fails on \
+                any drift, and on fifo occupancy not above synchronous or \
+                any sampled completion differing from its solo run" );
            ("payload", Serving.to_json stats);
          ])
 

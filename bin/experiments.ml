@@ -671,9 +671,8 @@ let serve_cmd =
     let policies =
       List.map
         (function
-          | "fifo" -> Server.Fifo
-          | "shortest" -> Server.Shortest_first
-          | "synchronous" | "sync" -> Server.Synchronous
+          | "sync" -> "synchronous"
+          | p when List.mem p Serving.policies -> p
           | other ->
             Printf.eprintf "unknown policy %S (fifo|shortest|synchronous)\n"
               other;
@@ -748,9 +747,10 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Continuous-batching request server: stream NUTS sampling requests \
-             through recyclable VM lanes and compare admission policies \
-             (throughput, latency percentiles, live-lane occupancy).")
+       ~doc:"Continuous batching against the fixed-batch regime: stream NUTS \
+             sampling requests through one shard of the serving runtime and \
+             compare admission policies (throughput, latency percentiles, \
+             live-lane occupancy, a bitwise check of sampled completions).")
     Term.(const run $ dim $ lanes $ requests $ max_iter $ loads $ policies
           $ queue_depth $ closed_clients $ seed_arg () $ csv $ trace_arg ()
           $ trace_csv_arg () $ json_arg () $ policy_args ())

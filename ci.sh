@@ -75,9 +75,7 @@ dune exec bench/main.exe -- sched
 # checkpoint/restore/migrate all actually fired. The fast tier caps the
 # trace at 10k requests via AUTOBATCH_FAST and skips the baseline diff;
 # the full tier runs the 20k trace and fails if it drifts from the
-# committed BENCH_tenant.json (delete the file to re-baseline). The
-# serve stage also diffs its deterministic sweep against the committed
-# BENCH_serve.json.
+# committed BENCH_tenant.json (delete the file to re-baseline).
 step "bench tenant gate"
 if [ "$tier" = "@runtest-fast" ]; then
   AUTOBATCH_FAST=1 dune exec bench/main.exe -- tenant
@@ -85,14 +83,21 @@ else
   dune exec bench/main.exe -- tenant
 fi
 
+# Continuous batching must beat the fixed-batch regime without touching
+# results: the serve stage runs the E5 sweep on one shard of the serving
+# runtime and exits nonzero unless, at every load, continuous FIFO's
+# mean occupancy is strictly above synchronous refill's and a seeded
+# sample of completions is bitwise equal to solo runs (with or without
+# --seed); without --seed it also diffs the committed BENCH_serve.json.
 step "bench serve baseline"
 dune exec bench/main.exe -- serve
 
 # Checkpoint/restore must stay deterministic: the resil stage sweeps
-# checkpoint intervals and fault rates over the pc, sharded and server
-# runtimes, and exits nonzero if the sweep (checkpoint bytes, replayed
-# supersteps, the bitwise-recovery column) drifts from the committed
-# BENCH_resil.json.
+# checkpoint intervals and fault rates over the pc and sharded runtimes
+# (snapshot-and-replay drivers) and the serving runtime (its own
+# in-memory shard checkpoints), and exits nonzero if the sweep
+# (checkpoint bytes, replayed supersteps, the bitwise-recovery column)
+# drifts from the committed BENCH_resil.json.
 step "bench resil baseline"
 dune exec bench/main.exe -- resil
 

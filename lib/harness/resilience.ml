@@ -55,23 +55,6 @@ let w_tensors buf ts =
       Codec.w_float_array buf (Tensor.data t))
     ts
 
-let w_server_stats buf (s : Server.stats) =
-  Codec.w_int buf s.Server.steps;
-  Codec.w_int buf s.Server.idle_steps;
-  Codec.w_float buf s.Server.makespan;
-  Codec.w_list
-    (fun buf (r : Server.record) ->
-      Codec.w_int buf r.Server.request.Request.id;
-      Codec.w_float buf r.Server.queued;
-      Codec.w_float buf r.Server.started;
-      Codec.w_float buf r.Server.finished;
-      w_tensors buf r.Server.outputs)
-    buf s.Server.completions;
-  Codec.w_list (fun buf (r : Request.t) -> Codec.w_int buf r.Request.id) buf s.Server.shed;
-  Codec.w_list
-    (fun buf (r : Request.t) -> Codec.w_int buf r.Request.id)
-    buf s.Server.rejected
-
 type runner = {
   name : string;
   kinds : Fault.kind list;
@@ -119,13 +102,24 @@ let run ?(z = 32) ?(intervals = [ 1; 8; 64; 0 ]) ?(rates = [ 0.; 0.02; 0.1 ])
           (digest (fun buf -> w_tensors buf r.Recovery.sh_outputs), r.Recovery.sh_stats));
     }
   in
-  let requests =
+  (* The serving runtime recovers on its own: [config.faults] kills its
+     one shard on the round clock and it restores from its last
+     checkpoint, taken every [interval] rounds. Completion times move
+     with the kill (the fleet's clock never rewinds); what must not move
+     is which requests complete and their outputs, bit for bit. *)
+  let tenant = Tenant.make ~id:0 ~name:"resil" () in
+  let items =
     List.init n_requests (fun i ->
-        Request.make ~id:i ~member:i
-          ~arrival:(float_of_int i *. 3.)
-          ~program:compiled
-          ~inputs:[ Tensor.init [| 1 |] (fun _ -> float_of_int (4 + (i mod 8))) ]
-          ())
+        {
+          Admission.tenant;
+          request =
+            Request.make ~id:i ~member:i
+              ~arrival:(float_of_int i *. 3e-6)
+              ~program:compiled
+              ~inputs:[ Tensor.init [| 1 |] (fun _ -> float_of_int (4 + (i mod 8))) ]
+              ();
+          digest = 0L;
+        })
   in
   let server_runner =
     {
@@ -134,11 +128,49 @@ let run ?(z = 32) ?(intervals = [ 1; 8; 64; 0 ]) ?(rates = [ 0.; 0.02; 0.1 ])
       devices = 1;
       exec =
         (fun ~interval ~plan ->
-          let config = { Server.default_config with Server.lanes = server_lanes } in
-          let sstats, st =
-            Recovery.run_server ~config ~interval ~plan ~program:compiled requests
+          (* Supersteps are read off the shard's [Step] events: their
+             [step] field is the lane pool's counter, which a restore
+             rewinds, so the last one is the useful work and the rest
+             was re-executed. *)
+          let bytes = ref 0 and steps = ref 0 and useful = ref 0 in
+          let sink = function
+            | Obs_sink.Checkpoint { bytes = b; _ } -> bytes := !bytes + b
+            | Obs_sink.Step { step; _ } ->
+              incr steps;
+              useful := step
+            | _ -> ()
           in
-          (digest (fun buf -> w_server_stats buf sstats), st));
+          let config =
+            {
+              (Tenant_server.default_config ~mesh:(Mesh.gpu_pod ~n:1 ())) with
+              Tenant_server.lanes_per_shard = server_lanes;
+              admission = Admission.fifo ();
+              preempt = false;
+              checkpoint_interval = interval;
+              faults = plan;
+              sink = Some sink;
+            }
+          in
+          let s = Tenant_server.run ~config (Tenant_server.source_of_list items) in
+          let id c = c.Tenant_server.c_item.Admission.request.Request.id in
+          let by_id = List.sort (fun a b -> compare (id a) (id b)) s.Tenant_server.completions in
+          let fired = List.filter (fun e -> e.Fault.superstep <= s.Tenant_server.rounds) plan in
+          ( digest (fun buf ->
+                List.iter
+                  (fun c ->
+                    Codec.w_int buf (id c);
+                    w_tensors buf (Option.get c.Tenant_server.c_outputs))
+                  by_id),
+            {
+              Recovery.supersteps = !steps;
+              useful_supersteps = !useful;
+              wasted_supersteps = !steps - !useful;
+              checkpoints = s.Tenant_server.checkpoints;
+              checkpoint_bytes = !bytes;
+              restores = s.Tenant_server.restores;
+              faults_injected = List.length fired;
+              link_retries = 0;
+            } ));
     }
   in
   let runners =

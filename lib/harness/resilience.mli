@@ -3,9 +3,11 @@
 
     The workload is batched recursive Fibonacci — pure control flow with
     divergent lane lifetimes, the hardest case for snapshot fidelity. For
-    each VM (interpreter, precompiled executor, sharded, serving) the
-    harness first runs fault-free, then replays the same seeded fault
-    plan at every checkpoint interval and reports:
+    each runtime (the pc VM and the sharded runtime under the
+    {!Recovery} drivers; the serving runtime, {!Tenant_server} on one
+    shard, which checkpoints and restores itself from its
+    [config.faults]) the harness first runs fault-free, then replays the
+    same seeded fault plan at every checkpoint interval and reports:
 
     - {e overhead}: analytic checkpoint cost (bytes / bandwidth, in
       superstep-equivalents) over useful supersteps — the checkpoint I/O
@@ -14,7 +16,8 @@
     - {e recovered work}: useful / (useful + wasted) supersteps;
     - {e bitwise}: whether the faulted-and-recovered run's outputs (and
       engine clock, where attached) are bit-identical to the fault-free
-      run — the deterministic-replay guarantee, checked live;
+      run — the deterministic-replay guarantee, checked live; for the
+      serving runtime, which requests completed and their outputs;
     - Young's first-order optimal interval [sqrt (2 delta MTBF)] next to
       the measured sweep. *)
 

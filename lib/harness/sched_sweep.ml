@@ -79,38 +79,47 @@ let equal_outputs a b =
   List.length a = List.length b && List.for_all2 Tensor.equal a b
 
 (* Serve each batch member as its own width-1 request (member = id) and
-   reassemble completions in id order — the server-runtime leg of the
-   differential. *)
+   reassemble completions in id order — the serving-runtime leg of the
+   differential: one tenant on one shard of [lanes] lanes. *)
 let run_server ~policy (compiled : Autobatch.compiled) ~lanes ~batch =
   let n =
     match batch with
     | [] -> invalid_arg "Sched_sweep: at least one input required"
     | t :: _ -> (Tensor.shape t).(0)
   in
-  let requests =
+  let tenant = Tenant.make ~id:0 ~name:"sched" () in
+  let items =
     List.init n (fun id ->
-        Request.make ~id ~member:id ~arrival:0. ~cost_hint:1. ~program:compiled
-          ~inputs:(List.map (fun t -> Tensor.take_rows t [| id |]) batch)
-          ())
+        {
+          Admission.tenant;
+          request =
+            Request.make ~id ~member:id ~program:compiled
+              ~inputs:(List.map (fun t -> Tensor.take_rows t [| id |]) batch)
+              ();
+          digest = 0L;  (* one program: any fixed digest names it *)
+        })
   in
-  let vm = { Pc_vm.default_config with sched = policy } in
-  let config = { Server.default_config with Server.lanes; vm } in
-  let stats = Server.run ~config ~program:compiled requests in
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(Mesh.gpu_pod ~n:1 ())) with
+      Tenant_server.lanes_per_shard = lanes;
+      policy;
+      admission = Admission.fifo ~depth:n ();
+      preempt = false;
+      checkpoint_interval = 0;
+    }
+  in
+  let stats = Tenant_server.run ~config (Tenant_server.source_of_list items) in
+  let id c = c.Tenant_server.c_item.Admission.request.Request.id in
   let by_id =
-    List.sort
-      (fun (a : Server.record) b ->
-        compare a.Server.request.Request.id b.Server.request.Request.id)
-      stats.Server.completions
+    List.sort (fun a b -> compare (id a) (id b)) stats.Tenant_server.completions
+    |> List.map (fun c -> Option.get c.Tenant_server.c_outputs)
   in
   if List.length by_id <> n then invalid_arg "Sched_sweep: server lost requests";
   match by_id with
   | [] -> []
   | first :: _ ->
-    List.mapi
-      (fun j _ ->
-        Tensor.concat_rows
-          (List.map (fun (r : Server.record) -> List.nth r.Server.outputs j) by_id))
-      first.Server.outputs
+    List.mapi (fun j _ -> Tensor.concat_rows (List.map (fun outs -> List.nth outs j) by_id)) first
 
 let bitwise_matrix ?(policies = Sched_policy.all) ?(plans = default_plans)
     ?(lanes = 4) ?(shards = 2)

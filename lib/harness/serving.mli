@@ -1,5 +1,7 @@
 (** Serving experiment: stream NUTS sampling requests through the
-    continuous-batching server and measure what lane recycling buys.
+    serving runtime ({!Tenant_server} with one tenant, one shard,
+    preemption off and no periodic checkpoints) and measure what
+    continuous refill buys over the fixed-batch regime.
 
     Each request is a single NUTS chain on the correlated-Gaussian test
     problem with a randomized trajectory count, so service times genuinely
@@ -10,11 +12,21 @@
     so load 1.0 saturates the device ([rate = load * lanes /
     solo_service]), and a closed loop of [closed_clients] clients that
     each issue a fresh request on completion. Every policy sees the same
-    trace at the same load, so comparisons are paired. *)
+    trace at the same load, so comparisons are paired.
+
+    Times are simulated seconds on the shard engine's clock. The
+    policies are settings of that one runtime: ["fifo"] (FIFO
+    admission, continuous refill), ["shortest"]
+    ({!Admission.Shortest_first}) and ["synchronous"] (FIFO with
+    {!Tenant_server.Synchronous} refill). *)
+
+val policies : string list
+(** Every policy name, in the default sweep order:
+    [["synchronous"; "fifo"; "shortest"]]. *)
 
 type point = {
   mode : string;  (** ["open"] or ["closed"] *)
-  policy : Server.policy;
+  policy : string;  (** one of {!policies} *)
   load : float;  (** offered load as a fraction of device capacity *)
   offered : float;  (** requests per clock unit (closed loop: measured) *)
   completed : int;
@@ -29,6 +41,10 @@ type point = {
   latency_hist : Obs_json.t;
       (** log-bucketed total-latency summary ({!Obs_metrics.hist_to_json}):
           count/sum/mean/min/max plus p50/p90/p99 estimates *)
+  verified : int;
+      (** completions drawn by a seeded sample and compared bitwise
+          against running the request alone *)
+  mismatches : int;  (** of those, how many differed (0 is the contract) *)
 }
 
 type stats = {
@@ -50,7 +66,7 @@ val run :
   ?n_requests:int ->
   ?max_iter:int ->
   ?loads:float list ->
-  ?policies:Server.policy list ->
+  ?policies:string list ->
   ?queue_depth:int ->
   ?closed_clients:int ->
   ?seed:int64 ->
@@ -64,7 +80,8 @@ val run :
     [trace], every measured serving run gets its own track — VM superstep
     spans plus the request lifecycle, on the server clock (the calibration
     probes are not traced). [sched] (default [Earliest]) sets the lane
-    VM's block scheduling policy for the measured runs. *)
+    VM's block scheduling policy for the measured runs. Raises
+    [Invalid_argument] on a policy name outside {!policies}. *)
 
 val print : stats -> unit
 val to_csv : stats -> string

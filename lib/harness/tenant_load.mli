@@ -38,6 +38,10 @@ val matches_solo : Tenant_server.completion -> bool
     member (vacuously true when outputs were not kept). The bench gate
     and the property tests both lean on this. *)
 
+val percentile : float array -> float -> float
+(** [percentile sorted q]: the nearest-rank [q]th percentile of an
+    ascending array; [nan] when empty. *)
+
 type pattern = Uniform | Bursty | Diurnal | Adversarial
 
 val pattern_name : pattern -> string

@@ -229,51 +229,3 @@ let run_sharded ?(sched = Sched_policy.Earliest) ?(shards = 2) ?(interval = 0) ?
     Array.fold_left (fun acc pool -> acc + Pc_vm.Lanes.steps pool) 0 lanes
   in
   { sh_outputs = outputs; sh_rounds = !rounds; sh_stats = finish tl inj ~useful }
-
-(* ---- Continuous-batching server --------------------------------------- *)
-
-let run_server ?(config = Server.default_config) ?on_complete ?(interval = 0)
-    ?(plan = []) ~program arrivals =
-  check_interval interval;
-  let inj = Fault.injector plan in
-  let user_sink = config.Server.vm.Pc_vm.sink in
-  let config =
-    {
-      config with
-      Server.vm = { config.Server.vm with Pc_vm.sink = Some (fault_sink user_sink inj) };
-    }
-  in
-  let server = Server.create ~config ?on_complete ~program arrivals in
-  let tl = tally () in
-  let rounds = ref 0 in
-  let ckpt_round = ref 0 in
-  let capture () =
-    let blob = Snapshot.encode_server (Server.capture server) in
-    tl.t_checkpoints <- tl.t_checkpoints + 1;
-    tl.t_bytes <- tl.t_bytes + String.length blob;
-    notify user_sink
-      (Obs_sink.Checkpoint { step = !rounds; bytes = String.length blob });
-    blob
-  in
-  let latest = ref (capture ()) in
-  with_engine_sink config.Server.vm.Pc_vm.engine inj (fun () ->
-      let rec loop () =
-        match Server.step server with
-        | true ->
-          incr rounds;
-          if interval > 0 && !rounds mod interval = 0 then begin
-            latest := capture ();
-            ckpt_round := !rounds
-          end;
-          loop ()
-        | false -> ()
-        | exception Fault.Injected _ ->
-          Server.restore server (Snapshot.decode_server !latest);
-          tl.t_restores <- tl.t_restores + 1;
-          tl.t_wasted <- tl.t_wasted + max 0 (!rounds - !ckpt_round);
-          rounds := !ckpt_round;
-          notify user_sink (Obs_sink.Restore { step = !rounds });
-          loop ()
-      in
-      loop ());
-  (Server.stats server, finish tl inj ~useful:!rounds)

@@ -73,21 +73,3 @@ val run_sharded :
     collective round with no state lost. No engine is attached, so
     [Kernel_poison] events expire unfired. [stats.useful_supersteps] sums
     per-shard supersteps. Default [shards = 2]. *)
-
-val run_server :
-  ?config:Server.config ->
-  ?on_complete:(Server.record -> Request.t option) ->
-  ?interval:int ->
-  ?plan:Fault.event list ->
-  program:Autobatch.compiled ->
-  Request.t list ->
-  Server.stats * stats
-(** Continuous-batching server under faults. Ticks ride the VM config's
-    observability sink (so idle clock jumps do not advance the fault
-    clock), composed after any sink already present, which also receives
-    the [Checkpoint]/[Restore] lifecycle;
-    checkpoints capture the {e whole} server — queue, in-flight lanes,
-    completions, clock — at server-superstep boundaries, and a fault
-    restores all of it. [on_complete] is construction state, not
-    checkpoint state: pass the same deterministic callback to replay
-    closed-loop traces. *)

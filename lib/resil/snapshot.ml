@@ -295,112 +295,6 @@ let r_instrument r : Instrument.image =
     i_gauge_lanes;
   }
 
-let w_tensor_image b (shape, data) =
-  w_shape b shape;
-  Codec.w_float_array b data
-
-let r_tensor_image r =
-  let shape = r_shape r in
-  (shape, Codec.r_float_array r)
-
-let w_request b (img : Request.image) =
-  Codec.w_int b img.Request.ri_id;
-  Codec.w_list w_tensor_image b img.Request.ri_inputs;
-  Codec.w_int b img.Request.ri_member;
-  Codec.w_float b img.Request.ri_arrival;
-  Codec.w_float b img.Request.ri_cost_hint;
-  Codec.w_int b img.Request.ri_trace;
-  Codec.w_int b img.Request.ri_parent
-
-let r_request r : Request.image =
-  let ri_id = Codec.r_int r in
-  let ri_inputs = Codec.r_list r_tensor_image r in
-  let ri_member = Codec.r_int r in
-  let ri_arrival = Codec.r_float r in
-  let ri_cost_hint = Codec.r_float r in
-  let ri_trace = Codec.r_int r in
-  let ri_parent = Codec.r_int r in
-  { Request.ri_id; ri_inputs; ri_member; ri_arrival; ri_cost_hint; ri_trace; ri_parent }
-
-let w_lane_manager b (img : Lane_manager.image) =
-  w_lanes b img.Lane_manager.mi_vm;
-  Codec.w_list
-    (fun b (req, lanes, started) ->
-      w_request b req;
-      Codec.w_int_array b lanes;
-      Codec.w_float b started)
-    b img.Lane_manager.mi_flight
-
-let r_lane_manager r : Lane_manager.image =
-  let mi_vm = r_lanes r in
-  let mi_flight =
-    Codec.r_list
-      (fun r ->
-        let req = r_request r in
-        let lanes = Codec.r_int_array r in
-        let started = Codec.r_float r in
-        (req, lanes, started))
-      r
-  in
-  { Lane_manager.mi_vm; mi_flight }
-
-let w_completion b (c : Server.completion_image) =
-  w_request b c.Server.ci_request;
-  Codec.w_list w_tensor_image b c.Server.ci_outputs;
-  Codec.w_float b c.Server.ci_queued;
-  Codec.w_float b c.Server.ci_started;
-  Codec.w_float b c.Server.ci_finished
-
-let r_completion r : Server.completion_image =
-  let ci_request = r_request r in
-  let ci_outputs = Codec.r_list r_tensor_image r in
-  let ci_queued = Codec.r_float r in
-  let ci_started = Codec.r_float r in
-  let ci_finished = Codec.r_float r in
-  { Server.ci_request; ci_outputs; ci_queued; ci_started; ci_finished }
-
-let w_server b (img : Server.image) =
-  Codec.w_float b img.Server.si_now;
-  Codec.w_float b img.Server.si_last_elapsed;
-  Codec.w_int b img.Server.si_idle_steps;
-  Codec.w_list w_request b img.Server.si_pending;
-  Codec.w_list w_request b img.Server.si_queue;
-  Codec.w_int b img.Server.si_queue_shed_total;
-  Codec.w_list w_request b img.Server.si_shed;
-  Codec.w_list w_request b img.Server.si_rejected;
-  Codec.w_list w_completion b img.Server.si_completions;
-  w_lane_manager b img.Server.si_lm;
-  Codec.w_option w_engine b img.Server.si_engine;
-  w_instrument b img.Server.si_instrument
-
-let r_server r : Server.image =
-  let si_now = Codec.r_float r in
-  let si_last_elapsed = Codec.r_float r in
-  let si_idle_steps = Codec.r_int r in
-  let si_pending = Codec.r_list r_request r in
-  let si_queue = Codec.r_list r_request r in
-  let si_queue_shed_total = Codec.r_int r in
-  let si_shed = Codec.r_list r_request r in
-  let si_rejected = Codec.r_list r_request r in
-  let si_completions = Codec.r_list r_completion r in
-  let si_lm = r_lane_manager r in
-  let si_engine = Codec.r_option r_engine r in
-  let si_instrument = r_instrument r in
-  {
-    Server.si_now;
-    si_last_elapsed;
-    si_idle_steps;
-    si_pending;
-    si_queue;
-    si_queue_shed_total;
-    si_shed;
-    si_rejected;
-    si_completions;
-    si_lm;
-    si_engine;
-    si_instrument;
-  }
-
 (* ---- Top-level snapshot kinds ---------------------------------------- *)
 
 (* A full single-VM checkpoint: the VM plus whatever cost/instrumentation
@@ -439,7 +333,3 @@ let decode_shards blob =
       if n < 0 || Codec.remaining r < n then
         Codec.corrupt "implausible shard count %d" n;
       Array.init n (fun _ -> r_lanes r))
-
-let server_kind = "server-checkpoint"
-let encode_server img = encode ~kind:server_kind (fun b -> w_server b img)
-let decode_server blob = decode ~kind:server_kind blob r_server

@@ -6,7 +6,7 @@
 
     around a typed payload built from the runtimes' plain-data images
     ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Engine.snapshot},
-    {!Instrument.image}, {!Server.image}). Decoding verifies the
+    {!Instrument.image}). Decoding verifies the
     checksum before trusting a single length field and
     rejects wrong magic, unknown versions, mismatched kinds, truncation,
     and trailing bytes with a descriptive {!Codec.Corrupt}. Floats travel
@@ -53,12 +53,6 @@ val w_engine : Buffer.t -> Engine.snapshot -> unit
 val r_engine : Codec.reader -> Engine.snapshot
 val w_instrument : Buffer.t -> Instrument.image -> unit
 val r_instrument : Codec.reader -> Instrument.image
-val w_request : Buffer.t -> Request.image -> unit
-val r_request : Codec.reader -> Request.image
-val w_lane_manager : Buffer.t -> Lane_manager.image -> unit
-val r_lane_manager : Codec.reader -> Lane_manager.image
-val w_server : Buffer.t -> Server.image -> unit
-val r_server : Codec.reader -> Server.image
 
 (** {1 Snapshot kinds} *)
 
@@ -78,6 +72,3 @@ val encode_shards : Pc_vm.Lanes.image array -> string
 (** One image per shard, shard order. *)
 
 val decode_shards : string -> Pc_vm.Lanes.image array
-
-val encode_server : Server.image -> string
-val decode_server : string -> Server.image

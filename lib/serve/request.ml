@@ -41,41 +41,3 @@ let make ?member ?(arrival = 0.) ?(cost_hint = 1.) ?ctx ~id ~program ~inputs () 
 let width t = width_of_inputs t.inputs
 
 let lane_inputs t ~row = List.map (fun x -> Tensor.slice_row x row) t.inputs
-
-let input_bytes t =
-  List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. t.inputs
-
-type image = {
-  ri_id : int;
-  ri_inputs : (Shape.t * float array) list;
-  ri_member : int;
-  ri_arrival : float;
-  ri_cost_hint : float;
-  ri_trace : int;
-  ri_parent : int;
-}
-
-let to_image t =
-  {
-    ri_id = t.id;
-    ri_inputs =
-      List.map
-        (fun x -> (Array.copy (Tensor.shape x), Array.copy (Tensor.data x)))
-        t.inputs;
-    ri_member = t.member;
-    ri_arrival = t.arrival;
-    ri_cost_hint = t.cost_hint;
-    ri_trace = t.ctx.Obs_span.trace;
-    ri_parent = t.ctx.Obs_span.parent;
-  }
-
-let of_image ~program img =
-  {
-    id = img.ri_id;
-    program;
-    inputs = List.map (fun (shape, data) -> Tensor.of_array shape data) img.ri_inputs;
-    member = img.ri_member;
-    arrival = img.ri_arrival;
-    cost_hint = img.ri_cost_hint;
-    ctx = { Obs_span.trace = img.ri_trace; parent = img.ri_parent };
-  }

@@ -10,7 +10,7 @@
 
 type t = {
   id : int;                     (** caller-chosen identity (metrics, tracing) *)
-  program : Autobatch.compiled; (** must match the server's program *)
+  program : Autobatch.compiled; (** the program the request's digest names *)
   inputs : Tensor.t list;       (** leading width dimension, like [run_pc]'s batch *)
   member : int;                 (** global RNG member of the request's first lane *)
   arrival : float;              (** when the request reaches the server *)
@@ -44,23 +44,3 @@ val width : t -> int
 val lane_inputs : t -> row:int -> Tensor.t list
 (** Element tensors for one of the request's rows, ready for
     {!Pc_vm.Lanes.load}. *)
-
-val input_bytes : t -> float
-(** Total payload size, for the engine's refill accounting. *)
-
-(** Plain-data checkpoint of a request: everything except the compiled
-    program, which is re-attached on {!of_image} (a server restores its
-    requests against its own program — satisfying the physical-equality
-    check in {!Server}). *)
-type image = {
-  ri_id : int;
-  ri_inputs : (Shape.t * float array) list;
-  ri_member : int;
-  ri_arrival : float;
-  ri_cost_hint : float;
-  ri_trace : int;
-  ri_parent : int;
-}
-
-val to_image : t -> image
-val of_image : program:Autobatch.compiled -> image -> t

@@ -23,14 +23,15 @@ let level_name = function
   | Cap_width -> "cap-width"
   | Reject_new -> "reject-new"
 
-type reason = Queue_full | Overloaded of level | Invalid_input
+type reason = Queue_full | Overloaded of level | Invalid_input | Too_wide
 
 let reason_name = function
   | Queue_full -> "queue-full"
   | Invalid_input -> "invalid-input"
+  | Too_wide -> "too-wide"
   | Overloaded l -> "overloaded:" ^ level_name l
 
-type mode = Fair | Fifo
+type mode = Fair | Fifo | Shortest_first
 
 type config = {
   mode : mode;
@@ -58,7 +59,7 @@ let fifo ?depth () =
 let capacity config =
   match config.mode with
   | Fair -> Tenant.n_slos * config.depth
-  | Fifo -> config.depth
+  | Fifo | Shortest_first -> config.depth
 
 (* A tiny mutable FIFO deque: [front] holds the head in order, [back]
    the tail reversed, [len] counts both so lengths are O(1). *)
@@ -116,7 +117,8 @@ let dq_exists d pred = List.exists pred d.front || List.exists pred d.back
 
 type t = {
   config : config;
-  queues : dq array;  (* indexed by Tenant.rank; Fifo uses index 0 only *)
+  queues : dq array;
+      (* indexed by Tenant.rank; the single-queue modes use index 0 only *)
   credits : int array;
   mutable rung : int;
   mutable floor : int;  (* SLO-driven minimum rung; effective = max *)
@@ -166,8 +168,8 @@ let with_notify t ~cause f =
 
 let class_length t slo =
   match t.config.mode with
-  | Fifo ->
-    (* The baseline is class-blind; count by inspection. *)
+  | Fifo | Shortest_first ->
+    (* The single-queue modes are class-blind; count by inspection. *)
     let count l = List.length (List.filter (fun it -> item_slo it = slo) l) in
     count t.queues.(0).front + count t.queues.(0).back
   | Fair -> dq_length t.queues.(Tenant.rank slo)
@@ -265,7 +267,9 @@ let offer_fifo t it =
   else `Rejected Queue_full
 
 let offer t it =
-  match t.config.mode with Fair -> offer_fair t it | Fifo -> offer_fifo t it
+  match t.config.mode with
+  | Fair -> offer_fair t it
+  | Fifo | Shortest_first -> offer_fifo t it
 
 let top_up_credits t =
   (* A new dispatch round: every backlogged class earns its weight. *)
@@ -328,19 +332,36 @@ let pop_fifo t ~fits =
      baseline's pathology. *)
   dq_pop_first t.queues.(0) fits
 
+(* Shortest-expected-first: the fitting item with the smallest cost
+   hint; the first one found in queue (arrival) order wins a tie. *)
+let pop_shortest t ~fits =
+  let q = t.queues.(0) in
+  let shorter best it =
+    if not (fits it) then best
+    else
+      match best with
+      | Some b when b.request.Request.cost_hint <= it.request.Request.cost_hint -> best
+      | _ -> Some it
+  in
+  let best = List.fold_left shorter (List.fold_left shorter None q.front) (List.rev q.back) in
+  match best with None -> None | Some b -> dq_pop_first q (fun it -> it == b)
+
 let pop t ~fits =
-  match t.config.mode with Fair -> pop_fair t ~fits | Fifo -> pop_fifo t ~fits
+  match t.config.mode with
+  | Fair -> pop_fair t ~fits
+  | Fifo -> pop_fifo t ~fits
+  | Shortest_first -> pop_shortest t ~fits
 
 let push_front t it =
   match t.config.mode with
-  | Fifo -> dq_push_front t.queues.(0) it
+  | Fifo | Shortest_first -> dq_push_front t.queues.(0) it
   | Fair ->
     dq_push_front t.queues.(item_rank it) it;
     update_ladder t
 
 let peek_strongest_waiting t =
   match t.config.mode with
-  | Fifo -> dq_peek t.queues.(0)
+  | Fifo | Shortest_first -> dq_peek t.queues.(0)
   | Fair ->
     let found = ref None in
     for r = Tenant.n_slos - 1 downto 0 do

@@ -1,8 +1,7 @@
 (** SLO-aware admission: per-class bounded queues, weighted-fair
     dispatch, and a graceful-degradation ladder.
 
-    This replaces the single global {!Request_queue} policy for
-    multi-tenant traffic. Each {!Tenant.slo} class has its own bounded
+    Each {!Tenant.slo} class has its own bounded
     FIFO; dispatch is deficit-weighted fair across the classes (so
     best-effort work still drains under load, at its configured share);
     shedding under pressure always victimizes the *weakest* queued class
@@ -38,23 +37,27 @@ type reason =
   | Overloaded of level  (** refused by the ladder at this level *)
   | Invalid_input
       (** the request's inputs disagree with its program (count or
-          per-row shape); refused at ingest, before it can reach a lane *)
+          per-row shape), or with the row shapes fixed by the first
+          admitted request of the same program; refused at ingest,
+          before it can reach a lane *)
+  | Too_wide  (** wider than a whole shard: unservable by construction *)
 
 val reason_name : reason -> string
 
 (** [Fair] is the tenant stack: per-class queues, weighted-fair pop,
     rung-by-rung degradation. [Fifo] is the no-admission baseline arm:
-    one arrival-ordered queue, head-only pop, SLO-blind, with only
-    reject-new when full — what a single global {!Request_queue} would
-    do. *)
-type mode = Fair | Fifo
+    one arrival-ordered queue, SLO-blind, with only reject-new when
+    full. [Shortest_first] is [Fifo]'s queue with a different pop: the
+    fitting item with the smallest {!Request.cost_hint}, ties broken by
+    arrival (shortest-expected-first admission). *)
+type mode = Fair | Fifo | Shortest_first
 
 type config = {
   mode : mode;
   depth : int;
       (** per-class nominal share of the buffer. The classes share one
-          buffer of [3 * depth] slots ([Fifo]: a single queue of [depth]
-          slots), so a strong class can borrow a weak class's share
+          buffer of [3 * depth] slots ([Fifo], [Shortest_first]: a
+          single queue of [depth] slots), so a strong class can borrow a weak class's share
           under pressure — the shed-victim rule is what keeps the
           borrowing honest. *)
   weights : int array;  (** dispatch share per {!Tenant.rank}; length 3 *)
@@ -77,8 +80,8 @@ val fifo : ?depth:int -> unit -> config
     arms hold the same total backlog. The ladder never engages. *)
 
 val capacity : config -> int
-(** Total buffered slots: [3 * depth] in [Fair] mode, [depth] in
-    [Fifo]. *)
+(** Total buffered slots: [3 * depth] in [Fair] mode, [depth] in the
+    single-queue modes. *)
 
 type t
 
@@ -103,8 +106,8 @@ val set_floor : t -> level -> unit
 (** Pin the ladder at or above a level regardless of occupancy — the
     burn-rate monitor's lever: a firing latency SLO holds the ladder at
     [Shed_best_effort] even while the queue looks healthy, and resolving
-    releases it ([set_floor t Normal]). No-op in [Fifo] mode (the
-    baseline has no ladder). *)
+    releases it ([set_floor t Normal]). No-op outside [Fair] mode (the
+    single-queue modes have no ladder). *)
 
 val floor_level : t -> level
 (** The current floor (not the effective level). *)
@@ -130,7 +133,8 @@ val pop : t -> fits:(item -> bool) -> item option
     behind it; arrival order per program is preserved, so replay is
     deterministic). [Fifo]: the oldest fitting item in strict arrival
     order across all classes — SLO-blind, which is the baseline's
-    defining pathology. *)
+    defining pathology. [Shortest_first]: the fitting item with the
+    smallest cost hint, the oldest among equals. *)
 
 val push_front : t -> item -> unit
 (** Re-queue an item at the head of its class (recovery replays admitted

@@ -17,11 +17,11 @@
     Alpha-renamed programs hash differently by design — identity is the
     source text's structure, not semantics.
 
-    Physical sharing matters beyond speed: {!Server} (and the tenant
-    stack's shard pools) admit a request only if its compiled program is
-    physically the pool's program, so handing every same-digest request
-    the same [Autobatch.compiled] value is what makes multi-tenant
-    traffic servable at all. *)
+    Physical sharing matters beyond speed: the tenant server binds each
+    shard pool to one digest and runs every request of that digest on
+    the compiled program the pool was bound with, so handing every
+    same-digest request the same [Autobatch.compiled] value makes that
+    substitution exact by construction. *)
 
 val digest_program : Lang.program -> int64
 (** Structural digest of the program alone (no shapes). *)

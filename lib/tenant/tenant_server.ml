@@ -1,3 +1,5 @@
+type refill = Continuous | Synchronous
+
 type config = {
   lanes_per_shard : int;
   mesh : Mesh.t;
@@ -6,6 +8,7 @@ type config = {
   admission : Admission.config;
   pool : Pool.config;
   preempt : bool;
+  refill : refill;
   checkpoint_interval : int;
   faults : Fault.event list;
   keep_outputs : bool;
@@ -25,6 +28,7 @@ let default_config ~mesh =
     admission = Admission.default;
     pool = Pool.default;
     preempt = true;
+    refill = Continuous;
     checkpoint_interval = 32;
     faults = [];
     keep_outputs = true;
@@ -160,7 +164,7 @@ let inputs_fit (r : Request.t) =
          | None -> true)
        p.Stack_ir.inputs r.Request.inputs
 
-let run ?config src =
+let run ?config ?on_complete src =
   let cfg =
     match config with Some c -> c | None -> default_config ~mesh:(Mesh.gpu_pod ~n:4 ())
   in
@@ -178,10 +182,8 @@ let run ?config src =
         { s_id = i; s_engine = engine; s_b = None })
   in
   let fair = cfg.admission.Admission.mode = Admission.Fair in
-  let injector =
-    Fault.injector
-      (List.filter (fun e -> e.Fault.kind = Fault.Device_kill) cfg.faults)
-  in
+  let kills = List.filter (fun e -> e.Fault.kind = Fault.Device_kill) cfg.faults in
+  let injector = Fault.injector kills in
 
   let now = ref 0. in
   (* Ladder transitions surface as first-class events, stamped with the
@@ -271,18 +273,13 @@ let run ?config src =
   let max_target = Stdlib.min n_shards cfg.pool.Pool.max_shards in
   if !target > max_target then target := max_target;
 
-  let active_count () =
+  let count_bindings pred =
     Array.fold_left
-      (fun acc s ->
-        match s.s_b with Some b when not b.b_draining -> acc + 1 | _ -> acc)
+      (fun acc s -> match s.s_b with Some b when pred b -> acc + 1 | _ -> acc)
       0 shards
   in
-  let draining_count () =
-    Array.fold_left
-      (fun acc s ->
-        match s.s_b with Some b when b.b_draining -> acc + 1 | _ -> acc)
-      0 shards
-  in
+  let active_count () = count_bindings (fun b -> not b.b_draining) in
+  let draining_count () = count_bindings (fun b -> b.b_draining) in
   let live_lanes () =
     Array.fold_left
       (fun acc s ->
@@ -312,8 +309,31 @@ let run ?config src =
       k_draining = b.b_draining;
     }
   in
+  (* Closed-loop follow-ups from [on_complete], in arrival order; ingest
+     merges them with the source. *)
+  let followups = ref ([] : Admission.item list) in
+  let arrival (it : Admission.item) = it.Admission.request.Request.arrival in
+  let follow_up (c : completion) =
+    match on_complete with
+    | None -> ()
+    | Some f -> (
+      match f c with
+      | None -> ()
+      | Some (it : Admission.item) ->
+        let r = it.Admission.request in
+        let it =
+          if arrival it >= !now then it
+          else { it with Admission.request = { r with Request.arrival = !now } }
+        in
+        let rec insert = function
+          | x :: rest when arrival x <= arrival it -> x :: insert rest
+          | l -> it :: l
+        in
+        followups := insert !followups)
+  in
   (* Completions leave the rollback window only here: once flushed they
-     are final, and the tenants' completion counters move with them. *)
+     are final, the tenants' completion counters move with them, and
+     [on_complete] sees each exactly once, oldest first. *)
   let flush_done b =
     List.iter
       (fun c ->
@@ -321,6 +341,7 @@ let run ?config src =
           c.c_item.Admission.tenant.Tenant.completed + 1;
         emit_request_spans c)
       b.b_done_since;
+    if Option.is_some on_complete then List.iter follow_up (List.rev b.b_done_since);
     completions := b.b_done_since @ !completions;
     b.b_done_since <- []
   in
@@ -402,14 +423,45 @@ let run ?config src =
   in
 
   (* ---------- arrivals ---------- *)
+  (* The next arrival (the source's head, or an earlier follow-up) and
+     its removal. *)
+  let next_arrival () =
+    match (!followups, src_peek src) with
+    | f :: _, Some it when arrival f < arrival it -> Some f
+    | f :: _, None -> Some f
+    | _, head -> head
+  in
+  let take it =
+    match !followups with
+    | f :: rest when f == it -> followups := rest
+    | _ -> ignore (src_pop src)
+  in
+  (* Row shapes per program digest, fixed by the first request of that
+     digest admitted to the queue. An input the program declares no
+     shape for takes its storage shape from the first lane load, so a
+     later request that disagrees must be refused here: at a lane it
+     would abort the round, or be silently reinterpreted. *)
+  let row_shapes : (int64, Shape.t list) Hashtbl.t = Hashtbl.create 16 in
+  let shapes_of (it : Admission.item) =
+    List.map Vm_util.elem_shape_of_batched it.Admission.request.Request.inputs
+  in
+  let rows_agree (it : Admission.item) =
+    match Hashtbl.find_opt row_shapes it.Admission.digest with
+    | None -> true
+    | Some fixed -> List.for_all2 Shape.equal fixed (shapes_of it)
+  in
+  let fix_rows (it : Admission.item) =
+    if not (Hashtbl.mem row_shapes it.Admission.digest) then
+      Hashtbl.replace row_shapes it.Admission.digest (shapes_of it)
+  in
   let ingest () =
     let continue = ref true in
     while !continue do
-      match src_peek src with
-      | Some it when it.Admission.request.Request.arrival <= !now ->
-        ignore (src_pop src);
+      match next_arrival () with
+      | Some it when arrival it <= !now ->
+        take it;
         let r = it.Admission.request in
-        if not (inputs_fit r) then begin
+        if not (inputs_fit r && rows_agree it) then begin
           (* Malformed: refused here, before [Lanes.load] could raise
              mid-round and abort the whole run. *)
           rejected := (it, Admission.Invalid_input) :: !rejected;
@@ -417,7 +469,7 @@ let run ?config src =
         end
         else if Request.width r > z then begin
           (* Wider than a whole shard: unservable by construction. *)
-          rejected := (it, Admission.Queue_full) :: !rejected;
+          rejected := (it, Admission.Too_wide) :: !rejected;
           emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
         end
         else if
@@ -439,6 +491,7 @@ let run ?config src =
           in
           match Admission.offer adm it with
           | `Admitted ->
+            fix_rows it;
             emit (Obs_sink.Request_enqueued { id = r.Request.id; at = !now })
           | `Shed victim ->
             shed := victim :: !shed;
@@ -446,8 +499,10 @@ let run ?config src =
             emit
               (Obs_sink.Request_shed
                  { id = victim.Admission.request.Request.id; at = !now });
-            if victim.Admission.request.Request.id <> r.Request.id then
+            if victim.Admission.request.Request.id <> r.Request.id then begin
+              fix_rows it;
               emit (Obs_sink.Request_enqueued { id = r.Request.id; at = !now })
+            end
           | `Rejected reason ->
             rejected := (it, reason) :: !rejected;
             slo_bad it;
@@ -458,6 +513,13 @@ let run ?config src =
   in
 
   (* ---------- retire ---------- *)
+  (* A kill fires in its round after the retire phase, so one planned
+     for this very round can still roll back what retires now. *)
+  let kill_pending s =
+    List.exists
+      (fun e -> e.Fault.superstep >= !round && e.Fault.device mod n_shards = s.s_id)
+      kills
+  in
   let retire_shard s b =
     let finished, rest =
       List.partition
@@ -514,7 +576,12 @@ let run ?config src =
                started = f.f_started;
                finished = !now;
              }))
-      finished
+      finished;
+    (* A closed loop must not wait for the next checkpoint to see its
+       completions: once no planned kill can still reach this shard,
+       nothing can roll them back, so they leave the window now. *)
+    if Option.is_some on_complete && finished <> [] && not (kill_pending s) then
+      flush_done b
   in
 
   (* ---------- need accounting (queued + parked, by digest) ---------- *)
@@ -570,37 +637,31 @@ let run ?config src =
   in
 
   (* ---------- admission to lanes ---------- *)
+  (* [width] free lanes of a binding, by the one shared lane-selection
+     path; callers have checked that enough are free. *)
+  let choose_free b ~width =
+    let free = Array.init z (fun lane -> not (Pc_vm.Lanes.occupied b.b_lanes ~lane)) in
+    match Sched_plan.choose_lanes ~free ~width with
+    | Some lanes -> lanes
+    | None -> invalid_arg "Tenant_server: lanes chosen on a full shard"
+  in
+  let add_flight b f = b.b_flight <- b.b_flight @ [ f ] in
   let start_flight s b (it : Admission.item) ~started ~preempted =
     let r = it.Admission.request in
-    let w = Request.width r in
-    let free =
-      Array.init z (fun lane -> not (Pc_vm.Lanes.occupied b.b_lanes ~lane))
-    in
-    let lanes =
-      match Sched_plan.choose_lanes ~free ~width:w with
-      | Some lanes -> lanes
-      | None -> invalid_arg "Tenant_server: refill chose a full shard"
-    in
+    let lanes = choose_free b ~width:(Request.width r) in
     Array.iteri
       (fun i lane ->
         let inputs = Request.lane_inputs r ~row:i in
         Pc_vm.Lanes.load b.b_lanes ~lane ~member:(r.Request.member + i) ~inputs;
         Engine.charge_refill s.s_engine ~bytes:(bytes_of inputs))
       lanes;
-    b.b_flight <-
-      b.b_flight
-      @ [
-          {
-            f_item = it;
-            f_lanes = lanes;
-            f_started = started;
-            f_preempted = preempted;
-            f_marks = [];
-          };
-        ]
+    add_flight b
+      { f_item = it; f_lanes = lanes; f_started = started; f_preempted = preempted; f_marks = [] }
   in
   let refill_shard s b =
-    let continue = ref true in
+    (* [Synchronous]: the fixed-batch regime refills a shard only once
+       its last flight has retired. *)
+    let continue = ref (cfg.refill = Continuous || b.b_flight = []) in
     while !continue do
       let free = Pc_vm.Lanes.free_count b.b_lanes in
       if free = 0 then continue := false
@@ -625,19 +686,63 @@ let run ?config src =
       shards
   in
 
+  (* ---------- moving lanes: park, resume, drain ---------- *)
+  (* Export a flight's lanes and free them. *)
+  let export_flight b f =
+    let states = Array.map (fun lane -> Pc_vm.Lanes.export_lane b.b_lanes ~lane) f.f_lanes in
+    Array.iter (fun lane -> Pc_vm.Lanes.evict b.b_lanes ~lane) f.f_lanes;
+    b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
+    states
+  in
+  (* Import exported lane states into free lanes of shard [s]'s binding,
+     each reported as a migration from shard [src]; returns the lanes and
+     the bytes moved. *)
+  let import_states s b states ~src =
+    let lanes = choose_free b ~width:(Array.length states) in
+    let bytes = ref 0. in
+    Array.iteri
+      (fun j lane ->
+        let st = states.(j) in
+        Pc_vm.Lanes.import_lane b.b_lanes ~lane st;
+        let sb = Pc_vm.Lanes.lane_state_bytes st in
+        bytes := !bytes +. sb;
+        emit
+          (Obs_sink.Migration
+             {
+               src_shard = src;
+               dst_shard = s.s_id;
+               member = st.Pc_vm.Lanes.ls_member;
+               bytes = sb;
+               step = !round;
+             }))
+      lanes;
+    (lanes, !bytes)
+  in
+  (* The first serving binding of [digest] with [width] free lanes. *)
+  let room ~digest ~width =
+    let rec scan i =
+      if i >= n_shards then None
+      else
+        match shards.(i).s_b with
+        | Some b
+          when (not b.b_draining)
+               && b.b_digest = digest
+               && Pc_vm.Lanes.free_count b.b_lanes >= width ->
+          Some (shards.(i), b)
+        | _ -> scan (i + 1)
+    in
+    scan 0
+  in
+
   (* ---------- preemption ---------- *)
   let park s b f =
-    let states =
-      Array.map (fun lane -> Pc_vm.Lanes.export_lane b.b_lanes ~lane) f.f_lanes
-    in
-    Array.iter (fun lane -> Pc_vm.Lanes.evict b.b_lanes ~lane) f.f_lanes;
+    let states = export_flight b f in
     let bytes =
       Array.fold_left
         (fun acc st -> acc +. Pc_vm.Lanes.lane_state_bytes st)
         0. states
     in
     Engine.charge_transfer s.s_engine ~name:"preempt-park" ~bytes ~seconds:0.;
-    b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
     b.b_force_ckpt <- true;
     incr seq;
     parked :=
@@ -733,70 +838,32 @@ let run ?config src =
     in
     List.iter
       (fun p ->
-        let width = Array.length p.p_states in
-        let rec scan i =
-          if i >= n_shards then ()
-          else
-            match shards.(i).s_b with
-            | Some b
-              when (not b.b_draining)
-                   && b.b_digest = p.p_item.Admission.digest
-                   && Pc_vm.Lanes.free_count b.b_lanes >= width ->
-              let s = shards.(i) in
-              let free =
-                Array.init z (fun lane -> not (Pc_vm.Lanes.occupied b.b_lanes ~lane))
-              in
-              let lanes =
-                match Sched_plan.choose_lanes ~free ~width with
-                | Some lanes -> lanes
-                | None -> assert false
-              in
-              let bytes = ref 0. in
-              Array.iteri
-                (fun j lane ->
-                  Pc_vm.Lanes.import_lane b.b_lanes ~lane p.p_states.(j);
-                  bytes := !bytes +. Pc_vm.Lanes.lane_state_bytes p.p_states.(j);
-                  emit
-                    (Obs_sink.Migration
-                       {
-                         src_shard = p.p_from;
-                         dst_shard = s.s_id;
-                         member = p.p_states.(j).Pc_vm.Lanes.ls_member;
-                         bytes = Pc_vm.Lanes.lane_state_bytes p.p_states.(j);
-                         step = !round;
-                       }))
-                lanes;
-              let seconds =
-                if p.p_from = s.s_id then 0.
-                else Collectives.p2p_time cfg.mesh ~bytes:!bytes
-              in
-              Engine.charge_transfer s.s_engine ~name:"preempt-resume" ~bytes:!bytes
-                ~seconds;
-              (* The park→resume interval becomes a "preempted" mark on
-                 the request's service span; a cross-shard resume adds a
-                 "migrate" instant. *)
-              let marks =
-                let preempted = ("preempted", p.p_at, !now) :: p.p_marks in
-                if p.p_from = s.s_id then preempted
-                else ("migrate", !now, !now) :: preempted
-              in
-              b.b_flight <-
-                b.b_flight
-                @ [
-                    {
-                      f_item = p.p_item;
-                      f_lanes = lanes;
-                      f_started = p.p_started;
-                      f_preempted = p.p_preempted;
-                      f_marks = marks;
-                    };
-                  ];
-              b.b_force_ckpt <- true;
-              parked := List.filter (fun q -> q != p) !parked;
-              incr resumes
-            | _ -> scan (i + 1)
-        in
-        scan 0)
+        match room ~digest:p.p_item.Admission.digest ~width:(Array.length p.p_states) with
+        | None -> ()
+        | Some (s, b) ->
+          let lanes, bytes = import_states s b p.p_states ~src:p.p_from in
+          let seconds =
+            if p.p_from = s.s_id then 0. else Collectives.p2p_time cfg.mesh ~bytes
+          in
+          Engine.charge_transfer s.s_engine ~name:"preempt-resume" ~bytes ~seconds;
+          (* The park→resume interval becomes a "preempted" mark on the
+             request's service span; a cross-shard resume adds a
+             "migrate" instant. *)
+          let marks =
+            let preempted = ("preempted", p.p_at, !now) :: p.p_marks in
+            if p.p_from = s.s_id then preempted else ("migrate", !now, !now) :: preempted
+          in
+          add_flight b
+            {
+              f_item = p.p_item;
+              f_lanes = lanes;
+              f_started = p.p_started;
+              f_preempted = p.p_preempted;
+              f_marks = marks;
+            };
+          b.b_force_ckpt <- true;
+          parked := List.filter (fun q -> q != p) !parked;
+          incr resumes)
       order
   in
 
@@ -861,66 +928,23 @@ let run ?config src =
           else
             List.iter
               (fun f ->
-                let width = Array.length f.f_lanes in
-                let rec scan i =
-                  if i >= n_shards then ()
-                  else
-                    match shards.(i).s_b with
-                    | Some tb
-                      when (not tb.b_draining)
-                           && tb.b_digest = b.b_digest
-                           && Pc_vm.Lanes.free_count tb.b_lanes >= width ->
-                      let t = shards.(i) in
-                      let free =
-                        Array.init z (fun lane ->
-                            not (Pc_vm.Lanes.occupied tb.b_lanes ~lane))
-                      in
-                      let lanes =
-                        match Sched_plan.choose_lanes ~free ~width with
-                        | Some lanes -> lanes
-                        | None -> assert false
-                      in
-                      let bytes = ref 0. in
-                      Array.iteri
-                        (fun j dst ->
-                          let src = f.f_lanes.(j) in
-                          let st = Pc_vm.Lanes.export_lane b.b_lanes ~lane:src in
-                          Pc_vm.Lanes.evict b.b_lanes ~lane:src;
-                          Pc_vm.Lanes.import_lane tb.b_lanes ~lane:dst st;
-                          let sb = Pc_vm.Lanes.lane_state_bytes st in
-                          bytes := !bytes +. sb;
-                          incr migrations;
-                          migration_bytes := !migration_bytes +. sb;
-                          emit
-                            (Obs_sink.Migration
-                               {
-                                 src_shard = s.s_id;
-                                 dst_shard = t.s_id;
-                                 member = st.Pc_vm.Lanes.ls_member;
-                                 bytes = sb;
-                                 step = !round;
-                               }))
-                        lanes;
-                      let seconds = Collectives.p2p_time cfg.mesh ~bytes:!bytes in
-                      Engine.charge_transfer t.s_engine ~name:"drain-migrate"
-                        ~bytes:!bytes ~seconds;
-                      b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
-                      tb.b_flight <-
-                        tb.b_flight
-                        @ [
-                            {
-                              f_item = f.f_item;
-                              f_lanes = lanes;
-                              f_started = f.f_started;
-                              f_preempted = f.f_preempted;
-                              f_marks = ("migrate", !now, !now) :: f.f_marks;
-                            };
-                          ];
-                      b.b_force_ckpt <- true;
-                      tb.b_force_ckpt <- true
-                    | _ -> scan (i + 1)
-                in
-                scan 0)
+                match room ~digest:b.b_digest ~width:(Array.length f.f_lanes) with
+                | None -> ()
+                | Some (t, tb) ->
+                  let states = export_flight b f in
+                  let lanes, bytes = import_states t tb states ~src:s.s_id in
+                  Array.iter
+                    (fun st ->
+                      incr migrations;
+                      migration_bytes :=
+                        !migration_bytes +. Pc_vm.Lanes.lane_state_bytes st)
+                    states;
+                  Engine.charge_transfer t.s_engine ~name:"drain-migrate" ~bytes
+                    ~seconds:(Collectives.p2p_time cfg.mesh ~bytes);
+                  add_flight tb
+                    { f with f_lanes = lanes; f_marks = ("migrate", !now, !now) :: f.f_marks };
+                  b.b_force_ckpt <- true;
+                  tb.b_force_ckpt <- true)
               b.b_flight;
           (match s.s_b with
           | Some b when b.b_draining && b.b_flight = [] -> unbind s b
@@ -1068,11 +1092,23 @@ let run ?config src =
     let idle =
       (not (flights_exist ())) && Admission.length adm = 0 && !parked = []
     in
-    (match (idle, src_peek src) with
+    (match (idle, next_arrival ()) with
     | true, Some it ->
-      let a = it.Admission.request.Request.arrival in
+      let a = arrival it in
       if a > !now then now := a
-    | true, None -> finished := true
+    | true, None ->
+      (* Idle with nothing due. A closed loop may still owe follow-ups
+         for completions a planned kill kept in the rollback window:
+         checkpoint their shards, which makes them final, and carry on
+         if that brought new arrivals. *)
+      if Option.is_some on_complete then
+        Array.iter
+          (fun s ->
+            match s.s_b with
+            | Some b when b.b_done_since <> [] -> do_checkpoint s b
+            | _ -> ())
+          shards;
+      if !followups = [] then finished := true
     | false, _ -> ())
   done;
 

@@ -41,6 +41,13 @@
     or not, migrated or not, killed or not. The acceptance gate
     ([bench tenant]) checks exactly that. *)
 
+(** When a shard takes new work. [Continuous] (continuous batching)
+    refills free lanes every round, the moment they open. [Synchronous]
+    is the paper's fixed-batch regime: a shard refills only once it has
+    no live flight, so every batch waits for its slowest member (the
+    E5 baseline). *)
+type refill = Continuous | Synchronous
+
 type config = {
   lanes_per_shard : int;
   mesh : Mesh.t;             (** one potential shard per device *)
@@ -49,6 +56,7 @@ type config = {
   admission : Admission.config;
   pool : Pool.config;
   preempt : bool;            (** enable latency-bound preemption *)
+  refill : refill;
   checkpoint_interval : int; (** per-shard rounds; 0 = bind-time baseline only *)
   faults : Fault.event list;
       (** device-kill plan on the round clock ([superstep] = round,
@@ -83,8 +91,9 @@ type config = {
 
 val default_config : mesh:Mesh.t -> config
 (** 8 lanes per shard, [Hybrid] engines, [Sched_policy.Earliest],
-    {!Admission.default}, {!Pool.default}, preemption on, checkpoint
-    every 32 rounds, no faults, outputs kept, no SLO monitor. *)
+    {!Admission.default}, {!Pool.default}, preemption on, [Continuous]
+    refill, checkpoint every 32 rounds, no faults, outputs kept, no SLO
+    monitor. *)
 
 type completion = {
   c_item : Admission.item;
@@ -132,10 +141,23 @@ type source
 val source_of_fun : (unit -> Admission.item option) -> source
 val source_of_list : Admission.item list -> source
 
-val run : ?config:config -> source -> stats
+val run :
+  ?config:config -> ?on_complete:(completion -> Admission.item option) -> source -> stats
 (** Drive the stream to completion: every arrival is eventually
     completed, throttled, rejected, or shed; no work is lost to
-    scaling, preemption, or injected kills. When [config.metrics] is
+    scaling, preemption, or injected kills.
+
+    [on_complete] closes the loop: it may return one follow-up request
+    per completion, which joins the arrivals with its arrival time
+    clamped to the current clock. It fires once per completion, when
+    the completion leaves the rollback window (at the shard's next
+    checkpoint, or at retire once no planned kill can still reach the
+    shard), so a kill never fires it twice.
+
+    A request is refused at ingest as [Invalid_input] when its inputs
+    disagree with the program's declared shapes, or with the row shapes
+    fixed by the first admitted request of the same program digest; as
+    [Too_wide] when it is wider than a shard. When [config.metrics] is
     set, per-class latency histograms
     (["latency_total_" ^ Tenant.slo_name], queue/service variants) are
     populated from the completion records at the end — after fault

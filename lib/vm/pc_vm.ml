@@ -496,6 +496,27 @@ module Lanes = struct
         | Some (Stk s) -> Stacked.reset_lane s lane)
       t.slots
 
+  (* An input row must have exactly the element shape of the storage it
+     lands in (allocated from a declared shape or by an earlier load):
+     equal element counts are not enough, or a [2;3] row would be
+     silently reinterpreted as [3;2]. *)
+  let check_lane_row t v elem_t =
+    let storage =
+      match t.slots.(slot t v) with
+      | None -> None
+      | Some (Reg r | Msk r) -> Some r
+      | Some (Stk st) -> Some (Stacked.top st)
+    in
+    Option.iter
+      (fun r ->
+        let want = Vm_util.elem_shape_of_batched r in
+        if not (Shape.equal want (Tensor.shape elem_t)) then
+          invalid_arg
+            (Printf.sprintf "Pc_vm.Lanes: input %s has row shape %s, expected %s" v
+               (Shape.to_string (Tensor.shape elem_t))
+               (Shape.to_string want)))
+      storage
+
   let write_lane_row t v ~lane elem_t =
     let dst =
       match materialize t (slot t v) (Tensor.shape elem_t) with
@@ -503,10 +524,6 @@ module Lanes = struct
       | Stk st -> Stacked.top st
     in
     let row = Tensor.row_numel dst in
-    if Tensor.numel elem_t <> row then
-      invalid_arg
-        (Printf.sprintf "Pc_vm.Lanes: input %s has %d elements per lane, expected %d" v
-           (Tensor.numel elem_t) row);
     Array.blit (Tensor.data elem_t) 0 (Tensor.data dst) (lane * row) row
 
   let load t ~lane ~member ~inputs =
@@ -515,6 +532,9 @@ module Lanes = struct
       invalid_arg (Printf.sprintf "Pc_vm.Lanes.load: lane %d is still running" lane);
     if List.length t.p.Stack_ir.inputs <> List.length inputs then
       invalid_arg "Pc_vm: input count mismatch";
+    (* Check every input before writing any: a refused load leaves the
+       lane (and the rest of the pool) exactly as it was. *)
+    List.iter2 (check_lane_row t) t.p.Stack_ir.inputs inputs;
     reset_lane_storage t ~lane;
     List.iter2 (fun v e -> write_lane_row t v ~lane e) t.p.Stack_ir.inputs inputs;
     t.members.(lane) <- member;

@@ -92,8 +92,9 @@ module Pc_stack : sig
       inconsistent. *)
 end
 
-(** The steppable lane pool behind both {!run} and the continuous-batching
-    server ({!module:Server} in [lib/serve]).
+(** The steppable lane pool behind {!run} and every serving and
+    migration client ([Tenant_server], [Sched_vm], [Shard_vm], the
+    recovery drivers).
 
     A lane is one batch slot. Lanes are individually [load]ed with a
     request's inputs and RNG member identity, advance together one
@@ -142,8 +143,11 @@ module Lanes : sig
   (** Occupy a free (or finished) lane with a fresh request: inputs are
       *element* tensors (no batch dimension), [member] is the global RNG
       member identity the lane's draws will use. Raises
-      [Invalid_argument] if the lane is still live or the inputs
-      mismatch the program. *)
+      [Invalid_argument] if the lane is still live, the input count
+      mismatches the program, or an input's shape differs from the
+      storage it lands in (declared, or fixed by an earlier load). Every
+      input is checked before any is written, so a refused load changes
+      nothing. *)
 
   val step : t -> bool
   (** Execute one scheduled basic block over the live lanes; [false] when

@@ -261,3 +261,29 @@ let sampler_suite =
     ] )
 
 let suites = suites @ [ sampler_suite ]
+
+(* ---------- the serving sweep (E5) ---------- *)
+
+let test_serving_harness_smoke () =
+  let stats =
+    Serving.run ~dim:3 ~lanes:4 ~n_requests:6 ~max_iter:2 ~loads:[ 0.9 ]
+      ~policies:[ "synchronous"; "fifo" ] ~closed_clients:0 ~seed:0xFEEDL ()
+  in
+  Alcotest.(check int) "one point per policy" 2 (List.length stats.Serving.points);
+  List.iter
+    (fun p ->
+      Alcotest.(check int) "all complete" 6 p.Serving.completed;
+      Alcotest.(check bool) "throughput positive" true (p.Serving.throughput > 0.);
+      Alcotest.(check bool) "latency percentiles ordered" true
+        (p.Serving.p50 <= p.Serving.p95 && p.Serving.p95 <= p.Serving.p99);
+      Alcotest.(check bool) "sampled completions bitwise vs solo" true
+        (p.Serving.verified > 0 && p.Serving.mismatches = 0))
+    stats.Serving.points;
+  let csv = Serving.to_csv stats in
+  Alcotest.(check bool) "csv has header and rows" true
+    (List.length (String.split_on_char '\n' csv) >= 4);
+  Alcotest.check_raises "unknown policy"
+    (Invalid_argument "Serving.run: unknown policy \"lifo\"") (fun () ->
+      ignore (Serving.run ~n_requests:1 ~policies:[ "lifo" ] ()))
+
+let suites = suites @ [ ("serve-harness", [ t "smoke" `Slow test_serving_harness_smoke ]) ]

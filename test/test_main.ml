@@ -43,7 +43,6 @@ let () =
         Test_span.suites;
         Test_prof.suites;
         Test_harness.suites;
-        Test_serve.suites;
         Test_resil.suites;
         Test_tenant.suites;
         (if fast then [] else Test_resil.fuzz_suites);

@@ -306,32 +306,12 @@ let test_sink_off_on_shard () =
       (r.Shard_vm.outputs, r.Shard_vm.sim_time))
 
 let test_sink_off_on_server () =
-  let compiled = Lazy.force fib_compiled in
-  let requests () =
-    List.init 4 (fun id ->
-        Request.make ~id ~member:(id * 16) ~arrival:0.
-          ~cost_hint:(float_of_int (4 + id))
-          ~program:compiled
-          ~inputs:[ Tensor.of_list [ float_of_int (4 + id) ] ]
-          ())
-  in
   check_unperturbed "server" (fun sink ->
-      let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let config =
-        {
-          Server.default_config with
-          lanes = 2;
-          vm = { Pc_vm.default_config with engine = Some engine; sink };
-        }
-      in
-      let stats = Server.run ~config ~program:compiled (requests ()) in
-      let outs =
-        List.concat_map
-          (fun (r : Server.record) -> r.Server.outputs)
-          stats.Server.completions
-      in
-      (outs, stats.Server.makespan))
+      let stats = Test_prof.run_server sink in
+      ( List.concat_map
+          (fun c -> Option.get c.Tenant_server.c_outputs)
+          stats.Tenant_server.completions,
+        stats.Tenant_server.makespan ))
 
 (* ---------- report documents ---------- *)
 

@@ -145,6 +145,48 @@ let prop_roundtrip_random_programs =
         let b = Interp.run reg p2 ~member:0 ~args in
         List.for_all2 Tensor.equal a b)
 
+(* ---------- fuzzing: the parser is total ---------- *)
+
+(* Whatever the bytes, [parse_string] answers [Ok] or [Error]; it never
+   raises. Random bytes exercise the lexer; strings over the language's
+   own alphabet reach the statement and expression parsers. *)
+let total src =
+  match Parser.parse_string src with
+  | Ok _ | Error _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "parse_string raised %s on %S" (Printexc.to_string e) src
+
+let prop_total_on_bytes =
+  QCheck.Test.make ~name:"parser never raises on random bytes" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 80))
+    total
+
+let syntax_char =
+  QCheck.Gen.oneofl (List.of_seq (String.to_seq "def main(x,y){}[];=+-*/%<>!&|.#e1 0\nifelsewhilereturn"))
+
+let prop_total_on_syntax_soup =
+  QCheck.Test.make ~name:"parser never raises on syntax soup" ~count:500
+    QCheck.(make ~print:Print.string Gen.(string_size ~gen:syntax_char (0 -- 80)))
+    total
+
+let corpus_sources () =
+  let dir =
+    List.find Sys.file_exists [ "examples/programs"; "../../../examples/programs" ]
+  in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".ab")
+  |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+
+(* Every prefix of every corpus program: a realistic source cut off at
+   any byte, inside a token, a comment or a nested block. *)
+let test_total_on_truncated_corpus () =
+  List.iter
+    (fun src ->
+      for cut = 0 to String.length src do
+        ignore (total (String.sub src 0 cut))
+      done)
+    (corpus_sources ())
+
 let suites =
   [
     ( "parser",
@@ -157,5 +199,8 @@ let suites =
         t "error reporting" `Quick test_parse_errors;
         t "round trip fixpoint" `Quick test_roundtrip_fixpoint;
         QCheck_alcotest.to_alcotest prop_roundtrip_random_programs;
+        QCheck_alcotest.to_alcotest prop_total_on_bytes;
+        QCheck_alcotest.to_alcotest prop_total_on_syntax_soup;
+        t "never raises on truncated corpus programs" `Quick test_total_on_truncated_corpus;
       ] );
   ]

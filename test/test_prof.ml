@@ -201,25 +201,35 @@ let test_occupancy_invariant_shard () =
       in
       ignore (Autobatch.run_sharded ~config compiled ~batch:(fib_batch 8)))
 
-let test_occupancy_invariant_server () =
+(* Four fib requests through one shard of the serving runtime, behind a
+   fresh tenant (its token bucket is mutable); test_obs reuses it. *)
+let server_items () =
   let compiled = Lazy.force fib_compiled in
-  let requests =
-    List.init 4 (fun id ->
-        Request.make ~id ~member:(id * 16) ~arrival:0.
-          ~cost_hint:(float_of_int (4 + id))
-          ~program:compiled
-          ~inputs:[ Tensor.of_list [ float_of_int (4 + id) ] ]
-          ())
+  let tenant = Tenant.make ~id:0 ~name:"t0" () in
+  List.init 4 (fun id ->
+      {
+        Admission.tenant;
+        request =
+          Request.make ~id ~member:(id * 16) ~arrival:0.
+            ~cost_hint:(float_of_int (4 + id))
+            ~program:compiled
+            ~inputs:[ Tensor.of_list [ float_of_int (4 + id) ] ]
+            ();
+        digest = 0L;
+      })
+
+let run_server sink =
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(Mesh.gpu_pod ~n:1 ())) with
+      Tenant_server.lanes_per_shard = 2;
+      sink;
+    }
   in
-  check_occupancy "server" (fun sink ->
-      let config =
-        {
-          Server.default_config with
-          lanes = 2;
-          vm = { Pc_vm.default_config with sink = Some sink };
-        }
-      in
-      ignore (Server.run ~config ~program:compiled requests))
+  Tenant_server.run ~config (Tenant_server.source_of_list (server_items ()))
+
+let test_occupancy_invariant_server () =
+  check_occupancy "server" (fun sink -> ignore (run_server (Some sink)))
 
 (* ---------- the occupancy gauge is event-fed ---------- *)
 
@@ -359,32 +369,12 @@ let test_prof_off_on_shard () =
       (r.Shard_vm.outputs, r.Shard_vm.sim_time))
 
 let test_prof_off_on_server () =
-  let compiled = Lazy.force fib_compiled in
-  let requests () =
-    List.init 4 (fun id ->
-        Request.make ~id ~member:(id * 16) ~arrival:0.
-          ~cost_hint:(float_of_int (4 + id))
-          ~program:compiled
-          ~inputs:[ Tensor.of_list [ float_of_int (4 + id) ] ]
-          ())
-  in
   check_prof_unperturbed "server" (fun sink ->
-      let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let config =
-        {
-          Server.default_config with
-          lanes = 2;
-          vm = { Pc_vm.default_config with engine = Some engine; sink };
-        }
-      in
-      let stats = Server.run ~config ~program:compiled (requests ()) in
-      let outs =
-        List.concat_map
-          (fun (r : Server.record) -> r.Server.outputs)
-          stats.Server.completions
-      in
-      (outs, stats.Server.makespan))
+      let stats = run_server sink in
+      ( List.concat_map
+          (fun c -> Option.get c.Tenant_server.c_outputs)
+          stats.Tenant_server.completions,
+        stats.Tenant_server.makespan ))
 
 (* ---------- golden folded-stacks export ---------- *)
 

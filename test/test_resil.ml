@@ -197,6 +197,13 @@ let test_envelope_rejects_retired_kind () =
   in
   expect_corrupt "pc-jit-checkpoint blob" (fun () -> Snapshot.decode_pc blob)
 
+(* The request server's checkpoint kind is retired with it (the serving
+   runtime checkpoints in memory): such a blob decodes as nothing. *)
+let test_envelope_rejects_retired_server_kind () =
+  let blob = Snapshot.encode ~kind:"server-checkpoint" (fun buf -> Codec.w_int buf 0) in
+  expect_corrupt "server-checkpoint blob as pc" (fun () -> Snapshot.decode_pc blob);
+  expect_corrupt "server-checkpoint blob as shards" (fun () -> Snapshot.decode_shards blob)
+
 let test_file_roundtrip () =
   let blob = sample_blob () in
   let path = Filename.temp_file "abresil" ".ckpt" in
@@ -391,69 +398,33 @@ let test_recovery_sharded_bitwise () =
         base r.Recovery.sh_outputs)
     [ 1; 4; 0 ]
 
-let server_digest (s : Server.stats) =
-  let buf = Buffer.create 4096 in
-  Codec.w_int buf s.Server.steps;
-  Codec.w_int buf s.Server.idle_steps;
-  Codec.w_float buf s.Server.makespan;
-  List.iter
-    (fun (r : Server.record) ->
-      Codec.w_int buf r.Server.request.Request.id;
-      Codec.w_float buf r.Server.queued;
-      Codec.w_float buf r.Server.started;
-      Codec.w_float buf r.Server.finished;
-      List.iter
-        (fun o ->
-          Codec.w_int_array buf (Tensor.shape o);
-          Codec.w_float_array buf (Tensor.data o))
-        r.Server.outputs)
-    s.Server.completions;
-  List.iter (fun (r : Request.t) -> Codec.w_int buf r.Request.id) s.Server.shed;
-  List.iter (fun (r : Request.t) -> Codec.w_int buf r.Request.id) s.Server.rejected;
-  Codec.fnv1a64 (Buffer.contents buf)
-
+(* The serving runtime recovers on its own: under every admission
+   policy, a run whose shard is killed repeatedly completes the same
+   requests as the fault-free run, each with bitwise-identical outputs.
+   Completion times may move (the clock never rewinds); results may not. *)
 let test_recovery_server_bitwise_all_policies () =
-  let compiled = Lazy.force fib_compiled in
-  let requests =
-    List.init 10 (fun i ->
-        Request.make ~id:i ~member:(i * 4)
-          ~arrival:(float_of_int (i / 3) *. 2.)
-          ~cost_hint:(float_of_int (3 + (i mod 7)))
-          ~program:compiled
-          ~inputs:[ Tensor.of_list [ float_of_int (3 + (i mod 7)) ] ]
-          ())
+  let items =
+    List.init 10 (fun id ->
+        Test_tenant.fib_item ~id ~arrival:(float_of_int (id / 3) *. 2e-6)
+          (float_of_int (3 + (id mod 7))))
   in
   List.iter
-    (fun policy ->
-      List.iter
-        (fun shed ->
-          let name =
-            Printf.sprintf "%s/%s" (Server.policy_name policy)
-              (match shed with
-              | Request_queue.Reject_new -> "reject-new"
-              | Request_queue.Drop_oldest -> "drop-oldest")
-          in
-          (* A tight queue forces the shedding path to actually run. *)
-          let config =
-            { Server.default_config with Server.lanes = 3; policy; queue_depth = 2; shed }
-          in
-          let base_stats, base_st =
-            Recovery.run_server ~config ~program:compiled requests
-          in
-          let stats, st =
-            Recovery.run_server ~config ~interval:3
-              ~plan:
-                (fault_plan ~seed:13
-                   ~horizon:base_st.Recovery.useful_supersteps
-                   ~kinds:[ Fault.Device_kill ])
-              ~program:compiled requests
-          in
-          Alcotest.(check bool) (name ^ ": faults fired") true
-            (st.Recovery.restores > 0);
-          Alcotest.(check int64) (name ^ ": bitwise identical trace")
-            (server_digest base_stats) (server_digest stats))
-        [ Request_queue.Reject_new; Request_queue.Drop_oldest ])
-    [ Server.Fifo; Server.Shortest_first; Server.Synchronous ]
+    (fun (name, mode, refill) ->
+      let run faults =
+        Test_tenant.serve
+          { (Test_tenant.e5_config ~lanes:3 ~mode ~refill ()) with checkpoint_interval = 3; faults }
+          items
+      in
+      let base = run [] in
+      let faulted =
+        run (fault_plan ~seed:13 ~horizon:base.Tenant_server.rounds ~kinds:[ Fault.Device_kill ])
+      in
+      Alcotest.(check bool) (name ^ ": faults fired") true (faulted.Tenant_server.restores > 0);
+      Alcotest.(check int) (name ^ ": everything completed") 10
+        (List.length faulted.Tenant_server.completions);
+      Alcotest.(check bool) (name ^ ": bitwise identical results") true
+        (Test_tenant.results base = Test_tenant.results faulted))
+    Test_tenant.policies
 
 (* ---------- property fuzzing ---------- *)
 
@@ -502,6 +473,7 @@ let suites =
         t "rejects corruption" `Quick test_envelope_rejects_corruption;
         t "rejects future versions" `Quick test_envelope_rejects_version;
         t "rejects the retired pc-jit kind" `Quick test_envelope_rejects_retired_kind;
+        t "rejects the retired server kind" `Quick test_envelope_rejects_retired_server_kind;
         t "file round trip" `Quick test_file_roundtrip;
       ] );
     ( "resil-images",

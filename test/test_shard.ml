@@ -144,7 +144,9 @@ let test_engine_merge () =
 
 (* ---------- sharded NUTS: determinism and time accounting ---------- *)
 
-let nuts_fixture =
+(* The compiled program with its start point and step size; test_tenant
+   serves single requests of it. *)
+let nuts_program =
   lazy
     (let dim = 5 in
      let model = Gaussian_model.model ~dim () in
@@ -157,8 +159,12 @@ let nuts_fixture =
        Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model)
          prog
      in
-     let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter:2 ~n_burn:0 ~batch:6 () in
-     (compiled, batch))
+     (compiled, q0, eps))
+
+let nuts_fixture =
+  lazy
+    (let compiled, q0, eps = Lazy.force nuts_program in
+     (compiled, Nuts_dsl.inputs ~q0 ~eps ~n_iter:2 ~n_burn:0 ~batch:6 ()))
 
 let sharded_config ?(mode = None) devices =
   { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:devices (); mode }

@@ -451,6 +451,13 @@ let test_pool_decide () =
 
 let default_mesh n = Mesh.gpu_pod ~n ()
 
+(* [(request id, reason name)] of every request refused at ingest. *)
+let refusals (st : Tenant_server.stats) =
+  List.map
+    (fun ((it : Admission.item), reason) ->
+      (it.Admission.request.Request.id, Admission.reason_name reason))
+    st.Tenant_server.rejected
+
 let check_all_solo name (st : Tenant_server.stats) =
   List.iter
     (fun c ->
@@ -531,8 +538,9 @@ let test_server_kill_replay_deterministic () =
 let test_server_rejects_malformed_inputs () =
   (* One request with a missing input and one whose per-row shape
      disagrees with the program's declared shapes, among well-formed
-     work: both are refused at ingest with [Invalid_input] and the run
-     continues to the end. *)
+     work: both are refused at ingest with [Invalid_input], a request
+     wider than a shard with [Too_wide], and the run continues to the
+     end. *)
   let tenant = mk_tenant 0 in
   let good = List.init 6 (fun i -> mk_item ~tenant ~id:i ~arrival:(1e-7 *. float_of_int i) ~n:(6 + i) ()) in
   let bad ~id inputs =
@@ -549,9 +557,10 @@ let test_server_rejects_malformed_inputs () =
   let bad_shape =
     bad ~id:101 [ row 4.; Tensor.stack_rows [ Tensor.of_array [| 2 |] [| 0.3; 0.4 |] ]; row 0. ]
   in
+  let too_wide = mk_item ~tenant ~id:102 ~arrival:1.5e-7 ~width:5 ~n:6 () in
   let items =
     match good with
-    | a :: b :: rest -> a :: b :: bad_count :: bad_shape :: rest
+    | a :: b :: rest -> a :: b :: bad_count :: bad_shape :: too_wide :: rest
     | _ -> assert false
   in
   let config =
@@ -568,14 +577,347 @@ let test_server_rejects_malformed_inputs () =
     + List.length st.Tenant_server.rejected
     + List.length st.Tenant_server.shed);
   Alcotest.(check (list (pair int string)))
-    "both malformed requests refused as invalid-input"
-    [ (100, "invalid-input"); (101, "invalid-input") ]
-    (List.map
-       (fun (it, reason) -> (it.Admission.request.Request.id, Admission.reason_name reason))
-       st.Tenant_server.rejected);
+    "malformed requests refused as invalid-input, the wide one as too-wide"
+    [ (100, "invalid-input"); (101, "invalid-input"); (102, "too-wide") ]
+    (refusals st);
   Alcotest.(check int) "every well-formed request completed" 6
     (List.length st.Tenant_server.completions);
   check_all_solo "malformed" st
+
+(* ---------- the E5 serving regime: one tenant, one shard ---------- *)
+
+(* The configuration the serving experiment (E5) runs: one shard,
+   preemption off, no periodic checkpoints. A policy is an admission pop
+   plus a refill regime. *)
+let policies =
+  [
+    ("fifo", Admission.Fifo, Tenant_server.Continuous);
+    ("shortest", Admission.Shortest_first, Tenant_server.Continuous);
+    ("synchronous", Admission.Fifo, Tenant_server.Synchronous);
+  ]
+
+let e5_config ?(lanes = 4) ?(depth = 64) ?(mode = Admission.Fifo)
+    ?(refill = Tenant_server.Continuous) ?sink () =
+  {
+    (Tenant_server.default_config ~mesh:(default_mesh 1)) with
+    Tenant_server.lanes_per_shard = lanes;
+    admission = { (Admission.fifo ~depth ()) with Admission.mode };
+    refill;
+    preempt = false;
+    checkpoint_interval = 0;
+    sink;
+  }
+
+let serve ?on_complete config items =
+  Tenant_server.run ~config ?on_complete (Tenant_server.source_of_list items)
+
+(* One simulated microsecond: arrival gaps below are written in it. *)
+let us = 1e-6
+
+let e5_tenant = Tenant.make ~id:0 ~name:"e5" ()
+
+let item ?(cost = 1.) ?(arrival = 0.) ~id ~member ~program inputs =
+  {
+    Admission.tenant = e5_tenant;
+    request = Request.make ~id ~member ~arrival ~cost_hint:cost ~program ~inputs ();
+    digest = 1L;
+  }
+
+(* Fib by double recursion: service time grows with the input. *)
+let fib_compiled = lazy (Autobatch.compile ~input_shapes:[ Shape.scalar ] Test_programs.fib)
+
+let fib_item ?(arrival = 0.) ?width ~id n =
+  let inputs =
+    match width with
+    | None -> [ Tensor.of_list [ n ] ]
+    | Some w -> [ Tensor.init [| w |] (fun i -> n +. float_of_int i.(0)) ]
+  in
+  item ~cost:n ~arrival ~id ~member:(id * 16) ~program:(Lazy.force fib_compiled) inputs
+
+(* Batched NUTS on a small Gaussian: every lane draws from its member's
+   RNG streams, which serving must reproduce through member offsets. *)
+let nuts_item ?(arrival = 0.) ?(width = 1) ?(n_iter = 1) ~id ~member () =
+  let program, q0, eps = Lazy.force Test_shard.nuts_program in
+  item ~cost:(float_of_int n_iter) ~arrival ~id ~member ~program
+    (Nuts_dsl.inputs ~q0 ~eps ~n_iter ~n_burn:0 ~batch:width ())
+
+let completion_id c = c.Tenant_server.c_item.Admission.request.Request.id
+
+let by_id (st : Tenant_server.stats) id =
+  List.find (fun c -> completion_id c = id) st.Tenant_server.completions
+
+(* Every completion's id and output bits, in id order. *)
+let results (st : Tenant_server.stats) =
+  List.sort compare
+    (List.map
+       (fun c ->
+         ( completion_id c,
+           List.map
+             (fun o -> Array.map Int64.bits_of_float (Tensor.data o))
+             (Option.get c.Tenant_server.c_outputs) ))
+       st.Tenant_server.completions)
+
+let all_solo (st : Tenant_server.stats) =
+  List.for_all Tenant_load.matches_solo st.Tenant_server.completions
+
+(* ---------- requests and the single-queue admission modes ---------- *)
+
+let test_request_validation () =
+  Alcotest.check_raises "no inputs"
+    (Invalid_argument "Request: at least one input required") (fun () ->
+      ignore (Request.make ~id:0 ~program:(Lazy.force fib_compiled) ~inputs:[] ()));
+  let r = (fib_item ~id:7 ~width:3 6.).Admission.request in
+  Alcotest.(check int) "width" 3 (Request.width r);
+  Alcotest.(check (float 0.)) "lane input row 2" 8.
+    (Tensor.get (List.hd (Request.lane_inputs r ~row:2)) [||])
+
+let test_shortest_first_order () =
+  let adm =
+    Admission.create ~config:{ (Admission.fifo ()) with Admission.mode = Shortest_first } ()
+  in
+  List.iter
+    (fun (id, cost) -> ignore (Admission.offer adm (fib_item ~id cost)))
+    [ (0, 9.); (1, 2.); (2, 2.); (3, 1.); (4, 0.5) ];
+  let pop fits =
+    match Admission.pop adm ~fits with Some it -> it.Admission.request.Request.id | None -> -1
+  in
+  (* A non-fitting item is skipped, never popped; [List.init] pops in order. *)
+  let first = pop (fun it -> it.Admission.request.Request.id <> 4) in
+  Alcotest.(check (list int)) "cost order, ties by arrival" [ 3; 4; 1; 2; 0 ]
+    (first :: List.init 4 (fun _ -> pop always));
+  Alcotest.(check int) "drained" (-1) (pop always)
+
+let test_queue_reject_new () =
+  let adm = Admission.create ~config:(Admission.fifo ~depth:2 ()) () in
+  let offer id = Admission.offer adm (fib_item ~id 3.) in
+  Alcotest.(check bool) "first" true (offer 0 = `Admitted);
+  Alcotest.(check bool) "second" true (offer 1 = `Admitted);
+  Alcotest.(check bool) "newcomer refused" true (offer 2 = `Rejected Admission.Queue_full);
+  Alcotest.(check (list int)) "depth held, oldest kept" [ 0; 1 ] (item_ids adm)
+
+(* ---------- determinism: every completion equals its solo run ---------- *)
+
+let arb_policy = QCheck.oneofl policies
+
+let prop_alone_matches_solo =
+  QCheck.Test.make ~name:"alone equals solo run" ~count:4
+    (QCheck.triple arb_policy (QCheck.int_range 0 60) (QCheck.int_range 1 2))
+    (fun ((_, mode, refill), member, n_iter) ->
+      let st = serve (e5_config ~mode ~refill ()) [ nuts_item ~id:0 ~member ~n_iter () ] in
+      List.length st.Tenant_server.completions = 1 && all_solo st)
+
+(* A saturated trace: more work than lanes, mixed widths and trajectory
+   counts, distinct members, arrivals a few microseconds apart. *)
+let arb_trace =
+  QCheck.(
+    list_of_size (Gen.int_range 6 10)
+      (triple (int_range 1 2) (int_range 1 2) (int_range 0 4)))
+
+let trace_items spec =
+  List.mapi
+    (fun id (width, n_iter, gap) ->
+      nuts_item ~id ~member:(id * 3) ~width ~n_iter ~arrival:(float_of_int gap *. us) ())
+    spec
+
+let prop_saturated_all_policies =
+  QCheck.Test.make ~name:"saturated server, all policies" ~count:2 arb_trace
+    (fun spec ->
+      let items = trace_items spec in
+      List.for_all
+        (fun (_, mode, refill) ->
+          let st = serve (e5_config ~mode ~refill ()) items in
+          List.length st.Tenant_server.completions = List.length items && all_solo st)
+        policies)
+
+let prop_arrival_order_invariance =
+  QCheck.Test.make ~name:"arrival order invariance" ~count:2
+    (QCheck.triple arb_trace arb_policy (QCheck.pair QCheck.int QCheck.bool))
+    (fun (spec, (_, mode, refill), (seed, narrow)) ->
+      let items = trace_items spec in
+      (* The same requests, their arrival times permuted, on a device of
+         a different width. *)
+      let arrival (it : Admission.item) = it.Admission.request.Request.arrival in
+      let permuted =
+        List.map2
+          (fun (it : Admission.item) a ->
+            { it with Admission.request = { it.Admission.request with Request.arrival = a } })
+          items
+          (QCheck.Gen.shuffle_l (List.map arrival items) (Random.State.make [| seed |]))
+        |> List.stable_sort (fun a b -> compare (arrival a) (arrival b))
+      in
+      results (serve (e5_config ()) items)
+      = results (serve (e5_config ~lanes:(if narrow then 2 else 4) ~mode ~refill ()) permuted))
+
+(* ---------- the serving loop ---------- *)
+
+let test_server_full_queue () =
+  (* 1 lane, a queue of depth 2, 6 simultaneous arrivals: the first two
+     are queued (one then takes the lane), the other four are refused. *)
+  let st = serve (e5_config ~lanes:1 ~depth:2 ()) (List.init 6 (fun id -> fib_item ~id 10.)) in
+  Alcotest.(check (list int)) "first two served" [ 0; 1 ]
+    (List.map completion_id st.Tenant_server.completions);
+  Alcotest.(check (list (pair int string)))
+    "the rest refused as queue-full"
+    (List.map (fun id -> (id, "queue-full")) [ 2; 3; 4; 5 ])
+    (refusals st)
+
+let test_server_idles_between_arrivals () =
+  (* Arrival gaps far longer than a request's service: the clock jumps
+     to each arrival, and each request starts the moment it arrives. *)
+  let items = List.init 3 (fun id -> fib_item ~id ~arrival:(float_of_int id *. 1e4 *. us) 4.) in
+  let st = serve (e5_config ~lanes:2 ()) items in
+  Alcotest.(check int) "all served" 3 (List.length st.Tenant_server.completions);
+  Alcotest.(check bool) "clock reached the last arrival" true
+    (st.Tenant_server.makespan >= 2e4 *. us);
+  List.iter
+    (fun c ->
+      Alcotest.(check (float 0.)) "no queueing delay"
+        c.Tenant_server.c_item.Admission.request.Request.arrival c.Tenant_server.c_started)
+    st.Tenant_server.completions
+
+let test_server_rejects_too_wide () =
+  let st = serve (e5_config ~lanes:2 ()) [ fib_item ~id:0 ~width:3 5.; fib_item ~id:1 5. ] in
+  Alcotest.(check (list (pair int string)))
+    "wide refused as too-wide" [ (0, "too-wide") ]
+    (refusals st);
+  Alcotest.(check (list int)) "narrow served" [ 1 ]
+    (List.map completion_id st.Tenant_server.completions)
+
+let test_server_latency_accounting () =
+  let ins = Instrument.create () in
+  let st =
+    serve
+      (e5_config ~lanes:2 ~sink:(Instrument.observe_occupancy ins) ())
+      (List.init 5 (fun id -> fib_item ~id 8.))
+  in
+  List.iter
+    (fun c ->
+      let arrival = c.Tenant_server.c_item.Admission.request.Request.arrival in
+      Alcotest.(check bool) "arrival <= started" true (arrival <= c.Tenant_server.c_started);
+      Alcotest.(check bool) "started < finished" true
+        (c.Tenant_server.c_started < c.Tenant_server.c_finished))
+    st.Tenant_server.completions;
+  let occ = Instrument.mean_occupancy ins in
+  Alcotest.(check bool) "occupancy sampled" true (Instrument.live_samples ins > 0);
+  Alcotest.(check bool) "occupancy in (0, 1]" true (occ > 0. && occ <= 1.)
+
+let test_server_closed_loop () =
+  (* A one-client closed loop issues each follow-up on completion: the
+     chain of 4 requests serializes, and each reproduces its solo run. *)
+  let issued = ref 1 in
+  let on_complete _ =
+    if !issued >= 4 then None
+    else begin
+      let id = !issued in
+      incr issued;
+      Some (fib_item ~id (6. +. float_of_int id))
+    end
+  in
+  let st = serve ~on_complete (e5_config ~lanes:2 ()) [ fib_item ~id:0 6. ] in
+  Alcotest.(check (list int)) "chain served in order" [ 0; 1; 2; 3 ]
+    (List.map completion_id st.Tenant_server.completions);
+  Alcotest.(check bool) "every link bitwise vs solo" true (all_solo st);
+  for id = 1 to 3 do
+    let c = by_id st id in
+    Alcotest.(check bool)
+      (Printf.sprintf "follow-up %d arrives (clamped) after its cause finished" id)
+      true
+      (c.Tenant_server.c_item.Admission.request.Request.arrival
+      >= (by_id st (id - 1)).Tenant_server.c_finished)
+  done
+
+let test_server_charges_engine () =
+  let st = serve (e5_config ~lanes:2 ()) (List.init 4 (fun id -> fib_item ~id 6.)) in
+  let c = st.Tenant_server.counters in
+  Alcotest.(check int) "every lane load charged" 4 c.Engine.Counters.lane_refills;
+  Alcotest.(check int) "every retire charged" 4 c.Engine.Counters.lane_retires;
+  Alcotest.(check bool) "the clock is simulated time" true (st.Tenant_server.makespan > 0.)
+
+let test_synchronous_waits_for_the_batch () =
+  (* Two lanes: a long and a short request start together, a third waits.
+     Continuous refill starts it as soon as the short one retires;
+     synchronous refill holds it until the long one has retired too. *)
+  let items = [ fib_item ~id:0 14.; fib_item ~id:1 2.; fib_item ~id:2 2. ] in
+  let continuous = serve (e5_config ~lanes:2 ()) items in
+  let synchronous = serve (e5_config ~lanes:2 ~refill:Tenant_server.Synchronous ()) items in
+  Alcotest.(check bool) "continuous refills mid-batch" true
+    ((by_id continuous 2).Tenant_server.c_started < (by_id continuous 0).Tenant_server.c_finished);
+  Alcotest.(check bool) "synchronous never refills while a flight is live" true
+    ((by_id synchronous 2).Tenant_server.c_started
+    >= (by_id synchronous 0).Tenant_server.c_finished);
+  Alcotest.(check bool) "both bitwise vs solo" true (all_solo continuous && all_solo synchronous)
+
+let test_closed_loop_once_under_kill () =
+  (* Follow-ups fire when completions leave the rollback window, so a
+     kill that replays retired work never fires them twice. *)
+  let fired = ref [] in
+  let issued = ref 4 in
+  let on_complete c =
+    fired := completion_id c :: !fired;
+    if !issued >= 8 then None
+    else begin
+      let id = !issued in
+      incr issued;
+      Some (fib_item ~id (8. +. float_of_int (id mod 3)))
+    end
+  in
+  let config =
+    {
+      (e5_config ~lanes:2 ()) with
+      Tenant_server.checkpoint_interval = 3;
+      faults = [ { Fault.superstep = 12; device = 0; kind = Fault.Device_kill } ];
+    }
+  in
+  let check name ~restores config =
+    fired := [];
+    issued := 4;
+    let st = serve ~on_complete config (List.init 4 (fun id -> fib_item ~id 9.)) in
+    Alcotest.(check int) (name ^ ": restores") restores st.Tenant_server.restores;
+    Alcotest.(check (list int)) (name ^ ": fired once per completion") [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+      (List.sort compare !fired);
+    Alcotest.(check int) (name ^ ": all eight completed") 8
+      (List.length st.Tenant_server.completions);
+    Alcotest.(check bool) (name ^ ": bitwise vs solo") true (all_solo st)
+  in
+  check "kill at round 12" ~restores:1 config;
+  (* A kill planned past the end keeps every completion in the window
+     until the work runs out; the follow-ups must still be served. *)
+  check "kill never reached" ~restores:0
+    {
+      config with
+      Tenant_server.checkpoint_interval = 0;
+      faults = [ { Fault.superstep = 1_000_000; device = 0; kind = Fault.Device_kill } ];
+    }
+
+(* An input the program declares no shape for takes the row shape of the
+   first admitted request. Later requests must match it exactly: one
+   with another element count, and one with the same count in another
+   shape, are refused at ingest and the run finishes. *)
+let test_undeclared_shapes_fixed_at_first_admission () =
+  let program =
+    let open Lang in
+    Autobatch.compile
+      (program ~main:"f"
+         [ func "f" ~params:[ "x"; "n" ] [ return_ [ var "x"; var "n" ] ] ])
+  in
+  let req ~id x = item ~id ~member:id ~program [ Tensor.stack_rows [ x ]; Tensor.of_list [ 1. ] ] in
+  let grid = Tensor.init [| 2; 3 |] (fun i -> float_of_int ((3 * i.(0)) + i.(1))) in
+  let items =
+    [
+      req ~id:0 grid;
+      req ~id:1 (Tensor.reshape grid [| 3; 2 |]);
+      req ~id:2 (Tensor.zeros [| 5 |]);
+      req ~id:3 (Tensor.map (fun v -> v +. 1.) grid);
+    ]
+  in
+  let st = serve (e5_config ~lanes:2 ()) items in
+  Alcotest.(check (list (pair int string)))
+    "disagreeing rows refused as invalid-input"
+    [ (1, "invalid-input"); (2, "invalid-input") ]
+    (refusals st);
+  Alcotest.(check (list int)) "the agreeing ones served" [ 0; 3 ]
+    (List.sort compare (List.map completion_id st.Tenant_server.completions));
+  Alcotest.(check bool) "bitwise vs solo" true (all_solo st)
 
 (* ---------- the load harness under --seed ---------- *)
 
@@ -634,6 +976,10 @@ let suites =
     ("tenant-pool", [ t "decide" `Quick test_pool_decide ]);
     ( "tenant-server",
       [
+        t "undeclared shapes fixed at first admission" `Quick
+          test_undeclared_shapes_fixed_at_first_admission;
+        t "synchronous waits for the whole batch" `Quick test_synchronous_waits_for_the_batch;
+        t "closed loop fires once under a kill" `Quick test_closed_loop_once_under_kill;
         t "preemption is bitwise invisible" `Quick test_server_preemption_bitwise;
         t "device kill recovers bitwise" `Quick test_server_kill_recovers_bitwise;
         t "kill replay is deterministic" `Quick test_server_kill_replay_deterministic;
@@ -643,5 +989,28 @@ let suites =
       [
         t "deterministic under --seed" `Quick test_load_deterministic_under_seed;
         t "completions verify against solo" `Quick test_load_verifies_bitwise;
+      ] );
+      (* Suite names kept from the retired request server's tests, whose
+       behaviour these now check on the one serving runtime. *)
+    ( "serve-queue",
+      [
+        t "request validation" `Quick test_request_validation;
+        t "shortest-first order" `Quick test_shortest_first_order;
+        t "reject-new shed" `Quick test_queue_reject_new;
+      ] );
+    ( "serve-determinism",
+      [
+        QCheck_alcotest.to_alcotest prop_alone_matches_solo;
+        QCheck_alcotest.to_alcotest ~speed_level:`Slow prop_saturated_all_policies;
+        QCheck_alcotest.to_alcotest ~speed_level:`Slow prop_arrival_order_invariance;
+      ] );
+    ( "serve-server",
+      [
+        t "full queue sheds" `Quick test_server_full_queue;
+        t "idles between arrivals" `Quick test_server_idles_between_arrivals;
+        t "rejects wider than device" `Quick test_server_rejects_too_wide;
+        t "latency accounting" `Quick test_server_latency_accounting;
+        t "closed loop follow-ups" `Quick test_server_closed_loop;
+        t "charges engine refills and retires" `Quick test_server_charges_engine;
       ] );
   ]

@@ -483,4 +483,148 @@ let pc_stack_suite =
       t "underflow raises" `Quick test_pc_stack_underflow;
     ] )
 
-let suites = suites @ [ lanes_suite; pc_stack_suite ]
+(* ---------- lane lifecycle, recycling, and input checks ---------- *)
+
+let check_f = Alcotest.(check (float 1e-12))
+
+let test_lanes_lifecycle () =
+  let lanes =
+    Pc_vm.Lanes.create fib_compiled.Autobatch.registry fib_compiled.Autobatch.stack ~z:3
+  in
+  Alcotest.(check int) "all free" 3 (Pc_vm.Lanes.free_count lanes);
+  Alcotest.(check bool) "idle pool does not step" false (Pc_vm.Lanes.step lanes);
+  Pc_vm.Lanes.load lanes ~lane:1 ~member:0 ~inputs:[ Tensor.scalar 6. ];
+  Alcotest.(check int) "one occupied" 2 (Pc_vm.Lanes.free_count lanes);
+  Alcotest.(check bool) "live" true (Pc_vm.Lanes.live lanes ~lane:1);
+  while Pc_vm.Lanes.step lanes do () done;
+  Alcotest.(check bool) "finished" true (Pc_vm.Lanes.finished lanes ~lane:1);
+  Alcotest.(check (list int)) "finished lanes" [ 1 ] (Pc_vm.Lanes.finished_lanes lanes);
+  let outs = Pc_vm.Lanes.retire lanes ~lane:1 in
+  Alcotest.(check int) "freed" 3 (Pc_vm.Lanes.free_count lanes);
+  (* fib 6 = 13 with fib 0 = fib 1 = 1. *)
+  check_f "fib 6" 13. (Tensor.get (List.hd outs) [||])
+
+let test_lanes_recycling_bitwise () =
+  (* A recycled lane must behave exactly like a fresh VM: run fib(10) in
+     a lane, retire it, reuse the same lane for fib(5) while another lane
+     is mid-flight, and compare against solo runs. *)
+  let solo n = List.hd (Autobatch.run_pc fib_compiled ~batch:[ Tensor.of_list [ n ] ]) in
+  let lanes =
+    Pc_vm.Lanes.create fib_compiled.Autobatch.registry fib_compiled.Autobatch.stack ~z:2
+  in
+  Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[ Tensor.scalar 10. ];
+  Pc_vm.Lanes.load lanes ~lane:1 ~member:1 ~inputs:[ Tensor.scalar 13. ];
+  (* Drain lane 0 (fib 10 finishes first), refill it mid-run. *)
+  while not (Pc_vm.Lanes.finished lanes ~lane:0) do
+    ignore (Pc_vm.Lanes.step lanes)
+  done;
+  let out10 = List.hd (Pc_vm.Lanes.retire lanes ~lane:0) in
+  Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[ Tensor.scalar 5. ];
+  while Pc_vm.Lanes.step lanes do () done;
+  let out5 = List.hd (Pc_vm.Lanes.retire lanes ~lane:0) in
+  let out13 = List.hd (Pc_vm.Lanes.retire lanes ~lane:1) in
+  check_f "fib 10 bitwise" (Tensor.get (solo 10.) [| 0 |]) (Tensor.get out10 [||]);
+  check_f "fib 5 in recycled lane" (Tensor.get (solo 5.) [| 0 |]) (Tensor.get out5 [||]);
+  check_f "fib 13 undisturbed" (Tensor.get (solo 13.) [| 0 |]) (Tensor.get out13 [||])
+
+(* An input whose shape the program does not declare takes its storage
+   shape from the first load. A later row must match that shape exactly:
+   a different element count, or the same count in another shape, is
+   refused before anything is written. *)
+let test_lanes_input_mismatch () =
+  let lanes =
+    Pc_vm.Lanes.create fib_compiled.Autobatch.registry fib_compiled.Autobatch.stack ~z:1
+  in
+  Alcotest.check_raises "wrong arity" (Invalid_argument "Pc_vm: input count mismatch")
+    (fun () -> Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[]);
+  let open Lang in
+  let pair =
+    Autobatch.compile
+      (program ~main:"f" [ func "f" ~params:[ "x"; "y" ] [ return_ [ var "x"; var "y" ] ] ])
+  in
+  let lanes = Pc_vm.Lanes.create pair.Autobatch.registry pair.Autobatch.stack ~z:2 in
+  let x = Tensor.init [| 2; 3 |] (fun i -> float_of_int ((3 * i.(0)) + i.(1))) in
+  Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[ x; Tensor.scalar 1. ];
+  let refused name inputs =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf "Pc_vm.Lanes: input f/x has row shape %s, expected [2;3]"
+            (Shape.to_string (Tensor.shape (List.hd inputs)))))
+      (fun () -> Pc_vm.Lanes.load lanes ~lane:1 ~member:1 ~inputs);
+    Alcotest.(check bool) (name ^ ": lane 1 left free") false (Pc_vm.Lanes.occupied lanes ~lane:1)
+  in
+  refused "same count, other shape" [ Tensor.reshape x [| 3; 2 |]; Tensor.scalar 2. ];
+  refused "other count" [ Tensor.zeros [| 5 |]; Tensor.scalar 2. ];
+  while Pc_vm.Lanes.step lanes do () done;
+  match Pc_vm.Lanes.retire lanes ~lane:0 with
+  | [ x'; y' ] ->
+    Alcotest.(check bool) "lane 0 row intact" true (Tensor.equal x x');
+    check_f "lane 0 second input" 1. (Tensor.get y' [||])
+  | _ -> Alcotest.fail "two outputs expected"
+
+(* ---------- the live-lane occupancy gauge and engine counters ---------- *)
+
+let test_occupancy_gauge () =
+  let ins = Instrument.create () in
+  check_f "no samples reads full" 1. (Instrument.mean_occupancy ins);
+  for _ = 1 to 10 do
+    Instrument.record_live ins ~live:2 ~lanes:4
+  done;
+  check_f "mean over samples" 0.5 (Instrument.mean_occupancy ins);
+  Alcotest.(check int) "samples counted" 10 (Instrument.live_samples ins);
+  let series = Instrument.occupancy_series ins in
+  Alcotest.(check bool) "series non-empty" true (List.length series > 0);
+  List.iter (fun (_, occ) -> check_f "bucket occupancy" 0.5 occ) series
+
+let test_occupancy_gauge_compaction () =
+  let ins = Instrument.create () in
+  (* Twice the bucket budget of samples: the gauge must downsample, keep
+     the step axis anchored at the start, and preserve the mean. *)
+  for i = 1 to 1024 do
+    Instrument.record_live ins ~live:(if i <= 512 then 4 else 0) ~lanes:4
+  done;
+  let series = Instrument.occupancy_series ins in
+  Alcotest.(check bool) "bounded" true (List.length series <= 256);
+  (match series with
+  | (first_step, first_occ) :: _ ->
+    Alcotest.(check int) "anchored at step 0" 0 first_step;
+    check_f "early buckets full" 1. first_occ
+  | [] -> Alcotest.fail "empty series");
+  check_f "mean preserved" 0.5 (Instrument.mean_occupancy ins);
+  match List.rev series with
+  | (_, last_occ) :: _ -> check_f "late buckets empty" 0. last_occ
+  | [] -> ()
+
+let test_engine_refill_retire_counters () =
+  let e = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  Engine.charge_refill e ~bytes:64.;
+  Engine.charge_refill e ~bytes:64.;
+  Engine.charge_retire e ~bytes:128.;
+  let c = (Engine.snapshot e).Engine.at in
+  Alcotest.(check int) "refills" 2 c.Engine.Counters.lane_refills;
+  Alcotest.(check int) "retires" 1 c.Engine.Counters.lane_retires;
+  check_f "traffic accumulates" 256. c.Engine.Counters.traffic_bytes;
+  Alcotest.(check bool) "time advances" true (Engine.elapsed e > 0.);
+  let sum = Engine.Counters.add c Engine.Counters.zero in
+  Alcotest.(check int) "refills survive add" 2 sum.Engine.Counters.lane_refills;
+  Alcotest.(check int) "retires survive add" 1 sum.Engine.Counters.lane_retires
+
+(* The suite names predate the move from the retired request server's
+   test file; they are kept so the test ids stay stable. *)
+let serve_suites =
+  [
+    ( "serve-lanes",
+      [
+        t "lifecycle" `Quick test_lanes_lifecycle;
+        t "recycling is bitwise clean" `Quick test_lanes_recycling_bitwise;
+        t "input mismatch" `Quick test_lanes_input_mismatch;
+      ] );
+    ( "serve-instrument",
+      [
+        t "occupancy gauge" `Quick test_occupancy_gauge;
+        t "gauge compaction" `Quick test_occupancy_gauge_compaction;
+        t "engine refill/retire counters" `Quick test_engine_refill_retire_counters;
+      ] );
+  ]
+
+let suites = suites @ [ lanes_suite; pc_stack_suite ] @ serve_suites
