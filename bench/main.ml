@@ -10,7 +10,7 @@
       1/2/4/8 real OCaml domains (Shard_vm), best-of-3 timings.
 
    Pass a subset of
-   [micro|figure5|figure6|ablations|shard|serve|resil|obs|obs2|prof|fuse|sched|tenant|eff|regress]
+   [micro|figure5|figure6|ablations|shard|serve|resil|observe|fuse|sched|tenant|eff|regress]
    as argv to run only those stages (default: all, with bench-sized
    parameters). Every stage prints a closing host-cost line
    (wall/CPU/alloc/GC, from Obs_wall).
@@ -365,157 +365,6 @@ let run_resil ?seed () =
                       ])
                   stats.Resilience.points) );
          ])
-
-let run_obs ?seed () =
-  (* Observability overhead smoke: the same workload with no sink and with
-     a full trace sink attached (VM supersteps + engine launches). The
-     sink must not perturb the simulated cost model — the acceptance bar
-     is <=1%, the expectation is exactly 0 — and outputs must stay
-     bitwise identical; the wall columns show what recording actually
-     costs the host. The recorded trace is written out and re-parsed to
-     check the Chrome document is well-formed JSON. *)
-  ignore seed;
-  print_endline "== Observability overhead (sink off vs on) ==";
-  let nuts_compiled, nuts_batch = Lazy.force nuts_fixture in
-  let workloads =
-    [ ("fib-pc-z32", fib_compiled, fib_batch); ("nuts-pc-z16", nuts_compiled, nuts_batch) ]
-  in
-  let tmp = Filename.temp_file "autobatch-obs" ".trace.json" in
-  let failed = ref false in
-  let rows =
-    List.map
-      (fun (name, compiled, batch) ->
-        let exec sink_of =
-          let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-          let sink = sink_of engine in
-          (match sink with Some s -> Engine.set_sink engine s | None -> ());
-          let config = { Pc_vm.default_config with engine = Some engine; sink } in
-          let best = ref infinity in
-          let outputs = ref [] in
-          for _ = 1 to 3 do
-            let t0 = Unix.gettimeofday () in
-            outputs := Autobatch.run_pc ~config compiled ~batch;
-            best := Float.min !best (Unix.gettimeofday () -. t0)
-          done;
-          (!outputs, Engine.elapsed engine, !best)
-        in
-        let out_off, sim_off, wall_off = exec (fun _ -> None) in
-        let tr = Obs_trace.create () in
-        let out_on, sim_on, wall_on =
-          exec (fun engine ->
-              let track = Obs_trace.track tr name in
-              Some (Obs_trace.sink tr ~track ~clock:(fun () -> Engine.elapsed engine)))
-        in
-        let overhead_pct = (sim_on -. sim_off) /. sim_off *. 100. in
-        let identical = List.map Tensor.data out_off = List.map Tensor.data out_on in
-        Obs_trace.write tr ~path:tmp;
-        let parse_ok =
-          let contents = In_channel.with_open_text tmp In_channel.input_all in
-          match Obs_json.of_string contents with
-          | Ok doc -> Obs_json.member "traceEvents" doc <> None
-          | Error _ -> false
-        in
-        let ok = overhead_pct <= 1. && identical && parse_ok in
-        if not ok then failed := true;
-        [
-          name;
-          Table.si sim_off ^ "s";
-          Table.si sim_on ^ "s";
-          Printf.sprintf "%.2f%%" overhead_pct;
-          Table.si wall_off ^ "s";
-          Table.si wall_on ^ "s";
-          string_of_int (List.length (Obs_trace.entries tr));
-          (if identical then "yes" else "NO");
-          (if ok then "ok" else "FAIL");
-        ])
-      workloads
-  in
-  Sys.remove tmp;
-  Table.print_stdout
-    ~header:
-      [ "workload"; "sim off"; "sim on"; "sim ovh"; "wall off"; "wall on";
-        "events"; "bitwise"; "status" ]
-    ~rows;
-  print_newline ();
-  if !failed then begin
-    prerr_endline "obs stage failed: sink perturbed the run or trace was malformed";
-    exit 1
-  end
-
-let run_prof ?seed () =
-  (* Profiler contract smoke: the same workload with no sink and with the
-     divergence profiler attached to both the VM and the engine. The
-     profiler must not perturb the run — outputs and the simulated clock
-     must be bitwise identical — and its attribution must conserve time:
-     per-block + per-kernel + host self-time sums to the engine's total
-     within float-addition tolerance (1e-9 relative). *)
-  ignore seed;
-  print_endline "== Divergence profiler (sink off vs on + conservation) ==";
-  let nuts_compiled, nuts_batch = Lazy.force nuts_fixture in
-  let workloads =
-    [ ("fib-pc-z32", fib_compiled, fib_batch); ("nuts-pc-z16", nuts_compiled, nuts_batch) ]
-  in
-  let failed = ref false in
-  let rows =
-    List.map
-      (fun (name, compiled, batch) ->
-        let exec sink =
-          let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-          (match sink with Some s -> Engine.set_sink engine s | None -> ());
-          let config = { Pc_vm.default_config with engine = Some engine; sink } in
-          let best = ref infinity in
-          let outputs = ref [] in
-          for _ = 1 to 3 do
-            let t0 = Unix.gettimeofday () in
-            outputs := Autobatch.run_pc ~config compiled ~batch;
-            best := Float.min !best (Unix.gettimeofday () -. t0)
-          done;
-          (!outputs, Engine.elapsed engine, !best)
-        in
-        let out_off, sim_off, wall_off = exec None in
-        let prof =
-          Obs_prof.create
-            ~frames:
-              (Profile.flame_frames compiled.Autobatch.stack
-                 compiled.Autobatch.cfg)
-            ()
-        in
-        let out_on, sim_on, wall_on = exec (Some (Obs_prof.sink prof)) in
-        let bitwise =
-          Int64.bits_of_float sim_on = Int64.bits_of_float sim_off
-          && List.map Tensor.data out_off = List.map Tensor.data out_on
-        in
-        (* The profiler saw 3 repeat runs on one engine; attribution must
-           still sum to that engine's final clock. *)
-        let attributed = Obs_prof.attributed prof in
-        let conservation = Float.abs (attributed -. sim_on) /. sim_on in
-        let flame_ok = String.length (Obs_prof.folded prof) > 0 in
-        let ok = bitwise && conservation <= 1e-9 && flame_ok in
-        if not ok then failed := true;
-        [
-          name;
-          Table.si sim_off ^ "s";
-          Table.si wall_off ^ "s";
-          Table.si wall_on ^ "s";
-          string_of_int (Obs_prof.supersteps prof);
-          Printf.sprintf "%.3f" (Obs_prof.utilization prof);
-          Printf.sprintf "%.1e" conservation;
-          (if bitwise then "yes" else "NO");
-          (if ok then "ok" else "FAIL");
-        ])
-      workloads
-  in
-  Table.print_stdout
-    ~header:
-      [ "workload"; "sim"; "wall off"; "wall on"; "steps"; "util";
-        "conserve"; "bitwise"; "status" ]
-    ~rows;
-  print_newline ();
-  if !failed then begin
-    prerr_endline
-      "prof stage failed: profiler perturbed the run or attribution lost time";
-    exit 1
-  end
 
 let run_fuse ?seed () =
   (* Superblock fusion A/B gate: compile each workload twice — plain and
@@ -1248,11 +1097,11 @@ let run_tenant ?seed () =
     exit 1
   end
 
-(* ---------- regression probes (obs2 / regress) ---------- *)
+(* ---------- regression probes (observe / regress) ---------- *)
 
-(* Fixed-seed, tier-independent probes of simulated cost. `bench obs2`
-   embeds them in the committed BENCH_obs2.json; `bench regress` re-runs
-   them and diffs. Both deliberately ignore --seed — the baseline has to
+(* Fixed-seed, tier-independent probes of simulated cost. `bench observe`
+   embeds them in the committed BENCH_observe.json; `bench regress`
+   re-runs them and diffs. Both deliberately ignore --seed — the baseline has to
    mean the same thing on every host and under AUTOBATCH_FAST. *)
 let regress_probes () =
   let pc name compiled batch =
@@ -1293,34 +1142,18 @@ let probe_to_json (name, sim, supersteps, work) =
       ("work", Obs_json.Int work);
     ]
 
-let run_obs2 ?seed () =
-  (* The request-scoped tracing gate, four parts.
-
-     Zero overhead: the macro tenant trace (default injected device kill
-     included) runs once bare and once with a span recorder and an SLO
-     monitor attached. The simulated clock, round count, and every
-     completion (ids, times, output tensors) must be bitwise identical —
-     observability is reporting only.
-
-     Span shape: on the observed run every completed request must appear
-     as exactly one well-formed span tree (single root, no orphans,
-     children nested inside parents), and the lifecycle spans the macro
-     trace is engineered to exercise — preemption parks, drain
-     migrations, the kill's restore, cache hits and compiles — must
-     actually be present. The Perfetto export must re-parse as
-     well-formed JSON.
-
-     Burn rate: the same SLO monitor must fire on the adversarial
-     pattern (best-effort flood, shed storm) and stay silent on the
-     uniform pattern.
-
-     Probes: re-measures the fixed-seed simulated-cost probes. Full runs
-     at the default seed diff the whole document against the committed
-     BENCH_obs2.json (which `bench regress` also reads) and fail on any
-     drift — delete the file to re-baseline; the AUTOBATCH_FAST arm caps
+let run_observe ?seed () =
+  (* The observer-invariance gate. Each workload — fib and NUTS under the
+     pc VM, the macro tenant trace with its injected device kill — runs
+     bare and with every observer fanned out on one sink (trace recorder,
+     profiler and its metrics; span recorder and SLO monitor on the
+     tenant trace); outputs and the simulated clock must be bitwise
+     identical. The observers' own contracts ride along as assertions
+     (listed in the document's note). Full runs at the default seed diff
+     the document, `bench regress` probes included, against the committed
+     BENCH_observe.json — delete it to re-baseline; AUTOBATCH_FAST caps
      the trace at 10k requests and skips the diff. *)
-  print_endline
-    "== Request-scoped tracing (spans / burn rate / zero overhead) ==";
+  print_endline "== Observer invariance (trace / profiler / metrics / spans / SLO) ==";
   let fast = Sys.getenv_opt "AUTOBATCH_FAST" <> None in
   let n_requests = if fast then 10_000 else 20_000 in
   let failed = ref false in
@@ -1329,6 +1162,86 @@ let run_obs2 ?seed () =
     if not ok then failed := true;
     rows := [ name; value; bar; (if ok then "ok" else "FAIL") ] :: !rows
   in
+  let reparses write =
+    let tmp = Filename.temp_file "autobatch-observe" ".trace.json" in
+    write tmp;
+    let contents = In_channel.with_open_text tmp In_channel.input_all in
+    Sys.remove tmp;
+    match Obs_json.of_string contents with
+    | Ok doc -> Obs_json.member "traceEvents" doc <> None
+    | Error _ -> false
+  in
+  (* ---- pc workloads ---- *)
+  let nuts_compiled, nuts_batch = Lazy.force nuts_fixture in
+  let pc_points =
+    List.map
+      (fun (name, compiled, batch) ->
+        let exec observe =
+          let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+          let sink = observe engine in
+          Option.iter (Engine.set_sink engine) sink;
+          let config = { Pc_vm.default_config with engine = Some engine; sink } in
+          let outputs, wall =
+            Obs_wall.time (fun () -> Autobatch.run_pc ~config compiled ~batch)
+          in
+          (List.map Tensor.data outputs, Engine.elapsed engine, wall)
+        in
+        let out_off, sim_off, wall_off = exec (fun _ -> None) in
+        let tr = Obs_trace.create () in
+        let prof =
+          Obs_prof.create
+            ~frames:(Profile.flame_frames compiled.Autobatch.stack compiled.Autobatch.cfg)
+            ()
+        in
+        let out_on, sim_on, wall_on =
+          exec (fun engine ->
+              let track = Obs_trace.track tr name in
+              Some
+                (Obs_sink.fanout
+                   [
+                     Obs_trace.sink tr ~track ~clock:(fun () -> Engine.elapsed engine);
+                     Obs_prof.sink prof;
+                   ]))
+        in
+        check
+          (name ^ ": bare vs observed")
+          (Printf.sprintf "%ss / %ss sim, %ss / %ss wall" (Table.si sim_off)
+             (Table.si sim_on) (Table.si wall_off.Obs_wall.wall_s)
+             (Table.si wall_on.Obs_wall.wall_s))
+          "bitwise identical"
+          (Int64.bits_of_float sim_on = Int64.bits_of_float sim_off && out_off = out_on);
+        let events = List.length (Obs_trace.entries tr) in
+        let steps = Obs_prof.supersteps prof in
+        let counted =
+          Obs_metrics.count (Obs_metrics.counter (Obs_prof.metrics prof) "supersteps")
+        in
+        check (name ^ ": trace, metrics")
+          (Printf.sprintf "%d events, %d / %d supersteps" events counted steps)
+          "re-parses, agree"
+          (events > 0 && steps > 0 && counted = steps
+          && reparses (fun path -> Obs_trace.write tr ~path));
+        let conservation = Float.abs (Obs_prof.attributed prof -. sim_on) /. sim_on in
+        let folded = Obs_prof.folded prof in
+        let stacks = List.length (String.split_on_char '\n' (String.trim folded)) in
+        check (name ^ ": attribution")
+          (Printf.sprintf "%.1e residual, %d folded stacks" conservation stacks)
+          "<=1e-9, non-empty"
+          (conservation <= 1e-9 && folded <> "");
+        Obs_json.Obj
+          [
+            ("name", Obs_json.Str name);
+            ("sim_seconds", Obs_json.Float sim_on);
+            ("supersteps", Obs_json.Int steps);
+            ("utilization", Obs_json.Float (Obs_prof.utilization prof));
+            ("trace_events", Obs_json.Int events);
+            ("folded_stacks", Obs_json.Int stacks);
+          ])
+      [
+        ("fib-pc-z32", fib_compiled, fib_batch);
+        ("nuts-pc-z16", nuts_compiled, nuts_batch);
+      ]
+  in
+  (* ---- tenant trace ---- *)
   (* Sheds and ladder rejections are the only "bad" events under an
      infinite latency threshold, which makes the fire/silent contrast a
      pure admission-pressure readout. Burn threshold 6: the adversarial
@@ -1351,36 +1264,51 @@ let run_obs2 ?seed () =
           | Some ts -> List.map Tensor.data ts ))
       r.Tenant_load.fair.Tenant_load.stats.Tenant_server.completions
   in
-  let r_off =
-    Tenant_load.run ?seed ~n_requests ~verify:false ~keep_outputs:true
-      ~baseline:false ()
+  let tenant ?sink ?slo () =
+    Tenant_load.run ?seed ~n_requests ~verify:false ~keep_outputs:true ~baseline:false
+      ?sink ?slo ()
   in
+  let r_off = tenant () in
   let recorder = Obs_span.create () in
-  let r_on, wall =
-    Obs_wall.time (fun () ->
-        Tenant_load.run ?seed ~n_requests ~verify:false ~keep_outputs:true
-          ~baseline:false
-          ~sink:(Obs_span.sink recorder)
-          ~slo:(Obs_slo.create ~classes:(slo_classes ()) ())
-          ())
+  (* The trace recorder is bounded: the gate needs it attached and its
+     export well-formed, not the whole run's superstep timeline. *)
+  let tr = Obs_trace.create ~limit:20_000 () in
+  let prof = Obs_prof.create () in
+  let r_on =
+    tenant
+      ~sink:
+        (Obs_sink.fanout
+           [
+             Obs_span.sink recorder;
+             Obs_trace.sink tr ~track:(Obs_trace.track tr "tenant") ~clock:(fun () -> 0.);
+             Obs_prof.sink prof;
+           ])
+      ~slo:(Obs_slo.create ~classes:(slo_classes ()) ())
+      ()
   in
   let s_off = r_off.Tenant_load.fair.Tenant_load.stats in
   let s_on = r_on.Tenant_load.fair.Tenant_load.stats in
-  check "sim cost: bare vs observed"
-    (Printf.sprintf "%ss / %ss, %d / %d rounds"
+  check "tenant: bare vs observed"
+    (Printf.sprintf "%ss / %ss, %d / %d rounds, %d completions"
        (Table.si s_off.Tenant_server.makespan)
        (Table.si s_on.Tenant_server.makespan)
-       s_off.Tenant_server.rounds s_on.Tenant_server.rounds)
-    "identical"
-    (s_off.Tenant_server.makespan = s_on.Tenant_server.makespan
-    && s_off.Tenant_server.rounds = s_on.Tenant_server.rounds);
-  check "outputs: bare vs observed"
-    (Printf.sprintf "%d completions" (List.length (digest r_on)))
+       s_off.Tenant_server.rounds s_on.Tenant_server.rounds
+       (List.length (digest r_on)))
     "bitwise identical"
-    (digest r_on <> [] && digest r_off = digest r_on);
+    (Int64.bits_of_float s_off.Tenant_server.makespan
+     = Int64.bits_of_float s_on.Tenant_server.makespan
+    && s_off.Tenant_server.rounds = s_on.Tenant_server.rounds
+    && digest r_on <> []
+    && digest r_off = digest r_on);
+  check "tenant: trace and profiler"
+    (Printf.sprintf "%d events, %d supersteps"
+       (List.length (Obs_trace.entries tr))
+       (Obs_prof.supersteps prof))
+    "re-parses, profiled"
+    (Obs_prof.supersteps prof > 0 && reparses (fun path -> Obs_trace.write tr ~path));
   let n_done = List.length s_on.Tenant_server.completions in
   let tree = Obs_span.validate recorder in
-  check "span trees"
+  check "tenant: span trees"
     (Printf.sprintf "%d traces, %d well-formed" tree.Obs_span.traces
        tree.Obs_span.well_formed)
     "one per completion, all well-formed"
@@ -1389,7 +1317,7 @@ let run_obs2 ?seed () =
     && Obs_span.count_named recorder "request" = n_done
     && Obs_span.dropped recorder = 0);
   let named = Obs_span.count_named recorder in
-  check "lifecycle spans"
+  check "tenant: lifecycle spans"
     (Printf.sprintf "%d preempted, %d migrate, %d restore, %d hit, %d compile"
        (named "preempted") (named "migrate") (named "restore")
        (named "cache-hit") (named "compile"))
@@ -1399,20 +1327,10 @@ let run_obs2 ?seed () =
     && named "restore" >= 1
     && named "cache-hit" >= 1
     && named "compile" >= 1);
-  let tmp = Filename.temp_file "autobatch-obs2" ".trace.json" in
-  Obs_span.write recorder ~path:tmp;
-  let parse_ok =
-    let contents = In_channel.with_open_text tmp In_channel.input_all in
-    match Obs_json.of_string contents with
-    | Ok doc -> Obs_json.member "traceEvents" doc <> None
-    | Error _ -> false
-  in
-  Sys.remove tmp;
-  check "perfetto export"
+  check "tenant: perfetto export"
     (Printf.sprintf "%d spans" (Obs_span.length recorder))
-    "re-parses" parse_ok;
-  check "host wall (observed run)" (Obs_wall.summary wall) "nonzero"
-    (wall.Obs_wall.wall_s > 0.);
+    "re-parses"
+    (reparses (fun path -> Obs_span.write recorder ~path));
   (* ---- burn rate ---- *)
   let slo_run pattern =
     let slo = Obs_slo.create ~classes:(slo_classes ()) () in
@@ -1423,37 +1341,41 @@ let run_obs2 ?seed () =
   in
   let adv = slo_run Tenant_load.Adversarial in
   let uni = slo_run Tenant_load.Uniform in
-  check "burn rate: adversarial"
-    (Printf.sprintf "%d alerts" adv)
-    ">=1" (adv >= 1);
+  check "burn rate: adversarial" (Printf.sprintf "%d alerts" adv) ">=1" (adv >= 1);
   check "burn rate: uniform" (Printf.sprintf "%d alerts" uni) "0" (uni = 0);
   Table.print_stdout
     ~header:[ "check"; "value"; "bar"; "status" ]
     ~rows:(List.rev !rows);
   let probes = regress_probes () in
   if (not fast) && seed = None then
-    check_baseline ~stage:"obs2" ~path:"BENCH_obs2.json"
+    check_baseline ~stage:"observe" ~path:"BENCH_observe.json"
       (Obs_json.Obj
          [
-           ("bench", Obs_json.Str "obs2");
-           ("source", Obs_json.Str "bench/main.exe obs2");
+           ("bench", Obs_json.Str "observe");
+           ("source", Obs_json.Str "bench/main.exe observe");
            ( "workload",
              Obs_json.Str
-               "20k-request bursty Zipf trace (fair arm only, one injected \
-                device kill) run bare and with a span recorder + SLO monitor \
-                attached; adversarial and uniform 2k traces for the burn-rate \
-                monitor; fixed-seed simulated-cost probes for `bench regress`"
-           );
+               "fib z=32 and NUTS-on-gaussian z=16 under the pc VM, and the \
+                20k-request bursty Zipf trace (fair arm only, one injected \
+                device kill), each run bare and with every observer fanned \
+                out (trace, profiler and metrics; spans and an SLO monitor on \
+                the tenant trace); adversarial and uniform 2k traces for the \
+                burn-rate monitor; fixed-seed simulated-cost probes for \
+                `bench regress`" );
            ( "note",
              Obs_json.Str
-               "the stage fails unless the observed run is bitwise identical \
-                to the bare run (simulated clock included), every completion \
-                has a well-formed span tree, preempt/migrate/restore spans \
-                are present, the Perfetto export re-parses, and the burn-rate \
-                monitor fires on the adversarial trace and stays silent on \
-                uniform; the probes section is the `bench regress` baseline — \
-                deterministic, fixed-seed, independent of AUTOBATCH_FAST \
-                (which runs 10k requests and does not rewrite this file)" );
+               "the stage fails unless every observed run is bitwise \
+                identical to its bare run (simulated clock included), the \
+                traces and the Perfetto span export re-parse, profiler \
+                attribution sums to the engine clock within 1e-9 relative \
+                with non-empty folded stacks, every completion has a \
+                well-formed span tree, preempt/migrate/restore spans are \
+                present, and the burn-rate monitor fires on the adversarial \
+                trace and stays silent on uniform; the probes section is the \
+                `bench regress` baseline — deterministic, fixed-seed, \
+                independent of AUTOBATCH_FAST (which runs 10k requests and \
+                does not rewrite this file)" );
+           ("pc_workloads", Obs_json.List pc_points);
            ("requests", Obs_json.Int n_requests);
            ("completions", Obs_json.Int n_done);
            ("spans", Obs_json.Int (Obs_span.length recorder));
@@ -1474,23 +1396,24 @@ let run_obs2 ?seed () =
   print_newline ();
   if !failed then begin
     prerr_endline
-      "obs2 stage failed: observability perturbed the run, a span tree was \
-       malformed, or the burn-rate monitor misbehaved";
+      "observe stage failed: an observer perturbed a run, an export was \
+       malformed, attribution lost time, a span tree was malformed, or the \
+       burn-rate monitor misbehaved";
     exit 1
   end
 
 let run_regress () =
   (* Regression diff: re-run the fixed-seed probes and compare simulated
-     cost and superstep counts against the committed BENCH_obs2.json.
+     cost and superstep counts against the committed BENCH_observe.json.
      Both sides are deterministic, so any drift is a real behavioural
      change: cost or superstep increases fail the stage; improvements
-     pass with a reminder to re-baseline via `bench obs2`. *)
-  print_endline "== Simulated-cost regression vs committed BENCH_obs2.json ==";
-  let path = "BENCH_obs2.json" in
+     pass with a reminder to re-baseline via `bench observe`. *)
+  print_endline "== Simulated-cost regression vs committed BENCH_observe.json ==";
+  let path = "BENCH_observe.json" in
   if not (Sys.file_exists path) then begin
     prerr_endline
       ("regress stage failed: " ^ path
-     ^ " missing — run `bench obs2` (full tier) to create the baseline");
+     ^ " missing — run `bench observe` (full tier) to create the baseline");
     exit 1
   end;
   let doc =
@@ -1557,13 +1480,13 @@ let run_regress () =
     ~rows;
   if !improved then
     print_endline
-      "note: simulated cost improved — re-baseline with `bench obs2` when \
-       intentional";
+      "note: simulated cost improved — re-baseline with `bench observe` \
+       (full tier) when intentional";
   print_newline ();
   if !failed then begin
     prerr_endline
       "regress stage failed: simulated cost or supersteps regressed vs \
-       BENCH_obs2.json";
+       BENCH_observe.json";
     exit 1
   end
 
@@ -1629,8 +1552,8 @@ let () =
   let stages =
     match stages with
     | [] ->
-      [ "micro"; "figure5"; "figure6"; "ablations"; "shard"; "serve"; "resil"; "obs";
-        "obs2"; "prof"; "fuse"; "sched"; "tenant"; "eff"; "regress" ]
+      [ "micro"; "figure5"; "figure6"; "ablations"; "shard"; "serve"; "resil";
+        "observe"; "fuse"; "sched"; "tenant"; "eff"; "regress" ]
     | picked -> picked
   in
   List.iter
@@ -1647,9 +1570,7 @@ let () =
       | "shard" -> run_shard ?seed ()
       | "serve" -> run_serve ?seed ()
       | "resil" -> run_resil ?seed ()
-      | "obs" -> run_obs ?seed ()
-      | "obs2" -> run_obs2 ?seed ()
-      | "prof" -> run_prof ?seed ()
+      | "observe" -> run_observe ?seed ()
       | "fuse" -> run_fuse ?seed ()
       | "sched" -> run_sched ?seed ()
       | "tenant" -> run_tenant ?seed ()
@@ -1658,7 +1579,7 @@ let () =
       | other ->
         Printf.eprintf
           "unknown stage %S (expected \
-           micro|figure5|figure6|ablations|shard|serve|resil|obs|obs2|prof|fuse|sched|tenant|eff|regress)\n"
+           micro|figure5|figure6|ablations|shard|serve|resil|observe|fuse|sched|tenant|eff|regress)\n"
           other;
         exit 1);
       Printf.printf "[%s] %s\n\n%!" stage (Obs_wall.summary (Obs_wall.stop probe)))

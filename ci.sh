@@ -1,14 +1,14 @@
 #!/bin/sh
 # Local CI: everything a commit must pass, in the order it fails fastest.
 #
-#   ./ci.sh         # build, fast test tier, then the bench gates: obs,
-#                   # prof, fuse, sched, tenant, serve, resil, obs2,
-#                   # regress, eff; then a format check if .ocamlformat
-#                   # exists
+#   ./ci.sh         # build, fast test tier, then the bench gates:
+#                   # observe, fuse, sched, tenant, serve, resil, regress,
+#                   # eff; then a format check if .ocamlformat exists
 #   ./ci.sh --fast  # same (the default tier, spelled out)
 #   ./ci.sh --full  # same, but the complete test suite instead of the fast
-#                   # tier, and the tenant/obs2/eff gates at full size
-#                   # (tenant and obs2 then diff their committed baselines)
+#                   # tier, and the observe/tenant/eff gates at full size
+#                   # (observe and tenant then diff their committed
+#                   # baselines)
 #
 # Mirrors HACKING.md: run before committing; run --full before merging.
 set -eu
@@ -35,18 +35,26 @@ dune build
 step "tests ($tier)"
 dune build "$tier"
 
-# Observability must be free: the obs bench stage re-runs a workload with
-# a trace sink attached and exits nonzero if the simulated cost moves by
-# more than 1%, outputs change, or the trace fails to re-parse.
-step "bench obs smoke"
-dune exec bench/main.exe -- obs
-
-# The divergence profiler must also be free AND conservative: the prof
-# stage exits nonzero if attaching Obs_prof perturbs outputs or the
-# simulated clock, if attribution loses time (>1e-9 relative), or if the
-# folded flamegraph export comes back empty.
-step "bench prof smoke"
-dune exec bench/main.exe -- prof
+# Observability must be free: the observe stage runs fib and NUTS under
+# the pc VM and the macro tenant trace bare and with every observer
+# fanned out (trace, profiler and metrics; spans and an SLO monitor on
+# the tenant trace), and exits nonzero unless each observed run is
+# bitwise identical to its bare run (simulated clock included). The
+# observers' own contracts are asserted too: the traces and the Perfetto
+# span export re-parse, profiler attribution loses no time (<=1e-9
+# relative) and its folded export is non-empty, every completion has a
+# well-formed span tree with the lifecycle spans present, and the
+# burn-rate monitor fires on the adversarial trace while staying silent
+# on uniform. The fast tier caps the trace at 10k requests via
+# AUTOBATCH_FAST and skips the baseline diff; the full tier fails if its
+# document drifts from the committed BENCH_observe.json (delete the file
+# to re-baseline).
+step "bench observe gate"
+if [ "$tier" = "@runtest-fast" ]; then
+  AUTOBATCH_FAST=1 dune exec bench/main.exe -- observe
+else
+  dune exec bench/main.exe -- observe
+fi
 
 # Superblock fusion must pay for itself and stay invisible: the fuse
 # stage compiles fib and eight_schools NUTS plain and fused, exits
@@ -101,27 +109,10 @@ dune exec bench/main.exe -- serve
 step "bench resil baseline"
 dune exec bench/main.exe -- resil
 
-# Request-scoped tracing must also be free: the obs2 stage replays the
-# tenant trace bare and with a span recorder + SLO burn-rate monitor
-# attached, and exits nonzero unless the observed run is bitwise
-# identical (simulated clock included), every completion has a
-# well-formed span tree, preempt/migrate/restore spans are present, the
-# Perfetto export re-parses, and the monitor fires on the adversarial
-# trace while staying silent on uniform. The fast tier caps the trace at
-# 10k requests via AUTOBATCH_FAST and skips the baseline diff; the full
-# tier fails if its document drifts from the committed BENCH_obs2.json
-# (delete the file to re-baseline).
-step "bench obs2 gate"
-if [ "$tier" = "@runtest-fast" ]; then
-  AUTOBATCH_FAST=1 dune exec bench/main.exe -- obs2
-else
-  dune exec bench/main.exe -- obs2
-fi
-
 # Simulated cost is a contract: the regress stage re-runs the
 # fixed-seed probes (fib/NUTS under the pc VM, a 1k-request tenant
 # trace) and exits nonzero if simulated cost or superstep counts
-# regressed against the committed BENCH_obs2.json baseline.
+# regressed against the committed BENCH_observe.json baseline.
 step "bench regress"
 dune exec bench/main.exe -- regress
 

@@ -26,9 +26,9 @@ let () =
   in
   let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter ~n_burn ~batch:chains () in
 
-  (* Run all chains at once; instrument gradient-lane utilization. *)
-  let instrument = Instrument.create () in
-  let config = { Pc_vm.default_config with instrument = Some instrument } in
+  (* Run all chains at once, with a profiler counting lane utilization. *)
+  let prof = Obs_prof.create () in
+  let config = { Pc_vm.default_config with sink = Some (Obs_prof.sink prof) } in
   let outputs = Autobatch.run_pc ~config compiled ~batch in
   let sum_q = List.nth outputs 1 and sum_qsq = List.nth outputs 2 in
 
@@ -41,7 +41,7 @@ let () =
   Format.printf "posterior var   (target 1): %a@." Tensor.pp var_all;
 
   Format.printf "gradient-lane utilization (pc autobatching): %.3f@."
-    (Option.value ~default:1. (Instrument.utilization instrument ~name:"grad"));
+    Profile.(lane_utilization (prim (derive (pc_ops compiled.stack) prof) "grad"));
 
   (* Cross-check one chain bitwise against the reference sampler. *)
   let r = Nuts.sample_chain cfg ~model ~key ~member:0 ~q0 ~n_iter in

@@ -45,33 +45,27 @@ let () =
   Format.printf "correlation(posterior mean, true beta) = %.3f@." corr;
 
   (* Throughput under three strategy/device configurations. *)
-  let grads_per_sec name run =
-    let engine, instrument = run () in
-    let useful = Instrument.prim_useful instrument ~name:"grad" in
+  let grads_per_sec name ops run =
+    let prof = Obs_prof.create () in
+    let engine = run (Some (Obs_prof.sink prof)) in
+    let useful = (Profile.prim (Profile.derive ops prof) "grad").useful in
     Format.printf "%-18s %s useful gradient evals/sec@." name
       (Table.si (float_of_int useful /. Engine.elapsed engine))
   in
-  grads_per_sec "pc + XLA on GPU:" (fun () ->
+  let pc_ops = Profile.pc_ops compiled.Autobatch.stack
+  and local_ops = Profile.local_ops compiled.Autobatch.cfg in
+  grads_per_sec "pc + XLA on GPU:" pc_ops (fun sink ->
       let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      let instrument = Instrument.create () in
-      let config =
-        { Pc_vm.default_config with engine = Some engine; instrument = Some instrument }
-      in
+      let config = { Pc_vm.default_config with engine = Some engine; sink } in
       ignore (Autobatch.run_pc ~config compiled ~batch);
-      (engine, instrument));
-  grads_per_sec "local eager CPU:" (fun () ->
+      engine);
+  grads_per_sec "local eager CPU:" local_ops (fun sink ->
       let engine = Engine.create ~device:Device.cpu ~mode:Engine.Eager () in
-      let instrument = Instrument.create () in
-      let config =
-        { Local_vm.default_config with engine = Some engine; instrument = Some instrument }
-      in
+      let config = { Local_vm.default_config with engine = Some engine; sink } in
       ignore (Autobatch.run_local ~config compiled ~batch);
-      (engine, instrument));
-  grads_per_sec "hybrid CPU:" (fun () ->
+      engine);
+  grads_per_sec "hybrid CPU:" local_ops (fun sink ->
       let engine = Engine.create ~device:Device.cpu ~mode:Engine.Hybrid () in
-      let instrument = Instrument.create () in
-      let config =
-        { Local_vm.default_config with engine = Some engine; instrument = Some instrument }
-      in
+      let config = { Local_vm.default_config with engine = Some engine; sink } in
       ignore (Autobatch.run_local ~config compiled ~batch);
-      (engine, instrument))
+      engine)

@@ -104,8 +104,8 @@ let () =
   let batch =
     [ Tensor.of_array [| z |] mus; Tensor.full [| z |] t_end; Tensor.full [| z |] 1e-6 ]
   in
-  let instrument = Instrument.create () in
-  let config = { Pc_vm.default_config with instrument = Some instrument } in
+  let prof = Obs_prof.create () in
+  let config = { Pc_vm.default_config with sink = Some (Obs_prof.sink prof) } in
   let out = Autobatch.run_pc ~config compiled ~batch in
   let y0 = List.nth out 0 and y1 = List.nth out 1 and steps = List.nth out 2 in
   Format.printf "mu:      %a@." Tensor.pp (Tensor.of_array [| z |] mus);
@@ -113,7 +113,7 @@ let () =
   Format.printf "y1(T):   %a@." Tensor.pp y1;
   Format.printf "steps:   %a  (stiffer members subdivide much more)@." Tensor.pp steps;
   Format.printf "overall batch utilization: %.3f@."
-    (Instrument.overall_utilization instrument);
+    (Obs_prof.utilization prof);
   (* Validate against a fine fixed-step reference. *)
   Array.iteri
     (fun i mu ->

@@ -76,8 +76,8 @@ let () =
       Tensor.of_array [| z |] ks;
     ]
   in
-  let instrument = Instrument.create () in
-  let config = { Pc_vm.default_config with instrument = Some instrument } in
+  let prof = Obs_prof.create () in
+  let config = { Pc_vm.default_config with sink = Some (Obs_prof.sink prof) } in
   let result = List.hd (Autobatch.run_pc ~config compiled ~batch) in
   Format.printf "k:          %a@." Tensor.pp (Tensor.of_array [| z |] ks);
   Format.printf "integral:   %a@." Tensor.pp result;
@@ -86,7 +86,7 @@ let () =
   let exact = Tensor.init [| z |] (fun i -> Stdlib.sqrt (Float.pi /. ks.(i.(0)))) in
   Format.printf "sqrt(pi/k): %a@." Tensor.pp exact;
   Format.printf "max recursion depth across the batch: %d@."
-    (Instrument.max_depth instrument);
+    (Obs_prof.max_depth prof);
   (* The local VM agrees exactly. *)
   let local = List.hd (Autobatch.run_local compiled ~batch) in
   Format.printf "local VM agrees bitwise: %b@." (Tensor.equal result local)

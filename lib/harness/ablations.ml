@@ -20,19 +20,20 @@ let masking_vs_gather ?(dim = 50) ?(batch = 32) ?(n_iter = 3)
     List.map
       (fun (name, style) ->
         let engine = Engine.create ~device:Device.cpu ~mode:Engine.Eager () in
-        let instrument = Instrument.create () in
+        let prof = Obs_prof.create () in
         let config =
           {
             Local_vm.default_config with
             style;
             engine = Some engine;
-            instrument = Some instrument;
+            sink = Some (Obs_prof.sink prof);
           }
         in
         ignore (Autobatch.run_local ~config compiled ~batch:batch_inputs);
         let c = (Engine.snapshot engine).Engine.at in
-        let useful = Instrument.prim_useful instrument ~name:"grad" in
-        let issued = Instrument.prim_issued instrument ~name:"grad" in
+        let { Profile.useful; issued; _ } =
+          Profile.(prim (derive (local_ops compiled.Autobatch.cfg) prof) "grad")
+        in
         [
           name;
           Printf.sprintf "%.4f" (Engine.elapsed engine);
@@ -61,27 +62,28 @@ let schedulers ?(dim = 50) ?(batch = 32) ?(n_iter = 3) ?(seed = 0x5EEDL) () =
     Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
   in
   let batch_inputs = Nuts_dsl.inputs ~q0 ~eps ~n_iter ~n_burn:0 ~batch () in
+  let ops = Profile.pc_ops compiled.Autobatch.stack in
   let rows =
     List.map
       (fun sched ->
         let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-        let instrument = Instrument.create () in
+        let prof = Obs_prof.create () in
         let config =
           {
             Pc_vm.default_config with
             sched;
             engine = Some engine;
-            instrument = Some instrument;
+            sink = Some (Obs_prof.sink prof);
           }
         in
         ignore (Autobatch.run_pc ~config compiled ~batch:batch_inputs);
         [
           Sched_policy.to_string sched;
           Printf.sprintf "%.4f" (Engine.elapsed engine);
-          string_of_int (Instrument.blocks_executed instrument);
-          Printf.sprintf "%.3f" (Instrument.overall_utilization instrument);
+          string_of_int (Obs_prof.supersteps prof);
+          Printf.sprintf "%.3f" (Obs_prof.utilization prof);
           Printf.sprintf "%.3f"
-            (Option.value ~default:1. (Instrument.utilization instrument ~name:"grad"));
+            Profile.(lane_utilization (prim (derive ops prof) "grad"));
         ])
       Sched_policy.all
   in
@@ -117,18 +119,19 @@ let stack_optimizations ?(dim = 50) ?(batch = 32) ?(n_iter = 3)
       (fun (name, options, base_config) ->
         let compiled = Autobatch.compile ~registry:reg ~options ~input_shapes prog in
         let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-        let instrument = Instrument.create () in
+        let prof = Obs_prof.create () in
         let config =
-          { base_config with Pc_vm.engine = Some engine; instrument = Some instrument }
+          { base_config with Pc_vm.engine = Some engine; sink = Some (Obs_prof.sink prof) }
         in
         ignore (Autobatch.run_pc ~config compiled ~batch:batch_inputs);
         let temps, masked, stacked = Stack_ir.stats compiled.Autobatch.stack in
         let c = (Engine.snapshot engine).Engine.at in
+        let derived = Profile.derive (Profile.pc_ops compiled.Autobatch.stack) prof in
         [
           name;
           Printf.sprintf "%d/%d/%d" temps masked stacked;
-          string_of_int (Instrument.pushes instrument);
-          string_of_int (Instrument.max_depth instrument);
+          string_of_int derived.Profile.pushes;
+          string_of_int (Obs_prof.max_depth prof);
           Table.si c.Engine.Counters.traffic_bytes;
           Printf.sprintf "%.4f" (Engine.elapsed engine);
         ])

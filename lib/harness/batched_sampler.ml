@@ -31,25 +31,26 @@ let run ?(seed = 0x5EEDL) ?(variant = Nuts.Slice) ?(adapt = true)
   let compiled =
     Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
   in
-  let instrument = Instrument.create () in
   (* One execution path for both collection modes: single-device through
      the program-counter VM, multi-device through the sharded runtime
-     (bitwise-identical results either way — see Shard_vm). *)
+     (bitwise-identical results either way — see Shard_vm). Both report
+     to one profiler, whose rows yield the gradient-lane utilization. *)
+  let prof = Obs_prof.create () in
+  let sink = Some (Obs_prof.sink prof) in
   let exec =
     if devices = 1 then begin
-      let config = { Pc_vm.default_config with instrument = Some instrument } in
+      let config = { Pc_vm.default_config with sink } in
       fun batch -> Autobatch.run_pc ~config compiled ~batch
     end
     else begin
       let config =
-        { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:devices () }
+        { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:devices (); sink }
       in
-      fun batch ->
-        let r = Autobatch.run_sharded ~config compiled ~batch in
-        Instrument.merge ~into:instrument r.Shard_vm.instrument;
-        r.Shard_vm.outputs
+      fun batch -> (Autobatch.run_sharded ~config compiled ~batch).Shard_vm.outputs
     end
   in
+  let ops = Profile.pc_ops compiled.Autobatch.stack in
+  let grad_utilization () = Profile.(lane_utilization (prim (derive ops prof) "grad")) in
   let kept_draws = (n_iter - n_burn) * chains in
   match collect with
   | `Moments ->
@@ -68,8 +69,7 @@ let run ?(seed = 0x5EEDL) ?(variant = Nuts.Slice) ?(adapt = true)
       kept_draws;
       eps;
       minv;
-      grad_utilization =
-        Option.value ~default:1. (Instrument.utilization instrument ~name:"grad");
+      grad_utilization = grad_utilization ();
       ess = None;
       split_rhat = None;
       samples = None;
@@ -123,8 +123,7 @@ let run ?(seed = 0x5EEDL) ?(variant = Nuts.Slice) ?(adapt = true)
       kept_draws;
       eps;
       minv;
-      grad_utilization =
-        Option.value ~default:1. (Instrument.utilization instrument ~name:"grad");
+      grad_utilization = grad_utilization ();
       ess = Some ess;
       split_rhat = Some split_rhat;
       samples = Some samples;

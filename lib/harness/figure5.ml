@@ -76,6 +76,8 @@ let run ?(scale = default_scale) ?trace ?fuse ?(policy = Sched_policy.Earliest) 
       ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
   in
   let inputs z = Nuts_dsl.inputs ~q0 ~eps ~n_iter:scale.n_iter ~n_burn:0 ~batch:z () in
+  let pc_ops = Profile.pc_ops compiled.Autobatch.stack
+  and local_ops = Profile.local_ops compiled.Autobatch.cfg in
   let points = ref [] in
   let emit p = points := p :: !points in
   (* Tracing is bounded: one track per strategy, at the smallest batch size
@@ -92,36 +94,34 @@ let run ?(scale = default_scale) ?trace ?fuse ?(policy = Sched_policy.Earliest) 
       Some sink
     | _ -> None
   in
-  (* Batched strategies: one real execution per (strategy, batch size). *)
+  (* Batched strategies: one real execution per (strategy, batch size).
+     Useful gradients are read off a profiler on the VM sink. *)
+  let observed name z engine =
+    let prof = Obs_prof.create () in
+    let traced = Option.to_list (tracing name z engine) in
+    (prof, Some (Obs_sink.fanout (Obs_prof.sink prof :: traced)))
+  in
+  let point name z ops prof engine =
+    let useful = (Profile.prim (Profile.derive ops prof) "grad").useful in
+    emit (mk_point ~policy:policy_name name z useful (Engine.elapsed engine))
+  in
   let pc_strategy name device z =
     let engine = Engine.create ~device ~mode:Engine.Fused () in
-    let instrument = Instrument.create () in
+    let prof, sink = observed name z engine in
     let config =
-      {
-        Pc_vm.default_config with
-        sched = policy;
-        engine = Some engine;
-        instrument = Some instrument;
-        sink = tracing name z engine;
-      }
+      { Pc_vm.default_config with sched = policy; engine = Some engine; sink }
     in
     ignore (Autobatch.run_pc ~config compiled ~batch:(inputs z));
-    emit (mk_point ~policy:policy_name name z (Instrument.prim_useful instrument ~name:"grad") (Engine.elapsed engine))
+    point name z pc_ops prof engine
   in
   let local_strategy name device mode z =
     let engine = Engine.create ~device ~mode () in
-    let instrument = Instrument.create () in
+    let prof, sink = observed name z engine in
     let config =
-      {
-        Local_vm.default_config with
-        sched = policy;
-        engine = Some engine;
-        instrument = Some instrument;
-        sink = tracing name z engine;
-      }
+      { Local_vm.default_config with sched = policy; engine = Some engine; sink }
     in
     ignore (Autobatch.run_local ~config compiled ~batch:(inputs z));
-    emit (mk_point ~policy:policy_name name z (Instrument.prim_useful instrument ~name:"grad") (Engine.elapsed engine))
+    point name z local_ops prof engine
   in
   List.iter
     (fun z ->

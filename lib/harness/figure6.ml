@@ -30,43 +30,40 @@ let run ?(dim = 100) ?(rho = 0.7) ?(batch_sizes = [ 1; 2; 4; 8; 16; 32; 64; 128;
       ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
   in
   let inputs z = Nuts_dsl.inputs ~q0 ~eps ~n_iter ~n_burn:0 ~batch:z () in
-  let util_of instrument =
-    Option.value ~default:1. (Instrument.utilization instrument ~name:"grad")
+  (* Each run reports through a profiler on its VM sink; the gradient
+     utilization is derived from its per-block rows. *)
+  let profiled ops run =
+    let prof = Obs_prof.create () in
+    ignore (run (Some (Obs_prof.sink prof)));
+    (prof, Profile.(lane_utilization (prim (derive ops prof) "grad")))
   in
-  (* Keep the program-counter instrument of the widest run: its live-lane
-     gauge is the occupancy time series the --stats flag reports. The
-     gauge is fed from the VM's per-superstep Occupancy events
-     (Instrument.observe_occupancy), the same stream Obs_prof consumes,
-     so this series and a profiler attached to the same run agree by
-     construction. *)
+  let pc_ops = Profile.pc_ops compiled.Autobatch.stack
+  and local_ops = Profile.local_ops compiled.Autobatch.cfg in
+  (* Keep the program-counter profiler of the widest run: its live-lane
+     gauge is the occupancy time series the --stats flag reports. *)
   let widest = ref None in
   let points =
     List.map
       (fun z ->
-        let local_ins = Instrument.create () in
-        let local_config =
-          {
-            Local_vm.default_config with
-            sched = policy;
-            instrument = Some local_ins;
-          }
+        let _, local_util =
+          profiled local_ops (fun sink ->
+              let config = { Local_vm.default_config with sched = policy; sink } in
+              Autobatch.run_local ~config compiled ~batch:(inputs z))
         in
-        ignore (Autobatch.run_local ~config:local_config compiled ~batch:(inputs z));
-        let pc_ins = Instrument.create () in
-        let pc_config =
-          { Pc_vm.default_config with sched = policy; instrument = Some pc_ins }
+        let pc_prof, pc_util =
+          profiled pc_ops (fun sink ->
+              let config = { Pc_vm.default_config with sched = policy; sink } in
+              Autobatch.run_pc ~config compiled ~batch:(inputs z))
         in
-        ignore (Autobatch.run_pc ~config:pc_config compiled ~batch:(inputs z));
         (match !widest with
         | Some (z0, _) when z0 >= z -> ()
-        | _ -> widest := Some (z, pc_ins));
-        { batch = z; local_util = util_of local_ins; pc_util = util_of pc_ins })
+        | _ -> widest := Some (z, pc_prof));
+        { batch = z; local_util; pc_util })
       batch_sizes
   in
   let pc_occupancy, pc_mean_occupancy =
     match !widest with
-    | Some (_, ins) ->
-      (Instrument.occupancy_series ins, Instrument.mean_occupancy ins)
+    | Some (_, prof) -> (Obs_prof.occupancy_series prof, Obs_prof.mean_occupancy prof)
     | None -> ([], 1.)
   in
   (* Trajectory-length statistics from reference chains. *)

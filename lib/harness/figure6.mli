@@ -13,7 +13,8 @@
       tree depths batch their gradient evaluations together.
 
     Utilization of a primitive = useful lanes / issued lanes over all its
-    executions, from {!Instrument}; we report the [grad] primitive. *)
+    executions, derived from the runs' {!Obs_prof} rows
+    ({!Profile.derive}); we report the [grad] primitive. *)
 
 type point = {
   batch : int;

@@ -56,6 +56,76 @@ let flame_frames (stack : Stack_ir.program) (cfg : Cfg.program) =
       Array.of_list (path fn [] @ [ Printf.sprintf "%s#%d" fn local ]))
     stack.Stack_ir.origin
 
+(* Per-primitive and stack-traffic counts, derived rather than counted:
+   every op of a block runs over the superstep's active set and is issued
+   over its [width] lanes, so a primitive's lane totals are its static
+   per-block op count weighted by the profiler's per-block lane sums. *)
+type block_ops = { prims : string list; pushes : int; pops : int }
+type op_table = block_ops array
+
+let no_ops = { prims = []; pushes = 0; pops = 0 }
+
+let pc_ops (stack : Stack_ir.program) =
+  Array.map
+    (fun (b : Stack_ir.block) ->
+      List.fold_left
+        (fun acc -> function
+          | Stack_ir.Sprim { prim; _ } -> { acc with prims = prim :: acc.prims }
+          | Stack_ir.Spush _ -> { acc with pushes = acc.pushes + 1 }
+          | Stack_ir.Spop _ -> { acc with pops = acc.pops + 1 }
+          | Stack_ir.Sconst _ | Stack_ir.Smov _ -> acc)
+        no_ops b.Stack_ir.ops)
+    stack.Stack_ir.blocks
+
+(* Functions laid end to end in [funcs] order: the numbering of
+   [Cfg.block_base], which is what Local_vm reports. *)
+let local_ops (cfg : Cfg.program) =
+  Array.concat
+    (List.map
+       (fun (_, (f : Cfg.func)) ->
+         Array.map
+           (fun (b : Cfg.block) ->
+             let prim = function Cfg.Prim_op { prim; _ } -> Some prim | _ -> None in
+             { no_ops with prims = List.filter_map prim b.Cfg.ops })
+           f.Cfg.blocks)
+       cfg.Cfg.funcs)
+
+type lanes = { calls : int; useful : int; issued : int }
+type derived = { prims : (string * lanes) list; pushes : int; pops : int }
+
+let no_lanes = { calls = 0; useful = 0; issued = 0 }
+
+let derive (ops : op_table) prof =
+  let prims = Hashtbl.create 16 and pushes = ref 0 and pops = ref 0 in
+  List.iter
+    (fun (r : Obs_prof.block_row) ->
+      if r.block >= 0 && r.block < Array.length ops then begin
+        let b = ops.(r.block) in
+        pushes := !pushes + (b.pushes * r.steps);
+        pops := !pops + (b.pops * r.steps);
+        List.iter
+          (fun p ->
+            let l = Option.value ~default:no_lanes (Hashtbl.find_opt prims p) in
+            Hashtbl.replace prims p
+              {
+                calls = l.calls + r.steps;
+                useful = l.useful + r.active_lanes;
+                issued = l.issued + r.issued_lanes;
+              })
+          b.prims
+      end)
+    (Obs_prof.block_rows prof);
+  {
+    prims = List.sort compare (Hashtbl.fold (fun p l acc -> (p, l) :: acc) prims []);
+    pushes = !pushes;
+    pops = !pops;
+  }
+
+let prim (d : derived) name = Option.value ~default:no_lanes (List.assoc_opt name d.prims)
+
+let lane_utilization l =
+  if l.issued = 0 then 1. else float_of_int l.useful /. float_of_int l.issued
+
 let run ?(dim = 10) ?(batch = 64) ?(n_iter = 2) ?(seed = 0x5EEDL) ?trace ?fuse
     ?(policy = Sched_policy.Earliest) ~model:model_name () =
   let model = resolve_model ~dim ~seed model_name in
@@ -92,7 +162,6 @@ let run ?(dim = 10) ?(batch = 64) ?(n_iter = 2) ?(seed = 0x5EEDL) ?trace ?fuse
       Pc_vm.default_config with
       sched = policy;
       engine = Some engine;
-      instrument = Some (Instrument.create ());
       sink = Some sink;
     }
   in

@@ -4,7 +4,7 @@
     lane-utilization accounting, hot-block tables, and folded-stacks
     flamegraph export. Attaching the profiler does not perturb the run:
     outputs and the simulated clock are bitwise identical either way
-    (gated by [bench prof]). *)
+    (gated by [bench observe]). *)
 
 type result = {
   model_name : string;
@@ -31,6 +31,51 @@ val flame_frames : Stack_ir.program -> Cfg.program -> string array array
     {!Obs_prof.folded}. Functions sit at their shortest direct-call path
     from the CFG entry; the leaf frame is ["fn#k"] with [k] the
     function-local block index (from [Stack_ir.origin]). *)
+
+(** {1 Derived lane counts}
+
+    The profiler keeps per-block lane sums only. Every operation of a
+    block runs over the same active set and is issued over the same
+    [width] lanes, so primitive [p]'s useful lanes are
+    Σ_b count_b(p) × active_lanes_b, its issued lanes
+    Σ_b count_b(p) × issued_lanes_b, its batched calls
+    Σ_b count_b(p) × steps_b, and stack pushes/pops
+    Σ_b n_b × steps_b — exact integers, from the compiled program's
+    static per-block op table. *)
+
+type op_table
+(** Per block id (as the runtime reports it on [Occupancy] events): the
+    block's primitive op counts by name, and its push and pop ops. *)
+
+val pc_ops : Stack_ir.program -> op_table
+(** For {!Pc_vm} (and the runtimes built on its lane pool): merged block
+    ids. *)
+
+val local_ops : Cfg.program -> op_table
+(** For {!Local_vm}: ids {!Cfg.block_base}[ f + k]. No pushes or pops —
+    that runtime recurses on the host. *)
+
+type lanes = {
+  calls : int;  (** batched primitive calls *)
+  useful : int;  (** Σ active lanes over those calls *)
+  issued : int;  (** Σ issued lanes over those calls *)
+}
+
+type derived = {
+  prims : (string * lanes) list;  (** sorted by primitive name *)
+  pushes : int;  (** variable-stack push ops executed *)
+  pops : int;
+}
+
+val derive : op_table -> Obs_prof.t -> derived
+(** Read the counts off a profiler that observed runs of the table's
+    program (rows for unknown block ids are ignored). *)
+
+val prim : derived -> string -> lanes
+(** One primitive's counts; all zero if it never ran. *)
+
+val lane_utilization : lanes -> float
+(** useful / issued; 1.0 when nothing was issued. *)
 
 val run :
   ?dim:int ->

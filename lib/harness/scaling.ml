@@ -48,6 +48,7 @@ let run ?(scale = default_scale) () =
   let compiled =
     Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
   in
+  let pc_ops = Profile.pc_ops compiled.Autobatch.stack in
   let measure series ~devices ~z =
     let mesh = Mesh.create ~device:Device.gpu ~link:scale.link ~n:devices () in
     let config =
@@ -59,10 +60,12 @@ let run ?(scale = default_scale) () =
       }
     in
     let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter:scale.n_iter ~n_burn:0 ~batch:z () in
+    let prof = Obs_prof.create () in
+    let config = { config with Shard_vm.sink = Some (Obs_prof.sink prof) } in
     let t0 = Unix.gettimeofday () in
     let r = Autobatch.run_sharded ~config compiled ~batch in
     let wall = Unix.gettimeofday () -. t0 in
-    let useful = Instrument.prim_useful r.Shard_vm.instrument ~name:"grad" in
+    let useful = (Profile.prim (Profile.derive pc_ops prof) "grad").useful in
     {
       series;
       devices;

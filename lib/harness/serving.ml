@@ -177,19 +177,15 @@ let run ?(dim = 10) ?(rho = 0.7) ?(lanes = 8) ?(n_requests = 48)
     (k, !bad)
   in
   (* Mean occupancy comes from the lane pool's per-superstep [Occupancy]
-     events, fed to an instrument gauge; with [trace], every measured
-     run also gets its own track. *)
+     events, read by a profiler; with [trace], every measured run also
+     gets its own track. *)
   let serve ~label ~config ?on_complete items =
-    let ins = Instrument.create () in
-    let gauge = Instrument.observe_occupancy ins in
-    let sink =
-      match trace with
-      | None -> gauge
-      | Some tr -> Obs_sink.fanout [ gauge; traced tr ~label ]
-    in
+    let prof = Obs_prof.create () in
+    let traced = Option.to_list (Option.map (traced ~label) trace) in
+    let sink = Obs_sink.fanout (Obs_prof.sink prof :: traced) in
     let config = { config with Tenant_server.sink = Some sink } in
     let s = Tenant_server.run ~config ?on_complete (Tenant_server.source_of_list items) in
-    (s, Instrument.mean_occupancy ins)
+    (s, Obs_prof.mean_occupancy prof)
   in
   let open_points =
     List.concat_map

@@ -29,6 +29,13 @@ let find_func_exn p name =
 
 let entry_func p = find_func_exn p p.entry
 
+let block_base p name =
+  let rec go base = function
+    | [] -> invalid_arg (Printf.sprintf "Cfg.block_base: unknown function %S" name)
+    | (n, f) :: rest -> if n = name then base else go (base + Array.length f.blocks) rest
+  in
+  go 0 p.funcs
+
 let exit_index f = Array.length f.blocks
 
 let op_defs = function

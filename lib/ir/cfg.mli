@@ -38,6 +38,11 @@ val find_func : program -> string -> func option
 val find_func_exn : program -> string -> func
 val entry_func : program -> func
 
+val block_base : program -> string -> int
+(** Program-unique numbering of every function's blocks: block [k] of
+    function [f] is [block_base p f + k], with functions laid end to end
+    in [funcs] order. Raises [Invalid_argument] for an unknown name. *)
+
 val exit_index : func -> int
 (** The "done" program-counter value: [Array.length blocks]. *)
 

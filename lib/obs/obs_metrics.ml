@@ -198,12 +198,11 @@ let to_json t =
           (List.map (fun (name, h) -> (name, hist_to_json h)) (by_name t.histograms)) );
     ]
 
-(* Aggregation across registries, mirroring [Engine.Counters.merge] and
-   [Instrument.merge]: every instrument kind adds. Counters and histogram
-   buckets add element-wise, gauges sum (per-shard lane counts stay
-   meaningful; use distinct names where last-write-wins is wanted), and
-   min/max combine. Instruments present only in [src] are created in
-   [into]; a disabled [into] stays dead (its instruments drop the data),
+(* Aggregation across registries, mirroring [Engine.Counters.merge]:
+   every instrument kind adds. Counters and histogram buckets add
+   element-wise, gauges sum (per-shard lane counts stay meaningful; use
+   distinct names where last-write-wins is wanted), and min/max combine.
+   An instrument present only in [src] is created in [into]; a disabled [into] stays dead (its instruments drop the data),
    and a disabled [src] contributes nothing. *)
 let merge ~into src =
   List.iter

@@ -5,7 +5,7 @@
     every [incr]/[set]/[observe] is a single boolean test and no storage is
     allocated for histogram buckets, so instrumented code can keep its
     metric handles unconditionally and pay nothing when observability is
-    off. Instruments are identified by name within their registry; asking
+    off. An instrument is identified by its name within the registry; asking
     for the same name twice returns the same instrument. *)
 
 type t

@@ -38,6 +38,7 @@ type block_row = {
   active_lanes : int;
   live_lanes : int;
   total_lanes : int;
+  issued_lanes : int;
 }
 
 type kernel_row = { kernel : string; launches : int; charged : float }
@@ -58,6 +59,7 @@ type block_cell = {
   mutable b_active : int;
   mutable b_live : int;
   mutable b_total : int;
+  mutable b_issued : int;
 }
 
 type kernel_cell = { mutable k_launches : int; mutable k_charged : float }
@@ -66,6 +68,19 @@ type collective_cell = {
   mutable c_count : int;
   mutable c_charged : float;
   mutable c_bytes : float;
+}
+
+(* The live-lane occupancy gauge: a bounded time series over supersteps
+   in arrival order. Bucket [i] aggregates samples [i*width, (i+1)*width);
+   when a sample falls past the last bucket, adjacent pairs merge and the
+   width doubles, so the series always covers the whole run at bounded
+   memory. *)
+let gauge_buckets = 256
+
+type gauge = {
+  mutable width : int;  (* samples per bucket *)
+  live_sum : int array;  (* per bucket: Σ live *)
+  total_sum : int array;  (* per bucket: Σ total *)
 }
 
 type t = {
@@ -78,6 +93,8 @@ type t = {
   mutable host : float;
   mutable unattributed : float;
   mutable supersteps : int;
+  mutable max_depth : int;
+  gauge : gauge;
   (* Lane-migration attribution: every [Migration] event, split into
      same-shard defragmentation moves and cross-shard steals. *)
   mutable migrations : int;
@@ -96,6 +113,13 @@ let create ?(frames = [||]) () =
     host = 0.;
     unattributed = 0.;
     supersteps = 0;
+    max_depth = 0;
+    gauge =
+      {
+        width = 1;
+        live_sum = Array.make gauge_buckets 0;
+        total_sum = Array.make gauge_buckets 0;
+      };
     migrations = 0;
     steals = 0;
     migration_bytes = 0.;
@@ -134,6 +158,7 @@ let block_cell t block =
         b_active = 0;
         b_live = 0;
         b_total = 0;
+        b_issued = 0;
       }
     in
     Hashtbl.add t.blocks block c;
@@ -162,13 +187,30 @@ let account_gap t ch ~t0 ~t1 =
   if gap > 0. then t.host <- t.host +. gap;
   if t1 > ch.last_t1 then ch.last_t1 <- t1
 
+(* Add sample number [k] (0-based). *)
+let gauge_add g ~k ~live ~total =
+  if k / g.width = gauge_buckets then begin
+    let half = gauge_buckets / 2 in
+    for i = 0 to half - 1 do
+      g.live_sum.(i) <- g.live_sum.(2 * i) + g.live_sum.((2 * i) + 1);
+      g.total_sum.(i) <- g.total_sum.(2 * i) + g.total_sum.((2 * i) + 1)
+    done;
+    Array.fill g.live_sum half half 0;
+    Array.fill g.total_sum half half 0;
+    g.width <- g.width * 2
+  end;
+  let i = k / g.width in
+  g.live_sum.(i) <- g.live_sum.(i) + live;
+  g.total_sum.(i) <- g.total_sum.(i) + total
+
 let on_event t ev =
   match ev with
   | Obs_sink.Step { shard; block; _ } ->
     let ch = channel t in
     ch.shard <- shard;
     ch.block <- block
-  | Obs_sink.Occupancy { shard; block; active; live; total; _ } ->
+  | Obs_sink.Occupancy { shard; block; active; live; total; width; depth; _ }
+    ->
     let ch = channel t in
     ch.shard <- shard;
     ch.block <- block;
@@ -176,11 +218,14 @@ let on_event t ev =
     ch.live <- live;
     ch.total <- total;
     t.supersteps <- t.supersteps + 1;
+    if depth > t.max_depth then t.max_depth <- depth;
+    gauge_add t.gauge ~k:(t.supersteps - 1) ~live ~total;
     let c = block_cell t block in
     c.b_steps <- c.b_steps + 1;
     c.b_active <- c.b_active + active;
     c.b_live <- c.b_live + live;
     c.b_total <- c.b_total + total;
+    c.b_issued <- c.b_issued + width;
     Obs_metrics.incr (Obs_metrics.counter ch.metrics "supersteps");
     Obs_metrics.observe
       (Obs_metrics.histogram ch.metrics "active_lanes")
@@ -255,6 +300,7 @@ let block_rows t =
             active_lanes = c.b_active;
             live_lanes = c.b_live;
             total_lanes = c.b_total;
+            issued_lanes = c.b_issued;
           }
           :: acc)
         t.blocks []
@@ -297,6 +343,17 @@ let steals t = Mutex.protect t.mutex (fun () -> t.steals)
 let migration_bytes t = Mutex.protect t.mutex (fun () -> t.migration_bytes)
 let unattributed_time t = Mutex.protect t.mutex (fun () -> t.unattributed)
 let supersteps t = Mutex.protect t.mutex (fun () -> t.supersteps)
+let max_depth t = Mutex.protect t.mutex (fun () -> t.max_depth)
+
+let occupancy_series t =
+  Mutex.protect t.mutex (fun () ->
+      let g = t.gauge in
+      List.init ((t.supersteps + g.width - 1) / g.width) (fun i ->
+          let occ =
+            if g.total_sum.(i) = 0 then 0.
+            else float_of_int g.live_sum.(i) /. float_of_int g.total_sum.(i)
+          in
+          (i * g.width, occ)))
 
 let collective_time t =
   List.fold_left
@@ -324,6 +381,10 @@ let lane_sums t =
 let utilization t =
   let a, _, z = lane_sums t in
   if z = 0 then 1. else float_of_int a /. float_of_int z
+
+let mean_occupancy t =
+  let _, l, z = lane_sums t in
+  if z = 0 then 1. else float_of_int l /. float_of_int z
 
 let divergence_waste t =
   let a, l, z = lane_sums t in

@@ -2,6 +2,14 @@
     engine's simulated clock, lane-utilization accounting, and
     folded-stacks flamegraph export.
 
+    It is the only utilization accounting in the repository: the
+    runtimes count nothing themselves, they emit one {!Obs_sink.Occupancy}
+    per superstep and this profiler keeps the per-block lane sums.
+    Per-primitive lane counts and stack push/pop counts follow from those
+    rows and the program's static per-block op table (every op of a block
+    runs over the same lanes), see [Harness.Profile.derive]. Attach only
+    the VM sink (no engine) when attribution of time is not needed.
+
     Feed it events by installing {!sink} both as the VM's sink (for
     [Step]/[Occupancy]) and as the engine's sink via [Engine.set_sink]
     (for [Launched] spans) — the same double-wiring tracing uses. The
@@ -32,6 +40,10 @@ type block_row = {
   active_lanes : int;  (** Σ active over those supersteps *)
   live_lanes : int;  (** Σ live *)
   total_lanes : int;  (** Σ total *)
+  issued_lanes : int;
+      (** Σ width: lanes each of the block's operations was issued over,
+          summed over its supersteps ([total_lanes] unless the runtime
+          gathers active rows) *)
 }
 
 type kernel_row = { kernel : string; launches : int; charged : float }
@@ -74,6 +86,7 @@ val attributed : t -> float
 (** {1 Utilization accounting} — over all [Occupancy] events. *)
 
 val supersteps : t -> int
+(** Number of [Occupancy] events: supersteps executed. *)
 
 val utilization : t -> float
 (** Σ active / Σ total (1.0 when no occupancy events were seen). *)
@@ -86,6 +99,21 @@ val divergence_waste : t -> float
 
 val idle_waste : t -> float
 (** Σ (total − live) / Σ total: lanes already halted (batch drain). *)
+
+val mean_occupancy : t -> float
+(** Σ live / Σ total (1.0 when no occupancy events were seen). Distinct
+    from {!utilization}: a lane is {e live} until it halts, even while
+    waiting out a block it does not execute. *)
+
+val occupancy_series : t -> (int * float) list
+(** The live-lane gauge: [(first_step, live/total)] buckets over the
+    [Occupancy] events in arrival order — at most 256 points spanning the
+    whole run (adjacent buckets merge as it grows, so memory stays
+    constant). Empty before the first event. Meaningful for one runtime
+    on one domain; a sharded run interleaves its shards' steps. *)
+
+val max_depth : t -> int
+(** The largest [depth] seen on any [Occupancy] event (0 when none). *)
 
 (** {1 Migration attribution} — over all [Migration] events, so a
     before/after utilization comparison (see [Harness.Profile]'s compare

@@ -1,7 +1,7 @@
 (** Machine-readable report documents.
 
     A report is one JSON object merging whatever readouts a harness run
-    produced — engine counter snapshots, instrument utilization, latency
+    produced — engine counter snapshots, profiler utilization, latency
     histograms, per-shard timelines. This module only standardizes the
     envelope and the output plumbing; each harness assembles its own
     fields. *)

@@ -23,6 +23,8 @@ type event =
       active : int;
       live : int;
       total : int;
+      width : int;
+      depth : int;
     }
   | Migration of {
       src_shard : int;

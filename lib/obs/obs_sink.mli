@@ -4,6 +4,9 @@
     an ad-hoc hook (the VM [step_hook]s, [Engine.set_launch_hook]) now takes
     one optional sink and reports what happened as a typed event; consumers
     pattern-match on the constructors they care about and ignore the rest.
+    It is the runtimes' only reporting path: lane utilization, the
+    occupancy gauge, per-primitive lane counts and stack traffic are all
+    read off {!Occupancy} events by {!Obs_prof}.
 
     Exceptions deliberately propagate: a sink that raises aborts the action
     it observes, exactly like the old hooks. In particular a sink raising on
@@ -46,12 +49,22 @@ type event =
       active : int;
       live : int;
       total : int;
+      width : int;
+      depth : int;
     }
       (** Lane occupancy for the superstep announced by the preceding
           {!Step}: of [total] batch lanes, [live] have not yet halted and
           [active] are executing the scheduled [block] (the rest of the
           live lanes are masked off — divergence waste; [total - live] is
           idle/drain waste). Invariant: [0 <= active <= live <= total].
+          [width] is the lane count every operation of the block is
+          issued over: [total] under masking, [active] when the runtime
+          gathers the active rows ([Local_vm]'s [Gather_scatter], and
+          [Adaptive] below its threshold). [depth] is the runtime's stack
+          depth so far: the deepest pc or variable stack for the
+          program-counter runtimes, the host-recursion frame depth for
+          [Local_vm]. These are the only lane counts that cannot be
+          derived from the block id and the program's static op table.
           Fired right after {!Step}, before the block runs, so a profiler
           can use it as the attribution context for the engine spans the
           block charges. *)
@@ -118,9 +131,10 @@ val fanout : t list -> t
     earlier sink skips the later ones (and aborts the observed action). *)
 
 val tag_shard : int -> t -> t
-(** Rewrite the [shard] field of {!Step} and {!Occupancy} events; other
-    events pass through. [Shard_vm] uses this so one user sink sees
-    correctly-labelled steps from every shard. *)
+(** Rewrite the [shard] field of {!Step} and {!Occupancy} events (every
+    other field is copied); other events pass through. [Shard_vm] uses
+    this so one user sink sees correctly-labelled steps from every
+    shard. *)
 
 val kind_name : event -> string
 (** Short stable tag for CSV export ("step", "launch", ..., "span",

@@ -361,7 +361,7 @@ let to_csv ?policy t =
         | Obs_sink.Checkpoint { step; bytes } ->
           ("checkpoint", Printf.sprintf "step=%d bytes=%d" step bytes)
         | Obs_sink.Restore { step } -> ("restore", Printf.sprintf "step=%d" step)
-        | Obs_sink.Occupancy { shard; step; block; active; live; total } ->
+        | Obs_sink.Occupancy { shard; step; block; active; live; total; _ } ->
           ( Printf.sprintf "block %d" block,
             Printf.sprintf "step=%d shard=%d active=%d live=%d total=%d" step
               shard active live total )

@@ -98,7 +98,6 @@ let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg pro
         {
           Snapshot.ck_vm = Pc_vm.Lanes.capture lanes;
           ck_engine = Option.map Engine.snapshot config.Pc_vm.engine;
-          ck_instrument = Option.map Instrument.capture config.Pc_vm.instrument;
         }
     in
     tl.t_checkpoints <- tl.t_checkpoints + 1;
@@ -115,9 +114,6 @@ let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg pro
     Pc_vm.Lanes.restore lanes ck.Snapshot.ck_vm;
     (match (config.Pc_vm.engine, ck.Snapshot.ck_engine) with
     | Some e, Some s -> Engine.restore e s
-    | _ -> ());
-    (match (config.Pc_vm.instrument, ck.Snapshot.ck_instrument) with
-    | Some i, Some s -> Instrument.restore i s
     | _ -> ());
     notify user_sink (Obs_sink.Restore { step = Pc_vm.Lanes.steps lanes })
   in

@@ -6,8 +6,8 @@
     stored blob). Because all state the execution depends on — stacks,
     storage, scheduler cursors, RNG counters, engine tallies — lives in
     the checkpoint, a faulted-and-recovered run produces output bitwise
-    identical to the fault-free run, and its engine/instrument state
-    reports true cumulative cost from time zero.
+    identical to the fault-free run, and its engine state reports true
+    cumulative cost from time zero.
 
     [interval = 0] (the default) keeps only the initial checkpoint:
     a fault restarts the run from the beginning. Checkpoint cost is

@@ -1,8 +1,8 @@
 let magic = "ABRESIL1"
 
 (* Version 2 added the trace context (ri_trace/ri_parent) to request
-   images. *)
-let version = 2
+   images; version 3 dropped the instrument section of pc checkpoints. *)
+let version = 3
 
 (* ---- Envelope -------------------------------------------------------- *)
 
@@ -209,112 +209,20 @@ let r_engine r : Engine.snapshot =
   in
   { Engine.at; ops }
 
-let w_instrument b (img : Instrument.image) =
-  Codec.w_list
-    (fun b (name, useful, issued) ->
-      Codec.w_string b name;
-      Codec.w_int b useful;
-      Codec.w_int b issued)
-    b img.Instrument.i_prims;
-  Codec.w_list
-    (fun b (blk, execs, active) ->
-      Codec.w_int b blk;
-      Codec.w_int b execs;
-      Codec.w_int b active)
-    b img.Instrument.i_per_block;
-  Codec.w_int b img.Instrument.i_blocks;
-  Codec.w_int b img.Instrument.i_active_total;
-  Codec.w_int b img.Instrument.i_batch_total;
-  Codec.w_int b img.Instrument.i_pushes;
-  Codec.w_int b img.Instrument.i_pops;
-  Codec.w_int b img.Instrument.i_push_lanes;
-  Codec.w_int b img.Instrument.i_pop_lanes;
-  Codec.w_int b img.Instrument.i_max_depth;
-  Codec.w_float b img.Instrument.i_live_total;
-  Codec.w_float b img.Instrument.i_live_lanes_total;
-  Codec.w_int b img.Instrument.i_live_samples;
-  Codec.w_int b img.Instrument.i_gauge_width;
-  Codec.w_int b img.Instrument.i_gauge_used;
-  Codec.w_int b img.Instrument.i_gauge_fill;
-  Codec.w_float_array b img.Instrument.i_gauge_live;
-  Codec.w_float_array b img.Instrument.i_gauge_lanes
-
-let r_instrument r : Instrument.image =
-  let i_prims =
-    Codec.r_list
-      (fun r ->
-        let name = Codec.r_string r in
-        let useful = Codec.r_int r in
-        let issued = Codec.r_int r in
-        (name, useful, issued))
-      r
-  in
-  let i_per_block =
-    Codec.r_list
-      (fun r ->
-        let blk = Codec.r_int r in
-        let execs = Codec.r_int r in
-        let active = Codec.r_int r in
-        (blk, execs, active))
-      r
-  in
-  let i_blocks = Codec.r_int r in
-  let i_active_total = Codec.r_int r in
-  let i_batch_total = Codec.r_int r in
-  let i_pushes = Codec.r_int r in
-  let i_pops = Codec.r_int r in
-  let i_push_lanes = Codec.r_int r in
-  let i_pop_lanes = Codec.r_int r in
-  let i_max_depth = Codec.r_int r in
-  let i_live_total = Codec.r_float r in
-  let i_live_lanes_total = Codec.r_float r in
-  let i_live_samples = Codec.r_int r in
-  let i_gauge_width = Codec.r_int r in
-  let i_gauge_used = Codec.r_int r in
-  let i_gauge_fill = Codec.r_int r in
-  let i_gauge_live = Codec.r_float_array r in
-  let i_gauge_lanes = Codec.r_float_array r in
-  {
-    Instrument.i_prims;
-    i_per_block;
-    i_blocks;
-    i_active_total;
-    i_batch_total;
-    i_pushes;
-    i_pops;
-    i_push_lanes;
-    i_pop_lanes;
-    i_max_depth;
-    i_live_total;
-    i_live_lanes_total;
-    i_live_samples;
-    i_gauge_width;
-    i_gauge_used;
-    i_gauge_fill;
-    i_gauge_live;
-    i_gauge_lanes;
-  }
-
 (* ---- Top-level snapshot kinds ---------------------------------------- *)
 
-(* A full single-VM checkpoint: the VM plus whatever cost/instrumentation
-   state rides along, so a recovered run reports true cumulative figures. *)
-type 'vm checkpoint = {
-  ck_vm : 'vm;
-  ck_engine : Engine.snapshot option;
-  ck_instrument : Instrument.image option;
-}
+(* A full single-VM checkpoint: the VM plus the engine's cost state, so a
+   recovered run reports true cumulative cost. *)
+type 'vm checkpoint = { ck_vm : 'vm; ck_engine : Engine.snapshot option }
 
 let w_checkpoint w_vm b ck =
   w_vm b ck.ck_vm;
-  Codec.w_option w_engine b ck.ck_engine;
-  Codec.w_option w_instrument b ck.ck_instrument
+  Codec.w_option w_engine b ck.ck_engine
 
 let r_checkpoint r_vm r =
   let ck_vm = r_vm r in
   let ck_engine = Codec.r_option r_engine r in
-  let ck_instrument = Codec.r_option r_instrument r in
-  { ck_vm; ck_engine; ck_instrument }
+  { ck_vm; ck_engine }
 
 let pc_kind = "pc-vm-checkpoint"
 let encode_pc ck = encode ~kind:pc_kind (fun b -> w_checkpoint w_lanes b ck)

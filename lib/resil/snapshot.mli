@@ -5,9 +5,8 @@
     {v magic | version | kind | payload | fnv1a-64 checksum v}
 
     around a typed payload built from the runtimes' plain-data images
-    ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Engine.snapshot},
-    {!Instrument.image}). Decoding verifies the
-    checksum before trusting a single length field and
+    ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Engine.snapshot}). Decoding
+    verifies the checksum before trusting a single length field and
     rejects wrong magic, unknown versions, mismatched kinds, truncation,
     and trailing bytes with a descriptive {!Codec.Corrupt}. Floats travel
     as IEEE-754 bit patterns, so a decoded state is bitwise identical to
@@ -51,19 +50,12 @@ val w_counters : Buffer.t -> Engine.counters -> unit
 val r_counters : Codec.reader -> Engine.counters
 val w_engine : Buffer.t -> Engine.snapshot -> unit
 val r_engine : Codec.reader -> Engine.snapshot
-val w_instrument : Buffer.t -> Instrument.image -> unit
-val r_instrument : Codec.reader -> Instrument.image
 
 (** {1 Snapshot kinds} *)
 
-(** A full single-VM checkpoint: the VM image plus whatever engine and
-    instrument state rides along, so a recovered run reports true
-    cumulative cost and statistics from time zero. *)
-type 'vm checkpoint = {
-  ck_vm : 'vm;
-  ck_engine : Engine.snapshot option;
-  ck_instrument : Instrument.image option;
-}
+(** A full single-VM checkpoint: the VM image plus the engine state, if
+    any, so a recovered run reports true cumulative cost from time zero. *)
+type 'vm checkpoint = { ck_vm : 'vm; ck_engine : Engine.snapshot option }
 
 val encode_pc : Pc_vm.Lanes.image checkpoint -> string
 val decode_pc : string -> Pc_vm.Lanes.image checkpoint

@@ -4,7 +4,6 @@ type config = {
   style : exec_style;
   sched : Sched_policy.t;
   engine : Engine.t option;
-  instrument : Instrument.t option;
   max_steps : int;
   member_base : int;
   sink : Obs_sink.t option;
@@ -15,7 +14,6 @@ let default_config =
     style = Masking;
     sched = Sched_policy.Earliest;
     engine = None;
-    instrument = None;
     max_steps = 100_000_000;
     member_base = 0;
     sink = None;
@@ -61,7 +59,9 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
           Hashtbl.replace tables_cache f.Cfg.name tb;
           tb)
   in
-  let rec run_function (f : Cfg.func) args active =
+  (* [depth] counts the host frames down to this one (1 for the entry). *)
+  let rec run_function (f : Cfg.func) ~depth args active =
+    let base = Cfg.block_base p f.Cfg.name in
     let env : (string, Tensor.t) Hashtbl.t = Hashtbl.create 32 in
     if List.length f.Cfg.params <> List.length args then
       invalid_arg (Printf.sprintf "Local_vm: arity mismatch calling %s" f.Cfg.name);
@@ -117,40 +117,7 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
       | None -> ()
       | Some i ->
         tick ();
-        (* Block indices are function-local here; the sink still sees one
-           Step per scheduled block, which is what tracing needs. The
-           occupancy event counts lanes live in *this* frame: during a
-           host-recursion call, lanes outside the call are idle by
-           construction, which is exactly the waste the profiler should
-           see. *)
-        (match (config.sink, config.instrument) with
-        | None, None -> ()
-        | sink, instrument ->
-          let occ =
-            Obs_sink.Occupancy
-              {
-                shard = 0;
-                step = !steps;
-                block = i;
-                active = counts.(i);
-                live = !live;
-                total = z;
-              }
-          in
-          (match sink with
-          | None -> ()
-          | Some sink ->
-            sink (Obs_sink.Step { shard = 0; step = !steps; block = i });
-            sink occ);
-          Option.iter
-            (fun ins -> Instrument.observe_occupancy ins occ)
-            instrument);
-        last := i;
-        let lmask = Array.init z (fun b -> active.(b) && pc.(b) = i) in
-        let members = Vm_util.indices_of_mask lmask in
-        let n_active = Array.length members in
-        let charged_ops = ref [] in
-        let traffic = ref 0. in
+        let n_active = counts.(i) in
         (* Resolve the adaptive style per block from this block's
            occupancy; the rest of the step sees a concrete style. *)
         let style =
@@ -166,6 +133,34 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
           | Gather_scatter -> n_active
           | Adaptive _ -> assert false
         in
+        (* Events carry program-unique block ids ([Cfg.block_base]), so a
+           profiler keeps the blocks of different functions apart. The
+           occupancy event counts lanes live in *this* frame: during a
+           host-recursion call, lanes outside the call are idle by
+           construction, which is exactly the waste the profiler should
+           see. It is also the runtime's only utilization report. *)
+        (match config.sink with
+        | None -> ()
+        | Some sink ->
+          let block = base + i in
+          sink (Obs_sink.Step { shard = 0; step = !steps; block });
+          sink
+            (Obs_sink.Occupancy
+               {
+                 shard = 0;
+                 step = !steps;
+                 block;
+                 active = n_active;
+                 live = !live;
+                 total = z;
+                 width = lanes;
+                 depth;
+               }));
+        last := i;
+        let lmask = Array.init z (fun b -> active.(b) && pc.(b) = i) in
+        let members = Vm_util.indices_of_mask lmask in
+        let charged_ops = ref [] in
+        let traffic = ref 0. in
         let charge_write row =
           traffic :=
             !traffic
@@ -174,11 +169,6 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
             | Masking -> Vm_util.masked_write_bytes ~lanes:z ~row
             | Gather_scatter -> Vm_util.stack_move_bytes ~lanes:n_active ~row
             | Adaptive _ -> assert false
-        in
-        let record_prim name =
-          Option.iter
-            (fun ins -> Instrument.record_prim ins ~name ~useful:n_active ~issued:lanes)
-            config.instrument
         in
         let block = f.Cfg.blocks.(i) in
         List.iter
@@ -214,7 +204,6 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
               let elem_shapes = List.map Vm_util.elem_shape_of_batched arg_tensors in
               charged_ops :=
                 (prim, impl.Prim.flops elem_shapes *. float_of_int lanes) :: !charged_ops;
-              record_prim prim;
               charge_write (Tensor.row_numel out);
               write_result style lmask members dst out
             | Cfg.Const_op { dst; value } ->
@@ -243,7 +232,7 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
               let callee = Cfg.find_func_exn p func in
               Option.iter Engine.charge_host_call config.engine;
               let arg_tensors = List.map lookup args in
-              let results = run_function callee arg_tensors lmask in
+              let results = run_function callee ~depth:(depth + 1) arg_tensors lmask in
               List.iter2
                 (fun dst out ->
                   charge_write (Tensor.row_numel out);
@@ -271,17 +260,12 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
             Engine.charge_block eng ~ops:(List.rev !charged_ops)
               ~control_ops:!control_ops ~traffic_bytes:!traffic)
           config.engine;
-        (* Per-block profiling keys on the function-local block index;
-           the merged PC program's profile is the one with global ids. *)
-        Option.iter
-          (fun ins -> Instrument.record_block ~block:i ins ~active:n_active ~batch:z)
-          config.instrument;
         vm_loop ()
     in
     vm_loop ();
     List.map lookup f.Cfg.result_vars
   in
-  run_function (Cfg.entry_func p) batch active
+  run_function (Cfg.entry_func p) ~depth:1 batch active
 
 let run ?config reg p ~batch =
   let z = batch_size batch in

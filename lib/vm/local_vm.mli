@@ -27,19 +27,23 @@ type config = {
   style : exec_style;
   sched : Sched_policy.t;
   engine : Engine.t option;        (** simulated-cost accounting *)
-  instrument : Instrument.t option;
   max_steps : int;                 (** bound on VM scheduling steps *)
   member_base : int;
       (** Global index of lane 0, for sharded execution: lane [i] draws
           the RNG streams of batch member [member_base + i]. Default 0. *)
   sink : Obs_sink.t option;
-      (** Observability seam: one [Obs_sink.Step] per scheduled block
-          (block indices are function-local). A sink that raises aborts
+      (** Observability seam: one [Obs_sink.Step] and one
+          [Obs_sink.Occupancy] per scheduled block, before it runs. Block
+          ids are program-unique ({!Cfg.block_base} plus the
+          function-local index); [width] is the lanes the block's
+          operations are issued over ([total] when masking, [active] when
+          gathering), [depth] the host-recursion frame depth. The
+          runtime's only utilization report. A sink that raises aborts
           the step. Default [None]. *)
 }
 
 val default_config : config
-(** Masking, earliest-block, no engine, no instrumentation, 10^8 steps. *)
+(** Masking, earliest-block, no engine, no sink, 10^8 steps. *)
 
 val run :
   ?config:config ->

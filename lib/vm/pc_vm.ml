@@ -1,7 +1,6 @@
 type config = {
   sched : Sched_policy.t;
   engine : Engine.t option;
-  instrument : Instrument.t option;
   max_steps : int;
   top_cache : bool;
   naive_stack_writes : bool;
@@ -13,7 +12,6 @@ let default_config =
   {
     sched = Sched_policy.Earliest;
     engine = None;
-    instrument = None;
     max_steps = 100_000_000;
     top_cache = true;
     naive_stack_writes = false;
@@ -29,12 +27,14 @@ module Pc_stack = struct
     mutable data : int array;
     sp : int array;
     top : int array;
+    mutable high : int;  (* deepest sp any push has reached *)
   }
 
   let create ~z ~bottom ~start ~initial_depth =
     let cap = max 1 initial_depth in
     let t =
-      { z; cap; data = Array.make (cap * z) 0; sp = Array.make z 1; top = Array.make z start }
+      { z; cap; data = Array.make (cap * z) 0; sp = Array.make z 1;
+        top = Array.make z start; high = 0 }
     in
     for b = 0 to z - 1 do
       t.data.(b) <- bottom
@@ -54,6 +54,7 @@ module Pc_stack = struct
     while !need > t.cap do
       grow t
     done;
+    if !need > t.high then t.high <- !need;
     Array.iteri
       (fun b m ->
         if m then begin
@@ -81,8 +82,6 @@ module Pc_stack = struct
     t.sp.(lane) <- 1;
     t.data.(lane) <- bottom;
     t.top.(lane) <- start
-
-  let max_depth t = Array.fold_left max 0 t.sp
 
   (* One member's pc column: stack entries below sp (bottom first, the
      halt sentinel included) plus the cached top. *)
@@ -280,27 +279,11 @@ module Lanes = struct
 
   let exec_op t = function
     | Prim { dst; args; impl } ->
-      let out = impl.Prim.batched ~members:t.members (List.map (read_slot t) args) in
-      (match t.config.instrument with
-      | None -> ()
-      | Some ins ->
-        Instrument.record_prim ins ~name:impl.Prim.name ~useful:t.n_active ~issued:t.z);
-      write t dst out
+      write t dst (impl.Prim.batched ~members:t.members (List.map (read_slot t) args))
     | Const { dst; value } -> write t dst value
     | Mov { dst; src } -> write t dst (read_slot t src)
-    | Push k -> (
-      let s = stacked t k "push" in
-      Stacked.push s ~mask:t.mask;
-      match t.config.instrument with
-      | None -> ()
-      | Some ins ->
-        Instrument.record_push ins ~lanes:t.n_active;
-        Instrument.record_depth ins (Stacked.max_depth s))
-    | Pop k -> (
-      Stacked.pop (stacked t k "pop") ~mask:t.mask;
-      match t.config.instrument with
-      | None -> ()
-      | Some ins -> Instrument.record_pop ins ~lanes:t.n_active)
+    | Push k -> Stacked.push (stacked t k "push") ~mask:t.mask
+    | Pop k -> Stacked.pop (stacked t k "pop") ~mask:t.mask
 
   (* Point every active lane's pc at [if_true] or [if_false] by [cond]. *)
   let branch t cond ~if_true ~if_false =
@@ -313,10 +296,7 @@ module Lanes = struct
   (* Save [ret] as the active lanes' return address. *)
   let push_return t ret =
     Pc_stack.set_top_masked t.pc ~mask:t.mask ret;
-    Pc_stack.push t.pc ~mask:t.mask;
-    match t.config.instrument with
-    | None -> ()
-    | Some ins -> Instrument.record_depth ins (Pc_stack.max_depth t.pc)
+    Pc_stack.push t.pc ~mask:t.mask
 
   let exec_term t (b : block) =
     match b.term with
@@ -746,6 +726,30 @@ module Lanes = struct
         t.slots.(slot t v) <- Some s)
       img.li_store
 
+  (* Report superstep [t.steps], about to run block [i] with [live] lanes
+     live: its Step event, then its Occupancy. Kept out of [step], whose
+     lane loops are the runtime's hot path. *)
+  let observe t sink i ~live =
+    sink (Obs_sink.Step { shard = 0; step = t.steps; block = i });
+    (* The deepest any pc or variable stack has been pushed to. *)
+    let depth =
+      Array.fold_left
+        (fun d -> function Some (Stk s) -> Int.max d (Stacked.high_water s) | _ -> d)
+        t.pc.Pc_stack.high t.slots
+    in
+    sink
+      (Obs_sink.Occupancy
+         {
+           shard = 0;
+           step = t.steps;
+           block = i;
+           active = t.counts.(i);
+           live;
+           total = t.z;
+           width = t.z;
+           depth;
+         })
+
   (* Execute one scheduled basic block over the currently live lanes.
      Returns [false] (and does nothing) when no lane is runnable. *)
   let step t =
@@ -767,30 +771,9 @@ module Lanes = struct
          that raises (an injected fault) aborts the superstep whole —
          never a half-applied block. The occupancy event follows under the
          same rule; it doubles as the profiler's attribution context for
-         the engine spans this block is about to charge, and feeds the
-         instrument's live-lane gauge (same event, no parallel count). *)
-      (match (config.sink, config.instrument) with
-      | None, None -> ()
-      | sink, instrument ->
-        let occ =
-          Obs_sink.Occupancy
-            {
-              shard = 0;
-              step = t.steps;
-              block = i;
-              active = t.counts.(i);
-              live = !live;
-              total = z;
-            }
-        in
-        (match sink with
-        | None -> ()
-        | Some sink ->
-          sink (Obs_sink.Step { shard = 0; step = t.steps; block = i });
-          sink occ);
-        Option.iter
-          (fun ins -> Instrument.observe_occupancy ins occ)
-          instrument);
+         the engine spans this block is about to charge, and is the only
+         utilization report this runtime makes. *)
+      (match config.sink with None -> () | Some sink -> observe t sink i ~live:!live);
       t.last <- i;
       let n = ref 0 in
       for b = 0 to z - 1 do
@@ -813,9 +796,6 @@ module Lanes = struct
         let c = charge t i in
         Engine.charge_priced_block eng ~ops:c.ops ~flops:c.flops
           ~control_ops:c.control_ops ~traffic_bytes:c.traffic);
-      (match config.instrument with
-      | None -> ()
-      | Some ins -> Instrument.record_block ~block:i ins ~active:!n ~batch:z);
       true
 end
 

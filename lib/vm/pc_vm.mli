@@ -23,7 +23,6 @@
 type config = {
   sched : Sched_policy.t;
   engine : Engine.t option;
-  instrument : Instrument.t option;
   max_steps : int;
   top_cache : bool;
       (** O4. The implementation always keeps the cache (reads are host
@@ -43,7 +42,12 @@ type config = {
           (record the superstep timeline) and the resilience layer
           (superstep-granular fault injection and checkpoint triggers):
           a sink that raises aborts the step with no block effects
-          applied. Default [None]; the off path is one match per step. *)
+          applied. Right after [Step] comes the superstep's
+          [Obs_sink.Occupancy] (issued [width = total], and [depth] the
+          deepest any pc or variable stack of this pool has been pushed
+          to) — the runtime's only utilization report: lane, primitive
+          and push/pop counts are all derived from it ({!Obs_prof}).
+          Default [None]; the off path is one match per step. *)
 }
 
 val default_config : config
@@ -58,6 +62,8 @@ module Pc_stack : sig
     mutable data : int array;  (** [cap × z], depth-major *)
     sp : int array;            (** per-member stack pointer *)
     top : int array;           (** cached top element per member *)
+    mutable high : int;
+        (** the largest [sp] a {!push} has left any member at *)
   }
 
   val create : z:int -> bottom:int -> start:int -> initial_depth:int -> t
@@ -80,8 +86,6 @@ module Pc_stack : sig
   val restore_lane : t -> lane:int -> lane -> unit
   (** Overwrite one member's pc column; capacity grows as needed, other
       members untouched. *)
-
-  val max_depth : t -> int
 
   val capture : t -> Vm_image.pc
   (** Full depth-major checkpoint (data, stack pointers, cached tops). *)
@@ -221,7 +225,7 @@ module Lanes : sig
   (** Plain-data checkpoint of a lane pool: step count, scheduler cursor,
       lane occupancy and member identities, the pc stack, and every
       allocated variable (sorted by name, so images of equal states are
-      structurally equal). Together with the engine/instrument snapshots
+      structurally equal). Together with the engine snapshot
       this is the VM's complete execution state: a pool restored from an
       image replays bitwise identically to the original. *)
   type image = {

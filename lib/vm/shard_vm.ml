@@ -32,7 +32,6 @@ let default_config =
 type result = {
   outputs : Tensor.t list;
   counters : Engine.Counters.t;
-  instrument : Instrument.t;
   shard_times : float array;
   compute_time : float;
   collective_time : float;
@@ -60,15 +59,14 @@ let run ?(config = default_config) reg program ~batch =
     List.map (fun t -> Tensor.take_rows t rows) batch
   in
   (* One domain per shard; each runs an ordinary single-device VM over its
-     sub-batch with its own engine and instrument, with lane identities
-     offset so RNG streams match the unsharded run. *)
+     sub-batch with its own engine, with lane identities offset so RNG
+     streams match the unsharded run. *)
   let run_shard i part =
     let engine =
       Option.map
         (fun mode -> Engine.create ~device:(Mesh.device config.mesh i) ~mode ())
         config.mode
     in
-    let instrument = Instrument.create () in
     let inputs = sub_batch part in
     (* Step/Occupancy events from shard [i] reach the user's sink re-tagged
        with the shard index; the sink fires from the shard's domain, so it
@@ -80,6 +78,13 @@ let run ?(config = default_config) reg program ~batch =
     (match (engine, sink) with
     | Some engine, Some sink -> Engine.set_sink engine sink
     | _ -> ());
+    (* The shard's superstep count, read off its own Step events (after
+       the user's sink, so a step it aborts is not counted). *)
+    let steps = ref 0 in
+    let count = function Obs_sink.Step _ -> incr steps | _ -> () in
+    let sink =
+      Some (match sink with None -> count | Some s -> Obs_sink.fanout [ s; count ])
+    in
     fun () ->
       let outputs =
         match program with
@@ -90,7 +95,6 @@ let run ?(config = default_config) reg program ~batch =
               sched = config.sched;
               max_steps = config.max_steps;
               engine;
-              instrument = Some instrument;
               member_base = part.offset;
               sink;
             }
@@ -103,7 +107,6 @@ let run ?(config = default_config) reg program ~batch =
               sched = config.sched;
               max_steps = config.max_steps;
               engine;
-              instrument = Some instrument;
               member_base = part.offset;
               sink;
             }
@@ -115,7 +118,7 @@ let run ?(config = default_config) reg program ~batch =
         | Some e -> Engine.snapshot e
         | None -> { Engine.at = Engine.Counters.zero; ops = [] }
       in
-      (outputs, snapshot, instrument)
+      (outputs, snapshot, !steps)
   in
   (* Shard 0 runs on the calling domain while the tail shards run on
      spawned ones; all thunks capture their (copied) sub-batches before
@@ -149,8 +152,6 @@ let run ?(config = default_config) reg program ~batch =
       (fun acc (_, s, _) -> Engine.Counters.add acc s.Engine.at)
       Engine.Counters.zero shards
   in
-  let instrument = Instrument.create () in
-  List.iter (fun (_, _, ins) -> Instrument.merge ~into:instrument ins) shards;
   let shard_times =
     Array.of_list
       (List.map (fun (_, s, _) -> s.Engine.at.Engine.Counters.elapsed_seconds) shards)
@@ -159,11 +160,7 @@ let run ?(config = default_config) reg program ~batch =
   (* SPMD supersteps: every device steps its VM loop in lockstep until all
      shards drain, agreeing on termination by an all-reduced flag each
      superstep; the final outputs are all-gathered. *)
-  let supersteps =
-    List.fold_left
-      (fun acc (_, _, ins) -> max acc (Instrument.blocks_executed ins))
-      0 shards
-  in
+  let supersteps = List.fold_left (fun acc (_, _, n) -> max acc n) 0 shards in
   let output_bytes =
     List.fold_left
       (fun acc t -> acc +. (8. *. float_of_int (Tensor.numel t)))
@@ -202,7 +199,6 @@ let run ?(config = default_config) reg program ~batch =
   {
     outputs;
     counters;
-    instrument;
     shard_times;
     compute_time;
     collective_time;

@@ -55,7 +55,6 @@ val default_config : config
 type result = {
   outputs : Tensor.t list;       (** reassembled full-batch outputs *)
   counters : Engine.Counters.t;  (** summed over shards *)
-  instrument : Instrument.t;     (** merged over shards *)
   shard_times : float array;     (** per-shard simulated seconds *)
   compute_time : float;          (** max over shards *)
   collective_time : float;       (** sync flags + final output gather *)

@@ -6,6 +6,7 @@ type t = {
   mutable data : float array;  (* cap * z * row *)
   sp : int array;
   top : Tensor.t;
+  mutable high : int;  (* deepest sp any push has reached *)
 }
 
 let create ~z ~elem ?(initial_depth = 4) () =
@@ -19,6 +20,7 @@ let create ~z ~elem ?(initial_depth = 4) () =
     data = Array.make (max 1 initial_depth * z * row) 0.;
     sp = Array.make z 0;
     top = Tensor.zeros (Shape.concat_outer z elem);
+    high = 0;
   }
 
 let z t = t.z
@@ -45,6 +47,7 @@ let push t ~mask =
   while !need > t.cap do
     grow t
   done;
+  if !need > t.high then t.high <- !need;
   let top_data = Tensor.data t.top in
   Array.iteri
     (fun b m ->
@@ -70,6 +73,7 @@ let pop t ~mask =
 let depth t b = t.sp.(b)
 
 let reset t =
+  t.high <- 0;
   Array.fill t.sp 0 t.z 0;
   Array.fill (Tensor.data t.top) 0 (t.z * t.row) 0.
 
@@ -77,7 +81,7 @@ let reset_lane t b =
   if b < 0 || b >= t.z then invalid_arg "Stacked.reset_lane: lane out of range";
   t.sp.(b) <- 0;
   Array.fill (Tensor.data t.top) (b * t.row) t.row 0.
-let max_depth t = Array.fold_left max 0 t.sp
+let high_water t = t.high
 let capacity t = t.cap
 
 type lane = {

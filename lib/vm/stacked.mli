@@ -42,7 +42,10 @@ val reset_lane : t -> int -> unit
     other member untouched — the state a fresh run would give that lane.
     Used when a serving runtime recycles a lane for a new request. *)
 
-val max_depth : t -> int
+val high_water : t -> int
+(** The largest {!depth} a {!push} has left any member at since {!create}
+    or {!reset} (restores do not count); O(1). *)
+
 val capacity : t -> int
 
 (** One member's complete stack column — the saved frames below its

@@ -8,29 +8,8 @@ let t = Alcotest.test_case
 
 (* ---------- fixtures ---------- *)
 
-let fib_program =
-  let open Lang in
-  let open Lang.Infix in
-  program ~main:"fib"
-    [
-      func "fib" ~params:[ "n" ]
-        [
-          if_
-            (var "n" <= flt 1.)
-            [ return_ [ flt 1. ] ]
-            [
-              call [ "left" ] "fib" [ var "n" - flt 2. ];
-              call [ "right" ] "fib" [ var "n" - flt 1. ];
-              return_ [ var "left" + var "right" ];
-            ];
-        ];
-    ]
-
-let fib_compiled =
-  lazy (Autobatch.compile ~input_shapes:[ Shape.scalar ] fib_program)
-
-let fib_batch z =
-  [ Tensor.init [| z |] (fun i -> float_of_int (3 + (i.(0) mod 5))) ]
+let fib_compiled = Test_prof.fib_compiled
+let fib_batch = Test_prof.fib_batch
 
 (* ---------- JSON ---------- *)
 
@@ -252,66 +231,49 @@ let test_live_trace_well_formed () =
   Alcotest.(check bool) "superstep timestamps monotone" true (monotone b_ts);
   Alcotest.(check bool) "nothing dropped" true (Obs_trace.dropped tr = 0)
 
-(* ---------- the sink must not perturb execution ---------- *)
+(* ---------- observers must not perturb execution ---------- *)
 
-(* Run a workload with no sink and with a recording sink; outputs and the
-   engine clock must be bitwise identical. The sink is the only difference
-   between the two runs. *)
-let check_unperturbed name run =
-  let outs_off, clock_off = run None in
+(* Run a workload bare and with every observer fanned out on one sink —
+   the trace recorder, the divergence profiler with its metrics
+   registries, and the span recorder; outputs and the engine clock must
+   be bitwise identical. The sink is the only difference between the two
+   runs. *)
+let check_all_unperturbed name run =
   let tr = Obs_trace.create () in
   let track = Obs_trace.track tr name in
-  let sink = Obs_trace.sink tr ~track ~clock:(fun () -> 0.) in
-  let outs_on, clock_on = run (Some sink) in
+  let prof = Obs_prof.create () in
+  let spans = Obs_span.create () in
+  let sink =
+    Obs_sink.fanout
+      [
+        Obs_trace.sink tr ~track ~clock:(fun () -> 0.);
+        Obs_prof.sink prof;
+        Obs_span.sink spans;
+      ]
+  in
+  Test_prof.check_unperturbed name sink run;
   Alcotest.(check bool)
     (name ^ ": recorded something")
     true
     (List.length (Obs_trace.entries tr) > 0);
-  Alcotest.(check bool)
-    (name ^ ": clock identical")
-    true
-    (Int64.equal (Int64.bits_of_float clock_off) (Int64.bits_of_float clock_on));
-  List.iteri
-    (fun i (a, b) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: output %d bitwise" name i)
-        true (Tensor.equal a b))
-    (List.combine outs_off outs_on)
+  Alcotest.(check bool) (name ^ ": profiled something") true
+    (Obs_prof.supersteps prof > 0);
+  Alcotest.(check int)
+    (name ^ ": metrics count every superstep")
+    (Obs_prof.supersteps prof)
+    (Obs_metrics.count
+       (Obs_metrics.counter (Obs_prof.metrics prof) "supersteps"))
 
-let test_sink_off_on_pc () =
-  let compiled = Lazy.force fib_compiled in
-  check_unperturbed "pc" (fun sink ->
-      let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let config = { Pc_vm.default_config with engine = Some engine; sink } in
-      let outs = Autobatch.run_pc ~config compiled ~batch:(fib_batch 8) in
-      (outs, Engine.elapsed engine))
+let test_sink_off_on_pc () = check_all_unperturbed "pc" (Test_prof.run_pc_fib ?z:None)
 
 let test_sink_off_on_local () =
-  let compiled = Lazy.force fib_compiled in
-  check_unperturbed "local" (fun sink ->
-      let engine = Engine.create ~device:Device.cpu ~mode:Engine.Eager () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let config = { Local_vm.default_config with engine = Some engine; sink } in
-      let outs = Autobatch.run_local ~config compiled ~batch:(fib_batch 8) in
-      (outs, Engine.elapsed engine))
+  check_all_unperturbed "local" Test_prof.run_local_fib
 
 let test_sink_off_on_shard () =
-  let compiled = Lazy.force fib_compiled in
-  check_unperturbed "shard" (fun sink ->
-      let config =
-        { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 (); sink }
-      in
-      let r = Autobatch.run_sharded ~config compiled ~batch:(fib_batch 8) in
-      (r.Shard_vm.outputs, r.Shard_vm.sim_time))
+  check_all_unperturbed "shard" (Test_prof.run_shard_fib ?mode:None)
 
 let test_sink_off_on_server () =
-  check_unperturbed "server" (fun sink ->
-      let stats = Test_prof.run_server sink in
-      ( List.concat_map
-          (fun c -> Option.get c.Tenant_server.c_outputs)
-          stats.Tenant_server.completions,
-        stats.Tenant_server.makespan ))
+  check_all_unperturbed "server" Test_prof.run_server_fib
 
 (* ---------- report documents ---------- *)
 

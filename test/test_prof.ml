@@ -1,36 +1,48 @@
 (* Tests for the divergence profiler: the Occupancy event's invariant on
    every runtime, Obs_prof attribution (conservation against the engine
-   clock, golden folded-stacks export), the profiler-never-perturbs
-   acceptance criterion across all five runtimes, the metrics-registry
-   merge it relies on, and the event-driven occupancy gauge. *)
+   clock, golden folded-stacks export), the metrics-registry merge it
+   relies on, the event-driven occupancy gauge, and the per-primitive and
+   stack counts derived from its rows, and that attaching it never
+   perturbs a run. *)
 
 let t = Alcotest.test_case
 
 (* ---------- fixtures ---------- *)
 
-let fib_program =
-  let open Lang in
-  let open Lang.Infix in
-  program ~main:"fib"
-    [
-      func "fib" ~params:[ "n" ]
-        [
-          if_
-            (var "n" <= flt 1.)
-            [ return_ [ flt 1. ] ]
-            [
-              call [ "left" ] "fib" [ var "n" - flt 2. ];
-              call [ "right" ] "fib" [ var "n" - flt 1. ];
-              return_ [ var "left" + var "right" ];
-            ];
-        ];
-    ]
-
 let fib_compiled =
-  lazy (Autobatch.compile ~input_shapes:[ Shape.scalar ] fib_program)
+  lazy (Autobatch.compile ~input_shapes:[ Shape.scalar ] Test_programs.fib)
 
 let fib_batch z =
   [ Tensor.init [| z |] (fun i -> float_of_int (3 + (i.(0) mod 5))) ]
+
+(* fib at batch [z] (8 by default) on each runtime, returning outputs and
+   the simulated clock; test_obs reuses these. *)
+let run_pc_fib ?(z = 8) sink =
+  let compiled = Lazy.force fib_compiled in
+  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  (match sink with Some s -> Engine.set_sink engine s | None -> ());
+  let config = { Pc_vm.default_config with engine = Some engine; sink } in
+  let outs = Autobatch.run_pc ~config compiled ~batch:(fib_batch z) in
+  (outs, Engine.elapsed engine)
+
+let run_local_fib sink =
+  let compiled = Lazy.force fib_compiled in
+  let engine = Engine.create ~device:Device.cpu ~mode:Engine.Eager () in
+  (match sink with Some s -> Engine.set_sink engine s | None -> ());
+  let config = { Local_vm.default_config with engine = Some engine; sink } in
+  let outs = Autobatch.run_local ~config compiled ~batch:(fib_batch 8) in
+  (outs, Engine.elapsed engine)
+
+let run_shard_fib ?mode sink =
+  let compiled = Lazy.force fib_compiled in
+  let config =
+    { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 (); mode; sink }
+  in
+  let r = Autobatch.run_sharded ~config compiled ~batch:(fib_batch 8) in
+  (r.Shard_vm.outputs, r.Shard_vm.sim_time)
+
+let occupancy ?(step = 1) ?(block = 0) ?(depth = 0) ~active ~live ~total ~width () =
+  Obs_sink.Occupancy { shard = 0; step; block; active; live; total; width; depth }
 
 (* ---------- every event kind has a distinct, stable tag ---------- *)
 
@@ -49,8 +61,7 @@ let all_events : Obs_sink.event list =
     Obs_sink.Request_completed { id = 0; queued = 0.; started = 0.; finished = 1. };
     Obs_sink.Checkpoint { step = 1; bytes = 8 };
     Obs_sink.Restore { step = 1 };
-    Obs_sink.Occupancy
-      { shard = 0; step = 1; block = 0; active = 1; live = 2; total = 4 };
+    occupancy ~active:1 ~live:2 ~total:4 ~width:4 ~depth:1 ();
   ]
 
 let test_kind_names_distinct () =
@@ -70,14 +81,13 @@ let test_tag_shard_rewrites_occupancy () =
   let got = ref [] in
   let sink = Obs_sink.tag_shard 3 (fun ev -> got := ev :: !got) in
   sink (Obs_sink.Step { shard = 0; step = 1; block = 2 });
-  sink
-    (Obs_sink.Occupancy
-       { shard = 0; step = 1; block = 2; active = 1; live = 2; total = 4 });
+  sink (occupancy ~block:2 ~active:1 ~live:2 ~total:4 ~width:1 ~depth:7 ());
   sink (Obs_sink.Checkpoint { step = 1; bytes = 8 });
   match List.rev !got with
   | [
    Obs_sink.Step { shard = 3; _ };
-   Obs_sink.Occupancy { shard = 3; active = 1; live = 2; total = 4; _ };
+   Obs_sink.Occupancy
+     { shard = 3; active = 1; live = 2; total = 4; width = 1; depth = 7; _ };
    Obs_sink.Checkpoint _;
   ] ->
     ()
@@ -177,48 +187,34 @@ let check_occupancy name run =
   Alcotest.(check int) (name ^ ": invariant violations") 0 !bad
 
 let test_occupancy_invariant_pc () =
-  let compiled = Lazy.force fib_compiled in
-  check_occupancy "pc" (fun sink ->
-      let config = { Pc_vm.default_config with sink = Some sink } in
-      ignore (Autobatch.run_pc ~config compiled ~batch:(fib_batch 8)))
+  check_occupancy "pc" (fun sink -> ignore (run_pc_fib (Some sink)))
 
 let test_occupancy_invariant_local () =
-  let compiled = Lazy.force fib_compiled in
-  check_occupancy "local" (fun sink ->
-      let config = { Local_vm.default_config with sink = Some sink } in
-      ignore (Autobatch.run_local ~config compiled ~batch:(fib_batch 8)))
+  check_occupancy "local" (fun sink -> ignore (run_local_fib (Some sink)))
 
 let test_occupancy_invariant_shard () =
-  let compiled = Lazy.force fib_compiled in
   check_occupancy "shard" (fun sink ->
-      let config =
-        {
-          Shard_vm.default_config with
-          mesh = Mesh.gpu_pod ~n:2 ();
-          mode = Some Engine.Fused;
-          sink = Some sink;
-        }
-      in
-      ignore (Autobatch.run_sharded ~config compiled ~batch:(fib_batch 8)))
+      ignore (run_shard_fib ~mode:Engine.Fused (Some sink)))
 
 (* Four fib requests through one shard of the serving runtime, behind a
-   fresh tenant (its token bucket is mutable); test_obs reuses it. *)
-let server_items () =
+   fresh tenant (its token bucket is mutable); returns the outputs in
+   completion order and the makespan. *)
+let run_server_fib sink =
   let compiled = Lazy.force fib_compiled in
   let tenant = Tenant.make ~id:0 ~name:"t0" () in
-  List.init 4 (fun id ->
-      {
-        Admission.tenant;
-        request =
-          Request.make ~id ~member:(id * 16) ~arrival:0.
-            ~cost_hint:(float_of_int (4 + id))
-            ~program:compiled
-            ~inputs:[ Tensor.of_list [ float_of_int (4 + id) ] ]
-            ();
-        digest = 0L;
-      })
-
-let run_server sink =
+  let items =
+    List.init 4 (fun id ->
+        {
+          Admission.tenant;
+          request =
+            Request.make ~id ~member:(id * 16) ~arrival:0.
+              ~cost_hint:(float_of_int (4 + id))
+              ~program:compiled
+              ~inputs:[ Tensor.of_list [ float_of_int (4 + id) ] ]
+              ();
+          digest = 0L;
+        })
+  in
   let config =
     {
       (Tenant_server.default_config ~mesh:(Mesh.gpu_pod ~n:1 ())) with
@@ -226,40 +222,187 @@ let run_server sink =
       sink;
     }
   in
-  Tenant_server.run ~config (Tenant_server.source_of_list (server_items ()))
+  let stats = Tenant_server.run ~config (Tenant_server.source_of_list items) in
+  ( List.concat_map
+      (fun c -> Option.get c.Tenant_server.c_outputs)
+      stats.Tenant_server.completions,
+    stats.Tenant_server.makespan )
 
 let test_occupancy_invariant_server () =
-  check_occupancy "server" (fun sink -> ignore (run_server (Some sink)))
+  check_occupancy "server" (fun sink -> ignore (run_server_fib (Some sink)))
 
 (* ---------- the occupancy gauge is event-fed ---------- *)
 
 let test_occupancy_feeds_gauge () =
-  (* The instrument's live-lane gauge and a sink see the same events, so
-     live_samples equals the event count and mean_occupancy equals the
-     ratio of the summed fields. *)
+  (* The profiler's live-lane gauge and any other sink see the same
+     events, so the superstep count equals the event count and
+     mean_occupancy equals the ratio of the summed fields. *)
   let compiled = Lazy.force fib_compiled in
-  let mu = Mutex.create () in
   let n = ref 0 and live_sum = ref 0 and total_sum = ref 0 in
-  let sink ev =
-    match ev with
+  let counting = function
     | Obs_sink.Occupancy { live; total; _ } ->
-      Mutex.protect mu (fun () ->
-          incr n;
-          live_sum := !live_sum + live;
-          total_sum := !total_sum + total)
+      incr n;
+      live_sum := !live_sum + live;
+      total_sum := !total_sum + total
     | _ -> ()
   in
-  let ins = Instrument.create () in
+  let prof = Obs_prof.create () in
   let config =
-    { Pc_vm.default_config with instrument = Some ins; sink = Some sink }
+    {
+      Pc_vm.default_config with
+      sink = Some (Obs_sink.fanout [ Obs_prof.sink prof; counting ]);
+    }
   in
   ignore (Autobatch.run_pc ~config compiled ~batch:(fib_batch 8));
   Alcotest.(check bool) "saw events" true (!n > 0);
-  Alcotest.(check int) "one gauge sample per event" !n (Instrument.live_samples ins);
-  Alcotest.(check (float 1e-12))
+  Alcotest.(check int) "one gauge sample per event" !n (Obs_prof.supersteps prof);
+  Alcotest.(check (float 0.))
     "mean occupancy is the event ratio"
     (float_of_int !live_sum /. float_of_int !total_sum)
-    (Instrument.mean_occupancy ins)
+    (Obs_prof.mean_occupancy prof);
+  Alcotest.(check bool) "series non-empty" true (Obs_prof.occupancy_series prof <> [])
+
+let test_occupancy_gauge () =
+  let prof = Obs_prof.create () in
+  let sink = Obs_prof.sink prof in
+  Alcotest.(check (float 0.)) "no samples reads full" 1. (Obs_prof.mean_occupancy prof);
+  for _ = 1 to 10 do
+    sink (occupancy ~active:1 ~live:2 ~total:4 ~width:4 ())
+  done;
+  Alcotest.(check (float 0.)) "mean over samples" 0.5 (Obs_prof.mean_occupancy prof);
+  Alcotest.(check int) "samples counted" 10 (Obs_prof.supersteps prof);
+  let series = Obs_prof.occupancy_series prof in
+  Alcotest.(check bool) "series non-empty" true (List.length series > 0);
+  List.iter (fun (_, occ) -> Alcotest.(check (float 0.)) "bucket occupancy" 0.5 occ) series
+
+let test_occupancy_gauge_compaction () =
+  let prof = Obs_prof.create () in
+  let sink = Obs_prof.sink prof in
+  (* Twice the bucket budget of samples: the gauge must downsample, keep
+     the step axis anchored at the start, and preserve the mean. *)
+  for i = 1 to 1024 do
+    let live = if i <= 512 then 4 else 0 in
+    sink (occupancy ~active:live ~live ~total:4 ~width:4 ())
+  done;
+  let series = Obs_prof.occupancy_series prof in
+  Alcotest.(check bool) "bounded" true (List.length series <= 256);
+  (match series with
+  | (first_step, first_occ) :: _ ->
+    Alcotest.(check int) "anchored at step 0" 0 first_step;
+    Alcotest.(check (float 0.)) "early buckets full" 1. first_occ
+  | [] -> Alcotest.fail "empty series");
+  Alcotest.(check (float 0.)) "mean preserved" 0.5 (Obs_prof.mean_occupancy prof);
+  match List.rev series with
+  | (_, last_occ) :: _ -> Alcotest.(check (float 0.)) "late buckets empty" 0. last_occ
+  | [] -> ()
+
+(* ---------- counts derived from the profiler's rows ---------- *)
+
+(* Hand-fed rows over a one-block program: each of the block's ops runs
+   over the superstep's lanes, so its counts follow from the row sums. *)
+let test_derived_counts () =
+  let open Lang in
+  let compiled =
+    Autobatch.compile ~input_shapes:[ Shape.scalar ]
+      (program ~main:"f"
+         [
+           func "f" ~params:[ "x" ]
+             [ return_ [ prim "add" [ prim "mul" [ var "x"; var "x" ]; var "x" ] ] ];
+         ])
+  in
+  let ops = Profile.pc_ops compiled.Autobatch.stack in
+  let prof = Obs_prof.create () in
+  let sink = Obs_prof.sink prof in
+  sink (occupancy ~active:3 ~live:4 ~total:8 ~width:8 ~depth:5 ());
+  sink (occupancy ~active:5 ~live:6 ~total:8 ~width:8 ~depth:2 ());
+  let d = Profile.derive ops prof in
+  let mul = Profile.prim d "mul" in
+  Alcotest.(check int) "calls" 2 mul.Profile.calls;
+  Alcotest.(check int) "useful" 8 mul.Profile.useful;
+  Alcotest.(check int) "issued" 16 mul.Profile.issued;
+  Alcotest.(check (float 0.)) "utilization" 0.5 (Profile.lane_utilization mul);
+  let grad = Profile.prim d "grad" in
+  Alcotest.(check int) "unknown prim never issued" 0 grad.Profile.issued;
+  Alcotest.(check (float 0.)) "unknown prim reads full" 1. (Profile.lane_utilization grad);
+  Alcotest.(check (float 0.)) "overall" 0.5 (Obs_prof.utilization prof);
+  Alcotest.(check int) "max depth keeps max" 5 (Obs_prof.max_depth prof);
+  Alcotest.(check int) "no stack traffic" 0 (d.Profile.pushes + d.Profile.pops);
+  (* Gathered execution issues fewer lanes than the batch. *)
+  sink (occupancy ~active:2 ~live:2 ~total:8 ~width:2 ());
+  Alcotest.(check int) "gathered issue" 18
+    (Profile.prim (Profile.derive ops prof) "mul").Profile.issued;
+  (* A fresh profiler has no rows. *)
+  let empty = Obs_prof.create () in
+  Alcotest.(check int) "empty" 0 (Obs_prof.supersteps empty);
+  Alcotest.(check (float 0.)) "empty utilization" 1. (Obs_prof.utilization empty)
+
+(* Derived call and lane counts equal what a counting wrapper around every
+   primitive of the registry sees over the same run — on the pc VM and on
+   the local VM under every execution style, over random programs (with
+   and without a second, recursive function) and batch sizes. *)
+let prop_derived_counts_exact =
+  QCheck.Test.make ~name:"derived lane counts = counting wrapper" ~count:40
+    (QCheck.pair Test_random_programs.arb_program (QCheck.int_range 1 7))
+    (fun (prog, z) ->
+      let calls : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 32 in
+      let std = Prim.standard () in
+      let reg = Prim.create_registry () in
+      List.iter
+        (fun name ->
+          let p = Prim.find_exn std name in
+          let n = ref 0 and lanes = ref 0 in
+          Hashtbl.replace calls name (n, lanes);
+          Prim.register reg
+            {
+              p with
+              Prim.batched =
+                (fun ~members args ->
+                  incr n;
+                  lanes := !lanes + Array.length members;
+                  p.Prim.batched ~members args);
+            })
+        (Prim.names std);
+      let compiled =
+        Autobatch.compile ~registry:reg ~input_shapes:[ Shape.scalar; Shape.scalar ] prog
+      in
+      let batch =
+        List.map
+          (fun t -> Tensor.init [| z |] (fun i -> Tensor.get t [| i.(0) mod 5 |]))
+          Test_random_programs.batch_inputs
+      in
+      let agrees label ops run =
+        Hashtbl.iter (fun _ (n, l) -> n := 0; l := 0) calls;
+        let prof = Obs_prof.create () in
+        run (Obs_prof.sink prof);
+        let d = Profile.derive ops prof in
+        Hashtbl.iter
+          (fun name (n, l) ->
+            let got = Profile.prim d name in
+            if got.Profile.calls <> !n || got.Profile.issued <> !l then
+              QCheck.Test.fail_reportf
+                "%s z=%d %s: derived %d calls / %d issued lanes, wrapper saw %d / %d"
+                label z name got.Profile.calls got.Profile.issued !n !l)
+          calls
+      in
+      let pc_ops = Profile.pc_ops compiled.Autobatch.stack
+      and local_ops = Profile.local_ops compiled.Autobatch.cfg in
+      agrees "pc" pc_ops (fun sink ->
+          ignore
+            (Autobatch.run_pc ~config:{ Pc_vm.default_config with sink = Some sink }
+               compiled ~batch));
+      List.iter
+        (fun (label, style) ->
+          agrees label local_ops (fun sink ->
+              ignore
+                (Autobatch.run_local
+                   ~config:{ Local_vm.default_config with style; sink = Some sink }
+                   compiled ~batch)))
+        [
+          ("local/mask", Local_vm.Masking);
+          ("local/gather", Local_vm.Gather_scatter);
+          ("local/adaptive", Local_vm.Adaptive 0.5);
+        ];
+      true)
 
 (* ---------- attribution: conservation against the engine clock ---------- *)
 
@@ -286,16 +429,9 @@ let check_conservation name total prof =
     (u +. Obs_prof.divergence_waste prof +. Obs_prof.idle_waste prof)
 
 let test_conservation_pc () =
-  let compiled = Lazy.force fib_compiled in
   let prof = Obs_prof.create () in
-  let sink = Obs_prof.sink prof in
-  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-  Engine.set_sink engine sink;
-  let config =
-    { Pc_vm.default_config with engine = Some engine; sink = Some sink }
-  in
-  ignore (Autobatch.run_pc ~config compiled ~batch:(fib_batch 16));
-  check_conservation "pc" (Engine.elapsed engine) prof
+  let _, clock = run_pc_fib ~z:16 (Some (Obs_prof.sink prof)) in
+  check_conservation "pc" clock prof
 
 let test_conservation_shard () =
   (* Each shard has its own engine and domain; attribution must conserve
@@ -315,16 +451,61 @@ let test_conservation_shard () =
   let total = Array.fold_left ( +. ) 0. r.Shard_vm.shard_times in
   check_conservation "shard" total prof
 
+(* Two functions under the local VM: attribution conserves the engine
+   clock, and the blocks of [main] and [fib] keep separate rows — the
+   runtime reports program-unique block ids. *)
+let test_conservation_local () =
+  let compiled =
+    let open Lang in
+    let open Lang.Infix in
+    Autobatch.compile ~input_shapes:[ Shape.scalar ]
+      (program ~main:"main"
+         (func "main" ~params:[ "n" ]
+            [
+              if_
+                (var "n" <= flt 4.)
+                [ call [ "r" ] "fib" [ var "n" ] ]
+                [ call [ "r" ] "fib" [ var "n" - flt 1. ] ];
+              return_ [ var "r" + flt 1. ];
+            ]
+         :: Test_programs.fib.funcs))
+  in
+  let prof = Obs_prof.create () in
+  let sink = Obs_prof.sink prof in
+  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  Engine.set_sink engine sink;
+  let config =
+    { Local_vm.default_config with engine = Some engine; sink = Some sink }
+  in
+  ignore (Autobatch.run_local ~config compiled ~batch:(fib_batch 16));
+  check_conservation "local" (Engine.elapsed engine) prof;
+  let cfg = compiled.Autobatch.cfg in
+  let ids f =
+    let base = Cfg.block_base cfg f in
+    List.init (Array.length (Cfg.find_func_exn cfg f).Cfg.blocks) (fun k -> base + k)
+  in
+  let rows =
+    List.sort compare
+      (List.map (fun (r : Obs_prof.block_row) -> r.block) (Obs_prof.block_rows prof))
+  in
+  let main_ids = ids "main" and fib_ids = ids "fib" in
+  let some_in range = List.exists (fun b -> List.mem b range) rows in
+  Alcotest.(check bool) "rows are blocks of the program" true
+    (List.for_all (fun b -> List.mem b (main_ids @ fib_ids)) rows);
+  Alcotest.(check bool) "both functions have rows" true
+    (some_in main_ids && some_in fib_ids);
+  (* Function-local ids would fold both functions into one range. *)
+  Alcotest.(check bool) "functions keep separate rows" true
+    (List.length rows > max (List.length main_ids) (List.length fib_ids))
+
 (* ---------- the profiler must not perturb execution ---------- *)
 
-let check_prof_unperturbed name run =
+(* Run a workload bare and again with [sink] attached: outputs and the
+   engine clock must be bitwise identical. test_obs reuses this with
+   every observer fanned out on one sink. *)
+let check_unperturbed name sink run =
   let outs_off, clock_off = run None in
-  let prof = Obs_prof.create () in
-  let outs_on, clock_on = run (Some (Obs_prof.sink prof)) in
-  Alcotest.(check bool)
-    (name ^ ": profiled something")
-    true
-    (Obs_prof.supersteps prof > 0);
+  let outs_on, clock_on = run (Some sink) in
   Alcotest.(check bool)
     (name ^ ": clock identical")
     true
@@ -336,45 +517,21 @@ let check_prof_unperturbed name run =
         true (Tensor.equal a b))
     (List.combine outs_off outs_on)
 
-let test_prof_off_on_pc () =
-  let compiled = Lazy.force fib_compiled in
-  check_prof_unperturbed "pc" (fun sink ->
-      let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let config = { Pc_vm.default_config with engine = Some engine; sink } in
-      let outs = Autobatch.run_pc ~config compiled ~batch:(fib_batch 8) in
-      (outs, Engine.elapsed engine))
+let check_prof_unperturbed name run =
+  let prof = Obs_prof.create () in
+  check_unperturbed name (Obs_prof.sink prof) run;
+  Alcotest.(check bool)
+    (name ^ ": profiled something")
+    true
+    (Obs_prof.supersteps prof > 0)
 
-let test_prof_off_on_local () =
-  let compiled = Lazy.force fib_compiled in
-  check_prof_unperturbed "local" (fun sink ->
-      let engine = Engine.create ~device:Device.cpu ~mode:Engine.Eager () in
-      (match sink with Some s -> Engine.set_sink engine s | None -> ());
-      let config = { Local_vm.default_config with engine = Some engine; sink } in
-      let outs = Autobatch.run_local ~config compiled ~batch:(fib_batch 8) in
-      (outs, Engine.elapsed engine))
+let test_prof_off_on_pc () = check_prof_unperturbed "pc" run_pc_fib
+let test_prof_off_on_local () = check_prof_unperturbed "local" run_local_fib
 
 let test_prof_off_on_shard () =
-  let compiled = Lazy.force fib_compiled in
-  check_prof_unperturbed "shard" (fun sink ->
-      let config =
-        {
-          Shard_vm.default_config with
-          mesh = Mesh.gpu_pod ~n:2 ();
-          mode = Some Engine.Fused;
-          sink;
-        }
-      in
-      let r = Autobatch.run_sharded ~config compiled ~batch:(fib_batch 8) in
-      (r.Shard_vm.outputs, r.Shard_vm.sim_time))
+  check_prof_unperturbed "shard" (run_shard_fib ~mode:Engine.Fused)
 
-let test_prof_off_on_server () =
-  check_prof_unperturbed "server" (fun sink ->
-      let stats = run_server sink in
-      ( List.concat_map
-          (fun c -> Option.get c.Tenant_server.c_outputs)
-          stats.Tenant_server.completions,
-        stats.Tenant_server.makespan ))
+let test_prof_off_on_server () = check_prof_unperturbed "server" run_server_fib
 
 (* ---------- golden folded-stacks export ---------- *)
 
@@ -392,23 +549,20 @@ let golden_prof () =
   s (Obs_sink.Launched
        { kind = Obs_sink.Fused_block; name = "block ?"; t0 = 0.; t1 = 1e-4 });
   s (Obs_sink.Step { shard = 0; step = 1; block = 0 });
-  s (Obs_sink.Occupancy
-       { shard = 0; step = 1; block = 0; active = 4; live = 6; total = 8 });
+  s (occupancy ~step:1 ~block:0 ~active:4 ~live:6 ~total:8 ~width:8 ());
   s (Obs_sink.Launched
        { kind = Obs_sink.Fused_block; name = "block 0"; t0 = 1e-4; t1 = 1.1e-3 });
   s (Obs_sink.Launched
        { kind = Obs_sink.Kernel; name = "transfer"; t0 = 1.1e-3; t1 = 1.2e-3 });
   s (Obs_sink.Step { shard = 0; step = 2; block = 1 });
-  s (Obs_sink.Occupancy
-       { shard = 0; step = 2; block = 1; active = 2; live = 2; total = 8 });
+  s (occupancy ~step:2 ~block:1 ~active:2 ~live:2 ~total:8 ~width:8 ());
   (* The engine advanced 1.2e-3 -> 1.5e-3 without a span: host time. *)
   s (Obs_sink.Launched
        { kind = Obs_sink.Fused_block; name = "block 1"; t0 = 1.5e-3; t1 = 2.5e-3 });
   s (Obs_sink.Collective
        { name = "all_reduce"; bytes = 4096.; t0 = 10.; t1 = 10.3 });
   s (Obs_sink.Step { shard = 0; step = 3; block = 2 });
-  s (Obs_sink.Occupancy
-       { shard = 0; step = 3; block = 2; active = 8; live = 8; total = 8 });
+  s (occupancy ~step:3 ~block:2 ~active:8 ~live:8 ~total:8 ~width:8 ());
   s (Obs_sink.Launched
        { kind = Obs_sink.Fused_block; name = "block 2"; t0 = 2.5e-3; t1 = 2.7e-3 });
   p
@@ -507,8 +661,13 @@ let suites =
         t "occupancy invariant shard" `Quick test_occupancy_invariant_shard;
         t "occupancy invariant server" `Quick test_occupancy_invariant_server;
         t "occupancy feeds the gauge" `Quick test_occupancy_feeds_gauge;
+        t "occupancy gauge" `Quick test_occupancy_gauge;
+        t "gauge compaction" `Quick test_occupancy_gauge_compaction;
+        t "derived prim and stack counts" `Quick test_derived_counts;
+        QCheck_alcotest.to_alcotest prop_derived_counts_exact;
         t "conservation pc" `Quick test_conservation_pc;
         t "conservation shard" `Quick test_conservation_shard;
+        t "conservation local" `Quick test_conservation_local;
         t "profiler off/on pc" `Quick test_prof_off_on_pc;
         t "profiler off/on local" `Quick test_prof_off_on_local;
         t "profiler off/on shard" `Quick test_prof_off_on_shard;

@@ -192,10 +192,30 @@ let test_envelope_rejects_retired_kind () =
         Codec.w_int buf img.Pc_vm.Lanes.li_last;
         Snapshot.w_pc buf img.Pc_vm.Lanes.li_pc;
         Snapshot.w_store buf img.Pc_vm.Lanes.li_store;
-        Codec.w_option Snapshot.w_engine buf None;
-        Codec.w_option Snapshot.w_instrument buf None)
+        Codec.w_option Snapshot.w_engine buf None)
   in
   expect_corrupt "pc-jit-checkpoint blob" (fun () -> Snapshot.decode_pc blob)
+
+(* Version 3 dropped the instrument section of pc checkpoints: a
+   version-2 blob — envelope and payload exactly as that format wrote
+   them, with its empty instrument option — is refused, not misread. *)
+let test_envelope_rejects_v2_pc () =
+  let compiled = Lazy.force fib_compiled in
+  let lanes =
+    Pc_vm.Lanes.create compiled.Autobatch.registry compiled.Autobatch.stack ~z:2
+  in
+  let payload = Buffer.create 256 in
+  Snapshot.w_lanes payload (Pc_vm.Lanes.capture lanes);
+  Codec.w_option Snapshot.w_engine payload None;
+  Codec.w_int payload 0 (* the instrument option: None *);
+  let b = Buffer.create 512 in
+  Buffer.add_string b (String.sub (sample_blob ()) 0 8) (* the magic *);
+  Codec.w_int b 2;
+  Codec.w_string b "pc-vm-checkpoint";
+  Codec.w_string b (Buffer.contents payload);
+  Codec.w_i64 b (Codec.fnv1a64 (Buffer.contents b));
+  expect_corrupt "version-2 pc checkpoint" (fun () ->
+      Snapshot.decode_pc (Buffer.contents b))
 
 (* The request server's checkpoint kind is retired with it (the serving
    runtime checkpoints in memory): such a blob decodes as nothing. *)
@@ -244,7 +264,7 @@ let test_lanes_snapshot_roundtrip () =
   done;
   let img = Pc_vm.Lanes.capture lanes in
   let blob =
-    Snapshot.encode_pc { Snapshot.ck_vm = img; ck_engine = None; ck_instrument = None }
+    Snapshot.encode_pc { Snapshot.ck_vm = img; ck_engine = None }
   in
   let ck = Snapshot.decode_pc blob in
   Alcotest.(check bool) "lanes image survives the wire" true
@@ -278,25 +298,6 @@ let test_engine_snapshot_restores_cost () =
   Engine.charge_kernel e ~name:"mul" ~flops:5e7;
   Alcotest.(check bool) "cost is cumulative after restore" true
     (Engine.elapsed e > elapsed_then)
-
-let test_instrument_image_roundtrip () =
-  let compiled = Lazy.force fib_compiled in
-  let ins = Instrument.create () in
-  ignore
-    (Autobatch.run_pc
-       ~config:{ Pc_vm.default_config with Pc_vm.instrument = Some ins }
-       compiled ~batch:(fib_batch 4));
-  let img = Instrument.capture ins in
-  let buf = Buffer.create 1024 in
-  Snapshot.w_instrument buf img;
-  let r = Codec.reader (Buffer.contents buf) in
-  let img' = Snapshot.r_instrument r in
-  Alcotest.(check int) "instrument fully consumed" 0 (Codec.remaining r);
-  Alcotest.(check bool) "instrument image round trip" true (img = img');
-  let ins' = Instrument.create () in
-  Instrument.restore ins' img';
-  Alcotest.(check bool) "restored instrument re-captures equal" true
-    (Instrument.capture ins' = img)
 
 (* ---------- deterministic recovery: the acceptance criterion ---------- *)
 
@@ -346,26 +347,6 @@ let test_recovery_pc_checkpoints_do_not_perturb () =
   Alcotest.(check bool) "one checkpoint per superstep" true
     (st.Recovery.checkpoints > st.Recovery.useful_supersteps);
   check_bits_tensors "capture is effect-free" base outs
-
-let test_recovery_pc_instrument_identical () =
-  let compiled = Lazy.force fib_compiled in
-  let reg = compiled.Autobatch.registry and stack = compiled.Autobatch.stack in
-  let batch = fib_batch 8 in
-  let run plan =
-    let ins = Instrument.create () in
-    let config = { Pc_vm.default_config with Pc_vm.instrument = Some ins } in
-    let _, st = Recovery.run_pc ~config ~interval:4 ~plan reg stack ~batch in
-    (Instrument.capture ins, st)
-  in
-  let base_img, base_st = run [] in
-  let img, st =
-    run
-      (fault_plan ~seed:3
-         ~horizon:base_st.Recovery.useful_supersteps
-         ~kinds:[ Fault.Device_kill ])
-  in
-  Alcotest.(check bool) "faults fired" true (st.Recovery.restores > 0);
-  Alcotest.(check bool) "instrument gauges bitwise identical" true (img = base_img)
 
 let test_recovery_sharded_bitwise () =
   let compiled = Lazy.force fib_compiled in
@@ -474,6 +455,7 @@ let suites =
         t "rejects future versions" `Quick test_envelope_rejects_version;
         t "rejects the retired pc-jit kind" `Quick test_envelope_rejects_retired_kind;
         t "rejects the retired server kind" `Quick test_envelope_rejects_retired_server_kind;
+        t "rejects a version-2 pc checkpoint" `Quick test_envelope_rejects_v2_pc;
         t "file round trip" `Quick test_file_roundtrip;
       ] );
     ( "resil-images",
@@ -481,13 +463,11 @@ let suites =
         t "stacked image" `Quick test_stacked_image_roundtrip;
         t "lanes snapshot resumes bitwise" `Quick test_lanes_snapshot_roundtrip;
         t "engine snapshot restores cost" `Quick test_engine_snapshot_restores_cost;
-        t "instrument image" `Quick test_instrument_image_roundtrip;
       ] );
     ( "resil-recovery",
       [
         t "pc bitwise with engine" `Quick test_recovery_pc_bitwise;
         t "checkpoints are effect-free" `Quick test_recovery_pc_checkpoints_do_not_perturb;
-        t "instrument identical after recovery" `Quick test_recovery_pc_instrument_identical;
         t "sharded bitwise, localized restore" `Quick test_recovery_sharded_bitwise;
         t "server bitwise under every policy" `Quick
           test_recovery_server_bitwise_all_policies;

@@ -784,10 +784,10 @@ let test_server_rejects_too_wide () =
     (List.map completion_id st.Tenant_server.completions)
 
 let test_server_latency_accounting () =
-  let ins = Instrument.create () in
+  let prof = Obs_prof.create () in
   let st =
     serve
-      (e5_config ~lanes:2 ~sink:(Instrument.observe_occupancy ins) ())
+      (e5_config ~lanes:2 ~sink:(Obs_prof.sink prof) ())
       (List.init 5 (fun id -> fib_item ~id 8.))
   in
   List.iter
@@ -797,8 +797,8 @@ let test_server_latency_accounting () =
       Alcotest.(check bool) "started < finished" true
         (c.Tenant_server.c_started < c.Tenant_server.c_finished))
     st.Tenant_server.completions;
-  let occ = Instrument.mean_occupancy ins in
-  Alcotest.(check bool) "occupancy sampled" true (Instrument.live_samples ins > 0);
+  let occ = Obs_prof.mean_occupancy prof in
+  Alcotest.(check bool) "occupancy sampled" true (Obs_prof.supersteps prof > 0);
   Alcotest.(check bool) "occupancy in (0, 1]" true (occ > 0. && occ <= 1.)
 
 let test_server_closed_loop () =

@@ -31,27 +31,31 @@ let test_dot_stack () =
   Alcotest.(check bool) "push shown" true (contains dot "push fib/n")
 
 let test_block_profile () =
-  let ins = Instrument.create () in
-  let config = { Pc_vm.default_config with instrument = Some ins } in
+  let prof = Obs_prof.create () in
+  let sink = Obs_prof.sink prof in
+  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  Engine.set_sink engine sink;
+  let config = { Pc_vm.default_config with engine = Some engine; sink = Some sink } in
   ignore (Autobatch.run_pc ~config fib_compiled ~batch:[ Tensor.of_list [ 8.; 9. ] ]);
-  let stats = Instrument.block_stats ins in
-  Alcotest.(check bool) "profile populated" true (List.length stats > 0);
+  let rows = Obs_prof.block_rows prof in
+  Alcotest.(check bool) "profile populated" true (List.length rows > 0);
   (* Totals agree with the aggregate counters. *)
-  let execs = List.fold_left (fun acc (_, e, _) -> acc + e) 0 stats in
-  Alcotest.(check int) "execs sum to blocks" (Instrument.blocks_executed ins) execs;
-  (* Sorted by executions descending. *)
+  let steps = List.fold_left (fun acc (r : Obs_prof.block_row) -> acc + r.steps) 0 rows in
+  Alcotest.(check int) "steps sum to supersteps" (Obs_prof.supersteps prof) steps;
+  (* Sorted by charged time descending. *)
   let rec sorted = function
-    | (_, a, _) :: ((_, b, _) :: _ as rest) -> a >= b && sorted rest
+    | (a : Obs_prof.block_row) :: ((b : Obs_prof.block_row) :: _ as rest) ->
+      a.charged >= b.charged && sorted rest
     | _ -> true
   in
-  Alcotest.(check bool) "sorted" true (sorted stats);
+  Alcotest.(check bool) "sorted" true (sorted rows);
   (* Indices are valid blocks of the merged program. *)
   let nb = Array.length fib_compiled.Autobatch.stack.Stack_ir.blocks in
   List.iter
-    (fun (b, _, active) ->
-      Alcotest.(check bool) "block in range" true (b >= 0 && b < nb);
-      Alcotest.(check bool) "active positive" true (active > 0))
-    stats
+    (fun (r : Obs_prof.block_row) ->
+      Alcotest.(check bool) "block in range" true (r.block >= 0 && r.block < nb);
+      Alcotest.(check bool) "active positive" true (r.active_lanes > 0))
+    rows
 
 let test_parse_file () =
   let path = Filename.temp_file "autobatch" ".ab" in

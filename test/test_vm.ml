@@ -1,6 +1,6 @@
-(* Unit tests for the runtime layer: scheduling, instrumentation, stacked
-   storage, and VM-specific behaviours (error handling, input immutability,
-   cost accounting hooks). *)
+(* Unit tests for the runtime layer: scheduling, stacked storage, and
+   VM-specific behaviours (error handling, input immutability, cost
+   accounting hooks). *)
 
 let t = Alcotest.test_case
 
@@ -43,29 +43,6 @@ let prop_sched_picks_nonzero =
       | Some i -> counts.(i) > 0
       | None -> Array.for_all (fun c -> c = 0) counts)
 
-(* ---------- Instrument ---------- *)
-
-let test_instrument () =
-  let ins = Instrument.create () in
-  Instrument.record_prim ins ~name:"grad" ~useful:3 ~issued:8;
-  Instrument.record_prim ins ~name:"grad" ~useful:5 ~issued:8;
-  Alcotest.(check (option (float 1e-12))) "utilization" (Some 0.5)
-    (Instrument.utilization ins ~name:"grad");
-  Alcotest.(check (option (float 1e-12))) "unknown prim" None
-    (Instrument.utilization ins ~name:"mul");
-  Instrument.record_block ins ~active:2 ~batch:4;
-  Instrument.record_block ins ~active:4 ~batch:4;
-  Alcotest.(check (float 1e-12)) "overall" 0.75 (Instrument.overall_utilization ins);
-  Instrument.record_push ins ~lanes:3;
-  Instrument.record_pop ins ~lanes:3;
-  Instrument.record_depth ins 5;
-  Instrument.record_depth ins 2;
-  Alcotest.(check int) "pushes" 1 (Instrument.pushes ins);
-  Alcotest.(check int) "max depth keeps max" 5 (Instrument.max_depth ins);
-  Instrument.reset ins;
-  Alcotest.(check int) "reset" 0 (Instrument.blocks_executed ins);
-  Alcotest.(check (float 0.)) "reset utilization" 1. (Instrument.overall_utilization ins)
-
 (* ---------- Stacked ---------- *)
 
 let test_stacked_basic () =
@@ -92,7 +69,7 @@ let test_stacked_growth () =
     Stacked.push s ~mask:all
   done;
   Alcotest.(check bool) "capacity grew" true (Stacked.capacity s >= 20);
-  Alcotest.(check int) "max depth" 20 (Stacked.max_depth s);
+  Alcotest.(check int) "high water" 20 (Stacked.high_water s);
   (* Pop everything back in LIFO order. *)
   for i = 20 downto 1 do
     Stacked.pop s ~mask:all;
@@ -218,14 +195,15 @@ let test_vm_engine_accounting () =
   Alcotest.(check int) "pc has no host calls" 0 c2.Engine.Counters.host_calls;
   Alcotest.(check bool) "pc fused launches" true (c2.Engine.Counters.fused_launches > 0)
 
-let test_pc_max_depth_instrumented () =
-  let ins = Instrument.create () in
-  let config = { Pc_vm.default_config with instrument = Some ins } in
+let test_pc_max_depth_profiled () =
+  let prof = Obs_prof.create () in
+  let config = { Pc_vm.default_config with sink = Some (Obs_prof.sink prof) } in
   ignore (Autobatch.run_pc ~config fib_compiled ~batch:[ Tensor.of_list [ 10. ] ]);
   (* fib(10) recursion depth is at least 5 pc frames. *)
-  Alcotest.(check bool) "depth recorded" true (Instrument.max_depth ins >= 5);
-  Alcotest.(check int) "pushes balance pops" (Instrument.pushes ins)
-    (Instrument.pops ins)
+  Alcotest.(check bool) "depth recorded" true (Obs_prof.max_depth prof >= 5);
+  let d = Profile.derive (Profile.pc_ops fib_compiled.Autobatch.stack) prof in
+  Alcotest.(check bool) "pushes counted" true (d.Profile.pushes > 0);
+  Alcotest.(check int) "pushes balance pops" d.Profile.pushes d.Profile.pops
 
 let test_pc_shape_change_rejected () =
   (* A program whose variable changes element shape across writes must be
@@ -262,7 +240,6 @@ let suites =
         t "round robin" `Quick test_sched_round_robin;
         QCheck_alcotest.to_alcotest prop_sched_picks_nonzero;
       ] );
-    ("instrument", [ t "counters and utilization" `Quick test_instrument ]);
     ( "stacked",
       [
         t "masked push/pop" `Quick test_stacked_basic;
@@ -279,7 +256,7 @@ let suites =
         t "partial active set" `Quick test_vm_partial_active;
         t "step limits" `Quick test_vm_step_limit;
         t "engine accounting" `Quick test_vm_engine_accounting;
-        t "pc depth instrumented" `Quick test_pc_max_depth_instrumented;
+        t "pc depth instrumented" `Quick test_pc_max_depth_profiled;
         t "shape changes rejected" `Quick test_pc_shape_change_rejected;
       ] );
   ]
@@ -357,8 +334,9 @@ let test_lanes_lazy_restore () =
     (fun a b -> Alcotest.(check bool) "outputs bitwise" true (Tensor.equal a b))
     outs outs'
 
-(* The engine charges and instrument counts of fib, pinned to the values
-   the per-step interpreter produced before blocks were pre-resolved. The
+(* The engine charges and lane counts of fib, pinned to the values the
+   per-step interpreter produced before blocks were pre-resolved (the
+   lane counts read off a profiler and the program's op table). The
    naive arm also prices the O4 gathers and O5 pop+push writes.
    Statically shaped and lazily allocated builds must agree. *)
 let accounting_cases () =
@@ -381,7 +359,8 @@ let accounting_cases () =
   ]
 
 (* Runs every case on both builds and hands [check] the label maker, the
-   case's expected values, and the engine and instrument of the run. *)
+   case's expected values, the engine, and the profiler of the run with
+   the counts derived from it. *)
 let each_accounting_run check =
   let lazy_compiled = Autobatch.compile Test_programs.fib in
   List.iter
@@ -389,10 +368,13 @@ let each_accounting_run check =
       List.iter
         (fun (name, config, engine, batch, charges, counts) ->
           let label what = Printf.sprintf "%s %s: %s" build name what in
-          let engine = engine () and ins = Instrument.create () in
-          let config = { config with Pc_vm.engine = Some engine; instrument = Some ins } in
+          let engine = engine () and prof = Obs_prof.create () in
+          let config =
+            { config with Pc_vm.engine = Some engine; sink = Some (Obs_prof.sink prof) }
+          in
           ignore (Autobatch.run_pc ~config compiled ~batch:[ Tensor.of_list batch ]);
-          check label charges counts engine ins)
+          let derived = Profile.derive (Profile.pc_ops compiled.Autobatch.stack) prof in
+          check label charges counts engine (prof, derived))
         (accounting_cases ()))
     [ ("static", fib_compiled); ("lazy", lazy_compiled) ]
 
@@ -409,16 +391,15 @@ let test_lanes_engine_golden () =
       Alcotest.(check (float 0.)) (label "elapsed") elapsed
         c.Engine.Counters.elapsed_seconds)
 
-let test_lanes_instrument_golden () =
+let test_lanes_counts_golden () =
   each_accounting_run
-    (fun label _ (ins_blocks, pushes, pops, depth, util) _ ins ->
-      Alcotest.(check int) (label "instrument blocks") ins_blocks
-        (Instrument.blocks_executed ins);
-      Alcotest.(check int) (label "pushes") pushes (Instrument.pushes ins);
-      Alcotest.(check int) (label "pops") pops (Instrument.pops ins);
-      Alcotest.(check int) (label "max depth") depth (Instrument.max_depth ins);
+    (fun label _ (steps, pushes, pops, depth, util) _ (prof, derived) ->
+      Alcotest.(check int) (label "supersteps") steps (Obs_prof.supersteps prof);
+      Alcotest.(check int) (label "pushes") pushes derived.Profile.pushes;
+      Alcotest.(check int) (label "pops") pops derived.Profile.pops;
+      Alcotest.(check int) (label "max depth") depth (Obs_prof.max_depth prof);
       Alcotest.(check (float 0.)) (label "utilization") util
-        (Instrument.overall_utilization ins))
+        (Obs_prof.utilization prof))
 
 let lanes_suite =
   ( "pc-lanes",
@@ -426,7 +407,7 @@ let lanes_suite =
       t "reusable over load/retire" `Quick test_lanes_reusable;
       t "lazy restore drops late vars" `Quick test_lanes_lazy_restore;
       t "engine accounting golden" `Quick test_lanes_engine_golden;
-      t "instrumentation golden" `Quick test_lanes_instrument_golden;
+      t "instrumentation golden" `Quick test_lanes_counts_golden;
     ] )
 
 (* ---------- the program-counter stack itself ---------- *)
@@ -443,7 +424,7 @@ let test_pc_stack_growth () =
     Pc_vm.Pc_stack.push s ~mask:all
   done;
   Alcotest.(check bool) "capacity grew" true (s.Pc_vm.Pc_stack.cap >= 21);
-  Alcotest.(check int) "max depth" 21 (Pc_vm.Pc_stack.max_depth s);
+  Alcotest.(check int) "high water" 21 s.Pc_vm.Pc_stack.high;
   (* Unwind member 1 alone; its frames come back in LIFO order while the
      other members' stacks are untouched. *)
   for depth = 20 downto 1 do
@@ -562,38 +543,7 @@ let test_lanes_input_mismatch () =
     check_f "lane 0 second input" 1. (Tensor.get y' [||])
   | _ -> Alcotest.fail "two outputs expected"
 
-(* ---------- the live-lane occupancy gauge and engine counters ---------- *)
-
-let test_occupancy_gauge () =
-  let ins = Instrument.create () in
-  check_f "no samples reads full" 1. (Instrument.mean_occupancy ins);
-  for _ = 1 to 10 do
-    Instrument.record_live ins ~live:2 ~lanes:4
-  done;
-  check_f "mean over samples" 0.5 (Instrument.mean_occupancy ins);
-  Alcotest.(check int) "samples counted" 10 (Instrument.live_samples ins);
-  let series = Instrument.occupancy_series ins in
-  Alcotest.(check bool) "series non-empty" true (List.length series > 0);
-  List.iter (fun (_, occ) -> check_f "bucket occupancy" 0.5 occ) series
-
-let test_occupancy_gauge_compaction () =
-  let ins = Instrument.create () in
-  (* Twice the bucket budget of samples: the gauge must downsample, keep
-     the step axis anchored at the start, and preserve the mean. *)
-  for i = 1 to 1024 do
-    Instrument.record_live ins ~live:(if i <= 512 then 4 else 0) ~lanes:4
-  done;
-  let series = Instrument.occupancy_series ins in
-  Alcotest.(check bool) "bounded" true (List.length series <= 256);
-  (match series with
-  | (first_step, first_occ) :: _ ->
-    Alcotest.(check int) "anchored at step 0" 0 first_step;
-    check_f "early buckets full" 1. first_occ
-  | [] -> Alcotest.fail "empty series");
-  check_f "mean preserved" 0.5 (Instrument.mean_occupancy ins);
-  match List.rev series with
-  | (_, last_occ) :: _ -> check_f "late buckets empty" 0. last_occ
-  | [] -> ()
+(* ---------- engine lane counters ---------- *)
 
 let test_engine_refill_retire_counters () =
   let e = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
@@ -620,11 +570,7 @@ let serve_suites =
         t "input mismatch" `Quick test_lanes_input_mismatch;
       ] );
     ( "serve-instrument",
-      [
-        t "occupancy gauge" `Quick test_occupancy_gauge;
-        t "gauge compaction" `Quick test_occupancy_gauge_compaction;
-        t "engine refill/retire counters" `Quick test_engine_refill_retire_counters;
-      ] );
+      [ t "engine refill/retire counters" `Quick test_engine_refill_retire_counters ] );
   ]
 
 let suites = suites @ [ lanes_suite; pc_stack_suite ] @ serve_suites
