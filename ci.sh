@@ -3,7 +3,8 @@
 #
 #   ./ci.sh         # build, fast test tier, then the bench gates:
 #                   # observe, fuse, sched, tenant, serve, resil, regress,
-#                   # eff; then a format check if .ocamlformat exists
+#                   # the paper-figures golden, eff; then a format check
+#                   # if .ocamlformat exists
 #   ./ci.sh --fast  # same (the default tier, spelled out)
 #   ./ci.sh --full  # same, but the complete test suite instead of the fast
 #                   # tier, and the observe/tenant/eff gates at full size
@@ -115,6 +116,18 @@ dune exec bench/main.exe -- resil
 # regressed against the committed BENCH_observe.json baseline.
 step "bench regress"
 dune exec bench/main.exe -- regress
+
+# The paper's numbers are a contract: Figures 5-6 and the ablation
+# tables are priced on the simulated clock, so host-side changes (such as
+# the program-counter VM computing only the active rows of flop-heavy
+# primitives) must leave them byte-identical. The stages' wall-time
+# trailer lines are dropped before the diff against the committed golden
+# (regenerate it deliberately with the same pipeline).
+step "paper figures golden"
+figures=$(mktemp)
+trap 'rm -f "$figures"' EXIT
+dune exec bench/main.exe -- figure5 figure6 ablations >"$figures"
+grep -v '^\[[a-z0-9]*\] wall ' "$figures" | diff -u test/figures_golden.txt -
 
 # The handler-DSL frontend must elaborate to exactly the programs the
 # hand-written models used to be: the eff stage exits nonzero unless

@@ -33,7 +33,13 @@ type t = {
   batched : members:int array -> Tensor.t list -> Tensor.t;
       (** Batched execution. [members.(i)] is the global batch-member index
           of row [i] (identity under masking; the gathered indices under
-          gather/scatter execution). *)
+          gather/scatter execution). Must be row-separable: output row [i]
+          depends only on row [i] of each argument and on [members.(i)],
+          bitwise. Both batching runtimes rely on it: {!Local_vm}'s
+          gather/scatter style, and {!Pc_vm}, which calls a flop-heavy
+          primitive on the active rows only, run [batched] on a gathered
+          subset of rows and expect exactly the rows the full-width call
+          would give. *)
   single : member:int -> Tensor.t list -> Tensor.t;
       (** Single-example execution for batch member [member]. *)
 }

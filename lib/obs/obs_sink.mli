@@ -57,10 +57,13 @@ type event =
           [active] are executing the scheduled [block] (the rest of the
           live lanes are masked off — divergence waste; [total - live] is
           idle/drain waste). Invariant: [0 <= active <= live <= total].
-          [width] is the lane count every operation of the block is
-          issued over: [total] under masking, [active] when the runtime
-          gathers the active rows ([Local_vm]'s [Gather_scatter], and
-          [Adaptive] below its threshold). [depth] is the runtime's stack
+          [width] is the simulated issue width: the lane count every
+          operation of the block is priced over: [total] under masking,
+          [active] when the runtime prices gathering the active rows
+          ([Local_vm]'s [Gather_scatter], and [Adaptive] below its
+          threshold). [Pc_vm] reports [total] even when its host computes
+          a flop-heavy primitive on the active rows only: the engine
+          still prices the paper's full-width masked execution. [depth] is the runtime's stack
           depth so far: the deepest pc or variable stack for the
           program-counter runtimes, the host-recursion frame depth for
           [Local_vm]. These are the only lane counts that cannot be

@@ -137,6 +137,7 @@ type binding = {
   mutable b_draining : bool;
   mutable b_ckpt : ckpt;
   mutable b_since : int;           (* rounds since the last checkpoint *)
+  mutable b_stepped : int;         (* supersteps since the last checkpoint *)
   mutable b_admitted_since : Admission.item list;  (* newest first *)
   mutable b_done_since : completion list;          (* newest first *)
   mutable b_force_ckpt : bool;
@@ -349,6 +350,7 @@ let run ?config ?on_complete src =
     flush_done b;
     b.b_ckpt <- capture_ckpt s b;
     b.b_since <- 0;
+    b.b_stepped <- 0;
     b.b_admitted_since <- [];
     b.b_force_ckpt <- false;
     incr checkpoints;
@@ -372,8 +374,11 @@ let run ?config ?on_complete src =
     b.b_flight <-
       List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_ckpt.k_flight;
     b.b_draining <- b.b_ckpt.k_draining;
-    wasted := !wasted + b.b_since;
+    (* The checkpoint predates every superstep stepped since, including
+       one stepped in the round it was taken. *)
+    wasted := !wasted + b.b_stepped;
     b.b_since <- 0;
+    b.b_stepped <- 0;
     b.b_force_ckpt <- false;
     incr restores;
     ops_span "restore";
@@ -409,6 +414,7 @@ let run ?config ?on_complete src =
             k_draining = false;
           };
         b_since = 0;
+        b_stepped = 0;
         b_admitted_since = [];
         b_done_since = [];
         b_force_ckpt = false;
@@ -1060,7 +1066,7 @@ let run ?config ?on_complete src =
       (fun s ->
         match s.s_b with
         | Some b when Pc_vm.Lanes.live_count b.b_lanes > 0 ->
-          ignore (Pc_vm.Lanes.step b.b_lanes)
+          if Pc_vm.Lanes.step b.b_lanes then b.b_stepped <- b.b_stepped + 1
         | _ -> ())
       shards;
     (try Fault.tick injector

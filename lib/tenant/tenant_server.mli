@@ -129,7 +129,7 @@ type stats = {
   shrinks : int;
   checkpoints : int;
   restores : int;
-  wasted_rounds : int;  (** re-executed after restores *)
+  wasted_rounds : int;  (** supersteps restores rolled back (re-executed) *)
   peak_active : int;    (** most simultaneously active shards *)
   counters : Engine.Counters.t;  (** merged across every shard engine *)
 }

@@ -129,8 +129,18 @@ end
    when the program was compiled without input shapes (lazy allocation). *)
 type storage = Reg of Tensor.t | Msk of Tensor.t | Stk of Stacked.t
 
+let storage_elem = function
+  | Reg r | Msk r -> Vm_util.elem_shape_of_batched r
+  | Stk s -> Stacked.elem s
+
 (* Initial capacity of the pc stack and of every variable stack. *)
 let initial_depth = 4
+
+(* On a masked superstep, a primitive op computes only the active rows
+   when its flops per row are at least this multiple of the elements it
+   moves per row (arguments plus result): below it, gathering and
+   scattering the rows costs about what the skipped rows would. *)
+let gather_ratio = 16.
 
 let batch_size batch =
   match batch with
@@ -156,11 +166,16 @@ let slot_of names v =
   in
   go 0 (Array.length names)
 
+(* How a primitive op runs on the host when some lanes are masked off:
+   on every row, or on the active rows only. The engine prices full
+   width either way. *)
+type rows = Undecided | All_rows | Active_rows
+
 (* A block with its variables resolved to slots, its primitives looked up
    and its constants broadcast to the pool's width. [cond] is the slot of
    the terminator's branch condition, if it has one. *)
 type op =
-  | Prim of { dst : int; args : int list; impl : Prim.t }
+  | Prim of { dst : int; args : int list; impl : Prim.t; mutable rows : rows }
   | Const of { dst : int; value : Tensor.t }
   | Mov of { dst : int; src : int }
   | Push of int
@@ -172,7 +187,9 @@ let resolve names reg ~z (b : Stack_ir.block) =
   let slot = slot_of names in
   let op : Stack_ir.op -> op = function
     | Stack_ir.Sprim { dst; prim; args } ->
-      Prim { dst = slot dst; args = List.map slot args; impl = Prim.find_exn reg prim }
+      Prim
+        { dst = slot dst; args = List.map slot args; impl = Prim.find_exn reg prim;
+          rows = Undecided }
     | Stack_ir.Sconst { dst; value } ->
       Const { dst = slot dst; value = Tensor.broadcast_rows value z }
     | Stack_ir.Smov { dst; src } -> Mov { dst = slot dst; src = slot src }
@@ -216,6 +233,11 @@ module Lanes = struct
     mask : bool array;       (* lanes the current block runs on *)
     active : int array;      (* their indices, the first [n_active] *)
     mutable n_active : int;
+    (* The active lanes and their member ids as exact-length arrays, for
+       the primitives that gather; built at most once per superstep. *)
+    mutable gathered : bool;
+    mutable gather_idx : int array;
+    mutable gather_members : int array;
     tables : Sched_policy.tables option;  (* for the table-driven policies *)
     mutable last : int;
     mutable steps : int;
@@ -246,27 +268,38 @@ module Lanes = struct
 
   let read t v = read_slot t (slot t v)
 
-  let check_shape t k cur_shape out =
-    if not (Shape.equal cur_shape (Tensor.shape out)) then
+  let check_shape t k cur_shape shape =
+    if not (Shape.equal cur_shape shape) then
       invalid_arg
         (Printf.sprintf "Pc_vm: variable %s changes shape from %s to %s" t.names.(k)
-           (Shape.to_string cur_shape)
-           (Shape.to_string (Tensor.shape out)))
+           (Shape.to_string cur_shape) (Shape.to_string shape))
 
   let write t k out =
     match materialize t k (Vm_util.elem_shape_of_batched out) with
     | Reg r ->
-      check_shape t k (Tensor.shape r) out;
+      check_shape t k (Tensor.shape r) (Tensor.shape out);
       (* Copy, never alias: [out] may be another variable's storage (a
          register move), and that storage is mutated in place by later
          masked writes. *)
       Array.blit (Tensor.data out) 0 (Tensor.data r) 0 (Tensor.numel out)
     | Msk r ->
-      check_shape t k (Tensor.shape r) out;
+      check_shape t k (Tensor.shape r) (Tensor.shape out);
       Tensor.blit_rows_masked ~mask:t.mask ~src:out ~dst:r
     | Stk s ->
-      check_shape t k (Tensor.shape (Stacked.top s)) out;
+      check_shape t k (Tensor.shape (Stacked.top s)) (Tensor.shape out);
       Stacked.write_top_masked s ~mask:t.mask out
+
+  (* Write [out], one row per active lane, into those lanes' rows. The
+     other rows keep their values, so a register's inactive rows hold a
+     stale value instead of a discarded one — unread either way, since
+     a register never lives past its block. *)
+  let scatter t k out =
+    let elem = Vm_util.elem_shape_of_batched out and idx = t.gather_idx in
+    let s = materialize t k elem in
+    check_shape t k (storage_elem s) elem;
+    match s with
+    | Reg r | Msk r -> Tensor.blit_rows_indexed ~idx ~src:out ~dst:r
+    | Stk st -> Stacked.write_top_indexed st ~idx out
 
   let stacked t k what =
     match t.slots.(k) with
@@ -277,9 +310,41 @@ module Lanes = struct
     | None ->
       invalid_arg (Printf.sprintf "Pc_vm: %s of unwritten variable %s" what t.names.(k))
 
+  (* How a primitive op writing [dst] from [args] (all read, so
+     allocated) runs on masked supersteps. Once the destination is
+     allocated too, its shapes cannot change, so the answer is final. *)
+  let rows_of t ~dst ~args impl =
+    match t.slots.(dst) with
+    | None -> Undecided
+    | Some d ->
+      let args = List.map (fun k -> storage_elem (Option.get t.slots.(k))) args in
+      let moved =
+        List.fold_left (fun n e -> n + Shape.numel e) (Shape.numel (storage_elem d)) args
+      in
+      if impl.Prim.flops args >= gather_ratio *. float_of_int moved then Active_rows
+      else All_rows
+
+  let gather_lanes t =
+    if not t.gathered then begin
+      t.gather_idx <- Array.sub t.active 0 t.n_active;
+      t.gather_members <- Array.map (fun b -> t.members.(b)) t.gather_idx;
+      t.gathered <- true
+    end
+
   let exec_op t = function
-    | Prim { dst; args; impl } ->
-      write t dst (impl.Prim.batched ~members:t.members (List.map (read_slot t) args))
+    | Prim p ->
+      let args = List.map (read_slot t) p.args in
+      let masked = t.n_active < t.z in
+      if masked && p.rows = Undecided then
+        p.rows <- rows_of t ~dst:p.dst ~args:p.args p.impl;
+      if masked && p.rows = Active_rows then begin
+        gather_lanes t;
+        let idx = t.gather_idx in
+        scatter t p.dst
+          (p.impl.Prim.batched ~members:t.gather_members
+             (List.map (fun a -> Tensor.take_rows a idx) args))
+      end
+      else write t p.dst (p.impl.Prim.batched ~members:t.members args)
     | Const { dst; value } -> write t dst value
     | Mov { dst; src } -> write t dst (read_slot t src)
     | Push k -> Stacked.push (stacked t k "push") ~mask:t.mask
@@ -330,11 +395,7 @@ module Lanes = struct
       | None ->
         invalid_arg (Printf.sprintf "Pc_vm: read of unwritten variable %s" t.names.(k))
     in
-    let elem k =
-      match stored k with
-      | Reg r | Msk r -> Vm_util.elem_shape_of_batched r
-      | Stk s -> Stacked.elem s
-    in
+    let elem k = storage_elem (stored k) in
     let row k = Shape.numel (elem k) in
     let read k =
       match stored k with
@@ -356,7 +417,7 @@ module Lanes = struct
     in
     Array.iter
       (function
-        | Prim { dst; args; impl } ->
+        | Prim { dst; args; impl; _ } ->
           List.iter read args;
           write dst;
           charge impl.Prim.name (impl.Prim.flops (List.map elem args) *. float_of_int z)
@@ -413,6 +474,9 @@ module Lanes = struct
         mask = Array.make z false;
         active = Array.make z 0;
         n_active = 0;
+        gathered = false;
+        gather_idx = [||];
+        gather_members = [||];
         tables =
           (if Sched_policy.needs_tables config.sched then
              Some (Sched_cost.stack_tables ~registry:reg p)
@@ -785,6 +849,7 @@ module Lanes = struct
         end
       done;
       t.n_active <- !n;
+      t.gathered <- false;
       let (b : block) = t.blocks.(i) in
       for j = 0 to Array.length b.ops - 1 do
         exec_op t b.ops.(j)

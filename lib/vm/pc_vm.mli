@@ -10,8 +10,22 @@
     be a single non-recursive loop compilable to an XLA-style device
     program (Figure 5).
 
-    Execution is masking-style (all lanes computed, inactive results
-    discarded), matching the paper's static-shape target platforms.
+    Pricing is masking-style: the engine charges every block as if all
+    lanes were computed and the inactive results discarded, matching the
+    paper's static-shape target platforms, and the [Occupancy] event
+    reports that full [width]. Host execution may differ per primitive
+    op. On a superstep that masks lanes off, an op whose flops per row
+    are at least 16 times the elements it moves per row (arguments plus
+    result) gathers the active rows ({!Tensor.take_rows}), calls
+    [batched] with [members] set to those lanes' member ids, and
+    scatters the result into the active rows of its storage; every other
+    op, and every superstep with all lanes active, computes the full
+    width. Each op decides once, on its first execution that finds its
+    destination allocated, from shapes that cannot change afterwards.
+    Row-separable primitives ({!Prim.t}) make the two styles bitwise
+    equal on every row a lane can read, so the choice changes host work
+    and nothing else: outputs, the simulated clock and every sink event
+    are the same either way.
 
     The interpretive work is done once per lane pool, in {!Lanes.create}:
     every variable is resolved to a storage slot, every block's operands
@@ -102,8 +116,8 @@ end
 
     A lane is one batch slot. Lanes are individually [load]ed with a
     request's inputs and RNG member identity, advance together one
-    scheduled basic block per {!Lanes.step} (masking-style over the whole
-    width), and are individually [retire]d the moment their program
+    scheduled basic block per {!Lanes.step} (priced masking-style over
+    the whole width), and are individually [retire]d the moment their program
     counter hits halt — the VM-level mechanism that lets a serving layer
     refill early-finishing lanes mid-run instead of padding out the batch
     until its slowest member drains.

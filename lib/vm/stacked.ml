@@ -31,6 +31,9 @@ let top t = t.top
 let write_top_masked t ~mask value =
   Tensor.blit_rows_masked ~mask ~src:value ~dst:t.top
 
+let write_top_indexed t ~idx value =
+  Tensor.blit_rows_indexed ~idx ~src:value ~dst:t.top
+
 let grow t =
   let cap' = t.cap * 2 in
   let data' = Array.make (cap' * t.z * t.row) 0. in

@@ -24,6 +24,10 @@ val top : t -> Tensor.t
 val write_top_masked : t -> mask:bool array -> Tensor.t -> unit
 (** Replace the top value of the masked members ([value] is full-width). *)
 
+val write_top_indexed : t -> idx:int array -> Tensor.t -> unit
+(** Replace the top value of members [idx]: row [i] of [value] goes to
+    member [idx.(i)]. *)
+
 val push : t -> mask:bool array -> unit
 (** Duplicate the masked members' tops (save a frame). *)
 

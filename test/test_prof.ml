@@ -404,6 +404,58 @@ let prop_derived_counts_exact =
         ];
       true)
 
+(* What the profiler reports once the host gathers. NUTS on logistic
+   regression runs [grad] on the active rows only (its flops per row
+   dwarf the elements it moves), so a counting wrapper sees exactly the
+   derived *useful* lanes, while the derived *issued* lanes stay the full
+   width the engine prices: z per call. *)
+let test_grad_rows_pinned () =
+  let model = Logistic_model.model ~n:24 ~dim:4 () in
+  let reg, _ = Nuts_dsl.setup ~model () in
+  let grad = Prim.find_exn reg "grad" in
+  let calls = ref 0 and rows = ref 0 in
+  Prim.register reg
+    {
+      grad with
+      Prim.batched =
+        (fun ~members args ->
+          incr calls;
+          rows := !rows + Array.length members;
+          grad.Prim.batched ~members args);
+    };
+  let q0 = Tensor.zeros [| 4 |] in
+  let eps = Nuts.find_reasonable_eps ~model ~q0 () in
+  let compiled =
+    Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model)
+      (Nuts_dsl.program
+         ~params:(Nuts_dsl.params_of_config (Nuts.default_config ~eps ()))
+         ())
+  in
+  let z = 8 in
+  let prof = Obs_prof.create () in
+  ignore
+    (Autobatch.run_pc
+       ~config:{ Pc_vm.default_config with sink = Some (Obs_prof.sink prof) }
+       compiled
+       ~batch:(Nuts_dsl.inputs ~q0 ~eps ~n_iter:3 ~n_burn:0 ~batch:z ()));
+  let d = Profile.prim (Profile.derive (Profile.pc_ops compiled.Autobatch.stack) prof) "grad" in
+  Alcotest.(check int) "calls" !calls d.Profile.calls;
+  Alcotest.(check int) "host rows = useful lanes" !rows d.Profile.useful;
+  Alcotest.(check int) "issued lanes = z x calls" (z * !calls) d.Profile.issued;
+  Alcotest.(check bool) "some calls gathered" true (d.Profile.useful < d.Profile.issued)
+
+(* Figure 6's gradient utilization is priced at full width, so active-row
+   host execution leaves it where it was (the literal predates it). At
+   dim 20 the correlated Gaussian's [grad] gathers. *)
+let test_figure6_util_pinned () =
+  match (Figure6.run ~dim:20 ~batch_sizes:[ 8 ] ~n_iter:3 ()).Figure6.points with
+  | [ p ] ->
+    Alcotest.(check (float 0.)) "pc grad utilization" 0x1.3cf3cf3cf3cf4p-1
+      p.Figure6.pc_util;
+    Alcotest.(check (float 0.)) "local grad utilization" 0x1.5e50d79435e51p-2
+      p.Figure6.local_util
+  | _ -> Alcotest.fail "one point expected"
+
 (* ---------- attribution: conservation against the engine clock ---------- *)
 
 let check_conservation name total prof =
@@ -665,6 +717,8 @@ let suites =
         t "gauge compaction" `Quick test_occupancy_gauge_compaction;
         t "derived prim and stack counts" `Quick test_derived_counts;
         QCheck_alcotest.to_alcotest prop_derived_counts_exact;
+        t "grad host rows = useful lanes" `Quick test_grad_rows_pinned;
+        t "figure 6 utilization pinned" `Quick test_figure6_util_pinned;
         t "conservation pc" `Quick test_conservation_pc;
         t "conservation shard" `Quick test_conservation_shard;
         t "conservation local" `Quick test_conservation_local;

@@ -483,6 +483,85 @@ let prop_migration_vector_differential =
   QCheck.Test.make ~name:"vector programs: migration matrix stays bitwise"
     ~count:30 arb_vector_program migration_runs_agree
 
+(* Active-row differential: a copy of the standard registry whose every
+   primitive claims huge flops, with the same [batched]/[single], makes
+   the program-counter VM gather every primitive op on every masked
+   superstep. Its outputs must equal the plain registry's [run_pc] and
+   the reference interpreter bitwise — and stay so under every policy,
+   under Sched_vm with and without migration, and on a one-shard
+   Tenant_server (the matrix compares each against the gathered pc
+   baseline). *)
+let inflated_registry reg =
+  let out = Prim.copy reg in
+  List.iter
+    (fun name ->
+      let p = Prim.find_exn reg name in
+      Prim.register out { p with Prim.flops = (fun ss -> 1e9 +. p.Prim.flops ss) })
+    (Prim.names reg);
+  out
+
+let gathered_runs_agree prog =
+  let reg = Prim.standard () in
+  match Validate.check_program reg prog with
+  | Error msgs ->
+    QCheck.Test.fail_reportf "generator produced invalid program: %s"
+      (String.concat "; " msgs)
+  | Ok () ->
+    let input_shapes = [ Shape.scalar; Shape.scalar ] in
+    let plain = Autobatch.compile ~registry:reg ~input_shapes prog in
+    let gathered =
+      Autobatch.compile ~registry:(inflated_registry reg) ~input_shapes prog
+    in
+    let reference =
+      List.init 5 (fun b ->
+          Autobatch.run_single plain ~member:b
+            ~args:(List.map (fun t -> Tensor.slice_row t b) batch_inputs))
+    in
+    let baseline = Autobatch.run_pc plain ~batch:batch_inputs in
+    let got = Autobatch.run_pc gathered ~batch:batch_inputs in
+    let check label outputs =
+      List.iteri
+        (fun b per_member ->
+          List.iteri
+            (fun i expect ->
+              if not (Tensor.equal expect (Tensor.slice_row (List.nth outputs i) b)) then
+                QCheck.Test.fail_reportf
+                  "%s disagrees with interpreter on member %d output %d\nprogram:\n%s"
+                  label b i (print_program prog))
+            per_member)
+        reference
+    in
+    check "gathered pc" got;
+    (* Without temporaries, primitive results land in masked and stacked
+       storage too, not only in registers. *)
+    check "gathered pc, no stack optimizations"
+      (Autobatch.run_pc
+         (Autobatch.compile ~registry:(inflated_registry reg)
+            ~options:{ Lower_stack.detect_temporaries = false; save_live_only = false }
+            ~input_shapes prog)
+         ~batch:batch_inputs);
+    if not (List.for_all2 Tensor.equal baseline got) then
+      QCheck.Test.fail_reportf "gathered pc disagrees with plain pc\nprogram:\n%s"
+        (print_program prog);
+    (match Sched_sweep.failures (Sched_sweep.bitwise_matrix gathered ~batch:batch_inputs) with
+    | [] -> true
+    | bad ->
+      QCheck.Test.fail_reportf "gathered matrix bitwise failures: %s\nprogram:\n%s"
+        (String.concat ", "
+           (List.map
+              (fun (c : Sched_sweep.check) ->
+                Printf.sprintf "%s/%s/%s" c.Sched_sweep.c_runtime c.c_policy c.c_plan)
+              bad))
+        (print_program prog))
+
+let prop_gathered_differential =
+  QCheck.Test.make ~name:"random programs: active-row execution stays bitwise"
+    ~count:40 arb_program gathered_runs_agree
+
+let prop_gathered_vector_differential =
+  QCheck.Test.make ~name:"vector programs: active-row execution stays bitwise"
+    ~count:30 arb_vector_program gathered_runs_agree
+
 let suites =
   [
     ( "random-programs",
@@ -493,5 +572,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_fused_vector_differential;
         QCheck_alcotest.to_alcotest prop_migration_differential;
         QCheck_alcotest.to_alcotest prop_migration_vector_differential;
+        QCheck_alcotest.to_alcotest prop_gathered_differential;
+        QCheck_alcotest.to_alcotest prop_gathered_vector_differential;
       ] );
   ]

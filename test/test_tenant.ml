@@ -522,6 +522,50 @@ let test_server_kill_recovers_bitwise () =
     (st.Tenant_server.wasted_rounds > 0);
   check_all_solo "kill" st
 
+(* [wasted_rounds] counts exactly the supersteps restores rolled back.
+   The shard's [Step] events carry its lane pool's step counter, which a
+   restore rewinds, so on one binding the last event's step is the
+   useful work and every other event was re-executed (the reading
+   Harness.Resilience uses). A checkpoint is taken before its round's
+   superstep, so even at interval 1 each restore of a shard that stepped
+   rolls one back. *)
+let test_server_wasted_rounds_match_steps () =
+  List.iter
+    (fun interval ->
+      let steps = ref 0 and useful = ref 0 in
+      let sink = function
+        | Obs_sink.Step { step; _ } ->
+          incr steps;
+          useful := step
+        | _ -> ()
+      in
+      let config =
+        {
+          (Tenant_server.default_config ~mesh:(default_mesh 1)) with
+          Tenant_server.lanes_per_shard = 4;
+          preempt = false;
+          checkpoint_interval = interval;
+          faults =
+            List.map
+              (fun superstep -> { Fault.superstep; device = 0; kind = Fault.Device_kill })
+              [ 5; 6; 11; 12; 30 ];
+          sink = Some sink;
+        }
+      in
+      let st =
+        Tenant_server.run ~config
+          (Tenant_server.source_of_list
+             (List.init 6 (fun i -> mk_item ~tenant:(mk_tenant 0) ~id:i ~n:(12 + i) ())))
+      in
+      let label = Printf.sprintf "interval %d" interval in
+      Alcotest.(check int) (label ^ ": every kill restored") 5 st.Tenant_server.restores;
+      Alcotest.(check int) (label ^ ": wasted = replayed steps") (!steps - !useful)
+        st.Tenant_server.wasted_rounds;
+      Alcotest.(check bool) (label ^ ": restores waste work") true
+        (st.Tenant_server.wasted_rounds >= st.Tenant_server.restores);
+      check_all_solo label st)
+    [ 1; 3; 0 ]
+
 let test_server_kill_replay_deterministic () =
   let fingerprint (st : Tenant_server.stats) =
     ( st.Tenant_server.rounds,
@@ -983,6 +1027,7 @@ let suites =
         t "preemption is bitwise invisible" `Quick test_server_preemption_bitwise;
         t "device kill recovers bitwise" `Quick test_server_kill_recovers_bitwise;
         t "kill replay is deterministic" `Quick test_server_kill_replay_deterministic;
+        t "wasted rounds = replayed steps" `Quick test_server_wasted_rounds_match_steps;
         t "malformed inputs rejected at ingest" `Quick test_server_rejects_malformed_inputs;
       ] );
     ( "tenant-load",

@@ -592,6 +592,125 @@ let prop_prim_elementwise =
              || QCheck.Test.fail_reportf "%s differs" name)
            prim_binary)
 
+(* Row-separability oracle: every primitive's batched form computes row
+   [i] from row [i] of each argument and [members.(i)] alone. Both
+   batching runtimes rely on it — Local_vm's gather/scatter style and the
+   program-counter VM's active-row execution run [batched] on a gathered
+   subset of rows — so the gathered call must equal the matching rows of
+   the full call, bitwise, NaN payloads and junk counters included. *)
+
+let gen_rows z elem = gen_tensor (Array.append [| z |] elem)
+
+(* Draw counters as junk lanes carry them: small counts, and anything. *)
+let gen_counters z =
+  QCheck.Gen.(
+    array_repeat z
+      (frequency [ (2, map float_of_int (int_range 0 40)); (1, gen_float) ])
+    >|= Tensor.create [| z |])
+
+let gen_vec_rows ?(min = 0) z =
+  QCheck.Gen.(int_range min 4 >>= fun d -> gen_rows z [| d |])
+
+let standard_row_args : (string * (int -> Tensor.t list QCheck.Gen.t)) list =
+  let open QCheck.Gen in
+  let unary z = gen_out_shape >>= gen_rows z >|= fun a -> [ a ] in
+  let binary z =
+    gen_out_shape >>= fun e ->
+    pair (gen_operand_shape e) (gen_operand_shape e) >>= fun (ea, eb) ->
+    pair (gen_rows z ea) (gen_rows z eb) >|= fun (a, b) -> [ a; b ]
+  in
+  let select z =
+    gen_out_shape >>= fun e ->
+    triple (gen_operand_shape e) (gen_operand_shape e) (gen_operand_shape e)
+    >>= fun (ec, ea, eb) ->
+    triple (gen_rows z ec) (gen_rows z ea) (gen_rows z eb) >|= fun (c, a, b) -> [ c; a; b ]
+  in
+  let dot z =
+    int_range 0 4 >>= fun d ->
+    pair (gen_rows z [| d |]) (gen_rows z [| d |]) >|= fun (a, b) -> [ a; b ]
+  in
+  let index z =
+    pair (gen_vec_rows ~min:1 z) (gen_rows z [||]) >|= fun (v, i) -> [ v; i ]
+  in
+  let update z =
+    triple (gen_vec_rows ~min:1 z) (gen_rows z [||]) (gen_rows z [||])
+    >|= fun (v, i, x) -> [ v; i; x ]
+  in
+  let counter z = gen_counters z >|= fun c -> [ c ] in
+  let normal_like z =
+    pair (gen_out_shape >>= gen_rows z) (gen_counters z) >|= fun (x, c) -> [ x; c ]
+  in
+  List.map (fun (name, _) -> (name, unary)) prim_unary
+  @ List.map (fun (name, _) -> (name, binary)) prim_binary
+  @ [
+      ("select", select); ("sum", unary); ("sum_sq", unary); ("dot", dot);
+      ("index", index); ("update", update); ("uniform", counter);
+      ("exponential", counter); ("normal_like", normal_like);
+    ]
+
+(* Every primitive in the tree, with an argument generator over [z]
+   rows: the standard vocabulary, each zoo model's [logp] and [grad],
+   and an [Eff.data_matvec] primitive (the logistic design matrix). *)
+let row_separable_table =
+  let std = Prim.standard () in
+  let position dim z = QCheck.Gen.(gen_rows z [| dim |] >|= fun q -> [ q ]) in
+  let model_prims (m : Model.t) =
+    let reg = Prim.create_registry () in
+    Model.register_prims reg m;
+    List.map
+      (fun name -> (m.Model.name ^ "/" ^ name, Prim.find_exn reg name, position m.Model.dim))
+      [ "logp"; "grad" ]
+  in
+  let logistic = Logistic_model.model ~n:12 ~dim:3 () in
+  let design = (Model.log_density logistic).Eff.el_registry in
+  List.map (fun (name, gen) -> (name, Prim.find_exn std name, gen)) standard_row_args
+  @ List.concat_map model_prims
+      [
+        logistic; Eight_schools.model (); Gaussian_model.model ~dim:3 ();
+        Funnel_model.model ~dim:3 ();
+      ]
+  @ [ ("design_mv", Prim.find_exn design "design_mv", position 3) ]
+
+let test_row_table_complete () =
+  Alcotest.(check (list string)) "every standard primitive has a row generator"
+    (Prim.names (Prim.standard ()))
+    (List.sort compare (List.map fst standard_row_args))
+
+let prop_row_separable =
+  QCheck.Test.make ~name:"every primitive is row-separable (gathered = rows of full)"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (z, members, idx, _) ->
+         Printf.sprintf "z=%d members=[%s] idx=[%s]" z
+           (String.concat ";" (Array.to_list (Array.map string_of_int members)))
+           (String.concat ";" (Array.to_list (Array.map string_of_int idx))))
+       QCheck.Gen.(
+         int_range 1 6 >>= fun z ->
+         array_repeat z (int_range 0 999) >>= fun members ->
+         array_repeat z bool >>= fun keep ->
+         int_range 0 (z - 1) >>= fun forced ->
+         flatten_l (List.map (fun (_, _, gen) -> gen z) row_separable_table) >|= fun args ->
+         (* A non-empty ascending subset of the rows. *)
+         let idx =
+           List.filter (fun i -> keep.(i) || i = forced) (List.init z Fun.id)
+         in
+         (z, members, Array.of_list idx, args)))
+    (fun (_, members, idx, args) ->
+      List.for_all2
+        (fun (label, p, _) args ->
+          let full = p.Prim.batched ~members args in
+          let gathered =
+            p.Prim.batched
+              ~members:(Array.map (fun i -> members.(i)) idx)
+              (List.map (fun a -> Tensor.take_rows a idx) args)
+          in
+          same_bits gathered (Tensor.take_rows full idx)
+          || QCheck.Test.fail_reportf "%s: gathered %s, full rows %s on %s" label
+               (show_tensor gathered)
+               (show_tensor (Tensor.take_rows full idx))
+               (String.concat " , " (List.map show_tensor args)))
+        row_separable_table args)
+
 let suites =
   [
     ( "tensor",
@@ -621,5 +740,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_matmul_oracle;
         t "standard prims all classified" `Quick test_prim_table_complete;
         QCheck_alcotest.to_alcotest prop_prim_elementwise;
+        t "row-separability table covers the registry" `Quick test_row_table_complete;
+        QCheck_alcotest.to_alcotest prop_row_separable;
       ] );
   ]

@@ -401,6 +401,62 @@ let test_lanes_counts_golden () =
       Alcotest.(check (float 0.)) (label "utilization") util
         (Obs_prof.utilization prof))
 
+(* Active-row execution. A primitive op whose flops per row dwarf the
+   elements it moves computes only the active rows of a masked
+   superstep; give every primitive huge flops and every op does. Row
+   counts are recorded to show the gathered path ran, and the outputs
+   must equal the plain registry's bitwise — the random walk's draws key
+   on the gathered member ids, fib recurses at mixed depths, and the
+   compiles without input shapes allocate storage lazily. Under the
+   plain registry every call stays full width: the standard primitives
+   are all below the gate. *)
+let test_pc_active_rows () =
+  let std = Prim.standard () in
+  let rows = ref [] in
+  let wrap flops =
+    let reg = Prim.create_registry () in
+    List.iter
+      (fun name ->
+        let p = Prim.find_exn std name in
+        Prim.register reg
+          {
+            p with
+            Prim.flops = (fun ss -> flops +. p.Prim.flops ss);
+            batched =
+              (fun ~members args ->
+                rows := Array.length members :: !rows;
+                p.Prim.batched ~members args);
+          })
+      (Prim.names std);
+    reg
+  in
+  let z = 6 in
+  let config = { Pc_vm.default_config with member_base = 7 } in
+  List.iter
+    (fun (label, prog, input_shapes) ->
+      let run flops =
+        rows := [];
+        let compiled = Autobatch.compile ~registry:(wrap flops) ?input_shapes prog in
+        let outs =
+          Autobatch.run_pc ~config compiled
+            ~batch:[ Tensor.of_list [ 0.; 3.; 1.; 5.; 2.; 4. ] ]
+        in
+        (outs, !rows)
+      in
+      let plain, plain_rows = run 0. in
+      let heavy, heavy_rows = run 1e9 in
+      Alcotest.(check bool) (label ^ ": plain stays full width") true
+        (List.for_all (( = ) z) plain_rows);
+      Alcotest.(check bool) (label ^ ": heavy gathers") true
+        (List.exists (fun n -> n > 0 && n < z) heavy_rows);
+      Alcotest.(check bool) (label ^ ": bitwise") true (List.for_all2 Tensor.equal plain heavy))
+    [
+      ("random walk", Test_programs.random_walk, Some [ Shape.scalar ]);
+      ("random walk, lazy", Test_programs.random_walk, None);
+      ("fib", Test_programs.fib, Some [ Shape.scalar ]);
+      ("fib, lazy", Test_programs.fib, None);
+    ]
+
 let lanes_suite =
   ( "pc-lanes",
     [
@@ -408,6 +464,7 @@ let lanes_suite =
       t "lazy restore drops late vars" `Quick test_lanes_lazy_restore;
       t "engine accounting golden" `Quick test_lanes_engine_golden;
       t "instrumentation golden" `Quick test_lanes_counts_golden;
+      t "active rows are bitwise" `Quick test_pc_active_rows;
     ] )
 
 (* ---------- the program-counter stack itself ---------- *)
