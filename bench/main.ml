@@ -1,16 +1,16 @@
 (* Benchmark harness.
 
-   Three layers, all run by `dune exec bench/main.exe`:
+   All run by `dune exec bench/main.exe`:
 
    1. Bechamel micro-benchmarks (real wall-clock, OLS-estimated time/run)
       of the substrate and both autobatching runtimes.
    2. The paper-figure harnesses (Figure 5, Figure 6) and the design
       ablations (A1-A3), printed as the same series the paper plots.
-   3. The sharded runtime's wall-clock scaling: batched NUTS split across
-      1/2/4/8 real OCaml domains (Shard_vm), best-of-3 timings.
+   3. The gates on the simulated clock (serve, resil, observe, fuse,
+      sched, tenant, eff, regress).
 
    Pass a subset of
-   [micro|figure5|figure6|ablations|shard|serve|resil|observe|fuse|sched|tenant|eff|regress]
+   [micro|figure5|figure6|ablations|serve|resil|observe|fuse|sched|tenant|eff|regress]
    as argv to run only those stages (default: all, with bench-sized
    parameters). Every stage prints a closing host-cost line
    (wall/CPU/alloc/GC, from Obs_wall).
@@ -417,9 +417,13 @@ let run_fuse ?seed () =
           let shard =
             (Autobatch.run_sharded
                ~config:
-                 { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
+                 {
+                   Sched_vm.default_config with
+                   plan = Sched_plan.off;
+                   mesh = Mesh.gpu_pod ~n:2 ();
+                 }
                compiled ~batch)
-              .Shard_vm.outputs
+              .Sched_vm.outputs
           in
           List.map (List.map Tensor.data) [ local; shard ]
         in
@@ -686,11 +690,12 @@ let run_eff ?seed () =
                (Autobatch.run_sharded
                   ~config:
                     {
-                      Shard_vm.default_config with
+                      Sched_vm.default_config with
+                      plan = Sched_plan.off;
                       mesh = Mesh.gpu_pod ~n:2 ();
                     }
                   compiled ~batch)
-                 .Shard_vm.outputs
+                 .Sched_vm.outputs
         in
         check (Printf.sprintf "elaborate %s" name)
           "pc = local = shard" ok;
@@ -1490,50 +1495,6 @@ let run_regress () =
     exit 1
   end
 
-let run_shard ?seed () =
-  (* Real wall-clock scaling of the domain-parallel sharded runtime: the
-     same batched-NUTS program split across 1/2/4/8 shards, one OCaml
-     domain per shard (Shard_vm). Best of 3 runs per point. Speedup over
-     the host's core count is physically impossible, so the recommended
-     domain count is printed alongside the table. *)
-  let model = Gaussian_model.model ~dim:20 () in
-  let reg, _ = Nuts_dsl.setup ?seed ~model () in
-  let q0 = Tensor.zeros [| 20 |] in
-  let eps = Nuts.find_reasonable_eps ~model ~q0 () in
-  let cfg = Nuts.default_config ~eps () in
-  let prog = Nuts_dsl.program ~params:(Nuts_dsl.params_of_config cfg) () in
-  let compiled =
-    Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
-  in
-  let z = 32 in
-  let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter:2 ~n_burn:0 ~batch:z () in
-  let time_point devices =
-    let config =
-      { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:devices () }
-    in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Autobatch.run_sharded ~config compiled ~batch);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  Printf.printf
-    "== Sharded NUTS wall clock (z=%d, dim=20, one domain per shard) ==\n" z;
-  Printf.printf "host reports Domain.recommended_domain_count = %d\n"
-    (Domain.recommended_domain_count ());
-  let base = time_point 1 in
-  Table.print_stdout
-    ~header:[ "devices"; "wall (best of 3)"; "speedup vs 1" ]
-    ~rows:
-      (List.map
-         (fun d ->
-           let t = if d = 1 then base else time_point d in
-           [ string_of_int d; Table.si t ^ "s"; Printf.sprintf "%.2fx" (base /. t) ])
-         [ 1; 2; 4; 8 ]);
-  print_newline ()
-
 let () =
   let rec parse seed stages = function
     | [] -> (seed, List.rev stages)
@@ -1552,8 +1513,8 @@ let () =
   let stages =
     match stages with
     | [] ->
-      [ "micro"; "figure5"; "figure6"; "ablations"; "shard"; "serve"; "resil";
-        "observe"; "fuse"; "sched"; "tenant"; "eff"; "regress" ]
+      [ "micro"; "figure5"; "figure6"; "ablations"; "serve"; "resil"; "observe";
+        "fuse"; "sched"; "tenant"; "eff"; "regress" ]
     | picked -> picked
   in
   List.iter
@@ -1567,7 +1528,6 @@ let () =
       | "figure5" -> run_figure5 ?seed ()
       | "figure6" -> run_figure6 ?seed ()
       | "ablations" -> run_ablations ?seed ()
-      | "shard" -> run_shard ?seed ()
       | "serve" -> run_serve ?seed ()
       | "resil" -> run_resil ?seed ()
       | "observe" -> run_observe ?seed ()
@@ -1579,7 +1539,7 @@ let () =
       | other ->
         Printf.eprintf
           "unknown stage %S (expected \
-           micro|figure5|figure6|ablations|shard|serve|resil|observe|fuse|sched|tenant|eff|regress)\n"
+           micro|figure5|figure6|ablations|serve|resil|observe|fuse|sched|tenant|eff|regress)\n"
           other;
         exit 1);
       Printf.printf "[%s] %s\n\n%!" stage (Obs_wall.summary (Obs_wall.stop probe)))

@@ -371,7 +371,7 @@ let scaling_cmd =
   Cmd.v
     (Cmd.info "scaling"
        ~doc:"Weak/strong scaling of sharded batched NUTS across a device mesh \
-             (Figure 7; each simulated device is a real OCaml domain).")
+             (Figure 7; priced on the simulated clock).")
     Term.(const run $ devices $ per_device $ total $ dim $ n_iter $ link $ algo
           $ seed_arg () $ csv $ json_arg ())
 
@@ -655,9 +655,8 @@ let sample_cmd =
   let devices =
     Arg.(value & opt int 1
          & info [ "devices" ]
-             ~doc:"Shard the chain dimension across this many simulated devices, \
-                   one OCaml domain each; results are bitwise identical to one \
-                   device.")
+             ~doc:"Shard the chain dimension across this many simulated devices; \
+                   results are bitwise identical to one device.")
   in
   Cmd.v
     (Cmd.info "sample"

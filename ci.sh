@@ -117,17 +117,22 @@ dune exec bench/main.exe -- resil
 step "bench regress"
 dune exec bench/main.exe -- regress
 
-# The paper's numbers are a contract: Figures 5-6 and the ablation
-# tables are priced on the simulated clock, so host-side changes (such as
-# the program-counter VM computing only the active rows of flop-heavy
-# primitives) must leave them byte-identical. The stages' wall-time
-# trailer lines are dropped before the diff against the committed golden
-# (regenerate it deliberately with the same pipeline).
+# The paper's numbers are a contract: Figures 5-6, the ablation tables
+# and the E4 scaling points are priced on the simulated clock, so
+# host-side changes (such as the program-counter VM computing only the
+# active rows of flop-heavy primitives, or how the shards of a mesh are
+# stepped) must leave them byte-identical. The stages' wall-time trailer
+# lines and the scaling CSV's wall_seconds column are dropped before the
+# diffs against the committed goldens (regenerate them deliberately with
+# the same pipelines).
 step "paper figures golden"
 figures=$(mktemp)
-trap 'rm -f "$figures"' EXIT
+scaling=$(mktemp)
+trap 'rm -f "$figures" "$scaling"' EXIT
 dune exec bench/main.exe -- figure5 figure6 ablations >"$figures"
 grep -v '^\[[a-z0-9]*\] wall ' "$figures" | diff -u test/figures_golden.txt -
+dune exec bin/experiments.exe -- scaling --devices 1,2,4,8 --csv "$scaling" >/dev/null
+cut -d, -f1-10 "$scaling" | diff -u test/scaling_golden.csv -
 
 # The handler-DSL frontend must elaborate to exactly the programs the
 # hand-written models used to be: the eff stage exits nonzero unless

@@ -1,7 +1,7 @@
 (** A mesh of simulated devices joined by a uniform interconnect.
 
-    The sharded runtime ({!Shard_vm}) splits the batch dimension across
-    the mesh, one shard per device, and prices cross-device communication
+    The multi-shard runtime ({!Sched_vm}) splits the batch dimension
+    across the mesh, one lane pool per device, and prices cross-device communication
     with {!Collectives} using the mesh's per-link bandwidth and latency.
     The mesh is homogeneous — every device identical, every link
     identical — which matches the SPMD execution the paper's platforms

@@ -41,11 +41,7 @@ let compile ?registry ?options ?(optimize = false) ?fuse ?input_shapes
 let run_local ?config c ~batch = Local_vm.run ?config c.registry c.cfg ~batch
 let run_pc ?config c ~batch = Pc_vm.run ?config c.registry c.stack ~batch
 
-let run_sharded ?config ?(runtime = `Pc) c ~batch =
-  let program =
-    match runtime with `Pc -> `Pc c.stack | `Local -> `Local c.cfg
-  in
-  Shard_vm.run ?config c.registry program ~batch
+let run_sharded ?config c ~batch = Sched_vm.run ?config c.registry c.stack ~batch
 
 let run_single ?max_steps c ~member ~args =
   Interp.run ?max_steps c.registry c.source ~member ~args

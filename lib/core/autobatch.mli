@@ -58,14 +58,12 @@ val run_pc : ?config:Pc_vm.config -> compiled -> batch:Tensor.t list -> Tensor.t
 (** Program-counter autobatching (Algorithm 2) over a batch. *)
 
 val run_sharded :
-  ?config:Shard_vm.config ->
-  ?runtime:[ `Pc | `Local ] ->
-  compiled ->
-  batch:Tensor.t list ->
-  Shard_vm.result
-(** Shard the batch dimension across a device mesh ({!Shard_vm}), one
-    OCaml domain per shard; [runtime] picks the per-shard VM (default
-    [`Pc]). Outputs are bitwise identical to the unsharded run. *)
+  ?config:Sched_vm.config -> compiled -> batch:Tensor.t list -> Sched_vm.result
+(** Run the batch across a device mesh with {!Sched_vm}: with
+    [config.plan = Sched_plan.off], the static SPMD partition (one
+    contiguous slice of the batch per device); with a refilling plan,
+    lane pools that recycle and migrate members. Outputs are bitwise
+    identical to the unsharded run. *)
 
 val run_single :
   ?max_steps:int -> compiled -> member:int -> args:Tensor.t list -> Tensor.t list

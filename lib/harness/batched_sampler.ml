@@ -31,24 +31,21 @@ let run ?(seed = 0x5EEDL) ?(variant = Nuts.Slice) ?(adapt = true)
   let compiled =
     Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
   in
-  (* One execution path for both collection modes: single-device through
-     the program-counter VM, multi-device through the sharded runtime
-     (bitwise-identical results either way — see Shard_vm). Both report
-     to one profiler, whose rows yield the gradient-lane utilization. *)
+  (* One execution path for both collection modes and every device count:
+     the static partition of the chains over the mesh (one device is one
+     pool, exactly Pc_vm.run; results are bitwise identical for any
+     count). It reports to one profiler, whose rows yield the
+     gradient-lane utilization. *)
   let prof = Obs_prof.create () in
-  let sink = Some (Obs_prof.sink prof) in
-  let exec =
-    if devices = 1 then begin
-      let config = { Pc_vm.default_config with sink } in
-      fun batch -> Autobatch.run_pc ~config compiled ~batch
-    end
-    else begin
-      let config =
-        { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:devices (); sink }
-      in
-      fun batch -> (Autobatch.run_sharded ~config compiled ~batch).Shard_vm.outputs
-    end
+  let config =
+    {
+      Sched_vm.default_config with
+      plan = Sched_plan.off;
+      mesh = Mesh.gpu_pod ~n:devices ();
+      sink = Some (Obs_prof.sink prof);
+    }
   in
+  let exec batch = (Autobatch.run_sharded ~config compiled ~batch).Sched_vm.outputs in
   let ops = Profile.pc_ops compiled.Autobatch.stack in
   let grad_utilization () = Profile.(lane_utilization (prim (derive ops prof) "grad")) in
   let kept_draws = (n_iter - n_burn) * chains in

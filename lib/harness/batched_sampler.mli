@@ -46,7 +46,7 @@ val run :
     [q0] zero. [n_iter] counts post-warmup trajectories per chain; the
     first [n_burn] of them are excluded from the summary. With
     [devices > 1] the chain dimension is sharded across that many
-    domains-backed simulated devices ({!Shard_vm}); the summary is
+    simulated devices ({!Sched_vm}'s static partition); the summary is
     bitwise identical to the single-device run. *)
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -53,7 +53,8 @@ let run ?(scale = default_scale) () =
     let mesh = Mesh.create ~device:Device.gpu ~link:scale.link ~n:devices () in
     let config =
       {
-        Shard_vm.default_config with
+        Sched_vm.default_config with
+        plan = Sched_plan.off;
         mesh;
         mode = Some Engine.Fused;
         collective = scale.collective;
@@ -61,7 +62,7 @@ let run ?(scale = default_scale) () =
     in
     let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter:scale.n_iter ~n_burn:0 ~batch:z () in
     let prof = Obs_prof.create () in
-    let config = { config with Shard_vm.sink = Some (Obs_prof.sink prof) } in
+    let config = { config with Sched_vm.sink = Some (Obs_prof.sink prof) } in
     let t0 = Unix.gettimeofday () in
     let r = Autobatch.run_sharded ~config compiled ~batch in
     let wall = Unix.gettimeofday () -. t0 in
@@ -71,17 +72,17 @@ let run ?(scale = default_scale) () =
       devices;
       batch = z;
       useful_grads = useful;
-      compute_time = r.Shard_vm.compute_time;
-      collective_time = r.Shard_vm.collective_time;
-      sim_time = r.Shard_vm.sim_time;
+      compute_time = r.Sched_vm.compute_time;
+      collective_time = r.Sched_vm.collective_time;
+      sim_time = r.Sched_vm.sim_time;
       grads_per_sec =
-        (if r.Shard_vm.sim_time > 0. then
-           float_of_int useful /. r.Shard_vm.sim_time
+        (if r.Sched_vm.sim_time > 0. then
+           float_of_int useful /. r.Sched_vm.sim_time
          else Float.nan);
       speedup = 1.;
       efficiency = 1.;
       wall_seconds = wall;
-      shard_times = r.Shard_vm.shard_times;
+      shard_times = r.Sched_vm.shard_times;
     }
   in
   let devices = List.sort_uniq compare scale.devices in

@@ -1,11 +1,12 @@
 (** "Figure 7": weak- and strong-scaling study of sharded batched NUTS on
     a device mesh — the multi-device extension of the paper's Figure 5
     argument. Batching amortizes dispatch overhead on one device; sharding
-    the chain dimension across a mesh ({!Shard_vm}) buys more arithmetic
-    at the price of per-superstep collective synchronization, which this
-    harness measures with the {!Collectives} cost model (simulated time)
-    while the domains-backed execution also yields real wall-clock
-    parallelism (the [wall_seconds] column).
+    the chain dimension across a mesh ({!Sched_vm}'s static partition)
+    buys more arithmetic at the price of per-superstep collective
+    synchronization, which this harness measures with the {!Collectives}
+    cost model (simulated time). The shards are stepped one after another
+    on the host, so the [wall_seconds] column is host cost, not
+    parallelism.
 
     - {e Weak scaling}: chains per device fixed ([per_device]); the batch
       grows with the mesh. Ideal: throughput scales with devices.
@@ -39,7 +40,7 @@ type point = {
   grads_per_sec : float;       (** useful gradients per simulated second *)
   speedup : float;             (** vs the 1-device point of the series *)
   efficiency : float;          (** speedup / devices *)
-  wall_seconds : float;        (** real host time (domains parallelism) *)
+  wall_seconds : float;        (** real host time of the run *)
   shard_times : float array;   (** per-shard simulated seconds *)
 }
 

@@ -150,12 +150,13 @@ let bitwise_matrix ?(policies = Sched_policy.all) ?(plans = default_plans)
         (Autobatch.run_sharded
            ~config:
              {
-               Shard_vm.default_config with
+               Sched_vm.default_config with
+               policy;
+               plan = Sched_plan.off;
                mesh = Mesh.gpu_pod ~n:shards ();
-               sched = policy;
              }
            compiled ~batch)
-          .Shard_vm.outputs;
+          .Sched_vm.outputs;
       check ~runtime:"server" ~policy (run_server ~policy compiled ~lanes ~batch);
       List.iter
         (fun (plan_name, plan) ->

@@ -117,7 +117,11 @@ let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
       ~input_shapes:(Eff.input_shapes el) el.Eff.el_program
   in
   let shard_config =
-    { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:(Mesh.size mesh) () }
+    {
+      Sched_vm.default_config with
+      plan = Sched_plan.off;
+      mesh = Mesh.gpu_pod ~n:(Mesh.size mesh) ();
+    }
   in
   let rkey = Counter_rng.key (Int64.add seed 2L) in
   (* Particle state: value, per-particle draw counter, and the running
@@ -147,7 +151,7 @@ let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
     note "local" (Autobatch.run_local compiled ~batch);
     note "shard"
       (Autobatch.run_sharded ~config:shard_config compiled ~batch)
-        .Shard_vm.outputs;
+        .Sched_vm.outputs;
     let x_new = List.hd pc in
     let lp = List.nth pc el.Eff.el_lp_index in
     let cnt_new =

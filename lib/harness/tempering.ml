@@ -101,7 +101,11 @@ let run ?(seed = 0x7E4BL) ?(c = default_config) ?(mesh = Mesh.gpu_pod ~n:4 ())
       ~input_shapes:(Eff.input_shapes el) el.Eff.el_program
   in
   let shard_config =
-    { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
+    {
+      Sched_vm.default_config with
+      plan = Sched_plan.off;
+      mesh = Mesh.gpu_pod ~n:2 ();
+    }
   in
   let b = betas c in
   let beta_t = Tensor.create [| c.chains |] (Array.copy b) in
@@ -134,7 +138,7 @@ let run ?(seed = 0x7E4BL) ?(c = default_config) ?(mesh = Mesh.gpu_pod ~n:4 ())
     note "local" (Autobatch.run_local compiled ~batch);
     note "shard"
       (Autobatch.run_sharded ~config:shard_config compiled ~batch)
-        .Shard_vm.outputs;
+        .Sched_vm.outputs;
     let xs = Array.copy (Tensor.data (List.hd pc)) in
     (match el.Eff.el_cnt_index with
     | Some i -> cnt := List.nth pc i

@@ -100,9 +100,14 @@ let run ?(seed = 0x73EEL) ?(depth = 6) ?(n_features = 8) ?(z = 64) () =
   let local = Autobatch.run_local compiled ~batch in
   let shard =
     (Autobatch.run_sharded
-       ~config:{ Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
+       ~config:
+         {
+           Sched_vm.default_config with
+           plan = Sched_plan.off;
+           mesh = Mesh.gpu_pod ~n:2 ();
+         }
        compiled ~batch)
-      .Shard_vm.outputs
+      .Sched_vm.outputs
   in
   (* The lane pool exposes the superstep count: how many basic blocks
      the scheduler needed to drain all the divergent paths. *)

@@ -5,29 +5,11 @@
    Attribution works by context, not by payload: [Launched] spans carry
    only a kind and a name ("block" for every fused block), so the profiler
    remembers the most recent [Step]/[Occupancy] pair and charges the next
-   fused-block span to that block. The pairing is per-domain — a sharded
-   run drives one VM and one engine per OCaml domain, and each shard's
-   spans interleave with its own steps on that domain — so all dispatch
-   state lives in a per-domain channel keyed by [Domain.self ()]. One
-   mutex guards the whole profiler; contention is negligible next to the
+   fused-block span to that block. Every runtime emits a block's Step,
+   Occupancy and engine spans back to back on the calling domain, pool
+   after pool in a multi-shard run, so one context suffices. One mutex
+   guards the whole profiler; contention is negligible next to the
    simulated work being profiled. *)
-
-type channel = {
-  domain : int;
-  mutable shard : int;
-  (* Attribution context: the block announced by the latest Step/Occupancy
-     on this domain, -1 before the first one. *)
-  mutable block : int;
-  mutable active : int;
-  mutable live : int;
-  mutable total : int;
-  (* End of the last engine span seen on this domain; the gap to the next
-     span's [t0] is simulated time charged without a span (none is emitted
-     by a current engine, but the profiler must conserve time even if a
-     future charge forgets its span). *)
-  mutable last_t1 : float;
-  metrics : Obs_metrics.t;
-}
 
 type block_row = {
   block : int;
@@ -86,7 +68,18 @@ type gauge = {
 type t = {
   mutex : Mutex.t;
   frames : string array array;
-  channels : (int, channel) Hashtbl.t;
+  (* Attribution context: the block announced by the latest Step/Occupancy
+     (-1 before the first one) and its lane counts. *)
+  mutable cur_block : int;
+  mutable cur_active : int;
+  mutable cur_total : int;
+  (* End of the last engine span seen; the gap to the next span's [t0] is
+     simulated time charged without a span (none is emitted by a current
+     engine, but the profiler must conserve time even if a future charge
+     forgets its span). With one engine per pool the gap is measured from
+     the latest span end on any of them. *)
+  mutable last_t1 : float;
+  metrics : Obs_metrics.t;
   blocks : (int, block_cell) Hashtbl.t;
   kernels : (string, kernel_cell) Hashtbl.t;
   collectives : (string, collective_cell) Hashtbl.t;
@@ -106,7 +99,11 @@ let create ?(frames = [||]) () =
   {
     mutex = Mutex.create ();
     frames;
-    channels = Hashtbl.create 8;
+    cur_block = -1;
+    cur_active = 0;
+    cur_total = 0;
+    last_t1 = 0.;
+    metrics = Obs_metrics.create ();
     blocks = Hashtbl.create 64;
     kernels = Hashtbl.create 16;
     collectives = Hashtbl.create 8;
@@ -124,26 +121,6 @@ let create ?(frames = [||]) () =
     steals = 0;
     migration_bytes = 0.;
   }
-
-let channel t =
-  let id = (Domain.self () :> int) in
-  match Hashtbl.find_opt t.channels id with
-  | Some ch -> ch
-  | None ->
-    let ch =
-      {
-        domain = id;
-        shard = 0;
-        block = -1;
-        active = 0;
-        live = 0;
-        total = 0;
-        last_t1 = 0.;
-        metrics = Obs_metrics.create ();
-      }
-    in
-    Hashtbl.add t.channels id ch;
-    ch
 
 let block_cell t block =
   match Hashtbl.find_opt t.blocks block with
@@ -182,10 +159,10 @@ let collective_cell t name =
 
 (* Fill the gap between the previous span's end and this span's start:
    simulated time the engine advanced without emitting a span. *)
-let account_gap t ch ~t0 ~t1 =
-  let gap = t0 -. ch.last_t1 in
+let account_gap t ~t0 ~t1 =
+  let gap = t0 -. t.last_t1 in
   if gap > 0. then t.host <- t.host +. gap;
-  if t1 > ch.last_t1 then ch.last_t1 <- t1
+  if t1 > t.last_t1 then t.last_t1 <- t1
 
 (* Add sample number [k] (0-based). *)
 let gauge_add g ~k ~live ~total =
@@ -205,18 +182,11 @@ let gauge_add g ~k ~live ~total =
 
 let on_event t ev =
   match ev with
-  | Obs_sink.Step { shard; block; _ } ->
-    let ch = channel t in
-    ch.shard <- shard;
-    ch.block <- block
-  | Obs_sink.Occupancy { shard; block; active; live; total; width; depth; _ }
-    ->
-    let ch = channel t in
-    ch.shard <- shard;
-    ch.block <- block;
-    ch.active <- active;
-    ch.live <- live;
-    ch.total <- total;
+  | Obs_sink.Step { block; _ } -> t.cur_block <- block
+  | Obs_sink.Occupancy { block; active; live; total; width; depth; _ } ->
+    t.cur_block <- block;
+    t.cur_active <- active;
+    t.cur_total <- total;
     t.supersteps <- t.supersteps + 1;
     if depth > t.max_depth then t.max_depth <- depth;
     gauge_add t.gauge ~k:(t.supersteps - 1) ~live ~total;
@@ -226,54 +196,50 @@ let on_event t ev =
     c.b_live <- c.b_live + live;
     c.b_total <- c.b_total + total;
     c.b_issued <- c.b_issued + width;
-    Obs_metrics.incr (Obs_metrics.counter ch.metrics "supersteps");
+    Obs_metrics.incr (Obs_metrics.counter t.metrics "supersteps");
     Obs_metrics.observe
-      (Obs_metrics.histogram ch.metrics "active_lanes")
+      (Obs_metrics.histogram t.metrics "active_lanes")
       (float_of_int active);
     if total > 0 then
       Obs_metrics.observe
-        (Obs_metrics.histogram ch.metrics "utilization_pct")
+        (Obs_metrics.histogram t.metrics "utilization_pct")
         (100. *. float_of_int active /. float_of_int total)
   | Obs_sink.Launched { kind = Obs_sink.Fused_block; t0; t1; _ } ->
-    let ch = channel t in
-    account_gap t ch ~t0 ~t1;
+    account_gap t ~t0 ~t1;
     let dur = t1 -. t0 in
-    Obs_metrics.incr (Obs_metrics.counter ch.metrics "block_launches");
-    Obs_metrics.observe (Obs_metrics.histogram ch.metrics "block_seconds") dur;
-    if ch.block < 0 then t.unattributed <- t.unattributed +. dur
+    Obs_metrics.incr (Obs_metrics.counter t.metrics "block_launches");
+    Obs_metrics.observe (Obs_metrics.histogram t.metrics "block_seconds") dur;
+    if t.cur_block < 0 then t.unattributed <- t.unattributed +. dur
     else begin
-      let c = block_cell t ch.block in
+      let c = block_cell t t.cur_block in
       c.b_execs <- c.b_execs + 1;
       c.b_charged <- c.b_charged +. dur;
       c.b_effective <-
         c.b_effective
         +.
-        if ch.total > 0 then
-          dur *. float_of_int ch.active /. float_of_int ch.total
+        if t.cur_total > 0 then
+          dur *. float_of_int t.cur_active /. float_of_int t.cur_total
         else dur
     end
   | Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 } ->
-    let ch = channel t in
-    account_gap t ch ~t0 ~t1;
-    Obs_metrics.incr (Obs_metrics.counter ch.metrics "kernel_launches");
+    account_gap t ~t0 ~t1;
+    Obs_metrics.incr (Obs_metrics.counter t.metrics "kernel_launches");
     let c = kernel_cell t name in
     c.k_launches <- c.k_launches + 1;
     c.k_charged <- c.k_charged +. (t1 -. t0)
   | Obs_sink.Collective { name; bytes; t0; t1 } ->
     (* Collectives live on the mesh timeline, not a single engine's clock:
        they neither close gaps nor count toward engine conservation. *)
-    let ch = channel t in
-    Obs_metrics.incr (Obs_metrics.counter ch.metrics "collectives");
+    Obs_metrics.incr (Obs_metrics.counter t.metrics "collectives");
     let c = collective_cell t name in
     c.c_count <- c.c_count + 1;
     c.c_charged <- c.c_charged +. (t1 -. t0);
     c.c_bytes <- c.c_bytes +. bytes
   | Obs_sink.Migration { src_shard; dst_shard; bytes; _ } ->
-    let ch = channel t in
     t.migrations <- t.migrations + 1;
     if src_shard <> dst_shard then t.steals <- t.steals + 1;
     t.migration_bytes <- t.migration_bytes +. bytes;
-    Obs_metrics.incr (Obs_metrics.counter ch.metrics "migrations")
+    Obs_metrics.incr (Obs_metrics.counter t.metrics "migrations")
   | Obs_sink.Launch _ | Obs_sink.Request_enqueued _ | Obs_sink.Request_shed _
   | Obs_sink.Request_rejected _ | Obs_sink.Request_completed _
   | Obs_sink.Checkpoint _ | Obs_sink.Restore _ | Obs_sink.Span _
@@ -405,12 +371,7 @@ let effective_utilization t =
 
 let metrics t =
   let merged = Obs_metrics.create () in
-  let channels =
-    Mutex.protect t.mutex (fun () ->
-        Hashtbl.fold (fun _ ch acc -> ch :: acc) t.channels []
-        |> List.sort (fun a b -> compare a.domain b.domain))
-  in
-  List.iter (fun ch -> Obs_metrics.merge ~into:merged ch.metrics) channels;
+  Mutex.protect t.mutex (fun () -> Obs_metrics.merge ~into:merged t.metrics);
   merged
 
 (* ------------------------------------------------------------------ *)

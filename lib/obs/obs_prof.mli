@@ -18,14 +18,14 @@
 
     {b Attribution-context rules.} [Launched] spans don't say which block
     charged them, so the profiler pairs each fused-block span with the
-    most recent [Step]/[Occupancy] seen {e on the same OCaml domain}: the
-    VMs emit Step, then Occupancy, then execute the block (which charges
-    the engine), all on one domain, and a sharded run gives each shard its
-    own domain, VM and engine. Kernel spans are attributed by kernel name;
-    [Collective] spans sit on the mesh timeline and are tallied
-    separately; simulated time the engine advances without emitting a span
-    shows up as {!host_time} (gap accounting), so attributed time always
-    sums to the engine's total. *)
+    most recent [Step]/[Occupancy]: the VMs emit Step, then Occupancy,
+    then execute the block (which charges the engine) before anything
+    else reports, and a multi-shard run steps its pools one after another
+    on the calling domain, each with its own engine. Kernel spans are
+    attributed by kernel name; [Collective] spans sit on the mesh timeline
+    and are tallied separately; simulated time the engine advances without
+    emitting a span shows up as {!host_time} (gap accounting), so
+    attributed time always sums to the engine's total. *)
 
 type t
 
@@ -62,7 +62,7 @@ val create : ?frames:string array array -> unit -> t
 
 val sink : t -> Obs_sink.t
 (** Thread-safe; install on every VM config {e and} engine involved in
-    the run (shard-tagged sinks from [Shard_vm] land here too). *)
+    the run (the shard-tagged sinks of a multi-shard run land here too). *)
 
 (** {1 Attribution readout} — sorted by charged time, descending. *)
 
@@ -74,7 +74,7 @@ val host_time : t -> float
 (** Simulated seconds between spans — engine charges with no span. *)
 
 val unattributed_time : t -> float
-(** Fused-block spans seen before any [Step] context on their domain. *)
+(** Fused-block spans seen before any [Step] context. *)
 
 val collective_time : t -> float
 
@@ -109,8 +109,8 @@ val occupancy_series : t -> (int * float) list
 (** The live-lane gauge: [(first_step, live/total)] buckets over the
     [Occupancy] events in arrival order — at most 256 points spanning the
     whole run (adjacent buckets merge as it grows, so memory stays
-    constant). Empty before the first event. Meaningful for one runtime
-    on one domain; a sharded run interleaves its shards' steps. *)
+    constant). Empty before the first event. Meaningful for one lane
+    pool; a multi-shard run interleaves its pools' steps. *)
 
 val max_depth : t -> int
 (** The largest [depth] seen on any [Occupancy] event (0 when none). *)
@@ -130,8 +130,9 @@ val migration_bytes : t -> float
 (** Total migrated payload. *)
 
 val metrics : t -> Obs_metrics.t
-(** Per-domain registries (superstep/launch counters, active-lane and
-    utilization histograms) aggregated with {!Obs_metrics.merge}. *)
+(** A fresh copy, made with {!Obs_metrics.merge}, of the profiler's
+    registry (superstep/launch counters, active-lane and utilization
+    histograms). *)
 
 (** {1 Export} *)
 

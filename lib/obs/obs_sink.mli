@@ -135,7 +135,7 @@ val fanout : t list -> t
 
 val tag_shard : int -> t -> t
 (** Rewrite the [shard] field of {!Step} and {!Occupancy} events (every
-    other field is copied); other events pass through. [Shard_vm] uses
+    other field is copied); other events pass through. [Sched_vm] uses
     this so one user sink sees correctly-labelled steps from every
     shard. *)
 

@@ -48,7 +48,7 @@ type t
 
 val create : ?limit:int -> unit -> t
 (** Bounded recorder; spans past [limit] (default 2M) are counted in
-    {!dropped} and discarded. Thread-safe (shard domains share it). *)
+    {!dropped} and discarded. Thread-safe (mutex-protected). *)
 
 val sink : t -> Obs_sink.t
 (** Collects {!Obs_sink.event.Span} events; every other event is

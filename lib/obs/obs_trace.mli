@@ -6,9 +6,9 @@
     [Engine.elapsed], i.e. simulated seconds). Events that already carry
     their own simulated-time span ({!Obs_sink.Launched}, [Collective], the
     request lifecycle) are stamped from their payload instead of the clock.
-    Recording is mutex-protected, so sinks for different shards may fire
-    from different domains; {!Obs_sink.Step} events are split onto
-    per-shard Chrome threads at export time. *)
+    Recording is mutex-protected; {!Obs_sink.Step} events from the pools
+    of a multi-shard run are split onto per-shard Chrome threads at export
+    time. *)
 
 type t
 

@@ -151,30 +151,21 @@ let run_sharded ?(sched = Sched_policy.Earliest) ?(shards = 2) ?(interval = 0) ?
     reg program ~batch =
   check_interval interval;
   if shards <= 0 then invalid_arg "Recovery.run_sharded: need at least one shard";
-  let z = batch_z batch in
-  let parts = Shard_vm.partition ~z ~shards in
-  let n = Array.length parts in
   let inj = Fault.injector plan in
-  (* One lane pool per shard, lane identities offset so RNG streams match
-     the unsharded run; the driver steps them in lockstep rounds, standing
-     in for the SPMD superstep loop of {!Shard_vm.run}. *)
-  let lanes =
-    Array.map
-      (fun (part : Shard_vm.partition) ->
-        let config =
-          { Pc_vm.default_config with sched; member_base = part.Shard_vm.offset }
-        in
-        let pool = Pc_vm.Lanes.create ~config reg program ~z:part.Shard_vm.length in
-        for lane = 0 to part.Shard_vm.length - 1 do
-          Pc_vm.Lanes.load pool ~lane ~member:(part.Shard_vm.offset + lane)
-            ~inputs:
-              (List.map
-                 (fun t -> Tensor.slice_row t (part.Shard_vm.offset + lane))
-                 batch)
-        done;
-        pool)
-      parts
+  (* The static partition of {!Sched_vm}: one pool per shard, every member
+     loaded up front, all pools stepped once per round. *)
+  let run =
+    Sched_vm.create
+      ~config:
+        {
+          Sched_vm.default_config with
+          policy = sched;
+          plan = Sched_plan.off;
+          mesh = Mesh.gpu_pod ~n:shards ();
+        }
+      reg program ~batch
   in
+  let lanes = Sched_vm.pools run in
   let tl = tally () in
   let capture () =
     let blob = Snapshot.encode_shards (Array.map Pc_vm.Lanes.capture lanes) in
@@ -195,7 +186,7 @@ let run_sharded ?(sched = Sched_policy.Earliest) ?(shards = 2) ?(interval = 0) ?
   let rounds = ref 0 in
   let running = ref true in
   while !running do
-    (match Fault.tick inj with
+    match Fault.tick inj with
     | () ->
       List.iter
         (fun (_ : Fault.event) ->
@@ -204,24 +195,16 @@ let run_sharded ?(sched = Sched_policy.Earliest) ?(shards = 2) ?(interval = 0) ?
           tl.t_link_retries <- tl.t_link_retries + 1;
           tl.t_wasted <- tl.t_wasted + 1)
         (Fault.drops_now inj);
-      let progressed = ref false in
-      Array.iter (fun pool -> if Pc_vm.Lanes.step pool then progressed := true) lanes;
-      if !progressed then begin
+      if Sched_vm.step run then begin
         incr rounds;
         if interval > 0 && !rounds mod interval = 0 then latest := capture ()
       end
       else running := false
-    | exception Fault.Injected e -> restore_shard (e.Fault.device mod n))
+    | exception Fault.Injected e -> restore_shard (e.Fault.device mod Array.length lanes)
   done;
-  let outputs =
-    match Array.to_list (Array.map Pc_vm.Lanes.outputs lanes) with
-    | [] -> []
-    | first :: _ as per_shard ->
-      List.mapi
-        (fun i _ -> Tensor.concat_rows (List.map (fun outs -> List.nth outs i) per_shard))
-        first
-  in
-  let useful =
-    Array.fold_left (fun acc pool -> acc + Pc_vm.Lanes.steps pool) 0 lanes
-  in
-  { sh_outputs = outputs; sh_rounds = !rounds; sh_stats = finish tl inj ~useful }
+  let r = Sched_vm.finish run in
+  {
+    sh_outputs = r.Sched_vm.outputs;
+    sh_rounds = r.Sched_vm.supersteps;
+    sh_stats = finish tl inj ~useful:r.Sched_vm.vm_steps;
+  }

@@ -65,11 +65,12 @@ val run_sharded :
   Stack_ir.program ->
   batch:Tensor.t list ->
   sharded_result
-(** Domain-decomposed execution under faults: one lane pool per shard
-    (member identities offset by the shard's batch offset, matching
-    {!Shard_vm.partition}), stepped in lockstep rounds. A [Device_kill]
-    on device [d] rewinds {e only} shard [d mod shards] to the last
-    checkpoint — localized recovery; a [Link_drop] costs one retried
+(** Domain-decomposed execution under faults: {!Sched_vm}'s static
+    partition ({!Sched_plan.off}) on a [shards]-device mesh, one lane
+    pool per part of {!Sched_plan.partition}, driven round by round
+    through {!Sched_vm.step} with a checkpoint of every pool between
+    rounds. A [Device_kill] on device [d] rewinds {e only} pool
+    [d mod (min shards z)] to the last checkpoint — localized recovery; a [Link_drop] costs one retried
     collective round with no state lost. No engine is attached, so
     [Kernel_poison] events expire unfired. [stats.useful_supersteps] sums
     per-shard supersteps. Default [shards = 2]. *)

@@ -16,6 +16,18 @@ let no_migration =
 
 let off = { no_migration with refill = false }
 
+type partition = { offset : int; length : int }
+
+let partition ~z ~shards =
+  if z <= 0 then invalid_arg "Sched_plan.partition: batch must be positive";
+  if shards <= 0 then invalid_arg "Sched_plan.partition: need at least one shard";
+  let k = min shards z in
+  let base = z / k and rem = z mod k in
+  Array.init k (fun i ->
+      let length = base + if i < rem then 1 else 0 in
+      let offset = (i * base) + min i rem in
+      { offset; length })
+
 type view = { free : int list; live : int list }
 type refill = { r_shard : int; r_lane : int }
 

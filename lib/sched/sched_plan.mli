@@ -42,7 +42,16 @@ val no_migration : config
 
 val off : config
 (** No refills, no steals, no compaction: the planner returns empty
-    plans. Not usable as a {!Sched_vm} plan (nothing would ever load). *)
+    plans. As a {!Sched_vm} plan it selects the static SPMD partition:
+    every member is loaded up front into its device's slice of
+    {!partition}, and lanes never recycle. *)
+
+type partition = { offset : int; length : int }
+
+val partition : z:int -> shards:int -> partition array
+(** Contiguous, front-loaded split of [0..z-1] into [min shards z]
+    non-empty parts: remainder members go to the leading shards. Raises
+    [Invalid_argument] when [z <= 0] or [shards <= 0]. *)
 
 (** One shard's lane occupancy, as ascending lane indices. A lane is in
     neither list when it is finished-but-unretired; retire it before

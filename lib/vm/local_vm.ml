@@ -5,7 +5,6 @@ type config = {
   sched : Sched_policy.t;
   engine : Engine.t option;
   max_steps : int;
-  member_base : int;
   sink : Obs_sink.t option;
 }
 
@@ -15,7 +14,6 @@ let default_config =
     sched = Sched_policy.Earliest;
     engine = None;
     max_steps = 100_000_000;
-    member_base = 0;
     sink = None;
   }
 
@@ -190,14 +188,12 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
                     args;
                   List.map (fun a -> Tensor.take_rows (lookup a) members) args
               in
-              (* Global member identities for the RNG primitives; row
-                 gathers/scatters below keep using the local [members]. *)
+              (* Member identities for the RNG primitives: every lane
+                 when masking, the gathered rows' lanes otherwise. *)
               let row_members =
                 match style with
-                | Masking -> Array.init z (fun b -> config.member_base + b)
-                | Gather_scatter ->
-                  if config.member_base = 0 then members
-                  else Array.map (fun b -> config.member_base + b) members
+                | Masking -> Array.init z Fun.id
+                | Gather_scatter -> members
                 | Adaptive _ -> assert false
               in
               let out = impl.Prim.batched ~members:row_members arg_tensors in

@@ -28,9 +28,6 @@ type config = {
   sched : Sched_policy.t;
   engine : Engine.t option;        (** simulated-cost accounting *)
   max_steps : int;                 (** bound on VM scheduling steps *)
-  member_base : int;
-      (** Global index of lane 0, for sharded execution: lane [i] draws
-          the RNG streams of batch member [member_base + i]. Default 0. *)
   sink : Obs_sink.t option;
       (** Observability seam: one [Obs_sink.Step] and one
           [Obs_sink.Occupancy] per scheduled block, before it runs. Block

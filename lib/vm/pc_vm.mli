@@ -46,8 +46,9 @@ type config = {
       (** O5 ablation: price every write to a stacked variable as the
           uncancelled pop+push pair instead of an in-place update. *)
   member_base : int;
-      (** Global index of lane 0, for sharded execution: lane [i] draws
-          the RNG streams of batch member [member_base + i]. Default 0. *)
+      (** Global index of lane 0: lane [i] of {!run} draws the RNG
+          streams of batch member [member_base + i], so a slice of a
+          batch run alone reproduces its rows. Default 0. *)
   sink : Obs_sink.t option;
       (** Structured observability seam: once per executed superstep,
           before the scheduled block runs, the VM emits
@@ -111,8 +112,8 @@ module Pc_stack : sig
 end
 
 (** The steppable lane pool behind {!run} and every serving and
-    migration client ([Tenant_server], [Sched_vm], [Shard_vm], the
-    recovery drivers).
+    migration client ([Tenant_server], [Sched_vm], the recovery
+    drivers).
 
     A lane is one batch slot. Lanes are individually [load]ed with a
     request's inputs and RNG member identity, advance together one

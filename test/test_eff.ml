@@ -94,9 +94,13 @@ let test_runtime_matrix_bitwise () =
       check "shard"
         (Autobatch.run_sharded
            ~config:
-             { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
+             {
+               Sched_vm.default_config with
+               plan = Sched_plan.off;
+               mesh = Mesh.gpu_pod ~n:2 ();
+             }
            compiled ~batch)
-          .Shard_vm.outputs)
+          .Sched_vm.outputs)
     Zoo.known
 
 let test_elaborated_density_vs_hand () =
@@ -357,9 +361,13 @@ let test_nuts_bitwise_all_models () =
           ( "shard",
             (Autobatch.run_sharded
                ~config:
-                 { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
+                 {
+                   Sched_vm.default_config with
+                   plan = Sched_plan.off;
+                   mesh = Mesh.gpu_pod ~n:2 ();
+                 }
                compiled ~batch)
-              .Shard_vm.outputs );
+              .Sched_vm.outputs );
         ]
       in
       List.iter

@@ -294,9 +294,14 @@ let test_fib_entry_duplication () =
   check_bitwise "local" expected (Autobatch.run_local fused ~batch:fib_batch);
   check_bitwise "shard" expected
     (Autobatch.run_sharded
-       ~config:{ Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:3 () }
+       ~config:
+         {
+           Sched_vm.default_config with
+           plan = Sched_plan.off;
+           mesh = Mesh.gpu_pod ~n:3 ();
+         }
        fused ~batch:fib_batch)
-      .Shard_vm.outputs
+      .Sched_vm.outputs
 
 (* ---------- profiles ---------- *)
 

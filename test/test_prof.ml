@@ -36,10 +36,16 @@ let run_local_fib sink =
 let run_shard_fib ?mode sink =
   let compiled = Lazy.force fib_compiled in
   let config =
-    { Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 (); mode; sink }
+    {
+      Sched_vm.default_config with
+      plan = Sched_plan.off;
+      mesh = Mesh.gpu_pod ~n:2 ();
+      mode;
+      sink;
+    }
   in
   let r = Autobatch.run_sharded ~config compiled ~batch:(fib_batch 8) in
-  (r.Shard_vm.outputs, r.Shard_vm.sim_time)
+  (r.Sched_vm.outputs, r.Sched_vm.sim_time)
 
 let occupancy ?(step = 1) ?(block = 0) ?(depth = 0) ~active ~live ~total ~width () =
   Obs_sink.Occupancy { shard = 0; step; block; active; live; total; width; depth }
@@ -165,17 +171,14 @@ let test_hist_buckets_json () =
 
 (* ---------- Occupancy invariant on every runtime ---------- *)
 
-(* 0 <= active <= live <= total, on every event, from every runtime; the
-   sink may fire from shard domains, so the tallies are mutex-guarded. *)
+(* 0 <= active <= live <= total, on every event, from every runtime. *)
 let occupancy_checker () =
-  let mu = Mutex.create () in
   let seen = ref 0 and bad = ref 0 in
   let sink ev =
     match ev with
     | Obs_sink.Occupancy { active; live; total; _ } ->
-      Mutex.protect mu (fun () ->
-          incr seen;
-          if not (0 <= active && active <= live && live <= total) then incr bad)
+      incr seen;
+      if not (0 <= active && active <= live && live <= total) then incr bad
     | _ -> ()
   in
   (sink, seen, bad)
@@ -486,21 +489,22 @@ let test_conservation_pc () =
   check_conservation "pc" clock prof
 
 let test_conservation_shard () =
-  (* Each shard has its own engine and domain; attribution must conserve
-     the sum of the per-shard clocks (collectives live on the mesh
-     timeline and are excluded on both sides). *)
+  (* Each shard has its own engine; attribution must conserve the sum of
+     the per-shard clocks (collectives live on the mesh timeline and are
+     excluded on both sides). *)
   let compiled = Lazy.force fib_compiled in
   let prof = Obs_prof.create () in
   let config =
     {
-      Shard_vm.default_config with
+      Sched_vm.default_config with
+      plan = Sched_plan.off;
       mesh = Mesh.gpu_pod ~n:2 ();
       mode = Some Engine.Fused;
       sink = Some (Obs_prof.sink prof);
     }
   in
   let r = Autobatch.run_sharded ~config compiled ~batch:(fib_batch 16) in
-  let total = Array.fold_left ( +. ) 0. r.Shard_vm.shard_times in
+  let total = Array.fold_left ( +. ) 0. r.Sched_vm.shard_times in
   check_conservation "shard" total prof
 
 (* Two functions under the local VM: attribution conserves the engine

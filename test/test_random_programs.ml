@@ -432,9 +432,14 @@ let fused_runs_agree prog =
     check "fused local" (Autobatch.run_local fused ~batch:batch_inputs);
     check "fused shard"
       (Autobatch.run_sharded
-         ~config:{ Shard_vm.default_config with mesh = Mesh.gpu_pod ~n:2 () }
+         ~config:
+           {
+             Sched_vm.default_config with
+             plan = Sched_plan.off;
+             mesh = Mesh.gpu_pod ~n:2 ();
+           }
          fused ~batch:batch_inputs)
-        .Shard_vm.outputs;
+        .Sched_vm.outputs;
     true
 
 let prop_fused_differential =

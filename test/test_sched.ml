@@ -528,10 +528,6 @@ let test_sched_vm_rejects () =
   Alcotest.(check bool) "zero lanes rejected" true
     (match run { Sched_vm.default_config with lanes = 0 } with
     | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "no-refill plan rejected" true
-    (match run { Sched_vm.default_config with plan = Sched_plan.off } with
-    | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_sched_vm_accounting () =
