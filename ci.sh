@@ -4,18 +4,36 @@
 #   ./ci.sh         # build, fast test tier, then the bench gates:
 #                   # observe, fuse, sched, tenant, serve, resil, regress,
 #                   # the paper-figures golden, eff; then a format check
-#                   # if .ocamlformat exists
+#                   # if .ocamlformat exists. fuse and sched fail if their
+#                   # regenerated BENCH_*.json drifts from the committed one
 #   ./ci.sh --fast  # same (the default tier, spelled out)
 #   ./ci.sh --full  # same, but the complete test suite instead of the fast
 #                   # tier, and the observe/tenant/eff gates at full size
 #                   # (observe and tenant then diff their committed
-#                   # baselines)
+#                   # baselines, and eff fails if BENCH_eff.json drifts)
 #
 # Mirrors HACKING.md: run before committing; run --full before merging.
 set -eu
 
 step() {
   printf '\n== %s ==\n' "$1"
+}
+
+# Stages that regenerate a committed BENCH_*.json are deterministic, so
+# the regenerated file must equal the committed one byte for byte: keep
+# copies the file aside before its stage, and no_drift fails the run on
+# any difference after it.
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+keep() {
+  cp "$1" "$tmpdir/$1"
+}
+no_drift() {
+  if ! cmp -s "$tmpdir/$1" "$1"; then
+    echo "ci.sh: $1 drifted from its committed copy" >&2
+    diff -u "$tmpdir/$1" "$1" >&2 || true
+    exit 1
+  fi
 }
 
 tier="@runtest-fast"
@@ -61,18 +79,24 @@ fi
 # stage compiles fib and eight_schools NUTS plain and fused, exits
 # nonzero unless the fused builds are bitwise identical on every runtime
 # (pc/local/sharded), save >=25% of their supersteps, and lower the
-# simulated cost. Regenerates BENCH_fuse.json (deterministic).
+# simulated cost. Regenerates BENCH_fuse.json (deterministic), which
+# must not drift from the committed copy.
 step "bench fuse gate"
+keep BENCH_fuse.json
 dune exec bench/main.exe -- fuse
+no_drift BENCH_fuse.json
 
 # Scheduling policies and lane defragmentation must be invisible in the
 # outputs and visible in the utilization: the sched stage exits nonzero
 # unless every runtime is bitwise identical to the Earliest baseline
 # under every policy and migration plan, and the defragmenting runtime's
 # effective utilization clears its bar (>=2x on eight_schools z=64,
-# >=1.5x on fib z=32). Regenerates BENCH_sched.json (deterministic).
+# >=1.5x on fib z=32). Regenerates BENCH_sched.json (deterministic),
+# which must not drift from the committed copy.
 step "bench sched gate"
+keep BENCH_sched.json
 dune exec bench/main.exe -- sched
+no_drift BENCH_sched.json
 
 # The multi-tenant stack must keep its SLOs without touching results:
 # the tenant stage replays the paired bursty-overload trace (fair arm vs
@@ -126,9 +150,8 @@ dune exec bench/main.exe -- regress
 # diffs against the committed goldens (regenerate them deliberately with
 # the same pipelines).
 step "paper figures golden"
-figures=$(mktemp)
-scaling=$(mktemp)
-trap 'rm -f "$figures" "$scaling"' EXIT
+figures="$tmpdir/figures.txt"
+scaling="$tmpdir/scaling.csv"
 dune exec bench/main.exe -- figure5 figure6 ablations >"$figures"
 grep -v '^\[[a-z0-9]*\] wall ' "$figures" | diff -u test/figures_golden.txt -
 dune exec bin/experiments.exe -- scaling --devices 1,2,4,8 --csv "$scaling" >/dev/null
@@ -144,12 +167,15 @@ cut -d, -f1-10 "$scaling" | diff -u test/scaling_golden.csv -
 # mixture moments with accepted exchanges, decision tree bitwise vs
 # host evaluation). The fast tier shrinks particle counts, rounds, and
 # tree depth via AUTOBATCH_FAST; the full tier regenerates the
-# committed BENCH_eff.json (deterministic).
+# committed BENCH_eff.json (deterministic), which must not drift from the
+# committed copy.
 step "bench eff gate"
 if [ "$tier" = "@runtest-fast" ]; then
   AUTOBATCH_FAST=1 dune exec bench/main.exe -- eff
 else
+  keep BENCH_eff.json
   dune exec bench/main.exe -- eff
+  no_drift BENCH_eff.json
 fi
 
 # Format check only where a profile exists: the repo ships without an

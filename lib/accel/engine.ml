@@ -85,11 +85,19 @@ type state = {
   mutable time : float;
 }
 
+(* The per-op tally is keyed by interned op ids: [ids] maps a name to its
+   id and only grows, so an id (and every [priced] handle holding it) stays
+   valid for the engine's lifetime, across [reset], [restore] and [merge].
+   [counts] is indexed by id; [marked] records the ids a [restore] or
+   [merge] wrote, which are tally entries even at count zero. *)
 type t = {
   device : Device.t;
   mode : mode;
   st : state;
-  tally : (string, int) Hashtbl.t;
+  ids : (string, int) Hashtbl.t;
+  mutable names : string array;
+  mutable counts : int array;
+  mutable marked : bool array;
   mutable sink : Obs_sink.t option;
 }
 
@@ -111,7 +119,10 @@ let create ~device ~mode () =
         traffic_bytes = 0.;
         time = 0.;
       };
-    tally = Hashtbl.create 64;
+    ids = Hashtbl.create 64;
+    names = [||];
+    counts = [||];
+    marked = [||];
   }
 
 let device t = t.device
@@ -125,8 +136,23 @@ let clear_sink t = t.sink <- None
 
 let emit t ev = match t.sink with None -> () | Some sink -> sink ev
 
-let bump_tally t name =
-  Hashtbl.replace t.tally name (1 + Option.value ~default:0 (Hashtbl.find_opt t.tally name))
+let intern t name =
+  match Hashtbl.find_opt t.ids name with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.ids in
+    if id = Array.length t.names then begin
+      let cap = max 16 (2 * id) in
+      let grow a fill = Array.append a (Array.make (cap - id) fill) in
+      t.names <- grow t.names "";
+      t.counts <- grow t.counts 0;
+      t.marked <- grow t.marked false
+    end;
+    t.names.(id) <- name;
+    Hashtbl.add t.ids name id;
+    id
+
+let bump t id = t.counts.(id) <- t.counts.(id) + 1
 
 let compute_time t flops = flops /. t.device.Device.flops_per_sec
 
@@ -155,7 +181,7 @@ let charge_traffic t ~bytes =
 let charge_kernel t ~name ~flops =
   emit t (Obs_sink.Launch { kind = Obs_sink.Kernel; name });
   let t0 = t.st.time in
-  bump_tally t name;
+  bump t (intern t name);
   t.st.kernel_launches <- t.st.kernel_launches + 1;
   t.st.host_ops <- t.st.host_ops + 1;
   t.st.flops <- t.st.flops +. flops;
@@ -209,59 +235,92 @@ let charge_host_call t =
 
 let block_name = "block"
 
-let charge_priced_block t ~ops ~flops:block_flops ~control_ops ~traffic_bytes =
+(* A block priced once for one engine: its op ids, its totals, and the
+   time terms the charge adds. The terms are added to the clock one at a time,
+   left to right, exactly as a per-call computation would, so a charge
+   through a handle is bitwise the same as pricing the block afresh. *)
+type priced = {
+  owner : t;
+  op_ids : int array;
+  p_flops : float;
+  p_control_ops : int;
+  p_traffic_bytes : float;
+  dispatch : float;  (* host-dispatched kernels: all of Eager's, Hybrid's control *)
+  arithmetic : float;  (* unfused in Eager, fused otherwise *)
+  traffic : float;
+}
+
+let price t ~ops ~flops ~control_ops ~traffic_bytes =
+  let d = t.device in
+  let op_ids = Array.of_list (List.map (intern t) ops) in
+  let per_kernel = d.Device.kernel_launch_overhead +. d.Device.host_op_overhead in
+  let dispatched, arithmetic =
+    match t.mode with
+    | Eager -> (Array.length op_ids + control_ops, compute_time t flops)
+    | Fused | Hybrid -> (control_ops, fused_compute_time t flops)
+  in
+  {
+    owner = t;
+    op_ids;
+    p_flops = flops;
+    p_control_ops = control_ops;
+    p_traffic_bytes = traffic_bytes;
+    dispatch = float_of_int dispatched *. per_kernel;
+    arithmetic;
+    traffic = traffic_time t traffic_bytes;
+  }
+
+let charge_priced t p =
+  if p.owner != t then invalid_arg "Engine.charge_priced: priced by another engine";
   emit t (Obs_sink.Launch { kind = Obs_sink.Fused_block; name = block_name });
   let t0 = t.st.time in
   let d = t.device in
   t.st.blocks <- t.st.blocks + 1;
-  t.st.flops <- t.st.flops +. block_flops;
-  List.iter (bump_tally t) ops;
-  let n_ops = List.length ops in
-  let arithmetic = compute_time t block_flops in
-  let traffic = traffic_time t traffic_bytes in
-  t.st.traffic_bytes <- t.st.traffic_bytes +. traffic_bytes;
+  t.st.flops <- t.st.flops +. p.p_flops;
+  let op_ids = p.op_ids in
+  for k = 0 to Array.length op_ids - 1 do
+    bump t op_ids.(k)
+  done;
+  t.st.traffic_bytes <- t.st.traffic_bytes +. p.p_traffic_bytes;
   begin
     match t.mode with
     | Eager ->
       (* Every primitive and every control action is its own kernel, each
          dispatched from the host language. *)
-      let launches = n_ops + control_ops in
+      let launches = Array.length op_ids + p.p_control_ops in
       t.st.kernel_launches <- t.st.kernel_launches + launches;
       t.st.host_ops <- t.st.host_ops + launches;
-      t.st.time <-
-        t.st.time
-        +. (float_of_int launches
-            *. (d.Device.kernel_launch_overhead +. d.Device.host_op_overhead))
-        +. arithmetic +. traffic
+      t.st.time <- t.st.time +. p.dispatch +. p.arithmetic +. p.traffic
     | Fused ->
       (* One launch covers arithmetic, control and bookkeeping; fusion
          keeps intermediates on-chip. *)
       t.st.fused_launches <- t.st.fused_launches + 1;
-      t.st.time <-
-        t.st.time +. d.Device.fused_launch_overhead
-        +. fused_compute_time t block_flops +. traffic
+      t.st.time <- t.st.time +. d.Device.fused_launch_overhead +. p.arithmetic +. p.traffic
     | Hybrid ->
       (* Block arithmetic is fused; control actions are dispatched from the
          host as individual small kernels. *)
       t.st.fused_launches <- t.st.fused_launches + 1;
-      t.st.kernel_launches <- t.st.kernel_launches + control_ops;
-      t.st.host_ops <- t.st.host_ops + control_ops;
+      t.st.kernel_launches <- t.st.kernel_launches + p.p_control_ops;
+      t.st.host_ops <- t.st.host_ops + p.p_control_ops;
       t.st.time <-
-        t.st.time +. d.Device.fused_launch_overhead
-        +. (float_of_int control_ops
-            *. (d.Device.kernel_launch_overhead +. d.Device.host_op_overhead))
-        +. fused_compute_time t block_flops +. traffic
+        t.st.time +. d.Device.fused_launch_overhead +. p.dispatch +. p.arithmetic
+        +. p.traffic
   end;
   emit t
     (Obs_sink.Launched
        { kind = Obs_sink.Fused_block; name = block_name; t0; t1 = t.st.time })
 
 let charge_block t ~ops ~control_ops ~traffic_bytes =
-  charge_priced_block t ~ops:(List.map fst ops)
-    ~flops:(List.fold_left (fun acc (_, f) -> acc +. f) 0. ops)
-    ~control_ops ~traffic_bytes
+  charge_priced t
+    (price t ~ops:(List.map fst ops)
+       ~flops:(List.fold_left (fun acc (_, f) -> acc +. f) 0. ops)
+       ~control_ops ~traffic_bytes)
 
 let elapsed t = t.st.time
+
+let clear_tally t =
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Array.fill t.marked 0 (Array.length t.marked) false
 
 let reset t =
   t.st.kernel_launches <- 0;
@@ -274,7 +333,7 @@ let reset t =
   t.st.flops <- 0.;
   t.st.traffic_bytes <- 0.;
   t.st.time <- 0.;
-  Hashtbl.reset t.tally
+  clear_tally t
 
 let current t : Counters.t =
   {
@@ -292,14 +351,16 @@ let current t : Counters.t =
 
 type snapshot = { at : Counters.t; ops : (string * int) list }
 
-let snapshot t =
-  {
-    at = current t;
-    (* Name order, so snapshots of equal states are structurally equal. *)
-    ops =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tally []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-  }
+(* Name order, so snapshots of equal states are structurally equal. A
+   nonzero count is always in the tally; a zero one only if marked. *)
+let tally t =
+  let acc = ref [] in
+  for id = Hashtbl.length t.ids - 1 downto 0 do
+    if t.counts.(id) <> 0 || t.marked.(id) then acc := (t.names.(id), t.counts.(id)) :: !acc
+  done;
+  List.sort (fun (a, _) (b, _) -> compare a b) !acc
+
+let snapshot t = { at = current t; ops = tally t }
 
 let restore t (s : snapshot) =
   t.st.kernel_launches <- s.at.Counters.kernel_launches;
@@ -312,8 +373,13 @@ let restore t (s : snapshot) =
   t.st.flops <- s.at.Counters.flops;
   t.st.traffic_bytes <- s.at.Counters.traffic_bytes;
   t.st.time <- s.at.Counters.elapsed_seconds;
-  Hashtbl.reset t.tally;
-  List.iter (fun (name, n) -> Hashtbl.replace t.tally name n) s.ops
+  clear_tally t;
+  List.iter
+    (fun (name, n) ->
+      let id = intern t name in
+      t.counts.(id) <- n;
+      t.marked.(id) <- true)
+    s.ops
 
 let merge ~into:t (s : snapshot) =
   t.st.kernel_launches <- t.st.kernel_launches + s.at.Counters.kernel_launches;
@@ -328,6 +394,7 @@ let merge ~into:t (s : snapshot) =
   t.st.time <- t.st.time +. s.at.Counters.elapsed_seconds;
   List.iter
     (fun (name, n) ->
-      Hashtbl.replace t.tally name
-        (n + Option.value ~default:0 (Hashtbl.find_opt t.tally name)))
+      let id = intern t name in
+      t.counts.(id) <- t.counts.(id) + n;
+      t.marked.(id) <- true)
     s.ops

@@ -17,7 +17,13 @@
     which captures the cumulative {!Counters.t} record and the per-op
     tally together. Snapshots merge ({!merge}), restore ({!restore}), and
     serialize (lib/resil); there is no separate counters-only or
-    tally-only readout. *)
+    tally-only readout.
+
+    The tally is kept by interned op id, not by name: an engine assigns
+    each op name an id on first sight and never reassigns it, and a block
+    charged repeatedly is priced once into a {!priced} handle
+    ({!price}/{!charge_priced}), so charging it bumps an int array with no
+    hashing. *)
 
 type mode = Eager | Fused | Hybrid
 
@@ -64,13 +70,28 @@ val charge_block :
 (** Price one executed basic block: [(name, flops)] per primitive, the
     number of control actions (branch evaluation, mask and program-counter
     updates), and the bookkeeping bytes moved (masked writes, stack
-    gathers/scatters). *)
+    gathers/scatters). Equivalent to [charge_priced t (price t ...)];
+    callers that run the same block repeatedly should keep the handle. *)
 
-val charge_priced_block :
-  t -> ops:string list -> flops:float -> control_ops:int -> traffic_bytes:float -> unit
-(** {!charge_block} for a block priced ahead of time: [ops] names its
-    primitives in order and [flops] is their summed flops (summed left to
-    right, as {!charge_block} would). *)
+type priced
+(** A block priced once, ahead of execution, for one engine: its ops as
+    the engine's interned op ids, its summed flops, control actions and
+    traffic, and the simulated-time terms a charge adds. Op ids are stable
+    for an engine's lifetime (across {!reset}, {!restore} and {!merge}),
+    so a handle stays valid as long as its engine does — and only on that
+    engine. *)
+
+val price :
+  t -> ops:string list -> flops:float -> control_ops:int -> traffic_bytes:float -> priced
+(** Price a block for [t]: [ops] names its primitives in order and [flops]
+    is their summed flops (summed left to right, as {!charge_block}
+    would). Charges nothing; interns any op name [t] has not seen. *)
+
+val charge_priced : t -> priced -> unit
+(** Charge one execution of a priced block: bitwise the same counters,
+    simulated time and {!Obs_sink} events as {!charge_block} on the same
+    block, with no per-op name lookup. Raises [Invalid_argument] if the
+    handle was priced by a different engine (op ids are per-engine). *)
 
 val charge_kernel : t -> name:string -> flops:float -> unit
 (** One standalone eagerly dispatched kernel (used by the unbatched

@@ -210,13 +210,9 @@ let resolve names reg ~z (b : Stack_ir.block) =
 
    Lookups happen once, in [create]: every variable gets a slot in
    [slots] and every block is resolved over slot indices. A block's
-   engine charge depends only on shapes, so it is computed on the block's
-   first execution and reused. *)
+   engine charge depends only on shapes, so it is priced into an
+   [Engine.priced] handle on the block's first execution and reused. *)
 module Lanes = struct
-  (* One execution of a block, priced: its primitives' names and summed
-     flops, its control actions, and its bookkeeping bytes. *)
-  type charge = { ops : string list; flops : float; control_ops : int; traffic : float }
-
   type t = {
     config : config;
     p : Stack_ir.program;
@@ -225,7 +221,7 @@ module Lanes = struct
     names : string array;    (* slot -> variable, sorted *)
     slots : storage option array;
     blocks : block array;
-    charges : charge option array;
+    priced : Engine.priced option array;  (* per block, on [config.engine] *)
     pc : Pc_stack.t;
     members : int array;     (* per-lane global RNG member identity *)
     occupied : bool array;   (* lane currently carries a request *)
@@ -377,11 +373,12 @@ module Lanes = struct
       branch t cond ~if_true ~if_false
     | Stack_ir.Sreturn -> Pc_stack.pop t.pc ~mask:t.mask
 
-  (* The engine charge of block [b], from the shapes of the variables it
-     touches (all allocated once it has executed). Traffic is summed in
-     the order the block moves bytes — reads, then the write, op by op,
-     then the terminator — since float addition is not associative. *)
-  let charge_of t (b : block) =
+  (* The engine charge of block [b] on [eng], from the shapes of the
+     variables it touches (all allocated once it has executed). Traffic is
+     summed in the order the block moves bytes — reads, then the write, op
+     by op, then the terminator — since float addition is not
+     associative. *)
+  let price t eng (b : block) =
     let z = t.z in
     let traffic = ref 0. and flops = ref 0. and names = ref [] in
     let add bytes = traffic := !traffic +. bytes in
@@ -438,15 +435,16 @@ module Lanes = struct
       | Stack_ir.Spushjump _ | Stack_ir.Sreturn -> pc_move (); 2
       | Stack_ir.Spushbranch _ -> read b.cond; pc_move (); 3
     in
-    { ops = List.rev !names; flops = !flops; control_ops; traffic = !traffic }
+    Engine.price eng ~ops:(List.rev !names) ~flops:!flops ~control_ops
+      ~traffic_bytes:!traffic
 
-  let charge t i =
-    match t.charges.(i) with
-    | Some c -> c
+  let priced t eng i =
+    match t.priced.(i) with
+    | Some p -> p
     | None ->
-      let c = charge_of t t.blocks.(i) in
-      t.charges.(i) <- Some c;
-      c
+      let p = price t eng t.blocks.(i) in
+      t.priced.(i) <- Some p;
+      p
 
   let create ?(config = default_config) reg (p : Stack_ir.program) ~z =
     if z <= 0 then invalid_arg "Pc_vm.Lanes: need at least one lane";
@@ -465,7 +463,7 @@ module Lanes = struct
         names;
         slots = Array.make (Array.length names) None;
         blocks = Array.map (resolve names reg ~z) p.Stack_ir.blocks;
-        charges = Array.make nb None;
+        priced = Array.make nb None;
         (* All lanes start idle: pc top parked at [halt]. *)
         pc = Pc_stack.create ~z ~bottom:halt ~start:halt ~initial_depth;
         members = Array.init z (fun i -> config.member_base + i);
@@ -857,10 +855,7 @@ module Lanes = struct
       exec_term t b;
       (match config.engine with
       | None -> ()
-      | Some eng ->
-        let c = charge t i in
-        Engine.charge_priced_block eng ~ops:c.ops ~flops:c.flops
-          ~control_ops:c.control_ops ~traffic_bytes:c.traffic);
+      | Some eng -> Engine.charge_priced eng (priced t eng i));
       true
 end
 

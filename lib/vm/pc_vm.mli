@@ -31,8 +31,9 @@
     every variable is resolved to a storage slot, every block's operands
     to slot indices, its primitives to their implementations and its
     constants to batch-wide tensors, and each block's engine charge (op
-    flops, control actions, traffic) is priced on its first execution
-    and reused. A superstep then does no name lookups and no pricing. *)
+    flops, control actions, traffic) is priced into an {!Engine.priced}
+    handle on its first execution and reused. A superstep then does no
+    name lookups and no pricing. *)
 
 type config = {
   sched : Sched_policy.t;
