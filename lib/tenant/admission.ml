@@ -203,8 +203,6 @@ let set_floor t lvl =
   if t.config.mode = Fair then
     with_notify t ~cause:"slo-floor" (fun () -> t.floor <- rung_of_level lvl)
 
-let floor_level t = level_of_rung t.floor
-
 (* The weakest (highest-rank) non-empty class; shedding victimizes it. *)
 let weakest_nonempty t =
   let found = ref None in

@@ -79,10 +79,6 @@ val fifo : ?depth:int -> unit -> config
 (** The baseline arm; [depth] defaults to [3 * default.depth] so both
     arms hold the same total backlog. The ladder never engages. *)
 
-val capacity : config -> int
-(** Total buffered slots: [3 * depth] in [Fair] mode, [depth] in the
-    single-queue modes. *)
-
 type t
 
 val create :
@@ -108,12 +104,6 @@ val set_floor : t -> level -> unit
     [Shed_best_effort] even while the queue looks healthy, and resolving
     releases it ([set_floor t Normal]). No-op outside [Fair] mode (the
     single-queue modes have no ladder). *)
-
-val floor_level : t -> level
-(** The current floor (not the effective level). *)
-
-val occupancy : t -> float
-(** Queued / total capacity, the quantity the ladder thresholds read. *)
 
 val length : t -> int
 val class_length : t -> Tenant.slo -> int

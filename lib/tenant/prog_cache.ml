@@ -95,8 +95,6 @@ let create ?metrics ?registry ?sink ?(clock = fun () -> 0.) ~capacity () =
     span_seq = 0;
   }
 
-let length t = Hashtbl.length t.entries
-let capacity t = t.capacity
 let hits t = t.n_hits
 let misses t = t.n_misses
 let evictions t = t.n_evictions

@@ -61,8 +61,6 @@ val find : t -> int64 -> Autobatch.compiled option
 (** Peek by digest; counts and refreshes like a lookup, but never
     compiles. *)
 
-val length : t -> int
-val capacity : t -> int
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int

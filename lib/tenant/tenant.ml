@@ -1,6 +1,5 @@
 type slo = Latency_bound | Throughput | Best_effort
 
-let all_slos = [ Latency_bound; Throughput; Best_effort ]
 let n_slos = 3
 
 let rank = function Latency_bound -> 0 | Throughput -> 1 | Best_effort -> 2
@@ -15,12 +14,6 @@ let slo_name = function
   | Latency_bound -> "latency"
   | Throughput -> "throughput"
   | Best_effort -> "best-effort"
-
-let slo_of_string = function
-  | "latency" | "latency-bound" -> Some Latency_bound
-  | "throughput" -> Some Throughput
-  | "best-effort" | "besteffort" -> Some Best_effort
-  | _ -> None
 
 type t = {
   id : int;

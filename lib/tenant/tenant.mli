@@ -11,9 +11,6 @@
     ranks, never constructor order. *)
 type slo = Latency_bound | Throughput | Best_effort
 
-val all_slos : slo list
-(** Strongest first: [[Latency_bound; Throughput; Best_effort]]. *)
-
 val n_slos : int
 
 val rank : slo -> int
@@ -26,8 +23,6 @@ val of_rank : int -> slo
 val slo_name : slo -> string
 (** ["latency" | "throughput" | "best-effort"] — stable, used in metric
     names and JSON reports. *)
-
-val slo_of_string : string -> slo option
 
 type t = {
   id : int;

@@ -13,7 +13,6 @@ type config = {
   faults : Fault.event list;
   keep_outputs : bool;
   max_rounds : int;
-  metrics : Obs_metrics.t option;
   sink : Obs_sink.t option;
   slo : Obs_slo.t option;
   slo_drive : bool;
@@ -33,7 +32,6 @@ let default_config ~mesh =
     faults = [];
     keep_outputs = true;
     max_rounds = 10_000_000;
-    metrics = None;
     sink = None;
     slo = None;
     slo_drive = false;
@@ -165,15 +163,840 @@ let inputs_fit (r : Request.t) =
          | None -> true)
        p.Stack_ir.inputs r.Request.inputs
 
-let run ?config ?on_complete src =
+(* ---------- server state ---------- *)
+
+type census = {
+  arriving : int; queued : int; parked : int; in_flight : int; unflushed : int;
+  completed : int; throttled : int; rejected : int; shed : int;
+}
+
+(* Everything a round reads or writes. The phases below are functions of
+   it, run in [step_round]'s order. *)
+type t = {
+  cfg : config;
+  on_complete : (completion -> Admission.item option) option;
+  src : source;
+  shards : shard array;
+  kills : Fault.event list;
+  injector : Fault.injector;
+  adm : Admission.t;
+  row_shapes : (int64, Shape.t list) Hashtbl.t;
+  max_target : int;
+  mutable now : float;
+  mutable round : int;
+  mutable over : bool;
+  mutable parked : parked list;
+  mutable seq : int;  (* park order: the resume tie-break *)
+  mutable followups : Admission.item list;  (* arrival order *)
+  mutable span_seq : int;
+  mutable target : int;  (* active shards the pool controller asks for *)
+  mutable since_scale : int;
+  (* The tallies [finish] turns into {!stats}; lists newest first. *)
+  mutable completions : completion list;
+  mutable throttled : Admission.item list;
+  mutable rejected : (Admission.item * Admission.reason) list;
+  mutable shed : Admission.item list;
+  mutable preemptions : int; mutable resumes : int;
+  mutable migrations : int; mutable migration_bytes : float;
+  mutable binds : int; mutable rebinds : int; mutable grows : int; mutable shrinks : int;
+  mutable checkpoints : int; mutable restores : int; mutable wasted : int;
+  mutable peak_active : int;
+}
+
+let emit t ev = match t.cfg.sink with Some s -> s ev | None -> ()
+
+(* Span ids are a server-global sequence, assigned at emission time
+   only — a rolled-back round never consumes ids, so replays stay
+   deterministic. *)
+let next_span t =
+  let s = t.span_seq in
+  t.span_seq <- s + 1;
+  s
+
+(* Server-lifecycle instants (pool scaling, checkpoint, restore) live
+   on the shared ops trace, outside any request's tree. *)
+let ops_span t name =
+  match t.cfg.sink with
+  | None -> ()
+  | Some sink ->
+    let span = next_span t in
+    sink
+      (Obs_sink.Span
+         { trace = Obs_span.ops_trace; span; parent = Obs_span.no_parent;
+           track = Obs_span.ops_track; name; t0 = t.now; t1 = t.now })
+
+(* One span tree per completed request, emitted exactly once — at the
+   moment the completion leaves the rollback window (flush), not at
+   retire, which a device kill can replay. *)
+let emit_request_spans t (c : completion) =
+  match t.cfg.sink with
+  | None -> ()
+  | Some sink ->
+    let r = c.c_item.Admission.request in
+    let trace = r.Request.ctx.Obs_span.trace in
+    let track = c.c_item.Admission.tenant.Tenant.id in
+    let sp ~parent ~name ~t0 ~t1 =
+      let span = next_span t in
+      sink (Obs_sink.Span { trace; span; parent; track; name; t0; t1 });
+      span
+    in
+    let root =
+      sp ~parent:r.Request.ctx.Obs_span.parent ~name:"request"
+        ~t0:r.Request.arrival ~t1:c.c_finished
+    in
+    ignore
+      (sp ~parent:root ~name:"queue" ~t0:r.Request.arrival ~t1:c.c_started);
+    let service =
+      sp ~parent:root ~name:"service" ~t0:c.c_started ~t1:c.c_finished
+    in
+    List.iter
+      (fun (name, t0, t1) -> ignore (sp ~parent:service ~name ~t0 ~t1))
+      c.c_marks
+
+let iter_bindings t f =
+  Array.iter (fun s -> match s.s_b with Some b -> f s b | None -> ()) t.shards
+
+let sum_bindings t f =
+  Array.fold_left (fun acc s -> match s.s_b with Some b -> acc + f b | None -> acc) 0 t.shards
+
+let active_count t = sum_bindings t (fun b -> if b.b_draining then 0 else 1)
+let draining_count t = sum_bindings t (fun b -> if b.b_draining then 1 else 0)
+
+let live_lanes t =
+  sum_bindings t (fun b -> if b.b_draining then 0 else Pc_vm.Lanes.live_count b.b_lanes)
+
+(* ---------- checkpoints and recovery ---------- *)
+
+let ckpt_bytes t b =
+  let total = ref 64. in
+  for lane = 0 to t.cfg.lanes_per_shard - 1 do
+    if Pc_vm.Lanes.occupied b.b_lanes ~lane then
+      total := !total +. Pc_vm.Lanes.lane_bytes b.b_lanes ~lane
+  done;
+  !total
+
+let capture_ckpt s b =
+  {
+    k_image = Pc_vm.Lanes.capture b.b_lanes;
+    k_engine = Engine.snapshot s.s_engine;
+    k_flight = List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_flight;
+    k_draining = b.b_draining;
+  }
+
+let arrival (it : Admission.item) = it.Admission.request.Request.arrival
+
+(* A closed-loop follow-up from [on_complete] joins [followups] in
+   arrival order, its arrival clamped to the clock; ingest merges them
+   with the source. *)
+let follow_up t on_complete (c : completion) =
+  match on_complete c with
+  | None -> ()
+  | Some (it : Admission.item) ->
+    let r = it.Admission.request in
+    let it =
+      if arrival it >= t.now then it
+      else { it with Admission.request = { r with Request.arrival = t.now } }
+    in
+    let rec insert = function
+      | x :: rest when arrival x <= arrival it -> x :: insert rest
+      | l -> it :: l
+    in
+    t.followups <- insert t.followups
+
+(* Completions leave the rollback window only here: once flushed they
+   are final, the tenants' completion counters move with them, and
+   [on_complete] sees each exactly once, oldest first. *)
+let flush_done t b =
+  List.iter
+    (fun c ->
+      c.c_item.Admission.tenant.Tenant.completed <-
+        c.c_item.Admission.tenant.Tenant.completed + 1;
+      emit_request_spans t c)
+    b.b_done_since;
+  (match t.on_complete with
+  | Some f -> List.iter (follow_up t f) (List.rev b.b_done_since)
+  | None -> ());
+  t.completions <- b.b_done_since @ t.completions;
+  b.b_done_since <- []
+
+let do_checkpoint t s b =
+  flush_done t b;
+  b.b_ckpt <- capture_ckpt s b;
+  b.b_since <- 0;
+  b.b_stepped <- 0;
+  b.b_admitted_since <- [];
+  b.b_force_ckpt <- false;
+  t.checkpoints <- t.checkpoints + 1;
+  ops_span t "checkpoint";
+  (* Only a sink reads the size: without one, skip the lane walk. *)
+  match t.cfg.sink with
+  | Some sink ->
+    sink (Obs_sink.Checkpoint { step = t.round; bytes = int_of_float (ckpt_bytes t b) })
+  | None -> ()
+
+let restore_shard t s b =
+  (* Work admitted after the checkpoint goes back to the queue head in
+     deterministic order; its unflushed completions are discarded (the
+     re-execution recreates them bitwise). *)
+  let requeue = Admission.requeue_order b.b_admitted_since in
+  List.iter (Admission.push_front t.adm) (List.rev requeue);
+  b.b_admitted_since <- [];
+  b.b_done_since <- [];
+  Pc_vm.Lanes.restore b.b_lanes b.b_ckpt.k_image;
+  Engine.restore s.s_engine b.b_ckpt.k_engine;
+  b.b_flight <-
+    List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_ckpt.k_flight;
+  b.b_draining <- b.b_ckpt.k_draining;
+  (* The checkpoint predates every superstep stepped since, including
+     one stepped in the round it was taken. *)
+  t.wasted <- t.wasted + b.b_stepped;
+  b.b_since <- 0;
+  b.b_stepped <- 0;
+  b.b_force_ckpt <- false;
+  t.restores <- t.restores + 1;
+  ops_span t "restore";
+  emit t (Obs_sink.Restore { step = t.round })
+
+(* ---------- binding ---------- *)
+
+let bind t s digest (program : Autobatch.compiled) =
+  let vm_config =
+    {
+      Pc_vm.default_config with
+      Pc_vm.sched = t.cfg.policy;
+      engine = Some s.s_engine;
+      sink = Option.map (Obs_sink.tag_shard s.s_id) t.cfg.sink;
+    }
+  in
+  let lanes =
+    Pc_vm.Lanes.create ~config:vm_config program.Autobatch.registry
+      program.Autobatch.stack ~z:t.cfg.lanes_per_shard
+  in
+  let ckpt =
+    { k_image = Pc_vm.Lanes.capture lanes; k_engine = Engine.snapshot s.s_engine;
+      k_flight = []; k_draining = false }
+  in
+  s.s_b <-
+    Some
+      { b_digest = digest; b_program = program; b_lanes = lanes; b_flight = [];
+        b_draining = false; b_ckpt = ckpt; b_since = 0; b_stepped = 0;
+        b_admitted_since = []; b_done_since = []; b_force_ckpt = false }
+
+let unbind t s b =
+  flush_done t b;
+  s.s_b <- None
+
+(* ---------- arrivals ---------- *)
+
+(* The next arrival (the source's head, or an earlier follow-up) and
+   its removal. *)
+let next_arrival t =
+  match (t.followups, src_peek t.src) with
+  | f :: _, Some it when arrival f < arrival it -> Some f
+  | f :: _, None -> Some f
+  | _, head -> head
+
+let take t it =
+  match t.followups with
+  | f :: rest when f == it -> t.followups <- rest
+  | _ -> ignore (src_pop t.src)
+
+(* Row shapes per program digest, fixed by the first request of that
+   digest admitted to the queue. An input the program declares no shape
+   for takes its storage shape from the first lane load, so a later
+   request that disagrees must be refused here: at a lane it would abort
+   the round, or be silently reinterpreted. *)
+let shapes_of (it : Admission.item) =
+  List.map Vm_util.elem_shape_of_batched it.Admission.request.Request.inputs
+
+let rows_agree t (it : Admission.item) =
+  match Hashtbl.find_opt t.row_shapes it.Admission.digest with
+  | None -> true
+  | Some fixed -> List.for_all2 Shape.equal fixed (shapes_of it)
+
+let fix_rows t (it : Admission.item) =
+  if not (Hashtbl.mem t.row_shapes it.Admission.digest) then
+    Hashtbl.replace t.row_shapes it.Admission.digest (shapes_of it)
+
+let slo_bad t (victim : Admission.item) =
+  match t.cfg.slo with
+  | Some slo ->
+    Obs_slo.observe slo
+      ~cls:(Tenant.slo_name (Admission.item_slo victim))
+      ~now:t.now ~ok:false
+  | None -> ()
+
+let emit_rejected t (it : Admission.item) =
+  emit t (Obs_sink.Request_rejected { id = it.Admission.request.Request.id; at = t.now })
+
+let reject t it reason =
+  t.rejected <- (it, reason) :: t.rejected;
+  emit_rejected t it
+
+let enqueued t (it : Admission.item) =
+  fix_rows t it;
+  emit t (Obs_sink.Request_enqueued { id = it.Admission.request.Request.id; at = t.now })
+
+let ingest t =
+  let continue = ref true in
+  while !continue do
+    match next_arrival t with
+    | Some it when arrival it <= t.now ->
+      take t it;
+      let r = it.Admission.request in
+      (* Malformed requests are refused here, before [Lanes.load] could
+         raise mid-round and abort the whole run; one wider than a whole
+         shard is unservable by construction. *)
+      if not (inputs_fit r && rows_agree t it) then reject t it Admission.Invalid_input
+      else if Request.width r > t.cfg.lanes_per_shard then reject t it Admission.Too_wide
+      else if
+        not
+          (Tenant.admit it.Admission.tenant ~now:r.Request.arrival
+             ~cost:r.Request.cost_hint)
+      then begin
+        t.throttled <- it :: t.throttled;
+        emit_rejected t it
+      end
+      else begin
+        match Admission.offer t.adm it with
+        | `Admitted -> enqueued t it
+        | `Shed victim ->
+          t.shed <- victim :: t.shed;
+          slo_bad t victim;
+          emit t
+            (Obs_sink.Request_shed
+               { id = victim.Admission.request.Request.id; at = t.now });
+          if victim.Admission.request.Request.id <> r.Request.id then enqueued t it
+        | `Rejected reason ->
+          slo_bad t it;
+          reject t it reason
+      end
+    | _ -> continue := false
+  done
+
+(* ---------- retire ---------- *)
+
+(* A kill fires in its round after the retire phase, so one planned for
+   this very round can still roll back what retires now. *)
+let kill_pending t s =
+  List.exists
+    (fun e ->
+      e.Fault.superstep >= t.round && e.Fault.device mod Array.length t.shards = s.s_id)
+    t.kills
+
+let retire_shard t s b =
+  let finished, rest =
+    List.partition
+      (fun f ->
+        Array.for_all (fun lane -> Pc_vm.Lanes.finished b.b_lanes ~lane) f.f_lanes)
+      b.b_flight
+  in
+  b.b_flight <- rest;
+  List.iter
+    (fun f ->
+      let per_lane =
+        Array.map
+          (fun lane ->
+            let outs = Pc_vm.Lanes.retire b.b_lanes ~lane in
+            Engine.charge_retire s.s_engine ~bytes:(bytes_of outs);
+            outs)
+          f.f_lanes
+      in
+      let outputs =
+        let n_outputs = List.length per_lane.(0) in
+        List.init n_outputs (fun j ->
+            Tensor.stack_rows
+              (Array.to_list (Array.map (fun outs -> List.nth outs j) per_lane)))
+      in
+      let r = f.f_item.Admission.request in
+      let c =
+        {
+          c_item = f.f_item;
+          c_outputs = (if t.cfg.keep_outputs then Some outputs else None);
+          c_started = f.f_started;
+          c_finished = t.now;
+          c_shard = s.s_id;
+          c_preempted = f.f_preempted;
+          c_marks = List.rev f.f_marks;
+        }
+      in
+      b.b_done_since <- c :: b.b_done_since;
+      (* The burn-rate monitor is fed at retire (like the completion
+         event): a restore replays retired-but-unflushed work, so rates
+         can briefly double-count — acceptable for a rate monitor, where
+         the span trees above stay exactly-once. *)
+      (match t.cfg.slo with
+      | Some slo ->
+        Obs_slo.observe_latency slo
+          ~cls:(Tenant.slo_name (Admission.item_slo f.f_item))
+          ~now:t.now
+          (t.now -. r.Request.arrival)
+      | None -> ());
+      emit t
+        (Obs_sink.Request_completed
+           { id = r.Request.id; queued = r.Request.arrival; started = f.f_started;
+             finished = t.now }))
+    finished;
+  (* A closed loop must not wait for the next checkpoint to see its
+     completions: once no planned kill can still reach this shard,
+     nothing can roll them back, so they leave the window now. *)
+  if Option.is_some t.on_complete && finished <> [] && not (kill_pending t s) then
+    flush_done t b
+
+(* ---------- need accounting (queued + parked, by digest) ---------- *)
+
+(* Backlog pressure per digest. In [Fair] mode an item counts its SLO
+   class's dispatch weight — the admission policy's priorities steer
+   shard placement too, so a latency-heavy digest outbids a best-effort
+   flood for the next free shard. The [Fifo] baseline stays SLO-blind
+   everywhere: every item counts 1. *)
+let fair t = t.cfg.admission.Admission.mode = Admission.Fair
+
+let item_score t (it : Admission.item) =
+  if fair t then t.cfg.admission.Admission.weights.(Admission.item_rank it) else 1
+
+let need_table t =
+  let tbl : (int64, int * float * Autobatch.compiled) Hashtbl.t = Hashtbl.create 16 in
+  let note (it : Admission.item) =
+    let arrival = it.Admission.request.Request.arrival in
+    let w = item_score t it in
+    match Hashtbl.find_opt tbl it.Admission.digest with
+    | Some (n, a0, p) ->
+      Hashtbl.replace tbl it.Admission.digest (n + w, Float.min a0 arrival, p)
+    | None ->
+      Hashtbl.replace tbl it.Admission.digest
+        (w, arrival, it.Admission.request.Request.program)
+  in
+  Admission.iter t.adm note;
+  List.iter (fun p -> note p.p_item) t.parked;
+  tbl
+
+let need_count tbl digest =
+  match Hashtbl.find_opt tbl digest with Some (n, _, _) -> n | None -> 0
+
+(* Digests with pending work and no free lane anywhere serving them,
+   most loaded first (ties: earliest arrival, then digest). *)
+let starving t tbl =
+  let served_free digest =
+    Array.fold_left
+      (fun acc s ->
+        match s.s_b with
+        | Some b when (not b.b_draining) && b.b_digest = digest ->
+          acc + Pc_vm.Lanes.free_count b.b_lanes
+        | _ -> acc)
+      0 t.shards
+  in
+  Hashtbl.fold
+    (fun digest (n, a0, p) acc ->
+      if served_free digest = 0 then (digest, n, a0, p) :: acc else acc)
+    tbl []
+  |> List.sort (fun (d1, n1, a1, _) (d2, n2, a2, _) ->
+         match compare n2 n1 with
+         | 0 -> ( match compare a1 a2 with 0 -> Int64.compare d1 d2 | c -> c)
+         | c -> c)
+
+(* ---------- admission to lanes ---------- *)
+
+(* [width] free lanes of a binding, by the one shared lane-selection
+   path; callers have checked that enough are free. *)
+let choose_free t b ~width =
+  let free =
+    Array.init t.cfg.lanes_per_shard (fun lane -> not (Pc_vm.Lanes.occupied b.b_lanes ~lane))
+  in
+  match Sched_plan.choose_lanes ~free ~width with
+  | Some lanes -> lanes
+  | None -> invalid_arg "Tenant_server: lanes chosen on a full shard"
+
+let add_flight b f = b.b_flight <- b.b_flight @ [ f ]
+
+(* Load a request into free lanes of [s]'s binding [b], as admitted
+   since [b]'s last checkpoint. *)
+let start_flight t s b (it : Admission.item) =
+  let r = it.Admission.request in
+  let lanes = choose_free t b ~width:(Request.width r) in
+  Array.iteri
+    (fun i lane ->
+      let inputs = Request.lane_inputs r ~row:i in
+      Pc_vm.Lanes.load b.b_lanes ~lane ~member:(r.Request.member + i) ~inputs;
+      Engine.charge_refill s.s_engine ~bytes:(bytes_of inputs))
+    lanes;
+  add_flight b
+    { f_item = it; f_lanes = lanes; f_started = t.now; f_preempted = 0; f_marks = [] };
+  b.b_admitted_since <- it :: b.b_admitted_since
+
+let refill_shard t s b =
+  (* [Synchronous]: the fixed-batch regime refills a shard only once its
+     last flight has retired. *)
+  let continue = ref (t.cfg.refill = Continuous || b.b_flight = []) in
+  while !continue do
+    let free = Pc_vm.Lanes.free_count b.b_lanes in
+    if free = 0 then continue := false
+    else
+      match
+        Admission.pop t.adm ~fits:(fun it ->
+            it.Admission.digest = b.b_digest
+            && Request.width it.Admission.request <= free)
+      with
+      | Some it -> start_flight t s b it
+      | None -> continue := false
+  done
+
+let refill t = iter_bindings t (fun s b -> if not b.b_draining then refill_shard t s b)
+
+(* ---------- moving lanes: park, resume, drain ---------- *)
+
+(* Export a flight's lanes and free them. *)
+let export_flight b f =
+  let states = Array.map (fun lane -> Pc_vm.Lanes.export_lane b.b_lanes ~lane) f.f_lanes in
+  Array.iter (fun lane -> Pc_vm.Lanes.evict b.b_lanes ~lane) f.f_lanes;
+  b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
+  states
+
+(* Import exported lane states into free lanes of shard [s]'s binding,
+   each reported as a migration from shard [src]; returns the lanes and
+   the bytes moved. *)
+let import_states t s b states ~src =
+  let lanes = choose_free t b ~width:(Array.length states) in
+  let bytes = ref 0. in
+  Array.iteri
+    (fun j lane ->
+      let st = states.(j) in
+      Pc_vm.Lanes.import_lane b.b_lanes ~lane st;
+      let sb = Pc_vm.Lanes.lane_state_bytes st in
+      bytes := !bytes +. sb;
+      emit t
+        (Obs_sink.Migration
+           { src_shard = src; dst_shard = s.s_id; member = st.Pc_vm.Lanes.ls_member;
+             bytes = sb; step = t.round }))
+    lanes;
+  (lanes, !bytes)
+
+(* Land exported lane states on shard [s]'s binding [b]: import them,
+   charge the transfer as [name] (point-to-point unless they never left
+   shard [src]), add [f] on the landing lanes, and force a checkpoint so
+   the new home is authoritative. *)
+let land_flight t (s, b) ~name ~src states f =
+  let lanes, bytes = import_states t s b states ~src in
+  let seconds = if src = s.s_id then 0. else Collectives.p2p_time t.cfg.mesh ~bytes in
+  Engine.charge_transfer s.s_engine ~name ~bytes ~seconds;
+  add_flight b { f with f_lanes = lanes };
+  b.b_force_ckpt <- true
+
+(* The first serving binding of [digest] with [width] free lanes. *)
+let room t ~digest ~width =
+  let rec scan i =
+    if i >= Array.length t.shards then None
+    else
+      match t.shards.(i).s_b with
+      | Some b
+        when (not b.b_draining)
+             && b.b_digest = digest
+             && Pc_vm.Lanes.free_count b.b_lanes >= width ->
+        Some (t.shards.(i), b)
+      | _ -> scan (i + 1)
+  in
+  scan 0
+
+(* ---------- preemption ---------- *)
+
+let park t s b f =
+  let states = export_flight b f in
+  let bytes = Array.fold_left (fun acc st -> acc +. Pc_vm.Lanes.lane_state_bytes st) 0. states in
+  Engine.charge_transfer s.s_engine ~name:"preempt-park" ~bytes ~seconds:0.;
+  b.b_force_ckpt <- true;
+  t.seq <- t.seq + 1;
+  t.parked <-
+    { p_item = f.f_item; p_states = states; p_started = f.f_started;
+      p_preempted = f.f_preempted + 1; p_from = s.s_id; p_at = t.now; p_seq = t.seq;
+      p_marks = f.f_marks }
+    :: t.parked;
+  t.preemptions <- t.preemptions + 1
+
+(* Where a waiting latency-bound head starts: the first serving shard
+   that has room for it, or, before that one, strictly weaker flights
+   to park — weakest class first, most recent start first (least
+   progress lost). *)
+let preemption_plan t (it : Admission.item) =
+  let digest = it.Admission.digest in
+  let width = Request.width it.Admission.request in
+  let it_rank = Admission.item_rank it in
+  let victims b =
+    let candidates =
+      List.filter (fun f -> Admission.item_rank f.f_item > it_rank) b.b_flight
+      |> List.sort (fun a bb ->
+             match
+               compare (Admission.item_rank bb.f_item) (Admission.item_rank a.f_item)
+             with
+             | 0 -> (
+               match compare bb.f_started a.f_started with
+               | 0 ->
+                 compare bb.f_item.Admission.request.Request.id
+                   a.f_item.Admission.request.Request.id
+               | c -> c)
+             | c -> c)
+    in
+    let rec take freed acc = function
+      | _ when freed >= width -> Some (List.rev acc)
+      | [] -> None
+      | f :: tl -> take (freed + Array.length f.f_lanes) (f :: acc) tl
+    in
+    take (Pc_vm.Lanes.free_count b.b_lanes) [] candidates
+  in
+  let fits = room t ~digest ~width in
+  let stop = match fits with Some (s, _) -> s.s_id | None -> Array.length t.shards in
+  let rec scan i =
+    if i >= stop then Option.map (fun (s, b) -> (s, b, [])) fits
+    else
+      match t.shards.(i).s_b with
+      | Some b when (not b.b_draining) && b.b_digest = digest -> (
+        match victims b with
+        | Some v -> Some (t.shards.(i), b, v)
+        | None -> scan (i + 1))
+      | _ -> scan (i + 1)
+  in
+  scan 0
+
+let preempt_pass t =
+  if t.cfg.preempt && fair t then begin
+    let continue = ref true in
+    while !continue do
+      match Admission.peek_strongest_waiting t.adm with
+      | Some it when Admission.item_rank it = Tenant.rank Tenant.Latency_bound -> (
+        match preemption_plan t it with
+        | Some (s, b, victims) ->
+          List.iter (fun f -> park t s b f) victims;
+          let popped =
+            Admission.pop t.adm ~fits:(fun c ->
+                c.Admission.request.Request.id = it.Admission.request.Request.id)
+          in
+          (match popped with
+          | Some it' ->
+            start_flight t s b it';
+            b.b_force_ckpt <- true
+          | None -> assert false)
+        | None -> continue := false)
+      | _ -> continue := false
+    done
+  end
+
+(* ---------- resume parked work ---------- *)
+
+let resume_pass t =
+  let order =
+    List.sort
+      (fun a b ->
+        match compare (Admission.item_rank a.p_item) (Admission.item_rank b.p_item) with
+        | 0 -> (
+          match compare a.p_at b.p_at with 0 -> compare a.p_seq b.p_seq | c -> c)
+        | c -> c)
+      t.parked
+  in
+  List.iter
+    (fun p ->
+      match room t ~digest:p.p_item.Admission.digest ~width:(Array.length p.p_states) with
+      | None -> ()
+      | Some ((s, _) as dst) ->
+        (* The park→resume interval becomes a "preempted" mark on the
+           request's service span; a cross-shard resume adds a "migrate"
+           instant. *)
+        let marks =
+          let preempted = ("preempted", p.p_at, t.now) :: p.p_marks in
+          if p.p_from = s.s_id then preempted else ("migrate", t.now, t.now) :: preempted
+        in
+        land_flight t dst ~name:"preempt-resume" ~src:p.p_from p.p_states
+          { f_item = p.p_item; f_lanes = [||]; f_started = p.p_started;
+            f_preempted = p.p_preempted; f_marks = marks };
+        t.parked <- List.filter (fun q -> q != p) t.parked;
+        t.resumes <- t.resumes + 1)
+    order
+
+(* ---------- pool control ---------- *)
+
+let pool_control t =
+  let signals =
+    {
+      Pool.backlog = Admission.length t.adm + List.length t.parked;
+      active = active_count t;
+      draining = draining_count t;
+      lanes_per_shard = t.cfg.lanes_per_shard;
+      live_lanes = live_lanes t;
+    }
+  in
+  (match Pool.decide t.cfg.pool ~rounds_since_action:t.since_scale signals with
+  | Pool.Grow ->
+    if t.target < t.max_target then begin
+      t.target <- t.target + 1;
+      t.grows <- t.grows + 1;
+      ops_span t "pool-grow";
+      t.since_scale <- 0
+    end
+  | Pool.Shrink ->
+    if t.target > Stdlib.max t.cfg.pool.Pool.min_shards 1 then begin
+      t.target <- t.target - 1;
+      (* Drain the active shard with the least live work; ties to the
+         highest id so shard 0 is the last to go. *)
+      let victim = ref None in
+      Array.iter
+        (fun s ->
+          match s.s_b with
+          | Some b when not b.b_draining ->
+            let live = Pc_vm.Lanes.live_count b.b_lanes in
+            (match !victim with
+            | Some (_, best) when best < live -> ()
+            | _ -> victim := Some (b, live))
+          | _ -> ())
+        t.shards;
+      match !victim with
+      | Some (b, _) ->
+        b.b_draining <- true;
+        b.b_force_ckpt <- true;
+        t.shrinks <- t.shrinks + 1;
+        ops_span t "pool-shrink";
+        t.since_scale <- 0
+      | None -> ()
+    end
+  | Pool.Hold -> ());
+  t.since_scale <- t.since_scale + 1
+
+(* ---------- drain migration and unbind ---------- *)
+
+let drain_pass t =
+  iter_bindings t (fun s b ->
+      if b.b_draining then begin
+        List.iter
+          (fun f ->
+            match room t ~digest:b.b_digest ~width:(Array.length f.f_lanes) with
+            | None -> ()
+            | Some dst ->
+              let states = export_flight b f in
+              land_flight t dst ~name:"drain-migrate" ~src:s.s_id states
+                { f with f_marks = ("migrate", t.now, t.now) :: f.f_marks };
+              Array.iter
+                (fun st ->
+                  t.migrations <- t.migrations + 1;
+                  t.migration_bytes <- t.migration_bytes +. Pc_vm.Lanes.lane_state_bytes st)
+                states;
+              b.b_force_ckpt <- true)
+          b.b_flight;
+        if b.b_flight = [] then unbind t s b
+      end)
+
+(* ---------- rebind and demand binding ---------- *)
+
+let bind_pass t =
+  (* Built on first use, at most once: neither loop below changes the
+     queue or the parked set, so one table serves the whole pass — and a
+     round with no empty binding and no idle capacity builds none. *)
+  let tbl = lazy (need_table t) in
+  (* Rebind: an empty binding turns toward starving work when its own
+     digest has no backlog, or strictly less than the most starving
+     digest's (strictness prevents two equal backlogs from trading the
+     shard back and forth). *)
+  iter_bindings t (fun s b ->
+      if (not b.b_draining) && b.b_flight = [] then begin
+        let tbl = Lazy.force tbl in
+        let own = need_count tbl b.b_digest in
+        match starving t tbl with
+        | (digest, n, _, program) :: _
+          when digest <> b.b_digest && (own = 0 || n > own) ->
+          unbind t s b;
+          bind t s digest program;
+          t.rebinds <- t.rebinds + 1
+        | _ -> ()
+      end);
+  (* Demand binding: idle shards activate up to the controller's target,
+     toward the most starving digest. *)
+  let continue = ref true in
+  while !continue do
+    if active_count t >= t.target then continue := false
+    else begin
+      match starving t (Lazy.force tbl) with
+      | (digest, _, _, program) :: _ -> (
+        match Array.find_opt (fun s -> Option.is_none s.s_b) t.shards with
+        | Some s ->
+          bind t s digest program;
+          t.binds <- t.binds + 1
+        | None -> continue := false)
+      | [] -> continue := false
+    end
+  done
+
+(* ---------- checkpoint cadence ---------- *)
+
+let checkpoint_pass t =
+  iter_bindings t (fun s b ->
+      b.b_since <- b.b_since + 1;
+      if
+        b.b_force_ckpt
+        || (t.cfg.checkpoint_interval > 0 && b.b_since >= t.cfg.checkpoint_interval)
+      then do_checkpoint t s b)
+
+(* ---------- the shard step, the fault tick, the tail ---------- *)
+
+(* One superstep per live shard. *)
+let step_shards t =
+  iter_bindings t (fun _ b ->
+      if Pc_vm.Lanes.live_count b.b_lanes > 0 && Pc_vm.Lanes.step b.b_lanes then
+        b.b_stepped <- b.b_stepped + 1)
+
+let fault_tick t =
+  try Fault.tick t.injector
+  with Fault.Injected ev ->
+    let s = t.shards.(ev.Fault.device mod Array.length t.shards) in
+    (match s.s_b with Some b -> restore_shard t s b | None -> ())
+
+(* Advance the clock past the round, poll the burn-rate monitor, and
+   jump an idle server to its next arrival; [true] once nothing is left
+   to serve. *)
+let tail t ~e0 =
+  (* Shards run in parallel in simulated time, so the clock advances by
+     the slowest shard's round. *)
+  t.now <-
+    t.now
+    +. Array.fold_left
+         (fun acc s -> Float.max acc (Engine.elapsed s.s_engine -. e0.(s.s_id)))
+         0. t.shards;
+  (* Alert edges become sink events, and with [slo_drive] a firing alert
+     pins the admission ladder at Shed_best_effort until it resolves —
+     the ladder's own transition event then records cause "slo-floor". *)
+  (match t.cfg.slo with
+  | Some slo ->
+    let alerts = Obs_slo.poll slo ~now:t.now in
+    List.iter (fun a -> emit t (Obs_slo.alert_to_event a)) alerts;
+    if t.cfg.slo_drive && fair t && alerts <> [] then
+      Admission.set_floor t.adm
+        (if Obs_slo.any_firing slo then Admission.Shed_best_effort
+         else Admission.Normal)
+  | None -> ());
+  t.peak_active <- Stdlib.max t.peak_active (active_count t);
+  let idle =
+    sum_bindings t (fun b -> List.length b.b_flight) = 0
+    && Admission.length t.adm = 0 && t.parked = []
+  in
+  match (idle, next_arrival t) with
+  | true, Some it ->
+    let a = arrival it in
+    if a > t.now then t.now <- a;
+    false
+  | true, None ->
+    (* Idle with nothing due. A closed loop may still owe follow-ups for
+       completions a planned kill kept in the rollback window: checkpoint
+       their shards, which makes them final, and carry on if that brought
+       new arrivals. *)
+    if Option.is_some t.on_complete then
+      iter_bindings t (fun s b -> if b.b_done_since <> [] then do_checkpoint t s b);
+    t.followups = []
+  | false, _ -> false
+
+(* ---------- the steppable server ---------- *)
+
+let create ?config ?on_complete src =
   let cfg =
     match config with Some c -> c | None -> default_config ~mesh:(Mesh.gpu_pod ~n:4 ())
   in
   if cfg.lanes_per_shard <= 0 then
-    invalid_arg "Tenant_server.run: lanes_per_shard must be positive";
+    invalid_arg "Tenant_server.create: lanes_per_shard must be positive";
   let n_shards = Mesh.size cfg.mesh in
-  let z = cfg.lanes_per_shard in
-  let emit ev = match cfg.sink with Some s -> s ev | None -> () in
   let shards =
     Array.init n_shards (fun i ->
         let engine = Engine.create ~device:(Mesh.device cfg.mesh i) ~mode:cfg.mode () in
@@ -182,996 +1005,117 @@ let run ?config ?on_complete src =
         | None -> ());
         { s_id = i; s_engine = engine; s_b = None })
   in
-  let fair = cfg.admission.Admission.mode = Admission.Fair in
   let kills = List.filter (fun e -> e.Fault.kind = Fault.Device_kill) cfg.faults in
-  let injector = Fault.injector kills in
-
-  let now = ref 0. in
   (* Ladder transitions surface as first-class events, stamped with the
-     simulated clock and the cause ("occupancy" or "slo-floor") — rung
-     changes stop being opaque. *)
+     server's clock and the cause ("occupancy" or "slo-floor") — rung
+     changes stop being opaque. They fire inside admission calls, so the
+     callback reaches the clock through the state built below. *)
+  let self = ref None in
   let adm =
     Admission.create ~config:cfg.admission
       ~on_transition:(fun ~old_level:_ ~new_level ~occupancy ~cause ->
-        emit
-          (Obs_sink.Ladder
-             {
-               level = Admission.level_name new_level;
-               occupancy;
-               cause;
-               at = !now;
-             }))
+        match !self with
+        | Some t ->
+          emit t
+            (Obs_sink.Ladder
+               { level = Admission.level_name new_level; occupancy; cause; at = t.now })
+        | None -> ())
       ()
   in
-  (* Span ids are a server-global sequence, assigned at emission time
-     only — a rolled-back round never consumes ids, so replays stay
-     deterministic. *)
-  let span_seq = ref 0 in
-  let next_span () =
-    let s = !span_seq in
-    incr span_seq;
-    s
-  in
-  (* Server-lifecycle instants (pool scaling, checkpoint, restore) live
-     on the shared ops trace, outside any request's tree. *)
-  let ops_span name =
-    match cfg.sink with
-    | None -> ()
-    | Some sink ->
-      let span = next_span () in
-      sink
-        (Obs_sink.Span
-           {
-             trace = Obs_span.ops_trace;
-             span;
-             parent = Obs_span.no_parent;
-             track = Obs_span.ops_track;
-             name;
-             t0 = !now;
-             t1 = !now;
-           })
-  in
-  (* One span tree per completed request, emitted exactly once — at the
-     moment the completion leaves the rollback window (flush), not at
-     retire, which a device kill can replay. *)
-  let emit_request_spans (c : completion) =
-    match cfg.sink with
-    | None -> ()
-    | Some sink ->
-      let r = c.c_item.Admission.request in
-      let trace = r.Request.ctx.Obs_span.trace in
-      let track = c.c_item.Admission.tenant.Tenant.id in
-      let sp ~parent ~name ~t0 ~t1 =
-        let span = next_span () in
-        sink (Obs_sink.Span { trace; span; parent; track; name; t0; t1 });
-        span
-      in
-      let root =
-        sp ~parent:r.Request.ctx.Obs_span.parent ~name:"request"
-          ~t0:r.Request.arrival ~t1:c.c_finished
-      in
-      ignore
-        (sp ~parent:root ~name:"queue" ~t0:r.Request.arrival ~t1:c.c_started);
-      let service =
-        sp ~parent:root ~name:"service" ~t0:c.c_started ~t1:c.c_finished
-      in
-      List.iter
-        (fun (name, t0, t1) -> ignore (sp ~parent:service ~name ~t0 ~t1))
-        c.c_marks
-  in
-  let round = ref 0 in
-  let parked = ref ([] : parked list) in
-  let seq = ref 0 in
-  let completions = ref ([] : completion list) in  (* newest first *)
-  let throttled = ref [] and rejected = ref [] and shed = ref [] in
-  let preemptions = ref 0 and resumes = ref 0 in
-  let migrations = ref 0 and migration_bytes = ref 0. in
-  let binds = ref 0 and rebinds = ref 0 and grows = ref 0 and shrinks = ref 0 in
-  let checkpoints = ref 0 and restores = ref 0 and wasted = ref 0 in
-  let peak_active = ref 0 in
-  let target = ref (Stdlib.max cfg.pool.Pool.min_shards 1) in
-  let since_scale = ref cfg.pool.Pool.cooldown in
   let max_target = Stdlib.min n_shards cfg.pool.Pool.max_shards in
-  if !target > max_target then target := max_target;
-
-  let count_bindings pred =
-    Array.fold_left
-      (fun acc s -> match s.s_b with Some b when pred b -> acc + 1 | _ -> acc)
-      0 shards
-  in
-  let active_count () = count_bindings (fun b -> not b.b_draining) in
-  let draining_count () = count_bindings (fun b -> b.b_draining) in
-  let live_lanes () =
-    Array.fold_left
-      (fun acc s ->
-        match s.s_b with
-        | Some b when not b.b_draining -> acc + Pc_vm.Lanes.live_count b.b_lanes
-        | _ -> acc)
-      0 shards
-  in
-  let flights_exist () =
-    Array.exists (fun s -> match s.s_b with Some b -> b.b_flight <> [] | None -> false) shards
-  in
-
-  (* ---------- checkpoints and recovery ---------- *)
-  let ckpt_bytes b =
-    let total = ref 64. in
-    for lane = 0 to z - 1 do
-      if Pc_vm.Lanes.occupied b.b_lanes ~lane then
-        total := !total +. Pc_vm.Lanes.lane_bytes b.b_lanes ~lane
-    done;
-    !total
-  in
-  let capture_ckpt s b =
+  let t =
     {
-      k_image = Pc_vm.Lanes.capture b.b_lanes;
-      k_engine = Engine.snapshot s.s_engine;
-      k_flight = List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_flight;
-      k_draining = b.b_draining;
+      cfg;
+      on_complete;
+      src;
+      shards;
+      kills;
+      injector = Fault.injector kills;
+      adm;
+      row_shapes = Hashtbl.create 16;
+      max_target;
+      now = 0.; round = 0; over = false;
+      parked = []; seq = 0; followups = []; span_seq = 0;
+      target = Stdlib.min (Stdlib.max cfg.pool.Pool.min_shards 1) max_target;
+      since_scale = cfg.pool.Pool.cooldown;
+      completions = []; throttled = []; rejected = []; shed = [];
+      preemptions = 0; resumes = 0; migrations = 0; migration_bytes = 0.;
+      binds = 0; rebinds = 0; grows = 0; shrinks = 0;
+      checkpoints = 0; restores = 0; wasted = 0; peak_active = 0;
     }
   in
-  (* Closed-loop follow-ups from [on_complete], in arrival order; ingest
-     merges them with the source. *)
-  let followups = ref ([] : Admission.item list) in
-  let arrival (it : Admission.item) = it.Admission.request.Request.arrival in
-  let follow_up (c : completion) =
-    match on_complete with
-    | None -> ()
-    | Some f -> (
-      match f c with
-      | None -> ()
-      | Some (it : Admission.item) ->
-        let r = it.Admission.request in
-        let it =
-          if arrival it >= !now then it
-          else { it with Admission.request = { r with Request.arrival = !now } }
-        in
-        let rec insert = function
-          | x :: rest when arrival x <= arrival it -> x :: insert rest
-          | l -> it :: l
-        in
-        followups := insert !followups)
-  in
-  (* Completions leave the rollback window only here: once flushed they
-     are final, the tenants' completion counters move with them, and
-     [on_complete] sees each exactly once, oldest first. *)
-  let flush_done b =
-    List.iter
-      (fun c ->
-        c.c_item.Admission.tenant.Tenant.completed <-
-          c.c_item.Admission.tenant.Tenant.completed + 1;
-        emit_request_spans c)
-      b.b_done_since;
-    if Option.is_some on_complete then List.iter follow_up (List.rev b.b_done_since);
-    completions := b.b_done_since @ !completions;
-    b.b_done_since <- []
-  in
-  let do_checkpoint s b =
-    flush_done b;
-    b.b_ckpt <- capture_ckpt s b;
-    b.b_since <- 0;
-    b.b_stepped <- 0;
-    b.b_admitted_since <- [];
-    b.b_force_ckpt <- false;
-    incr checkpoints;
-    ops_span "checkpoint";
-    (* Only a sink reads the size: without one, skip the lane walk. *)
-    match cfg.sink with
-    | Some sink ->
-      sink (Obs_sink.Checkpoint { step = !round; bytes = int_of_float (ckpt_bytes b) })
-    | None -> ()
-  in
-  let restore_shard s b =
-    (* Work admitted after the checkpoint goes back to the queue head in
-       deterministic order; its unflushed completions are discarded (the
-       re-execution recreates them bitwise). *)
-    let requeue = Admission.requeue_order b.b_admitted_since in
-    List.iter (Admission.push_front adm) (List.rev requeue);
-    b.b_admitted_since <- [];
-    b.b_done_since <- [];
-    Pc_vm.Lanes.restore b.b_lanes b.b_ckpt.k_image;
-    Engine.restore s.s_engine b.b_ckpt.k_engine;
-    b.b_flight <-
-      List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_ckpt.k_flight;
-    b.b_draining <- b.b_ckpt.k_draining;
-    (* The checkpoint predates every superstep stepped since, including
-       one stepped in the round it was taken. *)
-    wasted := !wasted + b.b_stepped;
-    b.b_since <- 0;
-    b.b_stepped <- 0;
-    b.b_force_ckpt <- false;
-    incr restores;
-    ops_span "restore";
-    emit (Obs_sink.Restore { step = !round })
-  in
+  self := Some t;
+  t
 
-  (* ---------- binding ---------- *)
-  let bind s digest (program : Autobatch.compiled) =
-    let vm_config =
-      {
-        Pc_vm.default_config with
-        Pc_vm.sched = cfg.policy;
-        engine = Some s.s_engine;
-        sink = Option.map (Obs_sink.tag_shard s.s_id) cfg.sink;
-      }
-    in
-    let lanes =
-      Pc_vm.Lanes.create ~config:vm_config program.Autobatch.registry
-        program.Autobatch.stack ~z
-    in
-    let b =
-      {
-        b_digest = digest;
-        b_program = program;
-        b_lanes = lanes;
-        b_flight = [];
-        b_draining = false;
-        b_ckpt =
-          {
-            k_image = Pc_vm.Lanes.capture lanes;
-            k_engine = Engine.snapshot s.s_engine;
-            k_flight = [];
-            k_draining = false;
-          };
-        b_since = 0;
-        b_stepped = 0;
-        b_admitted_since = [];
-        b_done_since = [];
-        b_force_ckpt = false;
-      }
-    in
-    s.s_b <- Some b;
-    b
+let stuck t =
+  let shard s =
+    match s.s_b with
+    | None -> Printf.sprintf "shard %d idle" s.s_id
+    | Some b ->
+      Printf.sprintf "shard %d digest %Lx flights %d live %d%s" s.s_id b.b_digest
+        (List.length b.b_flight) (Pc_vm.Lanes.live_count b.b_lanes)
+        (if b.b_draining then " draining" else "")
   in
-  let unbind s b =
-    flush_done b;
-    s.s_b <- None
-  in
+  Printf.sprintf
+    "Tenant_server.step_round: max_rounds exceeded (no progress?): queued %d, parked %d, %s"
+    (Admission.length t.adm) (List.length t.parked)
+    (String.concat "; " (Array.to_list (Array.map shard t.shards)))
 
-  (* ---------- arrivals ---------- *)
-  (* The next arrival (the source's head, or an earlier follow-up) and
-     its removal. *)
-  let next_arrival () =
-    match (!followups, src_peek src) with
-    | f :: _, Some it when arrival f < arrival it -> Some f
-    | f :: _, None -> Some f
-    | _, head -> head
-  in
-  let take it =
-    match !followups with
-    | f :: rest when f == it -> followups := rest
-    | _ -> ignore (src_pop src)
-  in
-  (* Row shapes per program digest, fixed by the first request of that
-     digest admitted to the queue. An input the program declares no
-     shape for takes its storage shape from the first lane load, so a
-     later request that disagrees must be refused here: at a lane it
-     would abort the round, or be silently reinterpreted. *)
-  let row_shapes : (int64, Shape.t list) Hashtbl.t = Hashtbl.create 16 in
-  let shapes_of (it : Admission.item) =
-    List.map Vm_util.elem_shape_of_batched it.Admission.request.Request.inputs
-  in
-  let rows_agree (it : Admission.item) =
-    match Hashtbl.find_opt row_shapes it.Admission.digest with
-    | None -> true
-    | Some fixed -> List.for_all2 Shape.equal fixed (shapes_of it)
-  in
-  let fix_rows (it : Admission.item) =
-    if not (Hashtbl.mem row_shapes it.Admission.digest) then
-      Hashtbl.replace row_shapes it.Admission.digest (shapes_of it)
-  in
-  let ingest () =
-    let continue = ref true in
-    while !continue do
-      match next_arrival () with
-      | Some it when arrival it <= !now ->
-        take it;
-        let r = it.Admission.request in
-        if not (inputs_fit r && rows_agree it) then begin
-          (* Malformed: refused here, before [Lanes.load] could raise
-             mid-round and abort the whole run. *)
-          rejected := (it, Admission.Invalid_input) :: !rejected;
-          emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
-        end
-        else if Request.width r > z then begin
-          (* Wider than a whole shard: unservable by construction. *)
-          rejected := (it, Admission.Too_wide) :: !rejected;
-          emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
-        end
-        else if
-          not
-            (Tenant.admit it.Admission.tenant ~now:r.Request.arrival
-               ~cost:r.Request.cost_hint)
-        then begin
-          throttled := it :: !throttled;
-          emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
-        end
-        else begin
-          let slo_bad (victim : Admission.item) =
-            match cfg.slo with
-            | Some slo ->
-              Obs_slo.observe slo
-                ~cls:(Tenant.slo_name (Admission.item_slo victim))
-                ~now:!now ~ok:false
-            | None -> ()
-          in
-          match Admission.offer adm it with
-          | `Admitted ->
-            fix_rows it;
-            emit (Obs_sink.Request_enqueued { id = r.Request.id; at = !now })
-          | `Shed victim ->
-            shed := victim :: !shed;
-            slo_bad victim;
-            emit
-              (Obs_sink.Request_shed
-                 { id = victim.Admission.request.Request.id; at = !now });
-            if victim.Admission.request.Request.id <> r.Request.id then begin
-              fix_rows it;
-              emit (Obs_sink.Request_enqueued { id = r.Request.id; at = !now })
-            end
-          | `Rejected reason ->
-            rejected := (it, reason) :: !rejected;
-            slo_bad it;
-            emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
-        end
-      | _ -> continue := false
-    done
-  in
+let step_round t =
+  if t.over then false
+  else begin
+    t.round <- t.round + 1;
+    if t.round > t.cfg.max_rounds then failwith (stuck t);
+    let e0 = Array.map (fun s -> Engine.elapsed s.s_engine) t.shards in
+    ingest t;
+    iter_bindings t (retire_shard t);
+    pool_control t;
+    drain_pass t;
+    bind_pass t;
+    refill t;
+    preempt_pass t;
+    resume_pass t;
+    checkpoint_pass t;
+    step_shards t;
+    fault_tick t;
+    t.over <- tail t ~e0;
+    true
+  end
 
-  (* ---------- retire ---------- *)
-  (* A kill fires in its round after the retire phase, so one planned
-     for this very round can still roll back what retires now. *)
-  let kill_pending s =
-    List.exists
-      (fun e -> e.Fault.superstep >= !round && e.Fault.device mod n_shards = s.s_id)
-      kills
-  in
-  let retire_shard s b =
-    let finished, rest =
-      List.partition
-        (fun f ->
-          Array.for_all (fun lane -> Pc_vm.Lanes.finished b.b_lanes ~lane) f.f_lanes)
-        b.b_flight
-    in
-    b.b_flight <- rest;
-    List.iter
-      (fun f ->
-        let per_lane =
-          Array.map
-            (fun lane ->
-              let outs = Pc_vm.Lanes.retire b.b_lanes ~lane in
-              Engine.charge_retire s.s_engine ~bytes:(bytes_of outs);
-              outs)
-            f.f_lanes
-        in
-        let outputs =
-          let n_outputs = List.length per_lane.(0) in
-          List.init n_outputs (fun j ->
-              Tensor.stack_rows
-                (Array.to_list (Array.map (fun outs -> List.nth outs j) per_lane)))
-        in
-        let r = f.f_item.Admission.request in
-        let c =
-          {
-            c_item = f.f_item;
-            c_outputs = (if cfg.keep_outputs then Some outputs else None);
-            c_started = f.f_started;
-            c_finished = !now;
-            c_shard = s.s_id;
-            c_preempted = f.f_preempted;
-            c_marks = List.rev f.f_marks;
-          }
-        in
-        b.b_done_since <- c :: b.b_done_since;
-        (* The burn-rate monitor is fed at retire (like the completion
-           event): a restore replays retired-but-unflushed work, so rates
-           can briefly double-count — acceptable for a rate monitor,
-           where the span trees above stay exactly-once. *)
-        (match cfg.slo with
-        | Some slo ->
-          Obs_slo.observe_latency slo
-            ~cls:(Tenant.slo_name (Admission.item_slo f.f_item))
-            ~now:!now
-            (!now -. r.Request.arrival)
-        | None -> ());
-        emit
-          (Obs_sink.Request_completed
-             {
-               id = r.Request.id;
-               queued = r.Request.arrival;
-               started = f.f_started;
-               finished = !now;
-             }))
-      finished;
-    (* A closed loop must not wait for the next checkpoint to see its
-       completions: once no planned kill can still reach this shard,
-       nothing can roll them back, so they leave the window now. *)
-    if Option.is_some on_complete && finished <> [] && not (kill_pending s) then
-      flush_done b
-  in
-
-  (* ---------- need accounting (queued + parked, by digest) ---------- *)
-  (* Backlog pressure per digest. In [Fair] mode an item counts its SLO
-     class's dispatch weight — the admission policy's priorities steer
-     shard placement too, so a latency-heavy digest outbids a best-effort
-     flood for the next free shard. The [Fifo] baseline stays SLO-blind
-     everywhere: every item counts 1. *)
-  let item_score (it : Admission.item) =
-    if fair then cfg.admission.Admission.weights.(Admission.item_rank it) else 1
-  in
-  let need_table () =
-    let tbl : (int64, int * float * Autobatch.compiled) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let note (it : Admission.item) =
-      let arrival = it.Admission.request.Request.arrival in
-      let w = item_score it in
-      match Hashtbl.find_opt tbl it.Admission.digest with
-      | Some (n, a0, p) ->
-        Hashtbl.replace tbl it.Admission.digest (n + w, Float.min a0 arrival, p)
-      | None ->
-        Hashtbl.replace tbl it.Admission.digest
-          (w, arrival, it.Admission.request.Request.program)
-    in
-    Admission.iter adm note;
-    List.iter (fun p -> note p.p_item) !parked;
-    tbl
-  in
-  let need_count tbl digest =
-    match Hashtbl.find_opt tbl digest with Some (n, _, _) -> n | None -> 0
-  in
-  (* Digests with pending work and no free lane anywhere serving them,
-     most loaded first (ties: earliest arrival, then digest). *)
-  let starving tbl =
-    let served_free digest =
-      Array.fold_left
-        (fun acc s ->
-          match s.s_b with
-          | Some b when (not b.b_draining) && b.b_digest = digest ->
-            acc + Pc_vm.Lanes.free_count b.b_lanes
-          | _ -> acc)
-        0 shards
-    in
-    Hashtbl.fold
-      (fun digest (n, a0, p) acc ->
-        if served_free digest = 0 then (digest, n, a0, p) :: acc else acc)
-      tbl []
-    |> List.sort (fun (d1, n1, a1, _) (d2, n2, a2, _) ->
-           match compare n2 n1 with
-           | 0 -> ( match compare a1 a2 with 0 -> Int64.compare d1 d2 | c -> c)
-           | c -> c)
-  in
-
-  (* ---------- admission to lanes ---------- *)
-  (* [width] free lanes of a binding, by the one shared lane-selection
-     path; callers have checked that enough are free. *)
-  let choose_free b ~width =
-    let free = Array.init z (fun lane -> not (Pc_vm.Lanes.occupied b.b_lanes ~lane)) in
-    match Sched_plan.choose_lanes ~free ~width with
-    | Some lanes -> lanes
-    | None -> invalid_arg "Tenant_server: lanes chosen on a full shard"
-  in
-  let add_flight b f = b.b_flight <- b.b_flight @ [ f ] in
-  let start_flight s b (it : Admission.item) ~started ~preempted =
-    let r = it.Admission.request in
-    let lanes = choose_free b ~width:(Request.width r) in
-    Array.iteri
-      (fun i lane ->
-        let inputs = Request.lane_inputs r ~row:i in
-        Pc_vm.Lanes.load b.b_lanes ~lane ~member:(r.Request.member + i) ~inputs;
-        Engine.charge_refill s.s_engine ~bytes:(bytes_of inputs))
-      lanes;
-    add_flight b
-      { f_item = it; f_lanes = lanes; f_started = started; f_preempted = preempted; f_marks = [] }
-  in
-  let refill_shard s b =
-    (* [Synchronous]: the fixed-batch regime refills a shard only once
-       its last flight has retired. *)
-    let continue = ref (cfg.refill = Continuous || b.b_flight = []) in
-    while !continue do
-      let free = Pc_vm.Lanes.free_count b.b_lanes in
-      if free = 0 then continue := false
-      else
-        match
-          Admission.pop adm ~fits:(fun it ->
-              it.Admission.digest = b.b_digest
-              && Request.width it.Admission.request <= free)
-        with
-        | Some it ->
-          start_flight s b it ~started:!now ~preempted:0;
-          b.b_admitted_since <- it :: b.b_admitted_since
-        | None -> continue := false
-    done
-  in
-  let refill () =
-    Array.iter
-      (fun s ->
-        match s.s_b with
-        | Some b when not b.b_draining -> refill_shard s b
-        | _ -> ())
-      shards
-  in
-
-  (* ---------- moving lanes: park, resume, drain ---------- *)
-  (* Export a flight's lanes and free them. *)
-  let export_flight b f =
-    let states = Array.map (fun lane -> Pc_vm.Lanes.export_lane b.b_lanes ~lane) f.f_lanes in
-    Array.iter (fun lane -> Pc_vm.Lanes.evict b.b_lanes ~lane) f.f_lanes;
-    b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
-    states
-  in
-  (* Import exported lane states into free lanes of shard [s]'s binding,
-     each reported as a migration from shard [src]; returns the lanes and
-     the bytes moved. *)
-  let import_states s b states ~src =
-    let lanes = choose_free b ~width:(Array.length states) in
-    let bytes = ref 0. in
-    Array.iteri
-      (fun j lane ->
-        let st = states.(j) in
-        Pc_vm.Lanes.import_lane b.b_lanes ~lane st;
-        let sb = Pc_vm.Lanes.lane_state_bytes st in
-        bytes := !bytes +. sb;
-        emit
-          (Obs_sink.Migration
-             {
-               src_shard = src;
-               dst_shard = s.s_id;
-               member = st.Pc_vm.Lanes.ls_member;
-               bytes = sb;
-               step = !round;
-             }))
-      lanes;
-    (lanes, !bytes)
-  in
-  (* The first serving binding of [digest] with [width] free lanes. *)
-  let room ~digest ~width =
-    let rec scan i =
-      if i >= n_shards then None
-      else
-        match shards.(i).s_b with
-        | Some b
-          when (not b.b_draining)
-               && b.b_digest = digest
-               && Pc_vm.Lanes.free_count b.b_lanes >= width ->
-          Some (shards.(i), b)
-        | _ -> scan (i + 1)
-    in
-    scan 0
-  in
-
-  (* ---------- preemption ---------- *)
-  let park s b f =
-    let states = export_flight b f in
-    let bytes =
-      Array.fold_left
-        (fun acc st -> acc +. Pc_vm.Lanes.lane_state_bytes st)
-        0. states
-    in
-    Engine.charge_transfer s.s_engine ~name:"preempt-park" ~bytes ~seconds:0.;
-    b.b_force_ckpt <- true;
-    incr seq;
-    parked :=
-      {
-        p_item = f.f_item;
-        p_states = states;
-        p_started = f.f_started;
-        p_preempted = f.f_preempted + 1;
-        p_from = s.s_id;
-        p_at = !now;
-        p_seq = !seq;
-        p_marks = f.f_marks;
-      }
-      :: !parked;
-    incr preemptions
-  in
-  (* Victims for a waiting latency-bound head: strictly weaker flights
-     on a same-digest shard, weakest class first, most recent start
-     first (least progress lost). *)
-  let preemption_plan (it : Admission.item) =
-    let width = Request.width it.Admission.request in
-    let it_rank = Admission.item_rank it in
-    let rec scan i =
-      if i >= n_shards then None
-      else
-        match shards.(i).s_b with
-        | Some b when (not b.b_draining) && b.b_digest = it.Admission.digest ->
-          let free = Pc_vm.Lanes.free_count b.b_lanes in
-          if free >= width then Some (shards.(i), b, [])
-          else begin
-            let candidates =
-              List.filter (fun f -> Admission.item_rank f.f_item > it_rank) b.b_flight
-              |> List.sort (fun a bb ->
-                     match
-                       compare (Admission.item_rank bb.f_item) (Admission.item_rank a.f_item)
-                     with
-                     | 0 -> (
-                       match compare bb.f_started a.f_started with
-                       | 0 ->
-                         compare bb.f_item.Admission.request.Request.id
-                           a.f_item.Admission.request.Request.id
-                       | c -> c)
-                     | c -> c)
-            in
-            let rec take freed acc = function
-              | _ when freed >= width -> Some (List.rev acc)
-              | [] -> None
-              | f :: tl -> take (freed + Array.length f.f_lanes) (f :: acc) tl
-            in
-            match take free [] candidates with
-            | Some victims -> Some (shards.(i), b, victims)
-            | None -> scan (i + 1)
-          end
-        | _ -> scan (i + 1)
-    in
-    scan 0
-  in
-  let preempt_pass () =
-    if cfg.preempt && fair then begin
-      let continue = ref true in
-      while !continue do
-        match Admission.peek_strongest_waiting adm with
-        | Some it when Admission.item_rank it = Tenant.rank Tenant.Latency_bound -> (
-          match preemption_plan it with
-          | Some (s, b, victims) ->
-            List.iter (fun f -> park s b f) victims;
-            let popped =
-              Admission.pop adm ~fits:(fun c ->
-                  c.Admission.request.Request.id = it.Admission.request.Request.id)
-            in
-            (match popped with
-            | Some it' ->
-              start_flight s b it' ~started:!now ~preempted:0;
-              b.b_admitted_since <- it' :: b.b_admitted_since;
-              b.b_force_ckpt <- true
-            | None -> assert false)
-          | None -> continue := false)
-        | _ -> continue := false
-      done
-    end
-  in
-
-  (* ---------- resume parked work ---------- *)
-  let resume_pass () =
-    let order =
-      List.sort
-        (fun a b ->
-          match compare (Admission.item_rank a.p_item) (Admission.item_rank b.p_item) with
-          | 0 -> (
-            match compare a.p_at b.p_at with 0 -> compare a.p_seq b.p_seq | c -> c)
-          | c -> c)
-        !parked
-    in
-    List.iter
-      (fun p ->
-        match room ~digest:p.p_item.Admission.digest ~width:(Array.length p.p_states) with
-        | None -> ()
-        | Some (s, b) ->
-          let lanes, bytes = import_states s b p.p_states ~src:p.p_from in
-          let seconds =
-            if p.p_from = s.s_id then 0. else Collectives.p2p_time cfg.mesh ~bytes
-          in
-          Engine.charge_transfer s.s_engine ~name:"preempt-resume" ~bytes ~seconds;
-          (* The park→resume interval becomes a "preempted" mark on the
-             request's service span; a cross-shard resume adds a
-             "migrate" instant. *)
-          let marks =
-            let preempted = ("preempted", p.p_at, !now) :: p.p_marks in
-            if p.p_from = s.s_id then preempted else ("migrate", !now, !now) :: preempted
-          in
-          add_flight b
-            {
-              f_item = p.p_item;
-              f_lanes = lanes;
-              f_started = p.p_started;
-              f_preempted = p.p_preempted;
-              f_marks = marks;
-            };
-          b.b_force_ckpt <- true;
-          parked := List.filter (fun q -> q != p) !parked;
-          incr resumes)
-      order
-  in
-
-  (* ---------- pool control ---------- *)
-  let pool_control () =
-    let signals =
-      {
-        Pool.backlog = Admission.length adm + List.length !parked;
-        active = active_count ();
-        draining = draining_count ();
-        lanes_per_shard = z;
-        live_lanes = live_lanes ();
-      }
-    in
-    (match Pool.decide cfg.pool ~rounds_since_action:!since_scale signals with
-    | Pool.Grow ->
-      if !target < max_target then begin
-        incr target;
-        incr grows;
-        ops_span "pool-grow";
-        since_scale := 0
-      end
-    | Pool.Shrink ->
-      if !target > Stdlib.max cfg.pool.Pool.min_shards 1 then begin
-        decr target;
-        (* Drain the active shard with the least live work; ties to the
-           highest id so shard 0 is the last to go. *)
-        let victim = ref None in
-        Array.iter
-          (fun s ->
-            match s.s_b with
-            | Some b when not b.b_draining ->
-              let live = Pc_vm.Lanes.live_count b.b_lanes in
-              (match !victim with
-              | Some (_, best) when best < live -> ()
-              | _ -> victim := Some (s, live))
-            | _ -> ())
-          shards;
-        (match !victim with
-        | Some (s, _) ->
-          (match s.s_b with
-          | Some b ->
-            b.b_draining <- true;
-            b.b_force_ckpt <- true
-          | None -> ());
-          incr shrinks;
-          ops_span "pool-shrink";
-          since_scale := 0
-        | None -> ())
-      end
-    | Pool.Hold -> ());
-    incr since_scale
-  in
-
-  (* ---------- drain migration and unbind ---------- *)
-  let drain_pass () =
-    Array.iter
-      (fun s ->
-        match s.s_b with
-        | Some b when b.b_draining ->
-          if b.b_flight = [] then unbind s b
-          else
-            List.iter
-              (fun f ->
-                match room ~digest:b.b_digest ~width:(Array.length f.f_lanes) with
-                | None -> ()
-                | Some (t, tb) ->
-                  let states = export_flight b f in
-                  let lanes, bytes = import_states t tb states ~src:s.s_id in
-                  Array.iter
-                    (fun st ->
-                      incr migrations;
-                      migration_bytes :=
-                        !migration_bytes +. Pc_vm.Lanes.lane_state_bytes st)
-                    states;
-                  Engine.charge_transfer t.s_engine ~name:"drain-migrate" ~bytes
-                    ~seconds:(Collectives.p2p_time cfg.mesh ~bytes);
-                  add_flight tb
-                    { f with f_lanes = lanes; f_marks = ("migrate", !now, !now) :: f.f_marks };
-                  b.b_force_ckpt <- true;
-                  tb.b_force_ckpt <- true)
-              b.b_flight;
-          (match s.s_b with
-          | Some b when b.b_draining && b.b_flight = [] -> unbind s b
-          | _ -> ())
-        | _ -> ())
-      shards
-  in
-
-  (* ---------- rebind and demand binding ---------- *)
-  let bind_pass () =
-    (* Built on first use, at most once: neither loop below changes the
-       queue or the parked set, so one table serves the whole pass — and
-       a round with no empty binding and no idle capacity builds none. *)
-    let tbl = lazy (need_table ()) in
-    (* Rebind: an empty binding turns toward starving work when its own
-       digest has no backlog, or strictly less than the most starving
-       digest's (strictness prevents two equal backlogs from trading the
-       shard back and forth). *)
-    Array.iter
-      (fun s ->
-        match s.s_b with
-        | Some b when (not b.b_draining) && b.b_flight = [] -> (
-          let tbl = Lazy.force tbl in
-          let own = need_count tbl b.b_digest in
-          match starving tbl with
-          | (digest, n, _, program) :: _
-            when digest <> b.b_digest && (own = 0 || n > own) ->
-            unbind s b;
-            ignore (bind s digest program);
-            incr rebinds
-          | _ -> ())
-        | _ -> ())
-      shards;
-    (* Demand binding: idle shards activate up to the controller's
-       target, toward the most starving digest. *)
-    let continue = ref true in
-    while !continue do
-      if active_count () >= !target then continue := false
-      else begin
-        match starving (Lazy.force tbl) with
-        | (digest, _, _, program) :: _ -> (
-          let idle =
-            Array.fold_left
-              (fun acc s ->
-                match (acc, s.s_b) with None, None -> Some s | _ -> acc)
-              None shards
-          in
-          match idle with
-          | Some s ->
-            ignore (bind s digest program);
-            incr binds
-          | None -> continue := false)
-        | [] -> continue := false
-      end
-    done
-  in
-
-  (* ---------- checkpoint cadence ---------- *)
-  let checkpoint_pass () =
-    Array.iter
-      (fun s ->
-        match s.s_b with
-        | Some b ->
-          if
-            b.b_force_ckpt
-            || (cfg.checkpoint_interval > 0 && b.b_since >= cfg.checkpoint_interval)
-          then do_checkpoint s b
-        | None -> ())
-      shards
-  in
-
-  (* ---------- the round loop ---------- *)
-  let finished = ref false in
-  while not !finished do
-    incr round;
-    if !round > cfg.max_rounds then
-      failwith
-        (Printf.sprintf
-           "Tenant_server.run: max_rounds exceeded (no progress?): queued %d, \
-            parked %d, %s"
-           (Admission.length adm) (List.length !parked)
-           (String.concat "; "
-              (Array.to_list
-                 (Array.map
-                    (fun s ->
-                      match s.s_b with
-                      | None -> Printf.sprintf "shard %d idle" s.s_id
-                      | Some b ->
-                        Printf.sprintf
-                          "shard %d digest %Lx flights %d live %d%s" s.s_id
-                          b.b_digest (List.length b.b_flight)
-                          (Pc_vm.Lanes.live_count b.b_lanes)
-                          (if b.b_draining then " draining" else ""))
-                    shards))));
-    let e0 = Array.map (fun s -> Engine.elapsed s.s_engine) shards in
-    ingest ();
-    Array.iter
-      (fun s -> match s.s_b with Some b -> retire_shard s b | None -> ())
-      shards;
-    pool_control ();
-    drain_pass ();
-    bind_pass ();
-    refill ();
-    preempt_pass ();
-    resume_pass ();
-    Array.iter
-      (fun s -> match s.s_b with Some b -> b.b_since <- b.b_since + 1 | None -> ())
-      shards;
-    checkpoint_pass ();
-    (* One superstep per live shard; shards run in parallel in simulated
-       time, so the clock advances by the slowest shard's round. *)
-    Array.iter
-      (fun s ->
-        match s.s_b with
-        | Some b when Pc_vm.Lanes.live_count b.b_lanes > 0 ->
-          if Pc_vm.Lanes.step b.b_lanes then b.b_stepped <- b.b_stepped + 1
-        | _ -> ())
-      shards;
-    (try Fault.tick injector
-     with Fault.Injected ev ->
-       let s = shards.(ev.Fault.device mod n_shards) in
-       (match s.s_b with Some b -> restore_shard s b | None -> ()));
-    let delta =
-      Array.fold_left
-        (fun acc s ->
-          let d = Engine.elapsed s.s_engine -. e0.(s.s_id) in
-          Float.max acc d)
-        0. shards
-    in
-    now := !now +. delta;
-    (* Poll the burn-rate monitor once per round: alert *edges* become
-       sink events, and with [slo_drive] a firing alert pins the
-       admission ladder at Shed_best_effort until it resolves — the
-       ladder's own transition event then records cause "slo-floor". *)
-    (match cfg.slo with
-    | Some slo ->
-      let alerts = Obs_slo.poll slo ~now:!now in
-      List.iter (fun a -> emit (Obs_slo.alert_to_event a)) alerts;
-      if cfg.slo_drive && fair && alerts <> [] then
-        Admission.set_floor adm
-          (if Obs_slo.any_firing slo then Admission.Shed_best_effort
-           else Admission.Normal)
-    | None -> ());
-    peak_active := Stdlib.max !peak_active (active_count ());
-    let idle =
-      (not (flights_exist ())) && Admission.length adm = 0 && !parked = []
-    in
-    (match (idle, next_arrival ()) with
-    | true, Some it ->
-      let a = arrival it in
-      if a > !now then now := a
-    | true, None ->
-      (* Idle with nothing due. A closed loop may still owe follow-ups
-         for completions a planned kill kept in the rollback window:
-         checkpoint their shards, which makes them final, and carry on
-         if that brought new arrivals. *)
-      if Option.is_some on_complete then
-        Array.iter
-          (fun s ->
-            match s.s_b with
-            | Some b when b.b_done_since <> [] -> do_checkpoint s b
-            | _ -> ())
-          shards;
-      if !followups = [] then finished := true
-    | false, _ -> ())
-  done;
-
-  (* ---------- final accounting ---------- *)
-  Array.iter (fun s -> match s.s_b with Some b -> flush_done b | None -> ()) shards;
-  let completions = List.rev !completions in
-  let counters =
-    Array.fold_left
-      (fun acc s -> Engine.Counters.add acc (Engine.snapshot s.s_engine).Engine.at)
-      Engine.Counters.zero shards
-  in
-  (match cfg.metrics with
-  | Some m ->
-    let hist name = Obs_metrics.histogram m name in
-    let by_class name slo = hist (name ^ Tenant.slo_name slo) in
-    List.iter
-      (fun c ->
-        let slo = Admission.item_slo c.c_item in
-        let arrival = c.c_item.Admission.request.Request.arrival in
-        Obs_metrics.observe (by_class "latency_total_" slo) (c.c_finished -. arrival);
-        Obs_metrics.observe (by_class "latency_queue_" slo) (c.c_started -. arrival);
-        Obs_metrics.observe (by_class "latency_service_" slo)
-          (c.c_finished -. c.c_started))
-      completions;
-    let cnt name v = Obs_metrics.incr ~by:v (Obs_metrics.counter m name) in
-    cnt "tenant_completed" (List.length completions);
-    cnt "tenant_throttled" (List.length !throttled);
-    cnt "tenant_rejected" (List.length !rejected);
-    cnt "tenant_shed" (List.length !shed);
-    cnt "tenant_preemptions" !preemptions;
-    cnt "tenant_resumes" !resumes;
-    cnt "pool_migrations" !migrations;
-    cnt "pool_binds" !binds;
-    cnt "pool_rebinds" !rebinds;
-    cnt "pool_grows" !grows;
-    cnt "pool_shrinks" !shrinks;
-    cnt "recovery_checkpoints" !checkpoints;
-    cnt "recovery_restores" !restores
-  | None -> ());
+let finish t : stats =
+  iter_bindings t (fun _ b -> flush_done t b);
   {
-    completions;
-    throttled = List.rev !throttled;
-    rejected = List.rev !rejected;
-    shed = List.rev !shed;
-    rounds = !round;
-    makespan = !now;
-    preemptions = !preemptions;
-    resumes = !resumes;
-    migrations = !migrations;
-    migration_bytes = !migration_bytes;
-    binds = !binds;
-    rebinds = !rebinds;
-    grows = !grows;
-    shrinks = !shrinks;
-    checkpoints = !checkpoints;
-    restores = !restores;
-    wasted_rounds = !wasted;
-    peak_active = !peak_active;
-    counters;
+    completions = List.rev t.completions;
+    throttled = List.rev t.throttled;
+    rejected = List.rev t.rejected;
+    shed = List.rev t.shed;
+    rounds = t.round;
+    makespan = t.now;
+    preemptions = t.preemptions; resumes = t.resumes;
+    migrations = t.migrations; migration_bytes = t.migration_bytes;
+    binds = t.binds; rebinds = t.rebinds; grows = t.grows; shrinks = t.shrinks;
+    checkpoints = t.checkpoints; restores = t.restores; wasted_rounds = t.wasted;
+    peak_active = t.peak_active;
+    counters =
+      Array.fold_left
+        (fun acc s -> Engine.Counters.add acc (Engine.snapshot s.s_engine).Engine.at)
+        Engine.Counters.zero t.shards;
+  }
+
+let run ?config ?on_complete src =
+  let t = create ?config ?on_complete src in
+  while step_round t do () done;
+  finish t
+
+let census t : census =
+  {
+    arriving = (if Option.is_some t.src.ahead then 1 else 0) + List.length t.followups;
+    queued = Admission.length t.adm;
+    parked = List.length t.parked;
+    in_flight = sum_bindings t (fun b -> List.length b.b_flight);
+    unflushed = sum_bindings t (fun b -> List.length b.b_done_since);
+    completed = List.length t.completions;
+    throttled = List.length t.throttled;
+    rejected = List.length t.rejected;
+    shed = List.length t.shed;
   }

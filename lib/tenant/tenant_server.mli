@@ -4,16 +4,18 @@
 
     The server owns one {!Pc_vm.Lanes} pool per mesh device ("shard"),
     each bound at any moment to one program digest (the {!Prog_cache}
-    identity). A deterministic round loop drives everything on the
-    simulated clock:
+    identity). The server is one explicit state {!t}; {!step_round} runs
+    one deterministic round on the simulated clock, in this order:
 
-    + ingest due arrivals through the tenant token buckets and
-      {!Admission};
-    + retire finished flights;
-    + apply the {!Pool} controller (activate an idle shard / drain one);
+    + ingest due arrivals (the source's and [on_complete]'s follow-ups):
+      refuse malformed or too-wide requests, then pass the tenant token
+      buckets and {!Admission};
+    + retire finished flights on every shard;
+    + apply the {!Pool} controller (raise the target / start draining
+      one shard);
     + migrate lanes off draining shards to same-digest shards through
       the {!Pc_vm.Lanes} export/import seam, priced as
-      {!Collectives.p2p_time} transfers;
+      {!Collectives.p2p_time} transfers, and unbind emptied ones;
     + rebind empty shards toward the neediest digest and bind idle
       shards on demand up to the controller's target;
     + refill free lanes from admission (weighted-fair pop, one shared
@@ -21,20 +23,25 @@
     + preempt: when a latency-bound head cannot start, export the lanes
       of the weakest, most-recently-started victim flights
       ({!Pc_vm.Lanes.export_lane}), park them, and start the head in the
-      freed lanes; parked jobs re-import later and continue
+      freed lanes;
+    + resume parked jobs wherever a same-digest shard has room (a
+      cross-shard resume is a migration); they re-import and continue
       bitwise-exactly — the RNG keys on (seed, member, counter), never
       on lane, shard, or wall time;
     + checkpoint each shard every [checkpoint_interval] rounds (plus a
       forced checkpoint after any preemption, resume, or migration
       touched it, which keeps every lane's authoritative home
       unambiguous);
-    + step every live shard one superstep; the clock advances by the
-      {e maximum} per-shard engine delta — shards serve independent
-      traffic in parallel, there is no cross-shard barrier;
+    + step every live shard one superstep;
     + tick the fault injector: a [Device_kill] restores only that shard
       from its last checkpoint, re-queues the requests it had admitted
       since, and discards its not-yet-flushed completions — the rest of
-      the fleet never notices, and re-execution is bitwise identical.
+      the fleet never notices, and re-execution is bitwise identical;
+    + advance the clock by the {e maximum} per-shard engine delta —
+      shards serve independent traffic in parallel, there is no
+      cross-shard barrier — and poll the SLO monitor;
+    + when nothing is queued, parked or in flight, jump the clock to the
+      next arrival, or end the run once none is left.
 
     Every completed request's outputs are bitwise-identical to running
     it alone with [member_base = member] — cache hit or miss, preempted
@@ -65,7 +72,6 @@ type config = {
       (** store every completion's output tensors (the bitwise gate
           needs them; million-request sweeps turn this off) *)
   max_rounds : int;          (** safety valve; raises when exceeded *)
-  metrics : Obs_metrics.t option;
   sink : Obs_sink.t option;
       (** Beyond the engine/VM event stream, the server emits
           [Obs_sink.Span] trees here — one per completed request (root
@@ -141,24 +147,52 @@ type source
 val source_of_fun : (unit -> Admission.item option) -> source
 val source_of_list : Admission.item list -> source
 
-val run :
-  ?config:config -> ?on_complete:(completion -> Admission.item option) -> source -> stats
-(** Drive the stream to completion: every arrival is eventually
-    completed, throttled, rejected, or shed; no work is lost to
-    scaling, preemption, or injected kills.
+type t
+(** A server mid-run: its configuration, shards and their bindings,
+    admission queue, clock and round, parked jobs, pending follow-ups,
+    per-digest row shapes, fault injector, and counters. *)
+
+val create :
+  ?config:config -> ?on_complete:(completion -> Admission.item option) -> source -> t
+(** A server at round 0 with every shard idle. Raises [Invalid_argument]
+    unless [lanes_per_shard] is positive.
 
     [on_complete] closes the loop: it may return one follow-up request
     per completion, which joins the arrivals with its arrival time
     clamped to the current clock. It fires once per completion, when
     the completion leaves the rollback window (at the shard's next
     checkpoint, or at retire once no planned kill can still reach the
-    shard), so a kill never fires it twice.
+    shard), so a kill never fires it twice. *)
+
+val step_round : t -> bool
+(** One round, in the order listed at the top of this interface;
+    [false] (and no effect) once the run is over. Raises [Failure] past
+    [max_rounds].
 
     A request is refused at ingest as [Invalid_input] when its inputs
     disagree with the program's declared shapes, or with the row shapes
     fixed by the first admitted request of the same program digest; as
-    [Too_wide] when it is wider than a shard. When [config.metrics] is
-    set, per-class latency histograms
-    (["latency_total_" ^ Tenant.slo_name], queue/service variants) are
-    populated from the completion records at the end — after fault
-    rollback, so replayed work is counted exactly once. *)
+    [Too_wide] when it is wider than a shard. *)
+
+val finish : t -> stats
+(** Flush every completion still in a rollback window and total the
+    run. Call once, after {!step_round} returned [false]. *)
+
+val run :
+  ?config:config -> ?on_complete:(completion -> Admission.item option) -> source -> stats
+(** [create], then {!step_round} until it returns [false], then
+    [finish]: every arrival is eventually completed, throttled,
+    rejected, or shed; no work is lost to scaling, preemption, or
+    injected kills. *)
+
+(** Where the arrivals handed to a server are between rounds, each in
+    exactly one place: taken from the source or [on_complete] but not
+    yet ingested ([arriving]), queued, parked, in flight, retired but
+    still in a rollback window ([unflushed]), completed, throttled,
+    rejected or shed. *)
+type census = {
+  arriving : int; queued : int; parked : int; in_flight : int; unflushed : int;
+  completed : int; throttled : int; rejected : int; shed : int;
+}
+
+val census : t -> census

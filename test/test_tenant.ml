@@ -11,15 +11,25 @@ let t = Alcotest.test_case
 (* ---------- fixtures ---------- *)
 
 let shapes = Tenant_load.element_shapes
-let compiled0 = lazy (Autobatch.compile ~input_shapes:shapes (Tenant_load.family_program ~k:0))
-let digest0 = lazy (Prog_cache.digest ~input_shapes:shapes (Tenant_load.family_program ~k:0))
+
+(* Two members of the program family, compiled once: distinct digests
+   make the server bind, rebind and drain. *)
+let family =
+  Array.init 2 (fun k ->
+      lazy
+        (let p = Tenant_load.family_program ~k in
+         (Autobatch.compile ~input_shapes:shapes p, Prog_cache.digest ~input_shapes:shapes p)))
+
+let compiled0 = lazy (fst (Lazy.force family.(0)))
+let digest0 = lazy (snd (Lazy.force family.(0)))
 
 let mk_tenant ?slo ?rate ?burst ?quota id =
   Tenant.make ?slo ?rate ?burst ?quota ~id ~name:(Printf.sprintf "t%d" id) ()
 
 (* An admission item on the family program: [n] is the loop trip count
    (the service length), [width] the lanes it occupies. *)
-let mk_item ?(tenant = mk_tenant 0) ?(arrival = 0.) ?(width = 1) ~id ~n () =
+let mk_item ?(tenant = mk_tenant 0) ?(arrival = 0.) ?(width = 1) ?(k = 0) ~id ~n () =
+  let compiled, digest = Lazy.force family.(k) in
   let rows v = Tensor.stack_rows (List.init width (fun _ -> Tensor.scalar v)) in
   let xs =
     Tensor.stack_rows
@@ -27,11 +37,11 @@ let mk_item ?(tenant = mk_tenant 0) ?(arrival = 0.) ?(width = 1) ~id ~n () =
   in
   let request =
     Request.make ~id ~member:(id * 8) ~arrival ~cost_hint:(float_of_int n)
-      ~program:(Lazy.force compiled0)
+      ~program:compiled
       ~inputs:[ rows (float_of_int n); xs; rows 0. ]
       ()
   in
-  { Admission.tenant; request; digest = Lazy.force digest0 }
+  { Admission.tenant; request; digest }
 
 let item_ids adm =
   let acc = ref [] in
@@ -989,6 +999,155 @@ let test_load_verifies_bitwise () =
   Alcotest.(check int) "no mismatches" 0 r.Tenant_load.mismatches;
   Alcotest.(check bool) "completions verified" true (r.Tenant_load.verified > 0)
 
+(* ---------- tenant server: conservation, round by round ---------- *)
+
+(* A random small server driven one [step_round] at a time: 1-3 shards
+   of 1-4 lanes, queue depth 1-8, every admission mode, preemption on
+   or off, both refill regimes, checkpoint interval 0-4, and up to two
+   device kills (the second 0-3 rounds after the first, so back to back
+   and same-round kills occur). The trace is 1-8 requests on two family
+   programs, of width 1-2, over three SLO classes (best-effort on a
+   quota, so some are throttled; width 2 on a one-lane shard is too
+   wide), plus up to two closed-loop follow-ups. The last knobs are a
+   sample index, the pool's cooldown, an eager shrink threshold (drain
+   migrations) and the ladder on or off (off, a full queue sheds). *)
+let arb_server_case =
+  QCheck.(
+    pair
+      (tup7 (int_range 0 2) (int_range 0 3) (int_range 0 7) (int_range 0 2) bool bool
+         (int_range 0 4))
+      (quad
+         (option (pair (int_range 0 23) (int_range 0 2)))
+         (option (pair (int_range 0 3) (int_range 0 2)))
+         (list_of_size Gen.(int_range 1 8)
+            (tup5 (int_range 0 1) (int_range 0 11) (int_range 0 2) (int_range 0 3)
+               (int_range 0 1)))
+         (tup5 (int_range 0 2) small_nat (int_range 0 8) bool bool)))
+
+let admission_modes = [| Admission.Fair; Admission.Fifo; Admission.Shortest_first |]
+
+(* After every round each arrival handed to the server is in exactly one
+   place and [on_complete] has fired once per flushed completion; at the
+   end the outcome ids partition the arrivals, and a sampled completion
+   matches its solo run bitwise. *)
+let check_server_case
+    ( (shards, lanes, depth, mode, preempt, synchronous, interval),
+      (kill, second_kill, spec, (follow_ups, sample, cooldown, eager_shrink, ladder)) ) =
+  (* Counts are generated as offsets from their minimum, so QCheck's
+     shrinking toward 0 stays in range. *)
+  let n_shards = shards + 1 and lanes = lanes + 1 and depth = depth + 1 in
+  let tenants =
+    Array.init 3 (fun r ->
+        mk_tenant ~slo:(Tenant.of_rank r) ?quota:(if r = 2 then Some 30. else None) r)
+  in
+  let item ~id ~arrival (width, n, rank, _, k) =
+    mk_item ~tenant:tenants.(rank) ~arrival ~width:(width + 1) ~k ~id ~n:(n + 1) ()
+  in
+  let items =
+    let at = ref 0. in
+    List.mapi
+      (fun id ((_, _, _, gap, _) as r) ->
+        at := !at +. (float_of_int gap *. 1e-4);
+        item ~id ~arrival:!at r)
+      spec
+  in
+  let handed = ref 0 and fired = ref [] in
+  let pending = ref items in
+  let source =
+    Tenant_server.source_of_fun (fun () ->
+        match !pending with
+        | [] -> None
+        | it :: rest ->
+          pending := rest;
+          incr handed;
+          Some it)
+  in
+  let issued = ref 0 in
+  let on_complete c =
+    fired := completion_id c :: !fired;
+    if !issued >= follow_ups then None
+    else begin
+      let id = List.length spec + !issued in
+      incr issued;
+      incr handed;
+      Some (item ~id ~arrival:0. (List.nth spec (id mod List.length spec)))
+    end
+  in
+  let kills =
+    match kill with
+    | None -> []
+    | Some (round, shard) ->
+      let at superstep device = { Fault.superstep; device; kind = Fault.Device_kill } in
+      at (round + 1) shard
+      :: Option.to_list (Option.map (fun (gap, s) -> at (round + 1 + gap) s) second_kill)
+  in
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(default_mesh n_shards)) with
+      Tenant_server.lanes_per_shard = lanes;
+      admission =
+        {
+          Admission.default with
+          Admission.mode = admission_modes.(mode);
+          depth;
+          high_water = (if ladder then 0.75 else 2.);
+          low_water = (if ladder then 0.5 else 1.5);
+        };
+      pool =
+        { Pool.default with Pool.cooldown; shrink_util = (if eager_shrink then 0.75 else 0.25) };
+      preempt;
+      refill = (if synchronous then Tenant_server.Synchronous else Tenant_server.Continuous);
+      checkpoint_interval = interval;
+      faults = kills;
+      max_rounds = 100_000;
+    }
+  in
+  let t = Tenant_server.create ~config ~on_complete source in
+  let round = ref 0 in
+  while Tenant_server.step_round t do
+    incr round;
+    let c = Tenant_server.census t in
+    let placed =
+      c.arriving + c.queued + c.parked + c.in_flight + c.unflushed + c.completed
+      + c.throttled + c.rejected + c.shed
+    in
+    if placed <> !handed then
+      QCheck.Test.fail_reportf
+        "round %d: %d arrivals handed over, %d accounted (arriving %d queued %d \
+         parked %d in flight %d unflushed %d completed %d throttled %d rejected %d \
+         shed %d)"
+        !round !handed placed c.arriving c.queued c.parked c.in_flight c.unflushed
+        c.completed c.throttled c.rejected c.shed;
+    if List.length !fired <> c.completed then
+      QCheck.Test.fail_reportf "round %d: on_complete fired %d times for %d completions"
+        !round (List.length !fired) c.completed
+  done;
+  let st = Tenant_server.finish t in
+  let ids items = List.map (fun (it : Admission.item) -> it.Admission.request.Request.id) items in
+  let done_ids = List.map completion_id st.Tenant_server.completions in
+  let outcome_ids =
+    done_ids @ ids st.Tenant_server.throttled
+    @ ids (List.map fst st.Tenant_server.rejected)
+    @ ids st.Tenant_server.shed
+  in
+  if List.sort compare outcome_ids <> List.init !handed Fun.id then
+    QCheck.Test.fail_reportf "outcome ids [%s] do not partition %d arrivals"
+      (String.concat "; " (List.map string_of_int outcome_ids)) !handed;
+  if List.sort compare !fired <> List.sort compare done_ids then
+    QCheck.Test.fail_reportf "on_complete fired for [%s], completions [%s]"
+      (String.concat "; " (List.map string_of_int !fired))
+      (String.concat "; " (List.map string_of_int done_ids));
+  match st.Tenant_server.completions with
+  | [] -> true
+  | cs -> Tenant_load.matches_solo (List.nth cs (sample mod List.length cs))
+
+(* Registered twice: a small fixed budget in the fast tier, a larger one
+   in the full suite. *)
+let prop_server_conservation ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "conservation every round (%d cases)" count)
+    arb_server_case check_server_case
+
 (* ---------- suites ---------- *)
 
 let suites =
@@ -1029,6 +1188,8 @@ let suites =
         t "kill replay is deterministic" `Quick test_server_kill_replay_deterministic;
         t "wasted rounds = replayed steps" `Quick test_server_wasted_rounds_match_steps;
         t "malformed inputs rejected at ingest" `Quick test_server_rejects_malformed_inputs;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_server_conservation ~count:50);
+        QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_server_conservation ~count:2000);
       ] );
     ( "tenant-load",
       [
