@@ -1,23 +1,29 @@
-(* Benchmark harness.
+(* Benchmark harness: the gates on the simulated clock.
 
-   All run by `dune exec bench/main.exe`:
+   All run by `dune exec bench/main.exe`. Each stage checks its own
+   claims, exits nonzero on a miss, and returns one deterministic
+   document; the stage loop at the bottom diffs that document byte for
+   byte against its committed file through Golden.check:
 
-   1. Bechamel micro-benchmarks (real wall-clock, OLS-estimated time/run)
-      of the substrate and both autobatching runtimes.
-   2. The paper-figure harnesses (Figure 5, Figure 6) and the design
-      ablations (A1-A3), printed as the same series the paper plots.
-   3. The gates on the simulated clock (serve, resil, observe, fuse,
-      sched, tenant, eff, regress).
+     figures  Figures 5-6 and ablations A1-A3   test/figures_golden.txt
+     scaling  the E4 scaling points as CSV      test/scaling_golden.csv
+     serve    the E5 serving sweep              BENCH_serve.json
+     resil    checkpoint/restore sweep          BENCH_resil.json
+     observe  observer invariance               BENCH_observe.json
+     fuse     superblock fusion A/B             BENCH_fuse.json
+     sched    policies + lane defragmentation   BENCH_sched.json
+     tenant   multi-tenant serving              BENCH_tenant.json
+     eff      handler-DSL frontend              BENCH_eff.json
+     regress  fixed-seed simulated-cost probes  BENCH_regress.json
 
-   Pass a subset of
-   [micro|figure5|figure6|ablations|serve|resil|observe|fuse|sched|tenant|eff|regress]
-   as argv to run only those stages (default: all, with bench-sized
-   parameters). Every stage prints a closing host-cost line
-   (wall/CPU/alloc/GC, from Obs_wall).
-   [--seed N] anywhere in argv reseeds every stochastic stage. *)
-
-open Bechamel
-open Toolkit
+   Pass a subset of stage names as argv to run only those (default: all,
+   with bench-sized parameters). [--seed N] anywhere in argv reseeds
+   every stochastic stage; a seeded run is not gated, and neither are the
+   shrunk AUTOBATCH_FAST arms of observe, tenant and eff. With
+   AUTOBATCH_BLESS=<dir> set, each document is written to <dir>/<path>
+   instead of diffed, so AUTOBATCH_BLESS=$PWD re-baselines from the repo
+   root. Every stage prints a closing host-cost line (wall/CPU/alloc/GC,
+   from Obs_wall); no document contains host time. *)
 
 (* ---------- shared fixtures ---------- *)
 
@@ -58,118 +64,17 @@ let nuts_fixture =
      let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter:1 ~n_burn:0 ~batch:16 () in
      (compiled, batch))
 
-(* ---------- micro benchmarks ---------- *)
+(* A gated stage's document: the committed JSON's exact bytes. *)
+let json doc = Some (Obs_report.to_string doc)
 
-let tensor_tests =
-  let a = Tensor.init [| 64; 64 |] (fun i -> float_of_int ((i.(0) * 7) + i.(1)) /. 100.) in
-  let b = Tensor.init [| 64; 64 |] (fun i -> float_of_int (i.(0) - (3 * i.(1))) /. 50.) in
-  let v = Tensor.init [| 4096 |] (fun i -> float_of_int i.(0)) in
-  let mask = Array.init 256 (fun i -> i mod 3 = 0) in
-  let rows = Tensor.init [| 256; 64 |] (fun i -> float_of_int (i.(0) + i.(1))) in
-  let dst = Tensor.copy rows in
-  let spd =
-    (* A well-conditioned SPD matrix for the Cholesky benchmark. *)
-    Tensor.add
-      (Tensor.mul_scalar (Tensor.add a (Tensor.transpose a)) 0.01)
-      (Tensor.mul_scalar (Tensor.eye 64) 100.)
-  in
-  (* The kernels of NUTS on logistic regression at bench/e2e scale (32
-     chains, 250 data points, 20 features): the two products of
-     grad/logp, the row-broadcast [mul z y], a per-lane scale and a
-     per-lane select. *)
-  let fill s k = Tensor.init s (fun i -> Stdlib.sin (float_of_int ((i.(0) * k) + i.(1)))) in
-  let betas = fill [| 32; 20 |] 3 and xt = fill [| 20; 250 |] 5 in
-  let z = fill [| 32; 250 |] 7 and x = fill [| 250; 20 |] 11 in
-  let y = Tensor.init [| 250 |] (fun i -> float_of_int (i.(0) mod 2)) in
-  let lane = fill [| 32; 1 |] 13 in
-  let cond = Tensor.init [| 32; 1 |] (fun i -> if i.(0) mod 3 = 0 then 1. else 0.) in
-  Test.make_grouped ~name:"tensor"
-    [
-      Test.make ~name:"matmul-64x64" (Staged.stage (fun () -> Tensor.matmul a b));
-      Test.make ~name:"matmul-32x20x250" (Staged.stage (fun () -> Tensor.matmul betas xt));
-      Test.make ~name:"matmul-32x250x20" (Staged.stage (fun () -> Tensor.matmul z x));
-      Test.make ~name:"mul-row-32x250" (Staged.stage (fun () -> Tensor.mul z y));
-      Test.make ~name:"mul-lane-32x20" (Staged.stage (fun () -> Tensor.mul betas lane));
-      Test.make ~name:"where-lane-32x20"
-        (Staged.stage (fun () -> Tensor.where cond betas lane));
-      Test.make ~name:"elementwise-add-4k" (Staged.stage (fun () -> Tensor.add v v));
-      Test.make ~name:"masked-blit-256x64"
-        (Staged.stage (fun () -> Tensor.blit_rows_masked ~mask ~src:rows ~dst));
-      Test.make ~name:"cholesky-64" (Staged.stage (fun () -> Cholesky.factor spd));
-    ]
+(* ---------- figures, ablations and scaling ---------- *)
 
-let stack_tests =
-  let s = Stacked.create ~z:256 ~elem:[| 32 |] () in
-  let mask = Array.init 256 (fun i -> i mod 2 = 0) in
-  Test.make_grouped ~name:"stacked"
-    [
-      Test.make ~name:"push-pop-256x32"
-        (Staged.stage (fun () ->
-             Stacked.push s ~mask;
-             Stacked.pop s ~mask));
-    ]
-
-let vm_tests =
-  Test.make_grouped ~name:"vm"
-    [
-      Test.make ~name:"fib-local-z32"
-        (Staged.stage (fun () -> Autobatch.run_local fib_compiled ~batch:fib_batch));
-      Test.make ~name:"fib-pc-z32"
-        (Staged.stage (fun () -> Autobatch.run_pc fib_compiled ~batch:fib_batch));
-      Test.make ~name:"fib-unbatched-z32"
-        (Staged.stage (fun () -> Autobatch.run_unbatched fib_compiled ~batch:fib_batch));
-      Test.make ~name:"compile-fib"
-        (Staged.stage (fun () ->
-             Autobatch.compile ~input_shapes:[ Shape.scalar ] fib_program));
-    ]
-
-let nuts_tests =
-  let compiled, batch = Lazy.force nuts_fixture in
-  Test.make_grouped ~name:"nuts"
-    [
-      Test.make ~name:"trajectory-pc-z16"
-        (Staged.stage (fun () -> Autobatch.run_pc compiled ~batch));
-      Test.make ~name:"trajectory-local-z16"
-        (Staged.stage (fun () -> Autobatch.run_local compiled ~batch));
-    ]
-
-let run_micro () =
-  print_endline "== Bechamel micro-benchmarks (real wall clock) ==";
-  let tests =
-    Test.make_grouped ~name:"autobatch"
-      [ tensor_tests; stack_tests; vm_tests; nuts_tests ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some (t :: _) -> t
-          | Some [] | None -> Float.nan
-        in
-        let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square ols_result) in
-        (name, ns, r2) :: acc)
-      results []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  Table.print_stdout
-    ~header:[ "benchmark"; "time/run"; "r2" ]
-    ~rows:
-      (List.map
-         (fun (name, ns, r2) ->
-           [ name; Table.si (ns /. 1e9) ^ "s"; Printf.sprintf "%.3f" r2 ])
-         rows);
-  print_newline ()
-
-(* ---------- figures and ablations ---------- *)
-
-let run_figure5 ?seed () =
-  (* Bench-sized: the tuned sampler takes deep trees on this model, so the
-     full default sweep belongs to the CLI (`experiments figure5`). *)
+let run_figures ?seed () =
+  (* Bench-sized Figure 5: the tuned sampler takes deep trees on this
+     model, so the full default sweep belongs to the CLI (`experiments
+     figure5`). The blank lines reproduce the layout the committed golden
+     was cut from, one blank line after each table and another after each
+     of Figure 5, Figure 6 and the ablation group. *)
   let scale =
     {
       Figure5.default_scale with
@@ -182,53 +87,45 @@ let run_figure5 ?seed () =
   let scale =
     match seed with None -> scale | Some s -> { scale with Figure5.seed = s }
   in
-  Figure5.print (Figure5.run ~scale ());
-  print_newline ()
-
-let run_figure6 ?seed () =
-  let stats =
-    Figure6.run ~dim:50 ~batch_sizes:[ 1; 2; 4; 8; 16; 32; 64; 128 ] ?seed ()
-  in
-  Figure6.print stats;
-  print_newline ()
-
-let run_ablations ?seed () =
-  Ablations.print
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  let blank () = Format.fprintf ppf "@." in
+  Figure5.print ppf (Figure5.run ~scale ());
+  blank ();
+  blank ();
+  Figure6.print ppf
+    (Figure6.run ~dim:50 ~batch_sizes:[ 1; 2; 4; 8; 16; 32; 64; 128 ] ?seed ());
+  blank ();
+  blank ();
+  Ablations.print ppf
     ~title:"Ablation A1: masking vs gather/scatter (local static, CPU eager)"
     (Ablations.masking_vs_gather ?seed ());
-  print_newline ();
-  Ablations.print
+  blank ();
+  Ablations.print ppf
     ~title:"Ablation A2: block scheduling heuristics (program counter, GPU fused)"
     (Ablations.schedulers ?seed ());
-  print_newline ();
-  Ablations.print
+  blank ();
+  Ablations.print ppf
     ~title:"Ablation A3: stack compiler optimizations O2-O5 (program counter, GPU fused)"
     (Ablations.stack_optimizations ?seed ());
-  print_newline ()
+  blank ();
+  blank ();
+  let doc = Buffer.contents buf in
+  print_string doc;
+  Some doc
 
-(* A stage whose document is simulated-clock deterministic at the default
-   seed commits it as a regression baseline: the first run writes [path],
-   every later run must reproduce it or the stage fails. *)
-let check_baseline ~stage ~path doc =
-  if not (Sys.file_exists path) then begin
-    Obs_report.write ~path doc;
-    Printf.printf "%s: wrote new baseline %s\n\n" stage path
-  end
-  else begin
-    let committed = In_channel.with_open_text path In_channel.input_all in
-    let same =
-      match Obs_json.of_string committed with
-      | Ok old -> Obs_json.to_string old = Obs_json.to_string doc
-      | Error _ -> false
-    in
-    if same then Printf.printf "%s: matches committed %s\n\n" stage path
-    else begin
-      prerr_endline
-        (stage ^ " stage failed: output drifted from committed " ^ path
-       ^ " (delete the file and rerun to re-baseline intentionally)");
-      exit 1
-    end
-  end
+let run_scaling ?seed () =
+  (* The E4 weak/strong scaling sweep at the CLI's default scale. The
+     printed table carries host time; the CSV document does not. *)
+  let scale =
+    match seed with
+    | None -> Scaling.default_scale
+    | Some s -> { Scaling.default_scale with Scaling.seed = s }
+  in
+  let points = Scaling.run ~scale () in
+  Scaling.print points;
+  print_newline ();
+  Some (Scaling.to_csv points)
 
 (* The E5 claim, checked on the sweep itself: at every offered load,
    continuous FIFO keeps more lanes live than the fixed-batch regime,
@@ -262,10 +159,8 @@ let serve_claim_failures (stats : Serving.stats) =
 let run_serve ?seed () =
   (* Bench-sized serving comparison: one load level, all three policies.
      The stage fails unless the E5 claim holds (serve_claim_failures),
-     with or without --seed. The sweep is simulated-clock deterministic
-     at the default seed, so its JSON is also committed as
-     BENCH_serve.json and any drift fails the stage (first run writes
-     the baseline; --seed skips the diff). *)
+     with or without --seed. The sweep is simulated-clock deterministic,
+     so its JSON is the stage's document. *)
   let stats = Serving.run ~dim:10 ~lanes:8 ~n_requests:24 ~loads:[ 0.9 ] ?seed () in
   Serving.print stats;
   print_newline ();
@@ -274,31 +169,27 @@ let run_serve ?seed () =
   | failures ->
     List.iter (fun f -> prerr_endline ("serve stage failed: " ^ f)) failures;
     exit 1);
-  match seed with
-  | Some _ -> ()
-  | None ->
-    check_baseline ~stage:"serve" ~path:"BENCH_serve.json"
-      (Obs_json.Obj
-         [
-           ("bench", Obs_json.Str "serve");
-           ("source", Obs_json.Str "bench/main.exe serve");
-           ( "note",
-             Obs_json.Str
-               "bench-sized serving sweep at the default seed on one shard of \
-                Tenant_server; every field is on the simulated clock \
-                (seconds), so the document is byte-stable across hosts and \
-                committed as the regression baseline — the stage fails on \
-                any drift, and on fifo occupancy not above synchronous or \
-                any sampled completion differing from its solo run" );
-           ("payload", Serving.to_json stats);
-         ])
+  json
+    (Obs_json.Obj
+       [
+         ("bench", Obs_json.Str "serve");
+         ("source", Obs_json.Str "bench/main.exe serve");
+         ( "note",
+           Obs_json.Str
+             "bench-sized serving sweep at the default seed on one shard of \
+              Tenant_server; every field is on the simulated clock \
+              (seconds), so the document is byte-stable across hosts and \
+              committed as the regression baseline — the stage fails on \
+              any drift, and on fifo occupancy not above synchronous or \
+              any sampled completion differing from its solo run" );
+         ("payload", Serving.to_json stats);
+       ])
 
 let run_resil ?seed () =
   (* Bench-sized resilience sweep: checkpoint overhead at intervals
      {1, 8, 64, inf} and recovery under a 5% per-superstep fault rate,
-     with the bitwise-identity check live in the last column. Committed
-     as BENCH_resil.json and diffed like the serve stage; figures carry
-     the CSV export's precision. *)
+     with the bitwise-identity check live in the last column. The
+     document's figures carry the CSV export's precision. *)
   let intervals = [ 1; 8; 64; 0 ] in
   let stats =
     Resilience.run ~z:16 ~intervals ~rates:[ 0.; 0.05 ]
@@ -308,73 +199,69 @@ let run_resil ?seed () =
   print_newline ();
   let fixed digits x = Obs_json.Float (float_of_string (Printf.sprintf "%.*f" digits x)) in
   let interval i = if i = 0 then Obs_json.Null else Obs_json.Int i in
-  match seed with
-  | Some _ -> ()
-  | None ->
-    check_baseline ~stage:"resil" ~path:"BENCH_resil.json"
-      (Obs_json.Obj
-         [
-           ("bench", Obs_json.Str "resil");
-           ( "source",
-             Obs_json.Str
-               "bench/main.exe resil (dune exec bin/experiments.exe -- \
-                resilience -z 16 --rates 0,0.05 --csv)" );
-           ("workload", Obs_json.Str "batched recursive fib, z=16");
-           ("intervals", Obs_json.List (List.map interval intervals));
-           ( "note",
-             Obs_json.Str
-               "interval null = initial checkpoint only (infinite interval); \
-                overhead is analytic checkpoint I/O (bytes / bandwidth) over \
-                useful supersteps; bitwise_identical compares the recovered \
-                run against the fault-free run; the stage (and CI) fails on \
-                any drift from this document" );
-           ("z", Obs_json.Int stats.Resilience.z);
-           ( "ckpt_bandwidth_bytes_per_superstep",
-             Obs_json.Float stats.Resilience.ckpt_bandwidth );
-           ("delta_steps_per_checkpoint", fixed 4 stats.Resilience.delta_steps);
-           ( "young_optimal",
-             Obs_json.List
-               (List.map
-                  (fun (rate, t_opt) ->
-                    Obs_json.Obj
-                      [
-                        ("rate", fixed 3 rate);
-                        ("mtbf", fixed 1 (1. /. rate));
-                        ("t_opt", fixed 1 t_opt);
-                      ])
-                  stats.Resilience.young) );
-           ( "points",
-             Obs_json.List
-               (List.map
-                  (fun (p : Resilience.point) ->
-                    Obs_json.Obj
-                      [
-                        ("vm", Obs_json.Str p.vm);
-                        ("interval", interval p.interval);
-                        ("rate", fixed 3 p.rate);
-                        ("faults", Obs_json.Int p.faults);
-                        ("restores", Obs_json.Int p.restores);
-                        ("link_retries", Obs_json.Int p.link_retries);
-                        ("checkpoints", Obs_json.Int p.checkpoints);
-                        ("ckpt_bytes", Obs_json.Int p.ckpt_bytes);
-                        ("useful_supersteps", Obs_json.Int p.useful);
-                        ("wasted_supersteps", Obs_json.Int p.wasted);
-                        ("overhead_pct", fixed 4 p.overhead_pct);
-                        ("recovered_pct", fixed 2 p.recovered_pct);
-                        ("bitwise_identical", Obs_json.Bool p.identical);
-                      ])
-                  stats.Resilience.points) );
-         ])
+  json
+    (Obs_json.Obj
+       [
+         ("bench", Obs_json.Str "resil");
+         ( "source",
+           Obs_json.Str
+             "bench/main.exe resil (dune exec bin/experiments.exe -- \
+              resilience -z 16 --rates 0,0.05 --csv)" );
+         ("workload", Obs_json.Str "batched recursive fib, z=16");
+         ("intervals", Obs_json.List (List.map interval intervals));
+         ( "note",
+           Obs_json.Str
+             "interval null = initial checkpoint only (infinite interval); \
+              overhead is analytic checkpoint I/O (bytes / bandwidth) over \
+              useful supersteps; bitwise_identical compares the recovered \
+              run against the fault-free run; the stage (and CI) fails on \
+              any drift from this document" );
+         ("z", Obs_json.Int stats.Resilience.z);
+         ( "ckpt_bandwidth_bytes_per_superstep",
+           Obs_json.Float stats.Resilience.ckpt_bandwidth );
+         ("delta_steps_per_checkpoint", fixed 4 stats.Resilience.delta_steps);
+         ( "young_optimal",
+           Obs_json.List
+             (List.map
+                (fun (rate, t_opt) ->
+                  Obs_json.Obj
+                    [
+                      ("rate", fixed 3 rate);
+                      ("mtbf", fixed 1 (1. /. rate));
+                      ("t_opt", fixed 1 t_opt);
+                    ])
+                stats.Resilience.young) );
+         ( "points",
+           Obs_json.List
+             (List.map
+                (fun (p : Resilience.point) ->
+                  Obs_json.Obj
+                    [
+                      ("vm", Obs_json.Str p.vm);
+                      ("interval", interval p.interval);
+                      ("rate", fixed 3 p.rate);
+                      ("faults", Obs_json.Int p.faults);
+                      ("restores", Obs_json.Int p.restores);
+                      ("link_retries", Obs_json.Int p.link_retries);
+                      ("checkpoints", Obs_json.Int p.checkpoints);
+                      ("ckpt_bytes", Obs_json.Int p.ckpt_bytes);
+                      ("useful_supersteps", Obs_json.Int p.useful);
+                      ("wasted_supersteps", Obs_json.Int p.wasted);
+                      ("overhead_pct", fixed 4 p.overhead_pct);
+                      ("recovered_pct", fixed 2 p.recovered_pct);
+                      ("bitwise_identical", Obs_json.Bool p.identical);
+                    ])
+                stats.Resilience.points) );
+       ])
 
 let run_fuse ?seed () =
   (* Superblock fusion A/B gate: compile each workload twice — plain and
      through the lib/fuse passes — and hold the fused build to the PR's
      bar: bitwise-identical outputs on every runtime (pc, local,
      sharded), at least 25% fewer supersteps (= fused kernel launches on
-     the merged-PC runtime), and a lower total simulated cost. Also
-     writes the committed BENCH_fuse.json baseline; everything recorded
-     is simulated-clock-deterministic, so the file is stable across
-     hosts. *)
+     the merged-PC runtime), and a lower total simulated cost. Everything
+     the document records is on the simulated clock, so it is stable
+     across hosts. *)
   print_endline "== Superblock fusion A/B (plain vs fused compile) ==";
   let eight_schools_fixture =
     let model = Eight_schools.model () in
@@ -473,7 +360,14 @@ let run_fuse ?seed () =
       [ "workload"; "steps"; "fused"; "saved"; "sim"; "fused sim";
         "megablocks"; "bitwise"; "status" ]
     ~rows;
-  Obs_report.write ~path:"BENCH_fuse.json"
+  print_newline ();
+  if !failed then begin
+    prerr_endline
+      "fuse stage failed: fused build perturbed outputs or missed the \
+       superstep/cost bar";
+    exit 1
+  end;
+  json
     (Obs_json.Obj
        [
          ("bench", Obs_json.Str "fuse");
@@ -491,14 +385,7 @@ let run_fuse ?seed () =
               workload is bitwise identical, saves >=25% of its supersteps, \
               and lowers the simulated cost" );
          ("points", Obs_json.List (List.rev !points));
-       ]);
-  print_newline ();
-  if !failed then begin
-    prerr_endline
-      "fuse stage failed: fused build perturbed outputs or missed the \
-       superstep/cost bar";
-    exit 1
-  end
+       ])
 
 let run_sched ?seed () =
   (* Scheduling-policy and lane-defragmentation gate, two halves.
@@ -515,9 +402,8 @@ let run_sched ?seed () =
      batch drains in place, Figure 6's waste) is compared against the
      Sched_vm defrag arm on a mesh of small lane pools, and the stage
      fails unless the effective-utilization factor clears the bar:
-     >=2x on eight_schools z=64, >=1.5x on fib z=32. Regenerates the
-     committed BENCH_sched.json; everything recorded is
-     simulated-clock-deterministic. *)
+     >=2x on eight_schools z=64, >=1.5x on fib z=32. Everything the
+     document records is on the simulated clock. *)
   print_endline "== Scheduling policies + lane defragmentation gate ==";
   let eight_schools_fixture =
     let model = Eight_schools.model () in
@@ -603,7 +489,14 @@ let run_sched ?seed () =
       Printf.printf "-- %s --\n" name;
       Profile.print_compare views)
     (List.rev !compares);
-  Obs_report.write ~path:"BENCH_sched.json"
+  print_newline ();
+  if !failed then begin
+    prerr_endline
+      "sched stage failed: a policy or migration schedule perturbed outputs \
+       or the defrag arm missed the utilization bar";
+    exit 1
+  end;
+  json
     (Obs_json.Obj
        [
          ("bench", Obs_json.Str "sched");
@@ -625,14 +518,7 @@ let run_sched ?seed () =
               defrag arm's factor clears the bar (>=2x eight_schools, \
               >=1.5x fib)" );
          ("points", Obs_json.List (List.rev !points));
-       ]);
-  print_newline ();
-  if !failed then begin
-    prerr_endline
-      "sched stage failed: a policy or migration schedule perturbed outputs \
-       or the defrag arm missed the utilization bar";
-    exit 1
-  end
+       ])
 
 let run_eff ?seed () =
   (* Handler-DSL frontend gate (DESIGN.md S22), four parts.
@@ -650,9 +536,8 @@ let run_eff ?seed () =
      with accepted exchanges and a mode-balanced cold chain; the
      decision tree must be bitwise right on every runtime.
 
-     Regenerates the committed BENCH_eff.json (full runs only — the
-     AUTOBATCH_FAST arm shrinks the workloads and must not churn the
-     committed baseline). *)
+     Only full runs return their document: the AUTOBATCH_FAST arm shrinks
+     the workloads, so it is not gated. *)
   print_endline "== Handler-DSL frontend gate (elaboration + workloads) ==";
   let fast = Sys.getenv_opt "AUTOBATCH_FAST" <> None in
   let seed_v = Option.value seed ~default:0x5EEDL in
@@ -789,8 +674,16 @@ let run_eff ?seed () =
     (Printf.sprintf "%d leaves, %d supersteps" tree.Treebench.distinct_leaves
        tree.Treebench.supersteps)
     tree_ok;
-  if not fast then
-    Obs_report.write ~path:"BENCH_eff.json"
+  print_newline ();
+  if !failed then begin
+    prerr_endline
+      "eff stage failed: an elaboration arm lost bitwise equivalence or a \
+       DSL workload missed its closed-form gate";
+    exit 1
+  end;
+  if fast then None
+  else
+    json
       (Obs_json.Obj
          [
            ("bench", Obs_json.Str "eff");
@@ -822,14 +715,7 @@ let run_eff ?seed () =
            ("smc", Smc.to_json smc);
            ("temper", Tempering.to_json temper);
            ("tree", Treebench.to_json tree);
-         ]);
-  print_newline ();
-  if !failed then begin
-    prerr_endline
-      "eff stage failed: an elaboration arm lost bitwise equivalence or a \
-       DSL workload missed its closed-form gate";
-    exit 1
-  end
+         ])
 
 let run_tenant ?seed () =
   (* Multi-tenant serving gate, three parts.
@@ -854,10 +740,8 @@ let run_tenant ?seed () =
      later drains the lightly-loaded shard while its flight is still
      live, forcing a lane migration through the export/import seam.
 
-     Full runs at the default seed diff against the committed
-     BENCH_tenant.json and fail on any drift (delete the file to
-     re-baseline); the AUTOBATCH_FAST arm caps the trace at 10k requests
-     and skips the diff. *)
+     Only full runs return their document: the AUTOBATCH_FAST arm caps
+     the trace at 10k requests, so it is not gated. *)
   print_endline
     "== Multi-tenant gate (admission / preemption / pool / recovery) ==";
   let fast = Sys.getenv_opt "AUTOBATCH_FAST" <> None in
@@ -1060,8 +944,16 @@ let run_tenant ?seed () =
         ("pass", Obs_json.Bool ok);
       ]
   in
-  if (not fast) && seed = None then
-    check_baseline ~stage:"tenant" ~path:"BENCH_tenant.json"
+  print_newline ();
+  if !failed then begin
+    prerr_endline
+      "tenant stage failed: a completion diverged from solo or an \
+       admission/pool/recovery bar was missed";
+    exit 1
+  end;
+  if fast then None
+  else
+    json
       (Obs_json.Obj
          [
            ("bench", Obs_json.Str "tenant");
@@ -1093,59 +985,9 @@ let run_tenant ?seed () =
                  micro_point "preempt-park-resume" pre_st pre_ok;
                  micro_point "drain-migration" mig_st mig_ok;
                ] );
-         ]);
-  print_newline ();
-  if !failed then begin
-    prerr_endline
-      "tenant stage failed: a completion diverged from solo or an \
-       admission/pool/recovery bar was missed";
-    exit 1
-  end
+         ])
 
-(* ---------- regression probes (observe / regress) ---------- *)
-
-(* Fixed-seed, tier-independent probes of simulated cost. `bench observe`
-   embeds them in the committed BENCH_observe.json; `bench regress`
-   re-runs them and diffs. Both deliberately ignore --seed — the baseline has to
-   mean the same thing on every host and under AUTOBATCH_FAST. *)
-let regress_probes () =
-  let pc name compiled batch =
-    let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-    let prof = Obs_prof.create () in
-    let sink = Obs_prof.sink prof in
-    Engine.set_sink engine sink;
-    let config =
-      { Pc_vm.default_config with engine = Some engine; sink = Some sink }
-    in
-    ignore (Autobatch.run_pc ~config compiled ~batch);
-    ( name,
-      Engine.elapsed engine,
-      Obs_prof.supersteps prof,
-      (Engine.snapshot engine).Engine.at.Engine.Counters.blocks )
-  in
-  let nuts_compiled, nuts_batch = Lazy.force nuts_fixture in
-  let tenant =
-    let r = Tenant_load.run ~n_requests:1000 ~verify:false ~baseline:false () in
-    let s = r.Tenant_load.fair.Tenant_load.stats in
-    ( "tenant-1k",
-      s.Tenant_server.makespan,
-      s.Tenant_server.rounds,
-      List.length s.Tenant_server.completions )
-  in
-  [
-    pc "fib-pc-z32" fib_compiled fib_batch;
-    pc "nuts-pc-z16" nuts_compiled nuts_batch;
-    tenant;
-  ]
-
-let probe_to_json (name, sim, supersteps, work) =
-  Obs_json.Obj
-    [
-      ("name", Obs_json.Str name);
-      ("sim_seconds", Obs_json.Float sim);
-      ("supersteps", Obs_json.Int supersteps);
-      ("work", Obs_json.Int work);
-    ]
+(* ---------- observer invariance ---------- *)
 
 let run_observe ?seed () =
   (* The observer-invariance gate. Each workload — fib and NUTS under the
@@ -1154,10 +996,9 @@ let run_observe ?seed () =
      profiler and its metrics; span recorder and SLO monitor on the
      tenant trace); outputs and the simulated clock must be bitwise
      identical. The observers' own contracts ride along as assertions
-     (listed in the document's note). Full runs at the default seed diff
-     the document, `bench regress` probes included, against the committed
-     BENCH_observe.json — delete it to re-baseline; AUTOBATCH_FAST caps
-     the trace at 10k requests and skips the diff. *)
+     (listed in the document's note). Only full runs return their
+     document: the AUTOBATCH_FAST arm caps the trace at 10k requests, so
+     it is not gated. *)
   print_endline "== Observer invariance (trace / profiler / metrics / spans / SLO) ==";
   let fast = Sys.getenv_opt "AUTOBATCH_FAST" <> None in
   let n_requests = if fast then 10_000 else 20_000 in
@@ -1351,9 +1192,17 @@ let run_observe ?seed () =
   Table.print_stdout
     ~header:[ "check"; "value"; "bar"; "status" ]
     ~rows:(List.rev !rows);
-  let probes = regress_probes () in
-  if (not fast) && seed = None then
-    check_baseline ~stage:"observe" ~path:"BENCH_observe.json"
+  print_newline ();
+  if !failed then begin
+    prerr_endline
+      "observe stage failed: an observer perturbed a run, an export was \
+       malformed, attribution lost time, a span tree was malformed, or the \
+       burn-rate monitor misbehaved";
+    exit 1
+  end;
+  if fast then None
+  else
+    json
       (Obs_json.Obj
          [
            ("bench", Obs_json.Str "observe");
@@ -1365,8 +1214,7 @@ let run_observe ?seed () =
                 device kill), each run bare and with every observer fanned \
                 out (trace, profiler and metrics; spans and an SLO monitor on \
                 the tenant trace); adversarial and uniform 2k traces for the \
-                burn-rate monitor; fixed-seed simulated-cost probes for \
-                `bench regress`" );
+                burn-rate monitor" );
            ( "note",
              Obs_json.Str
                "the stage fails unless every observed run is bitwise \
@@ -1376,10 +1224,8 @@ let run_observe ?seed () =
                 with non-empty folded stacks, every completion has a \
                 well-formed span tree, preempt/migrate/restore spans are \
                 present, and the burn-rate monitor fires on the adversarial \
-                trace and stays silent on uniform; the probes section is the \
-                `bench regress` baseline — deterministic, fixed-seed, \
-                independent of AUTOBATCH_FAST (which runs 10k requests and \
-                does not rewrite this file)" );
+                trace and stays silent on uniform; the AUTOBATCH_FAST arm \
+                runs 10k requests and does not rewrite this file" );
            ("pc_workloads", Obs_json.List pc_points);
            ("requests", Obs_json.Int n_requests);
            ("completions", Obs_json.Int n_done);
@@ -1396,104 +1242,81 @@ let run_observe ?seed () =
                ] );
            ("slo_alerts_adversarial", Obs_json.Int adv);
            ("slo_alerts_uniform", Obs_json.Int uni);
-           ("probes", Obs_json.List (List.map probe_to_json probes));
-         ]);
-  print_newline ();
-  if !failed then begin
-    prerr_endline
-      "observe stage failed: an observer perturbed a run, an export was \
-       malformed, attribution lost time, a span tree was malformed, or the \
-       burn-rate monitor misbehaved";
-    exit 1
-  end
+         ])
 
-let run_regress () =
-  (* Regression diff: re-run the fixed-seed probes and compare simulated
-     cost and superstep counts against the committed BENCH_observe.json.
-     Both sides are deterministic, so any drift is a real behavioural
-     change: cost or superstep increases fail the stage; improvements
-     pass with a reminder to re-baseline via `bench observe`. *)
-  print_endline "== Simulated-cost regression vs committed BENCH_observe.json ==";
-  let path = "BENCH_observe.json" in
-  if not (Sys.file_exists path) then begin
-    prerr_endline
-      ("regress stage failed: " ^ path
-     ^ " missing — run `bench observe` (full tier) to create the baseline");
-    exit 1
-  end;
-  let doc =
-    match
-      Obs_json.of_string (In_channel.with_open_text path In_channel.input_all)
-    with
-    | Ok doc -> doc
-    | Error e ->
-      Printf.eprintf "regress stage failed: %s unparseable: %s\n" path e;
-      exit 1
+(* ---------- simulated-cost probes ---------- *)
+
+(* Fixed-seed, tier-independent probes of simulated cost: fib and NUTS
+   under the pc VM and a 1k-request tenant trace. They deliberately ignore
+   --seed, so the document means the same thing under AUTOBATCH_FAST. *)
+let regress_probes () =
+  let pc name compiled batch =
+    let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+    let prof = Obs_prof.create () in
+    let sink = Obs_prof.sink prof in
+    Engine.set_sink engine sink;
+    let config =
+      { Pc_vm.default_config with engine = Some engine; sink = Some sink }
+    in
+    ignore (Autobatch.run_pc ~config compiled ~batch);
+    ( name,
+      Engine.elapsed engine,
+      Obs_prof.supersteps prof,
+      (Engine.snapshot engine).Engine.at.Engine.Counters.blocks )
   in
-  let baseline =
-    match Obs_json.member "probes" doc with
-    | Some (Obs_json.List ps) ->
-      List.filter_map
-        (fun p ->
-          let str k =
-            match Obs_json.member k p with
-            | Some (Obs_json.Str s) -> Some s
-            | _ -> None
-          in
-          let num k =
-            match Obs_json.member k p with
-            | Some (Obs_json.Float f) -> Some f
-            | Some (Obs_json.Int n) -> Some (float_of_int n)
-            | _ -> None
-          in
-          match (str "name", num "sim_seconds", num "supersteps") with
-          | Some n, Some s, Some st -> Some (n, s, st)
-          | _ -> None)
-        ps
-    | _ -> []
+  let nuts_compiled, nuts_batch = Lazy.force nuts_fixture in
+  let tenant =
+    let r = Tenant_load.run ~n_requests:1000 ~verify:false ~baseline:false () in
+    let s = r.Tenant_load.fair.Tenant_load.stats in
+    ( "tenant-1k",
+      s.Tenant_server.makespan,
+      s.Tenant_server.rounds,
+      List.length s.Tenant_server.completions )
   in
-  if baseline = [] then begin
-    Printf.eprintf "regress stage failed: no probes section in %s\n" path;
-    exit 1
-  end;
-  let fresh = regress_probes () in
-  let failed = ref false in
-  let improved = ref false in
-  let rows =
-    List.map
-      (fun (name, sim0, steps0) ->
-        match List.find_opt (fun (n, _, _, _) -> n = name) fresh with
-        | None ->
-          failed := true;
-          [ name; "-"; "-"; "-"; "MISSING" ]
-        | Some (_, sim, steps, _) ->
-          let steps = float_of_int steps in
-          let worse = sim > sim0 *. (1. +. 1e-9) || steps > steps0 in
-          let better = sim < sim0 *. (1. -. 1e-9) || steps < steps0 in
-          if worse then failed := true else if better then improved := true;
-          [
-            name;
-            Printf.sprintf "%ss / %ss" (Table.si sim0) (Table.si sim);
-            Printf.sprintf "%+.4f%%" ((sim -. sim0) /. sim0 *. 100.);
-            Printf.sprintf "%.0f / %.0f" steps0 steps;
-            (if worse then "REGRESSED" else if better then "improved" else "ok");
-          ])
-      baseline
-  in
+  [
+    pc "fib-pc-z32" fib_compiled fib_batch;
+    pc "nuts-pc-z16" nuts_compiled nuts_batch;
+    tenant;
+  ]
+
+let probe_to_json (name, sim, supersteps, work) =
+  Obs_json.Obj
+    [
+      ("name", Obs_json.Str name);
+      ("sim_seconds", Obs_json.Float sim);
+      ("supersteps", Obs_json.Int supersteps);
+      ("work", Obs_json.Int work);
+    ]
+
+let run_regress ?seed:_ () =
+  (* Simulated cost is a contract: any change in a probe's simulated
+     seconds, supersteps or work is a behavioural change, so the stage's
+     document holds all three exactly. *)
+  print_endline "== Simulated-cost probes (fixed seed) ==";
+  let probes = regress_probes () in
   Table.print_stdout
-    ~header:[ "probe"; "sim base/now"; "delta"; "steps base/now"; "status" ]
-    ~rows;
-  if !improved then
-    print_endline
-      "note: simulated cost improved — re-baseline with `bench observe` \
-       (full tier) when intentional";
+    ~header:[ "probe"; "sim"; "supersteps"; "work" ]
+    ~rows:
+      (List.map
+         (fun (name, sim, steps, work) ->
+           [ name; Table.si sim ^ "s"; string_of_int steps; string_of_int work ])
+         probes);
   print_newline ();
-  if !failed then begin
-    prerr_endline
-      "regress stage failed: simulated cost or supersteps regressed vs \
-       BENCH_observe.json";
-    exit 1
-  end
+  json
+    (Obs_json.Obj
+       [
+         ("bench", Obs_json.Str "regress");
+         ("source", Obs_json.Str "bench/main.exe regress");
+         ( "note",
+           Obs_json.Str
+             "fixed-seed probes of simulated cost, independent of --seed \
+              and AUTOBATCH_FAST: fib z=32 and NUTS-on-gaussian z=16 under \
+              the pc VM on a fused GPU engine (work = fused launches), and \
+              the fair arm of a 1k-request tenant trace (supersteps = \
+              rounds, work = completions); the stage (and CI) fails on any \
+              drift from this document" );
+         ("probes", Obs_json.List (List.map probe_to_json probes));
+       ])
 
 let () =
   let rec parse seed stages = function
@@ -1509,38 +1332,48 @@ let () =
       exit 1
     | s :: rest -> parse seed (s :: stages) rest
   in
-  let seed, stages = parse None [] (List.tl (Array.to_list Sys.argv)) in
+  let seed, picked = parse None [] (List.tl (Array.to_list Sys.argv)) in
   let stages =
-    match stages with
-    | [] ->
-      [ "micro"; "figure5"; "figure6"; "ablations"; "serve"; "resil"; "observe";
-        "fuse"; "sched"; "tenant"; "eff"; "regress" ]
-    | picked -> picked
+    [
+      ("figures", "test/figures_golden.txt", run_figures);
+      ("scaling", "test/scaling_golden.csv", run_scaling);
+      ("serve", "BENCH_serve.json", run_serve);
+      ("resil", "BENCH_resil.json", run_resil);
+      ("observe", "BENCH_observe.json", run_observe);
+      ("fuse", "BENCH_fuse.json", run_fuse);
+      ("sched", "BENCH_sched.json", run_sched);
+      ("tenant", "BENCH_tenant.json", run_tenant);
+      ("eff", "BENCH_eff.json", run_eff);
+      ("regress", "BENCH_regress.json", run_regress);
+    ]
   in
+  let find name =
+    match List.find_opt (fun (n, _, _) -> n = name) stages with
+    | Some stage -> stage
+    | None ->
+      Printf.eprintf "unknown stage %S (expected %s)\n" name
+        (String.concat "|" (List.map (fun (n, _, _) -> n) stages));
+      exit 1
+  in
+  let stages = if picked = [] then stages else List.map find picked in
   List.iter
-    (fun stage ->
+    (fun (name, path, run) ->
       (* Every stage gets the same host-cost trailer: wall/CPU/alloc/GC
          from an Obs_wall probe around the whole stage. *)
       let probe = Obs_wall.probe () in
       Obs_wall.start probe;
-      (match stage with
-      | "micro" -> run_micro ()
-      | "figure5" -> run_figure5 ?seed ()
-      | "figure6" -> run_figure6 ?seed ()
-      | "ablations" -> run_ablations ?seed ()
-      | "serve" -> run_serve ?seed ()
-      | "resil" -> run_resil ?seed ()
-      | "observe" -> run_observe ?seed ()
-      | "fuse" -> run_fuse ?seed ()
-      | "sched" -> run_sched ?seed ()
-      | "tenant" -> run_tenant ?seed ()
-      | "eff" -> run_eff ?seed ()
-      | "regress" -> run_regress ()
-      | other ->
-        Printf.eprintf
-          "unknown stage %S (expected \
-           micro|figure5|figure6|ablations|serve|resil|observe|fuse|sched|tenant|eff|regress)\n"
-          other;
-        exit 1);
-      Printf.printf "[%s] %s\n\n%!" stage (Obs_wall.summary (Obs_wall.stop probe)))
+      let doc = run ?seed () in
+      (* The one gate: a seeded run or a shrunk arm never touches the
+         committed file. *)
+      (match (seed, doc) with
+      | Some _, _ -> Printf.printf "%s: not gated (--seed run)\n" name
+      | None, None -> Printf.printf "%s: not gated (AUTOBATCH_FAST arm)\n" name
+      | None, Some doc -> (
+        match Golden.check ~path doc with
+        | Ok Golden.Matched -> Printf.printf "%s: matches committed %s\n" name path
+        | Ok (Golden.Blessed out) -> Printf.printf "%s: wrote %s\n" name out
+        | Error msg ->
+          prerr_endline (name ^ " stage failed: " ^ msg);
+          exit 1));
+      Printf.printf "[%s] %s\n\n%!" name (Obs_wall.summary (Obs_wall.stop probe)))
     stages

@@ -208,7 +208,7 @@ let figure5_cmd =
             if i > 0 then print_newline ();
             if comparing policies then
               Printf.printf "-- policy %s --\n" (Sched_policy.to_string policy);
-            Figure5.print points)
+            Figure5.print Format.std_formatter points)
           runs)
       [ ("points", Figure5.to_json points) ];
     Option.iter (fun path -> write_file path (Figure5.to_csv points)) csv
@@ -251,7 +251,7 @@ let figure6_cmd =
             if i > 0 then print_newline ();
             if comparing policies then
               Printf.printf "-- policy %s --\n" stats.Figure6.policy;
-            Figure6.print stats;
+            Figure6.print Format.std_formatter stats;
             if stats_flag then begin
               print_newline ();
               Figure6.print_occupancy stats
@@ -287,13 +287,14 @@ let figure6_cmd =
 
 let ablations_cmd =
   let run dim batch n_iter seed =
-    Ablations.print ~title:"Ablation A1: masking vs gather/scatter (local static, CPU eager)"
+    let print = Ablations.print Format.std_formatter in
+    print ~title:"Ablation A1: masking vs gather/scatter (local static, CPU eager)"
       (Ablations.masking_vs_gather ~dim ~batch ~n_iter ?seed ());
     print_newline ();
-    Ablations.print ~title:"Ablation A2: block scheduling heuristics (program counter, GPU fused)"
+    print ~title:"Ablation A2: block scheduling heuristics (program counter, GPU fused)"
       (Ablations.schedulers ~dim ~batch ~n_iter ?seed ());
     print_newline ();
-    Ablations.print ~title:"Ablation A3: stack compiler optimizations O2-O5 (program counter, GPU fused)"
+    print ~title:"Ablation A3: stack compiler optimizations O2-O5 (program counter, GPU fused)"
       (Ablations.stack_optimizations ~dim ~batch ~n_iter ?seed ())
   in
   let dim = Arg.(value & opt int 50 & info [ "dim" ] ~doc:"Gaussian dimension.") in

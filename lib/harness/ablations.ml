@@ -144,6 +144,6 @@ let stack_optimizations ?(dim = 50) ?(batch = 32) ?(n_iter = 3)
     rows;
   }
 
-let print ~title t =
-  print_endline title;
-  Table.print_stdout ~header:t.header ~rows:t.rows
+let print ppf ~title t =
+  Format.fprintf ppf "%s@." title;
+  Table.print ~header:t.header ~rows:t.rows ppf

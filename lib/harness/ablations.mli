@@ -2,8 +2,7 @@
     qualitatively (DESIGN.md A1–A3). All run auto-batched NUTS on the
     correlated Gaussian.
 
-    Each function returns a (header, rows) table and is printed by the
-    matching [print_*]. *)
+    Each function returns a (header, rows) table, printed by {!print}. *)
 
 type table = { header : string list; rows : string list list }
 
@@ -25,4 +24,4 @@ val stack_optimizations :
     O2 temporaries, O3 save-liveness, O4 top-of-stack cache,
     O5 pop–push cancellation. *)
 
-val print : title:string -> table -> unit
+val print : Format.formatter -> title:string -> table -> unit

@@ -179,7 +179,7 @@ let to_json points =
            ])
        points)
 
-let print points =
+let print ppf points =
   let batches =
     List.sort_uniq compare (List.map (fun p -> p.batch) points)
   in
@@ -196,7 +196,7 @@ let print points =
              strategies)
       batches
   in
-  print_endline
+  Format.fprintf ppf "%s@."
     "Figure 5: NUTS throughput on Bayesian logistic regression (useful gradient \
      evaluations per simulated second)";
-  Table.print_stdout ~header ~rows
+  Table.print ~header ~rows ppf

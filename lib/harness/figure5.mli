@@ -58,8 +58,8 @@ val run :
     flat baselines don't schedule but are stamped with it anyway, so
     every point in a sweep names its policy. *)
 
-val print : point list -> unit
-(** Batch-size × strategy table of gradients/second on stdout. *)
+val print : Format.formatter -> point list -> unit
+(** Batch-size × strategy table of gradients/second. *)
 
 val strategies : string list
 (** Series names in display order. *)

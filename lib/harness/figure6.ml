@@ -144,11 +144,11 @@ let print_occupancy stats =
     (fun (step, occ) -> Printf.printf "%8d  %.3f  %s\n" step occ (bar occ))
     stats.pc_occupancy
 
-let print stats =
-  print_endline
+let print ppf stats =
+  Format.fprintf ppf "%s@."
     "Figure 6: batch-gradient utilization on the correlated Gaussian (local \
      static syncs on trajectory boundaries; program-counter syncs on gradients)";
-  Table.print_stdout
+  Table.print
     ~header:[ "batch"; "local-static"; "program-counter" ]
     ~rows:
       (List.map
@@ -158,8 +158,9 @@ let print stats =
              Printf.sprintf "%.3f" p.local_util;
              Printf.sprintf "%.3f" p.pc_util;
            ])
-         stats.points);
-  Printf.printf
-    "gradients per trajectory: mean %.1f, max %.1f (max/mean = %.2f)\n"
+         stats.points)
+    ppf;
+  Format.fprintf ppf
+    "gradients per trajectory: mean %.1f, max %.1f (max/mean = %.2f)@."
     stats.mean_grads_per_trajectory stats.max_grads_per_trajectory
     (stats.max_grads_per_trajectory /. stats.mean_grads_per_trajectory)

@@ -51,7 +51,7 @@ val run :
     [policy] (default [Earliest]) sets both VMs' block scheduling
     policy. *)
 
-val print : stats -> unit
+val print : Format.formatter -> stats -> unit
 
 val print_occupancy : stats -> unit
 (** The occupancy time series as a text sparkline (one row per bucket). *)

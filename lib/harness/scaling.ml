@@ -121,14 +121,13 @@ let to_csv points =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     "series,devices,batch,useful_grads,compute_time,collective_time,sim_time,\
-     grads_per_sec,speedup,efficiency,wall_seconds\n";
+     grads_per_sec,speedup,efficiency\n";
   List.iter
     (fun p ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%d,%.9g,%.9g,%.9g,%.9g,%.4f,%.4f,%.4f\n"
+        (Printf.sprintf "%s,%d,%d,%d,%.9g,%.9g,%.9g,%.9g,%.4f,%.4f\n"
            (series_name p.series) p.devices p.batch p.useful_grads p.compute_time
-           p.collective_time p.sim_time p.grads_per_sec p.speedup p.efficiency
-           p.wall_seconds))
+           p.collective_time p.sim_time p.grads_per_sec p.speedup p.efficiency))
     points;
   Buffer.contents buf
 

@@ -51,7 +51,12 @@ val run : ?scale:scale -> unit -> point list
 
 val points_of : point list -> [ `Weak | `Strong ] -> point list
 val print : point list -> unit
+
 val to_csv : point list -> string
+(** The simulated columns only — every field but [wall_seconds] and
+    [shard_times] — so the CSV is byte-stable across hosts (it is the
+    [scaling] bench stage's document). The host time stays in {!print}
+    and {!to_json}. *)
 
 val to_json : point list -> Obs_json.t
 (** Both series as a JSON array; each point carries its per-shard

@@ -287,3 +287,65 @@ let test_serving_harness_smoke () =
       ignore (Serving.run ~n_requests:1 ~policies:[ "lifo" ] ()))
 
 let suites = suites @ [ ("serve-harness", [ t "smoke" `Slow test_serving_harness_smoke ]) ]
+
+(* ---------- Golden ---------- *)
+
+(* Every case passes [~bless] explicitly, so an AUTOBATCH_BLESS sweep of
+   the real goldens cannot redirect these scratch files. *)
+let golden_doc = "first line\nsecond line\nthird line\n"
+
+let with_scratch_golden contents f =
+  let path = Filename.temp_file "autobatch-golden" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let test_golden_identical () =
+  with_scratch_golden golden_doc (fun path ->
+      Alcotest.(check bool) "identical document matches" true
+        (Golden.check ~bless:None ~path golden_doc = Ok Golden.Matched))
+
+let test_golden_one_byte () =
+  with_scratch_golden golden_doc (fun path ->
+      match Golden.check ~bless:None ~path "first line\nsecond lime\nthird line\n" with
+      | Ok _ -> Alcotest.fail "a one-byte change passed"
+      | Error msg ->
+        let says = Test_tools.contains msg in
+        Alcotest.(check bool) ("names the path: " ^ msg) true (says path);
+        Alcotest.(check bool) "names the first differing line" true (says "line 2");
+        Alcotest.(check bool) "shows both sides of it" true
+          (says "\"second line\"" && says "\"second lime\""))
+
+let test_golden_missing () =
+  let path = Filename.temp_file "autobatch-golden" ".txt" in
+  Sys.remove path;
+  (match Golden.check ~bless:None ~path golden_doc with
+  | Ok _ -> Alcotest.fail "a missing file passed"
+  | Error msg ->
+    Alcotest.(check bool) ("names the path: " ^ msg) true (Test_tools.contains msg path));
+  Alcotest.(check bool) "nothing written" false (Sys.file_exists path)
+
+let test_golden_bless () =
+  let dir = Filename.temp_dir "autobatch-golden" "" in
+  let written = Filename.concat dir "doc.txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists written then Sys.remove written;
+      Sys.rmdir dir)
+    (fun () ->
+      (match Golden.check ~bless:(Some dir) ~path:"doc.txt" golden_doc with
+      | Ok (Golden.Blessed out) -> Alcotest.(check string) "writes <dir>/<path>" written out
+      | _ -> Alcotest.fail "bless did not write the document");
+      Alcotest.(check bool) "the next check passes" true
+        (Golden.check ~bless:None ~path:written golden_doc = Ok Golden.Matched))
+
+let suites =
+  suites
+  @ [
+      ( "golden",
+        [
+          t "identical document passes" `Quick test_golden_identical;
+          t "one-byte change fails" `Quick test_golden_one_byte;
+          t "missing file fails" `Quick test_golden_missing;
+          t "bless writes dir/path" `Quick test_golden_bless;
+        ] );
+    ]

@@ -148,24 +148,15 @@ let golden_trace () =
   Obs_trace.record tr ~track:vm ~ts:2.5e-3 (Obs_sink.Restore { step = 2 });
   tr
 
-let read_file path =
-  In_channel.with_open_text path In_channel.input_all
-
 let test_trace_golden () =
   let got = Obs_trace.to_chrome_string (golden_trace ()) in
-  match Sys.getenv_opt "AUTOBATCH_BLESS" with
-  | Some dir when dir <> "" ->
-    let path = Filename.concat dir "trace_golden.json" in
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc got)
-  | _ ->
-    let want = read_file "trace_golden.json" in
-    Alcotest.(check string) "chrome export matches golden" want got;
-    (* The golden document is itself valid JSON with the Chrome shape. *)
-    (match Obs_json.of_string got with
-    | Ok doc ->
-      Alcotest.(check bool) "has traceEvents" true
-        (Obs_json.member "traceEvents" doc <> None)
-    | Error e -> Alcotest.failf "golden is not JSON: %s" e)
+  Result.iter_error Alcotest.fail (Golden.check ~path:"trace_golden.json" got);
+  (* The golden document is itself valid JSON with the Chrome shape. *)
+  match Obs_json.of_string got with
+  | Ok doc ->
+    Alcotest.(check bool) "has traceEvents" true
+      (Obs_json.member "traceEvents" doc <> None)
+  | Error e -> Alcotest.failf "golden is not JSON: %s" e
 
 let test_trace_limit_and_csv () =
   let tr = Obs_trace.create ~limit:2 () in

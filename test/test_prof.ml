@@ -623,8 +623,6 @@ let golden_prof () =
        { kind = Obs_sink.Fused_block; name = "block 2"; t0 = 2.5e-3; t1 = 2.7e-3 });
   p
 
-let read_file path = In_channel.with_open_text path In_channel.input_all
-
 let test_folded_golden () =
   let p = golden_prof () in
   (* The synthetic feed's books first: engine clock ends at 2.7e-3. *)
@@ -646,16 +644,8 @@ let test_folded_golden () =
     (Obs_metrics.count (Obs_metrics.counter m "supersteps"));
   Alcotest.(check int) "block launch counter" 4
     (Obs_metrics.count (Obs_metrics.counter m "block_launches"));
-  let got = Obs_prof.folded p in
-  match Sys.getenv_opt "AUTOBATCH_BLESS" with
-  | Some dir when dir <> "" ->
-    let path = Filename.concat dir "folded_golden.txt" in
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc got)
-  | _ ->
-    Alcotest.(check string)
-      "folded export matches golden"
-      (read_file "folded_golden.txt")
-      got
+  Result.iter_error Alcotest.fail
+    (Golden.check ~path:"folded_golden.txt" (Obs_prof.folded p))
 
 (* ---------- live folded export over the real callgraph ---------- *)
 
