@@ -48,34 +48,34 @@ module Pc_stack = struct
     t.cap <- cap';
     t.data <- data'
 
-  let push t ~mask =
-    let need = ref 0 in
-    Array.iteri (fun b m -> if m && t.sp.(b) >= !need then need := t.sp.(b) + 1) mask;
-    while !need > t.cap do
-      grow t
-    done;
-    if !need > t.high then t.high <- !need;
-    Array.iteri
-      (fun b m ->
-        if m then begin
-          t.data.((t.sp.(b) * t.z) + b) <- t.top.(b);
-          t.sp.(b) <- t.sp.(b) + 1
-        end)
-      mask
+  (* The members [active.(0..n-1)], as in [Stacked]: growing on the
+     first lane that needs it ends at the same capacity as one pass for
+     the deepest lane. *)
+  let push t ~active ~n =
+    for j = 0 to n - 1 do
+      let b = active.(j) in
+      let sp = t.sp.(b) in
+      while sp >= t.cap do
+        grow t
+      done;
+      t.data.((sp * t.z) + b) <- t.top.(b);
+      t.sp.(b) <- sp + 1;
+      if sp >= t.high then t.high <- sp + 1
+    done
 
-  let pop t ~mask =
-    Array.iteri
-      (fun b m ->
-        if m then begin
-          if t.sp.(b) = 0 then
-            invalid_arg (Printf.sprintf "Pc_vm: pc stack underflow for member %d" b);
-          t.sp.(b) <- t.sp.(b) - 1;
-          t.top.(b) <- t.data.((t.sp.(b) * t.z) + b)
-        end)
-      mask
+  let pop t ~active ~n =
+    for j = 0 to n - 1 do
+      let b = active.(j) in
+      let sp = t.sp.(b) - 1 in
+      if sp < 0 then invalid_arg (Printf.sprintf "Pc_vm: pc stack underflow for member %d" b);
+      t.sp.(b) <- sp;
+      t.top.(b) <- t.data.((sp * t.z) + b)
+    done
 
-  let set_top_masked t ~mask v =
-    Array.iteri (fun b m -> if m then t.top.(b) <- v) mask
+  let set_top t ~active ~n v =
+    for j = 0 to n - 1 do
+      t.top.(active.(j)) <- v
+    done
 
   let reset_lane t ~lane ~bottom ~start =
     if lane < 0 || lane >= t.z then invalid_arg "Pc_stack.reset_lane: lane out of range";
@@ -175,7 +175,15 @@ type rows = Undecided | All_rows | Active_rows
    and its constants broadcast to the pool's width. [cond] is the slot of
    the terminator's branch condition, if it has one. *)
 type op =
-  | Prim of { dst : int; args : int list; impl : Prim.t; mutable rows : rows }
+  | Prim of {
+      dst : int;
+      args : int array;
+      impl : Prim.t;
+      mutable rows : rows;
+      mutable inputs : Tensor.t list option;
+          (* [args]' storage, once all of it is allocated; dropped when
+             [Lanes.restore] rebuilds the slots *)
+    }
   | Const of { dst : int; value : Tensor.t }
   | Mov of { dst : int; src : int }
   | Push of int
@@ -188,8 +196,8 @@ let resolve names reg ~z (b : Stack_ir.block) =
   let op : Stack_ir.op -> op = function
     | Stack_ir.Sprim { dst; prim; args } ->
       Prim
-        { dst = slot dst; args = List.map slot args; impl = Prim.find_exn reg prim;
-          rows = Undecided }
+        { dst = slot dst; args = Array.of_list (List.map slot args);
+          impl = Prim.find_exn reg prim; rows = Undecided; inputs = None }
     | Stack_ir.Sconst { dst; value } ->
       Const { dst = slot dst; value = Tensor.broadcast_rows value z }
     | Stack_ir.Smov { dst; src } -> Mov { dst = slot dst; src = slot src }
@@ -226,8 +234,8 @@ module Lanes = struct
     members : int array;     (* per-lane global RNG member identity *)
     occupied : bool array;   (* lane currently carries a request *)
     counts : int array;
-    mask : bool array;       (* lanes the current block runs on *)
-    active : int array;      (* their indices, the first [n_active] *)
+    active : int array;      (* lanes the current block runs on: the first
+                                [n_active], ascending *)
     mutable n_active : int;
     (* The active lanes and their member ids as exact-length arrays, for
        the primitives that gather; built at most once per superstep. *)
@@ -270,6 +278,7 @@ module Lanes = struct
         (Printf.sprintf "Pc_vm: variable %s changes shape from %s to %s" t.names.(k)
            (Shape.to_string cur_shape) (Shape.to_string shape))
 
+  (* Write the active lanes' rows of the full-width [out]. *)
   let write t k out =
     match materialize t k (Vm_util.elem_shape_of_batched out) with
     | Reg r ->
@@ -280,10 +289,10 @@ module Lanes = struct
       Array.blit (Tensor.data out) 0 (Tensor.data r) 0 (Tensor.numel out)
     | Msk r ->
       check_shape t k (Tensor.shape r) (Tensor.shape out);
-      Tensor.blit_rows_masked ~mask:t.mask ~src:out ~dst:r
+      Vm_util.blit_active_rows ~active:t.active ~n:t.n_active ~src:out ~dst:r
     | Stk s ->
       check_shape t k (Tensor.shape (Stacked.top s)) (Tensor.shape out);
-      Stacked.write_top_masked s ~mask:t.mask out
+      Stacked.write_top s ~active:t.active ~n:t.n_active out
 
   (* Write [out], one row per active lane, into those lanes' rows. The
      other rows keep their values, so a register's inactive rows hold a
@@ -313,7 +322,9 @@ module Lanes = struct
     match t.slots.(dst) with
     | None -> Undecided
     | Some d ->
-      let args = List.map (fun k -> storage_elem (Option.get t.slots.(k))) args in
+      let args =
+        Array.to_list (Array.map (fun k -> storage_elem (Option.get t.slots.(k))) args)
+      in
       let moved =
         List.fold_left (fun n e -> n + Shape.numel e) (Shape.numel (storage_elem d)) args
       in
@@ -329,7 +340,14 @@ module Lanes = struct
 
   let exec_op t = function
     | Prim p ->
-      let args = List.map (read_slot t) p.args in
+      let args =
+        match p.inputs with
+        | Some args -> args
+        | None ->
+          let args = Array.to_list (Array.map (read_slot t) p.args) in
+          p.inputs <- Some args;
+          args
+      in
       let masked = t.n_active < t.z in
       if masked && p.rows = Undecided then
         p.rows <- rows_of t ~dst:p.dst ~args:p.args p.impl;
@@ -343,8 +361,8 @@ module Lanes = struct
       else write t p.dst (p.impl.Prim.batched ~members:t.members args)
     | Const { dst; value } -> write t dst value
     | Mov { dst; src } -> write t dst (read_slot t src)
-    | Push k -> Stacked.push (stacked t k "push") ~mask:t.mask
-    | Pop k -> Stacked.pop (stacked t k "pop") ~mask:t.mask
+    | Push k -> Stacked.push (stacked t k "push") ~active:t.active ~n:t.n_active
+    | Pop k -> Stacked.pop (stacked t k "pop") ~active:t.active ~n:t.n_active
 
   (* Point every active lane's pc at [if_true] or [if_false] by [cond]. *)
   let branch t cond ~if_true ~if_false =
@@ -354,24 +372,26 @@ module Lanes = struct
       top.(b) <- (if cond.(b) <> 0. then if_true else if_false)
     done
 
+  let set_pc t v = Pc_stack.set_top t.pc ~active:t.active ~n:t.n_active v
+
   (* Save [ret] as the active lanes' return address. *)
   let push_return t ret =
-    Pc_stack.set_top_masked t.pc ~mask:t.mask ret;
-    Pc_stack.push t.pc ~mask:t.mask
+    set_pc t ret;
+    Pc_stack.push t.pc ~active:t.active ~n:t.n_active
 
   let exec_term t (b : block) =
     match b.term with
-    | Stack_ir.Sjump j -> Pc_stack.set_top_masked t.pc ~mask:t.mask j
+    | Stack_ir.Sjump j -> set_pc t j
     | Stack_ir.Sbranch { if_true; if_false; _ } ->
       branch t (Tensor.data (read_slot t b.cond)) ~if_true ~if_false
     | Stack_ir.Spushjump { ret; entry } ->
       push_return t ret;
-      Pc_stack.set_top_masked t.pc ~mask:t.mask entry
+      set_pc t entry
     | Stack_ir.Spushbranch { ret; if_true; if_false; _ } ->
       let cond = Tensor.data (read_slot t b.cond) in
       push_return t ret;
       branch t cond ~if_true ~if_false
-    | Stack_ir.Sreturn -> Pc_stack.pop t.pc ~mask:t.mask
+    | Stack_ir.Sreturn -> Pc_stack.pop t.pc ~active:t.active ~n:t.n_active
 
   (* The engine charge of block [b] on [eng], from the shapes of the
      variables it touches (all allocated once it has executed). Traffic is
@@ -415,9 +435,10 @@ module Lanes = struct
     Array.iter
       (function
         | Prim { dst; args; impl; _ } ->
-          List.iter read args;
+          Array.iter read args;
           write dst;
-          charge impl.Prim.name (impl.Prim.flops (List.map elem args) *. float_of_int z)
+          charge impl.Prim.name
+            (impl.Prim.flops (List.map elem (Array.to_list args)) *. float_of_int z)
         | Const { dst; value } ->
           write dst;
           charge "const" (float_of_int (Tensor.numel value))
@@ -469,7 +490,6 @@ module Lanes = struct
         members = Array.init z (fun i -> config.member_base + i);
         occupied = Array.make z false;
         counts = Array.make nb 0;
-        mask = Array.make z false;
         active = Array.make z 0;
         n_active = 0;
         gathered = false;
@@ -524,15 +544,18 @@ module Lanes = struct
     done;
     !acc
 
-  (* Restore one lane of every allocated variable to the all-zeros state a
-     fresh VM would give it. Variables allocated on demand *after* this
-     point start zeroed anyway, so a recycled lane is indistinguishable
-     from lane [lane] of a brand-new VM. *)
+  (* Restore one lane of every allocated variable a block can read before
+     writing to the all-zeros state a fresh VM would give it. Variables
+     allocated on demand *after* this point start zeroed anyway, so a
+     recycled lane is indistinguishable from lane [lane] of a brand-new
+     VM. Registers ([Var_class.Temp]) are skipped: each block writes one
+     before reading it, so no lane ever reads a register row it inherited
+     (their stale rows appear only in whole-storage images). *)
   let reset_lane_storage t ~lane =
     Array.iter
       (function
-        | None -> ()
-        | Some (Reg r | Msk r) ->
+        | None | Some (Reg _) -> ()
+        | Some (Msk r) ->
           let row = Tensor.row_numel r in
           Array.fill (Tensor.data r) (lane * row) row 0.
         | Some (Stk s) -> Stacked.reset_lane s lane)
@@ -774,6 +797,9 @@ module Lanes = struct
        after the capture must disappear, or its stale masked rows would
        leak into lanes the image knows nothing about. *)
     Array.fill t.slots 0 (Array.length t.slots) None;
+    Array.iter
+      (fun b -> Array.iter (function Prim p -> p.inputs <- None | _ -> ()) b.ops)
+      t.blocks;
     List.iter
       (fun (v, s) ->
         let s =
@@ -839,9 +865,7 @@ module Lanes = struct
       t.last <- i;
       let n = ref 0 in
       for b = 0 to z - 1 do
-        let m = pc.Pc_stack.top.(b) = i in
-        t.mask.(b) <- m;
-        if m then begin
+        if pc.Pc_stack.top.(b) = i then begin
           t.active.(!n) <- b;
           incr n
         end

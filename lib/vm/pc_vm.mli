@@ -25,7 +25,11 @@
     Row-separable primitives ({!Prim.t}) make the two styles bitwise
     equal on every row a lane can read, so the choice changes host work
     and nothing else: outputs, the simulated clock and every sink event
-    are the same either way.
+    are the same either way. The VM's own lane loops (masked and
+    stacked-top writes, variable and pc stack pushes and pops, pc moves)
+    walk the superstep's active lanes, so their host cost follows the
+    active count, not the width; a superstep with every lane active
+    copies whole tensors with one blit.
 
     The interpretive work is done once per lane pool, in {!Lanes.create}:
     every variable is resolved to a storage slot, every block's operands
@@ -83,11 +87,17 @@ module Pc_stack : sig
   }
 
   val create : z:int -> bottom:int -> start:int -> initial_depth:int -> t
-  val push : t -> mask:bool array -> unit
-  val pop : t -> mask:bool array -> unit
-  (** Raises [Invalid_argument] on underflow of any masked member. *)
 
-  val set_top_masked : t -> mask:bool array -> int -> unit
+  (** [push], [pop] and [set_top] act on the members [active.(0)] ..
+      [active.(n-1)], listed in ascending order, at a cost proportional
+      to [n] (the VM passes the superstep's active lanes). *)
+
+  val push : t -> active:int array -> n:int -> unit
+  val pop : t -> active:int array -> n:int -> unit
+  (** Raises [Invalid_argument] at the first listed member whose stack
+      is empty; members listed before it have already popped. *)
+
+  val set_top : t -> active:int array -> n:int -> int -> unit
 
   val reset_lane : t -> lane:int -> bottom:int -> start:int -> unit
   (** Re-seed one member's pc stack as [create] would: sentinel [bottom]
@@ -127,10 +137,14 @@ end
     Per-lane isolation is exact: batched primitives are row-wise (each
     output row depends only on the same input row and that row's member
     identity — the contract in HACKING.md), masked writes never touch
-    other lanes, and [load] resets the lane's slice of every variable and
-    both stacks to the all-zero fresh-VM state. A request served in any
-    lane of any mix of neighbours is therefore bitwise identical to
-    running it alone with [member_base] equal to its member. *)
+    other lanes, and [load] resets the lane's slice of every masked and
+    stacked variable to the all-zero fresh-VM state and re-seeds its pc
+    stack. Registers ([Var_class.Temp]) keep their stale rows: every
+    block writes a register before reading it, so no lane reads an
+    inherited register row, and only a whole-pool [capture] shows them.
+    A request served in any lane of any mix of neighbours is therefore
+    bitwise identical to running it alone with [member_base] equal to
+    its member. *)
 module Lanes : sig
   type t
 
@@ -217,9 +231,9 @@ module Lanes : sig
 
   val import_lane : t -> lane:int -> lane_state -> unit
   (** Install a captured lane state into a free lane of a pool running
-      the same program. The lane's slice of every variable is reset
-      first, so variables the source pool never allocated stay implicitly
-      zero. Raises [Invalid_argument] if the lane is occupied or the
+      the same program. The lane's slice of every masked and stacked
+      variable is reset first, so variables the source pool never
+      allocated stay implicitly zero (registers excepted, as in [load]). Raises [Invalid_argument] if the lane is occupied or the
       state disagrees with the pool's program. *)
 
   val lane_state_bytes : lane_state -> float

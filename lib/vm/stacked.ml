@@ -28,8 +28,8 @@ let elem t = t.elem
 let row t = t.row
 let top t = t.top
 
-let write_top_masked t ~mask value =
-  Tensor.blit_rows_masked ~mask ~src:value ~dst:t.top
+let write_top t ~active ~n value =
+  Vm_util.blit_active_rows ~active ~n ~src:value ~dst:t.top
 
 let write_top_indexed t ~idx value =
   Tensor.blit_rows_indexed ~idx ~src:value ~dst:t.top
@@ -43,35 +43,33 @@ let grow t =
 
 let slot t d b = ((d * t.z) + b) * t.row
 
-let push t ~mask =
-  if Array.length mask <> t.z then invalid_arg "Stacked.push: mask length";
-  let need = ref 0 in
-  Array.iteri (fun b m -> if m && t.sp.(b) >= !need then need := t.sp.(b) + 1) mask;
-  while !need > t.cap do
-    grow t
-  done;
-  if !need > t.high then t.high <- !need;
-  let top_data = Tensor.data t.top in
-  Array.iteri
-    (fun b m ->
-      if m then begin
-        Array.blit top_data (b * t.row) t.data (slot t t.sp.(b) b) t.row;
-        t.sp.(b) <- t.sp.(b) + 1
-      end)
-    mask
+(* Growing on the first lane that needs it, rather than after a pass
+   for the deepest, ends at the same capacity: doubling until the
+   deepest lane fits. *)
+let push t ~active ~n =
+  let top = Tensor.data t.top and row = t.row in
+  for j = 0 to n - 1 do
+    let b = active.(j) in
+    let sp = t.sp.(b) in
+    while sp >= t.cap do
+      grow t
+    done;
+    if row = 1 then t.data.((sp * t.z) + b) <- top.(b)
+    else Array.blit top (b * row) t.data (slot t sp b) row;
+    t.sp.(b) <- sp + 1;
+    if sp >= t.high then t.high <- sp + 1
+  done
 
-let pop t ~mask =
-  if Array.length mask <> t.z then invalid_arg "Stacked.pop: mask length";
-  let top_data = Tensor.data t.top in
-  Array.iteri
-    (fun b m ->
-      if m then begin
-        if t.sp.(b) = 0 then
-          invalid_arg (Printf.sprintf "Stacked.pop: underflow for member %d" b);
-        t.sp.(b) <- t.sp.(b) - 1;
-        Array.blit t.data (slot t t.sp.(b) b) top_data (b * t.row) t.row
-      end)
-    mask
+let pop t ~active ~n =
+  let top = Tensor.data t.top and row = t.row in
+  for j = 0 to n - 1 do
+    let b = active.(j) in
+    let sp = t.sp.(b) - 1 in
+    if sp < 0 then invalid_arg (Printf.sprintf "Stacked.pop: underflow for member %d" b);
+    t.sp.(b) <- sp;
+    if row = 1 then top.(b) <- t.data.((sp * t.z) + b)
+    else Array.blit t.data (slot t sp b) top (b * row) row
+  done
 
 let depth t b = t.sp.(b)
 

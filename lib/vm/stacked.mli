@@ -21,19 +21,28 @@ val row : t -> int
 val top : t -> Tensor.t
 (** The cached top, shape [z :: elem]. Shared buffer — do not mutate. *)
 
-val write_top_masked : t -> mask:bool array -> Tensor.t -> unit
-(** Replace the top value of the masked members ([value] is full-width). *)
-
 val write_top_indexed : t -> idx:int array -> Tensor.t -> unit
 (** Replace the top value of members [idx]: row [i] of [value] goes to
     member [idx.(i)]. *)
 
-val push : t -> mask:bool array -> unit
-(** Duplicate the masked members' tops (save a frame). *)
+(** {2 Active-list updates}
 
-val pop : t -> mask:bool array -> unit
-(** Drop the masked members' tops, restoring the saved frame. Raises
-    [Invalid_argument] on underflow — an unbalanced program. *)
+    [write_top], [push] and [pop] act on the members [active.(0)] ..
+    [active.(n-1)], listed in ascending order, and cost in proportion to
+    [n] rather than to [z]. *)
+
+val write_top : t -> active:int array -> n:int -> Tensor.t -> unit
+(** Replace the listed members' tops with their rows of [value], which
+    is full-width. *)
+
+val push : t -> active:int array -> n:int -> unit
+(** Duplicate the listed members' tops (save a frame). *)
+
+val pop : t -> active:int array -> n:int -> unit
+(** Drop the listed members' tops, restoring the saved frame. Raises
+    [Invalid_argument] on underflow — an unbalanced program — at the
+    first listed member with no saved frame; members listed before it
+    have already popped. *)
 
 val depth : t -> int -> int
 (** Number of saved frames below the top for one member. *)

@@ -17,6 +17,21 @@ let indices_of_mask mask =
 
 let count_mask mask = Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 mask
 
+let blit_active_rows ~active ~n ~src ~dst =
+  let s = Tensor.data src and d = Tensor.data dst and z = Tensor.nrows dst in
+  let row = Array.length d / z in
+  if n = z then Array.blit s 0 d 0 (Array.length d)
+  else if row = 1 then
+    for j = 0 to n - 1 do
+      let b = active.(j) in
+      d.(b) <- s.(b)
+    done
+  else
+    for j = 0 to n - 1 do
+      let o = active.(j) * row in
+      Array.blit s o d o row
+    done
+
 (* A masked write in a static-shape (XLA-style) system is a select: read
    old and new, write result. *)
 let masked_write_bytes ~lanes ~row = 3. *. bytes_per_elem *. float_of_int (lanes * row)

@@ -9,6 +9,13 @@ val indices_of_mask : bool array -> int array
 
 val count_mask : bool array -> int
 
+val blit_active_rows : active:int array -> n:int -> src:Tensor.t -> dst:Tensor.t -> unit
+(** Copy rows [active.(0)] .. [active.(n-1)] of [src] into the same rows
+    of [dst] (equal shapes), leaving every other row of [dst] untouched.
+    The work is proportional to [n], not to the row count: rows of one
+    element are assigned directly, and [n] equal to the row count (the
+    list then names every row) is one whole-array blit. *)
+
 val masked_write_bytes : lanes:int -> row:int -> float
 (** Traffic of a masked write in a static-shape (XLA-style) system: a
     select reads old and new and writes the result. *)

@@ -237,10 +237,11 @@ let test_file_roundtrip () =
 
 let test_stacked_image_roundtrip () =
   let s = Stacked.create ~z:4 ~elem:[| 2 |] () in
-  let mask = [| true; false; true; true |] in
-  Stacked.push s ~mask;
-  Stacked.write_top_masked s ~mask (Tensor.init [| 4; 2 |] (fun i -> float_of_int (i.(0) + i.(1))));
-  Stacked.push s ~mask:[| true; false; false; false |];
+  let active = [| 0; 2; 3 |] and n = 3 in
+  Stacked.push s ~active ~n;
+  Stacked.write_top s ~active ~n
+    (Tensor.init [| 4; 2 |] (fun i -> float_of_int (i.(0) + i.(1))));
+  Stacked.push s ~active:[| 0 |] ~n:1;
   let img = Stacked.capture s in
   let buf = Buffer.create 128 in
   Snapshot.w_stacked buf img;

@@ -45,18 +45,35 @@ let prop_sched_picks_nonzero =
 
 (* ---------- Stacked ---------- *)
 
+(* The active list [Stacked], [Pc_stack] and the VM's writes take: the
+   set lanes of [mask], ascending, and how many there are. *)
+let lanes mask =
+  let active = Vm_util.indices_of_mask mask in
+  (active, Array.length active)
+
+let write_top s mask v =
+  let active, n = lanes mask in
+  Stacked.write_top s ~active ~n v
+
+let push s mask =
+  let active, n = lanes mask in
+  Stacked.push s ~active ~n
+
+let pop s mask =
+  let active, n = lanes mask in
+  Stacked.pop s ~active ~n
+
 let test_stacked_basic () =
   let s = Stacked.create ~z:3 ~elem:[| 2 |] () in
   Alcotest.(check (array int)) "top shape" [| 3; 2 |] (Tensor.shape (Stacked.top s));
   let all = [| true; true; true |] in
-  Stacked.write_top_masked s ~mask:all
-    (Tensor.create [| 3; 2 |] [| 1.; 1.; 2.; 2.; 3.; 3. |]);
+  write_top s all (Tensor.create [| 3; 2 |] [| 1.; 1.; 2.; 2.; 3.; 3. |]);
   (* Save member 1 only, then overwrite everyone. *)
-  Stacked.push s ~mask:[| false; true; false |];
-  Stacked.write_top_masked s ~mask:all (Tensor.full [| 3; 2 |] 9.);
+  push s [| false; true; false |];
+  write_top s all (Tensor.full [| 3; 2 |] 9.);
   Alcotest.(check int) "depth member 1" 1 (Stacked.depth s 1);
   Alcotest.(check int) "depth member 0" 0 (Stacked.depth s 0);
-  Stacked.pop s ~mask:[| false; true; false |];
+  pop s [| false; true; false |];
   let top = Stacked.top s in
   Alcotest.(check (float 0.)) "member 1 restored" 2. (Tensor.get top [| 1; 0 |]);
   Alcotest.(check (float 0.)) "member 0 untouched" 9. (Tensor.get top [| 0; 0 |])
@@ -65,14 +82,14 @@ let test_stacked_growth () =
   let s = Stacked.create ~z:2 ~elem:[||] ~initial_depth:1 () in
   let all = [| true; true |] in
   for i = 1 to 20 do
-    Stacked.write_top_masked s ~mask:all (Tensor.full [| 2 |] (float_of_int i));
-    Stacked.push s ~mask:all
+    write_top s all (Tensor.full [| 2 |] (float_of_int i));
+    push s all
   done;
   Alcotest.(check bool) "capacity grew" true (Stacked.capacity s >= 20);
   Alcotest.(check int) "high water" 20 (Stacked.high_water s);
   (* Pop everything back in LIFO order. *)
   for i = 20 downto 1 do
-    Stacked.pop s ~mask:all;
+    pop s all;
     Alcotest.(check (float 0.)) "LIFO restore" (float_of_int i)
       (Tensor.get (Stacked.top s) [| 0 |])
   done
@@ -81,7 +98,7 @@ let test_stacked_underflow () =
   let s = Stacked.create ~z:1 ~elem:[||] () in
   Alcotest.check_raises "underflow"
     (Invalid_argument "Stacked.pop: underflow for member 0") (fun () ->
-      Stacked.pop s ~mask:[| true |])
+      pop s [| true |])
 
 let prop_stacked_push_pop_identity =
   QCheck.Test.make ~name:"push;pop is identity on the top" ~count:100
@@ -90,10 +107,10 @@ let prop_stacked_push_pop_identity =
       let mask = Array.of_list mask_list in
       let s = Stacked.create ~z ~elem:[| 2 |] () in
       let v = Tensor.init [| z; 2 |] (fun i -> float_of_int ((i.(0) * 2) + i.(1))) in
-      Stacked.write_top_masked s ~mask:(Array.make z true) v;
+      write_top s (Array.make z true) v;
       let before = Tensor.copy (Stacked.top s) in
-      Stacked.push s ~mask;
-      Stacked.pop s ~mask;
+      push s mask;
+      pop s mask;
       Tensor.equal before (Stacked.top s))
 
 (* ---------- VM behaviours ---------- *)
@@ -231,6 +248,37 @@ let test_pc_shape_change_rejected () =
     Alcotest.(check bool) "mentions shape change" true
       (String.length msg > 0))
 
+(* The validator refuses a program that may read a variable before any
+   write, so this stack program is built by hand: its only block reads
+   [y], which nothing writes. Lazily allocated, [y] never gets storage,
+   and every attempt at the block fails with the same message: an op
+   keeps its argument list only once every argument has storage. *)
+let test_pc_unwritten_read () =
+  let p =
+    {
+      Stack_ir.blocks =
+        [|
+          {
+            Stack_ir.ops = [ Stack_ir.Sprim { dst = "z"; prim = "add"; args = [ "x"; "y" ] } ];
+            term = Stack_ir.Sreturn;
+          };
+        |];
+      classes = Ir_util.Smap.empty;
+      shapes = Ir_util.Smap.empty;
+      inputs = [ "x" ];
+      outputs = [ "z" ];
+      origin = [| ("m", 0) |];
+      func_entries = [ ("m", 0) ];
+    }
+  in
+  let lanes = Pc_vm.Lanes.create fib_compiled.Autobatch.registry p ~z:2 in
+  Pc_vm.Lanes.load lanes ~lane:1 ~member:0 ~inputs:[ Tensor.scalar 1. ];
+  for _ = 1 to 2 do
+    Alcotest.check_raises "read before any write"
+      (Invalid_argument "Pc_vm: read of unwritten variable y") (fun () ->
+        ignore (Pc_vm.Lanes.step lanes))
+  done
+
 let suites =
   [
     ( "sched",
@@ -258,6 +306,7 @@ let suites =
         t "engine accounting" `Quick test_vm_engine_accounting;
         t "pc depth instrumented" `Quick test_pc_max_depth_profiled;
         t "shape changes rejected" `Quick test_pc_shape_change_rejected;
+        t "unwritten read rejected" `Quick test_pc_unwritten_read;
       ] );
   ]
 
@@ -474,23 +523,23 @@ let test_pc_stack_growth () =
      regrow without losing any member's saved frames. *)
   let z = 3 in
   let s = Pc_vm.Pc_stack.create ~z ~bottom:99 ~start:0 ~initial_depth:1 in
-  let all = Array.make z true in
-  let only b = Array.init z (fun i -> i = b) in
+  let all = Array.init z Fun.id in
+  let only b = [| b |] in
   for depth = 1 to 20 do
-    Pc_vm.Pc_stack.set_top_masked s ~mask:all depth;
-    Pc_vm.Pc_stack.push s ~mask:all
+    Pc_vm.Pc_stack.set_top s ~active:all ~n:z depth;
+    Pc_vm.Pc_stack.push s ~active:all ~n:z
   done;
   Alcotest.(check bool) "capacity grew" true (s.Pc_vm.Pc_stack.cap >= 21);
   Alcotest.(check int) "high water" 21 s.Pc_vm.Pc_stack.high;
   (* Unwind member 1 alone; its frames come back in LIFO order while the
      other members' stacks are untouched. *)
   for depth = 20 downto 1 do
-    Pc_vm.Pc_stack.pop s ~mask:(only 1);
+    Pc_vm.Pc_stack.pop s ~active:(only 1) ~n:1;
     Alcotest.(check int)
       (Printf.sprintf "member 1 depth %d" depth)
       depth s.Pc_vm.Pc_stack.top.(1)
   done;
-  Pc_vm.Pc_stack.pop s ~mask:(only 1);
+  Pc_vm.Pc_stack.pop s ~active:(only 1) ~n:1;
   Alcotest.(check int) "member 1 bottom" 99 s.Pc_vm.Pc_stack.top.(1);
   Alcotest.(check int) "member 0 untouched" 21 s.Pc_vm.Pc_stack.sp.(0)
 
@@ -498,20 +547,20 @@ let test_pc_stack_masked_push () =
   let z = 2 in
   let s = Pc_vm.Pc_stack.create ~z ~bottom:(-1) ~start:7 ~initial_depth:2 in
   (* Push only member 0: member 1's stack pointer must not move. *)
-  Pc_vm.Pc_stack.push s ~mask:[| true; false |];
+  Pc_vm.Pc_stack.push s ~active:[| 0 |] ~n:1;
   Alcotest.(check int) "member 0 sp" 2 s.Pc_vm.Pc_stack.sp.(0);
   Alcotest.(check int) "member 1 sp" 1 s.Pc_vm.Pc_stack.sp.(1);
-  Pc_vm.Pc_stack.pop s ~mask:[| true; false |];
+  Pc_vm.Pc_stack.pop s ~active:[| 0 |] ~n:1;
   Alcotest.(check int) "member 0 restored" 7 s.Pc_vm.Pc_stack.top.(0)
 
 let test_pc_stack_underflow () =
   let s = Pc_vm.Pc_stack.create ~z:2 ~bottom:0 ~start:0 ~initial_depth:1 in
   (* Each member starts with the single bottom sentinel frame: one pop is
      fine, a second must raise rather than read out of bounds. *)
-  Pc_vm.Pc_stack.pop s ~mask:[| false; true |];
+  Pc_vm.Pc_stack.pop s ~active:[| 1 |] ~n:1;
   Alcotest.check_raises "underflow"
     (Invalid_argument "Pc_vm: pc stack underflow for member 1") (fun () ->
-      Pc_vm.Pc_stack.pop s ~mask:[| false; true |])
+      Pc_vm.Pc_stack.pop s ~active:[| 1 |] ~n:1)
 
 let pc_stack_suite =
   ( "pc-stack",
@@ -519,6 +568,231 @@ let pc_stack_suite =
       t "growth preserves frames" `Quick test_pc_stack_growth;
       t "masked push isolates members" `Quick test_pc_stack_masked_push;
       t "underflow raises" `Quick test_pc_stack_underflow;
+    ] )
+
+(* ---------- active-list lane loops against the mask scan ---------- *)
+
+(* The VM's lane loops walk the superstep's active list. Before they did,
+   they scanned a full-width mask; those scans are kept here, verbatim,
+   as the reference model. A masked variable's reference is
+   [Tensor.blit_rows_masked], the library function it used. *)
+module Mask_scan = struct
+  (* [Stacked.t]'s layout, with its fields open. *)
+  type stk = {
+    z : int;
+    row : int;
+    mutable cap : int;
+    mutable data : float array;
+    sp : int array;
+    top : float array;
+    mutable high : int;
+  }
+
+  let create ~z ~row ~initial_depth =
+    let cap = max 1 initial_depth in
+    { z; row; cap; data = Array.make (cap * z * row) 0.; sp = Array.make z 0;
+      top = Array.make (z * row) 0.; high = 0 }
+
+  let grow t =
+    let cap' = t.cap * 2 in
+    let data' = Array.make (cap' * t.z * t.row) 0. in
+    Array.blit t.data 0 data' 0 (t.cap * t.z * t.row);
+    t.cap <- cap';
+    t.data <- data'
+
+  let slot t d b = ((d * t.z) + b) * t.row
+
+  let write_top t ~mask value =
+    Array.iteri
+      (fun b m -> if m then Array.blit value (b * t.row) t.top (b * t.row) t.row)
+      mask
+
+  let push t ~mask =
+    let need = ref 0 in
+    Array.iteri (fun b m -> if m && t.sp.(b) >= !need then need := t.sp.(b) + 1) mask;
+    while !need > t.cap do
+      grow t
+    done;
+    if !need > t.high then t.high <- !need;
+    Array.iteri
+      (fun b m ->
+        if m then begin
+          Array.blit t.top (b * t.row) t.data (slot t t.sp.(b) b) t.row;
+          t.sp.(b) <- t.sp.(b) + 1
+        end)
+      mask
+
+  let pop t ~mask =
+    Array.iteri
+      (fun b m ->
+        if m then begin
+          if t.sp.(b) = 0 then
+            invalid_arg (Printf.sprintf "Stacked.pop: underflow for member %d" b);
+          t.sp.(b) <- t.sp.(b) - 1;
+          Array.blit t.data (slot t t.sp.(b) b) t.top (b * t.row) t.row
+        end)
+      mask
+
+  (* What [Stacked.capture] reports of [t]. *)
+  let image t =
+    let frames =
+      Array.concat
+        (List.concat
+           (List.init t.z (fun b ->
+                List.init t.sp.(b) (fun d -> Array.sub t.data (slot t d b) t.row))))
+    in
+    (Array.copy t.sp, frames, Array.copy t.top, t.high, t.cap)
+
+  module Pc = struct
+    open Pc_vm.Pc_stack
+
+    let grow t =
+      let cap' = t.cap * 2 in
+      let data' = Array.make (cap' * t.z) 0 in
+      Array.blit t.data 0 data' 0 (t.cap * t.z);
+      t.cap <- cap';
+      t.data <- data'
+
+    let push t ~mask =
+      let need = ref 0 in
+      Array.iteri (fun b m -> if m && t.sp.(b) >= !need then need := t.sp.(b) + 1) mask;
+      while !need > t.cap do
+        grow t
+      done;
+      if !need > t.high then t.high <- !need;
+      Array.iteri
+        (fun b m ->
+          if m then begin
+            t.data.((t.sp.(b) * t.z) + b) <- t.top.(b);
+            t.sp.(b) <- t.sp.(b) + 1
+          end)
+        mask
+
+    let pop t ~mask =
+      Array.iteri
+        (fun b m ->
+          if m then begin
+            if t.sp.(b) = 0 then
+              invalid_arg (Printf.sprintf "Pc_vm: pc stack underflow for member %d" b);
+            t.sp.(b) <- t.sp.(b) - 1;
+            t.top.(b) <- t.data.((t.sp.(b) * t.z) + b)
+          end)
+        mask
+
+    let set_top_masked t ~mask v = Array.iteri (fun b m -> if m then t.top.(b) <- v) mask
+  end
+end
+
+type lane_storage = Msk | Stk | Pc
+type lane_op = Write | Push | Pop
+
+type lane_case = {
+  storage : lane_storage;
+  z : int;
+  row : int;  (* elements per lane; the pc stack's is 1 *)
+  depth : int;  (* initial stack capacity *)
+  ops : (lane_op * bool array) list;
+}
+
+let gen_lane_case =
+  let open QCheck.Gen in
+  let* storage = oneofl [ Msk; Stk; Pc ] in
+  let* z = int_range 1 8 in
+  let* row = if storage = Pc then return 1 else oneofl [ 1; 3 ] in
+  let* depth = int_range 1 3 in
+  let op = oneofl (match storage with Msk -> [ Write ] | Stk | Pc -> [ Write; Push; Pop ]) in
+  let* ops = list_size (int_range 1 40) (pair op (array_size (return z) bool)) in
+  return { storage; z; row; depth; ops }
+
+let print_lane_case c =
+  Printf.sprintf "%s z=%d row=%d depth=%d: %s"
+    (match c.storage with Msk -> "msk" | Stk -> "stk" | Pc -> "pc")
+    c.z c.row c.depth
+    (String.concat "; "
+       (List.map
+          (fun (op, mask) ->
+            Printf.sprintf "%s %s"
+              (match op with Write -> "write" | Push -> "push" | Pop -> "pop")
+              (String.concat "" (Array.to_list (Array.map (fun m -> if m then "1" else "0") mask))))
+          c.ops))
+
+(* Run [c] through the active-list code and through [Mask_scan], with the
+   same value written at each step, and compare the whole state and the
+   raised exception (if any) after every op. *)
+let lane_case_agrees c =
+  let result f = match f () with () -> None | exception Invalid_argument m -> Some m in
+  let value i = Array.init (c.z * c.row) (fun e -> float_of_int ((i * 1000) + e) +. 0.25) in
+  let step, state =
+    match c.storage with
+    | Msk ->
+      let shape = [| c.z; c.row |] in
+      let live = Tensor.zeros shape and model = Tensor.zeros shape in
+      ( (fun i _op mask ->
+          let active, n = lanes mask and src = Tensor.create shape (value i) in
+          ( result (fun () -> Vm_util.blit_active_rows ~active ~n ~src ~dst:live),
+            result (fun () -> Tensor.blit_rows_masked ~mask ~src ~dst:model) )),
+        fun () -> Tensor.data live = Tensor.data model )
+    | Stk ->
+      let live = Stacked.create ~z:c.z ~elem:[| c.row |] ~initial_depth:c.depth () in
+      let model = Mask_scan.create ~z:c.z ~row:c.row ~initial_depth:c.depth in
+      ( (fun i op mask ->
+          let active, n = lanes mask in
+          match op with
+          | Write ->
+            ( result (fun () ->
+                  Stacked.write_top live ~active ~n (Tensor.create [| c.z; c.row |] (value i))),
+              result (fun () -> Mask_scan.write_top model ~mask (value i)) )
+          | Push ->
+            ( result (fun () -> Stacked.push live ~active ~n),
+              result (fun () -> Mask_scan.push model ~mask) )
+          | Pop ->
+            ( result (fun () -> Stacked.pop live ~active ~n),
+              result (fun () -> Mask_scan.pop model ~mask) )),
+        fun () ->
+          let img = Stacked.capture live in
+          ( img.Stacked.i_sp,
+            img.Stacked.i_frames,
+            img.Stacked.i_top,
+            Stacked.high_water live,
+            Stacked.capacity live )
+          = Mask_scan.image model )
+    | Pc ->
+      let create () =
+        Pc_vm.Pc_stack.create ~z:c.z ~bottom:(-1) ~start:0 ~initial_depth:c.depth
+      in
+      let live = create () and model = create () in
+      ( (fun i op mask ->
+          let active, n = lanes mask in
+          match op with
+          | Write ->
+            ( result (fun () -> Pc_vm.Pc_stack.set_top live ~active ~n i),
+              result (fun () -> Mask_scan.Pc.set_top_masked model ~mask i) )
+          | Push ->
+            ( result (fun () -> Pc_vm.Pc_stack.push live ~active ~n),
+              result (fun () -> Mask_scan.Pc.push model ~mask) )
+          | Pop ->
+            ( result (fun () -> Pc_vm.Pc_stack.pop live ~active ~n),
+              result (fun () -> Mask_scan.Pc.pop model ~mask) )),
+        fun () -> live = model )
+  in
+  List.for_all
+    (fun (i, (op, mask)) ->
+      let got, want = step i op mask in
+      got = want && state ())
+    (List.mapi (fun i op -> (i, op)) c.ops)
+
+(* The fast tier's budget and the full suite's. *)
+let prop_active_lanes_match_mask_scan ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "active lists equal the mask scan (%d cases)" count)
+    (QCheck.make ~print:print_lane_case gen_lane_case)
+    lane_case_agrees
+
+let active_lanes_suite =
+  ( "active-lanes",
+    [
+      QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_active_lanes_match_mask_scan ~count:300);
+      QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_active_lanes_match_mask_scan ~count:10_000);
     ] )
 
 (* ---------- lane lifecycle, recycling, and input checks ---------- *)
@@ -630,4 +904,4 @@ let serve_suites =
       [ t "engine refill/retire counters" `Quick test_engine_refill_retire_counters ] );
   ]
 
-let suites = suites @ [ lanes_suite; pc_stack_suite ] @ serve_suites
+let suites = suites @ [ lanes_suite; pc_stack_suite; active_lanes_suite ] @ serve_suites
