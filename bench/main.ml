@@ -1359,21 +1359,22 @@ let () =
   List.iter
     (fun (name, path, run) ->
       (* Every stage gets the same host-cost trailer: wall/CPU/alloc/GC
-         from an Obs_wall probe around the whole stage. *)
-      let probe = Obs_wall.probe () in
-      Obs_wall.start probe;
-      let doc = run ?seed () in
-      (* The one gate: a seeded run or a shrunk arm never touches the
-         committed file. *)
-      (match (seed, doc) with
-      | Some _, _ -> Printf.printf "%s: not gated (--seed run)\n" name
-      | None, None -> Printf.printf "%s: not gated (AUTOBATCH_FAST arm)\n" name
-      | None, Some doc -> (
-        match Golden.check ~path doc with
-        | Ok Golden.Matched -> Printf.printf "%s: matches committed %s\n" name path
-        | Ok (Golden.Blessed out) -> Printf.printf "%s: wrote %s\n" name out
-        | Error msg ->
-          prerr_endline (name ^ " stage failed: " ^ msg);
-          exit 1));
-      Printf.printf "[%s] %s\n\n%!" name (Obs_wall.summary (Obs_wall.stop probe)))
+         timed around the whole stage. *)
+      let (), wall =
+        Obs_wall.time (fun () ->
+            let doc = run ?seed () in
+            (* The one gate: a seeded run or a shrunk arm never touches the
+               committed file. *)
+            match (seed, doc) with
+            | Some _, _ -> Printf.printf "%s: not gated (--seed run)\n" name
+            | None, None -> Printf.printf "%s: not gated (AUTOBATCH_FAST arm)\n" name
+            | None, Some doc -> (
+              match Golden.check ~path doc with
+              | Ok Golden.Matched -> Printf.printf "%s: matches committed %s\n" name path
+              | Ok (Golden.Blessed out) -> Printf.printf "%s: wrote %s\n" name out
+              | Error msg ->
+                prerr_endline (name ^ " stage failed: " ^ msg);
+                exit 1))
+      in
+      Printf.printf "[%s] %s\n\n%!" name (Obs_wall.summary wall))
     stages

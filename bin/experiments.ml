@@ -450,7 +450,6 @@ let fuse_cmd =
     let prog, registry, input_shapes = resolve_program name in
     let options =
       {
-        Fuse.default_options with
         Fuse.profile = Option.map load_profile profile_path;
         inline_entries = not no_inline;
         speculate_rng;
@@ -874,7 +873,7 @@ let tenants_cmd =
 
 let slo_cmd =
   let run requests pattern load threshold budget fast_window slow_window
-      burn_threshold drive seed json =
+      burn_threshold seed json =
     let pattern = parse_pattern pattern in
     let classes =
       List.map
@@ -891,13 +890,13 @@ let slo_cmd =
     let sink = function
       | Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; at } ->
         alerts := (slo, fired, burn_fast, burn_slow, at) :: !alerts
-      | Obs_sink.Ladder { level; occupancy; cause; at } ->
-        ladder := (level, occupancy, cause, at) :: !ladder
+      | Obs_sink.Ladder { level; occupancy; at } ->
+        ladder := (level, occupancy, at) :: !ladder
       | _ -> ()
     in
     let r =
       Tenant_load.run ?seed ~pattern ~n_requests:requests ~load ~verify:false
-        ~baseline:false ~sink ~slo ~slo_drive:drive ()
+        ~baseline:false ~sink ~slo ()
     in
     let makespan =
       r.Tenant_load.fair.Tenant_load.stats.Tenant_server.makespan
@@ -907,11 +906,10 @@ let slo_cmd =
       ~human:(fun () ->
         Printf.printf
           "slo monitor: %s x %d requests, load %.2f; threshold %gs, budget \
-           %g, windows %g/%gs, burn threshold %g%s\n"
+           %g, windows %g/%gs, burn threshold %g\n"
           (Tenant_load.pattern_name r.Tenant_load.pattern)
           r.Tenant_load.n_requests r.Tenant_load.load threshold budget
-          fast_window slow_window burn_threshold
-          (if drive then " (driving the admission ladder)" else "");
+          fast_window slow_window burn_threshold;
         Printf.printf
           "completed %d  shed %d  rejected %d  makespan %.4fs  alerts %d\n\n"
           (List.length
@@ -936,16 +934,11 @@ let slo_cmd =
         if ladder <> [] then begin
           print_newline ();
           Table.print_stdout
-            ~header:[ "at"; "ladder level"; "occupancy"; "cause" ]
+            ~header:[ "at"; "ladder level"; "occupancy" ]
             ~rows:
               (List.map
-                 (fun (level, occ, cause, at) ->
-                   [
-                     Printf.sprintf "%.4f" at;
-                     level;
-                     Printf.sprintf "%.3f" occ;
-                     cause;
-                   ])
+                 (fun (level, occ, at) ->
+                   [ Printf.sprintf "%.4f" at; level; Printf.sprintf "%.3f" occ ])
                  ladder)
         end)
       [
@@ -965,12 +958,11 @@ let slo_cmd =
         ( "ladder",
           Obs_json.List
             (List.map
-               (fun (level, occ, cause, at) ->
+               (fun (level, occ, at) ->
                  Obs_json.Obj
                    [
                      ("level", Obs_json.Str level);
                      ("occupancy", Obs_json.Float occ);
-                     ("cause", Obs_json.Str cause);
                      ("at", Obs_json.Float at);
                    ])
                ladder) );
@@ -1017,20 +1009,13 @@ let slo_cmd =
              ~doc:"Fire when both window burn rates reach this multiple of \
                    the sustainable budget pace.")
   in
-  let drive =
-    Arg.(value & flag
-         & info [ "drive" ]
-             ~doc:"Let a firing alert pin the admission ladder at \
-                   shed-best-effort until it resolves (the resulting rung \
-                   moves show up in the ladder table with cause slo-floor).")
-  in
   Cmd.v
     (Cmd.info "slo"
        ~doc:"SLO burn-rate monitoring: replay a tenant trace under the \
              multi-window monitor, print every alert edge and admission \
-             ladder transition, and optionally let alerts drive the ladder.")
+             ladder transition. The monitor only observes.")
     Term.(const run $ requests $ pattern $ load $ threshold $ budget
-          $ fast_window $ slow_window $ burn_threshold $ drive $ seed_arg ()
+          $ fast_window $ slow_window $ burn_threshold $ seed_arg ()
           $ json_arg ())
 
 let resilience_cmd =

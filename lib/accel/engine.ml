@@ -70,8 +70,6 @@ module Counters = struct
       ]
 end
 
-type counters = Counters.t
-
 type state = {
   mutable kernel_launches : int;
   mutable fused_launches : int;

@@ -55,10 +55,6 @@ module Counters : sig
   val to_json : t -> Obs_json.t
 end
 
-type counters = Counters.t
-(** Compatibility alias: the resilience layer's snapshot codec round-trips
-    this record by name. New code should spell [Engine.Counters.t]. *)
-
 type t
 
 val create : device:Device.t -> mode:mode -> unit -> t

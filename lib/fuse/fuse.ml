@@ -1,31 +1,11 @@
 type options = {
-  thread : bool;
-  chains : bool;
-  if_convert : bool;
-  rotate : bool;
   inline_entries : bool;
   speculate_rng : bool;
-  max_arm_ops : int;
-  max_latch_ops : int;
-  max_entry_ops : int;
-  max_growth : float;
   profile : Fuse_profile.t option;
 }
 
 let default_options =
-  {
-    thread = true;
-    chains = true;
-    if_convert = true;
-    rotate = true;
-    inline_entries = true;
-    speculate_rng = false;
-    max_arm_ops = 24;
-    max_latch_ops = 16;
-    max_entry_ops = 32;
-    max_growth = 1.6;
-    profile = None;
-  }
+  { inline_entries = true; speculate_rng = false; profile = None }
 
 type report = {
   cfg_blocks_before : int;
@@ -78,10 +58,7 @@ let apply_cfg ?(options = default_options) reg (p : Cfg.program) =
   let blocks_before = count_blocks p in
   let ops_before = Optimize.count_ops p in
   let fused, megablocks, cfg_stats =
-    Fuse_cfg.run ~thread:options.thread ~chains:options.chains
-      ~if_convert:options.if_convert ~rotate:options.rotate
-      ~speculate_rng:options.speculate_rng ~max_arm_ops:options.max_arm_ops
-      ~max_latch_ops:options.max_latch_ops ~max_growth:options.max_growth
+    Fuse_cfg.run ~speculate_rng:options.speculate_rng
       ?func_weight:(func_weight_of options) reg p
   in
   ( fused,
@@ -102,8 +79,7 @@ let apply_stack (st : staged) (p : Stack_ir.program) =
   let ops_before = stack_ops p in
   let fused, stack_stats =
     if st.s_options.inline_entries then
-      Fuse_stack.run ~max_entry_ops:st.s_options.max_entry_ops
-        ~max_growth:st.s_options.max_growth ?profile:st.s_options.profile p
+      Fuse_stack.run ?profile:st.s_options.profile p
     else (p, { Fuse_stack.entries_duplicated = 0; blocks_removed = 0; ops_added = 0 })
   in
   ( fused,

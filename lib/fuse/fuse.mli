@@ -27,24 +27,18 @@
     actually saw — profile-guided fusion. *)
 
 type options = {
-  thread : bool;  (** retarget edges through empty jump-only blocks *)
-  chains : bool;  (** merge single-predecessor jump chains *)
-  if_convert : bool;  (** flatten straight-line diamonds with [select] *)
-  rotate : bool;  (** tail-duplicate loop latch headers *)
   inline_entries : bool;  (** duplicate callee entries into call sites *)
   speculate_rng : bool;
       (** allow RNG primitives inside if-converted arms; off by default so
           RNG ops are never reordered relative to each other *)
-  max_arm_ops : int;
-  max_latch_ops : int;
-  max_entry_ops : int;
-  max_growth : float;  (** code-size growth factor bounding duplication *)
   profile : Fuse_profile.t option;
 }
+(** The CFG passes always all run, with the fixed limits documented in
+    {!Fuse_cfg} and {!Fuse_stack}; these are the only choices a caller
+    makes. *)
 
 val default_options : options
-(** Everything on, [speculate_rng = false], arms ≤ 24 ops, latches ≤ 16,
-    entries ≤ 32, growth ≤ 1.6×, no profile. *)
+(** Entry duplication on, [speculate_rng = false], no profile. *)
 
 type report = {
   cfg_blocks_before : int;

@@ -1,5 +1,11 @@
 open Ir_util
 
+(* Fusion limits: ops per if-converted arm, ops copied per rotated latch,
+   and the code-size growth factor bounding every duplicating rewrite. *)
+let max_arm_ops = 24
+let max_latch_ops = 16
+let max_growth = 1.6
+
 type stats = {
   jumps_threaded : int;
   chains_fused : int;
@@ -132,7 +138,7 @@ let merge_chains w (st : counters) =
    lane's superstep trace), and non-deterministic (RNG) primitives only
    do when [speculate_rng] — by default RNG ops keep their exact order
    and count per lane. *)
-let speculatable reg ~speculate_rng ~max_arm_ops (ops : Cfg.op list) =
+let speculatable reg ~speculate_rng (ops : Cfg.op list) =
   List.length ops <= max_arm_ops
   && List.for_all
        (fun (op : Cfg.op) ->
@@ -241,7 +247,7 @@ let arm_defs (ops : Cfg.op list) =
    [Exit]. The caller loops (analyses must be recomputed after each
    rewrite). *)
 let if_convert_pass w (st : counters) reg (fn : Cfg.func) ~speculate_rng
-    ~max_arm_ops ~fresh =
+    ~fresh =
   let select_ok = Option.is_some (Prim.find reg "select") in
   if not select_ok then false
   else begin
@@ -289,8 +295,8 @@ let if_convert_pass w (st : counters) reg (fn : Cfg.func) ~speculate_rng
                 let t_ops = arm_ops ta in
                 let f_ops = arm_ops fa in
                 if
-                  speculatable reg ~speculate_rng ~max_arm_ops t_ops
-                  && speculatable reg ~speculate_rng ~max_arm_ops f_ops
+                  speculatable reg ~speculate_rng t_ops
+                  && speculatable reg ~speculate_rng f_ops
                 then begin
                   match din.(i) with
                   | None -> () (* unreachable branch: leave for cleanup *)
@@ -376,7 +382,7 @@ let if_convert_pass w (st : counters) reg (fn : Cfg.func) ~speculate_rng
    just merged into the predecessor's superstep), so this is always
    bitwise-safe — including across calls. Growth is bounded by
    [max_latch_ops] per site and the caller's remaining budget. *)
-let rotate_latches w (st : counters) ~max_latch_ops ~budget =
+let rotate_latches w (st : counters) ~budget =
   let p = preds w in
   let changed = ref false in
   Array.iteri
@@ -452,8 +458,7 @@ let remove_unreachable w (st : counters) =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fuse_func reg st ~thread ~chains ~if_convert ~rotate ~speculate_rng
-    ~max_arm_ops ~max_latch_ops ~max_growth ~hot (fname, (fn : Cfg.func)) =
+let fuse_func reg st ~speculate_rng ~hot (fname, (fn : Cfg.func)) =
   let w =
     {
       blocks = Array.copy fn.Cfg.blocks;
@@ -477,28 +482,23 @@ let fuse_func reg st ~thread ~chains ~if_convert ~rotate ~speculate_rng
   let shrink () =
     let rec fix fuel =
       if fuel > 0 then begin
-        let c1 = thread && thread_jumps w st in
-        let c2 = chains && merge_chains w st in
-        let c3 =
-          if_convert
-          && if_convert_pass w st reg fn ~speculate_rng ~max_arm_ops ~fresh
-        in
+        let c1 = thread_jumps w st in
+        let c2 = merge_chains w st in
+        let c3 = if_convert_pass w st reg fn ~speculate_rng ~fresh in
         if c1 || c2 || c3 then fix (fuel - 1)
       end
     in
     fix (Array.length w.blocks + 4)
   in
   shrink ();
-  if rotate && hot then begin
-    let (_ : bool) = rotate_latches w st ~max_latch_ops ~budget in
+  if hot then begin
+    let (_ : bool) = rotate_latches w st ~budget in
     shrink ()
   end;
   remove_unreachable w st;
   ((fname, { fn with Cfg.blocks = w.blocks }), (fname, w.prov))
 
-let run ?(thread = true) ?(chains = true) ?(if_convert = true) ?(rotate = true)
-    ?(speculate_rng = false) ?(max_arm_ops = 24) ?(max_latch_ops = 16)
-    ?(max_growth = 1.6) ?func_weight reg (p : Cfg.program) =
+let run ?(speculate_rng = false) ?func_weight reg (p : Cfg.program) =
   let st =
     {
       jumps = ref 0;
@@ -516,8 +516,7 @@ let run ?(thread = true) ?(chains = true) ?(if_convert = true) ?(rotate = true)
   let fused =
     List.map
       (fun ((fname, _) as entry) ->
-        fuse_func reg st ~thread ~chains ~if_convert ~rotate ~speculate_rng
-          ~max_arm_ops ~max_latch_ops ~max_growth ~hot:(hot fname) entry)
+        fuse_func reg st ~speculate_rng ~hot:(hot fname) entry)
       p.Cfg.funcs
   in
   let funcs = List.map fst fused in

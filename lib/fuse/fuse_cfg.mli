@@ -14,7 +14,7 @@
       into one block — both arms execute speculatively on every lane,
       arm definitions are renamed to fresh temporaries, and the join
       picks per lane with [select]. Legal only when every arm op is a
-      call-free primitive, the arms fit [max_arm_ops], and every merged
+      call-free primitive, the arms fit 24 ops each, and every merged
       variable is either defined in both arms or definitely assigned
       before the branch (so no lane reads storage no lane ever wrote);
       arms containing non-deterministic (RNG) primitives are kept
@@ -23,8 +23,8 @@
     - {b latch rotation} (tail duplication): a block ending [Jump h]
       where [h] ends in a branch gets [h]'s ops appended and takes the
       branch itself, saving one superstep per loop iteration; the copies
-      are bounded by [max_latch_ops] per site and the function-wide
-      [max_growth] factor;
+      are bounded by 16 ops per site and the function-wide
+      {!max_growth} (functions under 8 ops budget as if they had 8);
     - {b unreachable elimination}: blocks no path reaches are dropped
       and the graph renumbered (the entry stays block 0).
 
@@ -35,6 +35,10 @@
     [func_weight] is the profile hook: functions with zero weight under
     a non-trivial profile skip the duplicating (growing) rewrites. *)
 
+val max_growth : float
+(** The code-size growth factor (1.6) bounding every duplicating rewrite,
+    here and in {!Fuse_stack}. *)
+
 type stats = {
   jumps_threaded : int;
   chains_fused : int;
@@ -44,14 +48,7 @@ type stats = {
 }
 
 val run :
-  ?thread:bool ->
-  ?chains:bool ->
-  ?if_convert:bool ->
-  ?rotate:bool ->
   ?speculate_rng:bool ->
-  ?max_arm_ops:int ->
-  ?max_latch_ops:int ->
-  ?max_growth:float ->
   ?func_weight:(string -> float) ->
   Prim.registry ->
   Cfg.program ->

@@ -4,12 +4,15 @@ type stats = {
   ops_added : int;
 }
 
+(* Ops per duplicated entry. *)
+let max_entry_ops = 32
+
 let block_ops (b : Stack_ir.block) = List.length b.Stack_ir.ops
 
 (* A callee entry is duplicable when it is straight-line stack code: no
    [Spop] (entry segments never restore caller saves, but stay defensive)
    and a terminator that is itself not a call. *)
-let dup_ok (e : Stack_ir.block) ~max_entry_ops =
+let dup_ok (e : Stack_ir.block) =
   block_ops e <= max_entry_ops
   && List.for_all
        (function
@@ -22,15 +25,14 @@ let dup_ok (e : Stack_ir.block) ~max_entry_ops =
   | Stack_ir.Spushjump _ | Stack_ir.Spushbranch _ -> false
   | Stack_ir.Sjump _ | Stack_ir.Sbranch _ | Stack_ir.Sreturn -> true
 
-let run ?(max_entry_ops = 32) ?(max_growth = 1.6) ?profile
-    (p : Stack_ir.program) =
+let run ?profile (p : Stack_ir.program) =
   let n = Array.length p.Stack_ir.blocks in
   let blocks = Array.copy p.Stack_ir.blocks in
   let total_ops = Array.fold_left (fun a b -> a + block_ops b) 0 blocks in
   let budget =
     ref
       (max 0
-         (int_of_float ((max_growth -. 1.) *. float_of_int (max total_ops 8))))
+         (int_of_float ((Fuse_cfg.max_growth -. 1.) *. float_of_int (max total_ops 8))))
   in
   (* Candidate call sites. Dup sources are read from the original
      program: a source's terminator is never [Spushjump], so no source is
@@ -45,7 +47,7 @@ let run ?(max_entry_ops = 32) ?(max_growth = 1.6) ?profile
     (fun i (b : Stack_ir.block) ->
       match b.Stack_ir.term with
       | Stack_ir.Spushjump { ret; entry }
-        when dup_ok p.Stack_ir.blocks.(entry) ~max_entry_ops ->
+        when dup_ok p.Stack_ir.blocks.(entry) ->
         sites := (i, ret, entry) :: !sites
       | _ -> ())
     blocks;

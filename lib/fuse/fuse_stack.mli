@@ -12,16 +12,17 @@
     - entry ends [Sreturn]    → the call collapses to [Sjump ret] — the
       push/pop pair cancels entirely.
 
-    Entries that contain [Spop] or themselves end in a call are left
-    alone. Duplication never rewrites a dup source (sources end in
-    [Sjump]/[Sbranch]/[Sreturn], sites in [Spushjump]), so sites are
-    independent. Per-lane op sequences and values are unchanged — the
+    Entries over 32 ops, entries that contain [Spop] and entries that
+    themselves end in a call are left alone. Duplication never rewrites a
+    dup source (sources end in [Sjump]/[Sbranch]/[Sreturn], sites in
+    [Spushjump]), so sites are independent. Per-lane op sequences and values are unchanged — the
     copied ops run under the same lane mask one superstep earlier — so
     outputs stay bitwise identical on every runtime.
 
     With a profile, sites are processed hottest callee first (by
     {!Fuse_profile.func_weight} of the entry block's origin function) so
-    the [max_growth] code-size budget goes to the call sites that run.
+    the code-size budget ({!Fuse_cfg.max_growth} times the program's
+    ops) goes to the call sites that run.
 
     Finally, blocks unreachable from the program entry and every
     function entry (serving seeds lanes there) are removed and the
@@ -33,9 +34,4 @@ type stats = {
   ops_added : int;
 }
 
-val run :
-  ?max_entry_ops:int ->
-  ?max_growth:float ->
-  ?profile:Fuse_profile.t ->
-  Stack_ir.program ->
-  Stack_ir.program * stats
+val run : ?profile:Fuse_profile.t -> Stack_ir.program -> Stack_ir.program * stats

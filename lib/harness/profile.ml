@@ -165,12 +165,11 @@ let run ?(dim = 10) ?(batch = 64) ?(n_iter = 2) ?(seed = 0x5EEDL) ?trace ?fuse
       sink = Some sink;
     }
   in
-  let probe = Obs_wall.probe () in
-  Obs_wall.start probe;
-  ignore
-    (Autobatch.run_pc ~config compiled
-       ~batch:(Nuts_dsl.inputs ~q0 ~eps ~n_iter ~n_burn:0 ~batch ()));
-  let wall = Obs_wall.stop probe in
+  let _, wall =
+    Obs_wall.time (fun () ->
+        Autobatch.run_pc ~config compiled
+          ~batch:(Nuts_dsl.inputs ~q0 ~eps ~n_iter ~n_burn:0 ~batch ()))
+  in
   {
     model_name;
     batch;

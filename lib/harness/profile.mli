@@ -13,7 +13,7 @@ type result = {
   policy : Sched_policy.t;  (** the scheduling policy the run used *)
   sim_seconds : float;  (** the engine's total simulated time *)
   wall : Obs_wall.sample;
-      (** host wall-clock/GC cost of the run itself ({!Obs_wall.probe}
+      (** host wall-clock/GC cost of the run itself ({!Obs_wall.time}
           around the VM execution) — reporting only, never part of the
           simulated cost *)
   snapshot : Engine.snapshot;

@@ -315,7 +315,7 @@ let run ?(seed = 0x7E47L) ?(pattern = Bursty) ?(n_requests = 2000)
     ?(n_tenants = 24) ?(n_programs = 8) ?cache_capacity ?(load = 0.35)
     ?(mesh_size = 4) ?(lanes_per_shard = 8) ?(checkpoint_interval = 16)
     ?(kill_round = 40) ?(baseline = true) ?(verify = true) ?keep_outputs
-    ?sink ?slo ?(slo_drive = false) () =
+    ?sink ?slo () =
   let cache_capacity =
     match cache_capacity with Some c -> c | None -> n_programs
   in
@@ -393,7 +393,6 @@ let run ?(seed = 0x7E47L) ?(pattern = Bursty) ?(n_requests = 2000)
         keep_outputs;
         sink = arm_sink;
         slo = (if observed then slo else None);
-        slo_drive;
       }
     in
     let stats = Tenant_server.run ~config source in

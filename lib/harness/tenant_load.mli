@@ -99,7 +99,6 @@ val run :
   ?keep_outputs:bool ->
   ?sink:Obs_sink.t ->
   ?slo:Obs_slo.t ->
-  ?slo_drive:bool ->
   unit ->
   result
 (** Defaults: seed [0x7E47L], [Bursty], 2000 requests, 24 tenants, an
@@ -116,14 +115,12 @@ val run :
     to override, e.g. [~verify:false ~keep_outputs:true] for bitwise
     sink-on/off comparisons without the solo re-runs).
 
-    [sink], [slo], and [slo_drive] attach to the {e fair arm only} (the
-    baseline stays a clean pair): [sink] receives the fair server's full
-    event stream — spans included — plus the program cache's
-    hit/miss/compile instants stamped with the trace clock; [slo] is a
-    caller-owned {!Obs_slo} monitor wired into the fair server;
-    [slo_drive] (default off) lets it steer the admission ladder.
-    Attaching [sink] or [slo] without [slo_drive] leaves outputs and the
-    simulated clock bitwise unchanged. *)
+    [sink] and [slo] attach to the {e fair arm only} (the baseline stays
+    a clean pair): [sink] receives the fair server's full event stream —
+    spans included — plus the program cache's hit/miss/compile instants
+    stamped with the trace clock; [slo] is a caller-owned {!Obs_slo}
+    monitor wired into the fair server. Both only observe: attaching
+    them leaves outputs and the simulated clock bitwise unchanged. *)
 
 val to_json : result -> Obs_json.t
 val print_table : result -> unit

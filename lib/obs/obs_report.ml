@@ -4,7 +4,3 @@ let document ~name fields =
 
 let to_string doc = Obs_json.to_string_pretty doc ^ "\n"
 let print doc = print_string (to_string doc)
-
-let write ~path doc =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (to_string doc))

@@ -14,5 +14,3 @@ val to_string : Obs_json.t -> string
 
 val print : Obs_json.t -> unit
 (** Write to stdout. *)
-
-val write : path:string -> Obs_json.t -> unit

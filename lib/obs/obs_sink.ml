@@ -42,7 +42,7 @@ type event =
       t0 : float;
       t1 : float;
     }
-  | Ladder of { level : string; occupancy : float; cause : string; at : float }
+  | Ladder of { level : string; occupancy : float; at : float }
   | Slo_alert of {
       slo : string;
       fired : bool;

@@ -107,12 +107,10 @@ type event =
           intervals, and request trees are emitted only when the request
           leaves the recovery rollback window (exactly once per
           completion, kills or not). *)
-  | Ladder of { level : string; occupancy : float; cause : string; at : float }
+  | Ladder of { level : string; occupancy : float; at : float }
       (** The admission degradation ladder settled on [level] (an
-          {!Admission.level_name}) at occupancy [occupancy]. [cause] is
-          ["occupancy"] for ordinary hysteresis transitions and
-          ["slo-floor"] when an {!Obs_slo} burn-rate alert forced the
-          floor — the event that makes rung changes explicable. *)
+          {!Admission.level_name}) at occupancy [occupancy] — the event
+          that makes rung changes explicable. *)
   | Slo_alert of {
       slo : string;
       fired : bool;

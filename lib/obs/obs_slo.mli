@@ -15,8 +15,8 @@
     the simulated clock — and string-keyed so it lives below the tenant
     layer: callers feed it [Tenant.slo_name] (or any class key) without
     this module depending on tenant types. [Tenant_server] forwards
-    {!poll} results to its sink as [Obs_sink.Slo_alert] events and can
-    optionally let a firing alert drive the {!Admission} ladder. *)
+    {!poll} results to its sink as [Obs_sink.Slo_alert] events; the
+    monitor only observes and never steers the server. *)
 
 type class_config = {
   cls : string;  (** class key, e.g. ["latency"]. *)

@@ -288,16 +288,12 @@ let to_chrome t =
                  ~dur:(t1 -. t0) ~args ())
           end
           else emit (instant ~name ~cat:"span" ~tid ~ts:t0 ~args ())
-        | Obs_sink.Ladder { level; occupancy; cause; at } ->
+        | Obs_sink.Ladder { level; occupancy; at } ->
           emit
             (instant
                ~name:(Printf.sprintf "ladder %s" level)
                ~cat:"admission" ~tid ~ts:at
-               ~args:
-                 [
-                   ("occupancy", Obs_json.Float occupancy);
-                   ("cause", Obs_json.Str cause);
-                 ]
+               ~args:[ ("occupancy", Obs_json.Float occupancy) ]
                ())
         | Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; at } ->
           emit
@@ -373,9 +369,8 @@ let to_csv ?policy t =
           ( name,
             Printf.sprintf "trace=%d span=%d parent=%d t0=%.9f t1=%.9f" trace
               span parent t0 t1 )
-        | Obs_sink.Ladder { level; occupancy; cause; _ } ->
-          ( Printf.sprintf "ladder %s" level,
-            Printf.sprintf "occupancy=%.3f cause=%s" occupancy cause )
+        | Obs_sink.Ladder { level; occupancy; _ } ->
+          (Printf.sprintf "ladder %s" level, Printf.sprintf "occupancy=%.3f" occupancy)
         | Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; _ } ->
           ( Printf.sprintf "slo %s" slo,
             Printf.sprintf "fired=%b burn_fast=%.3f burn_slow=%.3f" fired

@@ -1,9 +1,6 @@
 (* Wall-clock and GC telemetry. This is the one corner of lib/obs that
    reads real clocks, so it is fenced off from everything the simulated
-   side computes: probes never touch the simulated clock, and a disabled
-   probe is a handful of dead branches — no clock syscalls, no
-   Gc.quick_stat, no allocation — so instrumented code keeps its probe
-   handles unconditionally.
+   side computes: [time] never touches the simulated clock.
 
    Wall time uses the monotonic clock (immune to NTP steps); CPU time is
    the process total from Sys.time, so on multi-domain runs cpu_s can
@@ -20,17 +17,6 @@ type sample = {
   minor_collections : int;
   major_collections : int;
 }
-
-let zero =
-  {
-    wall_s = 0.;
-    cpu_s = 0.;
-    minor_words = 0.;
-    major_words = 0.;
-    promoted_words = 0.;
-    minor_collections = 0;
-    major_collections = 0;
-  }
 
 let add a b =
   {
@@ -54,36 +40,15 @@ let now_monotonic () =
   (* Monotonic nanoseconds; int64 wraps after ~292 years of uptime. *)
   Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-type probe = {
-  enabled : bool;
-  mutable t0_wall : float;
-  mutable t0_cpu : float;
-  mutable g0 : Gc.stat option;
-  mutable running : bool;
-}
-
-let probe ?(enabled = true) () =
-  { enabled; t0_wall = 0.; t0_cpu = 0.; g0 = None; running = false }
-
-let enabled p = p.enabled
-
-let start p =
-  if p.enabled then begin
-    p.g0 <- Some (Gc.quick_stat ());
-    p.t0_cpu <- Sys.time ();
-    p.t0_wall <- now_monotonic ();
-    p.running <- true
-  end
-
-let stop p =
-  if not (p.enabled && p.running) then zero
-  else begin
-    let wall = now_monotonic () -. p.t0_wall in
-    let cpu = Sys.time () -. p.t0_cpu in
-    let g1 = Gc.quick_stat () in
-    let g0 = match p.g0 with Some g -> g | None -> g1 in
-    p.running <- false;
-    p.g0 <- None;
+let time f =
+  let g0 = Gc.quick_stat () in
+  let t0_cpu = Sys.time () in
+  let t0_wall = now_monotonic () in
+  let v = f () in
+  let wall = now_monotonic () -. t0_wall in
+  let cpu = Sys.time () -. t0_cpu in
+  let g1 = Gc.quick_stat () in
+  ( v,
     {
       wall_s = Float.max 0. wall;
       cpu_s = Float.max 0. cpu;
@@ -92,14 +57,7 @@ let stop p =
       promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
       minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
       major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
-    }
-  end
-
-let time ?(enabled = true) f =
-  let p = probe ~enabled () in
-  start p;
-  let v = f () in
-  (v, stop p)
+    } )
 
 let to_json s =
   Obs_json.Obj

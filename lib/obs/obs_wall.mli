@@ -6,14 +6,8 @@
     comes from [CLOCK_MONOTONIC] (immune to NTP steps), CPU time from
     [Sys.time] (process-wide, so [cpu_s] can exceed [wall_s] on
     multi-domain runs), and GC numbers from [Gc.quick_stat] deltas —
-    cheap, no heap walk.
-
-    A probe created with [~enabled:false] is dead: [start]/[stop] are
-    single boolean tests with no clock syscalls, no [Gc.quick_stat], and
-    no allocation, so instrumented code keeps its probes unconditionally
-    and the zero-overhead invariant holds when telemetry is off. Wall
-    samples never feed back into simulated cost — they are reporting
-    only. *)
+    cheap, no heap walk. Wall samples never feed back into simulated
+    cost — they are reporting only. *)
 
 type sample = {
   wall_s : float;  (** monotonic wall seconds. *)
@@ -25,7 +19,10 @@ type sample = {
   major_collections : int;
 }
 
-val zero : sample
+val time : (unit -> 'a) -> 'a * sample
+(** [time f] runs [f] and returns its result with the wall, CPU and GC
+    deltas across the call. *)
+
 val add : sample -> sample -> sample
 
 val alloc_words : sample -> float
@@ -34,26 +31,6 @@ val alloc_words : sample -> float
 
 val alloc_rate : sample -> float
 (** Allocation rate in words per wall second; 0 when [wall_s] is 0. *)
-
-(** {1 Probes} *)
-
-type probe
-
-val probe : ?enabled:bool -> unit -> probe
-(** [enabled] defaults to [true]. *)
-
-val enabled : probe -> bool
-
-val start : probe -> unit
-(** Begin an interval. Restarting a running probe discards the open
-    interval. No-op when disabled. *)
-
-val stop : probe -> sample
-(** End the interval and return its deltas. Returns {!zero} when the
-    probe is disabled or was never started. *)
-
-val time : ?enabled:bool -> (unit -> 'a) -> 'a * sample
-(** [time f] runs [f] under a fresh probe. *)
 
 (** {1 Export} *)
 

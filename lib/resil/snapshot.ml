@@ -154,7 +154,7 @@ let r_lanes r : Pc_vm.Lanes.image =
   let li_store = r_store r in
   { Pc_vm.Lanes.li_z; li_steps; li_last; li_members; li_occupied; li_pc; li_store }
 
-let w_counters b (c : Engine.counters) =
+let w_counters b (c : Engine.Counters.t) =
   Codec.w_int b c.Engine.Counters.kernel_launches;
   Codec.w_int b c.Engine.Counters.fused_launches;
   Codec.w_int b c.Engine.Counters.host_ops;
@@ -166,7 +166,7 @@ let w_counters b (c : Engine.counters) =
   Codec.w_float b c.Engine.Counters.traffic_bytes;
   Codec.w_float b c.Engine.Counters.elapsed_seconds
 
-let r_counters r : Engine.counters =
+let r_counters r : Engine.Counters.t =
   let kernel_launches = Codec.r_int r in
   let fused_launches = Codec.r_int r in
   let host_ops = Codec.r_int r in

@@ -46,8 +46,8 @@ val w_store : Buffer.t -> Vm_image.store -> unit
 val r_store : Codec.reader -> Vm_image.store
 val w_lanes : Buffer.t -> Pc_vm.Lanes.image -> unit
 val r_lanes : Codec.reader -> Pc_vm.Lanes.image
-val w_counters : Buffer.t -> Engine.counters -> unit
-val r_counters : Codec.reader -> Engine.counters
+val w_counters : Buffer.t -> Engine.Counters.t -> unit
+val r_counters : Codec.reader -> Engine.Counters.t
 val w_engine : Buffer.t -> Engine.snapshot -> unit
 val r_engine : Codec.reader -> Engine.snapshot
 

@@ -1,18 +1,10 @@
-type config = {
-  refill : bool;
-  steal : bool;
-  compact : bool;
-  steal_margin : int;
-  max_moves : int;
-}
+type config = { refill : bool; steal : bool; compact : bool; max_moves : int }
 
-let default =
-  { refill = true; steal = true; compact = true; steal_margin = 2; max_moves = 1 }
+let default = { refill = true; steal = true; compact = true; max_moves = 1 }
 
 let aggressive = { default with max_moves = max_int }
 
-let no_migration =
-  { refill = true; steal = false; compact = false; steal_margin = 2; max_moves = 0 }
+let no_migration = { refill = true; steal = false; compact = false; max_moves = 0 }
 
 let off = { no_migration with refill = false }
 
@@ -67,10 +59,10 @@ let plan cfg ~pending ~views =
       done
     done
   end;
-  (* Steals: balance live counts while a move strictly helps. *)
+  (* Steals: balance live counts while a move strictly helps, which
+     takes an imbalance (donor minus recipient) of at least 2. *)
   let moves = ref [] in
   if cfg.steal && cfg.max_moves > 0 then begin
-    let margin = max 2 cfg.steal_margin in
     let continue = ref true in
     let budget = ref cfg.max_moves in
     while !continue && !budget > 0 do
@@ -89,7 +81,7 @@ let plan cfg ~pending ~views =
       if
         !donor < 0 || !recipient < 0 || !donor = !recipient
         || List.length !(live.(!donor)) - List.length !(live.(!recipient))
-           < margin
+           < 2
       then continue := false
       else begin
         match (!(live.(!donor)), !(free.(!recipient))) with

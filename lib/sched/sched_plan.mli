@@ -21,16 +21,11 @@ type config = {
   compact : bool;
       (** defragment within each shard: slide live members from the
           highest occupied lanes into the lowest free ones *)
-  steal_margin : int;
-      (** minimum live-lane imbalance (donor minus recipient) before a
-          steal pays; at least 2, or a move cannot strictly improve
-          balance *)
   max_moves : int;  (** cross-shard steal cap per planning round *)
 }
 
 val default : config
-(** Refill, stealing (margin 2, one steal per round) and compaction all
-    on. *)
+(** Refill, stealing (one steal per round) and compaction all on. *)
 
 val aggressive : config
 (** {!default} with an effectively unbounded steal budget — the
@@ -78,7 +73,8 @@ val plan : config -> pending:int -> views:view array -> plan
     member from the most-loaded shard (highest live count, ties to the
     lowest shard id) to the least-loaded shard with a free lane, taking
     the donor's highest live lane and the recipient's lowest free lane,
-    while the imbalance is at least [steal_margin]; compaction finally
+    while the live-count imbalance is at least 2 (below that a move
+    cannot strictly improve balance); compaction finally
     slides each shard's remaining live members into its lowest free
     lanes. The plan is valid applied in order — refills first, then
     moves in list order: each refill targets a lane free at that point,

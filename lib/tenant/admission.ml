@@ -11,12 +11,6 @@ let level_of_rung = function
   | 2 -> Cap_width
   | _ -> Reject_new
 
-let rung_of_level = function
-  | Normal -> 0
-  | Shed_best_effort -> 1
-  | Cap_width -> 2
-  | Reject_new -> 3
-
 let level_name = function
   | Normal -> "normal"
   | Shed_best_effort -> "shed-best-effort"
@@ -33,24 +27,15 @@ let reason_name = function
 
 type mode = Fair | Fifo | Shortest_first
 
-type config = {
-  mode : mode;
-  depth : int;
-  weights : int array;
-  cap_width : int;
-  high_water : float;
-  low_water : float;
-}
+type config = { mode : mode; depth : int; high_water : float; low_water : float }
 
-let default =
-  {
-    mode = Fair;
-    depth = 64;
-    weights = [| 6; 3; 1 |];
-    cap_width = 1;
-    high_water = 0.75;
-    low_water = 0.5;
-  }
+let default = { mode = Fair; depth = 64; high_water = 0.75; low_water = 0.5 }
+
+(* Dispatch share per {!Tenant.rank}, and the widest request admitted
+   at [Cap_width]. *)
+let weights = [| 6; 3; 1 |]
+let cap_width = 1
+let weight it = weights.(item_rank it)
 
 let fifo ?depth () =
   let depth = match depth with Some d -> d | None -> Tenant.n_slos * default.depth in
@@ -121,19 +106,11 @@ type t = {
       (* indexed by Tenant.rank; the single-queue modes use index 0 only *)
   credits : int array;
   mutable rung : int;
-  mutable floor : int;  (* SLO-driven minimum rung; effective = max *)
-  notify :
-    (old_level:level -> new_level:level -> occupancy:float -> cause:string -> unit)
-    option;
+  notify : (old_level:level -> new_level:level -> occupancy:float -> unit) option;
 }
 
 let create ?(config = default) ?on_transition () =
   if config.depth <= 0 then invalid_arg "Admission.create: depth must be positive";
-  if Array.length config.weights <> Tenant.n_slos then
-    invalid_arg "Admission.create: weights must cover every SLO class";
-  Array.iter
-    (fun w -> if w <= 0 then invalid_arg "Admission.create: weights must be positive")
-    config.weights;
   if not (config.low_water < config.high_water) then
     invalid_arg "Admission.create: low_water must sit below high_water";
   {
@@ -141,30 +118,14 @@ let create ?(config = default) ?on_transition () =
     queues = Array.init Tenant.n_slos (fun _ -> dq_create ());
     credits = Array.make Tenant.n_slos 0;
     rung = 0;
-    floor = 0;
     notify = on_transition;
   }
 
-let effective_rung t = max t.rung t.floor
-let level t = level_of_rung (effective_rung t)
+let level t = level_of_rung t.rung
 
 let length t = Array.fold_left (fun acc d -> acc + dq_length d) 0 t.queues
 
 let occupancy t = float_of_int (length t) /. float_of_int (capacity t.config)
-
-(* Every mutation of rung or floor funnels through here so the
-   transition callback sees exactly the *effective* level edges — a rung
-   change masked by a higher floor is not a transition. *)
-let with_notify t ~cause f =
-  match t.notify with
-  | None -> f ()
-  | Some notify ->
-    let before = effective_rung t in
-    f ();
-    let after = effective_rung t in
-    if after <> before then
-      notify ~old_level:(level_of_rung before) ~new_level:(level_of_rung after)
-        ~occupancy:(occupancy t) ~cause
 
 let class_length t slo =
   match t.config.mode with
@@ -186,22 +147,24 @@ let down_threshold config r =
   up_threshold config r -. (config.high_water -. config.low_water)
 
 let update_ladder t =
-  if t.config.mode = Fair then
-    with_notify t ~cause:"occupancy" (fun () ->
-        let occ = occupancy t in
-        let desired = ref 0 in
-        for r = 1 to 3 do
-          if occ >= up_threshold t.config r then desired := r
-        done;
-        if !desired > t.rung then t.rung <- !desired
-        else
-          while t.rung > 0 && occ < down_threshold t.config t.rung do
-            t.rung <- t.rung - 1
-          done)
-
-let set_floor t lvl =
-  if t.config.mode = Fair then
-    with_notify t ~cause:"slo-floor" (fun () -> t.floor <- rung_of_level lvl)
+  if t.config.mode = Fair then begin
+    let before = t.rung in
+    let occ = occupancy t in
+    let desired = ref 0 in
+    for r = 1 to 3 do
+      if occ >= up_threshold t.config r then desired := r
+    done;
+    if !desired > t.rung then t.rung <- !desired
+    else
+      while t.rung > 0 && occ < down_threshold t.config t.rung do
+        t.rung <- t.rung - 1
+      done;
+    match t.notify with
+    | Some notify when t.rung <> before ->
+      notify ~old_level:(level_of_rung before) ~new_level:(level_of_rung t.rung)
+        ~occupancy:occ
+    | _ -> ()
+  end
 
 (* The weakest (highest-rank) non-empty class; shedding victimizes it. *)
 let weakest_nonempty t =
@@ -222,7 +185,7 @@ let offer_fair t it =
     | Cap_width ->
       if rank = Tenant.rank Tenant.Best_effort then
         Some (Overloaded Shed_best_effort)
-      else if Request.width it.request > t.config.cap_width then
+      else if Request.width it.request > cap_width then
         Some (Overloaded Cap_width)
       else None
     | Shed_best_effort ->
@@ -278,7 +241,7 @@ let top_up_credits t =
   if not !any then
     for r = 0 to Tenant.n_slos - 1 do
       if not (dq_is_empty t.queues.(r)) then
-        t.credits.(r) <- t.credits.(r) + t.config.weights.(r)
+        t.credits.(r) <- t.credits.(r) + weights.(r)
     done
 
 let pop_fair t ~fits =

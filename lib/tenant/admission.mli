@@ -27,7 +27,7 @@ val item_rank : item -> int
 type level =
   | Normal
   | Shed_best_effort  (** new best-effort arrivals are refused *)
-  | Cap_width         (** … and arrivals wider than [cap_width] lanes *)
+  | Cap_width         (** … and arrivals wider than one lane *)
   | Reject_new        (** … and everything else *)
 
 val level_name : level -> string
@@ -60,8 +60,6 @@ type config = {
           single queue of [depth] slots), so a strong class can borrow a weak class's share
           under pressure — the shed-victim rule is what keeps the
           borrowing honest. *)
-  weights : int array;  (** dispatch share per {!Tenant.rank}; length 3 *)
-  cap_width : int;      (** max request width admitted at [Cap_width] *)
   high_water : float;
       (** ladder climbs one rung when total occupancy (queued / total
           capacity) reaches this fraction … *)
@@ -72,8 +70,11 @@ type config = {
 }
 
 val default : config
-(** [Fair], depth 64 per class, weights [|6; 3; 1|], cap_width 1,
-    high_water 0.75, low_water 0.5. *)
+(** [Fair], depth 64 per class, high_water 0.75, low_water 0.5. *)
+
+val weight : item -> int
+(** The dispatch share of the item's class in [Fair] mode: 6, 3 and 1
+    for latency-bound, throughput and best-effort. *)
 
 val fifo : ?depth:int -> unit -> config
 (** The baseline arm; [depth] defaults to [3 * default.depth] so both
@@ -83,27 +84,15 @@ type t
 
 val create :
   ?config:config ->
-  ?on_transition:
-    (old_level:level -> new_level:level -> occupancy:float -> cause:string -> unit) ->
+  ?on_transition:(old_level:level -> new_level:level -> occupancy:float -> unit) ->
   unit ->
   t
-(** [on_transition] fires whenever the {e effective} level (the max of
-    the occupancy rung and the SLO floor) changes, with the occupancy at
-    the transition and the cause — ["occupancy"] for ladder moves,
-    ["slo-floor"] for {!set_floor}. A rung move masked by a higher floor
-    is not a transition. The callback runs inside queue operations:
-    it must not call back into this [t]. *)
+(** [on_transition] fires whenever the ladder changes level, with the
+    occupancy at the transition. The callback runs inside queue
+    operations: it must not call back into this [t]. *)
 
 val level : t -> level
-(** The effective level: the occupancy rung or the SLO floor, whichever
-    is more protective. *)
-
-val set_floor : t -> level -> unit
-(** Pin the ladder at or above a level regardless of occupancy — the
-    burn-rate monitor's lever: a firing latency SLO holds the ladder at
-    [Shed_best_effort] even while the queue looks healthy, and resolving
-    releases it ([set_floor t Normal]). No-op outside [Fair] mode (the
-    single-queue modes have no ladder). *)
+(** The ladder's level, set by queue occupancy alone. *)
 
 val length : t -> int
 val class_length : t -> Tenant.slo -> int
@@ -117,11 +106,11 @@ val offer : t -> item -> [ `Admitted | `Shed of item | `Rejected of reason ]
 
 val pop : t -> fits:(item -> bool) -> item option
 (** Dispatch one item. [Fair]: deficit-weighted round-robin over the
-    classes — each class accumulates [weights.(rank)] credit per round
-    and the strongest positive-credit class dispatches its oldest item
-    passing [fits] (a non-fitting item never wedges fitting work queued
-    behind it; arrival order per program is preserved, so replay is
-    deterministic). [Fifo]: the oldest fitting item in strict arrival
+    classes — each class accumulates its dispatch share ({!weight}) in
+    credit per round and the strongest positive-credit class dispatches
+    its oldest item passing [fits] (a non-fitting item never wedges
+    fitting work queued behind it; arrival order per program is
+    preserved, so replay is deterministic). [Fifo]: the oldest fitting item in strict arrival
     order across all classes — SLO-blind, which is the baseline's
     defining pathology. [Shortest_first]: the fitting item with the
     smallest cost hint, the oldest among equals. *)

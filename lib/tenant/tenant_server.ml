@@ -3,7 +3,6 @@ type refill = Continuous | Synchronous
 type config = {
   lanes_per_shard : int;
   mesh : Mesh.t;
-  mode : Engine.mode;
   policy : Sched_policy.t;
   admission : Admission.config;
   pool : Pool.config;
@@ -12,17 +11,14 @@ type config = {
   checkpoint_interval : int;
   faults : Fault.event list;
   keep_outputs : bool;
-  max_rounds : int;
   sink : Obs_sink.t option;
   slo : Obs_slo.t option;
-  slo_drive : bool;
 }
 
 let default_config ~mesh =
   {
     lanes_per_shard = 8;
     mesh;
-    mode = Engine.Hybrid;
     policy = Sched_policy.Earliest;
     admission = Admission.default;
     pool = Pool.default;
@@ -31,11 +27,12 @@ let default_config ~mesh =
     checkpoint_interval = 32;
     faults = [];
     keep_outputs = true;
-    max_rounds = 10_000_000;
     sink = None;
     slo = None;
-    slo_drive = false;
   }
+
+(* The safety valve: a run still going after this many rounds is stuck. *)
+let max_rounds = 10_000_000
 
 type completion = {
   c_item : Admission.item;
@@ -552,8 +549,7 @@ let retire_shard t s b =
    everywhere: every item counts 1. *)
 let fair t = t.cfg.admission.Admission.mode = Admission.Fair
 
-let item_score t (it : Admission.item) =
-  if fair t then t.cfg.admission.Admission.weights.(Admission.item_rank it) else 1
+let item_score t (it : Admission.item) = if fair t then Admission.weight it else 1
 
 let need_table t =
   let tbl : (int64, int * float * Autobatch.compiled) Hashtbl.t = Hashtbl.create 16 in
@@ -956,17 +952,10 @@ let tail t ~e0 =
     +. Array.fold_left
          (fun acc s -> Float.max acc (Engine.elapsed s.s_engine -. e0.(s.s_id)))
          0. t.shards;
-  (* Alert edges become sink events, and with [slo_drive] a firing alert
-     pins the admission ladder at Shed_best_effort until it resolves —
-     the ladder's own transition event then records cause "slo-floor". *)
+  (* Alert edges become sink events; the monitor only observes. *)
   (match t.cfg.slo with
   | Some slo ->
-    let alerts = Obs_slo.poll slo ~now:t.now in
-    List.iter (fun a -> emit t (Obs_slo.alert_to_event a)) alerts;
-    if t.cfg.slo_drive && fair t && alerts <> [] then
-      Admission.set_floor t.adm
-        (if Obs_slo.any_firing slo then Admission.Shed_best_effort
-         else Admission.Normal)
+    List.iter (fun a -> emit t (Obs_slo.alert_to_event a)) (Obs_slo.poll slo ~now:t.now)
   | None -> ());
   t.peak_active <- Stdlib.max t.peak_active (active_count t);
   let idle =
@@ -999,7 +988,7 @@ let create ?config ?on_complete src =
   let n_shards = Mesh.size cfg.mesh in
   let shards =
     Array.init n_shards (fun i ->
-        let engine = Engine.create ~device:(Mesh.device cfg.mesh i) ~mode:cfg.mode () in
+        let engine = Engine.create ~device:(Mesh.device cfg.mesh i) ~mode:Engine.Hybrid () in
         (match cfg.sink with
         | Some s -> Engine.set_sink engine (Obs_sink.tag_shard i s)
         | None -> ());
@@ -1007,18 +996,17 @@ let create ?config ?on_complete src =
   in
   let kills = List.filter (fun e -> e.Fault.kind = Fault.Device_kill) cfg.faults in
   (* Ladder transitions surface as first-class events, stamped with the
-     server's clock and the cause ("occupancy" or "slo-floor") — rung
-     changes stop being opaque. They fire inside admission calls, so the
+     server's clock — rung changes stop being opaque. They fire inside admission calls, so the
      callback reaches the clock through the state built below. *)
   let self = ref None in
   let adm =
     Admission.create ~config:cfg.admission
-      ~on_transition:(fun ~old_level:_ ~new_level ~occupancy ~cause ->
+      ~on_transition:(fun ~old_level:_ ~new_level ~occupancy ->
         match !self with
         | Some t ->
           emit t
             (Obs_sink.Ladder
-               { level = Admission.level_name new_level; occupancy; cause; at = t.now })
+               { level = Admission.level_name new_level; occupancy; at = t.now })
         | None -> ())
       ()
   in
@@ -1065,7 +1053,7 @@ let step_round t =
   if t.over then false
   else begin
     t.round <- t.round + 1;
-    if t.round > t.cfg.max_rounds then failwith (stuck t);
+    if t.round > max_rounds then failwith (stuck t);
     let e0 = Array.map (fun s -> Engine.elapsed s.s_engine) t.shards in
     ingest t;
     iter_bindings t (retire_shard t);

@@ -57,8 +57,8 @@ type refill = Continuous | Synchronous
 
 type config = {
   lanes_per_shard : int;
-  mesh : Mesh.t;             (** one potential shard per device *)
-  mode : Engine.mode;
+  mesh : Mesh.t;
+      (** one potential shard per device, priced on a [Hybrid] engine *)
   policy : Sched_policy.t;
   admission : Admission.config;
   pool : Pool.config;
@@ -71,7 +71,6 @@ type config = {
   keep_outputs : bool;
       (** store every completion's output tensors (the bitwise gate
           needs them; million-request sweeps turn this off) *)
-  max_rounds : int;          (** safety valve; raises when exceeded *)
   sink : Obs_sink.t option;
       (** Beyond the engine/VM event stream, the server emits
           [Obs_sink.Span] trees here — one per completed request (root
@@ -87,16 +86,13 @@ type config = {
       (** burn-rate monitor, keyed by {!Tenant.slo_name}. Completions
           feed it at retire time (total latency vs its class threshold);
           sheds and ladder rejections feed as unconditionally bad; it is
-          polled once per round and alert edges go to [sink]. *)
-  slo_drive : bool;
-      (** let a firing alert pin the admission ladder at
-          [Shed_best_effort] ({!Admission.set_floor}) until it resolves.
-          Off: the monitor only observes — outputs stay bitwise identical
-          to running without it. *)
+          polled once per round and alert edges go to [sink]. It only
+          observes: outputs and the simulated clock stay bitwise
+          identical to running without it. *)
 }
 
 val default_config : mesh:Mesh.t -> config
-(** 8 lanes per shard, [Hybrid] engines, [Sched_policy.Earliest],
+(** 8 lanes per shard, [Sched_policy.Earliest],
     {!Admission.default}, {!Pool.default}, preemption on, [Continuous]
     refill, checkpoint every 32 rounds, no faults, outputs kept, no SLO
     monitor. *)
@@ -167,7 +163,8 @@ val create :
 val step_round : t -> bool
 (** One round, in the order listed at the top of this interface;
     [false] (and no effect) once the run is over. Raises [Failure] past
-    [max_rounds].
+    10,000,000 rounds (the safety valve against a run that makes no
+    progress).
 
     A request is refused at ingest as [Invalid_input] when its inputs
     disagree with the program's declared shapes, or with the row shapes

@@ -1,5 +1,9 @@
 type exec_style = Masking | Gather_scatter | Adaptive of float
 
+(* The style one block executes in: [Adaptive] resolves to one of these
+   from the block's occupancy. *)
+type block_style = Masked | Gathered
+
 type config = {
   style : exec_style;
   sched : Sched_policy.t;
@@ -75,9 +79,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
     let write_result style lmask members dst out =
       let full_shape =
         match style with
-        | Masking -> Tensor.shape out
-        | Gather_scatter -> Shape.concat_outer z (Vm_util.elem_shape_of_batched out)
-        | Adaptive _ -> assert false
+        | Masked -> Tensor.shape out
+        | Gathered -> Shape.concat_outer z (Vm_util.elem_shape_of_batched out)
       in
       let cur =
         match Hashtbl.find_opt env dst with
@@ -93,9 +96,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
           fresh
       in
       match style with
-      | Masking -> Tensor.blit_rows_masked ~mask:lmask ~src:out ~dst:cur
-      | Gather_scatter -> Tensor.blit_rows_indexed ~idx:members ~src:out ~dst:cur
-      | Adaptive _ -> assert false
+      | Masked -> Tensor.blit_rows_masked ~mask:lmask ~src:out ~dst:cur
+      | Gathered -> Tensor.blit_rows_indexed ~idx:members ~src:out ~dst:cur
     in
     let lookup v =
       match Hashtbl.find_opt env v with
@@ -120,17 +122,13 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
            occupancy; the rest of the step sees a concrete style. *)
         let style =
           match config.style with
-          | (Masking | Gather_scatter) as s -> s
+          | Masking -> Masked
+          | Gather_scatter -> Gathered
           | Adaptive threshold ->
-            if float_of_int n_active < threshold *. float_of_int z then
-              Gather_scatter
-            else Masking
+            if float_of_int n_active < threshold *. float_of_int z then Gathered
+            else Masked
         in
-        let lanes = match style with
-          | Masking -> z
-          | Gather_scatter -> n_active
-          | Adaptive _ -> assert false
-        in
+        let lanes = match style with Masked -> z | Gathered -> n_active in
         (* Events carry program-unique block ids ([Cfg.block_base]), so a
            profiler keeps the blocks of different functions apart. The
            occupancy event counts lanes live in *this* frame: during a
@@ -164,9 +162,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
             !traffic
             +.
             match style with
-            | Masking -> Vm_util.masked_write_bytes ~lanes:z ~row
-            | Gather_scatter -> Vm_util.stack_move_bytes ~lanes:n_active ~row
-            | Adaptive _ -> assert false
+            | Masked -> Vm_util.masked_write_bytes ~lanes:z ~row
+            | Gathered -> Vm_util.stack_move_bytes ~lanes:n_active ~row
         in
         let block = f.Cfg.blocks.(i) in
         List.iter
@@ -176,9 +173,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
               let impl = Prim.find_exn reg prim in
               let arg_tensors =
                 match style with
-                | Masking -> List.map lookup args
-                | Adaptive _ -> assert false
-                | Gather_scatter ->
+                | Masked -> List.map lookup args
+                | Gathered ->
                   List.iter
                     (fun a ->
                       traffic :=
@@ -192,9 +188,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
                  when masking, the gathered rows' lanes otherwise. *)
               let row_members =
                 match style with
-                | Masking -> Array.init z Fun.id
-                | Gather_scatter -> members
-                | Adaptive _ -> assert false
+                | Masked -> Array.init z Fun.id
+                | Gathered -> members
               in
               let out = impl.Prim.batched ~members:row_members arg_tensors in
               let elem_shapes = List.map Vm_util.elem_shape_of_batched arg_tensors in
@@ -205,9 +200,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
             | Cfg.Const_op { dst; value } ->
               let out =
                 match style with
-                | Masking -> Tensor.broadcast_rows value z
-                | Gather_scatter -> Tensor.broadcast_rows value n_active
-                | Adaptive _ -> assert false
+                | Masked -> Tensor.broadcast_rows value z
+                | Gathered -> Tensor.broadcast_rows value n_active
               in
               charged_ops :=
                 ("const", float_of_int (Tensor.numel value * lanes)) :: !charged_ops;
@@ -216,9 +210,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
             | Cfg.Mov { dst; src } ->
               let out =
                 match style with
-                | Masking -> lookup src
-                | Gather_scatter -> Tensor.take_rows (lookup src) members
-                | Adaptive _ -> assert false
+                | Masked -> lookup src
+                | Gathered -> Tensor.take_rows (lookup src) members
               in
               charged_ops :=
                 ("mov", float_of_int (Tensor.row_numel out * lanes)) :: !charged_ops;
@@ -234,9 +227,8 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
                   charge_write (Tensor.row_numel out);
                   write_result style lmask members dst
                     (match style with
-                    | Masking -> out
-                    | Gather_scatter -> Tensor.take_rows out members
-                    | Adaptive _ -> assert false))
+                    | Masked -> out
+                    | Gathered -> Tensor.take_rows out members))
                 dsts results)
           block.Cfg.ops;
         (* Terminator: update the locally active members' program counters. *)

@@ -281,7 +281,7 @@ let test_ladder_climb_and_hysteresis () =
 let test_ladder_refusals_by_class () =
   (* Hold the ladder at shed-best-effort and check who gets in. *)
   let adm =
-    Admission.create ~config:{ Admission.default with depth = 4; cap_width = 1 } ()
+    Admission.create ~config:{ Admission.default with depth = 4 } ()
   in
   for i = 1 to 9 do
     ignore (Admission.offer adm (mk_item ~tenant:(mk_tenant ~slo:Tenant.Throughput i) ~id:i ~n:4 ()))
@@ -1087,7 +1087,6 @@ let check_server_case
       Tenant_server.lanes_per_shard = lanes;
       admission =
         {
-          Admission.default with
           Admission.mode = admission_modes.(mode);
           depth;
           high_water = (if ladder then 0.75 else 2.);
@@ -1099,7 +1098,6 @@ let check_server_case
       refill = (if synchronous then Tenant_server.Synchronous else Tenant_server.Continuous);
       checkpoint_interval = interval;
       faults = kills;
-      max_rounds = 100_000;
     }
   in
   let t = Tenant_server.create ~config ~on_complete source in
