@@ -992,14 +992,15 @@ let run_tenant ?seed () =
 let run_observe ?seed () =
   (* The observer-invariance gate. Each workload — fib and NUTS under the
      pc VM, the macro tenant trace with its injected device kill — runs
-     bare and with every observer fanned out on one sink (trace recorder,
-     profiler and its metrics; span recorder and SLO monitor on the
-     tenant trace); outputs and the simulated clock must be bitwise
-     identical. The observers' own contracts ride along as assertions
-     (listed in the document's note). Only full runs return their
-     document: the AUTOBATCH_FAST arm caps the trace at 10k requests, so
-     it is not gated. *)
-  print_endline "== Observer invariance (trace / profiler / metrics / spans / SLO) ==";
+     bare and with every observer fanned out on one sink (trace recorder
+     and profiler; on the tenant trace the recorder also takes the spans,
+     and an SLO monitor rides along); outputs and the simulated clock
+     must be bitwise identical. The observers' own contracts ride along
+     as assertions (listed in the document's note, whose wording is
+     pinned by BENCH_observe.json). Only full runs return their document:
+     the AUTOBATCH_FAST arm caps the trace at 10k requests, so it is not
+     gated. *)
+  print_endline "== Observer invariance (trace with spans / profiler / SLO) ==";
   let fast = Sys.getenv_opt "AUTOBATCH_FAST" <> None in
   let n_requests = if fast then 10_000 else 20_000 in
   let failed = ref false in
@@ -1058,14 +1059,10 @@ let run_observe ?seed () =
           (Int64.bits_of_float sim_on = Int64.bits_of_float sim_off && out_off = out_on);
         let events = List.length (Obs_trace.entries tr) in
         let steps = Obs_prof.supersteps prof in
-        let counted =
-          Obs_metrics.count (Obs_metrics.counter (Obs_prof.metrics prof) "supersteps")
-        in
-        check (name ^ ": trace, metrics")
-          (Printf.sprintf "%d events, %d / %d supersteps" events counted steps)
-          "re-parses, agree"
-          (events > 0 && steps > 0 && counted = steps
-          && reparses (fun path -> Obs_trace.write tr ~path));
+        check (name ^ ": trace, profiler")
+          (Printf.sprintf "%d events, %d supersteps" events steps)
+          "re-parses"
+          (events > 0 && steps > 0 && reparses (fun path -> Obs_trace.write tr ~path));
         let conservation = Float.abs (Obs_prof.attributed prof -. sim_on) /. sim_on in
         let folded = Obs_prof.folded prof in
         let stacks = List.length (String.split_on_char '\n' (String.trim folded)) in
@@ -1115,17 +1112,15 @@ let run_observe ?seed () =
       ?sink ?slo ()
   in
   let r_off = tenant () in
-  let recorder = Obs_span.create () in
-  (* The trace recorder is bounded: the gate needs it attached and its
-     export well-formed, not the whole run's superstep timeline. *)
-  let tr = Obs_trace.create ~limit:20_000 () in
+  (* One recorder takes the whole stream, spans included; its bound sits
+     far above the full run's ~285k entries, so nothing is dropped. *)
+  let tr = Obs_trace.create ~limit:2_000_000 () in
   let prof = Obs_prof.create () in
   let r_on =
     tenant
       ~sink:
         (Obs_sink.fanout
            [
-             Obs_span.sink recorder;
              Obs_trace.sink tr ~track:(Obs_trace.track tr "tenant") ~clock:(fun () -> 0.);
              Obs_prof.sink prof;
            ])
@@ -1146,23 +1141,32 @@ let run_observe ?seed () =
     && s_off.Tenant_server.rounds = s_on.Tenant_server.rounds
     && digest r_on <> []
     && digest r_off = digest r_on);
+  let entries = Obs_trace.entries tr in
+  let span_names =
+    List.filter_map
+      (fun (e : Obs_trace.entry) ->
+        match e.ev with Obs_sink.Span { name; _ } -> Some name | _ -> None)
+      entries
+  in
+  let named name = List.length (List.filter (String.equal name) span_names) in
+  (* The one Chrome document carries the superstep timeline and the
+     span tracks alike. *)
+  let trace_reparses = reparses (fun path -> Obs_trace.write tr ~path) in
   check "tenant: trace and profiler"
-    (Printf.sprintf "%d events, %d supersteps"
-       (List.length (Obs_trace.entries tr))
+    (Printf.sprintf "%d events, %d supersteps" (List.length entries)
        (Obs_prof.supersteps prof))
     "re-parses, profiled"
-    (Obs_prof.supersteps prof > 0 && reparses (fun path -> Obs_trace.write tr ~path));
+    (Obs_prof.supersteps prof > 0 && trace_reparses);
   let n_done = List.length s_on.Tenant_server.completions in
-  let tree = Obs_span.validate recorder in
+  let tree = Obs_span.validate tr in
   check "tenant: span trees"
     (Printf.sprintf "%d traces, %d well-formed" tree.Obs_span.traces
        tree.Obs_span.well_formed)
     "one per completion, all well-formed"
-    (Obs_span.all_well_formed recorder
+    (Obs_span.all_well_formed tr
     && tree.Obs_span.traces = n_done
-    && Obs_span.count_named recorder "request" = n_done
-    && Obs_span.dropped recorder = 0);
-  let named = Obs_span.count_named recorder in
+    && named "request" = n_done
+    && Obs_trace.dropped tr = 0);
   check "tenant: lifecycle spans"
     (Printf.sprintf "%d preempted, %d migrate, %d restore, %d hit, %d compile"
        (named "preempted") (named "migrate") (named "restore")
@@ -1174,9 +1178,8 @@ let run_observe ?seed () =
     && named "cache-hit" >= 1
     && named "compile" >= 1);
   check "tenant: perfetto export"
-    (Printf.sprintf "%d spans" (Obs_span.length recorder))
-    "re-parses"
-    (reparses (fun path -> Obs_span.write recorder ~path));
+    (Printf.sprintf "%d spans" (List.length span_names))
+    "re-parses" trace_reparses;
   (* ---- burn rate ---- *)
   let slo_run pattern =
     let slo = Obs_slo.create ~classes:(slo_classes ()) () in
@@ -1229,7 +1232,7 @@ let run_observe ?seed () =
            ("pc_workloads", Obs_json.List pc_points);
            ("requests", Obs_json.Int n_requests);
            ("completions", Obs_json.Int n_done);
-           ("spans", Obs_json.Int (Obs_span.length recorder));
+           ("spans", Obs_json.Int (List.length span_names));
            ("span_trees", Obs_span.stats_to_json tree);
            ( "lifecycle",
              Obs_json.Obj

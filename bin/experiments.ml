@@ -767,8 +767,9 @@ let tenants_cmd =
       cache seed no_baseline no_verify trace json =
     let pattern = parse_pattern pattern in
     (* --trace records the fair arm's span stream (request trees plus
-       the operational instants) and writes a Perfetto document. *)
-    let recorder = Option.map (fun _ -> Obs_span.create ()) trace in
+       the operational instants) and writes a Perfetto document. Spans
+       past the 2,000,000 bound are counted in "dropped". *)
+    let recorder = Option.map (fun _ -> Obs_trace.create ~limit:2_000_000 ()) trace in
     let r =
       Tenant_load.run ?seed ~pattern ~n_requests:requests ~n_tenants:tenants
         ~n_programs:programs ?cache_capacity:cache ~load ~mesh_size:mesh
@@ -780,14 +781,14 @@ let tenants_cmd =
     let span_fields =
       match (trace, recorder) with
       | Some path, Some rec_ ->
-        Obs_span.write rec_ ~path;
+        Obs_trace.write rec_ ~path;
         [
           ( "spans",
             Obs_json.Obj
               [
                 ("path", Obs_json.Str path);
-                ("recorded", Obs_json.Int (Obs_span.length rec_));
-                ("dropped", Obs_json.Int (Obs_span.dropped rec_));
+                ("recorded", Obs_json.Int (List.length (Obs_trace.entries rec_)));
+                ("dropped", Obs_json.Int (Obs_trace.dropped rec_));
                 ("trees", Obs_span.stats_to_json (Obs_span.validate rec_));
               ] );
         ]
@@ -798,9 +799,10 @@ let tenants_cmd =
         Tenant_load.print_table r;
         match (trace, recorder) with
         | Some path, Some rec_ ->
+          let stats = Obs_span.validate rec_ in
           Printf.printf "trace: %d spans, %d request trees (%s) -> %s\n"
-            (Obs_span.length rec_)
-            (Obs_span.count_named rec_ "request")
+            (List.length (Obs_trace.entries rec_))
+            stats.Obs_span.traces
             (if Obs_span.all_well_formed rec_ then "all well-formed"
              else "MALFORMED")
             path
@@ -864,9 +866,11 @@ let tenants_cmd =
              program cache, and an autoscaling shard pool under bursty Zipf \
              traffic, paired against a no-admission FIFO baseline and \
              verified bitwise against solo runs. --trace FILE additionally \
-             records every request's span tree (queue/service children, \
-             preemption and migration marks) plus the operational instants \
-             as a Perfetto track-per-tenant document.")
+             records the fair arm's span events (every request's span tree \
+             with its queue/service children and preemption and migration \
+             marks, plus the operational instants) in a trace recorder and \
+             writes its Chrome trace-event document: one Perfetto thread \
+             per tenant plus one for the operational track.")
     Term.(const run $ requests $ tenants $ programs $ pattern $ load $ mesh
           $ lanes $ ckpt $ kill_round $ cache $ seed_arg () $ no_baseline
           $ no_verify $ trace_arg () $ json_arg ())

@@ -147,7 +147,7 @@ val merge : into:t -> snapshot -> unit
 (** Fold another engine's snapshot into [into]'s mutable state: counts,
     simulated time and per-op tallies all accumulate. This is how
     per-shard engines combine after a multi-device run without reaching
-    into each other's state. Same shape as [Obs_metrics.merge ~into]. *)
+    into each other's state. *)
 
 val set_sink : t -> Obs_sink.t -> unit
 (** Install a structured event sink observing every launch. Each

@@ -7,11 +7,9 @@ let n_buckets = 512
    [1, 2^(1/8)). *)
 let mid = n_buckets / 2
 
-type counter = { c_on : bool; mutable count : int }
-type gauge = { g_on : bool; mutable value : float }
+type counter = { mutable count : int }
 
 type histogram = {
-  h_on : bool;
   buckets : int array;
   mutable n : int;
   mutable sum : float;
@@ -20,16 +18,11 @@ type histogram = {
 }
 
 type t = {
-  enabled : bool;
   mutable counters : (string * counter) list;
-  mutable gauges : (string * gauge) list;
   mutable histograms : (string * histogram) list;
 }
 
-let create ?(enabled = true) () =
-  { enabled; counters = []; gauges = []; histograms = [] }
-
-let enabled t = t.enabled
+let create () = { counters = []; histograms = [] }
 
 let registered existing fresh register name =
   match List.assoc_opt name existing with
@@ -41,28 +34,18 @@ let registered existing fresh register name =
 
 let counter t name =
   registered t.counters
-    (fun () -> { c_on = t.enabled; count = 0 })
+    (fun () -> { count = 0 })
     (fun entry -> t.counters <- t.counters @ [ entry ])
     name
 
-let incr ?(by = 1) c = if c.c_on then c.count <- c.count + by
+let incr ?(by = 1) c = c.count <- c.count + by
 let count c = c.count
-
-let gauge t name =
-  registered t.gauges
-    (fun () -> { g_on = t.enabled; value = 0. })
-    (fun entry -> t.gauges <- t.gauges @ [ entry ])
-    name
-
-let set g v = if g.g_on then g.value <- v
-let value g = g.value
 
 let histogram t name =
   registered t.histograms
     (fun () ->
       {
-        h_on = t.enabled;
-        buckets = (if t.enabled then Array.make n_buckets 0 else [||]);
+        buckets = Array.make n_buckets 0;
         n = 0;
         sum = 0.;
         lo = Float.infinity;
@@ -80,14 +63,12 @@ let bucket_of v =
     if i < 1 then 1 else if i > n_buckets - 1 then n_buckets - 1 else i
 
 let observe h v =
-  if h.h_on then begin
-    let b = bucket_of v in
-    h.buckets.(b) <- h.buckets.(b) + 1;
-    h.n <- h.n + 1;
-    h.sum <- h.sum +. v;
-    if v < h.lo then h.lo <- v;
-    if v > h.hi then h.hi <- v
-  end
+  let b = bucket_of v in
+  h.buckets.(b) <- h.buckets.(b) + 1;
+  h.n <- h.n + 1;
+  h.sum <- h.sum +. v;
+  if v < h.lo then h.lo <- v;
+  if v > h.hi then h.hi <- v
 
 let hist_count h = h.n
 let hist_sum h = h.sum
@@ -134,19 +115,8 @@ let quantile h q =
     end
   end
 
-(* Lower/upper bucket boundaries, for the raw-bucket export. Bucket 0 is
-   the zero/negative bucket; report it as the degenerate [0, 0] range. *)
-let bucket_lo i =
-  if i = 0 then 0.
-  else Float.exp2 (float_of_int (i - mid) /. float_of_int buckets_per_octave)
-
-let bucket_hi i =
-  if i = 0 then 0.
-  else
-    Float.exp2 (float_of_int (i - mid + 1) /. float_of_int buckets_per_octave)
-
-let hist_to_json ?(buckets = false) h =
-  let summary =
+let hist_to_json h =
+  Obs_json.Obj
     [
       ("count", Obs_json.Int h.n);
       ("sum", Obs_json.Float h.sum);
@@ -157,29 +127,6 @@ let hist_to_json ?(buckets = false) h =
       ("p90", Obs_json.Float (quantile h 0.9));
       ("p99", Obs_json.Float (quantile h 0.99));
     ]
-  in
-  let bucket_rows =
-    if not buckets then []
-    else begin
-      (* Only occupied buckets: the full 512-bucket array is almost all
-         zeros and would swamp the document. Disabled histograms have no
-         bucket storage at all. *)
-      let rows = ref [] in
-      for i = Array.length h.buckets - 1 downto 0 do
-        if h.buckets.(i) > 0 then
-          rows :=
-            Obs_json.Obj
-              [
-                ("lo", Obs_json.Float (bucket_lo i));
-                ("hi", Obs_json.Float (bucket_hi i));
-                ("count", Obs_json.Int h.buckets.(i));
-              ]
-            :: !rows
-      done;
-      [ ("buckets", Obs_json.List !rows) ]
-    end
-  in
-  Obs_json.Obj (summary @ bucket_rows)
 
 let to_json t =
   let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l in
@@ -189,39 +136,7 @@ let to_json t =
         Obs_json.Obj
           (List.map (fun (name, c) -> (name, Obs_json.Int c.count)) (by_name t.counters))
       );
-      ( "gauges",
-        Obs_json.Obj
-          (List.map (fun (name, g) -> (name, Obs_json.Float g.value)) (by_name t.gauges))
-      );
       ( "histograms",
         Obs_json.Obj
           (List.map (fun (name, h) -> (name, hist_to_json h)) (by_name t.histograms)) );
     ]
-
-(* Aggregation across registries, mirroring [Engine.Counters.merge]:
-   every instrument kind adds. Counters and histogram buckets add
-   element-wise, gauges sum (per-shard lane counts stay meaningful; use
-   distinct names where last-write-wins is wanted), and min/max combine.
-   An instrument present only in [src] is created in [into]; a disabled [into] stays dead (its instruments drop the data),
-   and a disabled [src] contributes nothing. *)
-let merge ~into src =
-  List.iter
-    (fun (name, c) -> incr ~by:c.count (counter into name))
-    src.counters;
-  List.iter
-    (fun (name, g) ->
-      let d = gauge into name in
-      set d (d.value +. g.value))
-    src.gauges;
-  List.iter
-    (fun (name, h) ->
-      let d = histogram into name in
-      if d.h_on then begin
-        if Array.length h.buckets = Array.length d.buckets then
-          Array.iteri (fun i n -> d.buckets.(i) <- d.buckets.(i) + n) h.buckets;
-        d.n <- d.n + h.n;
-        d.sum <- d.sum +. h.sum;
-        if h.lo < d.lo then d.lo <- h.lo;
-        if h.hi > d.hi then d.hi <- h.hi
-      end)
-    src.histograms

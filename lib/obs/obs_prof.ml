@@ -79,7 +79,6 @@ type t = {
      forgets its span). With one engine per pool the gap is measured from
      the latest span end on any of them. *)
   mutable last_t1 : float;
-  metrics : Obs_metrics.t;
   blocks : (int, block_cell) Hashtbl.t;
   kernels : (string, kernel_cell) Hashtbl.t;
   collectives : (string, collective_cell) Hashtbl.t;
@@ -103,7 +102,6 @@ let create ?(frames = [||]) () =
     cur_active = 0;
     cur_total = 0;
     last_t1 = 0.;
-    metrics = Obs_metrics.create ();
     blocks = Hashtbl.create 64;
     kernels = Hashtbl.create 16;
     collectives = Hashtbl.create 8;
@@ -195,20 +193,10 @@ let on_event t ev =
     c.b_active <- c.b_active + active;
     c.b_live <- c.b_live + live;
     c.b_total <- c.b_total + total;
-    c.b_issued <- c.b_issued + width;
-    Obs_metrics.incr (Obs_metrics.counter t.metrics "supersteps");
-    Obs_metrics.observe
-      (Obs_metrics.histogram t.metrics "active_lanes")
-      (float_of_int active);
-    if total > 0 then
-      Obs_metrics.observe
-        (Obs_metrics.histogram t.metrics "utilization_pct")
-        (100. *. float_of_int active /. float_of_int total)
+    c.b_issued <- c.b_issued + width
   | Obs_sink.Launched { kind = Obs_sink.Fused_block; t0; t1; _ } ->
     account_gap t ~t0 ~t1;
     let dur = t1 -. t0 in
-    Obs_metrics.incr (Obs_metrics.counter t.metrics "block_launches");
-    Obs_metrics.observe (Obs_metrics.histogram t.metrics "block_seconds") dur;
     if t.cur_block < 0 then t.unattributed <- t.unattributed +. dur
     else begin
       let c = block_cell t t.cur_block in
@@ -223,14 +211,12 @@ let on_event t ev =
     end
   | Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 } ->
     account_gap t ~t0 ~t1;
-    Obs_metrics.incr (Obs_metrics.counter t.metrics "kernel_launches");
     let c = kernel_cell t name in
     c.k_launches <- c.k_launches + 1;
     c.k_charged <- c.k_charged +. (t1 -. t0)
   | Obs_sink.Collective { name; bytes; t0; t1 } ->
     (* Collectives live on the mesh timeline, not a single engine's clock:
        they neither close gaps nor count toward engine conservation. *)
-    Obs_metrics.incr (Obs_metrics.counter t.metrics "collectives");
     let c = collective_cell t name in
     c.c_count <- c.c_count + 1;
     c.c_charged <- c.c_charged +. (t1 -. t0);
@@ -238,8 +224,7 @@ let on_event t ev =
   | Obs_sink.Migration { src_shard; dst_shard; bytes; _ } ->
     t.migrations <- t.migrations + 1;
     if src_shard <> dst_shard then t.steals <- t.steals + 1;
-    t.migration_bytes <- t.migration_bytes +. bytes;
-    Obs_metrics.incr (Obs_metrics.counter t.metrics "migrations")
+    t.migration_bytes <- t.migration_bytes +. bytes
   | Obs_sink.Launch _ | Obs_sink.Request_enqueued _ | Obs_sink.Request_shed _
   | Obs_sink.Request_rejected _ | Obs_sink.Request_completed _
   | Obs_sink.Checkpoint _ | Obs_sink.Restore _ | Obs_sink.Span _
@@ -369,11 +354,6 @@ let effective_utilization t =
   in
   if charged = 0. then 1. else effective /. charged
 
-let metrics t =
-  let merged = Obs_metrics.create () in
-  Mutex.protect t.mutex (fun () -> Obs_metrics.merge ~into:merged t.metrics);
-  merged
-
 (* ------------------------------------------------------------------ *)
 (* Folded-stacks export (flamegraph.pl format: one "frame;frame;... N"
    line per stack, weight in integer nanoseconds of simulated time). *)
@@ -476,5 +456,4 @@ let to_json t =
       ("blocks", Obs_json.List blocks);
       ("kernels", Obs_json.List kernels);
       ("collectives", Obs_json.List collectives);
-      ("metrics", Obs_metrics.to_json (metrics t));
     ]

@@ -129,11 +129,6 @@ val steals : t -> int
 val migration_bytes : t -> float
 (** Total migrated payload. *)
 
-val metrics : t -> Obs_metrics.t
-(** A fresh copy, made with {!Obs_metrics.merge}, of the profiler's
-    registry (superstep/launch counters, active-lane and utilization
-    histograms). *)
-
 (** {1 Export} *)
 
 val folded : t -> string

@@ -94,7 +94,6 @@ let burn_rates t ~cls ~now =
 let firing t ~cls =
   match find t cls with None -> false | Some s -> s.firing
 
-let any_firing t = List.exists (fun (_, s) -> s.firing) t.classes
 
 type alert = {
   a_cls : string;

@@ -62,7 +62,6 @@ val burn_rates : t -> cls:string -> now:float -> float * float
     empty windows. *)
 
 val firing : t -> cls:string -> bool
-val any_firing : t -> bool
 
 val fired_total : t -> int
 (** Total fire transitions across all classes since creation. *)

@@ -1,7 +1,7 @@
 (* Request-scoped spans over the Obs_sink seam. The emitters (the tenant
    server, the program cache, ...) publish completed spans as
-   [Obs_sink.Span] events; this module is the consumer side — a bounded
-   recorder, a tree validator, and the Perfetto/JSON exporters. *)
+   [Obs_sink.Span] events and Obs_trace records and exports them; this
+   module holds the span identity and the tree validator. *)
 
 type ctx = { trace : int; parent : int }
 
@@ -12,58 +12,11 @@ let ops_track = -1
 
 let ctx ?(parent = no_parent) ~trace () = { trace; parent }
 
-type span = {
-  sp_trace : int;
-  sp_id : int;
-  sp_parent : int;
-  sp_track : int;
-  sp_name : string;
-  sp_t0 : float;
-  sp_t1 : float;
-}
-
-type t = {
-  mutex : Mutex.t;
-  limit : int;
-  mutable rev_spans : span list;
-  mutable n : int;
-  mutable dropped : int;
-}
-
-let create ?(limit = 2_000_000) () =
-  { mutex = Mutex.create (); limit; rev_spans = []; n = 0; dropped = 0 }
-
-let record t sp =
-  Mutex.protect t.mutex (fun () ->
-      if t.n >= t.limit then t.dropped <- t.dropped + 1
-      else begin
-        t.rev_spans <- sp :: t.rev_spans;
-        t.n <- t.n + 1
-      end)
-
-let sink t : Obs_sink.t = function
-  | Obs_sink.Span { trace; span; parent; track; name; t0; t1 } ->
-    record t
-      {
-        sp_trace = trace;
-        sp_id = span;
-        sp_parent = parent;
-        sp_track = track;
-        sp_name = name;
-        sp_t0 = t0;
-        sp_t1 = t1;
-      }
+let sink tr =
+  let track = Obs_trace.track tr "spans" in
+  function
+  | Obs_sink.Span { t0; _ } as ev -> Obs_trace.record tr ~track ~ts:t0 ev
   | _ -> ()
-
-let spans t = Mutex.protect t.mutex (fun () -> List.rev t.rev_spans)
-let length t = Mutex.protect t.mutex (fun () -> t.n)
-let dropped t = Mutex.protect t.mutex (fun () -> t.dropped)
-
-let count_named t name =
-  Mutex.protect t.mutex (fun () ->
-      List.fold_left
-        (fun acc sp -> if sp.sp_name = name then acc + 1 else acc)
-        0 t.rev_spans)
 
 (* ------------------------------------------------------------------ *)
 (* Validation. Request traces (trace >= 0) must each form one rooted
@@ -82,20 +35,25 @@ type tree_stats = {
   inverted : int;        (* spans with t1 < t0, any trace *)
 }
 
+type span = { id : int; parent : int; t0 : float; t1 : float }
+
 let eps = 1e-9
 
-let validate t =
-  let spans = spans t in
+let validate tr =
   let by_trace : (int, span list ref) Hashtbl.t = Hashtbl.create 256 in
   let inverted = ref 0 in
   List.iter
-    (fun sp ->
-      if sp.sp_t1 < sp.sp_t0 -. eps then incr inverted;
-      if sp.sp_trace >= 0 then
-        match Hashtbl.find_opt by_trace sp.sp_trace with
-        | Some cell -> cell := sp :: !cell
-        | None -> Hashtbl.add by_trace sp.sp_trace (ref [ sp ]))
-    spans;
+    (fun (e : Obs_trace.entry) ->
+      match e.ev with
+      | Obs_sink.Span { trace; span = id; parent; t0; t1; _ } -> (
+        if t1 < t0 -. eps then incr inverted;
+        if trace >= 0 then
+          let sp = { id; parent; t0; t1 } in
+          match Hashtbl.find_opt by_trace trace with
+          | Some cell -> cell := sp :: !cell
+          | None -> Hashtbl.add by_trace trace (ref [ sp ]))
+      | _ -> ())
+    (Obs_trace.entries tr);
   let traces = ref 0
   and well = ref 0
   and multi_root = ref 0
@@ -106,21 +64,19 @@ let validate t =
       incr traces;
       let spans = !cell in
       let ids = Hashtbl.create 8 in
-      List.iter (fun sp -> Hashtbl.replace ids sp.sp_id sp) spans;
+      List.iter (fun sp -> Hashtbl.replace ids sp.id sp) spans;
       let roots =
-        List.length (List.filter (fun sp -> sp.sp_parent = no_parent) spans)
+        List.length (List.filter (fun sp -> sp.parent = no_parent) spans)
       in
       let trace_orphans = ref 0 and trace_nest = ref 0 in
       List.iter
         (fun sp ->
-          if sp.sp_parent <> no_parent then
-            match Hashtbl.find_opt ids sp.sp_parent with
+          if sp.parent <> no_parent then
+            match Hashtbl.find_opt ids sp.parent with
             | None -> incr trace_orphans
             | Some parent ->
-              if
-                sp.sp_t0 < parent.sp_t0 -. eps
-                || sp.sp_t1 > parent.sp_t1 +. eps
-              then incr trace_nest)
+              if sp.t0 < parent.t0 -. eps || sp.t1 > parent.t1 +. eps then
+                incr trace_nest)
         spans;
       if roots <> 1 then incr multi_root;
       orphans := !orphans + !trace_orphans;
@@ -136,109 +92,9 @@ let validate t =
     inverted = !inverted;
   }
 
-let all_well_formed t =
-  let s = validate t in
+let all_well_formed tr =
+  let s = validate tr in
   s.traces = s.well_formed && s.inverted = 0
-
-(* ------------------------------------------------------------------ *)
-(* Exports. Perfetto (Chrome trace-event) with one thread per track —
-   track-per-tenant for request spans, a dedicated ops thread for the
-   negative tracks — and a flat JSON list for programmatic use. *)
-
-let us ts = ts *. 1e6
-
-let default_track_name track =
-  if track = ops_track then "ops" else Printf.sprintf "tenant %d" track
-
-let to_chrome ?(track_names = []) t =
-  let spans = spans t in
-  (* Stable, collision-free tids: ops track first, then tenant tracks in
-     ascending id order. *)
-  let tracks =
-    List.sort_uniq compare (List.map (fun sp -> sp.sp_track) spans)
-  in
-  let tid_of tr =
-    let rec index i = function
-      | [] -> 0
-      | x :: _ when x = tr -> i
-      | _ :: rest -> index (i + 1) rest
-    in
-    index 0 tracks
-  in
-  let name_of tr =
-    match List.assoc_opt tr track_names with
-    | Some name -> name
-    | None -> default_track_name tr
-  in
-  let meta =
-    List.map
-      (fun tr ->
-        Obs_json.Obj
-          [
-            ("name", Obs_json.Str "thread_name");
-            ("ph", Obs_json.Str "M");
-            ("pid", Obs_json.Int 0);
-            ("tid", Obs_json.Int (tid_of tr));
-            ("args", Obs_json.Obj [ ("name", Obs_json.Str (name_of tr)) ]);
-          ])
-      tracks
-  in
-  let events =
-    List.map
-      (fun sp ->
-        let args =
-          [
-            ("trace", Obs_json.Int sp.sp_trace);
-            ("span", Obs_json.Int sp.sp_id);
-            ("parent", Obs_json.Int sp.sp_parent);
-          ]
-        in
-        if sp.sp_t1 > sp.sp_t0 then
-          Obs_json.Obj
-            [
-              ("name", Obs_json.Str sp.sp_name);
-              ("cat", Obs_json.Str "span");
-              ("ph", Obs_json.Str "X");
-              ("pid", Obs_json.Int 0);
-              ("tid", Obs_json.Int (tid_of sp.sp_track));
-              ("ts", Obs_json.Float (us sp.sp_t0));
-              ("dur", Obs_json.Float (us (sp.sp_t1 -. sp.sp_t0)));
-              ("args", Obs_json.Obj args);
-            ]
-        else
-          Obs_json.Obj
-            [
-              ("name", Obs_json.Str sp.sp_name);
-              ("cat", Obs_json.Str "span");
-              ("ph", Obs_json.Str "i");
-              ("pid", Obs_json.Int 0);
-              ("tid", Obs_json.Int (tid_of sp.sp_track));
-              ("ts", Obs_json.Float (us sp.sp_t0));
-              ("s", Obs_json.Str "t");
-              ("args", Obs_json.Obj args);
-            ])
-      spans
-  in
-  Obs_json.Obj
-    [
-      ("traceEvents", Obs_json.List (meta @ events));
-      ("displayTimeUnit", Obs_json.Str "ms");
-      ("otherData", Obs_json.Obj [ ("dropped", Obs_json.Int (dropped t)) ]);
-    ]
-
-let span_to_json sp =
-  Obs_json.Obj
-    [
-      ("trace", Obs_json.Int sp.sp_trace);
-      ("span", Obs_json.Int sp.sp_id);
-      ("parent", Obs_json.Int sp.sp_parent);
-      ("track", Obs_json.Int sp.sp_track);
-      ("name", Obs_json.Str sp.sp_name);
-      ("t0", Obs_json.Float sp.sp_t0);
-      ("t1", Obs_json.Float sp.sp_t1);
-    ]
-
-let to_json t = Obs_json.List (List.map span_to_json (spans t))
 
 let stats_to_json s =
   Obs_json.Obj
@@ -250,8 +106,3 @@ let stats_to_json s =
       ("nest_violations", Obs_json.Int s.nest_violations);
       ("inverted", Obs_json.Int s.inverted);
     ]
-
-let write t ~path =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (Obs_json.to_string (to_chrome t));
-      Out_channel.output_char oc '\n')

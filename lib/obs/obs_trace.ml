@@ -66,7 +66,10 @@ let dropped t = Mutex.protect t.mutex (fun () -> t.dropped)
 
 (* Step events from shard [k] of track [n] render as Chrome thread
    [n * shard_stride + k], so per-shard superstep timelines don't
-   interleave. All other events sit on the track's base thread. *)
+   interleave. Span events render on one thread per span track (one per
+   tenant, plus "ops" for the negative operational track) of each
+   recording track, numbered past every track's shard threads. All other
+   events sit on the track's base thread. *)
 let shard_stride = 64
 
 let us ts = ts *. 1e6
@@ -106,11 +109,47 @@ let to_chrome t =
     | Some name -> name
     | None -> Printf.sprintf "track%d" id
   in
+  (* Span threads: one per (recording track, span track) pair in
+     ascending order (so "ops" comes first within a track), after the
+     highest track's shard threads. The name carries the recording
+     track's only when several tracks hold spans (the arms of a sweep),
+     whose simulated clocks would otherwise overlap on one thread. *)
+  let span_tids : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+  let max_track =
+    List.fold_left
+      (fun hi e ->
+        match e.ev with
+        | Obs_sink.Span { track; _ } ->
+          Hashtbl.replace span_tids (e.track, track) 0;
+          hi
+        | _ -> Stdlib.max hi e.track)
+      (-1) entries
+  in
+  let span_threads =
+    Array.of_list
+      (List.sort compare (Hashtbl.fold (fun key _ acc -> key :: acc) span_tids []))
+  in
+  let one_track =
+    Array.for_all (fun (tr, _) -> tr = fst span_threads.(0)) span_threads
+  in
+  let span_base = (max_track + 1) * shard_stride in
+  Array.iteri (fun i key -> Hashtbl.replace span_tids key (span_base + i)) span_threads;
+  let thread_name tid =
+    if tid >= span_base then
+      let tr, track = span_threads.(tid - span_base) in
+      let name = if track < 0 then "ops" else Printf.sprintf "tenant %d" track in
+      if one_track then name else Printf.sprintf "%s %s" (track_name tr) name
+    else
+      let base = tid / shard_stride and shard = tid mod shard_stride in
+      if shard = 0 then track_name base
+      else Printf.sprintf "%s/shard%d" (track_name base) shard
+  in
   (* Group entries per Chrome thread, preserving recording order. *)
   let tid_of e =
     match e.ev with
     | Obs_sink.Step { shard; _ } | Obs_sink.Occupancy { shard; _ } ->
       (e.track * shard_stride) + shard
+    | Obs_sink.Span { track; _ } -> Hashtbl.find span_tids (e.track, track)
     | _ -> e.track * shard_stride
   in
   let by_tid : (int, entry list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -128,18 +167,13 @@ let to_chrome t =
   let meta =
     List.map
       (fun tid ->
-        let base = tid / shard_stride and shard = tid mod shard_stride in
-        let name =
-          if shard = 0 then track_name base
-          else Printf.sprintf "%s/shard%d" (track_name base) shard
-        in
         Obs_json.Obj
           [
             ("name", Obs_json.Str "thread_name");
             ("ph", Obs_json.Str "M");
             ("pid", Obs_json.Int 0);
             ("tid", Obs_json.Int tid);
-            ("args", Obs_json.Obj [ ("name", Obs_json.Str name) ]);
+            ("args", Obs_json.Obj [ ("name", Obs_json.Str (thread_name tid)) ]);
           ])
       tids
   in
@@ -147,11 +181,7 @@ let to_chrome t =
     let entries = List.rev !(Hashtbl.find by_tid tid) in
     (* Chrome counters are keyed by (pid, name), so the counter name must
        carry the thread label for distinct tracks/shards to stay apart. *)
-    let counter_label =
-      let base = tid / shard_stride and shard = tid mod shard_stride in
-      if shard = 0 then track_name base
-      else Printf.sprintf "%s/shard%d" (track_name base) shard
-    in
+    let counter_label = thread_name tid in
     (* Superstep spans: each Step closes the previous block's span and
        opens the next; the final span closes at the thread's last
        timestamp. *)

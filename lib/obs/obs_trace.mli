@@ -8,7 +8,10 @@
     request lifecycle) are stamped from their payload instead of the clock.
     Recording is mutex-protected; {!Obs_sink.Step} events from the pools
     of a multi-shard run are split onto per-shard Chrome threads at export
-    time. *)
+    time. It is the one recorder and the one Chrome exporter of the
+    observation layer: request spans ({!Obs_sink.Span}) are entries like
+    any other, {!Obs_span.sink} records only them, and
+    {!Obs_span.validate} checks their trees. *)
 
 type t
 
@@ -44,6 +47,12 @@ val to_chrome : t -> Obs_json.t
     reject/checkpoint/restore, and C counter tracks from
     {!Obs_sink.Occupancy} events (stacked active/masked/halted lane
     counts plus a utilization-percent series, per track/shard).
+    {!Obs_sink.Span} events render as ["span"] X events (instants when
+    [t1 = t0]) with [trace]/[span]/[parent] args, on one thread per span
+    [track] — ["tenant N"], and ["ops"] for a negative track — of each
+    recording track (prefixed with that track's name when more than one
+    recording track holds spans), numbered after every track's shard
+    threads, so they never share a thread with a superstep timeline.
     Timestamps are microseconds. *)
 
 val to_chrome_string : t -> string

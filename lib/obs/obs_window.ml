@@ -1,33 +1,32 @@
 (* Sliding windows on the simulated clock: a window of length [w] split
-   into [k] ring sub-buckets of width [w/k]. Advancing to time [t] zeros
-   every sub-bucket the clock skipped, so state is O(k) regardless of
+   into [k = 8] ring sub-buckets of width [w/k]. Advancing to time [t] zeros
+   every sub-bucket the clock skipped, so state is constant regardless of
    how sparse or dense the observations are, and everything is a pure
    function of the observation sequence — no wall time, fully
    deterministic under replay. *)
 
+let k = 8
+
 type counter = {
-  k : int;
   width : float;
   sums : float array;
   mutable epoch : int;  (* absolute sub-bucket index of the newest cell *)
 }
 
-let counter ?(buckets = 8) ~window () =
+let counter ~window () =
   if window <= 0. then invalid_arg "Obs_window.counter: window must be positive";
-  if buckets <= 0 then invalid_arg "Obs_window.counter: buckets must be positive";
-  { k = buckets; width = window /. float_of_int buckets;
-    sums = Array.make buckets 0.; epoch = 0 }
+  { width = window /. float_of_int k; sums = Array.make k 0.; epoch = 0 }
 
-let window c = c.width *. float_of_int c.k
+let window c = c.width *. float_of_int k
 
 let bucket_index c ~now =
   if now <= 0. then 0 else int_of_float (Float.floor (now /. c.width))
 
 let advance_counter c idx =
   if idx > c.epoch then begin
-    let steps = min c.k (idx - c.epoch) in
+    let steps = min k (idx - c.epoch) in
     for i = 1 to steps do
-      c.sums.((c.epoch + i) mod c.k) <- 0.
+      c.sums.((c.epoch + i) mod k) <- 0.
     done;
     c.epoch <- idx
   end
@@ -38,99 +37,10 @@ let add c ~now v =
   (* A late observation (idx < epoch) still lands in the window if its
      sub-bucket hasn't been recycled; older than that, it's dropped —
      the window has genuinely slid past it. *)
-  if idx > c.epoch - c.k then c.sums.(idx mod c.k) <- c.sums.(idx mod c.k) +. v
+  if idx > c.epoch - k then c.sums.(idx mod k) <- c.sums.(idx mod k) +. v
 
 let total c ~now =
   advance_counter c (bucket_index c ~now);
   Array.fold_left ( +. ) 0. c.sums
 
 let rate c ~now = total c ~now /. window c
-
-(* ------------------------------------------------------------------ *)
-(* Rolling histograms: the same ring, but each sub-bucket is a full
-   log-bucket histogram row (shared geometry with Obs_metrics, so
-   windowed and cumulative quantiles agree bucket-for-bucket). *)
-
-type hist = {
-  hk : int;
-  hwidth : float;
-  cells : int array array;   (* hk x Obs_metrics.n_buckets *)
-  counts : int array;
-  sums : float array;
-  mutable hepoch : int;
-}
-
-let hist ?(buckets = 8) ~window () =
-  if window <= 0. then invalid_arg "Obs_window.hist: window must be positive";
-  if buckets <= 0 then invalid_arg "Obs_window.hist: buckets must be positive";
-  {
-    hk = buckets;
-    hwidth = window /. float_of_int buckets;
-    cells = Array.init buckets (fun _ -> Array.make Obs_metrics.n_buckets 0);
-    counts = Array.make buckets 0;
-    sums = Array.make buckets 0.;
-    hepoch = 0;
-  }
-
-let hist_window h = h.hwidth *. float_of_int h.hk
-
-let hist_index h ~now =
-  if now <= 0. then 0 else int_of_float (Float.floor (now /. h.hwidth))
-
-let advance_hist h idx =
-  if idx > h.hepoch then begin
-    let steps = min h.hk (idx - h.hepoch) in
-    for i = 1 to steps do
-      let cell = (h.hepoch + i) mod h.hk in
-      Array.fill h.cells.(cell) 0 Obs_metrics.n_buckets 0;
-      h.counts.(cell) <- 0;
-      h.sums.(cell) <- 0.
-    done;
-    h.hepoch <- idx
-  end
-
-let observe h ~now v =
-  let idx = hist_index h ~now in
-  advance_hist h idx;
-  if idx > h.hepoch - h.hk then begin
-    let cell = idx mod h.hk in
-    let b = Obs_metrics.bucket_of v in
-    h.cells.(cell).(b) <- h.cells.(cell).(b) + 1;
-    h.counts.(cell) <- h.counts.(cell) + 1;
-    h.sums.(cell) <- h.sums.(cell) +. v
-  end
-
-let hist_count h ~now =
-  advance_hist h (hist_index h ~now);
-  Array.fold_left ( + ) 0 h.counts
-
-let hist_sum h ~now =
-  advance_hist h (hist_index h ~now);
-  Array.fold_left ( +. ) 0. h.sums
-
-let hist_mean h ~now =
-  let n = hist_count h ~now in
-  if n = 0 then Float.nan else hist_sum h ~now /. float_of_int n
-
-let hist_quantile h ~now q =
-  advance_hist h (hist_index h ~now);
-  let n = Array.fold_left ( + ) 0 h.counts in
-  if n = 0 then Float.nan
-  else begin
-    let q = Float.max 0. (Float.min 1. q) in
-    let target = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
-    let result = ref 0. in
-    let cum = ref 0 in
-    (try
-       for b = 0 to Obs_metrics.n_buckets - 1 do
-         for cell = 0 to h.hk - 1 do
-           cum := !cum + h.cells.(cell).(b)
-         done;
-         if !cum >= target then begin
-           result := Obs_metrics.bucket_value b;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
-  end

@@ -1,20 +1,17 @@
-(** Sliding-window rates and rolling histograms on the simulated clock.
+(** Sliding-window counters on the simulated clock.
 
-    A window of length [w] is split into a ring of [k] sub-buckets of
-    width [w/k]; advancing the clock zeros whatever the clock skipped.
-    Readouts therefore cover the last [w] simulated seconds with [w/k]
-    granularity, in O(k) state, and are pure functions of the
+    A window of length [w] is split into a ring of 8 sub-buckets of
+    width [w/8]; advancing the clock zeros whatever the clock skipped.
+    Readouts therefore cover the last [w] simulated seconds with [w/8]
+    granularity, in constant state, and are pure functions of the
     observation sequence — no wall time anywhere, so replays under the
     same seed read identically. {!Obs_slo} builds its multi-window
     burn-rate monitor on {!counter}. *)
 
-(** {1 Windowed counters} *)
-
 type counter
 
-val counter : ?buckets:int -> window:float -> unit -> counter
-(** [buckets] (the ring size [k]) defaults to 8. Raises
-    [Invalid_argument] on non-positive [window] or [buckets]. *)
+val counter : window:float -> unit -> counter
+(** Raises [Invalid_argument] on a non-positive [window]. *)
 
 val window : counter -> float
 
@@ -28,21 +25,3 @@ val total : counter -> now:float -> float
 
 val rate : counter -> now:float -> float
 (** [total / window]: events (or value units) per simulated second. *)
-
-(** {1 Rolling histograms}
-
-    The same ring discipline with a full log-bucket histogram per
-    sub-bucket, sharing {!Obs_metrics}'s bucket geometry so windowed and
-    cumulative quantiles agree bucket-for-bucket. *)
-
-type hist
-
-val hist : ?buckets:int -> window:float -> unit -> hist
-val hist_window : hist -> float
-val observe : hist -> now:float -> float -> unit
-val hist_count : hist -> now:float -> int
-val hist_sum : hist -> now:float -> float
-val hist_mean : hist -> now:float -> float  (** [nan] when empty. *)
-
-val hist_quantile : hist -> now:float -> float -> float
-(** Bucket-midpoint quantile over the window; [nan] when empty. *)

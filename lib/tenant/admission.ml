@@ -106,7 +106,7 @@ type t = {
       (* indexed by Tenant.rank; the single-queue modes use index 0 only *)
   credits : int array;
   mutable rung : int;
-  notify : (old_level:level -> new_level:level -> occupancy:float -> unit) option;
+  notify : (new_level:level -> occupancy:float -> unit) option;
 }
 
 let create ?(config = default) ?on_transition () =
@@ -161,8 +161,7 @@ let update_ladder t =
       done;
     match t.notify with
     | Some notify when t.rung <> before ->
-      notify ~old_level:(level_of_rung before) ~new_level:(level_of_rung t.rung)
-        ~occupancy:occ
+      notify ~new_level:(level_of_rung t.rung) ~occupancy:occ
     | _ -> ()
   end
 

@@ -84,11 +84,11 @@ type t
 
 val create :
   ?config:config ->
-  ?on_transition:(old_level:level -> new_level:level -> occupancy:float -> unit) ->
+  ?on_transition:(new_level:level -> occupancy:float -> unit) ->
   unit ->
   t
 (** [on_transition] fires whenever the ladder changes level, with the
-    occupancy at the transition. The callback runs inside queue
+    new level and the occupancy at the transition. The callback runs inside queue
     operations: it must not call back into this [t]. *)
 
 val level : t -> level

@@ -67,9 +67,6 @@ type t = {
   registry : Prim.registry;
   entries : (int64, entry) Hashtbl.t;
   mutable tick : int;  (* bumps on every access; LRU = smallest tick *)
-  c_hits : Obs_metrics.counter;
-  c_misses : Obs_metrics.counter;
-  c_evictions : Obs_metrics.counter;
   mutable n_hits : int;
   mutable n_misses : int;
   mutable n_evictions : int;
@@ -78,17 +75,13 @@ type t = {
   mutable span_seq : int;
 }
 
-let create ?metrics ?registry ?sink ?(clock = fun () -> 0.) ~capacity () =
+let create ?registry ?sink ?(clock = fun () -> 0.) ~capacity () =
   if capacity < 0 then invalid_arg "Prog_cache.create: negative capacity";
-  let m = match metrics with Some m -> m | None -> Obs_metrics.create ~enabled:false () in
   {
     capacity;
     registry = (match registry with Some r -> r | None -> Prim.standard ());
     entries = Hashtbl.create (Stdlib.max 16 capacity);
     tick = 0;
-    c_hits = Obs_metrics.counter m "prog_cache_hits";
-    c_misses = Obs_metrics.counter m "prog_cache_misses";
-    c_evictions = Obs_metrics.counter m "prog_cache_evictions";
     n_hits = 0; n_misses = 0; n_evictions = 0;
     sink;
     clock;
@@ -132,12 +125,10 @@ let emit_instant t name =
 let hit t e =
   touch t e;
   t.n_hits <- t.n_hits + 1;
-  Obs_metrics.incr t.c_hits;
   emit_instant t "cache-hit"
 
 let miss t =
   t.n_misses <- t.n_misses + 1;
-  Obs_metrics.incr t.c_misses;
   emit_instant t "cache-miss"
 
 let evict_lru t =
@@ -153,8 +144,7 @@ let evict_lru t =
   | None -> ()
   | Some (key, _) ->
     Hashtbl.remove t.entries key;
-    t.n_evictions <- t.n_evictions + 1;
-    Obs_metrics.incr t.c_evictions
+    t.n_evictions <- t.n_evictions + 1
 
 let insert t key compiled =
   if t.capacity > 0 then begin

@@ -33,15 +33,14 @@ val digest : ?input_shapes:Shape.t list -> Lang.program -> int64
 type t
 
 val create :
-  ?metrics:Obs_metrics.t -> ?registry:Prim.registry -> ?sink:Obs_sink.t ->
-  ?clock:(unit -> float) -> capacity:int -> unit -> t
+  ?registry:Prim.registry -> ?sink:Obs_sink.t -> ?clock:(unit -> float) ->
+  capacity:int -> unit -> t
 (** An empty cache holding at most [capacity] compiled programs
     (capacity 0 disables caching: every lookup compiles and nothing is
     retained). All compilations share [registry] (default
     [Prim.standard ()]), so same-digest requests share RNG seeding and
-    primitive identity. Hit/miss/evict counters are registered in
-    [metrics] as ["prog_cache_hits"], ["prog_cache_misses"],
-    ["prog_cache_evictions"]. With a [sink], every lookup additionally
+    primitive identity. {!hits}, {!misses} and {!evictions} count the
+    lookups. With a [sink], every lookup additionally
     emits a zero-width [Obs_sink.Span] instant (["cache-hit"],
     ["cache-miss"], ["compile"]) on {!Obs_span.cache_trace}, stamped
     from [clock] (the owner's simulated clock; defaults to a constant

@@ -1001,7 +1001,7 @@ let create ?config ?on_complete src =
   let self = ref None in
   let adm =
     Admission.create ~config:cfg.admission
-      ~on_transition:(fun ~old_level:_ ~new_level ~occupancy ->
+      ~on_transition:(fun ~new_level ~occupancy ->
         match !self with
         | Some t ->
           emit t

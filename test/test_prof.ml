@@ -99,76 +99,6 @@ let test_tag_shard_rewrites_occupancy () =
     ()
   | _ -> Alcotest.fail "tag_shard should rewrite Step and Occupancy shards only"
 
-(* ---------- metrics: merge and raw-bucket export ---------- *)
-
-let test_metrics_merge () =
-  let a = Obs_metrics.create () and b = Obs_metrics.create () in
-  Obs_metrics.incr ~by:3 (Obs_metrics.counter a "c");
-  Obs_metrics.incr ~by:4 (Obs_metrics.counter b "c");
-  Obs_metrics.incr ~by:7 (Obs_metrics.counter b "only_b");
-  Obs_metrics.set (Obs_metrics.gauge a "g") 1.5;
-  Obs_metrics.set (Obs_metrics.gauge b "g") 2.;
-  let ha = Obs_metrics.histogram a "h" and hb = Obs_metrics.histogram b "h" in
-  List.iter (Obs_metrics.observe ha) [ 0.1; 0.2 ];
-  List.iter (Obs_metrics.observe hb) [ 0.4; 0.05 ];
-  Obs_metrics.merge ~into:a b;
-  Alcotest.(check int) "counters add" 7 (Obs_metrics.count (Obs_metrics.counter a "c"));
-  Alcotest.(check int) "missing counter created" 7
-    (Obs_metrics.count (Obs_metrics.counter a "only_b"));
-  Alcotest.(check (float 0.)) "gauges sum" 3.5
-    (Obs_metrics.value (Obs_metrics.gauge a "g"));
-  Alcotest.(check int) "histogram count" 4 (Obs_metrics.hist_count ha);
-  Alcotest.(check (float 1e-12)) "histogram sum" 0.75 (Obs_metrics.hist_sum ha);
-  Alcotest.(check (float 0.)) "histogram min" 0.05 (Obs_metrics.hist_min ha);
-  Alcotest.(check (float 0.)) "histogram max" 0.4 (Obs_metrics.hist_max ha);
-  (* The source is untouched. *)
-  Alcotest.(check int) "src counter unchanged" 4
-    (Obs_metrics.count (Obs_metrics.counter b "c"));
-  Alcotest.(check int) "src histogram unchanged" 2 (Obs_metrics.hist_count hb);
-  (* A disabled target absorbs nothing. *)
-  let dead = Obs_metrics.create ~enabled:false () in
-  Obs_metrics.merge ~into:dead b;
-  Alcotest.(check int) "disabled target stays dead" 0
-    (Obs_metrics.count (Obs_metrics.counter dead "c"))
-
-let test_hist_buckets_json () =
-  let m = Obs_metrics.create () in
-  let h = Obs_metrics.histogram m "h" in
-  List.iter (Obs_metrics.observe h) [ 0.; 0.25; 0.25; 1.0 ];
-  (match Obs_metrics.hist_to_json h with
-  | Obs_json.Obj fields ->
-    Alcotest.(check bool) "no buckets by default" false
-      (List.mem_assoc "buckets" fields)
-  | _ -> Alcotest.fail "hist_to_json should be an object");
-  match Obs_metrics.hist_to_json ~buckets:true h with
-  | Obs_json.Obj fields -> (
-    match List.assoc_opt "buckets" fields with
-    | Some (Obs_json.List rows) ->
-      (* Only occupied buckets, and their counts cover every observation. *)
-      let count row =
-        match Obs_json.member "count" row with
-        | Some (Obs_json.Int n) -> n
-        | _ -> Alcotest.fail "bucket row missing count"
-      in
-      let num k row =
-        match Obs_json.member k row with
-        | Some (Obs_json.Float x) -> x
-        | Some (Obs_json.Int n) -> float_of_int n
-        | _ -> Alcotest.failf "bucket row missing %s" k
-      in
-      Alcotest.(check int) "bucket counts sum to total" 4
-        (List.fold_left (fun acc r -> acc + count r) 0 rows);
-      List.iter
-        (fun r ->
-          Alcotest.(check bool) "occupied" true (count r > 0);
-          Alcotest.(check bool) "lo <= hi" true (num "lo" r <= num "hi" r))
-        rows;
-      (* The zero observation lands in the degenerate [0, 0] bucket. *)
-      Alcotest.(check bool) "zero bucket present" true
-        (List.exists (fun r -> num "lo" r = 0. && num "hi" r = 0.) rows)
-    | _ -> Alcotest.fail "buckets field missing")
-  | _ -> Alcotest.fail "hist_to_json should be an object"
-
 (* ---------- Occupancy invariant on every runtime ---------- *)
 
 (* 0 <= active <= live <= total, on every event, from every runtime. *)
@@ -639,11 +569,6 @@ let test_folded_golden () =
     (Obs_prof.divergence_waste p);
   Alcotest.(check (float 1e-12)) "idle waste" (8. /. 24.)
     (Obs_prof.idle_waste p);
-  let m = Obs_prof.metrics p in
-  Alcotest.(check int) "superstep counter" 3
-    (Obs_metrics.count (Obs_metrics.counter m "supersteps"));
-  Alcotest.(check int) "block launch counter" 4
-    (Obs_metrics.count (Obs_metrics.counter m "block_launches"));
   Result.iter_error Alcotest.fail
     (Golden.check ~path:"folded_golden.txt" (Obs_prof.folded p))
 
@@ -700,8 +625,6 @@ let suites =
       [
         t "event tags distinct and stable" `Quick test_kind_names_distinct;
         t "tag_shard rewrites occupancy" `Quick test_tag_shard_rewrites_occupancy;
-        t "metrics merge" `Quick test_metrics_merge;
-        t "histogram raw buckets json" `Quick test_hist_buckets_json;
         t "occupancy invariant pc" `Quick test_occupancy_invariant_pc;
         t "occupancy invariant local" `Quick test_occupancy_invariant_local;
         t "occupancy invariant shard" `Quick test_occupancy_invariant_shard;
@@ -712,9 +635,9 @@ let suites =
         t "derived prim and stack counts" `Quick test_derived_counts;
         QCheck_alcotest.to_alcotest prop_derived_counts_exact;
         t "grad host rows = useful lanes" `Quick test_grad_rows_pinned;
-        t "figure 6 utilization pinned" `Quick test_figure6_util_pinned;
         t "conservation pc" `Quick test_conservation_pc;
         t "conservation shard" `Quick test_conservation_shard;
+        t "figure 6 utilization pinned" `Quick test_figure6_util_pinned;
         t "conservation local" `Quick test_conservation_local;
         t "profiler off/on pc" `Quick test_prof_off_on_pc;
         t "profiler off/on local" `Quick test_prof_off_on_local;

@@ -1,71 +1,111 @@
-(* The request-scoped tracing layer: span recording and tree validation
-   (Obs_span), sliding-window counters and rolling histograms
-   (Obs_window), the multi-window burn-rate monitor (Obs_slo), wall-clock
-   probes (Obs_wall), and a QCheck round-trip fuzzer for the JSON layer
+(* The request-scoped tracing layer: span recording into Obs_trace and
+   tree validation (Obs_span), sliding-window counters (Obs_window), the
+   multi-window burn-rate monitor (Obs_slo), wall-clock probes
+   (Obs_wall), and a QCheck round-trip fuzzer for the JSON layer
    everything exports through. The end-to-end invariants — spans cost
    zero simulated time, every completion gets exactly one tree — are
-   gated by `bench obs2`; this file covers the unit contracts. *)
+   gated by `bench observe`; this file covers the unit contracts. *)
 
 let span ?(trace = 0) ?(track = 0) ~id ?(parent = Obs_span.no_parent) ~name t0
     t1 =
-  {
-    Obs_span.sp_trace = trace;
-    sp_id = id;
-    sp_parent = parent;
-    sp_track = track;
-    sp_name = name;
-    sp_t0 = t0;
-    sp_t1 = t1;
-  }
+  Obs_sink.Span { trace; span = id; parent; track; name; t0; t1 }
+
+(* A trace fed through the span-only sink, and readers over its spans. *)
+let recorder ?limit () =
+  let t = Obs_trace.create ?limit () in
+  (t, Obs_span.sink t)
+
+let span_names t =
+  List.filter_map
+    (fun (e : Obs_trace.entry) ->
+      match e.ev with Obs_sink.Span { name; _ } -> Some name | _ -> None)
+    (Obs_trace.entries t)
+
+let count_named t name = List.length (List.filter (String.equal name) (span_names t))
+
+(* The Chrome export of [t], re-parsed: its events, and the name of
+   every thread that carries an event of category [cat]. *)
+let chrome_threads t ~cat =
+  let path = Filename.temp_file "autobatch-span" ".json" in
+  Obs_trace.write t ~path;
+  let contents = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let evs =
+    match Obs_json.of_string contents with
+    | Error e -> Alcotest.failf "chrome export unparseable: %s" e
+    | Ok doc -> (
+      match Obs_json.member "traceEvents" doc with
+      | Some (Obs_json.List evs) -> evs
+      | _ -> Alcotest.fail "no traceEvents array")
+  in
+  let str k ev = match Obs_json.member k ev with Some (Obs_json.Str s) -> s | _ -> "" in
+  let tid ev = match Obs_json.member "tid" ev with Some (Obs_json.Int n) -> n | _ -> -1 in
+  let names =
+    List.filter_map
+      (fun ev ->
+        if str "ph" ev = "M" then
+          match Obs_json.member "args" ev with
+          | Some args -> Some (tid ev, str "name" args)
+          | None -> None
+        else None)
+      evs
+  in
+  let threads =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun ev -> if str "cat" ev = cat then List.assoc_opt (tid ev) names else None)
+         evs)
+  in
+  (evs, threads)
 
 (* ---------- Obs_span ---------- *)
 
 let test_span_tree_well_formed () =
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 0. 10.);
-  Obs_span.record t (span ~id:1 ~parent:0 ~name:"queue" 0. 4.);
-  Obs_span.record t (span ~id:2 ~parent:0 ~name:"service" 4. 10.);
-  Obs_span.record t (span ~id:3 ~parent:2 ~name:"preempted" 5. 7.);
+  let t, record = recorder () in
+  record (span ~id:0 ~name:"request" 0. 10.);
+  record (span ~id:1 ~parent:0 ~name:"queue" 0. 4.);
+  record (span ~id:2 ~parent:0 ~name:"service" 4. 10.);
+  record (span ~id:3 ~parent:2 ~name:"preempted" 5. 7.);
   let st = Obs_span.validate t in
   Alcotest.(check int) "one trace" 1 st.Obs_span.traces;
   Alcotest.(check int) "well formed" 1 st.Obs_span.well_formed;
   Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed t);
-  Alcotest.(check int) "count request" 1 (Obs_span.count_named t "request");
-  Alcotest.(check int) "count preempted" 1 (Obs_span.count_named t "preempted");
-  Alcotest.(check int) "length" 4 (Obs_span.length t)
+  Alcotest.(check int) "count request" 1 (count_named t "request");
+  Alcotest.(check int) "count preempted" 1 (count_named t "preempted");
+  Alcotest.(check int) "length" 4 (List.length (Obs_trace.entries t))
 
 let test_span_tree_violations () =
   (* Orphan parent reference. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 0. 10.);
-  Obs_span.record t (span ~id:1 ~parent:99 ~name:"lost" 1. 2.);
+  let t, record = recorder () in
+  record (span ~id:0 ~name:"request" 0. 10.);
+  record (span ~id:1 ~parent:99 ~name:"lost" 1. 2.);
   let st = Obs_span.validate t in
   Alcotest.(check int) "orphans" 1 st.Obs_span.orphans;
   Alcotest.(check bool) "not well formed" false (Obs_span.all_well_formed t);
   (* Two roots in one request trace. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"a" 0. 5.);
-  Obs_span.record t (span ~id:1 ~name:"b" 5. 9.);
+  let t, record = recorder () in
+  record (span ~id:0 ~name:"a" 0. 5.);
+  record (span ~id:1 ~name:"b" 5. 9.);
   let st = Obs_span.validate t in
   Alcotest.(check int) "multi root" 1 st.Obs_span.multi_root;
   (* Child escapes its parent's interval. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 2. 5.);
-  Obs_span.record t (span ~id:1 ~parent:0 ~name:"early" 0. 4.);
+  let t, record = recorder () in
+  record (span ~id:0 ~name:"request" 2. 5.);
+  record (span ~id:1 ~parent:0 ~name:"early" 0. 4.);
   let st = Obs_span.validate t in
   Alcotest.(check int) "nest violation" 1 st.Obs_span.nest_violations;
   (* Inverted interval. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 5. 1.);
+  let t, record = recorder () in
+  record (span ~id:0 ~name:"request" 5. 1.);
   let st = Obs_span.validate t in
   Alcotest.(check int) "inverted" 1 st.Obs_span.inverted
 
 let test_span_ops_trace_exempt () =
   (* Negative traces are operational streams: many roots, no tree rule. *)
-  let t = Obs_span.create () in
+  let t, record = recorder () in
   for i = 0 to 4 do
     let at = float_of_int i in
-    Obs_span.record t
+    record
       (span ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:i
          ~name:"checkpoint" at at)
   done;
@@ -74,45 +114,77 @@ let test_span_ops_trace_exempt () =
   Alcotest.(check bool) "well formed" true (Obs_span.all_well_formed t)
 
 let test_span_sink_and_limit () =
-  let t = Obs_span.create ~limit:2 () in
-  let sink = Obs_span.sink t in
+  let t, sink = recorder ~limit:2 () in
   for i = 0 to 3 do
-    sink
-      (Obs_sink.Span
-         {
-           trace = i;
-           span = 0;
-           parent = Obs_span.no_parent;
-           track = 0;
-           name = "request";
-           t0 = 0.;
-           t1 = 1.;
-         })
+    sink (span ~trace:i ~id:0 ~name:"request" 0. 1.)
   done;
   (* Non-span events are ignored, not recorded. *)
   sink (Obs_sink.Ladder { level = "normal"; occupancy = 0.1; at = 0. });
-  Alcotest.(check int) "kept up to limit" 2 (Obs_span.length t);
-  Alcotest.(check int) "dropped counted" 2 (Obs_span.dropped t)
+  Alcotest.(check int) "kept up to limit" 2 (List.length (Obs_trace.entries t));
+  Alcotest.(check int) "dropped counted" 2 (Obs_trace.dropped t)
 
 let test_span_chrome_roundtrip () =
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~track:3 ~name:"request" 0. 10.);
-  Obs_span.record t (span ~id:1 ~parent:0 ~track:3 ~name:"service" 2. 10.);
-  Obs_span.record t
+  let t, record = recorder () in
+  record (span ~id:0 ~track:3 ~name:"request" 0. 10.);
+  record (span ~id:1 ~parent:0 ~track:3 ~name:"service" 2. 10.);
+  record
     (span ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:2
        ~name:"restore" 4. 4.);
-  let path = Filename.temp_file "autobatch-span" ".json" in
-  Obs_span.write t ~path;
-  let contents = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
-  match Obs_json.of_string contents with
-  | Error e -> Alcotest.failf "chrome export unparseable: %s" e
-  | Ok doc -> (
-    match Obs_json.member "traceEvents" doc with
-    | Some (Obs_json.List evs) ->
-      (* 2 "X" spans + 1 instant + thread-name metadata records. *)
-      Alcotest.(check bool) "has events" true (List.length evs >= 3)
-    | _ -> Alcotest.fail "no traceEvents array")
+  let evs, threads = chrome_threads t ~cat:"span" in
+  (* 2 "X" spans + 1 instant + thread-name metadata records. *)
+  Alcotest.(check bool) "has events" true (List.length evs >= 3);
+  Alcotest.(check (list string)) "one thread per track" [ "ops"; "tenant 3" ] threads;
+  (* Two recording tracks holding spans (the arms of a sweep, each on its
+     own simulated clock) keep apart, named after their track. *)
+  let t = Obs_trace.create () in
+  List.iter
+    (fun arm ->
+      let track = Obs_trace.track t arm in
+      Obs_trace.record t ~track ~ts:0. (span ~id:0 ~name:"request" 0. 1.))
+    [ "open"; "closed" ];
+  let _, threads = chrome_threads t ~cat:"span" in
+  Alcotest.(check (list string)) "one thread per arm and track"
+    [ "closed tenant 0"; "open tenant 0" ] threads
+
+let test_span_mixed_trace () =
+  (* One trace takes the whole stream: supersteps on two shards,
+     occupancy, a launch, two tenants' request trees, ops and cache
+     instants. The validator reads only the span trees, and the export
+     gives the spans their own threads, one per tenant plus ops. *)
+  let t = Obs_trace.create () in
+  let vm = Obs_trace.track t "vm" in
+  let now = ref 0. in
+  let sink = Obs_trace.sink t ~track:vm ~clock:(fun () -> !now) in
+  let step shard step block =
+    sink (Obs_sink.Step { shard; step; block });
+    sink
+      (Obs_sink.Occupancy
+         { shard; step; block; active = 2; live = 3; total = 4; width = 4; depth = 1 })
+  in
+  step 0 1 0;
+  sink (Obs_sink.Launched { kind = Obs_sink.Fused_block; name = "block 0"; t0 = 0.; t1 = 1. });
+  sink (span ~trace:0 ~track:2 ~id:0 ~name:"request" 0. 6.);
+  sink (span ~trace:0 ~track:2 ~id:1 ~parent:0 ~name:"service" 1. 6.);
+  now := 1.;
+  step 1 1 1;
+  sink (span ~trace:1 ~track:5 ~id:0 ~name:"request" 1. 8.);
+  sink (span ~trace:1 ~track:5 ~id:1 ~parent:0 ~name:"queue" 1. 3.);
+  sink
+    (span ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:0
+       ~name:"checkpoint" 2. 2.);
+  sink
+    (span ~trace:Obs_span.cache_trace ~track:Obs_span.ops_track ~id:0
+       ~name:"cache-hit" 2. 2.);
+  let st = Obs_span.validate t in
+  Alcotest.(check int) "request traces only" 2 st.Obs_span.traces;
+  Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed t);
+  Alcotest.(check int) "spans among entries" 6 (List.length (span_names t));
+  let _, span_threads = chrome_threads t ~cat:"span" in
+  Alcotest.(check (list string)) "one thread per tenant plus ops"
+    [ "ops"; "tenant 2"; "tenant 5" ] span_threads;
+  let _, step_threads = chrome_threads t ~cat:"superstep" in
+  Alcotest.(check (list string)) "superstep threads per shard"
+    [ "vm"; "vm/shard1" ] step_threads
 
 let test_span_server_integration () =
   (* A small tenant trace run bare and observed: attaching the recorder
@@ -123,8 +195,8 @@ let test_span_server_integration () =
       ~baseline:false ?sink ()
   in
   let bare = run None in
-  let recorder = Obs_span.create () in
-  let observed = run (Some (Obs_span.sink recorder)) in
+  let recorder, sink = recorder () in
+  let observed = run (Some sink) in
   let stats (r : Tenant_load.result) =
     r.Tenant_load.fair.Tenant_load.stats
   in
@@ -144,14 +216,14 @@ let test_span_server_integration () =
   let n_done = List.length (stats observed).Tenant_server.completions in
   Alcotest.(check bool) "completions exist" true (n_done > 0);
   Alcotest.(check int) "one tree per completion" n_done
-    (Obs_span.count_named recorder "request");
+    (count_named recorder "request");
   Alcotest.(check bool) "trees well formed" true
     (Obs_span.all_well_formed recorder)
 
 (* ---------- Obs_window ---------- *)
 
 let test_window_counter () =
-  let c = Obs_window.counter ~buckets:10 ~window:10. () in
+  let c = Obs_window.counter ~window:10. () in
   for i = 0 to 4 do
     Obs_window.add c ~now:(float_of_int i) 1.
   done;
@@ -165,21 +237,6 @@ let test_window_counter () =
   Obs_window.add c ~now:50. 7.;
   Alcotest.(check (float 1e-9)) "stale add dropped" 3.
     (Obs_window.total c ~now:100.)
-
-let test_window_hist () =
-  let h = Obs_window.hist ~buckets:10 ~window:10. () in
-  List.iter
-    (fun (t, v) -> Obs_window.observe h ~now:t v)
-    [ (0., 0.010); (1., 0.020); (2., 0.030); (3., 0.040); (4., 0.050) ];
-  Alcotest.(check int) "count" 5 (Obs_window.hist_count h ~now:4.);
-  Alcotest.(check (float 1e-9)) "sum" 0.15 (Obs_window.hist_sum h ~now:4.);
-  Alcotest.(check (float 1e-9)) "mean" 0.03 (Obs_window.hist_mean h ~now:4.);
-  let p50 = Obs_window.hist_quantile h ~now:4. 0.5 in
-  Alcotest.(check bool) "p50 within range" true (p50 >= 0.010 && p50 <= 0.050);
-  (* Slide past everything: the window forgets. *)
-  Alcotest.(check int) "count after slide" 0 (Obs_window.hist_count h ~now:50.);
-  Alcotest.(check bool) "quantile empty is nan" true
-    (Float.is_nan (Obs_window.hist_quantile h ~now:50. 0.5))
 
 (* ---------- Obs_slo ---------- *)
 
@@ -213,7 +270,6 @@ let test_slo_fire_and_resolve () =
       (a.Obs_slo.a_burn_fast >= 2. && a.Obs_slo.a_burn_slow >= 2.)
   | alerts -> Alcotest.failf "expected one fire edge, got %d" (List.length alerts));
   Alcotest.(check bool) "firing" true (Obs_slo.firing t ~cls:"lat");
-  Alcotest.(check bool) "any firing" true (Obs_slo.any_firing t);
   (* Steady state: the edge is not re-reported. *)
   Alcotest.(check int) "no repeat" 0 (List.length (Obs_slo.poll t ~now:4.5));
   (* Recovery: the bad window ages out entirely, burns drop under half
@@ -434,13 +490,14 @@ let suites =
         Alcotest.test_case "ops trace exempt" `Quick test_span_ops_trace_exempt;
         Alcotest.test_case "sink and limit" `Quick test_span_sink_and_limit;
         Alcotest.test_case "chrome round-trip" `Quick test_span_chrome_roundtrip;
+        Alcotest.test_case "mixed trace: trees and span threads" `Quick
+          test_span_mixed_trace;
         Alcotest.test_case "server integration" `Quick
           test_span_server_integration;
       ] );
     ( "window",
       [
         Alcotest.test_case "sliding counter" `Quick test_window_counter;
-        Alcotest.test_case "rolling histogram" `Quick test_window_hist;
       ] );
     ( "slo",
       [
