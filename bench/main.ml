@@ -1163,7 +1163,7 @@ let run_observe ?seed () =
     (Printf.sprintf "%d traces, %d well-formed" tree.Obs_span.traces
        tree.Obs_span.well_formed)
     "one per completion, all well-formed"
-    (Obs_span.all_well_formed tr
+    (Obs_span.all_well_formed tree
     && tree.Obs_span.traces = n_done
     && named "request" = n_done
     && Obs_trace.dropped tr = 0);
@@ -1215,14 +1215,14 @@ let run_observe ?seed () =
                "fib z=32 and NUTS-on-gaussian z=16 under the pc VM, and the \
                 20k-request bursty Zipf trace (fair arm only, one injected \
                 device kill), each run bare and with every observer fanned \
-                out (trace, profiler and metrics; spans and an SLO monitor on \
-                the tenant trace); adversarial and uniform 2k traces for the \
-                burn-rate monitor" );
+                out (trace and profiler; on the tenant trace the spans ride in \
+                the same trace, plus an SLO monitor); adversarial and uniform \
+                2k traces for the burn-rate monitor" );
            ( "note",
              Obs_json.Str
                "the stage fails unless every observed run is bitwise \
-                identical to its bare run (simulated clock included), the \
-                traces and the Perfetto span export re-parse, profiler \
+                identical to its bare run (simulated clock included), each \
+                trace's one Chrome export (spans included) re-parses, profiler \
                 attribution sums to the engine clock within 1e-9 relative \
                 with non-empty folded stacks, every completion has a \
                 well-formed span tree, preempt/migrate/restore spans are \

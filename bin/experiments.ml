@@ -778,35 +778,39 @@ let tenants_cmd =
         ?sink:(Option.map Obs_span.sink recorder)
         ()
     in
-    let span_fields =
+    (* One validation and one entry count serve both outputs. *)
+    let spans =
       match (trace, recorder) with
       | Some path, Some rec_ ->
         Obs_trace.write rec_ ~path;
+        Some (path, rec_, List.length (Obs_trace.entries rec_), Obs_span.validate rec_)
+      | _ -> None
+    in
+    let span_fields =
+      match spans with
+      | Some (path, rec_, recorded, stats) ->
         [
           ( "spans",
             Obs_json.Obj
               [
                 ("path", Obs_json.Str path);
-                ("recorded", Obs_json.Int (List.length (Obs_trace.entries rec_)));
+                ("recorded", Obs_json.Int recorded);
                 ("dropped", Obs_json.Int (Obs_trace.dropped rec_));
-                ("trees", Obs_span.stats_to_json (Obs_span.validate rec_));
+                ("trees", Obs_span.stats_to_json stats);
               ] );
         ]
-      | _ -> []
+      | None -> []
     in
     report ~name:"tenants" ~json
       ~human:(fun () ->
         Tenant_load.print_table r;
-        match (trace, recorder) with
-        | Some path, Some rec_ ->
-          let stats = Obs_span.validate rec_ in
-          Printf.printf "trace: %d spans, %d request trees (%s) -> %s\n"
-            (List.length (Obs_trace.entries rec_))
+        match spans with
+        | Some (path, _, recorded, stats) ->
+          Printf.printf "trace: %d spans, %d request trees (%s) -> %s\n" recorded
             stats.Obs_span.traces
-            (if Obs_span.all_well_formed rec_ then "all well-formed"
-             else "MALFORMED")
+            (if Obs_span.all_well_formed stats then "all well-formed" else "MALFORMED")
             path
-        | _ -> ())
+        | None -> ())
       (("stats", Tenant_load.to_json r) :: span_fields);
     if r.Tenant_load.mismatches > 0 then exit 1
   in

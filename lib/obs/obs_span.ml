@@ -92,8 +92,7 @@ let validate tr =
     inverted = !inverted;
   }
 
-let all_well_formed tr =
-  let s = validate tr in
+let all_well_formed s =
   s.traces = s.well_formed && s.inverted = 0
 
 let stats_to_json s =

@@ -58,8 +58,8 @@ type tree_stats = {
 
 val validate : Obs_trace.t -> tree_stats
 
-val all_well_formed : Obs_trace.t -> bool
-(** Every request trace is a single properly-nested tree and no span is
-    inverted. *)
+val all_well_formed : tree_stats -> bool
+(** Every request trace {!validate} saw is a single properly-nested tree
+    and no span is inverted. *)
 
 val stats_to_json : tree_stats -> Obs_json.t

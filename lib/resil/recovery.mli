@@ -3,11 +3,13 @@
     Each [run_*] below executes a workload under a fault {!Fault.injector}
     while checkpointing every [interval] supersteps through {!Snapshot}
     (a genuine serialization round trip: every restore {e decodes} the
-    stored blob). Because all state the execution depends on — stacks,
-    storage, scheduler cursors, RNG counters, engine tallies — lives in
-    the checkpoint, a faulted-and-recovered run produces output bitwise
-    identical to the fault-free run, and its engine state reports true
-    cumulative cost from time zero.
+    stored blob). A checkpoint is each pool's {!Pc_vm.Lanes.image} — the
+    state of every occupied lane (pc column, variable rows and stack
+    frames, RNG member identity; RNG counters live in variables), the
+    scheduler cursor and the step count — plus the engine tallies. That
+    is all the state the execution depends on, so a faulted-and-recovered
+    run produces output bitwise identical to the fault-free run, and its
+    engine state reports true cumulative cost from time zero.
 
     [interval = 0] (the default) keeps only the initial checkpoint:
     a fault restarts the run from the beginning. Checkpoint cost is

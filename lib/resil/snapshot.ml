@@ -1,8 +1,9 @@
 let magic = "ABRESIL1"
 
 (* Version 2 added the trace context (ri_trace/ri_parent) to request
-   images; version 3 dropped the instrument section of pc checkpoints. *)
-let version = 3
+   images; version 3 dropped the instrument section of pc checkpoints;
+   version 4 stores a lane pool as its occupied lanes' states. *)
+let version = 4
 
 (* ---- Envelope -------------------------------------------------------- *)
 
@@ -52,107 +53,98 @@ let decode ~kind blob read =
     Codec.corrupt "%d undecoded payload bytes" (Codec.remaining pr);
   x
 
-let save_file path blob =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc blob)
-
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ---- Sections -------------------------------------------------------- *)
 
 let w_shape b (s : Shape.t) = Codec.w_int_array b s
 let r_shape r : Shape.t = Codec.r_int_array r
 
-let w_stacked b (img : Stacked.image) =
-  Codec.w_int b img.Stacked.i_z;
-  w_shape b img.Stacked.i_elem;
-  Codec.w_int_array b img.Stacked.i_sp;
-  Codec.w_float_array b img.Stacked.i_frames;
-  Codec.w_float_array b img.Stacked.i_top
+let class_tag = function Var_class.Temp -> 0 | Var_class.Masked -> 1 | Var_class.Stacked -> 2
 
-let r_stacked r : Stacked.image =
-  let i_z = Codec.r_int r in
-  let i_elem = r_shape r in
-  let i_sp = Codec.r_int_array r in
-  let i_frames = Codec.r_float_array r in
-  let i_top = Codec.r_float_array r in
-  { Stacked.i_z; i_elem; i_sp; i_frames; i_top }
+let w_lane_var b (lv : Pc_vm.Lanes.lane_var) =
+  Codec.w_string b lv.Pc_vm.Lanes.lv_name;
+  Codec.w_int b (class_tag lv.Pc_vm.Lanes.lv_class);
+  w_shape b lv.Pc_vm.Lanes.lv_elem
 
-let w_pc b (img : Vm_image.pc) =
-  Codec.w_int b img.Vm_image.pc_cap;
-  Codec.w_int_array b img.Vm_image.pc_data;
-  Codec.w_int_array b img.Vm_image.pc_sp;
-  Codec.w_int_array b img.Vm_image.pc_top
+let r_lane_var r : Pc_vm.Lanes.lane_var =
+  let lv_name = Codec.r_string r in
+  let lv_class =
+    match Codec.r_int r with
+    | 0 -> Var_class.Temp
+    | 1 -> Var_class.Masked
+    | 2 -> Var_class.Stacked
+    | n -> Codec.corrupt "variable %s: unknown storage class tag %d" lv_name n
+  in
+  { Pc_vm.Lanes.lv_name; lv_class; lv_elem = r_shape r }
 
-let r_pc r : Vm_image.pc =
-  let pc_cap = Codec.r_int r in
-  let pc_data = Codec.r_int_array r in
-  let pc_sp = Codec.r_int_array r in
-  let pc_top = Codec.r_int_array r in
-  { Vm_image.pc_cap; pc_data; pc_sp; pc_top }
+(* A lane state carries no names, shapes or lengths: the pool's variable
+   list, written once, fixes how many floats its rows and each stacked
+   column's frames and top hold. *)
+let w_floats b a = Array.iter (Codec.w_float b) a
 
-let w_storage b = function
-  | Vm_image.Reg (shape, data) ->
-    Codec.w_int b 0;
-    w_shape b shape;
-    Codec.w_float_array b data
-  | Vm_image.Msk (shape, data) ->
-    Codec.w_int b 1;
-    w_shape b shape;
-    Codec.w_float_array b data
-  | Vm_image.Stk img ->
-    Codec.w_int b 2;
-    w_stacked b img
+let r_floats r n =
+  if Codec.remaining r < 8 * n then Codec.corrupt "truncated lane at byte %d" r.Codec.pos;
+  Array.init n (fun _ -> Codec.r_float r)
 
-let r_storage r =
-  match Codec.r_int r with
-  | 0 ->
-    let shape = r_shape r in
-    Vm_image.Reg (shape, Codec.r_float_array r)
-  | 1 ->
-    let shape = r_shape r in
-    Vm_image.Msk (shape, Codec.r_float_array r)
-  | 2 -> Vm_image.Stk (r_stacked r)
-  | n -> Codec.corrupt "unknown storage class tag %d" n
+let w_lane_state vars b (st : Pc_vm.Lanes.lane_state) =
+  if st.Pc_vm.Lanes.ls_vars != vars && st.Pc_vm.Lanes.ls_vars <> vars then
+    invalid_arg "Snapshot.w_lane_state: variables disagree with the pool";
+  Codec.w_int b st.Pc_vm.Lanes.ls_member;
+  Codec.w_int_array b st.Pc_vm.Lanes.ls_pc.Pc_vm.Pc_stack.pl_stack;
+  Codec.w_int b st.Pc_vm.Lanes.ls_pc.Pc_vm.Pc_stack.pl_top;
+  w_floats b st.Pc_vm.Lanes.ls_rows;
+  Array.iter
+    (fun l ->
+      Codec.w_int b l.Stacked.l_sp;
+      w_floats b l.Stacked.l_frames;
+      w_floats b l.Stacked.l_top)
+    st.Pc_vm.Lanes.ls_stacks
 
-let w_store b (store : Vm_image.store) =
-  Codec.w_list
-    (fun b (v, s) ->
-      Codec.w_string b v;
-      w_storage b s)
-    b store
-
-let r_store r : Vm_image.store =
-  Codec.r_list
-    (fun r ->
-      let v = Codec.r_string r in
-      (v, r_storage r))
-    r
+let r_lane_state vars r : Pc_vm.Lanes.lane_state =
+  let ls_member = Codec.r_int r in
+  let pl_stack = Codec.r_int_array r in
+  let pl_top = Codec.r_int r in
+  let is_stacked (lv : Pc_vm.Lanes.lane_var) = lv.Pc_vm.Lanes.lv_class = Var_class.Stacked in
+  let width =
+    Array.fold_left
+      (fun n lv -> if is_stacked lv then n else n + Shape.numel lv.Pc_vm.Lanes.lv_elem)
+      0 vars
+  in
+  let ls_rows = r_floats r width in
+  let column (lv : Pc_vm.Lanes.lane_var) =
+    let row = Shape.numel lv.Pc_vm.Lanes.lv_elem in
+    let l_sp = Codec.r_int r in
+    if l_sp < 0 || (row > 0 && l_sp > Codec.remaining r / (8 * row)) then
+      Codec.corrupt "variable %s: implausible stack depth %d" lv.Pc_vm.Lanes.lv_name l_sp;
+    let l_frames = r_floats r (l_sp * row) in
+    { Stacked.l_elem = lv.Pc_vm.Lanes.lv_elem; l_sp; l_frames; l_top = r_floats r row }
+  in
+  let ls_stacks = Array.map column (Array.of_list (List.filter is_stacked (Array.to_list vars))) in
+  {
+    Pc_vm.Lanes.ls_member;
+    ls_pc = { Pc_vm.Pc_stack.pl_stack; pl_top };
+    ls_vars = vars;
+    ls_rows;
+    ls_stacks;
+  }
 
 let w_lanes b (img : Pc_vm.Lanes.image) =
-  Codec.w_int b img.Pc_vm.Lanes.li_z;
+  let vars = img.Pc_vm.Lanes.li_vars in
   Codec.w_int b img.Pc_vm.Lanes.li_steps;
   Codec.w_int b img.Pc_vm.Lanes.li_last;
   Codec.w_int_array b img.Pc_vm.Lanes.li_members;
-  Codec.w_bool_array b img.Pc_vm.Lanes.li_occupied;
-  w_pc b img.Pc_vm.Lanes.li_pc;
-  w_store b img.Pc_vm.Lanes.li_store
+  Codec.w_list w_lane_var b (Array.to_list vars);
+  Array.iter (Codec.w_option (w_lane_state vars) b) img.Pc_vm.Lanes.li_lanes
 
 let r_lanes r : Pc_vm.Lanes.image =
-  let li_z = Codec.r_int r in
   let li_steps = Codec.r_int r in
   let li_last = Codec.r_int r in
   let li_members = Codec.r_int_array r in
-  let li_occupied = Codec.r_bool_array r in
-  let li_pc = r_pc r in
-  let li_store = r_store r in
-  { Pc_vm.Lanes.li_z; li_steps; li_last; li_members; li_occupied; li_pc; li_store }
+  let li_vars = Array.of_list (Codec.r_list r_lane_var r) in
+  let li_lanes =
+    Array.init (Array.length li_members) (fun _ ->
+        Codec.r_option (r_lane_state li_vars) r)
+  in
+  { Pc_vm.Lanes.li_steps; li_last; li_members; li_vars; li_lanes }
 
 let w_counters b (c : Engine.Counters.t) =
   Codec.w_int b c.Engine.Counters.kernel_launches;

@@ -5,7 +5,8 @@
     {v magic | version | kind | payload | fnv1a-64 checksum v}
 
     around a typed payload built from the runtimes' plain-data images
-    ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Engine.snapshot}). Decoding
+    ({!Pc_vm.Lanes.image}, {!Engine.snapshot}); a lane pool travels as
+    its occupied lanes' states ({!w_lane_state}). Decoding
     verifies the checksum before trusting a single length field and
     rejects wrong magic, unknown versions, mismatched kinds, truncation,
     and trailing bytes with a descriptive {!Codec.Corrupt}. Floats travel
@@ -13,6 +14,8 @@
     the captured one — the foundation of deterministic replay. *)
 
 val version : int
+(** 4: a pool is its lane states. Blobs of any other version (3 wrote a
+    pool's whole storage) are {!Codec.Corrupt}. *)
 
 val encode : kind:string -> (Buffer.t -> unit) -> string
 (** Wrap a payload writer in the envelope. *)
@@ -22,13 +25,6 @@ val decode : kind:string -> string -> (Codec.reader -> 'a) -> 'a
     {!Codec.Corrupt} on any integrity or format violation, including
     payload bytes left undecoded. *)
 
-val save_file : string -> string -> unit
-(** [save_file path blob] writes the blob atomically enough for a
-    single-writer checkpoint (binary mode, closed on error). *)
-
-val load_file : string -> string
-(** Read a whole snapshot file (binary mode). *)
-
 (** {1 Section codecs}
 
     Exposed so composite snapshots (and tests) can reuse them. Each
@@ -36,15 +32,23 @@ val load_file : string -> string
 
 val w_shape : Buffer.t -> Shape.t -> unit
 val r_shape : Codec.reader -> Shape.t
-val w_stacked : Buffer.t -> Stacked.image -> unit
-val r_stacked : Codec.reader -> Stacked.image
-val w_pc : Buffer.t -> Vm_image.pc -> unit
-val r_pc : Codec.reader -> Vm_image.pc
-val w_storage : Buffer.t -> Vm_image.storage -> unit
-val r_storage : Codec.reader -> Vm_image.storage
-val w_store : Buffer.t -> Vm_image.store -> unit
-val r_store : Codec.reader -> Vm_image.store
+
+val w_lane_state :
+  Pc_vm.Lanes.lane_var array -> Buffer.t -> Pc_vm.Lanes.lane_state -> unit
+(** [w_lane_state vars] writes one lane of a pool whose allocated
+    variables are [vars] (the image's [li_vars]): member, pc column, the
+    rows, and each stacked column's depth, frames and top — no names,
+    shapes or lengths, which [vars] fixes. Raises [Invalid_argument] if
+    the lane's variables are not [vars]. *)
+
+val r_lane_state : Pc_vm.Lanes.lane_var array -> Codec.reader -> Pc_vm.Lanes.lane_state
+(** The inverse, given the same [vars] (which the decoded lane shares);
+    a truncated lane or an impossible stack depth is {!Codec.Corrupt}. *)
+
 val w_lanes : Buffer.t -> Pc_vm.Lanes.image -> unit
+(** The pool-level fields, the variable list once (name, storage class,
+    element shape), then one optional {!w_lane_state} per lane. *)
+
 val r_lanes : Codec.reader -> Pc_vm.Lanes.image
 val w_counters : Buffer.t -> Engine.Counters.t -> unit
 val r_counters : Codec.reader -> Engine.Counters.t

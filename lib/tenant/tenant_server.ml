@@ -264,13 +264,12 @@ let live_lanes t =
 
 (* ---------- checkpoints and recovery ---------- *)
 
-let ckpt_bytes t b =
-  let total = ref 64. in
-  for lane = 0 to t.cfg.lanes_per_shard - 1 do
-    if Pc_vm.Lanes.occupied b.b_lanes ~lane then
-      total := !total +. Pc_vm.Lanes.lane_bytes b.b_lanes ~lane
-  done;
-  !total
+let ckpt_bytes (img : Pc_vm.Lanes.image) =
+  Array.fold_left
+    (fun total -> function
+      | Some st -> total +. Pc_vm.Lanes.lane_state_bytes st
+      | None -> total)
+    64. img.Pc_vm.Lanes.li_lanes
 
 let capture_ckpt s b =
   {
@@ -328,7 +327,9 @@ let do_checkpoint t s b =
   (* Only a sink reads the size: without one, skip the lane walk. *)
   match t.cfg.sink with
   | Some sink ->
-    sink (Obs_sink.Checkpoint { step = t.round; bytes = int_of_float (ckpt_bytes t b) })
+    sink
+      (Obs_sink.Checkpoint
+         { step = t.round; bytes = int_of_float (ckpt_bytes b.b_ckpt.k_image) })
   | None -> ()
 
 let restore_shard t s b =

@@ -85,13 +85,12 @@ module Pc_stack = struct
 
   (* One member's pc column: stack entries below sp (bottom first, the
      halt sentinel included) plus the cached top. *)
-  type lane = { pl_sp : int; pl_stack : int array; pl_top : int }
+  type lane = { pl_stack : int array; pl_top : int }
 
   let capture_lane t ~lane =
     if lane < 0 || lane >= t.z then
       invalid_arg "Pc_stack.capture_lane: lane out of range";
     {
-      pl_sp = t.sp.(lane);
       pl_stack = Array.init t.sp.(lane) (fun d -> t.data.((d * t.z) + lane));
       pl_top = t.top.(lane);
     }
@@ -99,30 +98,13 @@ module Pc_stack = struct
   let restore_lane t ~lane l =
     if lane < 0 || lane >= t.z then
       invalid_arg "Pc_stack.restore_lane: lane out of range";
-    while l.pl_sp > t.cap do
+    let sp = Array.length l.pl_stack in
+    while sp > t.cap do
       grow t
     done;
-    t.sp.(lane) <- l.pl_sp;
+    t.sp.(lane) <- sp;
     Array.iteri (fun d v -> t.data.((d * t.z) + lane) <- v) l.pl_stack;
     t.top.(lane) <- l.pl_top
-
-  let capture t =
-    {
-      Vm_image.pc_cap = t.cap;
-      pc_data = Array.copy t.data;
-      pc_sp = Array.copy t.sp;
-      pc_top = Array.copy t.top;
-    }
-
-  let restore t (img : Vm_image.pc) =
-    if Array.length img.Vm_image.pc_sp <> t.z then
-      invalid_arg "Pc_stack.restore: batch size mismatch";
-    if Array.length img.Vm_image.pc_data <> img.Vm_image.pc_cap * t.z then
-      invalid_arg "Pc_stack.restore: pc data length disagrees with capacity";
-    t.cap <- img.Vm_image.pc_cap;
-    t.data <- Array.copy img.Vm_image.pc_data;
-    Array.blit img.Vm_image.pc_sp 0 t.sp 0 t.z;
-    Array.blit img.Vm_image.pc_top 0 t.top 0 t.z
 end
 
 (* One variable's storage. A slot stays [None] until its first write
@@ -221,6 +203,12 @@ let resolve names reg ~z (b : Stack_ir.block) =
    engine charge depends only on shapes, so it is priced into an
    [Engine.priced] handle on the block's first execution and reused. *)
 module Lanes = struct
+  type lane_var = { lv_name : string; lv_class : Var_class.t; lv_elem : Shape.t }
+
+  (* What a lane state copies out of an allocated variable: a register's
+     or masked variable's data and row width, or a stack. *)
+  type column = Row of float array * int | Column of Stacked.t
+
   type t = {
     config : config;
     p : Stack_ir.program;
@@ -245,6 +233,9 @@ module Lanes = struct
     tables : Sched_policy.tables option;  (* for the table-driven policies *)
     mutable last : int;
     mutable steps : int;
+    (* The allocated variables as lane states describe and read them,
+       built on the first export after a slot is allocated. *)
+    mutable layout : (lane_var array * column array) option;
   }
 
   let slot t v = slot_of t.names v
@@ -257,6 +248,7 @@ module Lanes = struct
       | Var_class.Stacked -> Stk (Stacked.create ~z:t.z ~elem ~initial_depth ())
     in
     t.slots.(k) <- Some s;
+    t.layout <- None;
     s
 
   (* The slot's storage, allocated with element shape [elem] if empty. *)
@@ -501,6 +493,7 @@ module Lanes = struct
            else None);
         last = -1;
         steps = 0;
+        layout = None;
       }
     in
     Ir_util.Smap.iter (fun v elem -> ignore (allocate t (slot t v) elem)) p.Stack_ir.shapes;
@@ -536,21 +529,13 @@ module Lanes = struct
     done;
     !acc
 
-  (* The allocated variables, sorted by name. *)
-  let allocated t =
-    let acc = ref [] in
-    for k = Array.length t.slots - 1 downto 0 do
-      Option.iter (fun s -> acc := (t.names.(k), s) :: !acc) t.slots.(k)
-    done;
-    !acc
-
   (* Restore one lane of every allocated variable a block can read before
      writing to the all-zeros state a fresh VM would give it. Variables
      allocated on demand *after* this point start zeroed anyway, so a
      recycled lane is indistinguishable from lane [lane] of a brand-new
      VM. Registers ([Var_class.Temp]) are skipped: each block writes one
      before reading it, so no lane ever reads a register row it inherited
-     (their stale rows appear only in whole-storage images). *)
+     (an exported lane state still carries its stale rows). *)
   let reset_lane_storage t ~lane =
     Array.iter
       (function
@@ -631,16 +616,67 @@ module Lanes = struct
      and importing it into any free lane of any pool running the same
      program continues the member's trajectory bitwise-exactly. *)
 
-  type var_lane =
-    | Lane_reg of Shape.t * float array
-    | Lane_msk of Shape.t * float array
-    | Lane_stk of Stacked.lane
-
   type lane_state = {
     ls_member : int;
     ls_pc : Pc_stack.lane;
-    ls_vars : (string * var_lane) list;  (* sorted by name *)
+    ls_vars : lane_var array;  (* sorted by name; the pool's [layout] *)
+    ls_rows : float array;  (* register and masked rows, in [ls_vars] order *)
+    ls_stacks : Stacked.lane array;  (* stacked columns, in [ls_vars] order *)
   }
+
+  (* The allocated variables, in slot (name) order. *)
+  let layout t =
+    match t.layout with
+    | Some l -> l
+    | None ->
+      let alloc = ref [] in
+      for k = Array.length t.slots - 1 downto 0 do
+        Option.iter (fun s -> alloc := (k, s) :: !alloc) t.slots.(k)
+      done;
+      let alloc = Array.of_list !alloc in
+      let var (k, s) =
+        let lv_class =
+          match s with
+          | Reg _ -> Var_class.Temp
+          | Msk _ -> Var_class.Masked
+          | Stk _ -> Var_class.Stacked
+        in
+        { lv_name = t.names.(k); lv_class; lv_elem = storage_elem s }
+      in
+      let column (_, s) =
+        match s with
+        | Reg r | Msk r -> Row (Tensor.data r, Tensor.numel r / t.z)
+        | Stk s -> Column s
+      in
+      let l = (Array.map var alloc, Array.map column alloc) in
+      t.layout <- Some l;
+      l
+
+  (* A lane is a few flat arrays, not a record per variable: a checkpoint
+     holds every occupied lane, and its blocks are what a capture
+     allocates and the collector later copies. *)
+  let lane_state t lane =
+    let vars, cols = layout t in
+    let width = Array.fold_left (fun n -> function Row (_, w) -> n + w | Column _ -> n) 0 cols in
+    let rows = Array.create_float width and pos = ref 0 and stacks = ref [] in
+    Array.iter
+      (function
+        | Row (d, 1) ->
+          (* A scalar row: an assignment beats [Array.blit]'s call. *)
+          rows.(!pos) <- d.(lane);
+          incr pos
+        | Row (d, w) ->
+          Array.blit d (lane * w) rows !pos w;
+          pos := !pos + w
+        | Column s -> stacks := Stacked.capture_lane s lane :: !stacks)
+      cols;
+    {
+      ls_member = t.members.(lane);
+      ls_pc = Pc_stack.capture_lane t.pc ~lane;
+      ls_vars = vars;
+      ls_rows = rows;
+      ls_stacks = Array.of_list (List.rev !stacks);
+    }
 
   let export_lane t ~lane =
     if lane < 0 || lane >= t.z then
@@ -648,25 +684,7 @@ module Lanes = struct
     if not t.occupied.(lane) then
       invalid_arg
         (Printf.sprintf "Pc_vm.Lanes.export_lane: lane %d is idle" lane);
-    let row_of r =
-      let row = Tensor.row_numel r in
-      (Vm_util.elem_shape_of_batched r, Array.sub (Tensor.data r) (lane * row) row)
-    in
-    let vars =
-      List.map
-        (fun (v, s) ->
-          ( v,
-            match s with
-            | Reg r -> let e, d = row_of r in Lane_reg (e, d)
-            | Msk r -> let e, d = row_of r in Lane_msk (e, d)
-            | Stk s -> Lane_stk (Stacked.capture_lane s lane) ))
-        (allocated t)
-    in
-    {
-      ls_member = t.members.(lane);
-      ls_pc = Pc_stack.capture_lane t.pc ~lane;
-      ls_vars = vars;
-    }
+    lane_state t lane
 
   let evict t ~lane =
     if lane < 0 || lane >= t.z then
@@ -686,29 +704,24 @@ module Lanes = struct
     (* Variables the source pool never allocated are implicitly zero for
        this member; resetting first makes the destination agree. *)
     reset_lane_storage t ~lane;
-    List.iter
-      (fun (v, vl) ->
-        let class_err () =
+    let pos = ref 0 and next_stack = ref 0 in
+    Array.iter
+      (fun lv ->
+        let fail what =
           invalid_arg
-            (Printf.sprintf
-               "Pc_vm.Lanes.import_lane: variable %s changes storage class" v)
+            (Printf.sprintf "Pc_vm.Lanes.import_lane: variable %s %s" lv.lv_name what)
         in
-        let k = slot t v in
-        match vl with
-        | Lane_reg (elem, data) | Lane_msk (elem, data) -> (
-          match materialize t k elem with
-          | Reg r | Msk r ->
-            let row = Tensor.row_numel r in
-            if Array.length data <> row then
-              invalid_arg
-                (Printf.sprintf
-                   "Pc_vm.Lanes.import_lane: variable %s row width mismatch" v);
-            Array.blit data 0 (Tensor.data r) (lane * row) row
-          | Stk _ -> class_err ())
-        | Lane_stk l -> (
-          match materialize t k l.Stacked.l_elem with
-          | Stk s -> Stacked.restore_lane s lane l
-          | Reg _ | Msk _ -> class_err ()))
+        match (materialize t (slot t lv.lv_name) lv.lv_elem, lv.lv_class) with
+        | (Reg r, Var_class.Temp | Msk r, Var_class.Masked) ->
+          let row = Tensor.numel r / t.z in
+          if row <> Shape.numel lv.lv_elem || !pos + row > Array.length st.ls_rows then
+            fail "row width mismatch";
+          Array.blit st.ls_rows !pos (Tensor.data r) (lane * row) row;
+          pos := !pos + row
+        | Stk s, Var_class.Stacked ->
+          Stacked.restore_lane s lane st.ls_stacks.(!next_stack);
+          incr next_stack
+        | _ -> fail "changes storage class")
       st.ls_vars;
     Pc_stack.restore_lane t.pc ~lane st.ls_pc;
     t.members.(lane) <- st.ls_member;
@@ -716,33 +729,13 @@ module Lanes = struct
 
   let lane_state_bytes st =
     let var_elems =
-      List.fold_left
-        (fun acc (_, vl) ->
-          acc
-          + (match vl with
-            | Lane_reg (_, d) | Lane_msk (_, d) -> Array.length d
-            | Lane_stk l ->
-              Array.length l.Stacked.l_frames + Array.length l.Stacked.l_top))
-        0 st.ls_vars
+      Array.fold_left
+        (fun acc l -> acc + Array.length l.Stacked.l_frames + Array.length l.Stacked.l_top)
+        (Array.length st.ls_rows) st.ls_stacks
     in
     (* pc entries price like elements: sp saved slots plus the top. *)
-    Vm_util.bytes_per_elem *. float_of_int (var_elems + st.ls_pc.Pc_stack.pl_sp + 1)
-
-  (* [lane_state_bytes (export_lane t ~lane)] without the copy: the same
-     element count, read off the live storage. *)
-  let lane_bytes t ~lane =
-    if lane < 0 || lane >= t.z then
-      invalid_arg "Pc_vm.Lanes.lane_bytes: lane out of range";
-    if not t.occupied.(lane) then
-      invalid_arg (Printf.sprintf "Pc_vm.Lanes.lane_bytes: lane %d is idle" lane);
-    let elems = ref (t.pc.Pc_stack.sp.(lane) + 1) in
-    Array.iter
-      (function
-        | None -> ()
-        | Some (Reg r | Msk r) -> elems := !elems + Tensor.row_numel r
-        | Some (Stk s) -> elems := !elems + ((Stacked.depth s lane + 1) * Stacked.row s))
-      t.slots;
-    Vm_util.bytes_per_elem *. float_of_int !elems
+    Vm_util.bytes_per_elem
+    *. float_of_int (var_elems + Array.length st.ls_pc.Pc_stack.pl_stack + 1)
 
   let migrate t ~src ~dst =
     if src = dst then invalid_arg "Pc_vm.Lanes.migrate: src and dst coincide";
@@ -754,65 +747,46 @@ module Lanes = struct
   let outputs t = List.map (fun v -> Tensor.copy (read t v)) t.p.Stack_ir.outputs
 
   type image = {
-    li_z : int;
     li_steps : int;
     li_last : int;
     li_members : int array;
-    li_occupied : bool array;
-    li_pc : Vm_image.pc;
-    li_store : Vm_image.store;
+    li_vars : lane_var array;  (* every lane state's [ls_vars] *)
+    li_lanes : lane_state option array;
   }
 
   let capture t =
-    let store =
-      List.map
-        (fun (v, s) ->
-          ( v,
-            match s with
-            | Reg r ->
-              Vm_image.Reg (Array.copy (Tensor.shape r), Array.copy (Tensor.data r))
-            | Msk r ->
-              Vm_image.Msk (Array.copy (Tensor.shape r), Array.copy (Tensor.data r))
-            | Stk s -> Vm_image.Stk (Stacked.capture s) ))
-        (allocated t)
-    in
     {
-      li_z = t.z;
       li_steps = t.steps;
       li_last = t.last;
       li_members = Array.copy t.members;
-      li_occupied = Array.copy t.occupied;
-      li_pc = Pc_stack.capture t.pc;
-      li_store = store;
+      li_vars = fst (layout t);
+      li_lanes =
+        Array.init t.z (fun lane ->
+            if t.occupied.(lane) then Some (lane_state t lane) else None);
     }
 
   let restore t img =
-    if img.li_z <> t.z then invalid_arg "Pc_vm.Lanes.restore: batch size mismatch";
+    if Array.length img.li_members <> t.z || Array.length img.li_lanes <> t.z then
+      invalid_arg "Pc_vm.Lanes.restore: batch size mismatch";
     t.steps <- img.li_steps;
     t.last <- img.li_last;
-    Array.blit img.li_members 0 t.members 0 t.z;
-    Array.blit img.li_occupied 0 t.occupied 0 t.z;
-    Pc_stack.restore t.pc img.li_pc;
     (* Rebuild the store from the image alone: a variable first allocated
        after the capture must disappear, or its stale masked rows would
        leak into lanes the image knows nothing about. *)
     Array.fill t.slots 0 (Array.length t.slots) None;
+    t.layout <- None;
     Array.iter
       (fun b -> Array.iter (function Prim p -> p.inputs <- None | _ -> ()) b.ops)
       t.blocks;
-    List.iter
-      (fun (v, s) ->
-        let s =
-          match s with
-          | Vm_image.Reg (shape, data) -> Reg (Tensor.of_array shape data)
-          | Vm_image.Msk (shape, data) -> Msk (Tensor.of_array shape data)
-          | Vm_image.Stk simg ->
-            let s = Stacked.create ~z:t.z ~elem:simg.Stacked.i_elem ~initial_depth () in
-            Stacked.restore s simg;
-            Stk s
-        in
-        t.slots.(slot t v) <- Some s)
-      img.li_store
+    Array.iter (fun lv -> ignore (allocate t (slot t lv.lv_name) lv.lv_elem)) img.li_vars;
+    Array.fill t.occupied 0 t.z false;
+    Array.iteri
+      (fun lane -> function
+        | Some st -> import_lane t ~lane st
+        | None ->
+          t.members.(lane) <- img.li_members.(lane);
+          Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:t.halt)
+      img.li_lanes
 
   (* Report superstep [t.steps], about to run block [i] with [live] lanes
      live: its Step event, then its Occupancy. Kept out of [step], whose

@@ -103,23 +103,16 @@ module Pc_stack : sig
   (** Re-seed one member's pc stack as [create] would: sentinel [bottom]
       below, executing from [start]. Other members are untouched. *)
 
-  (** One member's pc column (saved entries bottom-first plus the cached
-      top), for the lane-migration seam. *)
-  type lane = { pl_sp : int; pl_stack : int array; pl_top : int }
+  (** One member's pc column, for the lane seam: the saved entries
+      below its stack pointer, bottom first (so the pointer is the array's
+      length), plus the cached top. *)
+  type lane = { pl_stack : int array; pl_top : int }
 
   val capture_lane : t -> lane:int -> lane
 
   val restore_lane : t -> lane:int -> lane -> unit
   (** Overwrite one member's pc column; capacity grows as needed, other
       members untouched. *)
-
-  val capture : t -> Vm_image.pc
-  (** Full depth-major checkpoint (data, stack pointers, cached tops). *)
-
-  val restore : t -> Vm_image.pc -> unit
-  (** Overwrite the stack with a captured image. Raises [Invalid_argument]
-      if the member count disagrees or the image is internally
-      inconsistent. *)
 end
 
 (** The steppable lane pool behind {!run} and every serving and
@@ -141,7 +134,7 @@ end
     stacked variable to the all-zero fresh-VM state and re-seeds its pc
     stack. Registers ([Var_class.Temp]) keep their stale rows: every
     block writes a register before reading it, so no lane reads an
-    inherited register row, and only a whole-pool [capture] shows them.
+    inherited register row, and only an exported lane state shows them.
     A request served in any lane of any mix of neighbours is therefore
     bitwise identical to running it alone with [member_base] equal to
     its member. *)
@@ -199,26 +192,34 @@ module Lanes : sig
   val member : t -> lane:int -> int
   (** The lane's global RNG member identity (meaningful while occupied). *)
 
-  (** {2 The lane-migration seam (DESIGN.md S20)}
+  (** {2 The lane seam (DESIGN.md S15, S20)}
 
-      A lane's complete execution state: member identity, pc column, and
-      one row of every allocated variable. Batched primitives are
-      row-wise and the RNG keys on the member identity carried here —
-      never on the lane index — so a lane state imported into any free
-      lane of any pool running the same program continues the member's
-      trajectory bitwise-exactly, under any scheduling policy. The
-      defragmenting runtime ({!Sched_vm}) and the migration fuzzer are
-      the two clients. *)
+      A lane's complete execution state — Algorithm 2's column of one
+      batch member: member identity, pc column, and one row of every
+      allocated variable. Batched primitives are row-wise and the RNG
+      keys on the member identity carried here — never on the lane
+      index — so a lane state imported into any free lane of any pool
+      running the same program continues the member's trajectory
+      bitwise-exactly, under any scheduling policy. It is the VM's one
+      lane-state format: migrations ({!Sched_vm}), serving preemption and
+      drain, and pool checkpoints ({!image}) all move lanes as this
+      record. *)
 
-  type var_lane =
-    | Lane_reg of Shape.t * float array  (** element shape, one row *)
-    | Lane_msk of Shape.t * float array
-    | Lane_stk of Stacked.lane
+  (** One allocated variable as a lane state holds it: its storage class
+      decides whether its row lives in [ls_rows] ([Temp], [Masked]) or
+      its column in [ls_stacks] ([Stacked]). *)
+  type lane_var = { lv_name : string; lv_class : Var_class.t; lv_elem : Shape.t }
 
   type lane_state = {
     ls_member : int;
     ls_pc : Pc_stack.lane;
-    ls_vars : (string * var_lane) list;  (** sorted by name *)
+    ls_vars : lane_var array;
+        (** the source pool's allocated variables, sorted by name; every
+            lane state a pool exports shares one array until the pool
+            next allocates a variable *)
+    ls_rows : float array;
+        (** the register and masked rows, concatenated in [ls_vars] order *)
+    ls_stacks : Stacked.lane array;  (** the stacked columns, in [ls_vars] order *)
   }
 
   val export_lane : t -> lane:int -> lane_state
@@ -237,12 +238,9 @@ module Lanes : sig
       state disagrees with the pool's program. *)
 
   val lane_state_bytes : lane_state -> float
-  (** Payload size of a migration, for transfer pricing. *)
-
-  val lane_bytes : t -> lane:int -> float
-  (** [lane_state_bytes (export_lane t ~lane)], computed from the pool's
-      storage without copying the lane out. Raises [Invalid_argument]
-      unless the lane is occupied. *)
+  (** Payload size of a migration or of one lane of a checkpoint, for
+      transfer pricing: 8 bytes per element of every variable row and
+      stacked frame, and per pc entry. *)
 
   val migrate : t -> src:int -> dst:int -> float
   (** [export_lane src; evict src; import_lane dst] within one pool;
@@ -252,30 +250,35 @@ module Lanes : sig
   (** The full-width output tensors (leading batch dimension), freshly
       copied — what {!val:run} returns after the pool drains. *)
 
-  (** Plain-data checkpoint of a lane pool: step count, scheduler cursor,
-      lane occupancy and member identities, the pc stack, and every
-      allocated variable (sorted by name, so images of equal states are
-      structurally equal). Together with the engine snapshot
-      this is the VM's complete execution state: a pool restored from an
-      image replays bitwise identically to the original. *)
+  (** Plain-data checkpoint of a lane pool: the pool-level fields (step
+      count, scheduler cursor, every lane's member identity, and the
+      allocated variables with their storage classes and element shapes,
+      sorted by name) plus the {!export_lane} state of each occupied lane
+      — idle lanes, their register rows and dead pc-stack entries are not
+      stored. Together
+      with the engine snapshot this is the VM's complete execution state:
+      a pool restored from an image replays bitwise identically to the
+      original, and images of equal states are structurally equal. *)
   type image = {
-    li_z : int;
     li_steps : int;
-    li_last : int;              (** scheduler cursor (Round_robin uses it) *)
-    li_members : int array;
-    li_occupied : bool array;
-    li_pc : Vm_image.pc;
-    li_store : Vm_image.store;
+    li_last : int;                       (** scheduler cursor (Round_robin uses it) *)
+    li_members : int array;              (** every lane's member identity *)
+    li_vars : lane_var array;            (** allocated variables; every lane's [ls_vars] *)
+    li_lanes : lane_state option array;  (** [Some] exactly for occupied lanes *)
   }
 
   val capture : t -> image
+  (** {!export_lane} over the occupied lanes, plus the pool-level fields. *)
 
   val restore : t -> image -> unit
   (** Overwrite the pool's state with the image. The store is rebuilt from
-      the image alone — variables first allocated after the capture
-      disappear, exactly as if execution had never passed the capture
-      point. Raises [Invalid_argument] on lane-count mismatch. [t] must
-      run the same program the image was captured from. *)
+      the image alone: every image variable is allocated zeroed, each
+      captured lane is {!import_lane}d, and every other lane is freed
+      with its member identity from the image — variables first
+      allocated after the capture disappear, exactly as if execution had
+      never passed the capture point. Raises [Invalid_argument] on
+      lane-count mismatch. [t] must run the same program the image was
+      captured from. *)
 end
 
 val run :

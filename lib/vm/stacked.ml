@@ -103,7 +103,7 @@ let capture_lane t b =
     Array.blit t.data (slot t d b) frames (d * t.row) t.row
   done;
   {
-    l_elem = Array.copy t.elem;
+    l_elem = t.elem;
     l_sp = t.sp.(b);
     l_frames = frames;
     l_top = Array.sub (Tensor.data t.top) (b * t.row) t.row;
@@ -121,51 +121,3 @@ let restore_lane t b lane =
     Array.blit lane.l_frames (d * t.row) t.data (slot t d b) t.row
   done;
   Array.blit lane.l_top 0 (Tensor.data t.top) (b * t.row) t.row
-
-type image = {
-  i_z : int;
-  i_elem : Shape.t;
-  i_sp : int array;
-  i_frames : float array;
-  i_top : float array;
-}
-
-(* Only the live frames are captured: member [b]'s saved rows d = 0..sp(b)-1,
-   concatenated member-major. Rows above sp are dead (pops never read them),
-   so dropping them keeps snapshots compact without losing bitwise fidelity
-   of any future execution. *)
-let capture t =
-  let total = Array.fold_left ( + ) 0 t.sp in
-  let frames = Array.make (total * t.row) 0. in
-  let k = ref 0 in
-  for b = 0 to t.z - 1 do
-    for d = 0 to t.sp.(b) - 1 do
-      Array.blit t.data (slot t d b) frames (!k * t.row) t.row;
-      incr k
-    done
-  done;
-  {
-    i_z = t.z;
-    i_elem = Array.copy t.elem;
-    i_sp = Array.copy t.sp;
-    i_frames = frames;
-    i_top = Array.sub (Tensor.data t.top) 0 (t.z * t.row);
-  }
-
-let restore t img =
-  if img.i_z <> t.z then invalid_arg "Stacked.restore: batch size mismatch";
-  if not (Shape.equal img.i_elem t.elem) then
-    invalid_arg "Stacked.restore: element shape mismatch";
-  let need = Array.fold_left max 1 img.i_sp in
-  while need > t.cap do
-    grow t
-  done;
-  Array.blit img.i_sp 0 t.sp 0 t.z;
-  let k = ref 0 in
-  for b = 0 to t.z - 1 do
-    for d = 0 to t.sp.(b) - 1 do
-      Array.blit img.i_frames (!k * t.row) t.data (slot t d b) t.row;
-      incr k
-    done
-  done;
-  Array.blit img.i_top 0 (Tensor.data t.top) 0 (t.z * t.row)

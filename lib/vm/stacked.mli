@@ -65,8 +65,8 @@ val capacity : t -> int
     stack pointer (bottom first) plus its cached top row. This is all a
     member's future pops can observe, so moving a lane between batch
     slots (or pools) through capture/restore preserves its execution
-    bitwise. The lane-migration seam ({!Pc_vm.Lanes.export_lane}) is
-    built on this. *)
+    bitwise. The lane seam ({!Pc_vm.Lanes.export_lane}), and with it
+    every pool checkpoint, is built on this. *)
 type lane = {
   l_elem : Shape.t;
   l_sp : int;
@@ -80,23 +80,3 @@ val restore_lane : t -> int -> lane -> unit
 (** Overwrite one member's column with a captured lane; capacity grows as
     needed, other members are untouched. Raises [Invalid_argument] if the
     lane index is out of range or the element shape disagrees. *)
-
-(** Plain-data checkpoint of a stack: only the live frames (member [b]'s
-    saved rows below [sp b], member-major) plus the cached top. Transparent
-    so a serialization layer ([lib/resil]) can encode it without reaching
-    into the stack's internals. *)
-type image = {
-  i_z : int;
-  i_elem : Shape.t;
-  i_sp : int array;
-  i_frames : float array;  (** live saved frames, member-major *)
-  i_top : float array;     (** the cached top, [z × row] *)
-}
-
-val capture : t -> image
-
-val restore : t -> image -> unit
-(** Overwrite [t]'s stacks and top with the image; capacity grows as
-    needed. Every future push/pop/read sequence is then bitwise identical
-    to one started from the captured stack. Raises [Invalid_argument] if
-    [z] or the element shape disagree. *)

@@ -184,38 +184,61 @@ let test_envelope_rejects_retired_kind () =
   let lanes =
     Pc_vm.Lanes.create compiled.Autobatch.registry compiled.Autobatch.stack ~z:2
   in
-  let img = Pc_vm.Lanes.capture lanes in
   let blob =
     Snapshot.encode ~kind:"pc-jit-checkpoint" (fun buf ->
-        Codec.w_int buf img.Pc_vm.Lanes.li_z;
-        Codec.w_int buf img.Pc_vm.Lanes.li_steps;
-        Codec.w_int buf img.Pc_vm.Lanes.li_last;
-        Snapshot.w_pc buf img.Pc_vm.Lanes.li_pc;
-        Snapshot.w_store buf img.Pc_vm.Lanes.li_store;
+        Snapshot.w_lanes buf (Pc_vm.Lanes.capture lanes);
         Codec.w_option Snapshot.w_engine buf None)
   in
   expect_corrupt "pc-jit-checkpoint blob" (fun () -> Snapshot.decode_pc blob)
 
+(* A pc checkpoint envelope as an older version wrote it: magic, the
+   given version, kind, payload, checksum. *)
+let old_pc_envelope ~version write =
+  let payload = Buffer.create 256 in
+  write payload;
+  let b = Buffer.create 512 in
+  Buffer.add_string b (String.sub (sample_blob ()) 0 8) (* the magic *);
+  Codec.w_int b version;
+  Codec.w_string b "pc-vm-checkpoint";
+  Codec.w_string b (Buffer.contents payload);
+  Codec.w_i64 b (Codec.fnv1a64 (Buffer.contents b));
+  Buffer.contents b
+
 (* Version 3 dropped the instrument section of pc checkpoints: a
-   version-2 blob — envelope and payload exactly as that format wrote
-   them, with its empty instrument option — is refused, not misread. *)
+   version-2 blob — a pool payload, the engine option and its empty
+   instrument option — is refused, not misread. *)
 let test_envelope_rejects_v2_pc () =
   let compiled = Lazy.force fib_compiled in
   let lanes =
     Pc_vm.Lanes.create compiled.Autobatch.registry compiled.Autobatch.stack ~z:2
   in
-  let payload = Buffer.create 256 in
-  Snapshot.w_lanes payload (Pc_vm.Lanes.capture lanes);
-  Codec.w_option Snapshot.w_engine payload None;
-  Codec.w_int payload 0 (* the instrument option: None *);
-  let b = Buffer.create 512 in
-  Buffer.add_string b (String.sub (sample_blob ()) 0 8) (* the magic *);
-  Codec.w_int b 2;
-  Codec.w_string b "pc-vm-checkpoint";
-  Codec.w_string b (Buffer.contents payload);
-  Codec.w_i64 b (Codec.fnv1a64 (Buffer.contents b));
-  expect_corrupt "version-2 pc checkpoint" (fun () ->
-      Snapshot.decode_pc (Buffer.contents b))
+  let blob =
+    old_pc_envelope ~version:2 (fun payload ->
+        Snapshot.w_lanes payload (Pc_vm.Lanes.capture lanes);
+        Codec.w_option Snapshot.w_engine payload None;
+        Codec.w_int payload 0 (* the instrument option: None *))
+  in
+  expect_corrupt "version-2 pc checkpoint" (fun () -> Snapshot.decode_pc blob)
+
+(* Version 4 stores a pool as its occupied lanes' states. A version-3
+   blob — the whole-storage format, byte for byte as it wrote an idle
+   two-lane pool with no variable allocated yet — is refused. *)
+let test_envelope_rejects_v3_pc () =
+  let blob =
+    old_pc_envelope ~version:3 (fun payload ->
+        Codec.w_int payload 2 (* lanes *);
+        Codec.w_int payload 0 (* steps *);
+        Codec.w_int payload (-1) (* scheduler cursor *);
+        Codec.w_int_array payload [| 0; 1 |] (* members *);
+        Codec.w_bool_array payload [| false; false |] (* occupancy *);
+        Codec.w_int payload 4 (* pc capacity *);
+        Codec.w_int_array payload (Array.make 8 0) (* pc data, cap × z *);
+        Codec.w_int_array payload [| 1; 1 |] (* pc stack pointers *);
+        Codec.w_int_array payload [| 0; 0 |] (* pc tops *);
+        Codec.w_list (fun _ () -> ()) payload [] (* the whole-storage store *);
+        Codec.w_option Snapshot.w_engine payload None)
+  in
+  expect_corrupt "version-3 pc checkpoint" (fun () -> Snapshot.decode_pc blob)
 
 (* The request server's checkpoint kind is retired with it (the serving
    runtime checkpoints in memory): such a blob decodes as nothing. *)
@@ -224,31 +247,62 @@ let test_envelope_rejects_retired_server_kind () =
   expect_corrupt "server-checkpoint blob as pc" (fun () -> Snapshot.decode_pc blob);
   expect_corrupt "server-checkpoint blob as shards" (fun () -> Snapshot.decode_shards blob)
 
-let test_file_roundtrip () =
-  let blob = sample_blob () in
-  let path = Filename.temp_file "abresil" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Snapshot.save_file path blob;
-      Alcotest.(check string) "file round trip" blob (Snapshot.load_file path))
-
 (* ---------- image round trips through the codec ---------- *)
 
-let test_stacked_image_roundtrip () =
-  let s = Stacked.create ~z:4 ~elem:[| 2 |] () in
-  let active = [| 0; 2; 3 |] and n = 3 in
-  Stacked.push s ~active ~n;
-  Stacked.write_top s ~active ~n
-    (Tensor.init [| 4; 2 |] (fun i -> float_of_int (i.(0) + i.(1))));
-  Stacked.push s ~active:[| 0 |] ~n:1;
-  let img = Stacked.capture s in
-  let buf = Buffer.create 128 in
-  Snapshot.w_stacked buf img;
-  let r = Codec.reader (Buffer.contents buf) in
-  let img' = Snapshot.r_stacked r in
-  Alcotest.(check int) "stacked fully consumed" 0 (Codec.remaining r);
-  Alcotest.(check bool) "stacked image round trip" true (img = img')
+(* Every occupied lane of a mid-run pool round-trips through the lane
+   codec, given the pool's variable list; a truncated lane or a negative
+   stack depth is corrupt, and a lane whose variables are not the list is
+   refused. *)
+let test_lane_state_roundtrip () =
+  let compiled = Lazy.force fib_compiled in
+  let z = 4 in
+  let lanes = Pc_vm.Lanes.create compiled.Autobatch.registry compiled.Autobatch.stack ~z in
+  let batch = fib_batch z in
+  for lane = 0 to z - 1 do
+    Pc_vm.Lanes.load lanes ~lane ~member:(10 + lane)
+      ~inputs:(List.map (fun b -> Tensor.slice_row b lane) batch)
+  done;
+  for _ = 1 to 9 do
+    ignore (Pc_vm.Lanes.step lanes)
+  done;
+  let img = Pc_vm.Lanes.capture lanes in
+  let vars = img.Pc_vm.Lanes.li_vars in
+  let encode st =
+    let buf = Buffer.create 256 in
+    Snapshot.w_lane_state vars buf st;
+    Buffer.contents buf
+  in
+  Array.iter
+    (function
+      | None -> Alcotest.fail "every lane is occupied"
+      | Some st ->
+        let r = Codec.reader (encode st) in
+        let st' = Snapshot.r_lane_state vars r in
+        Alcotest.(check int) "lane state fully consumed" 0 (Codec.remaining r);
+        Alcotest.(check bool) "lane state round trip" true (st = st'))
+    img.Pc_vm.Lanes.li_lanes;
+  let st = Pc_vm.Lanes.export_lane lanes ~lane:0 in
+  let blob = encode st in
+  expect_corrupt "truncated lane" (fun () ->
+      Snapshot.r_lane_state vars (Codec.reader (String.sub blob 0 (String.length blob - 8))));
+  (* The first stacked column's depth follows the member, the pc stack,
+     its top and the rows. *)
+  Alcotest.(check bool) "fib has stacked columns" true
+    (Array.length st.Pc_vm.Lanes.ls_stacks > 0);
+  let depth_at =
+    8
+    * (3
+      + Array.length st.Pc_vm.Lanes.ls_pc.Pc_vm.Pc_stack.pl_stack
+      + Array.length st.Pc_vm.Lanes.ls_rows)
+  in
+  let bad = Bytes.of_string blob in
+  Bytes.set_int64_le bad depth_at (-1L);
+  expect_corrupt "negative stack depth" (fun () ->
+      Snapshot.r_lane_state vars (Codec.reader (Bytes.to_string bad)));
+  let reversed = Array.init (Array.length vars) (fun i -> vars.(Array.length vars - 1 - i)) in
+  Alcotest.check_raises "variables disagree"
+    (Invalid_argument "Snapshot.w_lane_state: variables disagree with the pool")
+    (fun () -> Snapshot.w_lane_state reversed (Buffer.create 16) st)
 
 let test_lanes_snapshot_roundtrip () =
   let compiled = Lazy.force fib_compiled in
@@ -457,11 +511,11 @@ let suites =
         t "rejects the retired pc-jit kind" `Quick test_envelope_rejects_retired_kind;
         t "rejects the retired server kind" `Quick test_envelope_rejects_retired_server_kind;
         t "rejects a version-2 pc checkpoint" `Quick test_envelope_rejects_v2_pc;
-        t "file round trip" `Quick test_file_roundtrip;
+        t "rejects a version-3 pc checkpoint" `Quick test_envelope_rejects_v3_pc;
       ] );
     ( "resil-images",
       [
-        t "stacked image" `Quick test_stacked_image_roundtrip;
+        t "lane state" `Quick test_lane_state_roundtrip;
         t "lanes snapshot resumes bitwise" `Quick test_lanes_snapshot_roundtrip;
         t "engine snapshot restores cost" `Quick test_engine_snapshot_restores_cost;
       ] );

@@ -368,68 +368,6 @@ let test_migration_across_pools () =
   in
   check_members "cross-pool" baseline outputs
 
-(* [Lanes.lane_bytes] sizes a lane from the live storage; it must agree
-   exactly with sizing the exported copy — on every occupied lane at every
-   superstep, and on a lane just filled by [import_lane]. Covers fib
-   (scalar stacked recursion), vec_double (vector rows on stacks whose
-   depth grows) and fib compiled without input shapes (slots allocated on
-   first write, so early supersteps have unwritten variables). *)
-let test_lane_bytes_matches_export () =
-  let vec_batch =
-    [
-      Tensor.init [| 4; 3 |] (fun i -> float_of_int ((i.(0) * 3) + i.(1)) *. 0.25);
-      scalar_batch [| 2.; 5.; 0.; 3. |];
-    ]
-  in
-  List.iter
-    (fun (label, compiled, batch) ->
-      let n = (Tensor.shape (List.hd batch)).(0) in
-      let pool, _ = preloaded compiled batch ~z:(n + 1) in
-      let z = n + 1 in
-      let check_lane what lane expected =
-        Alcotest.(check (float 0.))
-          (Printf.sprintf "%s: %s lane %d" label what lane)
-          expected
-          (Pc_vm.Lanes.lane_bytes pool ~lane)
-      in
-      let steps = ref 0 and imports = ref 0 in
-      let check_all () =
-        for lane = 0 to z - 1 do
-          if Pc_vm.Lanes.occupied pool ~lane then
-            check_lane "occupied" lane
-              (Pc_vm.Lanes.lane_state_bytes (Pc_vm.Lanes.export_lane pool ~lane))
-        done
-      in
-      check_all ();
-      while Pc_vm.Lanes.step pool do
-        incr steps;
-        check_all ();
-        (* Every third superstep, move the highest live lane into a free
-           one and size the freshly imported lane. *)
-        if !steps mod 3 = 0 then begin
-          let lanes = List.init z Fun.id in
-          match
-            ( List.rev (List.filter (fun l -> Pc_vm.Lanes.live pool ~lane:l) lanes),
-              List.filter (fun l -> not (Pc_vm.Lanes.occupied pool ~lane:l)) lanes )
-          with
-          | src :: _, dst :: _ ->
-            let st = Pc_vm.Lanes.export_lane pool ~lane:src in
-            Pc_vm.Lanes.evict pool ~lane:src;
-            Pc_vm.Lanes.import_lane pool ~lane:dst st;
-            incr imports;
-            check_lane "imported" dst (Pc_vm.Lanes.lane_state_bytes st)
-          | _ -> ()
-        end
-      done;
-      Alcotest.(check bool) (label ^ ": ran and migrated") true (!steps > 3 && !imports > 0))
-    [
-      ("fib", fib_compiled, fib_batch);
-      ( "vec_double",
-        Autobatch.compile ~input_shapes:[ [| 3 |]; Shape.scalar ] Test_programs.vec_double,
-        vec_batch );
-      ("fib without shapes", Autobatch.compile Test_programs.fib, fib_batch);
-    ]
-
 (* Seeded-schedule fuzzer: a deterministic RNG drives arbitrary legal
    migrations (any live lane into any free lane, at random step counts)
    and the per-member outputs must stay bitwise equal to the plain
@@ -581,7 +519,6 @@ let suites =
       [
         ("in-pool migration bitwise", `Quick, test_migration_in_pool);
         ("cross-pool migration bitwise", `Quick, test_migration_across_pools);
-        ("lane_bytes matches export", `Quick, test_lane_bytes_matches_export);
         ("bitwise matrix: fib", `Quick, test_matrix_fib);
         ("bitwise matrix: random_walk", `Quick, test_matrix_walk);
         ("bitwise matrix: vec_double", `Quick, test_matrix_vector);

@@ -69,7 +69,7 @@ let test_span_tree_well_formed () =
   let st = Obs_span.validate t in
   Alcotest.(check int) "one trace" 1 st.Obs_span.traces;
   Alcotest.(check int) "well formed" 1 st.Obs_span.well_formed;
-  Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed t);
+  Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed st);
   Alcotest.(check int) "count request" 1 (count_named t "request");
   Alcotest.(check int) "count preempted" 1 (count_named t "preempted");
   Alcotest.(check int) "length" 4 (List.length (Obs_trace.entries t))
@@ -81,7 +81,7 @@ let test_span_tree_violations () =
   record (span ~id:1 ~parent:99 ~name:"lost" 1. 2.);
   let st = Obs_span.validate t in
   Alcotest.(check int) "orphans" 1 st.Obs_span.orphans;
-  Alcotest.(check bool) "not well formed" false (Obs_span.all_well_formed t);
+  Alcotest.(check bool) "not well formed" false (Obs_span.all_well_formed st);
   (* Two roots in one request trace. *)
   let t, record = recorder () in
   record (span ~id:0 ~name:"a" 0. 5.);
@@ -111,7 +111,7 @@ let test_span_ops_trace_exempt () =
   done;
   let st = Obs_span.validate t in
   Alcotest.(check int) "no request traces" 0 st.Obs_span.traces;
-  Alcotest.(check bool) "well formed" true (Obs_span.all_well_formed t)
+  Alcotest.(check bool) "well formed" true (Obs_span.all_well_formed st)
 
 let test_span_sink_and_limit () =
   let t, sink = recorder ~limit:2 () in
@@ -177,7 +177,7 @@ let test_span_mixed_trace () =
        ~name:"cache-hit" 2. 2.);
   let st = Obs_span.validate t in
   Alcotest.(check int) "request traces only" 2 st.Obs_span.traces;
-  Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed t);
+  Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed st);
   Alcotest.(check int) "spans among entries" 6 (List.length (span_names t));
   let _, span_threads = chrome_threads t ~cat:"span" in
   Alcotest.(check (list string)) "one thread per tenant plus ops"
@@ -218,7 +218,7 @@ let test_span_server_integration () =
   Alcotest.(check int) "one tree per completion" n_done
     (count_named recorder "request");
   Alcotest.(check bool) "trees well formed" true
-    (Obs_span.all_well_formed recorder)
+    (Obs_span.all_well_formed (Obs_span.validate recorder))
 
 (* ---------- Obs_window ---------- *)
 

@@ -369,7 +369,7 @@ let test_lanes_lazy_restore () =
     (List.rev !trace, Pc_vm.Lanes.outputs lanes)
   in
   let trace, outs = drain () in
-  let vars (i : Pc_vm.Lanes.image) = List.length i.Pc_vm.Lanes.li_store in
+  let vars (i : Pc_vm.Lanes.image) = Array.length i.Pc_vm.Lanes.li_vars in
   Alcotest.(check bool) "variables first written after the capture" true
     (vars (Pc_vm.Lanes.capture lanes) > vars img);
   Pc_vm.Lanes.restore lanes img;
@@ -382,6 +382,150 @@ let test_lanes_lazy_restore () =
   List.iter2
     (fun a b -> Alcotest.(check bool) "outputs bitwise" true (Tensor.equal a b))
     outs outs'
+
+(* A pool checkpoint is its occupied lanes' states. Requests stream
+   through a pool whose lanes retire and refill mid-run; at a random
+   superstep the pool is captured. The image is restored into a fresh
+   pool, and into the captured pool itself after it ran further (loading
+   and retiring more lanes, and possibly allocating more variables). All
+   three pools then drain under the same request loop: every request's outputs
+   are bitwise equal, the step counts agree, the restored pools run the
+   reference's supersteps past the capture with the same lane counts,
+   the image holds exactly the lanes occupied at the capture, and each
+   restored pool captures back to that image. *)
+type recycle_case = {
+  rc_program : string;
+  rc_policy : Sched_policy.t;
+  rc_z : int;
+  rc_args : int list;  (* one request per element *)
+  rc_gap : int;  (* lane [l] refills only on rounds [r] with [(r + l) mod rc_gap = 0] *)
+  rc_capture : int;  (* rounds before the capture *)
+  rc_more : int;  (* rounds the captured pool runs on before its restore *)
+}
+
+let recycle_programs =
+  lazy
+    [
+      ("fib", fib_compiled, fun a -> [ Tensor.scalar (float_of_int (a mod 10)) ]);
+      ( "fib, lazy",
+        Autobatch.compile Test_programs.fib,
+        fun a -> [ Tensor.scalar (float_of_int (a mod 10)) ] );
+      ( "vec_double",
+        Autobatch.compile ~input_shapes:[ [| 3 |]; Shape.scalar ] Test_programs.vec_double,
+        fun a ->
+          [ Tensor.init [| 3 |] (fun i -> float_of_int (a + i.(0)) *. 0.25);
+            Tensor.scalar (float_of_int (a mod 5)) ] );
+    ]
+
+let gen_recycle_case =
+  let open QCheck.Gen in
+  let* rc_program = oneofl [ "fib"; "fib, lazy"; "vec_double" ] in
+  let* rc_policy = oneofl Sched_policy.all in
+  let* rc_z = int_range 1 5 in
+  let* rc_args = list_size (int_range 1 12) (int_bound 20) in
+  let* rc_gap = int_range 1 4 in
+  let* rc_capture = int_bound 60 in
+  let* rc_more = int_bound 30 in
+  return { rc_program; rc_policy; rc_z; rc_args; rc_gap; rc_capture; rc_more }
+
+let print_recycle_case c =
+  Printf.sprintf "%s %s z=%d args=[%s] gap=%d capture@%d more=%d" c.rc_program
+    (Sched_policy.to_string c.rc_policy) c.rc_z
+    (String.concat ";" (List.map string_of_int c.rc_args))
+    c.rc_gap c.rc_capture c.rc_more
+
+let recycled_restore_agrees c =
+  let _, compiled, inputs_of =
+    List.find (fun (name, _, _) -> name = c.rc_program) (Lazy.force recycle_programs)
+  in
+  let args = Array.of_list c.rc_args in
+  let n = Array.length args in
+  (* Each pool logs its supersteps' block and lane counts, newest first
+     (the stack depth is left out: it is a high-water mark of the pool's
+     whole history). *)
+  let create () =
+    let log = ref [] in
+    let sink = function
+      | Obs_sink.Occupancy { step; block; active; live; _ } ->
+        log := (step, block, active, live) :: !log
+      | _ -> ()
+    in
+    ( Pc_vm.Lanes.create
+        ~config:{ Pc_vm.default_config with Pc_vm.sched = c.rc_policy; sink = Some sink }
+        compiled.Autobatch.registry compiled.Autobatch.stack ~z:c.rc_z,
+      log )
+  in
+  (* The request loop's state: the round, the next request to load, and each
+     retired request's outputs as bit patterns (member = request index).
+     Lanes left free between staggered refills put idle lanes, with
+     requests still pending, into the images. *)
+  let round pool (r, next, outs) =
+    let outs =
+      List.fold_left
+        (fun outs lane ->
+          let m = Pc_vm.Lanes.member pool ~lane in
+          let bits t = Array.map Int64.bits_of_float (Tensor.data t) in
+          (m, List.map bits (Pc_vm.Lanes.retire pool ~lane)) :: outs)
+        outs (Pc_vm.Lanes.finished_lanes pool)
+    in
+    let next = ref next in
+    for lane = 0 to c.rc_z - 1 do
+      if (r + lane) mod c.rc_gap = 0 && !next < n && not (Pc_vm.Lanes.occupied pool ~lane)
+      then begin
+        Pc_vm.Lanes.load pool ~lane ~member:!next ~inputs:(inputs_of args.(!next));
+        incr next
+      end
+    done;
+    (Pc_vm.Lanes.step pool || !next < n, (r + 1, !next, outs))
+  in
+  let rec drain pool st =
+    match round pool st with
+    | true, st -> drain pool st
+    | false, (_, _, outs) -> (Pc_vm.Lanes.steps pool, List.sort compare outs)
+  in
+  let rec advance pool st k =
+    if k = 0 then st else advance pool (snd (round pool st)) (k - 1)
+  in
+  let reference, reference_log = create () in
+  let reference = drain reference (0, 0, []) in
+  let captured, captured_log = create () in
+  let st = advance captured (0, 0, []) c.rc_capture in
+  let img = Pc_vm.Lanes.capture captured in
+  let exact_lanes =
+    List.for_all
+      (fun lane ->
+        Pc_vm.Lanes.occupied captured ~lane
+        = Option.is_some img.Pc_vm.Lanes.li_lanes.(lane))
+      (List.init c.rc_z Fun.id)
+  in
+  (* A restored pool captures back to the image it was restored from,
+     then drains through the reference's supersteps past the capture. *)
+  let after_capture =
+    List.filter (fun (step, _, _, _) -> step > img.Pc_vm.Lanes.li_steps) !reference_log
+  in
+  let restore pool log =
+    Pc_vm.Lanes.restore pool img;
+    log := [];
+    Pc_vm.Lanes.capture pool = img
+  in
+  let fresh, fresh_log = create () in
+  let fresh_exact = restore fresh fresh_log in
+  let from_fresh = drain fresh st in
+  ignore (advance captured st c.rc_more);
+  let same_exact = restore captured captured_log in
+  let from_same = drain captured st in
+  exact_lanes && fresh_exact && same_exact && from_fresh = reference
+  && from_same = reference
+  && !fresh_log = after_capture
+  && !captured_log = after_capture
+  && List.length (snd reference) = n
+
+(* The fast tier's budget and the full suite's. *)
+let prop_recycled_restore ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "%d recycled-lane restores are bitwise" count)
+    (QCheck.make ~print:print_recycle_case gen_recycle_case)
+    recycled_restore_agrees
 
 (* The engine charges and lane counts of fib, pinned to the values the
    per-step interpreter produced before blocks were pre-resolved (the
@@ -514,6 +658,8 @@ let lanes_suite =
       t "engine accounting golden" `Quick test_lanes_engine_golden;
       t "instrumentation golden" `Quick test_lanes_counts_golden;
       t "active rows are bitwise" `Quick test_pc_active_rows;
+      QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_recycled_restore ~count:200);
+      QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_recycled_restore ~count:5_000);
     ] )
 
 (* ---------- the program-counter stack itself ---------- *)
@@ -633,7 +779,8 @@ module Mask_scan = struct
         end)
       mask
 
-  (* What [Stacked.capture] reports of [t]. *)
+  (* [t]'s stack pointers, live frames (member-major), tops, high-water
+     mark and capacity. *)
   let image t =
     let frames =
       Array.concat
@@ -749,10 +896,11 @@ let lane_case_agrees c =
             ( result (fun () -> Stacked.pop live ~active ~n),
               result (fun () -> Mask_scan.pop model ~mask) )),
         fun () ->
-          let img = Stacked.capture live in
-          ( img.Stacked.i_sp,
-            img.Stacked.i_frames,
-            img.Stacked.i_top,
+          let cols = List.init c.z (Stacked.capture_lane live) in
+          let field f = Array.concat (List.map f cols) in
+          ( field (fun l -> [| l.Stacked.l_sp |]),
+            field (fun l -> l.Stacked.l_frames),
+            field (fun l -> l.Stacked.l_top),
             Stacked.high_water live,
             Stacked.capacity live )
           = Mask_scan.image model )
