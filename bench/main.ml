@@ -727,11 +727,11 @@ let run_tenant ?seed () =
      kill. Every kept completion must be bitwise identical to running
      the request alone (across cache hits, preemption, migration,
      grow/shrink, and the kill), the program cache must run >=90% hot on
-     the Zipf trace, and the latency-bound p99 — read from the
-     Obs_metrics histogram JSON, not the raw samples — must be >=3x
-     lower than the baseline's. The fair arm must also actually have
-     exercised the machinery: grows, shrinks, preemptions, resumes,
-     checkpoints, and at least one restore.
+     the Zipf trace, and the latency-bound p99 (the exact nearest-rank
+     percentile of each arm) must be >=3x lower than the baseline's. The
+     fair arm must also actually have exercised the machinery: grows,
+     shrinks, preemptions, resumes, checkpoints, and at least one
+     restore.
 
      Micro: two closed-form scenarios. A 2-lane shard where a width-2
      best-effort flight must be parked exactly once for a late
@@ -756,18 +756,10 @@ let run_tenant ?seed () =
   let r = Tenant_load.run ?seed ~n_requests () in
   Tenant_load.print_table r;
   print_newline ();
-  let hist_p99 (a : Tenant_load.arm) =
-    let h =
-      Obs_metrics.histogram a.Tenant_load.metrics "latency_total_latency"
-    in
-    match Obs_json.member "p99" (Obs_metrics.hist_to_json h) with
-    | Some (Obs_json.Float f) -> f
-    | Some (Obs_json.Int n) -> float_of_int n
-    | _ -> Float.nan
-  in
   let fair = r.Tenant_load.fair in
   let base = Option.get r.Tenant_load.baseline in
-  let p99_fair = hist_p99 fair and p99_base = hist_p99 base in
+  let p99_fair = fair.Tenant_load.p99_latency
+  and p99_base = base.Tenant_load.p99_latency in
   let ratio = p99_base /. p99_fair in
   let s = fair.Tenant_load.stats in
   check "macro: bitwise vs solo"
@@ -779,7 +771,7 @@ let run_tenant ?seed () =
     (Printf.sprintf "%.3f" r.Tenant_load.hit_rate)
     ">=0.90"
     (r.Tenant_load.hit_rate >= 0.9);
-  check "macro: lb p99, fifo/fair (histogram)"
+  check "macro: lb p99, fifo/fair"
     (Printf.sprintf "%s / %s = %.2fx" (Table.si p99_base) (Table.si p99_fair)
        ratio)
     ">=3x" (ratio >= 3.);
@@ -967,14 +959,13 @@ let run_tenant ?seed () =
                 and drain-migration scenarios" );
            ( "note",
              Obs_json.Str
-               "p99s are read from the Obs_metrics latency histograms \
-                (log-bucketed), so the committed ratio is what the \
-                metrics surface reports, not the raw samples; the stage \
-                (and CI) fails unless every completion is bitwise \
-                identical to solo, the cache runs >=90% hot, the \
-                latency-bound histogram p99 is >=3x lower than the \
-                baseline's, and every subsystem (grow, shrink, preempt, \
-                resume, checkpoint, restore, migrate) actually fired; \
+               "lb_p99_ratio divides the arms' exact latency-bound p99s \
+                (nearest rank over every completion); the stage (and CI) \
+                fails unless every completion is bitwise identical to \
+                solo, the cache runs >=90% hot, the latency-bound p99 is \
+                >=3x lower than the baseline's, and every subsystem \
+                (grow, shrink, preempt, resume, checkpoint, restore, \
+                migrate) actually fired; \
                 the AUTOBATCH_FAST arm runs 10k requests and does not \
                 rewrite this file" );
            ("lb_p99_ratio", Obs_json.Float ratio);
@@ -1057,7 +1048,7 @@ let run_observe ?seed () =
              (Table.si wall_on.Obs_wall.wall_s))
           "bitwise identical"
           (Int64.bits_of_float sim_on = Int64.bits_of_float sim_off && out_off = out_on);
-        let events = List.length (Obs_trace.entries tr) in
+        let events = Obs_trace.length tr in
         let steps = Obs_prof.supersteps prof in
         check (name ^ ": trace, profiler")
           (Printf.sprintf "%d events, %d supersteps" events steps)
@@ -1141,19 +1132,18 @@ let run_observe ?seed () =
     && s_off.Tenant_server.rounds = s_on.Tenant_server.rounds
     && digest r_on <> []
     && digest r_off = digest r_on);
-  let entries = Obs_trace.entries tr in
-  let span_names =
-    List.filter_map
-      (fun (e : Obs_trace.entry) ->
-        match e.ev with Obs_sink.Span { name; _ } -> Some name | _ -> None)
-      entries
-  in
+  let span_names = ref [] in
+  Obs_trace.iter tr (fun e ->
+      match e.ev with
+      | Obs_sink.Span { name; _ } -> span_names := name :: !span_names
+      | _ -> ());
+  let span_names = !span_names in
   let named name = List.length (List.filter (String.equal name) span_names) in
   (* The one Chrome document carries the superstep timeline and the
      span tracks alike. *)
   let trace_reparses = reparses (fun path -> Obs_trace.write tr ~path) in
   check "tenant: trace and profiler"
-    (Printf.sprintf "%d events, %d supersteps" (List.length entries)
+    (Printf.sprintf "%d events, %d supersteps" (Obs_trace.length tr)
        (Obs_prof.supersteps prof))
     "re-parses, profiled"
     (Obs_prof.supersteps prof > 0 && trace_reparses);

@@ -783,7 +783,7 @@ let tenants_cmd =
       match (trace, recorder) with
       | Some path, Some rec_ ->
         Obs_trace.write rec_ ~path;
-        Some (path, rec_, List.length (Obs_trace.entries rec_), Obs_span.validate rec_)
+        Some (path, rec_, Obs_trace.length rec_, Obs_span.validate rec_)
       | _ -> None
     in
     let span_fields =

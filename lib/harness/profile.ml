@@ -202,7 +202,7 @@ let print ?(top = 12) r =
     (Sched_policy.to_string r.policy);
   let attributed = Obs_prof.attributed p in
   Printf.printf
-    "simulated time %.6fs; attributed %.6fs (blocks+kernels+host; residual \
+    "simulated time %.6fs; attributed %.6fs (blocks+kernels; residual \
      %.2e)\n"
     r.sim_seconds attributed
     (Float.abs (r.sim_seconds -. attributed));
@@ -278,11 +278,7 @@ let print ?(top = 12) r =
                Printf.sprintf "%.6f" c.charged;
                Printf.sprintf "%.0f" c.bytes;
              ])
-           colls));
-  let host = Obs_prof.host_time p in
-  if host > 0. then
-    Printf.printf "\nhost (un-spanned engine time): %.6fs (%.1f%%)\n" host
-      (pct host r.sim_seconds)
+           colls))
 
 let to_json r =
   Obs_json.Obj

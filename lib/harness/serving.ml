@@ -12,7 +12,6 @@ type point = {
   p95 : float;
   p99 : float;
   makespan : float;
-  latency_hist : Obs_json.t;
   verified : int;
   mismatches : int;
 }
@@ -71,14 +70,6 @@ let summarize ~mode ~policy ~load ~offered ~occupancy ~check
     p95 = Tenant_load.percentile lat 95.;
     p99 = Tenant_load.percentile lat 99.;
     makespan = s.Tenant_server.makespan;
-    latency_hist =
-      (* The log-bucketed summary (with its own p50/p90/p99 estimates)
-         alongside the exact percentiles above, so the JSON report carries
-         a machine-readable distribution, not just three cut points. *)
-      (let m = Obs_metrics.create () in
-       let h = Obs_metrics.histogram m "total_latency" in
-       Array.iter (Obs_metrics.observe h) lat;
-       Obs_metrics.hist_to_json h);
     verified;
     mismatches;
   }
@@ -296,7 +287,6 @@ let to_json stats =
                    ("p95", Obs_json.Float p.p95);
                    ("p99", Obs_json.Float p.p99);
                    ("makespan", Obs_json.Float p.makespan);
-                   ("latency_hist", p.latency_hist);
                    ("verified", Obs_json.Int p.verified);
                    ("mismatches", Obs_json.Int p.mismatches);
                  ])

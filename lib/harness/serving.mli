@@ -38,9 +38,6 @@ type point = {
   p95 : float;
   p99 : float;  (** total (queueing + service) latency percentiles *)
   makespan : float;
-  latency_hist : Obs_json.t;
-      (** log-bucketed total-latency summary ({!Obs_metrics.hist_to_json}):
-          count/sum/mean/min/max plus p50/p90/p99 estimates *)
   verified : int;
       (** completions drawn by a seeded sample and compared bitwise
           against running the request alone *)
@@ -87,5 +84,5 @@ val print : stats -> unit
 val to_csv : stats -> string
 
 val to_json : stats -> Obs_json.t
-(** The whole sweep as one JSON object, each point carrying its
-    latency histogram — the payload of [experiments serve --json]. *)
+(** The whole sweep as one JSON object, each point carrying its exact
+    latency percentiles — the payload of [experiments serve --json]. *)

@@ -26,7 +26,6 @@ type arm = {
   p99_latency : float;
   p99_all : float;
   stats : Tenant_server.stats;
-  metrics : Obs_metrics.t;
 }
 
 type result = {
@@ -279,38 +278,6 @@ let latencies ?slo (s : Tenant_server.stats) =
 
 (* ---------- experiment ---------- *)
 
-(* An arm's metrics registry: per-class latency histograms
-   (["latency_total_" ^ Tenant.slo_name], queue and service variants)
-   and the run's counters, all read off the final stats — after fault
-   rollback, so replayed work is counted exactly once. *)
-let metrics_of_stats (s : Tenant_server.stats) =
-  let m = Obs_metrics.create () in
-  let by_class name slo = Obs_metrics.histogram m (name ^ Tenant.slo_name slo) in
-  List.iter
-    (fun (c : Tenant_server.completion) ->
-      let slo = Admission.item_slo c.Tenant_server.c_item in
-      let arrival = c.Tenant_server.c_item.Admission.request.Request.arrival in
-      let started = c.Tenant_server.c_started and finished = c.Tenant_server.c_finished in
-      Obs_metrics.observe (by_class "latency_total_" slo) (finished -. arrival);
-      Obs_metrics.observe (by_class "latency_queue_" slo) (started -. arrival);
-      Obs_metrics.observe (by_class "latency_service_" slo) (finished -. started))
-    s.Tenant_server.completions;
-  let cnt name v = Obs_metrics.incr ~by:v (Obs_metrics.counter m name) in
-  cnt "tenant_completed" (List.length s.Tenant_server.completions);
-  cnt "tenant_throttled" (List.length s.Tenant_server.throttled);
-  cnt "tenant_rejected" (List.length s.Tenant_server.rejected);
-  cnt "tenant_shed" (List.length s.Tenant_server.shed);
-  cnt "tenant_preemptions" s.Tenant_server.preemptions;
-  cnt "tenant_resumes" s.Tenant_server.resumes;
-  cnt "pool_migrations" s.Tenant_server.migrations;
-  cnt "pool_binds" s.Tenant_server.binds;
-  cnt "pool_rebinds" s.Tenant_server.rebinds;
-  cnt "pool_grows" s.Tenant_server.grows;
-  cnt "pool_shrinks" s.Tenant_server.shrinks;
-  cnt "recovery_checkpoints" s.Tenant_server.checkpoints;
-  cnt "recovery_restores" s.Tenant_server.restores;
-  m
-
 let run ?(seed = 0x7E47L) ?(pattern = Bursty) ?(n_requests = 2000)
     ?(n_tenants = 24) ?(n_programs = 8) ?cache_capacity ?(load = 0.35)
     ?(mesh_size = 4) ?(lanes_per_shard = 8) ?(checkpoint_interval = 16)
@@ -418,7 +385,6 @@ let run ?(seed = 0x7E47L) ?(pattern = Bursty) ?(n_requests = 2000)
         p99_latency = percentile lat_lb 99.;
         p99_all = percentile lat_all 99.;
         stats;
-        metrics = metrics_of_stats stats;
       },
       cache )
   in
@@ -490,7 +456,6 @@ let arm_to_json a =
       ("restores", Obs_json.Int s.Tenant_server.restores);
       ("wasted_rounds", Obs_json.Int s.Tenant_server.wasted_rounds);
       ("peak_active_shards", Obs_json.Int s.Tenant_server.peak_active);
-      ("metrics", Obs_metrics.to_json a.metrics);
     ]
 
 let to_json r =

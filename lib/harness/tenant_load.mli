@@ -61,7 +61,6 @@ type arm = {
   p99_latency : float;   (** latency-bound class, total latency *)
   p99_all : float;       (** all classes *)
   stats : Tenant_server.stats;
-  metrics : Obs_metrics.t;  (** latency histograms and counters read off [stats] *)
 }
 
 type result = {

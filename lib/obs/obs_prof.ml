@@ -6,10 +6,8 @@
    only a kind and a name ("block" for every fused block), so the profiler
    remembers the most recent [Step]/[Occupancy] pair and charges the next
    fused-block span to that block. Every runtime emits a block's Step,
-   Occupancy and engine spans back to back on the calling domain, pool
-   after pool in a multi-shard run, so one context suffices. One mutex
-   guards the whole profiler; contention is negligible next to the
-   simulated work being profiled. *)
+   Occupancy and engine spans back to back, pool after pool in a
+   multi-shard run, so one context suffices. *)
 
 type block_row = {
   block : int;
@@ -66,24 +64,15 @@ type gauge = {
 }
 
 type t = {
-  mutex : Mutex.t;
   frames : string array array;
   (* Attribution context: the block announced by the latest Step/Occupancy
      (-1 before the first one) and its lane counts. *)
   mutable cur_block : int;
   mutable cur_active : int;
   mutable cur_total : int;
-  (* End of the last engine span seen; the gap to the next span's [t0] is
-     simulated time charged without a span (none is emitted by a current
-     engine, but the profiler must conserve time even if a future charge
-     forgets its span). With one engine per pool the gap is measured from
-     the latest span end on any of them. *)
-  mutable last_t1 : float;
   blocks : (int, block_cell) Hashtbl.t;
   kernels : (string, kernel_cell) Hashtbl.t;
   collectives : (string, collective_cell) Hashtbl.t;
-  mutable host : float;
-  mutable unattributed : float;
   mutable supersteps : int;
   mutable max_depth : int;
   gauge : gauge;
@@ -96,17 +85,13 @@ type t = {
 
 let create ?(frames = [||]) () =
   {
-    mutex = Mutex.create ();
     frames;
     cur_block = -1;
     cur_active = 0;
     cur_total = 0;
-    last_t1 = 0.;
     blocks = Hashtbl.create 64;
     kernels = Hashtbl.create 16;
     collectives = Hashtbl.create 8;
-    host = 0.;
-    unattributed = 0.;
     supersteps = 0;
     max_depth = 0;
     gauge =
@@ -155,13 +140,6 @@ let collective_cell t name =
     Hashtbl.add t.collectives name c;
     c
 
-(* Fill the gap between the previous span's end and this span's start:
-   simulated time the engine advanced without emitting a span. *)
-let account_gap t ~t0 ~t1 =
-  let gap = t0 -. t.last_t1 in
-  if gap > 0. then t.host <- t.host +. gap;
-  if t1 > t.last_t1 then t.last_t1 <- t1
-
 (* Add sample number [k] (0-based). *)
 let gauge_add g ~k ~live ~total =
   if k / g.width = gauge_buckets then begin
@@ -178,7 +156,8 @@ let gauge_add g ~k ~live ~total =
   g.live_sum.(i) <- g.live_sum.(i) + live;
   g.total_sum.(i) <- g.total_sum.(i) + total
 
-let on_event t ev =
+let sink t : Obs_sink.t =
+ fun ev ->
   match ev with
   | Obs_sink.Step { block; _ } -> t.cur_block <- block
   | Obs_sink.Occupancy { block; active; live; total; width; depth; _ } ->
@@ -195,10 +174,10 @@ let on_event t ev =
     c.b_total <- c.b_total + total;
     c.b_issued <- c.b_issued + width
   | Obs_sink.Launched { kind = Obs_sink.Fused_block; t0; t1; _ } ->
-    account_gap t ~t0 ~t1;
-    let dur = t1 -. t0 in
-    if t.cur_block < 0 then t.unattributed <- t.unattributed +. dur
-    else begin
+    (* A span with no block context is not booked, so it shows up as a
+       shortfall of [attributed] against the engine clock. *)
+    if t.cur_block >= 0 then begin
+      let dur = t1 -. t0 in
       let c = block_cell t t.cur_block in
       c.b_execs <- c.b_execs + 1;
       c.b_charged <- c.b_charged +. dur;
@@ -210,13 +189,12 @@ let on_event t ev =
         else dur
     end
   | Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 } ->
-    account_gap t ~t0 ~t1;
     let c = kernel_cell t name in
     c.k_launches <- c.k_launches + 1;
     c.k_charged <- c.k_charged +. (t1 -. t0)
   | Obs_sink.Collective { name; bytes; t0; t1 } ->
     (* Collectives live on the mesh timeline, not a single engine's clock:
-       they neither close gaps nor count toward engine conservation. *)
+       they do not count toward engine conservation. *)
     let c = collective_cell t name in
     c.c_count <- c.c_count + 1;
     c.c_charged <- c.c_charged +. (t1 -. t0);
@@ -231,80 +209,70 @@ let on_event t ev =
   | Obs_sink.Ladder _ | Obs_sink.Slo_alert _ ->
     ()
 
-let sink t : Obs_sink.t =
- fun ev -> Mutex.protect t.mutex (fun () -> on_event t ev)
-
 (* ------------------------------------------------------------------ *)
-(* Readout. All readers take the mutex, so a profile can be inspected
-   while shards are still running (e.g. from a serving loop). *)
+(* Readout. *)
 
 let block_rows t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.fold
-        (fun block c acc ->
-          {
-            block;
-            execs = c.b_execs;
-            charged = c.b_charged;
-            effective = c.b_effective;
-            steps = c.b_steps;
-            active_lanes = c.b_active;
-            live_lanes = c.b_live;
-            total_lanes = c.b_total;
-            issued_lanes = c.b_issued;
-          }
-          :: acc)
-        t.blocks []
-      |> List.sort (fun (a : block_row) (b : block_row) ->
-             match compare b.charged a.charged with
-             | 0 -> compare a.block b.block
-             | c -> c))
+  Hashtbl.fold
+    (fun block c acc ->
+      {
+        block;
+        execs = c.b_execs;
+        charged = c.b_charged;
+        effective = c.b_effective;
+        steps = c.b_steps;
+        active_lanes = c.b_active;
+        live_lanes = c.b_live;
+        total_lanes = c.b_total;
+        issued_lanes = c.b_issued;
+      }
+      :: acc)
+    t.blocks []
+  |> List.sort (fun (a : block_row) (b : block_row) ->
+         match compare b.charged a.charged with
+         | 0 -> compare a.block b.block
+         | c -> c)
 
 let kernel_rows t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.fold
-        (fun kernel c acc ->
-          { kernel; launches = c.k_launches; charged = c.k_charged } :: acc)
-        t.kernels []
-      |> List.sort (fun (a : kernel_row) (b : kernel_row) ->
-             match compare b.charged a.charged with
-             | 0 -> compare a.kernel b.kernel
-             | c -> c))
+  Hashtbl.fold
+    (fun kernel c acc ->
+      { kernel; launches = c.k_launches; charged = c.k_charged } :: acc)
+    t.kernels []
+  |> List.sort (fun (a : kernel_row) (b : kernel_row) ->
+         match compare b.charged a.charged with
+         | 0 -> compare a.kernel b.kernel
+         | c -> c)
 
 let collective_rows t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.fold
-        (fun collective c acc ->
-          {
-            collective;
-            count = c.c_count;
-            charged = c.c_charged;
-            bytes = c.c_bytes;
-          }
-          :: acc)
-        t.collectives []
-      |> List.sort (fun a b ->
-             match compare b.charged a.charged with
-             | 0 -> compare a.collective b.collective
-             | c -> c))
+  Hashtbl.fold
+    (fun collective c acc ->
+      {
+        collective;
+        count = c.c_count;
+        charged = c.c_charged;
+        bytes = c.c_bytes;
+      }
+      :: acc)
+    t.collectives []
+  |> List.sort (fun a b ->
+         match compare b.charged a.charged with
+         | 0 -> compare a.collective b.collective
+         | c -> c)
 
-let host_time t = Mutex.protect t.mutex (fun () -> t.host)
-let migrations t = Mutex.protect t.mutex (fun () -> t.migrations)
-let steals t = Mutex.protect t.mutex (fun () -> t.steals)
-let migration_bytes t = Mutex.protect t.mutex (fun () -> t.migration_bytes)
-let unattributed_time t = Mutex.protect t.mutex (fun () -> t.unattributed)
-let supersteps t = Mutex.protect t.mutex (fun () -> t.supersteps)
-let max_depth t = Mutex.protect t.mutex (fun () -> t.max_depth)
+let migrations t = t.migrations
+let steals t = t.steals
+let migration_bytes t = t.migration_bytes
+let supersteps t = t.supersteps
+let max_depth t = t.max_depth
 
 let occupancy_series t =
-  Mutex.protect t.mutex (fun () ->
-      let g = t.gauge in
-      List.init ((t.supersteps + g.width - 1) / g.width) (fun i ->
-          let occ =
-            if g.total_sum.(i) = 0 then 0.
-            else float_of_int g.live_sum.(i) /. float_of_int g.total_sum.(i)
-          in
-          (i * g.width, occ)))
+  let g = t.gauge in
+  List.init ((t.supersteps + g.width - 1) / g.width) (fun i ->
+      let occ =
+        if g.total_sum.(i) = 0 then 0.
+        else float_of_int g.live_sum.(i) /. float_of_int g.total_sum.(i)
+      in
+      (i * g.width, occ))
 
 let collective_time t =
   List.fold_left
@@ -321,7 +289,7 @@ let attributed t =
       (fun acc (r : kernel_row) -> acc +. r.charged)
       0. (kernel_rows t)
   in
-  blocks +. kernels +. host_time t +. unattributed_time t
+  blocks +. kernels
 
 let lane_sums t =
   List.fold_left
@@ -386,8 +354,6 @@ let folded t =
     (fun (r : collective_row) ->
       add (Printf.sprintf "(collective);%s" r.collective) r.charged)
     (collective_rows t);
-  add "(host)" (host_time t);
-  add "(unattributed)" (unattributed_time t);
   let lines =
     Hashtbl.fold
       (fun stack w acc ->
@@ -443,8 +409,6 @@ let to_json t =
     [
       ("supersteps", Obs_json.Int (supersteps t));
       ("attributed_seconds", Obs_json.Float (attributed t));
-      ("host_seconds", Obs_json.Float (host_time t));
-      ("unattributed_seconds", Obs_json.Float (unattributed_time t));
       ("collective_seconds", Obs_json.Float (collective_time t));
       ("utilization", Obs_json.Float (utilization t));
       ("effective_utilization", Obs_json.Float (effective_utilization t));

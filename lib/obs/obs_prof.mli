@@ -20,12 +20,13 @@
     charged them, so the profiler pairs each fused-block span with the
     most recent [Step]/[Occupancy]: the VMs emit Step, then Occupancy,
     then execute the block (which charges the engine) before anything
-    else reports, and a multi-shard run steps its pools one after another
-    on the calling domain, each with its own engine. Kernel spans are
-    attributed by kernel name; [Collective] spans sit on the mesh timeline
-    and are tallied separately; simulated time the engine advances without
-    emitting a span shows up as {!host_time} (gap accounting), so
-    attributed time always sums to the engine's total. *)
+    else reports, and a multi-shard run steps its pools one after another,
+    each with its own engine. Kernel spans are attributed by kernel name;
+    [Collective] spans sit on the mesh timeline and are tallied
+    separately. There is no gap bucket: an engine charge without a span,
+    or a block span before any [Step], is not booked, so {!attributed}
+    falls short of the engine clock and the conservation checks catch
+    it. *)
 
 type t
 
@@ -61,8 +62,8 @@ val create : ?frames:string array array -> unit -> t
     without frames fall back to ["block_<b>"]. Default: no frames. *)
 
 val sink : t -> Obs_sink.t
-(** Thread-safe; install on every VM config {e and} engine involved in
-    the run (the shard-tagged sinks of a multi-shard run land here too). *)
+(** Install on every VM config {e and} engine involved in the run (the
+    shard-tagged sinks of a multi-shard run land here too). *)
 
 (** {1 Attribution readout} — sorted by charged time, descending. *)
 
@@ -70,17 +71,11 @@ val block_rows : t -> block_row list
 val kernel_rows : t -> kernel_row list
 val collective_rows : t -> collective_row list
 
-val host_time : t -> float
-(** Simulated seconds between spans — engine charges with no span. *)
-
-val unattributed_time : t -> float
-(** Fused-block spans seen before any [Step] context. *)
-
 val collective_time : t -> float
 
 val attributed : t -> float
-(** Blocks + kernels + {!host_time} + {!unattributed_time}; equals the
-    summed engine clock(s) up to float addition error (collectives are
+(** Blocks + kernels; equals the summed engine clock(s) up to float
+    addition error when every engine charge has a span (collectives are
     excluded — they overlap compute on the mesh timeline). *)
 
 (** {1 Utilization accounting} — over all [Occupancy] events. *)
@@ -133,8 +128,8 @@ val migration_bytes : t -> float
 
 val folded : t -> string
 (** flamegraph.pl-compatible folded stacks: one ["frame;frame;... N"]
-    line per block stack (plus synthetic [(kernel)], [(collective)],
-    [(host)] and [(unattributed)] roots), weights in integer nanoseconds
+    line per block stack (plus synthetic [(kernel)] and [(collective)]
+    roots), weights in integer nanoseconds
     of simulated time, lines sorted, zero-weight lines dropped. *)
 
 val to_json : t -> Obs_json.t

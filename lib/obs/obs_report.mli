@@ -2,7 +2,7 @@
 
     A report is one JSON object merging whatever readouts a harness run
     produced — engine counter snapshots, profiler utilization, latency
-    histograms, per-shard timelines. This module only standardizes the
+    percentiles, per-shard timelines. This module only standardizes the
     envelope and the output plumbing; each harness assembles its own
     fields. *)
 

@@ -96,10 +96,9 @@ type event =
     }
       (** A completed request-scoped span on the simulated clock:
           [\[t0, t1\]] with [t0 = t1] for instants. [trace] groups the
-          spans of one request (the {!Obs_span.ctx} carried on the
-          request; negative traces are operational, e.g. [-1] for
-          server-lifecycle spans and [-2] for program-cache spans, and
-          are exempt from the one-root rule). [span] is the emitter's
+          spans of one request (its [Request] id; negative traces are
+          operational, e.g. [-1] for server-lifecycle spans and [-2] for
+          program-cache spans, and are exempt from the one-root rule). [span] is the emitter's
           deterministic span id, [parent] the enclosing span's id ([-1]
           for roots), and [track] the Perfetto track — the tenant id for
           request traces, [-1] for the operational track. Emitters close

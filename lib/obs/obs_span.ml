@@ -3,14 +3,10 @@
    [Obs_sink.Span] events and Obs_trace records and exports them; this
    module holds the span identity and the tree validator. *)
 
-type ctx = { trace : int; parent : int }
-
 let no_parent = -1
 let ops_trace = -1
 let cache_trace = -2
 let ops_track = -1
-
-let ctx ?(parent = no_parent) ~trace () = { trace; parent }
 
 let sink tr =
   let track = Obs_trace.track tr "spans" in
@@ -42,8 +38,7 @@ let eps = 1e-9
 let validate tr =
   let by_trace : (int, span list ref) Hashtbl.t = Hashtbl.create 256 in
   let inverted = ref 0 in
-  List.iter
-    (fun (e : Obs_trace.entry) ->
+  Obs_trace.iter tr (fun e ->
       match e.ev with
       | Obs_sink.Span { trace; span = id; parent; t0; t1; _ } -> (
         if t1 < t0 -. eps then incr inverted;
@@ -52,8 +47,7 @@ let validate tr =
           match Hashtbl.find_opt by_trace trace with
           | Some cell -> cell := sp :: !cell
           | None -> Hashtbl.add by_trace trace (ref [ sp ]))
-      | _ -> ())
-    (Obs_trace.entries tr);
+      | _ -> ());
   let traces = ref 0
   and well = ref 0
   and multi_root = ref 0

@@ -5,19 +5,14 @@
     spans on the simulated clock as ordinary sink events, and
     {!Obs_trace} records and exports them like every other event (one
     Perfetto thread per span track). This module owns what a span
-    {e means}: the trace context a request carries, the reserved
-    operational traces and track, and the validator that checks every
-    request's spans form one properly-nested tree.
+    {e means}: the reserved root parent, operational traces and track,
+    and the validator that checks every request's spans form one
+    properly-nested tree. A request's spans live on the trace named by
+    its [Request] id.
 
     Everything is deterministic: span ids, timestamps, and ordering all
     come from the emitter's simulated clock and deterministic counters,
     so a recorded trace is bitwise replayable under the same seed. *)
-
-(** The trace context carried on a {!Request}: which trace the request's
-    spans belong to and, optionally, an upstream parent span to hang the
-    request's root under (so a caller can stitch serving traces into its
-    own). *)
-type ctx = { trace : int; parent : int }
 
 val no_parent : int
 (** [-1]: the parent id of a root span. *)
@@ -32,9 +27,6 @@ val cache_trace : int
 
 val ops_track : int
 (** [-1]: the Perfetto track operational spans render on. *)
-
-val ctx : ?parent:int -> trace:int -> unit -> ctx
-(** [parent] defaults to {!no_parent}. *)
 
 val sink : Obs_trace.t -> Obs_sink.t
 (** Records {!Obs_sink.event.Span} events into the trace (on a track

@@ -1,40 +1,23 @@
 type entry = { track : int; ts : float; ev : Obs_sink.event }
 
 type t = {
-  mutex : Mutex.t;
   limit : int;
-  mutable rev_entries : entry list;
-  mutable n : int;
+  entries : entry Queue.t;  (* in arrival order *)
   mutable dropped : int;
   mutable rev_tracks : (int * string) list;
-  mutable next_track : int;
 }
 
 let create ?(limit = 500_000) () =
-  {
-    mutex = Mutex.create ();
-    limit;
-    rev_entries = [];
-    n = 0;
-    dropped = 0;
-    rev_tracks = [];
-    next_track = 0;
-  }
+  { limit; entries = Queue.create (); dropped = 0; rev_tracks = [] }
 
 let track t name =
-  Mutex.protect t.mutex (fun () ->
-      let id = t.next_track in
-      t.next_track <- id + 1;
-      t.rev_tracks <- (id, name) :: t.rev_tracks;
-      id)
+  let id = List.length t.rev_tracks in
+  t.rev_tracks <- (id, name) :: t.rev_tracks;
+  id
 
 let record t ~track ~ts ev =
-  Mutex.protect t.mutex (fun () ->
-      if t.n >= t.limit then t.dropped <- t.dropped + 1
-      else begin
-        t.rev_entries <- { track; ts; ev } :: t.rev_entries;
-        t.n <- t.n + 1
-      end)
+  if Queue.length t.entries >= t.limit then t.dropped <- t.dropped + 1
+  else Queue.add { track; ts; ev } t.entries
 
 let sink t ~track ~clock : Obs_sink.t =
  fun ev ->
@@ -53,13 +36,13 @@ let sink t ~track ~clock : Obs_sink.t =
   | Obs_sink.Occupancy _ | Obs_sink.Migration _ ->
     record t ~track ~ts:(clock ()) ev
 
-let entries t = Mutex.protect t.mutex (fun () -> List.rev t.rev_entries)
+let iter t f = Queue.iter f t.entries
+let length t = Queue.length t.entries
 
-let tracks t =
-  Mutex.protect t.mutex (fun () ->
-      List.sort (fun (a, _) (b, _) -> compare a b) t.rev_tracks)
-
-let dropped t = Mutex.protect t.mutex (fun () -> t.dropped)
+(* A track's id is its registration index, so the reversed registration
+   list is sorted by id. *)
+let tracks t = List.rev t.rev_tracks
+let dropped t = t.dropped
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
@@ -102,7 +85,6 @@ let launch_cat = function
   | Obs_sink.Fused_block -> "fused"
 
 let to_chrome t =
-  let entries = entries t in
   let tracks = tracks t in
   let track_name id =
     match List.assoc_opt id tracks with
@@ -115,16 +97,12 @@ let to_chrome t =
      track's only when several tracks hold spans (the arms of a sweep),
      whose simulated clocks would otherwise overlap on one thread. *)
   let span_tids : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-  let max_track =
-    List.fold_left
-      (fun hi e ->
-        match e.ev with
-        | Obs_sink.Span { track; _ } ->
-          Hashtbl.replace span_tids (e.track, track) 0;
-          hi
-        | _ -> Stdlib.max hi e.track)
-      (-1) entries
-  in
+  let max_track = ref (-1) in
+  iter t (fun e ->
+      match e.ev with
+      | Obs_sink.Span { track; _ } -> Hashtbl.replace span_tids (e.track, track) 0
+      | _ -> max_track := Stdlib.max !max_track e.track);
+  let max_track = !max_track in
   let span_threads =
     Array.of_list
       (List.sort compare (Hashtbl.fold (fun key _ acc -> key :: acc) span_tids []))
@@ -154,15 +132,13 @@ let to_chrome t =
   in
   let by_tid : (int, entry list ref) Hashtbl.t = Hashtbl.create 16 in
   let tid_order = ref [] in
-  List.iter
-    (fun e ->
+  iter t (fun e ->
       let tid = tid_of e in
       match Hashtbl.find_opt by_tid tid with
       | Some cell -> cell := e :: !cell
       | None ->
         Hashtbl.add by_tid tid (ref [ e ]);
-        tid_order := tid :: !tid_order)
-    entries;
+        tid_order := tid :: !tid_order);
   let tids = List.sort compare !tid_order in
   let meta =
     List.map
@@ -365,8 +341,7 @@ let to_csv ?policy t =
     | Some name -> name
     | None -> Printf.sprintf "track%d" id
   in
-  List.iter
-    (fun e ->
+  iter t (fun e ->
       let name, detail =
         match e.ev with
         | Obs_sink.Step { shard; step; block } ->
@@ -411,8 +386,7 @@ let to_csv ?policy t =
       in
       Buffer.add_string buf
         (Printf.sprintf "%s,%.9f,%s,%s,%s%s\n" (track_name e.track) e.ts
-           (Obs_sink.kind_name e.ev) name detail suffix))
-    (entries t);
+           (Obs_sink.kind_name e.ev) name detail suffix));
   Buffer.contents buf
 
 let write t ~path =

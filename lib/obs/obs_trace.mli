@@ -6,9 +6,9 @@
     [Engine.elapsed], i.e. simulated seconds). Events that already carry
     their own simulated-time span ({!Obs_sink.Launched}, [Collective], the
     request lifecycle) are stamped from their payload instead of the clock.
-    Recording is mutex-protected; {!Obs_sink.Step} events from the pools
-    of a multi-shard run are split onto per-shard Chrome threads at export
-    time. It is the one recorder and the one Chrome exporter of the
+    Entries are kept in arrival order; {!Obs_sink.Step} events from the
+    pools of a multi-shard run are split onto per-shard Chrome threads at
+    export time. It is the one recorder and the one Chrome exporter of the
     observation layer: request spans ({!Obs_sink.Span}) are entries like
     any other, {!Obs_span.sink} records only them, and
     {!Obs_span.validate} checks their trees. *)
@@ -33,8 +33,11 @@ val sink : t -> track:int -> clock:(unit -> float) -> Obs_sink.t
     the exported track to be well-formed. [Launch] events are not recorded
     — their paired [Launched] carries the span. *)
 
-val entries : t -> entry list
-(** In recording order. *)
+val iter : t -> (entry -> unit) -> unit
+(** Visit the kept entries in recording order. *)
+
+val length : t -> int
+(** Kept entries (at most [limit]). *)
 
 val tracks : t -> (int * string) list
 val dropped : t -> int

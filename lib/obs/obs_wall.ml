@@ -3,8 +3,7 @@
    side computes: [time] never touches the simulated clock.
 
    Wall time uses the monotonic clock (immune to NTP steps); CPU time is
-   the process total from Sys.time, so on multi-domain runs cpu_s can
-   legitimately exceed wall_s. GC numbers are Gc.quick_stat deltas:
+   the process total from Sys.time. GC numbers are Gc.quick_stat deltas:
    cheap (no heap walk) and exact for the word/collection counters we
    report. *)
 

@@ -4,8 +4,7 @@
     Everything else in [lib/obs] runs on the simulated clock; this
     module is the fenced-off corner that reads real clocks. Wall time
     comes from [CLOCK_MONOTONIC] (immune to NTP steps), CPU time from
-    [Sys.time] (process-wide, so [cpu_s] can exceed [wall_s] on
-    multi-domain runs), and GC numbers from [Gc.quick_stat] deltas —
+    [Sys.time] (process-wide), and GC numbers from [Gc.quick_stat] deltas —
     cheap, no heap walk. Wall samples never feed back into simulated
     cost — they are reporting only. *)
 

@@ -5,7 +5,6 @@ type t = {
   member : int;
   arrival : float;
   cost_hint : float;
-  ctx : Obs_span.ctx;
 }
 
 let width_of_inputs inputs =
@@ -23,7 +22,7 @@ let width_of_inputs inputs =
     if w <= 0 then invalid_arg "Request: width must be positive";
     w
 
-let make ?member ?(arrival = 0.) ?(cost_hint = 1.) ?ctx ~id ~program ~inputs () =
+let make ?member ?(arrival = 0.) ?(cost_hint = 1.) ~id ~program ~inputs () =
   ignore (width_of_inputs inputs);
   {
     id;
@@ -32,10 +31,6 @@ let make ?member ?(arrival = 0.) ?(cost_hint = 1.) ?ctx ~id ~program ~inputs () 
     member = Option.value ~default:id member;
     arrival;
     cost_hint;
-    ctx =
-      (match ctx with
-      | Some c -> c
-      | None -> { Obs_span.trace = id; parent = Obs_span.no_parent });
   }
 
 let width t = width_of_inputs t.inputs

@@ -9,7 +9,9 @@
     [{ Pc_vm.default_config with member_base = member }]. *)
 
 type t = {
-  id : int;                     (** caller-chosen identity (metrics, tracing) *)
+  id : int;
+      (** caller-chosen identity; also the trace the server's spans for
+          this request land on *)
   program : Autobatch.compiled; (** the program the request's digest names *)
   inputs : Tensor.t list;       (** leading width dimension, like [run_pc]'s batch *)
   member : int;                 (** global RNG member of the request's first lane *)
@@ -17,25 +19,18 @@ type t = {
   cost_hint : float;
       (** expected service cost, any consistent unit — the
           shortest-expected-first admission policy orders by it *)
-  ctx : Obs_span.ctx;
-      (** trace context: which distributed trace this request belongs to
-          and the caller's span it should parent under. Carried inertly
-          through admission, checkpointing and migration so the server's
-          span tree lands in the caller's trace. *)
 }
 
 val make :
   ?member:int ->
   ?arrival:float ->
   ?cost_hint:float ->
-  ?ctx:Obs_span.ctx ->
   id:int ->
   program:Autobatch.compiled ->
   inputs:Tensor.t list ->
   unit ->
   t
-(** [member] defaults to [id]; [arrival] to 0; [cost_hint] to 1; [ctx]
-    to a fresh root context on trace [id]. Raises [Invalid_argument] if
+(** [member] defaults to [id]; [arrival] to 0; [cost_hint] to 1. Raises [Invalid_argument] if
     the inputs are empty or disagree on the leading width dimension. *)
 
 val width : t -> int

@@ -230,7 +230,7 @@ let emit_request_spans t (c : completion) =
   | None -> ()
   | Some sink ->
     let r = c.c_item.Admission.request in
-    let trace = r.Request.ctx.Obs_span.trace in
+    let trace = r.Request.id in
     let track = c.c_item.Admission.tenant.Tenant.id in
     let sp ~parent ~name ~t0 ~t1 =
       let span = next_span t in
@@ -238,7 +238,7 @@ let emit_request_spans t (c : completion) =
       span
     in
     let root =
-      sp ~parent:r.Request.ctx.Obs_span.parent ~name:"request"
+      sp ~parent:Obs_span.no_parent ~name:"request"
         ~t0:r.Request.arrival ~t1:c.c_finished
     in
     ignore

@@ -477,7 +477,14 @@ let outer a b =
 (* Row operations *)
 
 let nrows t = if rank t = 0 then 1 else t.shape.(0)
-let row_numel t = if rank t = 0 then 1 else Shape.numel (Shape.drop_outer t.shape)
+(* The product of the inner dimensions, without building their shape:
+   the VM calls this per slot and per gathered op. *)
+let row_numel t =
+  let n = ref 1 in
+  for i = 1 to Array.length t.shape - 1 do
+    n := !n * t.shape.(i)
+  done;
+  !n
 
 let take_rows t idx =
   if rank t = 0 then invalid_arg "Tensor.take_rows: scalar tensor";

@@ -1,8 +1,8 @@
-(* Tests for the observability layer: the JSON codec both directions, the
-   metrics registry's quantile arithmetic, trace recording and its Chrome
-   export (golden file + structural checks on a live run), and the
-   acceptance criterion that attaching a sink never perturbs a run —
-   outputs and the simulated clock stay bitwise identical. *)
+(* Tests for the observability layer: the JSON codec both directions,
+   trace recording and its Chrome export (golden file + structural checks
+   on a live run), and the acceptance criterion that attaching a sink
+   never perturbs a run — outputs and the simulated clock stay bitwise
+   identical. *)
 
 let t = Alcotest.test_case
 
@@ -49,60 +49,6 @@ let test_json_numbers () =
   match Obs_json.of_string "[1,2.5,\"a\\u0041\"]" with
   | Ok (Obs_json.List [ Obs_json.Int 1; Obs_json.Float 2.5; Obs_json.Str "aA" ]) -> ()
   | _ -> Alcotest.fail "mixed list parse"
-
-(* ---------- metrics ---------- *)
-
-let test_counters () =
-  let m = Obs_metrics.create () in
-  let c = Obs_metrics.counter m "launches" in
-  Obs_metrics.incr c;
-  Obs_metrics.incr ~by:4 c;
-  Alcotest.(check int) "counter" 5 (Obs_metrics.count c);
-  Alcotest.(check int) "same name, same instrument" 5
-    (Obs_metrics.count (Obs_metrics.counter m "launches"))
-
-let test_histogram_quantiles () =
-  let m = Obs_metrics.create () in
-  let h = Obs_metrics.histogram m "latency" in
-  (* 1..1000 "milliseconds": exact aggregates, bucketed quantiles. *)
-  for i = 1 to 1000 do
-    Obs_metrics.observe h (float_of_int i /. 1000.)
-  done;
-  Alcotest.(check int) "count" 1000 (Obs_metrics.hist_count h);
-  Alcotest.(check (float 1e-9)) "sum" 500.5 (Obs_metrics.hist_sum h);
-  Alcotest.(check (float 0.)) "min exact" 0.001 (Obs_metrics.hist_min h);
-  Alcotest.(check (float 0.)) "max exact" 1.0 (Obs_metrics.hist_max h);
-  (* Log buckets at 8 per octave: relative error is bounded by the bucket
-     width, ~9%. Check each advertised quantile against the true one. *)
-  List.iter
-    (fun (q, truth) ->
-      let est = Obs_metrics.quantile h q in
-      let rel = Float.abs (est -. truth) /. truth in
-      if rel > 0.1 then
-        Alcotest.failf "q%.2f: estimate %g vs true %g (rel %.3f)" q est truth rel)
-    [ (0.5, 0.5); (0.9, 0.9); (0.99, 0.99) ];
-  (* Estimates are clamped to the observed range. *)
-  Alcotest.(check bool) "q0 >= min" true (Obs_metrics.quantile h 0. >= 0.001);
-  Alcotest.(check bool) "q1 <= max" true (Obs_metrics.quantile h 1. <= 1.0);
-  match Obs_metrics.hist_to_json h with
-  | Obs_json.Obj fields ->
-    List.iter
-      (fun k ->
-        if not (List.mem_assoc k fields) then Alcotest.failf "missing %s" k)
-      [ "count"; "sum"; "mean"; "min"; "max"; "p50"; "p90"; "p99" ]
-  | _ -> Alcotest.fail "hist_to_json should be an object"
-
-let test_histogram_zero_and_empty () =
-  let m = Obs_metrics.create () in
-  let h = Obs_metrics.histogram m "h" in
-  Alcotest.(check bool) "empty quantile is nan" true
-    (Float.is_nan (Obs_metrics.quantile h 0.5));
-  Obs_metrics.observe h 0.;
-  Obs_metrics.observe h (-1.);
-  Alcotest.(check int) "non-positive observations counted" 2
-    (Obs_metrics.hist_count h);
-  Alcotest.(check (float 0.)) "quantile clamps to max" 0.
-    (Obs_metrics.quantile h 0.99)
 
 (* ---------- trace: golden Chrome export ---------- *)
 
@@ -152,8 +98,19 @@ let test_trace_limit_and_csv () =
     Obs_trace.record tr ~track ~ts:(float_of_int i)
       (Obs_sink.Step { shard = 0; step = i; block = 0 })
   done;
-  Alcotest.(check int) "kept" 2 (List.length (Obs_trace.entries tr));
+  Alcotest.(check int) "kept" 2 (Obs_trace.length tr);
   Alcotest.(check int) "dropped" 3 (Obs_trace.dropped tr);
+  (* The kept entries are the first two recorded, visited in recording
+     order; kept + dropped accounts for every record past the limit. *)
+  let steps = ref [] in
+  Obs_trace.iter tr (fun e ->
+      match e.ev with
+      | Obs_sink.Step { step; _ } -> steps := step :: !steps
+      | _ -> Alcotest.fail "only steps were recorded");
+  Alcotest.(check (list int)) "recording order" [ 1; 2 ] (List.rev !steps);
+  Obs_trace.record tr ~track ~ts:6. (Obs_sink.Restore { step = 6 });
+  Alcotest.(check int) "length stays at the limit" 2 (Obs_trace.length tr);
+  Alcotest.(check int) "dropped keeps counting" 4 (Obs_trace.dropped tr);
   let csv = Obs_trace.to_csv tr in
   Alcotest.(check bool) "csv has rows" true (String.length csv > 0)
 
@@ -227,7 +184,7 @@ let check_all_unperturbed name run =
   Alcotest.(check bool)
     (name ^ ": recorded something")
     true
-    (List.length (Obs_trace.entries tr) > 0);
+    (Obs_trace.length tr > 0);
   Alcotest.(check bool) (name ^ ": profiled something") true
     (Obs_prof.supersteps prof > 0)
 
@@ -265,9 +222,6 @@ let suites =
       [
         t "json round trip" `Quick test_json_roundtrip;
         t "json numbers" `Quick test_json_numbers;
-        t "counters and gauges" `Quick test_counters;
-        t "histogram quantiles" `Quick test_histogram_quantiles;
-        t "histogram edge cases" `Quick test_histogram_zero_and_empty;
         t "golden chrome export" `Quick test_trace_golden;
         t "trace limit and csv" `Quick test_trace_limit_and_csv;
         t "live trace well-formed" `Quick test_live_trace_well_formed;

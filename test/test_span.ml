@@ -16,10 +16,10 @@ let recorder ?limit () =
   (t, Obs_span.sink t)
 
 let span_names t =
-  List.filter_map
-    (fun (e : Obs_trace.entry) ->
-      match e.ev with Obs_sink.Span { name; _ } -> Some name | _ -> None)
-    (Obs_trace.entries t)
+  let names = ref [] in
+  Obs_trace.iter t (fun e ->
+      match e.ev with Obs_sink.Span { name; _ } -> names := name :: !names | _ -> ());
+  !names
 
 let count_named t name = List.length (List.filter (String.equal name) (span_names t))
 
@@ -72,7 +72,7 @@ let test_span_tree_well_formed () =
   Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed st);
   Alcotest.(check int) "count request" 1 (count_named t "request");
   Alcotest.(check int) "count preempted" 1 (count_named t "preempted");
-  Alcotest.(check int) "length" 4 (List.length (Obs_trace.entries t))
+  Alcotest.(check int) "length" 4 (Obs_trace.length t)
 
 let test_span_tree_violations () =
   (* Orphan parent reference. *)
@@ -120,7 +120,7 @@ let test_span_sink_and_limit () =
   done;
   (* Non-span events are ignored, not recorded. *)
   sink (Obs_sink.Ladder { level = "normal"; occupancy = 0.1; at = 0. });
-  Alcotest.(check int) "kept up to limit" 2 (List.length (Obs_trace.entries t));
+  Alcotest.(check int) "kept up to limit" 2 (Obs_trace.length t);
   Alcotest.(check int) "dropped counted" 2 (Obs_trace.dropped t)
 
 let test_span_chrome_roundtrip () =

@@ -711,6 +711,19 @@ let prop_row_separable =
                (String.concat " , " (List.map show_tensor args)))
         row_separable_table args)
 
+(* [row_numel] runs per slot in the VM's lane reset and per gathered op,
+   so it must not allocate a shape. *)
+let test_row_numel_no_alloc () =
+  let m = Tensor.zeros [| 4; 3 |] and c = Tensor.zeros [| 2; 3; 5 |] in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Tensor.row_numel m + Tensor.row_numel c
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "row sizes" (1000 * (3 + 15)) !acc;
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let suites =
   [
     ( "tensor",
@@ -742,5 +755,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_prim_elementwise;
         t "row-separability table covers the registry" `Quick test_row_table_complete;
         QCheck_alcotest.to_alcotest prop_row_separable;
+        t "row_numel allocates nothing" `Quick test_row_numel_no_alloc;
       ] );
   ]
