@@ -395,8 +395,12 @@ let resolve_program name =
         Printf.eprintf "%s: parse error at %s\n" name (Parser.string_of_error e);
         exit 1
       | Ok prog ->
-        let entry = Option.get (Lang.find_func prog prog.Lang.main) in
-        let shapes = List.map (fun _ -> Shape.scalar) entry.Lang.params in
+        (* A missing entry function is left to validation to report. *)
+        let shapes =
+          match Lang.find_func prog prog.Lang.main with
+          | Some entry -> List.map (fun _ -> Shape.scalar) entry.Lang.params
+          | None -> []
+        in
         (prog, Prim.standard (), shapes)
     end
     else begin
@@ -406,6 +410,17 @@ let resolve_program name =
       exit 1
     end
 
+(* Resolve and compile a program reference. A program that fails
+   validation or shape inference is bad input, not a crash: print
+   "<file>: <reason>" and exit 1, as a parse error does. *)
+let compile_program ?optimize ?fuse name =
+  let prog, registry, input_shapes = resolve_program name in
+  match Autobatch.compile ~registry ?optimize ?fuse ~input_shapes prog with
+  | compiled -> (prog, compiled)
+  | exception (Invalid_argument reason | Shape_infer.Error reason) ->
+    Printf.eprintf "%s: %s\n" name reason;
+    exit 1
+
 let prog_pos_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM"
          ~doc:"A known program (fib, collatz, nuts-gaussian) or a path to a \
@@ -413,8 +428,7 @@ let prog_pos_arg =
 
 let inspect_cmd =
   let run name stack optimize =
-    let prog, registry, input_shapes = resolve_program name in
-    let compiled = Autobatch.compile ~registry ~optimize ~input_shapes prog in
+    let _, compiled = compile_program ~optimize name in
     if stack then Format.printf "%a@." Stack_ir.pp_program compiled.Autobatch.stack
     else Format.printf "%a@." Cfg.pp_program compiled.Autobatch.cfg
   in
@@ -432,8 +446,7 @@ let inspect_cmd =
 
 let dot_cmd =
   let run name stack =
-    let prog, registry, input_shapes = resolve_program name in
-    let compiled = Autobatch.compile ~registry ~input_shapes prog in
+    let _, compiled = compile_program name in
     if stack then print_string (Dot.stack_to_dot compiled.Autobatch.stack)
     else print_string (Dot.cfg_to_dot compiled.Autobatch.cfg)
   in
@@ -447,7 +460,6 @@ let dot_cmd =
 
 let fuse_cmd =
   let run name profile_path dot ir json no_inline speculate_rng =
-    let prog, registry, input_shapes = resolve_program name in
     let options =
       {
         Fuse.profile = Option.map load_profile profile_path;
@@ -455,7 +467,7 @@ let fuse_cmd =
         speculate_rng;
       }
     in
-    let compiled = Autobatch.compile ~registry ~fuse:options ~input_shapes prog in
+    let _, compiled = compile_program ~fuse:options name in
     let report = Option.get compiled.Autobatch.fuse in
     if json then Obs_report.print (Fuse.to_json report)
     else Fuse.print report;
@@ -508,8 +520,7 @@ let fuse_cmd =
 
 let run_file_cmd =
   let run name args =
-    let prog, registry, input_shapes = resolve_program name in
-    let compiled = Autobatch.compile ~registry ~input_shapes prog in
+    let prog, compiled = compile_program name in
     let entry = Option.get (Lang.find_func prog prog.Lang.main) in
     if List.length args <> List.length entry.Lang.params then begin
       Printf.eprintf "program %s wants %d scalar arguments, got %d\n" name

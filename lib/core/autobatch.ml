@@ -3,11 +3,10 @@ type compiled = {
   registry : Prim.registry;
   cfg : Cfg.program;
   stack : Stack_ir.program;
-  shapes : Shape.t Ir_util.Smap.t;
   fuse : Fuse.report option;
 }
 
-let compile ?registry ?options ?(optimize = false) ?fuse ?input_shapes
+let compile ?registry ?options ?(optimize = false) ?fuse ~input_shapes
     (source : Lang.program) =
   let registry = match registry with Some r -> r | None -> Prim.standard () in
   Validate.check_exn registry source;
@@ -23,11 +22,7 @@ let compile ?registry ?options ?(optimize = false) ?fuse ?input_shapes
       let cfg, staged = Fuse.apply_cfg ~options:fopts registry cfg in
       (Optimize.run registry cfg, Some staged)
   in
-  let shapes =
-    match input_shapes with
-    | None -> Ir_util.Smap.empty
-    | Some inputs -> Shape_infer.infer registry cfg ~inputs
-  in
+  let shapes = Shape_infer.infer registry cfg ~inputs:input_shapes in
   let stack = Lower_stack.lower ?options ~shapes cfg in
   let stack, fuse_report =
     match staged with
@@ -36,7 +31,7 @@ let compile ?registry ?options ?(optimize = false) ?fuse ?input_shapes
       let stack, report = Fuse.apply_stack staged stack in
       (stack, Some report)
   in
-  { source; registry; cfg; stack; shapes; fuse = fuse_report }
+  { source; registry; cfg; stack; fuse = fuse_report }
 
 let run_local ?config c ~batch = Local_vm.run ?config c.registry c.cfg ~batch
 let run_pc ?config c ~batch = Pc_vm.run ?config c.registry c.stack ~batch

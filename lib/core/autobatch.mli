@@ -21,8 +21,7 @@ type compiled = {
   source : Lang.program;
   registry : Prim.registry;
   cfg : Cfg.program;
-  stack : Stack_ir.program;
-  shapes : Shape.t Ir_util.Smap.t;  (** element shapes, when inferable *)
+  stack : Stack_ir.program;  (** carries the inferred element shapes *)
   fuse : Fuse.report option;  (** fusion report, when compiled with [fuse] *)
 }
 
@@ -31,14 +30,14 @@ val compile :
   ?options:Lower_stack.options ->
   ?optimize:bool ->
   ?fuse:Fuse.options ->
-  ?input_shapes:Shape.t list ->
+  input_shapes:Shape.t list ->
   Lang.program ->
   compiled
 (** Validate and lower a program. [registry] defaults to
-    {!Prim.standard}[ ()]. When [input_shapes] (element shapes of the
-    entry function's parameters) is given, static shape inference runs and
-    the program-counter VM preallocates all storage, as on a static-shape
-    accelerator; otherwise storage is allocated on first write.
+    {!Prim.standard}[ ()]. [input_shapes] are the element shapes of the
+    entry function's parameters: static shape inference ({!Shape_infer})
+    runs from them, and the program-counter VM allocates all storage once,
+    when a lane pool is created, as on a static-shape accelerator.
     [optimize] (default false) runs the {!Optimize} passes — constant
     folding, copy propagation, dead-code elimination — on the CFG before
     stack lowering; results stay bitwise identical.
@@ -47,7 +46,7 @@ val compile :
     dispatches, still bitwise identical — and implies [optimize] (the
     pipeline re-optimizes across the fused block boundaries).
     Raises [Invalid_argument] with the validation errors on a malformed
-    program. *)
+    program, and {!Shape_infer.Error} when the shapes do not check. *)
 
 val run_local :
   ?config:Local_vm.config -> compiled -> batch:Tensor.t list -> Tensor.t list

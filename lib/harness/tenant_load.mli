@@ -3,7 +3,7 @@
     through {!Tenant_server}, paired against a no-admission FIFO
     baseline on the identical trace.
 
-    The generator is streaming — requests materialize one at a time from
+    The generator is streaming — requests are built one at a time from
     a pull source, so million-request sweeps hold O(tenants) state — and
     purely seeded: the same [seed] regenerates bitwise the same trace
     for both arms, which is what makes the arms paired and the whole

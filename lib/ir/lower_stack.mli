@@ -25,9 +25,7 @@ type options = {
   save_live_only : bool;
       (** O3; off ⇒ every call site saves all non-temporary caller
           variables (except call destinations and result variables), so
-          every one of them becomes [Stacked]. Since dead variables may
-          then be pushed before their first write, running the result
-          requires preallocated storage — compile with [input_shapes]. *)
+          every one of them becomes [Stacked]. *)
 }
 
 val default_options : options

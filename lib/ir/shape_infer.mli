@@ -7,7 +7,8 @@
 
     The runtimes use the result to preallocate batched storage and to price
     bookkeeping traffic; variables left unresolved (possible only in dead
-    or never-returning code) are allocated lazily instead. *)
+    or never-returning code) get no storage, and the program-counter VM
+    refuses to touch them. *)
 
 exception Error of string
 

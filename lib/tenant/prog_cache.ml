@@ -162,8 +162,8 @@ let find t key =
     miss t;
     None
 
-let find_or_compile t ?optimize ?fuse ?input_shapes program =
-  let key = digest ?input_shapes program in
+let find_or_compile t ?optimize ?fuse ~input_shapes program =
+  let key = digest ~input_shapes program in
   match Hashtbl.find_opt t.entries key with
   | Some e ->
     hit t e;
@@ -171,8 +171,7 @@ let find_or_compile t ?optimize ?fuse ?input_shapes program =
   | None ->
     miss t;
     let compiled =
-      Autobatch.compile ~registry:t.registry ?optimize ?fuse ?input_shapes
-        program
+      Autobatch.compile ~registry:t.registry ?optimize ?fuse ~input_shapes program
     in
     emit_instant t "compile";
     insert t key compiled;

@@ -4,8 +4,8 @@
     one tenant runs the same model many times. Compiling through
     {!Autobatch.compile} on every request would dominate serving cost, so
     the cache keys compiled artifacts on a *structural* 64-bit digest of
-    the source {!Lang.program} (plus the input element shapes, which
-    change what [compile] preallocates).
+    the source {!Lang.program} plus the input element shapes, from which
+    [compile] infers every variable's shape.
 
     The digest is one streaming post-order fold: each expression,
     statement, function and program node mixes its constructor tag, its
@@ -47,7 +47,7 @@ val create :
     0). *)
 
 val find_or_compile :
-  t -> ?optimize:bool -> ?fuse:Fuse.options -> ?input_shapes:Shape.t list ->
+  t -> ?optimize:bool -> ?fuse:Fuse.options -> input_shapes:Shape.t list ->
   Lang.program -> Autobatch.compiled * [ `Hit | `Miss ]
 (** Return the cached artifact for the program's digest, or compile,
     insert (evicting the least-recently-used entry when full) and return

@@ -148,8 +148,7 @@ let bytes_of outputs =
   List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. outputs
 
 (* A request's inputs agree with its program: one tensor per program
-   input, each row shaped as the program declares (inputs without a
-   declared shape take whatever the first write gives them). *)
+   input, each row shaped as the program declares. *)
 let inputs_fit (r : Request.t) =
   let p = r.Request.program.Autobatch.stack in
   List.compare_lengths p.Stack_ir.inputs r.Request.inputs = 0
@@ -157,7 +156,7 @@ let inputs_fit (r : Request.t) =
        (fun v x ->
          match Ir_util.Smap.find_opt v p.Stack_ir.shapes with
          | Some elem -> Shape.equal elem (Vm_util.elem_shape_of_batched x)
-         | None -> true)
+         | None -> false)
        p.Stack_ir.inputs r.Request.inputs
 
 (* ---------- server state ---------- *)
@@ -177,7 +176,6 @@ type t = {
   kills : Fault.event list;
   injector : Fault.injector;
   adm : Admission.t;
-  row_shapes : (int64, Shape.t list) Hashtbl.t;
   max_target : int;
   mutable now : float;
   mutable round : int;
@@ -399,23 +397,6 @@ let take t it =
   | f :: rest when f == it -> t.followups <- rest
   | _ -> ignore (src_pop t.src)
 
-(* Row shapes per program digest, fixed by the first request of that
-   digest admitted to the queue. An input the program declares no shape
-   for takes its storage shape from the first lane load, so a later
-   request that disagrees must be refused here: at a lane it would abort
-   the round, or be silently reinterpreted. *)
-let shapes_of (it : Admission.item) =
-  List.map Vm_util.elem_shape_of_batched it.Admission.request.Request.inputs
-
-let rows_agree t (it : Admission.item) =
-  match Hashtbl.find_opt t.row_shapes it.Admission.digest with
-  | None -> true
-  | Some fixed -> List.for_all2 Shape.equal fixed (shapes_of it)
-
-let fix_rows t (it : Admission.item) =
-  if not (Hashtbl.mem t.row_shapes it.Admission.digest) then
-    Hashtbl.replace t.row_shapes it.Admission.digest (shapes_of it)
-
 let slo_bad t (victim : Admission.item) =
   match t.cfg.slo with
   | Some slo ->
@@ -432,7 +413,6 @@ let reject t it reason =
   emit_rejected t it
 
 let enqueued t (it : Admission.item) =
-  fix_rows t it;
   emit t (Obs_sink.Request_enqueued { id = it.Admission.request.Request.id; at = t.now })
 
 let ingest t =
@@ -445,7 +425,7 @@ let ingest t =
       (* Malformed requests are refused here, before [Lanes.load] could
          raise mid-round and abort the whole run; one wider than a whole
          shard is unservable by construction. *)
-      if not (inputs_fit r && rows_agree t it) then reject t it Admission.Invalid_input
+      if not (inputs_fit r) then reject t it Admission.Invalid_input
       else if Request.width r > t.cfg.lanes_per_shard then reject t it Admission.Too_wide
       else if
         not
@@ -1021,7 +1001,6 @@ let create ?config ?on_complete src =
       kills;
       injector = Fault.injector kills;
       adm;
-      row_shapes = Hashtbl.create 16;
       max_target;
       now = 0.; round = 0; over = false;
       parked = []; seq = 0; followups = []; span_seq = 0;

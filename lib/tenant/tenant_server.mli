@@ -137,7 +137,7 @@ type stats = {
 }
 
 (** A pull-based arrival stream in nondecreasing arrival order, so
-    million-request traces never materialize in memory. *)
+    million-request traces are never held whole in memory. *)
 type source
 
 val source_of_fun : (unit -> Admission.item option) -> source
@@ -146,7 +146,7 @@ val source_of_list : Admission.item list -> source
 type t
 (** A server mid-run: its configuration, shards and their bindings,
     admission queue, clock and round, parked jobs, pending follow-ups,
-    per-digest row shapes, fault injector, and counters. *)
+    fault injector, and counters. *)
 
 val create :
   ?config:config -> ?on_complete:(completion -> Admission.item option) -> source -> t
@@ -167,9 +167,8 @@ val step_round : t -> bool
     progress).
 
     A request is refused at ingest as [Invalid_input] when its inputs
-    disagree with the program's declared shapes, or with the row shapes
-    fixed by the first admitted request of the same program digest; as
-    [Too_wide] when it is wider than a shard. *)
+    disagree in number or row shape with the program's declared input
+    shapes; as [Too_wide] when it is wider than a shard. *)
 
 val finish : t -> stats
 (** Flush every completion still in a rollback window and total the

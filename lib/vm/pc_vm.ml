@@ -107,8 +107,8 @@ module Pc_stack = struct
     t.top.(lane) <- l.pl_top
 end
 
-(* One variable's storage. A slot stays [None] until its first write
-   when the program was compiled without input shapes (lazy allocation). *)
+(* One variable's storage, allocated once by [Lanes.create] from the
+   variable's inferred element shape. *)
 type storage = Reg of Tensor.t | Msk of Tensor.t | Stk of Stacked.t
 
 let storage_elem = function
@@ -148,38 +148,63 @@ let slot_of names v =
   in
   go 0 (Array.length names)
 
+(* A variable with no inferred shape has no storage: only dead or
+   never-returning code mentions one, and touching it is an error. *)
+let no_shape names k =
+  invalid_arg (Printf.sprintf "Pc_vm: variable %s has no inferred shape" names.(k))
+
 (* How a primitive op runs on the host when some lanes are masked off:
    on every row, or on the active rows only. The engine prices full
    width either way. *)
-type rows = Undecided | All_rows | Active_rows
+type rows = All_rows | Active_rows
 
 (* A block with its variables resolved to slots, its primitives looked up
    and its constants broadcast to the pool's width. [cond] is the slot of
-   the terminator's branch condition, if it has one. *)
+   the terminator's branch condition, if it has one. A primitive op that
+   mentions a variable with no storage resolves to [Unshaped] with that
+   variable's slot. *)
 type op =
   | Prim of {
       dst : int;
       args : int array;
       impl : Prim.t;
-      mutable rows : rows;
-      mutable inputs : Tensor.t list option;
-          (* [args]' storage, once all of it is allocated; dropped when
-             [Lanes.restore] rebuilds the slots *)
+      rows : rows;
+      inputs : Tensor.t list;  (* [args]' storage *)
     }
   | Const of { dst : int; value : Tensor.t }
   | Mov of { dst : int; src : int }
   | Push of int
   | Pop of int
+  | Unshaped of int
 
 type block = { ops : op array; term : Stack_ir.terminator; cond : int }
 
-let resolve names reg ~z (b : Stack_ir.block) =
+(* A primitive op over allocated storage: its argument tensors, and how
+   it runs on masked supersteps, decided from shapes that cannot change. *)
+let resolve_prim slots ~dst ~args impl =
+  let unshaped k = Option.is_none slots.(k) in
+  match if unshaped dst then Some dst else Array.find_opt unshaped args with
+  | Some k -> Unshaped k
+  | None ->
+    let stored k = Option.get slots.(k) in
+    let elem k = storage_elem (stored k) in
+    let arg_elems = Array.to_list (Array.map elem args) in
+    let moved =
+      List.fold_left (fun n e -> n + Shape.numel e) (Shape.numel (elem dst)) arg_elems
+    in
+    let rows =
+      if impl.Prim.flops arg_elems >= gather_ratio *. float_of_int moved then Active_rows
+      else All_rows
+    in
+    let read k = match stored k with Reg r | Msk r -> r | Stk s -> Stacked.top s in
+    Prim { dst; args; impl; rows; inputs = Array.to_list (Array.map read args) }
+
+let resolve names slots reg ~z (b : Stack_ir.block) =
   let slot = slot_of names in
   let op : Stack_ir.op -> op = function
     | Stack_ir.Sprim { dst; prim; args } ->
-      Prim
-        { dst = slot dst; args = Array.of_list (List.map slot args);
-          impl = Prim.find_exn reg prim; rows = Undecided; inputs = None }
+      resolve_prim slots ~dst:(slot dst) ~args:(Array.of_list (List.map slot args))
+        (Prim.find_exn reg prim)
     | Stack_ir.Sconst { dst; value } ->
       Const { dst = slot dst; value = Tensor.broadcast_rows value z }
     | Stack_ir.Smov { dst; src } -> Mov { dst = slot dst; src = slot src }
@@ -198,16 +223,13 @@ let resolve names reg ~z (b : Stack_ir.block) =
    refill it with a new request mid-run. [run] below is the classic
    whole-batch entry point, a thin driver over this engine.
 
-   Lookups happen once, in [create]: every variable gets a slot in
-   [slots] and every block is resolved over slot indices. A block's
-   engine charge depends only on shapes, so it is priced into an
-   [Engine.priced] handle on the block's first execution and reused. *)
+   Allocation and lookups happen once, in [create]: every shaped variable
+   gets its storage in [slots], and every block is resolved over slot
+   indices. Nothing allocates storage after that. A block's engine charge
+   depends only on shapes, so it is priced into an [Engine.priced] handle
+   on the block's first execution and reused. *)
 module Lanes = struct
   type lane_var = { lv_name : string; lv_class : Var_class.t; lv_elem : Shape.t }
-
-  (* What a lane state copies out of an allocated variable: a register's
-     or masked variable's data and row width, or a stack. *)
-  type column = Row of float array * int | Column of Stacked.t
 
   type t = {
     config : config;
@@ -215,7 +237,7 @@ module Lanes = struct
     z : int;
     halt : int;
     names : string array;    (* slot -> variable, sorted *)
-    slots : storage option array;
+    slots : storage option array;  (* [None]: no inferred shape *)
     blocks : block array;
     priced : Engine.priced option array;  (* per block, on [config.engine] *)
     pc : Pc_stack.t;
@@ -233,34 +255,18 @@ module Lanes = struct
     tables : Sched_policy.tables option;  (* for the table-driven policies *)
     mutable last : int;
     mutable steps : int;
-    (* The allocated variables as lane states describe and read them,
-       built on the first export after a slot is allocated. *)
-    mutable layout : (lane_var array * column array) option;
+    (* The stored variables as lane states describe them, and the length
+       of a lane state's [ls_rows]. *)
+    vars : lane_var array;
+    width : int;
   }
 
   let slot t v = slot_of t.names v
 
-  let allocate t k elem =
-    let s =
-      match Stack_ir.class_of t.p t.names.(k) with
-      | Var_class.Temp -> Reg (Tensor.zeros (Shape.concat_outer t.z elem))
-      | Var_class.Masked -> Msk (Tensor.zeros (Shape.concat_outer t.z elem))
-      | Var_class.Stacked -> Stk (Stacked.create ~z:t.z ~elem ~initial_depth ())
-    in
-    t.slots.(k) <- Some s;
-    t.layout <- None;
-    s
-
-  (* The slot's storage, allocated with element shape [elem] if empty. *)
-  let materialize t k elem =
-    match t.slots.(k) with Some s -> s | None -> allocate t k elem
+  let storage t k = match t.slots.(k) with Some s -> s | None -> no_shape t.names k
 
   let read_slot t k =
-    match t.slots.(k) with
-    | Some (Reg r | Msk r) -> r
-    | Some (Stk s) -> Stacked.top s
-    | None ->
-      invalid_arg (Printf.sprintf "Pc_vm: read of unwritten variable %s" t.names.(k))
+    match storage t k with Reg r | Msk r -> r | Stk s -> Stacked.top s
 
   let read t v = read_slot t (slot t v)
 
@@ -272,7 +278,7 @@ module Lanes = struct
 
   (* Write the active lanes' rows of the full-width [out]. *)
   let write t k out =
-    match materialize t k (Vm_util.elem_shape_of_batched out) with
+    match storage t k with
     | Reg r ->
       check_shape t k (Tensor.shape r) (Tensor.shape out);
       (* Copy, never alias: [out] may be another variable's storage (a
@@ -292,36 +298,18 @@ module Lanes = struct
      a register never lives past its block. *)
   let scatter t k out =
     let elem = Vm_util.elem_shape_of_batched out and idx = t.gather_idx in
-    let s = materialize t k elem in
+    let s = storage t k in
     check_shape t k (storage_elem s) elem;
     match s with
     | Reg r | Msk r -> Tensor.blit_rows_indexed ~idx ~src:out ~dst:r
     | Stk st -> Stacked.write_top_indexed st ~idx out
 
   let stacked t k what =
-    match t.slots.(k) with
-    | Some (Stk s) -> s
-    | Some (Reg _ | Msk _) ->
+    match storage t k with
+    | Stk s -> s
+    | Reg _ | Msk _ ->
       invalid_arg
         (Printf.sprintf "Pc_vm: %s of non-stacked variable %s" what t.names.(k))
-    | None ->
-      invalid_arg (Printf.sprintf "Pc_vm: %s of unwritten variable %s" what t.names.(k))
-
-  (* How a primitive op writing [dst] from [args] (all read, so
-     allocated) runs on masked supersteps. Once the destination is
-     allocated too, its shapes cannot change, so the answer is final. *)
-  let rows_of t ~dst ~args impl =
-    match t.slots.(dst) with
-    | None -> Undecided
-    | Some d ->
-      let args =
-        Array.to_list (Array.map (fun k -> storage_elem (Option.get t.slots.(k))) args)
-      in
-      let moved =
-        List.fold_left (fun n e -> n + Shape.numel e) (Shape.numel (storage_elem d)) args
-      in
-      if impl.Prim.flops args >= gather_ratio *. float_of_int moved then Active_rows
-      else All_rows
 
   let gather_lanes t =
     if not t.gathered then begin
@@ -332,29 +320,19 @@ module Lanes = struct
 
   let exec_op t = function
     | Prim p ->
-      let args =
-        match p.inputs with
-        | Some args -> args
-        | None ->
-          let args = Array.to_list (Array.map (read_slot t) p.args) in
-          p.inputs <- Some args;
-          args
-      in
-      let masked = t.n_active < t.z in
-      if masked && p.rows = Undecided then
-        p.rows <- rows_of t ~dst:p.dst ~args:p.args p.impl;
-      if masked && p.rows = Active_rows then begin
+      if p.rows = Active_rows && t.n_active < t.z then begin
         gather_lanes t;
         let idx = t.gather_idx in
         scatter t p.dst
           (p.impl.Prim.batched ~members:t.gather_members
-             (List.map (fun a -> Tensor.take_rows a idx) args))
+             (List.map (fun a -> Tensor.take_rows a idx) p.inputs))
       end
-      else write t p.dst (p.impl.Prim.batched ~members:t.members args)
+      else write t p.dst (p.impl.Prim.batched ~members:t.members p.inputs)
     | Const { dst; value } -> write t dst value
     | Mov { dst; src } -> write t dst (read_slot t src)
     | Push k -> Stacked.push (stacked t k "push") ~active:t.active ~n:t.n_active
     | Pop k -> Stacked.pop (stacked t k "pop") ~active:t.active ~n:t.n_active
+    | Unshaped k -> no_shape t.names k
 
   (* Point every active lane's pc at [if_true] or [if_false] by [cond]. *)
   let branch t cond ~if_true ~if_false =
@@ -386,7 +364,7 @@ module Lanes = struct
     | Stack_ir.Sreturn -> Pc_stack.pop t.pc ~active:t.active ~n:t.n_active
 
   (* The engine charge of block [b] on [eng], from the shapes of the
-     variables it touches (all allocated once it has executed). Traffic is
+     variables it touches (all stored once it has executed). Traffic is
      summed in the order the block moves bytes — reads, then the write, op
      by op, then the terminator — since float addition is not
      associative. *)
@@ -398,16 +376,10 @@ module Lanes = struct
       names := name :: !names;
       flops := !flops +. f
     in
-    let stored k =
-      match t.slots.(k) with
-      | Some s -> s
-      | None ->
-        invalid_arg (Printf.sprintf "Pc_vm: read of unwritten variable %s" t.names.(k))
-    in
-    let elem k = storage_elem (stored k) in
+    let elem k = storage_elem (storage t k) in
     let row k = Shape.numel (elem k) in
     let read k =
-      match stored k with
+      match storage t k with
       | Stk s when not t.config.top_cache ->
         (* Without the top cache every stacked read is a gather. *)
         add (Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s))
@@ -415,7 +387,7 @@ module Lanes = struct
     in
     let write k =
       let row = row k in
-      match stored k with
+      match storage t k with
       | Reg _ -> add (Vm_util.bytes_per_elem *. float_of_int (z * row))
       | Msk _ -> add (Vm_util.masked_write_bytes ~lanes:z ~row)
       | Stk _ ->
@@ -438,7 +410,8 @@ module Lanes = struct
           read src;
           write dst;
           charge "mov" (float_of_int (row src * z))
-        | Push k | Pop k -> add (Vm_util.stack_move_bytes ~lanes:z ~row:(row k)))
+        | Push k | Pop k -> add (Vm_util.stack_move_bytes ~lanes:z ~row:(row k))
+        | Unshaped k -> no_shape t.names k)
       b.ops;
     let pc_move () = add (Vm_util.stack_move_bytes ~lanes:z ~row:1) in
     let control_ops =
@@ -467,40 +440,58 @@ module Lanes = struct
       Stack_ir.all_vars p @ List.map fst (Ir_util.Smap.bindings p.Stack_ir.shapes)
       |> List.sort_uniq compare |> Array.of_list
     in
-    let t =
-      {
-        config;
-        p;
-        z;
-        halt;
-        names;
-        slots = Array.make (Array.length names) None;
-        blocks = Array.map (resolve names reg ~z) p.Stack_ir.blocks;
-        priced = Array.make nb None;
-        (* All lanes start idle: pc top parked at [halt]. *)
-        pc = Pc_stack.create ~z ~bottom:halt ~start:halt ~initial_depth;
-        members = Array.init z (fun i -> config.member_base + i);
-        occupied = Array.make z false;
-        counts = Array.make nb 0;
-        active = Array.make z 0;
-        n_active = 0;
-        gathered = false;
-        gather_idx = [||];
-        gather_members = [||];
-        tables =
-          (if Sched_policy.needs_tables config.sched then
-             Some (Sched_cost.stack_tables ~registry:reg p)
-           else None);
-        last = -1;
-        steps = 0;
-        layout = None;
-      }
+    let alloc v elem =
+      match Stack_ir.class_of p v with
+      | Var_class.Temp -> Reg (Tensor.zeros (Shape.concat_outer z elem))
+      | Var_class.Masked -> Msk (Tensor.zeros (Shape.concat_outer z elem))
+      | Var_class.Stacked -> Stk (Stacked.create ~z ~elem ~initial_depth ())
     in
-    Ir_util.Smap.iter (fun v elem -> ignore (allocate t (slot t v) elem)) p.Stack_ir.shapes;
-    t
+    let slots =
+      Array.map
+        (fun v -> Option.map (alloc v) (Ir_util.Smap.find_opt v p.Stack_ir.shapes))
+        names
+    in
+    (* The stored variables are the shaped ones, in name order. *)
+    let vars =
+      Ir_util.Smap.bindings p.Stack_ir.shapes
+      |> List.map (fun (lv_name, lv_elem) ->
+             { lv_name; lv_class = Stack_ir.class_of p lv_name; lv_elem })
+      |> Array.of_list
+    in
+    {
+      config;
+      p;
+      z;
+      halt;
+      names;
+      slots;
+      blocks = Array.map (resolve names slots reg ~z) p.Stack_ir.blocks;
+      priced = Array.make nb None;
+      (* All lanes start idle: pc top parked at [halt]. *)
+      pc = Pc_stack.create ~z ~bottom:halt ~start:halt ~initial_depth;
+      members = Array.init z (fun i -> config.member_base + i);
+      occupied = Array.make z false;
+      counts = Array.make nb 0;
+      active = Array.make z 0;
+      n_active = 0;
+      gathered = false;
+      gather_idx = [||];
+      gather_members = [||];
+      tables =
+        (if Sched_policy.needs_tables config.sched then
+           Some (Sched_cost.stack_tables ~registry:reg p)
+         else None);
+      last = -1;
+      steps = 0;
+      vars;
+      width =
+        Array.fold_left
+          (fun n lv ->
+            if lv.lv_class = Var_class.Stacked then n else n + Shape.numel lv.lv_elem)
+          0 vars;
+    }
 
   let z t = t.z
-  let program t = t.p
   let steps t = t.steps
   let occupied t ~lane = t.occupied.(lane)
 
@@ -529,13 +520,12 @@ module Lanes = struct
     done;
     !acc
 
-  (* Restore one lane of every allocated variable a block can read before
-     writing to the all-zeros state a fresh VM would give it. Variables
-     allocated on demand *after* this point start zeroed anyway, so a
-     recycled lane is indistinguishable from lane [lane] of a brand-new
-     VM. Registers ([Var_class.Temp]) are skipped: each block writes one
-     before reading it, so no lane ever reads a register row it inherited
-     (an exported lane state still carries its stale rows). *)
+  (* Restore one lane of every variable a block can read before writing
+     to the all-zeros state a fresh VM would give it, so a recycled lane
+     is indistinguishable from lane [lane] of a brand-new VM. Registers
+     ([Var_class.Temp]) are skipped: each block writes one before reading
+     it, so no lane ever reads a register row it inherited (an exported
+     lane state still carries its stale rows). *)
   let reset_lane_storage t ~lane =
     Array.iter
       (function
@@ -546,35 +536,19 @@ module Lanes = struct
         | Some (Stk s) -> Stacked.reset_lane s lane)
       t.slots
 
-  (* An input row must have exactly the element shape of the storage it
-     lands in (allocated from a declared shape or by an earlier load):
-     equal element counts are not enough, or a [2;3] row would be
-     silently reinterpreted as [3;2]. *)
-  let check_lane_row t v elem_t =
-    let storage =
-      match t.slots.(slot t v) with
-      | None -> None
-      | Some (Reg r | Msk r) -> Some r
-      | Some (Stk st) -> Some (Stacked.top st)
-    in
-    Option.iter
-      (fun r ->
-        let want = Vm_util.elem_shape_of_batched r in
-        if not (Shape.equal want (Tensor.shape elem_t)) then
-          invalid_arg
-            (Printf.sprintf "Pc_vm.Lanes: input %s has row shape %s, expected %s" v
-               (Shape.to_string (Tensor.shape elem_t))
-               (Shape.to_string want)))
-      storage
-
-  let write_lane_row t v ~lane elem_t =
-    let dst =
-      match materialize t (slot t v) (Tensor.shape elem_t) with
-      | Reg r | Msk r -> r
-      | Stk st -> Stacked.top st
-    in
-    let row = Tensor.row_numel dst in
-    Array.blit (Tensor.data elem_t) 0 (Tensor.data dst) (lane * row) row
+  (* An input's storage, once the input row is checked against it: the
+     row must have exactly the declared element shape, as equal element
+     counts are not enough (a [2;3] row would be silently reinterpreted
+     as [3;2]). *)
+  let input_storage t v elem_t =
+    let r = read t v in
+    let want = Vm_util.elem_shape_of_batched r in
+    if not (Shape.equal want (Tensor.shape elem_t)) then
+      invalid_arg
+        (Printf.sprintf "Pc_vm.Lanes: input %s has row shape %s, expected %s" v
+           (Shape.to_string (Tensor.shape elem_t))
+           (Shape.to_string want));
+    r
 
   let load t ~lane ~member ~inputs =
     if lane < 0 || lane >= t.z then invalid_arg "Pc_vm.Lanes.load: lane out of range";
@@ -584,9 +558,13 @@ module Lanes = struct
       invalid_arg "Pc_vm: input count mismatch";
     (* Check every input before writing any: a refused load leaves the
        lane (and the rest of the pool) exactly as it was. *)
-    List.iter2 (check_lane_row t) t.p.Stack_ir.inputs inputs;
+    let dsts = List.map2 (input_storage t) t.p.Stack_ir.inputs inputs in
     reset_lane_storage t ~lane;
-    List.iter2 (fun v e -> write_lane_row t v ~lane e) t.p.Stack_ir.inputs inputs;
+    List.iter2
+      (fun dst e ->
+        let row = Tensor.row_numel dst in
+        Array.blit (Tensor.data e) 0 (Tensor.data dst) (lane * row) row)
+      dsts inputs;
     t.members.(lane) <- member;
     t.occupied.(lane) <- true;
     Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:0
@@ -609,7 +587,7 @@ module Lanes = struct
   (* ---- The lane-migration seam (DESIGN.md S20). ----
 
      A lane's complete execution state is its member identity, its pc
-     column and its row of every allocated variable (for stacked
+     column and its row of every stored variable (for stacked
      variables: the saved frames plus the cached top). Batched
      primitives are row-wise and the RNG keys on the member identity
      carried here — never on the lane index — so exporting this record
@@ -619,61 +597,32 @@ module Lanes = struct
   type lane_state = {
     ls_member : int;
     ls_pc : Pc_stack.lane;
-    ls_vars : lane_var array;  (* sorted by name; the pool's [layout] *)
+    ls_vars : lane_var array;  (* sorted by name; the pool's [vars] *)
     ls_rows : float array;  (* register and masked rows, in [ls_vars] order *)
     ls_stacks : Stacked.lane array;  (* stacked columns, in [ls_vars] order *)
   }
-
-  (* The allocated variables, in slot (name) order. *)
-  let layout t =
-    match t.layout with
-    | Some l -> l
-    | None ->
-      let alloc = ref [] in
-      for k = Array.length t.slots - 1 downto 0 do
-        Option.iter (fun s -> alloc := (k, s) :: !alloc) t.slots.(k)
-      done;
-      let alloc = Array.of_list !alloc in
-      let var (k, s) =
-        let lv_class =
-          match s with
-          | Reg _ -> Var_class.Temp
-          | Msk _ -> Var_class.Masked
-          | Stk _ -> Var_class.Stacked
-        in
-        { lv_name = t.names.(k); lv_class; lv_elem = storage_elem s }
-      in
-      let column (_, s) =
-        match s with
-        | Reg r | Msk r -> Row (Tensor.data r, Tensor.numel r / t.z)
-        | Stk s -> Column s
-      in
-      let l = (Array.map var alloc, Array.map column alloc) in
-      t.layout <- Some l;
-      l
 
   (* A lane is a few flat arrays, not a record per variable: a checkpoint
      holds every occupied lane, and its blocks are what a capture
      allocates and the collector later copies. *)
   let lane_state t lane =
-    let vars, cols = layout t in
-    let width = Array.fold_left (fun n -> function Row (_, w) -> n + w | Column _ -> n) 0 cols in
-    let rows = Array.create_float width and pos = ref 0 and stacks = ref [] in
+    let rows = Array.create_float t.width and pos = ref 0 and stacks = ref [] in
     Array.iter
       (function
-        | Row (d, 1) ->
-          (* A scalar row: an assignment beats [Array.blit]'s call. *)
-          rows.(!pos) <- d.(lane);
-          incr pos
-        | Row (d, w) ->
-          Array.blit d (lane * w) rows !pos w;
+        | None -> ()
+        | Some (Reg r | Msk r) ->
+          let d = Tensor.data r and w = Tensor.row_numel r in
+          if w = 1 then
+            (* A scalar row: an assignment beats [Array.blit]'s call. *)
+            rows.(!pos) <- d.(lane)
+          else Array.blit d (lane * w) rows !pos w;
           pos := !pos + w
-        | Column s -> stacks := Stacked.capture_lane s lane :: !stacks)
-      cols;
+        | Some (Stk s) -> stacks := Stacked.capture_lane s lane :: !stacks)
+      t.slots;
     {
       ls_member = t.members.(lane);
       ls_pc = Pc_stack.capture_lane t.pc ~lane;
-      ls_vars = vars;
+      ls_vars = t.vars;
       ls_rows = rows;
       ls_stacks = Array.of_list (List.rev !stacks);
     }
@@ -695,34 +644,29 @@ module Lanes = struct
     (* Park the pc at halt, as create does for idle lanes. *)
     Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:t.halt
 
+  let same_vars t vars = vars == t.vars || vars = t.vars
+
+  (* The inverse of [lane_state], over the pool's own storage. *)
   let import_lane t ~lane st =
     if lane < 0 || lane >= t.z then
       invalid_arg "Pc_vm.Lanes.import_lane: lane out of range";
     if t.occupied.(lane) then
       invalid_arg
         (Printf.sprintf "Pc_vm.Lanes.import_lane: lane %d is occupied" lane);
-    (* Variables the source pool never allocated are implicitly zero for
-       this member; resetting first makes the destination agree. *)
-    reset_lane_storage t ~lane;
+    if not (same_vars t st.ls_vars && Array.length st.ls_rows = t.width) then
+      invalid_arg "Pc_vm.Lanes.import_lane: the state's variables differ from the pool's";
     let pos = ref 0 and next_stack = ref 0 in
     Array.iter
-      (fun lv ->
-        let fail what =
-          invalid_arg
-            (Printf.sprintf "Pc_vm.Lanes.import_lane: variable %s %s" lv.lv_name what)
-        in
-        match (materialize t (slot t lv.lv_name) lv.lv_elem, lv.lv_class) with
-        | (Reg r, Var_class.Temp | Msk r, Var_class.Masked) ->
-          let row = Tensor.numel r / t.z in
-          if row <> Shape.numel lv.lv_elem || !pos + row > Array.length st.ls_rows then
-            fail "row width mismatch";
-          Array.blit st.ls_rows !pos (Tensor.data r) (lane * row) row;
-          pos := !pos + row
-        | Stk s, Var_class.Stacked ->
+      (function
+        | None -> ()
+        | Some (Reg r | Msk r) ->
+          let w = Tensor.row_numel r in
+          Array.blit st.ls_rows !pos (Tensor.data r) (lane * w) w;
+          pos := !pos + w
+        | Some (Stk s) ->
           Stacked.restore_lane s lane st.ls_stacks.(!next_stack);
-          incr next_stack
-        | _ -> fail "changes storage class")
-      st.ls_vars;
+          incr next_stack)
+      t.slots;
     Pc_stack.restore_lane t.pc ~lane st.ls_pc;
     t.members.(lane) <- st.ls_member;
     t.occupied.(lane) <- true
@@ -736,13 +680,6 @@ module Lanes = struct
     (* pc entries price like elements: sp saved slots plus the top. *)
     Vm_util.bytes_per_elem
     *. float_of_int (var_elems + Array.length st.ls_pc.Pc_stack.pl_stack + 1)
-
-  let migrate t ~src ~dst =
-    if src = dst then invalid_arg "Pc_vm.Lanes.migrate: src and dst coincide";
-    let st = export_lane t ~lane:src in
-    evict t ~lane:src;
-    import_lane t ~lane:dst st;
-    lane_state_bytes st
 
   let outputs t = List.map (fun v -> Tensor.copy (read t v)) t.p.Stack_ir.outputs
 
@@ -759,7 +696,7 @@ module Lanes = struct
       li_steps = t.steps;
       li_last = t.last;
       li_members = Array.copy t.members;
-      li_vars = fst (layout t);
+      li_vars = t.vars;
       li_lanes =
         Array.init t.z (fun lane ->
             if t.occupied.(lane) then Some (lane_state t lane) else None);
@@ -768,17 +705,18 @@ module Lanes = struct
   let restore t img =
     if Array.length img.li_members <> t.z || Array.length img.li_lanes <> t.z then
       invalid_arg "Pc_vm.Lanes.restore: batch size mismatch";
+    if not (same_vars t img.li_vars) then
+      invalid_arg "Pc_vm.Lanes.restore: the image's variables differ from the pool's";
     t.steps <- img.li_steps;
     t.last <- img.li_last;
-    (* Rebuild the store from the image alone: a variable first allocated
-       after the capture must disappear, or its stale masked rows would
-       leak into lanes the image knows nothing about. *)
-    Array.fill t.slots 0 (Array.length t.slots) None;
-    t.layout <- None;
+    (* Zero the store in place, registers included, so every lane the
+       image leaves idle holds what a fresh pool would. *)
     Array.iter
-      (fun b -> Array.iter (function Prim p -> p.inputs <- None | _ -> ()) b.ops)
-      t.blocks;
-    Array.iter (fun lv -> ignore (allocate t (slot t lv.lv_name) lv.lv_elem)) img.li_vars;
+      (function
+        | None -> ()
+        | Some (Reg r | Msk r) -> Array.fill (Tensor.data r) 0 (Tensor.numel r) 0.
+        | Some (Stk s) -> Stacked.reset s)
+      t.slots;
     Array.fill t.occupied 0 t.z false;
     Array.iteri
       (fun lane -> function

@@ -20,8 +20,8 @@
     [batched] with [members] set to those lanes' member ids, and
     scatters the result into the active rows of its storage; every other
     op, and every superstep with all lanes active, computes the full
-    width. Each op decides once, on its first execution that finds its
-    destination allocated, from shapes that cannot change afterwards.
+    width. Each op decides once, when its block is resolved, from shapes
+    that cannot change afterwards.
     Row-separable primitives ({!Prim.t}) make the two styles bitwise
     equal on every row a lane can read, so the choice changes host work
     and nothing else: outputs, the simulated clock and every sink event
@@ -31,9 +31,16 @@
     active count, not the width; a superstep with every lane active
     copies whole tensors with one blit.
 
-    The interpretive work is done once per lane pool, in {!Lanes.create}:
-    every variable is resolved to a storage slot, every block's operands
-    to slot indices, its primitives to their implementations and its
+    Shapes are static, as on the paper's target accelerators: storage is
+    allocated once per lane pool, in {!Lanes.create}, from the element
+    shapes {!Shape_infer} gave every variable, and nothing allocates
+    storage after it. A variable with no inferred shape (possible only in
+    dead or never-returning code) has no storage; touching one raises
+    [Invalid_argument "Pc_vm: variable v has no inferred shape"].
+
+    The interpretive work is done once per lane pool too: every variable
+    is resolved to a storage slot, every block's operands to slot indices,
+    its primitives to their implementations and argument tensors and its
     constants to batch-wide tensors, and each block's engine charge (op
     flops, control actions, traffic) is priced into an {!Engine.priced}
     handle on its first execution and reused. A superstep then does no
@@ -146,7 +153,6 @@ module Lanes : sig
       identities; [load] overrides them per lane. *)
 
   val z : t -> int
-  val program : t -> Stack_ir.program
   val steps : t -> int
   (** Basic blocks executed so far (monotone; bounded by
       [config.max_steps]). *)
@@ -171,10 +177,9 @@ module Lanes : sig
       *element* tensors (no batch dimension), [member] is the global RNG
       member identity the lane's draws will use. Raises
       [Invalid_argument] if the lane is still live, the input count
-      mismatches the program, or an input's shape differs from the
-      storage it lands in (declared, or fixed by an earlier load). Every
-      input is checked before any is written, so a refused load changes
-      nothing. *)
+      mismatches the program, or an input's shape differs from its
+      declared shape. Every input is checked before any is written, so a
+      refused load changes nothing. *)
 
   val step : t -> bool
   (** Execute one scheduled basic block over the live lanes; [false] when
@@ -186,9 +191,6 @@ module Lanes : sig
       and free the lane. Raises [Invalid_argument] unless
       [finished t ~lane]. *)
 
-  val lane_outputs : t -> lane:int -> Tensor.t list
-  (** Peek one lane's current output rows without freeing the lane. *)
-
   val member : t -> lane:int -> int
   (** The lane's global RNG member identity (meaningful while occupied). *)
 
@@ -196,7 +198,7 @@ module Lanes : sig
 
       A lane's complete execution state — Algorithm 2's column of one
       batch member: member identity, pc column, and one row of every
-      allocated variable. Batched primitives are row-wise and the RNG
+      stored variable. Batched primitives are row-wise and the RNG
       keys on the member identity carried here — never on the lane
       index — so a lane state imported into any free lane of any pool
       running the same program continues the member's trajectory
@@ -205,7 +207,7 @@ module Lanes : sig
       drain, and pool checkpoints ({!image}) all move lanes as this
       record. *)
 
-  (** One allocated variable as a lane state holds it: its storage class
+  (** One stored variable as a lane state holds it: its storage class
       decides whether its row lives in [ls_rows] ([Temp], [Masked]) or
       its column in [ls_stacks] ([Stacked]). *)
   type lane_var = { lv_name : string; lv_class : Var_class.t; lv_elem : Shape.t }
@@ -214,9 +216,8 @@ module Lanes : sig
     ls_member : int;
     ls_pc : Pc_stack.lane;
     ls_vars : lane_var array;
-        (** the source pool's allocated variables, sorted by name; every
-            lane state a pool exports shares one array until the pool
-            next allocates a variable *)
+        (** the source pool's stored variables, sorted by name; every
+            lane state a pool exports shares the pool's one array *)
     ls_rows : float array;
         (** the register and masked rows, concatenated in [ls_vars] order *)
     ls_stacks : Stacked.lane array;  (** the stacked columns, in [ls_vars] order *)
@@ -232,19 +233,15 @@ module Lanes : sig
 
   val import_lane : t -> lane:int -> lane_state -> unit
   (** Install a captured lane state into a free lane of a pool running
-      the same program. The lane's slice of every masked and stacked
-      variable is reset first, so variables the source pool never
-      allocated stay implicitly zero (registers excepted, as in [load]). Raises [Invalid_argument] if the lane is occupied or the
-      state disagrees with the pool's program. *)
+      the same program: the inverse of {!export_lane}, writing the lane's
+      row of every stored variable. Raises [Invalid_argument] if the lane
+      is occupied or the state's [ls_vars] (or its row count) differ from
+      the pool's. *)
 
   val lane_state_bytes : lane_state -> float
   (** Payload size of a migration or of one lane of a checkpoint, for
       transfer pricing: 8 bytes per element of every variable row and
       stacked frame, and per pc entry. *)
-
-  val migrate : t -> src:int -> dst:int -> float
-  (** [export_lane src; evict src; import_lane dst] within one pool;
-      returns the bytes moved. *)
 
   val outputs : t -> Tensor.t list
   (** The full-width output tensors (leading batch dimension), freshly
@@ -252,7 +249,7 @@ module Lanes : sig
 
   (** Plain-data checkpoint of a lane pool: the pool-level fields (step
       count, scheduler cursor, every lane's member identity, and the
-      allocated variables with their storage classes and element shapes,
+      stored variables with their storage classes and element shapes,
       sorted by name) plus the {!export_lane} state of each occupied lane
       — idle lanes, their register rows and dead pc-stack entries are not
       stored. Together
@@ -263,7 +260,7 @@ module Lanes : sig
     li_steps : int;
     li_last : int;                       (** scheduler cursor (Round_robin uses it) *)
     li_members : int array;              (** every lane's member identity *)
-    li_vars : lane_var array;            (** allocated variables; every lane's [ls_vars] *)
+    li_vars : lane_var array;            (** stored variables; every lane's [ls_vars] *)
     li_lanes : lane_state option array;  (** [Some] exactly for occupied lanes *)
   }
 
@@ -271,14 +268,13 @@ module Lanes : sig
   (** {!export_lane} over the occupied lanes, plus the pool-level fields. *)
 
   val restore : t -> image -> unit
-  (** Overwrite the pool's state with the image. The store is rebuilt from
-      the image alone: every image variable is allocated zeroed, each
+  (** Overwrite the pool's state with the image, in place: the existing
+      storage is zeroed (stacks emptied with {!Stacked.reset}), each
       captured lane is {!import_lane}d, and every other lane is freed
-      with its member identity from the image — variables first
-      allocated after the capture disappear, exactly as if execution had
-      never passed the capture point. Raises [Invalid_argument] on
-      lane-count mismatch. [t] must run the same program the image was
-      captured from. *)
+      with its member identity from the image. No storage is
+      reallocated. Raises [Invalid_argument] on lane-count mismatch or
+      when the image's [li_vars] differ from the pool's, i.e. [t] does
+      not run the program the image was captured from. *)
 end
 
 val run :

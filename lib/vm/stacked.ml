@@ -23,7 +23,6 @@ let create ~z ~elem ?(initial_depth = 4) () =
     high = 0;
   }
 
-let z t = t.z
 let elem t = t.elem
 let row t = t.row
 let top t = t.top

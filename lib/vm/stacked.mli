@@ -13,7 +13,6 @@ type t
 val create : z:int -> elem:Shape.t -> ?initial_depth:int -> unit -> t
 (** All tops start at zero, all stacks empty. *)
 
-val z : t -> int
 val elem : t -> Shape.t
 val row : t -> int
 (** Elements per member per stack level. *)

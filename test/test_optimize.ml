@@ -32,8 +32,9 @@ let test_constant_folding_shrinks () =
     (Printf.sprintf "fewer ops (%d -> %d)" before after)
     true (after < before);
   (* And behaviour is identical. *)
-  let c1 = Autobatch.compile ~registry:reg prog in
-  let c2 = Autobatch.compile ~registry:reg ~optimize:true prog in
+  let input_shapes = Test_programs.scalar_shapes prog in
+  let c1 = Autobatch.compile ~registry:reg ~input_shapes prog in
+  let c2 = Autobatch.compile ~registry:reg ~optimize:true ~input_shapes prog in
   let batch = [ Tensor.of_list [ 0.; 3.; 7. ] ] in
   List.iter2
     (fun a b -> Alcotest.(check bool) "same outputs" true (Tensor.equal a b))
@@ -94,7 +95,10 @@ let test_rng_never_folded () =
   in
   Alcotest.(check bool) "uniform survives" true has_uniform;
   (* Different members still draw differently. *)
-  let compiled = Autobatch.compile ~registry:reg ~optimize:true prog in
+  let compiled =
+    Autobatch.compile ~registry:reg ~optimize:true
+      ~input_shapes:(Test_programs.scalar_shapes prog) prog
+  in
   let out = List.hd (Autobatch.run_pc compiled ~batch:[ Tensor.of_list [ 0.; 0. ] ]) in
   Alcotest.(check bool) "members differ" true
     ((Tensor.data out).(0) <> (Tensor.data out).(1))
@@ -120,7 +124,9 @@ let test_optimizer_preserves_nuts_bitwise () =
   done;
   (* NUTS has no constant-only subexpressions to fold, so the op count
      must simply not grow. *)
-  let plain = Autobatch.compile ~registry:reg prog in
+  let plain =
+    Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog
+  in
   Alcotest.(check bool) "NUTS program did not grow" true
     (Optimize.count_ops compiled.Autobatch.cfg
     <= Optimize.count_ops plain.Autobatch.cfg)
@@ -186,7 +192,7 @@ let test_cse () =
   in
   Alcotest.(check int) "one dot remains" 1 dots;
   (* Semantics unchanged. *)
-  let c = Autobatch.compile ~registry:reg ~optimize:true prog in
+  let c = Autobatch.compile ~registry:reg ~optimize:true ~input_shapes:[ [| 3 |] ] prog in
   let out =
     Autobatch.run_single c ~member:0 ~args:[ Tensor.of_list [ 1.; 2.; 3. ] ]
   in
@@ -206,7 +212,10 @@ let test_cse_self_assignment_safe () =
           ];
       ]
   in
-  let c = Autobatch.compile ~registry:reg ~optimize:true prog in
+  let c =
+    Autobatch.compile ~registry:reg ~optimize:true
+      ~input_shapes:(Test_programs.scalar_shapes prog) prog
+  in
   let out = Autobatch.run_single c ~member:0 ~args:[ Tensor.scalar 5. ] in
   Alcotest.(check (float 0.)) "x incremented twice" 7. (Tensor.item (List.hd out))
 

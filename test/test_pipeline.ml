@@ -2,6 +2,8 @@
    across the single-example interpreter, the local static VM (both
    execution styles and all schedulers), and the program-counter VM. *)
 
+let compile_scalar p = Autobatch.compile ~input_shapes:(Test_programs.scalar_shapes p) p
+
 let scalar_batch values = Tensor.of_array [| Array.length values |] values
 
 let check_outputs msg expected actual =
@@ -65,15 +67,7 @@ let differential ?(options = Lower_stack.default_options) name program batch =
       ~input_shapes:(List.map (fun t -> Shape.drop_outer (Tensor.shape t)) batch)
       program
   in
-  check_config "pc/optimized" (Autobatch.run_pc optimized ~batch);
-  (* PC VM without shape inference: lazy storage allocation. Disabling the
-     save-liveness optimization pushes never-written variables, which
-     requires preallocated storage, so only the default options support
-     lazy allocation. *)
-  if options = Lower_stack.default_options then begin
-    let lazy_compiled = Autobatch.compile ~options program in
-    check_config "pc/lazy-alloc" (Autobatch.run_pc lazy_compiled ~batch)
-  end
+  check_config "pc/optimized" (Autobatch.run_pc optimized ~batch)
 
 let test_fib () =
   differential "fib" Test_programs.fib [ scalar_batch [| 3.; 7.; 4.; 5.; 0.; 1.; 10. |] ];
@@ -84,7 +78,7 @@ let test_fib () =
     [ scalar_batch [| 3.; 7.; 4.; 5. |] ]
 
 let test_fib_matches_spec () =
-  let compiled = Autobatch.compile Test_programs.fib in
+  let compiled = compile_scalar Test_programs.fib in
   let batch = [ scalar_batch [| 0.; 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8. |] ] in
   let out = List.hd (Autobatch.run_pc compiled ~batch) in
   Array.iteri
@@ -97,7 +91,7 @@ let test_fib_matches_spec () =
 
 let test_fact_loop () =
   differential "fact" Test_programs.fact_loop [ scalar_batch [| 0.; 1.; 5.; 10.; 3. |] ];
-  let compiled = Autobatch.compile Test_programs.fact_loop in
+  let compiled = compile_scalar Test_programs.fact_loop in
   let out =
     List.hd (Autobatch.run_pc compiled ~batch:[ scalar_batch [| 6.; 0.; 3. |] ])
   in
@@ -124,7 +118,7 @@ let test_even_odd () =
 let test_collatz () =
   differential "collatz" Test_programs.collatz
     [ scalar_batch [| 1.; 2.; 3.; 6.; 7.; 27. |] ];
-  let compiled = Autobatch.compile Test_programs.collatz in
+  let compiled = compile_scalar Test_programs.collatz in
   let out = List.hd (Autobatch.run_pc compiled ~batch:[ scalar_batch [| 27. |] ]) in
   Alcotest.(check (float 0.)) "collatz(27)" (Test_programs.collatz_spec 27)
     (Tensor.data out).(0)
@@ -143,7 +137,7 @@ let test_vector_recursion () =
 let test_ackermann () =
   differential "ackermann" Test_programs.ackermann
     [ scalar_batch [| 0.; 1.; 2.; 2. |]; scalar_batch [| 3.; 3.; 2.; 3. |] ];
-  let compiled = Autobatch.compile Test_programs.ackermann in
+  let compiled = compile_scalar Test_programs.ackermann in
   let out =
     List.hd
       (Autobatch.run_pc compiled
@@ -159,7 +153,7 @@ let test_random_walk () =
     [ scalar_batch [| 0.; 1.; 5.; 17.; 3. |] ]
 
 let test_run_unbatched_matches () =
-  let compiled = Autobatch.compile Test_programs.fib in
+  let compiled = compile_scalar Test_programs.fib in
   let batch = [ scalar_batch [| 4.; 6. |] ] in
   let a = Autobatch.run_unbatched compiled ~batch in
   let b = Autobatch.run_pc compiled ~batch in

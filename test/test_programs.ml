@@ -2,6 +2,11 @@
 
 open Lang
 
+(* The input shapes of a program whose entry function takes only
+   scalars, as every program below except [vec_double] does. *)
+let scalar_shapes (p : Lang.program) =
+  List.map (fun _ -> Shape.scalar) (Option.get (Lang.find_func p p.main)).params
+
 (* Recursive Fibonacci — the paper's Figure 1/3 running example. *)
 let fib =
   let open Lang.Infix in

@@ -943,14 +943,13 @@ let test_closed_loop_once_under_kill () =
       faults = [ { Fault.superstep = 1_000_000; device = 0; kind = Fault.Device_kill } ];
     }
 
-(* An input the program declares no shape for takes the row shape of the
-   first admitted request. Later requests must match it exactly: one
-   with another element count, and one with the same count in another
-   shape, are refused at ingest and the run finishes. *)
+(* Every request's rows must match the program's declared input shapes
+   exactly: one with another element count, and one with the same count
+   in another shape, are refused at ingest and the run finishes. *)
 let test_undeclared_shapes_fixed_at_first_admission () =
   let program =
     let open Lang in
-    Autobatch.compile
+    Autobatch.compile ~input_shapes:[ [| 2; 3 |]; Shape.scalar ]
       (program ~main:"f"
          [ func "f" ~params:[ "x"; "n" ] [ return_ [ var "x"; var "n" ] ] ])
   in

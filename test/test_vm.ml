@@ -240,19 +240,35 @@ let test_pc_shape_change_rejected () =
   (match Autobatch.compile ~input_shapes:[ Shape.scalar ] bad with
   | _ -> Alcotest.fail "expected shape conflict"
   | exception Shape_infer.Error _ -> ());
-  (* ... and the lazy-allocation runtime rejects it at run time. *)
-  let compiled = Autobatch.compile bad in
-  (match Autobatch.run_pc compiled ~batch:[ Tensor.of_list [ 1. ] ] with
-  | _ -> Alcotest.fail "expected runtime shape error"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "mentions shape change" true
-      (String.length msg > 0))
+  (* ... and a primitive whose [batched] breaks its declared [shape] is
+     caught where its result is written into preallocated storage. *)
+  let std = Prim.standard () in
+  let reg = Prim.create_registry () in
+  List.iter
+    (fun name ->
+      let p = Prim.find_exn std name in
+      Prim.register reg
+        (if name <> "add" then p
+         else
+           {
+             p with
+             Prim.batched =
+               (fun ~members _ -> Tensor.zeros [| Array.length members; 2 |]);
+           }))
+    (Prim.names std);
+  let double =
+    let open Lang in
+    program ~main:"m" [ func "m" ~params:[ "x" ] [ return_ [ Infix.(var "x" + var "x") ] ] ]
+  in
+  let compiled = Autobatch.compile ~registry:reg ~input_shapes:[ Shape.scalar ] double in
+  Alcotest.check_raises "write of a wrong row shape"
+    (Invalid_argument "Pc_vm: variable m/$ret0 changes shape from [2] to [2;2]")
+    (fun () -> ignore (Autobatch.run_pc compiled ~batch:[ Tensor.of_list [ 1.; 2. ] ]))
 
 (* The validator refuses a program that may read a variable before any
    write, so this stack program is built by hand: its only block reads
-   [y], which nothing writes. Lazily allocated, [y] never gets storage,
-   and every attempt at the block fails with the same message: an op
-   keeps its argument list only once every argument has storage. *)
+   [y], to which no shape is given. [y] therefore has no storage, and
+   every attempt at the block fails with the same message. *)
 let test_pc_unwritten_read () =
   let p =
     {
@@ -264,7 +280,7 @@ let test_pc_unwritten_read () =
           };
         |];
       classes = Ir_util.Smap.empty;
-      shapes = Ir_util.Smap.empty;
+      shapes = Ir_util.Smap.of_list [ ("x", Shape.scalar); ("z", Shape.scalar) ];
       inputs = [ "x" ];
       outputs = [ "z" ];
       origin = [| ("m", 0) |];
@@ -274,8 +290,8 @@ let test_pc_unwritten_read () =
   let lanes = Pc_vm.Lanes.create fib_compiled.Autobatch.registry p ~z:2 in
   Pc_vm.Lanes.load lanes ~lane:1 ~member:0 ~inputs:[ Tensor.scalar 1. ];
   for _ = 1 to 2 do
-    Alcotest.check_raises "read before any write"
-      (Invalid_argument "Pc_vm: read of unwritten variable y") (fun () ->
+    Alcotest.check_raises "read of a variable with no shape"
+      (Invalid_argument "Pc_vm: variable y has no inferred shape") (fun () ->
         ignore (Pc_vm.Lanes.step lanes))
   done
 
@@ -347,19 +363,22 @@ let test_lanes_reusable () =
         ns)
     [ [ 12.; 11.; 10. ]; [ 3.; 1.; 5. ]; [ 9.; 0.; 13. ]; [ 2.; 2.; 2. ] ]
 
-(* A program compiled without input shapes allocates each variable on its
-   first write. Capturing before some variable exists and restoring after
-   it does must drop that variable again: the replay then passes through
-   exactly the states of the uninterrupted run, image for image. *)
-let test_lanes_lazy_restore () =
-  let compiled = Autobatch.compile Test_programs.fib in
-  let reg = compiled.Autobatch.registry and stack = compiled.Autobatch.stack in
-  let z = 4 in
+(* Restoring rewrites the pool's own storage in place: it allocates
+   fewer words than that storage holds (the registers and stack tops
+   alone are z words per element of every variable), and the replay then
+   passes through exactly the states of the uninterrupted run, image for
+   image. *)
+let test_lanes_restore_in_place () =
+  let reg = fib_compiled.Autobatch.registry and stack = fib_compiled.Autobatch.stack in
+  let z = 64 in
   let lanes = Pc_vm.Lanes.create reg stack ~z in
-  List.iteri
-    (fun lane n -> Pc_vm.Lanes.load lanes ~lane ~member:lane ~inputs:[ Tensor.scalar n ])
-    [ 6.; 2.; 8.; 4. ];
-  ignore (Pc_vm.Lanes.step lanes);
+  for lane = 0 to z - 1 do
+    Pc_vm.Lanes.load lanes ~lane ~member:lane
+      ~inputs:[ Tensor.scalar (float_of_int (4 + (lane mod 7))) ]
+  done;
+  for _ = 1 to 200 do
+    ignore (Pc_vm.Lanes.step lanes)
+  done;
   let img = Pc_vm.Lanes.capture lanes in
   let drain () =
     let trace = ref [] in
@@ -369,12 +388,24 @@ let test_lanes_lazy_restore () =
     (List.rev !trace, Pc_vm.Lanes.outputs lanes)
   in
   let trace, outs = drain () in
-  let vars (i : Pc_vm.Lanes.image) = Array.length i.Pc_vm.Lanes.li_vars in
-  Alcotest.(check bool) "variables first written after the capture" true
-    (vars (Pc_vm.Lanes.capture lanes) > vars img);
+  Alcotest.(check bool) "ran past the capture" true (trace <> []);
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
   Pc_vm.Lanes.restore lanes img;
-  Alcotest.(check int) "restored store is the image's" (vars img)
-    (vars (Pc_vm.Lanes.capture lanes));
+  let allocated = words () -. before in
+  let storage =
+    Array.fold_left
+      (fun n lv -> n + (z * Shape.numel lv.Pc_vm.Lanes.lv_elem))
+      0 img.Pc_vm.Lanes.li_vars
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "restore allocates %.0f words, under the storage's %d" allocated
+       storage)
+    true
+    (allocated < float_of_int storage);
   let trace', outs' = drain () in
   Alcotest.(check int) "same supersteps" (List.length trace) (List.length trace');
   Alcotest.(check bool) "every replayed image equals the original" true
@@ -407,9 +438,6 @@ let recycle_programs =
   lazy
     [
       ("fib", fib_compiled, fun a -> [ Tensor.scalar (float_of_int (a mod 10)) ]);
-      ( "fib, lazy",
-        Autobatch.compile Test_programs.fib,
-        fun a -> [ Tensor.scalar (float_of_int (a mod 10)) ] );
       ( "vec_double",
         Autobatch.compile ~input_shapes:[ [| 3 |]; Shape.scalar ] Test_programs.vec_double,
         fun a ->
@@ -419,7 +447,7 @@ let recycle_programs =
 
 let gen_recycle_case =
   let open QCheck.Gen in
-  let* rc_program = oneofl [ "fib"; "fib, lazy"; "vec_double" ] in
+  let* rc_program = oneofl [ "fib"; "vec_double" ] in
   let* rc_policy = oneofl Sched_policy.all in
   let* rc_z = int_range 1 5 in
   let* rc_args = list_size (int_range 1 12) (int_bound 20) in
@@ -530,8 +558,7 @@ let prop_recycled_restore ~count =
 (* The engine charges and lane counts of fib, pinned to the values the
    per-step interpreter produced before blocks were pre-resolved (the
    lane counts read off a profiler and the program's op table). The
-   naive arm also prices the O4 gathers and O5 pop+push writes.
-   Statically shaped and lazily allocated builds must agree. *)
+   naive arm also prices the O4 gathers and O5 pop+push writes. *)
 let accounting_cases () =
   let naive =
     { Pc_vm.default_config with top_cache = false; naive_stack_writes = true }
@@ -551,25 +578,21 @@ let accounting_cases () =
       (876, 291, 289, 11, 0x1.d84176105d841p-2) );
   ]
 
-(* Runs every case on both builds and hands [check] the label maker, the
-   case's expected values, the engine, and the profiler of the run with
-   the counts derived from it. *)
+(* Runs every case and hands [check] the label maker, the case's
+   expected values, the engine, and the profiler of the run with the
+   counts derived from it. *)
 let each_accounting_run check =
-  let lazy_compiled = Autobatch.compile Test_programs.fib in
   List.iter
-    (fun (build, compiled) ->
-      List.iter
-        (fun (name, config, engine, batch, charges, counts) ->
-          let label what = Printf.sprintf "%s %s: %s" build name what in
-          let engine = engine () and prof = Obs_prof.create () in
-          let config =
-            { config with Pc_vm.engine = Some engine; sink = Some (Obs_prof.sink prof) }
-          in
-          ignore (Autobatch.run_pc ~config compiled ~batch:[ Tensor.of_list batch ]);
-          let derived = Profile.derive (Profile.pc_ops compiled.Autobatch.stack) prof in
-          check label charges counts engine (prof, derived))
-        (accounting_cases ()))
-    [ ("static", fib_compiled); ("lazy", lazy_compiled) ]
+    (fun (name, config, engine, batch, charges, counts) ->
+      let label what = Printf.sprintf "%s: %s" name what in
+      let engine = engine () and prof = Obs_prof.create () in
+      let config =
+        { config with Pc_vm.engine = Some engine; sink = Some (Obs_prof.sink prof) }
+      in
+      ignore (Autobatch.run_pc ~config fib_compiled ~batch:[ Tensor.of_list batch ]);
+      let derived = Profile.derive (Profile.pc_ops fib_compiled.Autobatch.stack) prof in
+      check label charges counts engine (prof, derived))
+    (accounting_cases ())
 
 let test_lanes_engine_golden () =
   each_accounting_run
@@ -599,8 +622,7 @@ let test_lanes_counts_golden () =
    superstep; give every primitive huge flops and every op does. Row
    counts are recorded to show the gathered path ran, and the outputs
    must equal the plain registry's bitwise — the random walk's draws key
-   on the gathered member ids, fib recurses at mixed depths, and the
-   compiles without input shapes allocate storage lazily. Under the
+   on the gathered member ids and fib recurses at mixed depths. Under the
    plain registry every call stays full width: the standard primitives
    are all below the gate. *)
 let test_pc_active_rows () =
@@ -626,10 +648,12 @@ let test_pc_active_rows () =
   let z = 6 in
   let config = { Pc_vm.default_config with member_base = 7 } in
   List.iter
-    (fun (label, prog, input_shapes) ->
+    (fun (label, prog) ->
       let run flops =
         rows := [];
-        let compiled = Autobatch.compile ~registry:(wrap flops) ?input_shapes prog in
+        let compiled =
+          Autobatch.compile ~registry:(wrap flops) ~input_shapes:[ Shape.scalar ] prog
+        in
         let outs =
           Autobatch.run_pc ~config compiled
             ~batch:[ Tensor.of_list [ 0.; 3.; 1.; 5.; 2.; 4. ] ]
@@ -643,18 +667,13 @@ let test_pc_active_rows () =
       Alcotest.(check bool) (label ^ ": heavy gathers") true
         (List.exists (fun n -> n > 0 && n < z) heavy_rows);
       Alcotest.(check bool) (label ^ ": bitwise") true (List.for_all2 Tensor.equal plain heavy))
-    [
-      ("random walk", Test_programs.random_walk, Some [ Shape.scalar ]);
-      ("random walk, lazy", Test_programs.random_walk, None);
-      ("fib", Test_programs.fib, Some [ Shape.scalar ]);
-      ("fib, lazy", Test_programs.fib, None);
-    ]
+    [ ("random walk", Test_programs.random_walk); ("fib", Test_programs.fib) ]
 
 let lanes_suite =
   ( "pc-lanes",
     [
       t "reusable over load/retire" `Quick test_lanes_reusable;
-      t "lazy restore drops late vars" `Quick test_lanes_lazy_restore;
+      t "restore replays bitwise in place" `Quick test_lanes_restore_in_place;
       t "engine accounting golden" `Quick test_lanes_engine_golden;
       t "instrumentation golden" `Quick test_lanes_counts_golden;
       t "active rows are bitwise" `Quick test_pc_active_rows;
@@ -987,10 +1006,9 @@ let test_lanes_recycling_bitwise () =
   check_f "fib 5 in recycled lane" (Tensor.get (solo 5.) [| 0 |]) (Tensor.get out5 [||]);
   check_f "fib 13 undisturbed" (Tensor.get (solo 13.) [| 0 |]) (Tensor.get out13 [||])
 
-(* An input whose shape the program does not declare takes its storage
-   shape from the first load. A later row must match that shape exactly:
-   a different element count, or the same count in another shape, is
-   refused before anything is written. *)
+(* An input row must have exactly its declared shape: a different
+   element count, or the same count in another shape, is refused before
+   anything is written. *)
 let test_lanes_input_mismatch () =
   let lanes =
     Pc_vm.Lanes.create fib_compiled.Autobatch.registry fib_compiled.Autobatch.stack ~z:1
@@ -999,7 +1017,7 @@ let test_lanes_input_mismatch () =
     (fun () -> Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[]);
   let open Lang in
   let pair =
-    Autobatch.compile
+    Autobatch.compile ~input_shapes:[ [| 2; 3 |]; Shape.scalar ]
       (program ~main:"f" [ func "f" ~params:[ "x"; "y" ] [ return_ [ var "x"; var "y" ] ] ])
   in
   let lanes = Pc_vm.Lanes.create pair.Autobatch.registry pair.Autobatch.stack ~z:2 in
