@@ -9,8 +9,7 @@ type compiled = {
 let compile ?registry ?options ?(optimize = false) ?fuse ~input_shapes
     (source : Lang.program) =
   let registry = match registry with Some r -> r | None -> Prim.standard () in
-  Validate.check_exn registry source;
-  let cfg = Lower_cfg.lower source in
+  let cfg = Validate.lower_exn registry source in
   (* Fusion implies optimization: the post-fusion Optimize.run is what
      lets fold/CSE/DCE work across the old block boundaries. *)
   let optimize = optimize || Option.is_some fuse in

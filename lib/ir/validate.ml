@@ -164,7 +164,8 @@ let check_defined_before_use (f : Cfg.func) =
     List.sort_uniq compare !errs
   end
 
-let check_program reg (p : Lang.program) =
+(* Every check, returning on success the CFG the dataflow check ran on. *)
+let check_lowered reg (p : Lang.program) =
   let errs = ref [] in
   (match Lang.find_func p p.Lang.main with
   | Some _ -> ()
@@ -194,17 +195,28 @@ let check_program reg (p : Lang.program) =
       List.iter (stmt_errors reg p f.Lang.fname arities errs) f.Lang.body)
     p.Lang.funcs;
   (* Only attempt lowering and the dataflow check when structurally sound. *)
-  if !errs = [] then begin
-    match Lower_cfg.lower p with
-    | cfg ->
-      List.iter
-        (fun (_, f) -> errs := check_defined_before_use f @ !errs)
-        cfg.Cfg.funcs
-    | exception Failure msg -> errs := msg :: !errs
-  end;
-  match List.rev !errs with [] -> Ok () | msgs -> Error msgs
+  let cfg =
+    if !errs <> [] then None
+    else
+      match Lower_cfg.lower p with
+      | cfg ->
+        List.iter
+          (fun (_, f) -> errs := check_defined_before_use f @ !errs)
+          cfg.Cfg.funcs;
+        Some cfg
+      | exception Failure msg ->
+        errs := msg :: !errs;
+        None
+  in
+  match (List.rev !errs, cfg) with
+  | [], Some cfg -> Ok cfg
+  | msgs, _ -> Error msgs
 
-let check_exn reg p =
-  match check_program reg p with
-  | Ok () -> ()
+let check_program reg p = Result.map ignore (check_lowered reg p)
+
+let lower_exn reg p =
+  match check_lowered reg p with
+  | Ok cfg -> cfg
   | Error msgs -> invalid_arg ("Validate: " ^ String.concat "; " msgs)
+
+let check_exn reg p = ignore (lower_exn reg p)

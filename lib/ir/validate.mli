@@ -21,6 +21,11 @@ val check_program : Prim.registry -> Lang.program -> (unit, string list) result
 val check_exn : Prim.registry -> Lang.program -> unit
 (** Raises [Invalid_argument] with the concatenated messages. *)
 
+val lower_exn : Prim.registry -> Lang.program -> Cfg.program
+(** {!check_exn}, returning the program's {!Lower_cfg.lower}ed CFG — the
+    one the dataflow check ran on — so a compile lowers once. Raises as
+    {!check_exn} does. *)
+
 val check_defined_before_use : Cfg.func -> string list
 (** The CFG-level must-defined check on one function; returns error
     messages (exposed for testing). *)

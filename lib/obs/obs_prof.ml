@@ -81,6 +81,8 @@ type t = {
   mutable migrations : int;
   mutable steals : int;
   mutable migration_bytes : float;
+  (* Engine seconds rewound by restores, whose spans stay booked. *)
+  mutable rolled_back : float;
 }
 
 let create ?(frames = [||]) () =
@@ -103,6 +105,7 @@ let create ?(frames = [||]) () =
     migrations = 0;
     steals = 0;
     migration_bytes = 0.;
+    rolled_back = 0.;
   }
 
 let block_cell t block =
@@ -203,9 +206,10 @@ let sink t : Obs_sink.t =
     t.migrations <- t.migrations + 1;
     if src_shard <> dst_shard then t.steals <- t.steals + 1;
     t.migration_bytes <- t.migration_bytes +. bytes
+  | Obs_sink.Restore { rolled_back; _ } -> t.rolled_back <- t.rolled_back +. rolled_back
   | Obs_sink.Launch _ | Obs_sink.Request_enqueued _ | Obs_sink.Request_shed _
   | Obs_sink.Request_rejected _ | Obs_sink.Request_completed _
-  | Obs_sink.Checkpoint _ | Obs_sink.Restore _ | Obs_sink.Span _
+  | Obs_sink.Checkpoint _ | Obs_sink.Span _
   | Obs_sink.Ladder _ | Obs_sink.Slo_alert _ ->
     ()
 
@@ -264,6 +268,7 @@ let steals t = t.steals
 let migration_bytes t = t.migration_bytes
 let supersteps t = t.supersteps
 let max_depth t = t.max_depth
+let rolled_back t = t.rolled_back
 
 let occupancy_series t =
   let g = t.gauge in

@@ -74,9 +74,16 @@ val collective_rows : t -> collective_row list
 val collective_time : t -> float
 
 val attributed : t -> float
-(** Blocks + kernels; equals the summed engine clock(s) up to float
-    addition error when every engine charge has a span (collectives are
-    excluded — they overlap compute on the mesh timeline). *)
+(** Blocks + kernels; equals the summed engine clock(s) plus
+    {!rolled_back}, up to float addition error, when every engine charge
+    has a span (collectives are excluded — they overlap compute on the
+    mesh timeline). *)
+
+val rolled_back : t -> float
+(** Engine seconds rewound by restores ({!Obs_sink.Restore}). The spans
+    a restore rewound stay booked in the rows — that work ran before the
+    fault and was run again — so the engine clock is
+    [attributed t -. rolled_back t]. *)
 
 (** {1 Utilization accounting} — over all [Occupancy] events. *)
 

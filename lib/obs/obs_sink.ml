@@ -15,7 +15,7 @@ type event =
       finished : float;
     }
   | Checkpoint of { step : int; bytes : int }
-  | Restore of { step : int }
+  | Restore of { step : int; rolled_back : float }
   | Occupancy of {
       shard : int;
       step : int;

@@ -41,7 +41,10 @@ type event =
       (** A served request's full lifecycle: queue wait [queued, started)
           then service [started, finished). *)
   | Checkpoint of { step : int; bytes : int }
-  | Restore of { step : int }
+  | Restore of { step : int; rolled_back : float }
+      (** A runtime rewound to its last checkpoint. [rolled_back] is the
+          simulated engine seconds the rewind took off the clock: spans
+          a sink already saw that the engine no longer counts. *)
   | Occupancy of {
       shard : int;
       step : int;

@@ -236,7 +236,7 @@ let to_chrome t =
                ~args:
                  [ ("step", Obs_json.Int step); ("bytes", Obs_json.Int bytes) ]
                ())
-        | Obs_sink.Restore { step } ->
+        | Obs_sink.Restore { step; _ } ->
           emit
             (instant ~name:"restore" ~cat:"resilience" ~tid ~ts:e.ts
                ~args:[ ("step", Obs_json.Int step) ]
@@ -361,7 +361,7 @@ let to_csv ?policy t =
               started finished )
         | Obs_sink.Checkpoint { step; bytes } ->
           ("checkpoint", Printf.sprintf "step=%d bytes=%d" step bytes)
-        | Obs_sink.Restore { step } -> ("restore", Printf.sprintf "step=%d" step)
+        | Obs_sink.Restore { step; _ } -> ("restore", Printf.sprintf "step=%d" step)
         | Obs_sink.Occupancy { shard; step; block; active; live; total; _ } ->
           ( Printf.sprintf "block %d" block,
             Printf.sprintf "step=%d shard=%d active=%d live=%d total=%d" step

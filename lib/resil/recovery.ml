@@ -112,10 +112,15 @@ let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg pro
   let restore blob =
     let ck = Snapshot.decode_pc blob in
     Pc_vm.Lanes.restore lanes ck.Snapshot.ck_vm;
-    (match (config.Pc_vm.engine, ck.Snapshot.ck_engine) with
-    | Some e, Some s -> Engine.restore e s
-    | _ -> ());
-    notify user_sink (Obs_sink.Restore { step = Pc_vm.Lanes.steps lanes })
+    let rolled_back =
+      match (config.Pc_vm.engine, ck.Snapshot.ck_engine) with
+      | Some e, Some s ->
+        let before = Engine.elapsed e in
+        Engine.restore e s;
+        before -. Engine.elapsed e
+      | _ -> 0.
+    in
+    notify user_sink (Obs_sink.Restore { step = Pc_vm.Lanes.steps lanes; rolled_back })
   in
   let latest = ref (capture ()) in
   with_engine_sink config.Pc_vm.engine inj (fun () ->

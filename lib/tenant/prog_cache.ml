@@ -62,11 +62,16 @@ let digest ?input_shapes p =
 
 type entry = { compiled : Autobatch.compiled; mutable last_use : int }
 
+(* A program looked up recently, with the shapes it came with and their
+   digest. *)
+type seen = { s_program : Lang.program; s_shapes : Shape.t list; s_digest : int64 }
+
 type t = {
   capacity : int;
   registry : Prim.registry;
   entries : (int64, entry) Hashtbl.t;
   mutable tick : int;  (* bumps on every access; LRU = smallest tick *)
+  mutable memo : seen array;  (* most recent first, at most [capacity] *)
   mutable n_hits : int;
   mutable n_misses : int;
   mutable n_evictions : int;
@@ -82,6 +87,7 @@ let create ?registry ?sink ?(clock = fun () -> 0.) ~capacity () =
     registry = (match registry with Some r -> r | None -> Prim.standard ());
     entries = Hashtbl.create (Stdlib.max 16 capacity);
     tick = 0;
+    memo = [||];
     n_hits = 0; n_misses = 0; n_evictions = 0;
     sink;
     clock;
@@ -162,8 +168,38 @@ let find t key =
     miss t;
     None
 
+(* The digest of [program] with [input_shapes]: from the memo when the
+   same physical program came with equal shapes, which moves it to the
+   front; otherwise computed and remembered, dropping the least recent
+   entry past [capacity]. *)
+let memo_digest t ~input_shapes program =
+  let memo = t.memo in
+  let same e =
+    e.s_program == program
+    && (e.s_shapes == input_shapes || List.equal Shape.equal e.s_shapes input_shapes)
+  in
+  let rec find k =
+    if k = Array.length memo then begin
+      let d = digest ~input_shapes program in
+      if t.capacity > 0 then
+        t.memo <-
+          Array.append
+            [| { s_program = program; s_shapes = input_shapes; s_digest = d } |]
+            (Array.sub memo 0 (Stdlib.min k (t.capacity - 1)));
+      d
+    end
+    else if same memo.(k) then begin
+      let e = memo.(k) in
+      Array.blit memo 0 memo 1 k;
+      memo.(0) <- e;
+      e.s_digest
+    end
+    else find (k + 1)
+  in
+  find 0
+
 let find_or_compile t ?optimize ?fuse ~input_shapes program =
-  let key = digest ~input_shapes program in
+  let key = memo_digest t ~input_shapes program in
   match Hashtbl.find_opt t.entries key with
   | Some e ->
     hit t e;

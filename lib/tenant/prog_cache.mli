@@ -54,7 +54,18 @@ val find_or_compile :
     it. Every same-digest call returns the {e physically same}
     [Autobatch.compiled]. The compile options are trusted to be
     uniform per digest — callers with conflicting options must use
-    separate caches. *)
+    separate caches.
+
+    {b The identity memo.} Sources usually hand the same program value
+    to the cache again and again, so before digesting, the lookup checks
+    the most recent [capacity] programs it digested: a physically
+    identical program ([==]) with equal input shapes reuses its digest,
+    and only a memo miss walks the program. The memo changes no count,
+    event or digest value; a structurally equal copy misses it and finds
+    its entry through the digest. A submitted program is therefore
+    treated as a value: mutating it in place after a lookup (say, a
+    [Lang.Vec] array) is unsupported, as the memo would keep its old
+    digest. *)
 
 val find : t -> int64 -> Autobatch.compiled option
 (** Peek by digest; counts and refreshes like a lookup, but never

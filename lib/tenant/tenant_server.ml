@@ -126,7 +126,6 @@ type ckpt = {
 
 type binding = {
   b_digest : int64;
-  b_program : Autobatch.compiled;
   b_lanes : Pc_vm.Lanes.t;
   mutable b_flight : flight list;  (* admission order *)
   mutable b_draining : bool;
@@ -138,10 +137,20 @@ type binding = {
   mutable b_force_ckpt : bool;
 }
 
+(* A lane pool a shard built for one digest, kept with the image it had
+   when empty: rebinding to the digest restores that image instead of
+   building the pool again. *)
+type retained = { r_digest : int64; r_lanes : Pc_vm.Lanes.t; r_empty : Pc_vm.Lanes.image }
+
+(* How many pools a shard keeps, most recently bound first; the bound
+   one is among them. *)
+let max_retained = 8
+
 type shard = {
   s_id : int;
   s_engine : Engine.t;
   mutable s_b : binding option;
+  mutable s_pools : retained list;
 }
 
 let bytes_of outputs =
@@ -166,6 +175,17 @@ type census = {
   completed : int; throttled : int; rejected : int; shed : int;
 }
 
+module Arrivals = Map.Make (Float)
+
+(* One digest's share of the backlog (queued plus parked items): its
+   need (the items' summed scores), its items' arrivals as a multiset,
+   and a program carrying the digest, to build a pool from. *)
+type tally = {
+  mutable need : int;
+  mutable arrivals : int Arrivals.t;
+  program : Autobatch.compiled;
+}
+
 (* Everything a round reads or writes. The phases below are functions of
    it, run in [step_round]'s order. *)
 type t = {
@@ -181,6 +201,7 @@ type t = {
   mutable round : int;
   mutable over : bool;
   mutable parked : parked list;
+  backlog : (int64, tally) Hashtbl.t;  (* by digest; queued + parked *)
   mutable seq : int;  (* park order: the resume tie-break *)
   mutable followups : Admission.item list;  (* arrival order *)
   mutable span_seq : int;
@@ -260,6 +281,55 @@ let draining_count t = sum_bindings t (fun b -> if b.b_draining then 1 else 0)
 let live_lanes t =
   sum_bindings t (fun b -> if b.b_draining then 0 else Pc_vm.Lanes.live_count b.b_lanes)
 
+(* ---------- the backlog: queued and parked work, by digest ---------- *)
+
+(* Backlog pressure per digest. In [Fair] mode an item counts its SLO
+   class's dispatch weight — the admission policy's priorities steer
+   shard placement too, so a latency-heavy digest outbids a best-effort
+   flood for the next free shard. The [Fifo] baseline stays SLO-blind
+   everywhere: every item counts 1. *)
+let fair t = t.cfg.admission.Admission.mode = Admission.Fair
+
+let item_score t (it : Admission.item) = if fair t then Admission.weight it else 1
+
+let arrival (it : Admission.item) = it.Admission.request.Request.arrival
+
+(* The tallies move with the items: each is added where an item enters
+   the queue or the parked set and removed where it leaves, so the
+   binding pass reads them without walking the backlog. *)
+let backlog_add t (it : Admission.item) =
+  let w = item_score t it and a = arrival it in
+  match Hashtbl.find_opt t.backlog it.Admission.digest with
+  | Some tl ->
+    tl.need <- tl.need + w;
+    tl.arrivals <-
+      Arrivals.update a (function Some n -> Some (n + 1) | None -> Some 1) tl.arrivals
+  | None ->
+    Hashtbl.replace t.backlog it.Admission.digest
+      { need = w; arrivals = Arrivals.singleton a 1;
+        program = it.Admission.request.Request.program }
+
+let earliest tl = fst (Arrivals.min_binding tl.arrivals)
+
+let backlog_remove t (it : Admission.item) =
+  let tl = Hashtbl.find t.backlog it.Admission.digest in
+  tl.need <- tl.need - item_score t it;
+  tl.arrivals <-
+    Arrivals.update (arrival it)
+      (function Some n when n > 1 -> Some (n - 1) | _ -> None)
+      tl.arrivals;
+  if Arrivals.is_empty tl.arrivals then Hashtbl.remove t.backlog it.Admission.digest
+
+(* The admission queue's exits and re-entries, kept in the tallies. *)
+let dequeue t ~fits =
+  let popped = Admission.pop t.adm ~fits in
+  Option.iter (backlog_remove t) popped;
+  popped
+
+let requeue_front t it =
+  Admission.push_front t.adm it;
+  backlog_add t it
+
 (* ---------- checkpoints and recovery ---------- *)
 
 let ckpt_bytes (img : Pc_vm.Lanes.image) =
@@ -276,8 +346,6 @@ let capture_ckpt s b =
     k_flight = List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_flight;
     k_draining = b.b_draining;
   }
-
-let arrival (it : Admission.item) = it.Admission.request.Request.arrival
 
 (* A closed-loop follow-up from [on_complete] joins [followups] in
    arrival order, its arrival clamped to the clock; ingest merges them
@@ -335,10 +403,11 @@ let restore_shard t s b =
      deterministic order; its unflushed completions are discarded (the
      re-execution recreates them bitwise). *)
   let requeue = Admission.requeue_order b.b_admitted_since in
-  List.iter (Admission.push_front t.adm) (List.rev requeue);
+  List.iter (requeue_front t) (List.rev requeue);
   b.b_admitted_since <- [];
   b.b_done_since <- [];
   Pc_vm.Lanes.restore b.b_lanes b.b_ckpt.k_image;
+  let before = Engine.elapsed s.s_engine in
   Engine.restore s.s_engine b.b_ckpt.k_engine;
   b.b_flight <-
     List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_ckpt.k_flight;
@@ -351,32 +420,49 @@ let restore_shard t s b =
   b.b_force_ckpt <- false;
   t.restores <- t.restores + 1;
   ops_span t "restore";
-  emit t (Obs_sink.Restore { step = t.round })
+  emit t
+    (Obs_sink.Restore { step = t.round; rolled_back = before -. Engine.elapsed s.s_engine })
 
 (* ---------- binding ---------- *)
 
-let bind t s digest (program : Autobatch.compiled) =
-  let vm_config =
-    {
-      Pc_vm.default_config with
-      Pc_vm.sched = t.cfg.policy;
-      engine = Some s.s_engine;
-      sink = Option.map (Obs_sink.tag_shard s.s_id) t.cfg.sink;
-    }
-  in
-  let lanes =
-    Pc_vm.Lanes.create ~config:vm_config program.Autobatch.registry
-      program.Autobatch.stack ~z:t.cfg.lanes_per_shard
-  in
+(* Shard [s]'s empty pool for [digest], most recently used from now on:
+   a retained one restored to its empty image, or a new one built from
+   [program] (any program carrying the digest) that displaces the least
+   recently used past [max_retained]. *)
+let empty_pool t s digest (program : Autobatch.compiled) =
+  match List.find_opt (fun r -> r.r_digest = digest) s.s_pools with
+  | Some r ->
+    Pc_vm.Lanes.restore r.r_lanes r.r_empty;
+    s.s_pools <- r :: List.filter (fun q -> q != r) s.s_pools;
+    r
+  | None ->
+    let vm_config =
+      {
+        Pc_vm.default_config with
+        Pc_vm.sched = t.cfg.policy;
+        engine = Some s.s_engine;
+        sink = Option.map (Obs_sink.tag_shard s.s_id) t.cfg.sink;
+      }
+    in
+    let lanes =
+      Pc_vm.Lanes.create ~config:vm_config program.Autobatch.registry
+        program.Autobatch.stack ~z:t.cfg.lanes_per_shard
+    in
+    let r = { r_digest = digest; r_lanes = lanes; r_empty = Pc_vm.Lanes.capture lanes } in
+    s.s_pools <- r :: List.filteri (fun i _ -> i < max_retained - 1) s.s_pools;
+    r
+
+let bind t s digest program =
+  let r = empty_pool t s digest program in
   let ckpt =
-    { k_image = Pc_vm.Lanes.capture lanes; k_engine = Engine.snapshot s.s_engine;
-      k_flight = []; k_draining = false }
+    { k_image = r.r_empty; k_engine = Engine.snapshot s.s_engine; k_flight = [];
+      k_draining = false }
   in
   s.s_b <-
     Some
-      { b_digest = digest; b_program = program; b_lanes = lanes; b_flight = [];
-        b_draining = false; b_ckpt = ckpt; b_since = 0; b_stepped = 0;
-        b_admitted_since = []; b_done_since = []; b_force_ckpt = false }
+      { b_digest = digest; b_lanes = r.r_lanes; b_flight = []; b_draining = false;
+        b_ckpt = ckpt; b_since = 0; b_stepped = 0; b_admitted_since = [];
+        b_done_since = []; b_force_ckpt = false }
 
 let unbind t s b =
   flush_done t b;
@@ -437,14 +523,21 @@ let ingest t =
       end
       else begin
         match Admission.offer t.adm it with
-        | `Admitted -> enqueued t it
+        | `Admitted ->
+          backlog_add t it;
+          enqueued t it
         | `Shed victim ->
           t.shed <- victim :: t.shed;
           slo_bad t victim;
           emit t
             (Obs_sink.Request_shed
                { id = victim.Admission.request.Request.id; at = t.now });
-          if victim.Admission.request.Request.id <> r.Request.id then enqueued t it
+          if victim.Admission.request.Request.id <> r.Request.id then begin
+            (* The victim left the queue to make room for the offer. *)
+            backlog_remove t victim;
+            backlog_add t it;
+            enqueued t it
+          end
         | `Rejected reason ->
           slo_bad t it;
           reject t it reason
@@ -521,39 +614,9 @@ let retire_shard t s b =
   if Option.is_some t.on_complete && finished <> [] && not (kill_pending t s) then
     flush_done t b
 
-(* ---------- need accounting (queued + parked, by digest) ---------- *)
-
-(* Backlog pressure per digest. In [Fair] mode an item counts its SLO
-   class's dispatch weight — the admission policy's priorities steer
-   shard placement too, so a latency-heavy digest outbids a best-effort
-   flood for the next free shard. The [Fifo] baseline stays SLO-blind
-   everywhere: every item counts 1. *)
-let fair t = t.cfg.admission.Admission.mode = Admission.Fair
-
-let item_score t (it : Admission.item) = if fair t then Admission.weight it else 1
-
-let need_table t =
-  let tbl : (int64, int * float * Autobatch.compiled) Hashtbl.t = Hashtbl.create 16 in
-  let note (it : Admission.item) =
-    let arrival = it.Admission.request.Request.arrival in
-    let w = item_score t it in
-    match Hashtbl.find_opt tbl it.Admission.digest with
-    | Some (n, a0, p) ->
-      Hashtbl.replace tbl it.Admission.digest (n + w, Float.min a0 arrival, p)
-    | None ->
-      Hashtbl.replace tbl it.Admission.digest
-        (w, arrival, it.Admission.request.Request.program)
-  in
-  Admission.iter t.adm note;
-  List.iter (fun p -> note p.p_item) t.parked;
-  tbl
-
-let need_count tbl digest =
-  match Hashtbl.find_opt tbl digest with Some (n, _, _) -> n | None -> 0
-
 (* Digests with pending work and no free lane anywhere serving them,
    most loaded first (ties: earliest arrival, then digest). *)
-let starving t tbl =
+let starving t =
   let served_free digest =
     Array.fold_left
       (fun acc s ->
@@ -564,9 +627,11 @@ let starving t tbl =
       0 t.shards
   in
   Hashtbl.fold
-    (fun digest (n, a0, p) acc ->
-      if served_free digest = 0 then (digest, n, a0, p) :: acc else acc)
-    tbl []
+    (fun digest tl acc ->
+      if served_free digest = 0 then
+        (digest, tl.need, earliest tl, tl.program) :: acc
+      else acc)
+    t.backlog []
   |> List.sort (fun (d1, n1, a1, _) (d2, n2, a2, _) ->
          match compare n2 n1 with
          | 0 -> ( match compare a1 a2 with 0 -> Int64.compare d1 d2 | c -> c)
@@ -610,7 +675,7 @@ let refill_shard t s b =
     if free = 0 then continue := false
     else
       match
-        Admission.pop t.adm ~fits:(fun it ->
+        dequeue t ~fits:(fun it ->
             it.Admission.digest = b.b_digest
             && Request.width it.Admission.request <= free)
       with
@@ -687,6 +752,7 @@ let park t s b f =
       p_preempted = f.f_preempted + 1; p_from = s.s_id; p_at = t.now; p_seq = t.seq;
       p_marks = f.f_marks }
     :: t.parked;
+  backlog_add t f.f_item;
   t.preemptions <- t.preemptions + 1
 
 (* Where a waiting latency-bound head starts: the first serving shard
@@ -743,7 +809,7 @@ let preempt_pass t =
         | Some (s, b, victims) ->
           List.iter (fun f -> park t s b f) victims;
           let popped =
-            Admission.pop t.adm ~fits:(fun c ->
+            dequeue t ~fits:(fun c ->
                 c.Admission.request.Request.id = it.Admission.request.Request.id)
           in
           (match popped with
@@ -784,6 +850,7 @@ let resume_pass t =
           { f_item = p.p_item; f_lanes = [||]; f_started = p.p_started;
             f_preempted = p.p_preempted; f_marks = marks };
         t.parked <- List.filter (fun q -> q != p) t.parked;
+        backlog_remove t p.p_item;
         t.resumes <- t.resumes + 1)
     order
 
@@ -861,19 +928,16 @@ let drain_pass t =
 (* ---------- rebind and demand binding ---------- *)
 
 let bind_pass t =
-  (* Built on first use, at most once: neither loop below changes the
-     queue or the parked set, so one table serves the whole pass — and a
-     round with no empty binding and no idle capacity builds none. *)
-  let tbl = lazy (need_table t) in
   (* Rebind: an empty binding turns toward starving work when its own
      digest has no backlog, or strictly less than the most starving
      digest's (strictness prevents two equal backlogs from trading the
      shard back and forth). *)
   iter_bindings t (fun s b ->
       if (not b.b_draining) && b.b_flight = [] then begin
-        let tbl = Lazy.force tbl in
-        let own = need_count tbl b.b_digest in
-        match starving t tbl with
+        let own =
+          match Hashtbl.find_opt t.backlog b.b_digest with Some tl -> tl.need | None -> 0
+        in
+        match starving t with
         | (digest, n, _, program) :: _
           when digest <> b.b_digest && (own = 0 || n > own) ->
           unbind t s b;
@@ -887,7 +951,7 @@ let bind_pass t =
   while !continue do
     if active_count t >= t.target then continue := false
     else begin
-      match starving t (Lazy.force tbl) with
+      match starving t with
       | (digest, _, _, program) :: _ -> (
         match Array.find_opt (fun s -> Option.is_none s.s_b) t.shards with
         | Some s ->
@@ -973,7 +1037,7 @@ let create ?config ?on_complete src =
         (match cfg.sink with
         | Some s -> Engine.set_sink engine (Obs_sink.tag_shard i s)
         | None -> ());
-        { s_id = i; s_engine = engine; s_b = None })
+        { s_id = i; s_engine = engine; s_b = None; s_pools = [] })
   in
   let kills = List.filter (fun e -> e.Fault.kind = Fault.Device_kill) cfg.faults in
   (* Ladder transitions surface as first-class events, stamped with the
@@ -1003,7 +1067,7 @@ let create ?config ?on_complete src =
       adm;
       max_target;
       now = 0.; round = 0; over = false;
-      parked = []; seq = 0; followups = []; span_seq = 0;
+      parked = []; backlog = Hashtbl.create 16; seq = 0; followups = []; span_seq = 0;
       target = Stdlib.min (Stdlib.max cfg.pool.Pool.min_shards 1) max_target;
       since_scale = cfg.pool.Pool.cooldown;
       completions = []; throttled = []; rejected = []; shed = [];
@@ -1087,3 +1151,16 @@ let census t : census =
     rejected = List.length t.rejected;
     shed = List.length t.shed;
   }
+
+let retained_pools t = Array.map (fun s -> List.length s.s_pools) t.shards
+
+let backlog t =
+  Hashtbl.fold
+    (fun digest tl acc -> (digest, tl.need, earliest tl) :: acc)
+    t.backlog []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int64.compare a b)
+
+let waiting t =
+  let queued = ref [] in
+  Admission.iter t.adm (fun it -> queued := it :: !queued);
+  List.rev_append !queued (List.map (fun p -> p.p_item) t.parked)

@@ -2,10 +2,12 @@
     shard pools, and mid-traffic recovery, composed over the serving
     and scheduling seams.
 
-    The server owns one {!Pc_vm.Lanes} pool per mesh device ("shard"),
-    each bound at any moment to one program digest (the {!Prog_cache}
-    identity). The server is one explicit state {!t}; {!step_round} runs
-    one deterministic round on the simulated clock, in this order:
+    The server binds each mesh device ("shard") at any moment to one
+    program digest (the {!Prog_cache} identity) and runs it on a
+    {!Pc_vm.Lanes} pool for that digest; a shard keeps the pools it
+    built, up to {!max_retained}, and reuses one when it binds that
+    digest again. The server is one explicit state {!t}; {!step_round}
+    runs one deterministic round on the simulated clock, in this order:
 
     + ingest due arrivals (the source's and [on_complete]'s follow-ups):
       refuse malformed or too-wide requests, then pass the tenant token
@@ -17,7 +19,8 @@
       the {!Pc_vm.Lanes} export/import seam, priced as
       {!Collectives.p2p_time} transfers, and unbind emptied ones;
     + rebind empty shards toward the neediest digest and bind idle
-      shards on demand up to the controller's target;
+      shards on demand up to the controller's target, reading the
+      per-digest backlog tallies ({!backlog});
     + refill free lanes from admission (weighted-fair pop, one shared
       lane-selection path via {!Sched_plan.choose_lanes});
     + preempt: when a latency-bound head cannot start, export the lanes
@@ -192,3 +195,25 @@ type census = {
 }
 
 val census : t -> census
+
+val max_retained : int
+(** How many lane pools a shard keeps (8), the bound one included. A
+    shard rebinding to a digest it kept resets that pool to its empty
+    image ({!Pc_vm.Lanes.restore}) instead of building one with
+    {!Pc_vm.Lanes.create}; past the bound the least recently bound pool
+    is dropped. A reused pool is indistinguishable from a fresh one. *)
+
+val retained_pools : t -> int array
+(** The number of lane pools each shard keeps, at most {!max_retained}. *)
+
+val backlog : t -> (int64 * int * float) list
+(** The per-digest backlog the binding pass reads, ascending by digest:
+    [(digest, need, earliest)] over the queued and parked items, where
+    [need] sums the items' scores (their class's {!Admission.weight}
+    under [Fair] admission, 1 otherwise) and [earliest] is their
+    earliest arrival. The server keeps it as running tallies, updated
+    where items enter and leave the queue and the parked set. *)
+
+val waiting : t -> Admission.item list
+(** The queued items in admission order, then the parked ones: the
+    items {!backlog} tallies. *)

@@ -710,7 +710,10 @@ module Lanes = struct
     t.steps <- img.li_steps;
     t.last <- img.li_last;
     (* Zero the store in place, registers included, so every lane the
-       image leaves idle holds what a fresh pool would. *)
+       image leaves idle holds what a fresh pool would; the stacks'
+       high-water marks restart at 0 too, so [depth] counts from the
+       restore. *)
+    t.pc.Pc_stack.high <- 0;
     Array.iter
       (function
         | None -> ()

@@ -72,7 +72,8 @@ type config = {
           applied. Right after [Step] comes the superstep's
           [Obs_sink.Occupancy] (issued [width = total], and [depth] the
           deepest any pc or variable stack of this pool has been pushed
-          to) — the runtime's only utilization report: lane, primitive
+          to since {!Lanes.create} or the last {!Lanes.restore}) — the
+          runtime's only utilization report: lane, primitive
           and push/pop counts are all derived from it ({!Obs_prof}).
           Default [None]; the off path is one match per step. *)
 }
@@ -90,7 +91,8 @@ module Pc_stack : sig
     sp : int array;            (** per-member stack pointer *)
     top : int array;           (** cached top element per member *)
     mutable high : int;
-        (** the largest [sp] a {!push} has left any member at *)
+        (** the largest [sp] a {!push} has left any member at since
+            [create] or the pool's last {!Lanes.restore} *)
   }
 
   val create : z:int -> bottom:int -> start:int -> initial_depth:int -> t
@@ -269,10 +271,13 @@ module Lanes : sig
 
   val restore : t -> image -> unit
   (** Overwrite the pool's state with the image, in place: the existing
-      storage is zeroed (stacks emptied with {!Stacked.reset}), each
-      captured lane is {!import_lane}d, and every other lane is freed
-      with its member identity from the image. No storage is
-      reallocated. Raises [Invalid_argument] on lane-count mismatch or
+      storage is zeroed (stacks emptied with {!Stacked.reset}, and the
+      pc stack's high-water mark reset to 0), each captured lane is
+      {!import_lane}d, and every other lane is freed with its member
+      identity from the image. No storage is reallocated. Restoring the
+      {!capture} a pool gave right after {!create} therefore makes it
+      indistinguishable from a fresh pool, event for event: the server
+      reuses a shard's pools this way. Raises [Invalid_argument] on lane-count mismatch or
       when the image's [li_vars] differ from the pool's, i.e. [t] does
       not run the program the image was captured from. *)
 end

@@ -78,7 +78,7 @@ let golden_trace () =
     (Obs_sink.Request_completed
        { id = 0; queued = 0.; started = 1e-3; finished = 3e-3 });
   Obs_trace.record tr ~track:vm ~ts:2e-3 (Obs_sink.Checkpoint { step = 2; bytes = 128 });
-  Obs_trace.record tr ~track:vm ~ts:2.5e-3 (Obs_sink.Restore { step = 2 });
+  Obs_trace.record tr ~track:vm ~ts:2.5e-3 (Obs_sink.Restore { step = 2; rolled_back = 0. });
   tr
 
 let test_trace_golden () =
@@ -108,7 +108,7 @@ let test_trace_limit_and_csv () =
       | Obs_sink.Step { step; _ } -> steps := step :: !steps
       | _ -> Alcotest.fail "only steps were recorded");
   Alcotest.(check (list int)) "recording order" [ 1; 2 ] (List.rev !steps);
-  Obs_trace.record tr ~track ~ts:6. (Obs_sink.Restore { step = 6 });
+  Obs_trace.record tr ~track ~ts:6. (Obs_sink.Restore { step = 6; rolled_back = 0. });
   Alcotest.(check int) "length stays at the limit" 2 (Obs_trace.length tr);
   Alcotest.(check int) "dropped keeps counting" 4 (Obs_trace.dropped tr);
   let csv = Obs_trace.to_csv tr in

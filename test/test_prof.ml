@@ -65,7 +65,7 @@ let all_events : Obs_sink.event list =
     Obs_sink.Request_rejected { id = 0; at = 0. };
     Obs_sink.Request_completed { id = 0; queued = 0.; started = 0.; finished = 1. };
     Obs_sink.Checkpoint { step = 1; bytes = 8 };
-    Obs_sink.Restore { step = 1 };
+    Obs_sink.Restore { step = 1; rolled_back = 0. };
     occupancy ~active:1 ~live:2 ~total:4 ~width:4 ~depth:1 ();
   ]
 
@@ -390,8 +390,10 @@ let test_figure6_util_pinned () =
 
 (* ---------- attribution: conservation against the engine clock ---------- *)
 
+(* The engine clock is what the rows attribute less what restores
+   rolled back. *)
 let check_conservation name total prof =
-  let attributed = Obs_prof.attributed prof in
+  let attributed = Obs_prof.attributed prof -. Obs_prof.rolled_back prof in
   let rel = Float.abs (attributed -. total) /. total in
   if rel > 1e-9 then
     Alcotest.failf "%s: attributed %.12g vs engine %.12g (rel %.3g)" name
@@ -436,20 +438,27 @@ let test_conservation_shard () =
   let total = Array.fold_left ( +. ) 0. r.Sched_vm.shard_times in
   check_conservation "shard" total prof
 
-(* A fault-free serving run: the profiler sees every shard engine's
-   spans through the server's sink, and they sum to the engines' merged
-   clock. (A device kill rewinds the shard engines to a checkpoint while
-   the profiler keeps the spans it saw, so this check runs without
-   faults.) *)
+(* Serving runs: the profiler sees every shard engine's spans through
+   the server's sink, and they sum to the engines' merged clock. A
+   device kill rewinds its shard's engine to a checkpoint while the
+   profiler keeps the spans it saw; the [Restore] event says how many
+   engine seconds went back, and the profiler books them. *)
 let test_conservation_server () =
-  let prof = Obs_prof.create () in
-  let r =
-    Tenant_load.run ~n_requests:200 ~baseline:false ~kill_round:(-1)
-      ~verify:false ~sink:(Obs_prof.sink prof) ()
-  in
-  let stats = r.Tenant_load.fair.Tenant_load.stats in
-  check_conservation "server"
-    stats.Tenant_server.counters.Engine.Counters.elapsed_seconds prof
+  List.iter
+    (fun (name, kill_round) ->
+      let prof = Obs_prof.create () in
+      let r =
+        Tenant_load.run ~n_requests:200 ~baseline:false ~kill_round ~verify:false
+          ~sink:(Obs_prof.sink prof) ()
+      in
+      let stats = r.Tenant_load.fair.Tenant_load.stats in
+      let killed = stats.Tenant_server.restores > 0 in
+      Alcotest.(check bool) (name ^ ": restored iff killed") (kill_round >= 0) killed;
+      Alcotest.(check bool) (name ^ ": rolled back iff restored") killed
+        (Obs_prof.rolled_back prof > 0.);
+      check_conservation name stats.Tenant_server.counters.Engine.Counters.elapsed_seconds
+        prof)
+    [ ("server", -1); ("server, device kill", 40) ]
 
 (* Two functions under the local VM: attribution conserves the engine
    clock, and the blocks of [main] and [fib] keep separate rows — the

@@ -12,10 +12,10 @@ let t = Alcotest.test_case
 
 let shapes = Tenant_load.element_shapes
 
-(* Two members of the program family, compiled once: distinct digests
-   make the server bind, rebind and drain. *)
+(* Members of the program family, each compiled once on first use:
+   distinct digests make the server bind, rebind and drain. *)
 let family =
-  Array.init 2 (fun k ->
+  Array.init 12 (fun k ->
       lazy
         (let p = Tenant_load.family_program ~k in
          (Autobatch.compile ~input_shapes:shapes p, Prog_cache.digest ~input_shapes:shapes p)))
@@ -160,6 +160,37 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "LRU entry gone" true (Prog_cache.find cache (d 1) = None);
   Alcotest.(check bool) "recent entry kept" true (Prog_cache.find cache (d 0) <> None);
   Alcotest.(check bool) "new entry kept" true (Prog_cache.find cache (d 2) <> None)
+
+(* The identity memo. A second lookup of the same physical program with
+   equal shapes takes its digest from the memo; a structurally equal copy
+   misses the memo and hits through the digest; both return the same
+   artifact. The memo keeps the digest a program had when first seen,
+   which is why a submitted program is a value: one mutated in place
+   afterwards still finds its old entry (and a copy built with the new
+   contents does not). *)
+let test_cache_identity_memo () =
+  let vec_program values =
+    let open Lang.Infix in
+    Lang.program ~main:"main"
+      [ Lang.func "main" ~params:[ "x" ] [ Lang.return_ [ Lang.var "x" + Lang.vec values ] ] ]
+  in
+  let values = [| 1.; 2. |] in
+  let p = vec_program values in
+  let vshapes = [ [| 2 |] ] in
+  let cache = Prog_cache.create ~capacity:4 () in
+  let c1, o1 = Prog_cache.find_or_compile cache ~input_shapes:vshapes p in
+  let c2, o2 = Prog_cache.find_or_compile cache ~input_shapes:[ [| 2 |] ] p in
+  let c3, o3 = Prog_cache.find_or_compile cache ~input_shapes:vshapes (vec_program [| 1.; 2. |]) in
+  Alcotest.(check bool) "first is a miss" true (o1 = `Miss);
+  Alcotest.(check bool) "same program, equal shapes: a hit" true (o2 = `Hit && c2 == c1);
+  Alcotest.(check bool) "structurally equal copy: a hit" true (o3 = `Hit && c3 == c1);
+  values.(0) <- 5.;
+  let c4, o4 = Prog_cache.find_or_compile cache ~input_shapes:vshapes p in
+  Alcotest.(check bool) "mutated in place: the memo's old digest" true (o4 = `Hit && c4 == c1);
+  let _, o5 = Prog_cache.find_or_compile cache ~input_shapes:vshapes (vec_program [| 5.; 2. |]) in
+  Alcotest.(check bool) "a copy of the new contents: a miss" true (o5 = `Miss);
+  Alcotest.(check int) "hits" 3 (Prog_cache.hits cache);
+  Alcotest.(check int) "misses" 2 (Prog_cache.misses cache)
 
 (* ---------- admission: weighted-fair dispatch ---------- *)
 
@@ -508,6 +539,72 @@ let test_server_preemption_bitwise () =
   Alcotest.(check bool) "latency-bound finished first" true
     ((by_id 1).Tenant_server.c_finished < (by_id 0).Tenant_server.c_finished);
   check_all_solo "preempt" st
+
+(* A shard keeps the pools it built. One one-lane shard serves digest A,
+   then B (a heavier class outbids A's queued item for the emptied
+   shard), then A again: the second A binding reuses the first's pool,
+   and every completion is bitwise identical to its solo run. *)
+let test_server_reuses_pools () =
+  let be = mk_tenant ~slo:Tenant.Best_effort 0 and tp = mk_tenant ~slo:Tenant.Throughput 1 in
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(default_mesh 1)) with
+      Tenant_server.lanes_per_shard = 1;
+      checkpoint_interval = 4;
+    }
+  in
+  let t =
+    Tenant_server.create ~config
+      (Tenant_server.source_of_list
+         [
+           mk_item ~tenant:be ~id:0 ~k:0 ~n:6 ();
+           mk_item ~tenant:tp ~id:1 ~arrival:1e-9 ~k:1 ~n:5 ();
+           mk_item ~tenant:be ~id:2 ~arrival:1e-9 ~k:0 ~n:7 ();
+         ])
+  in
+  while Tenant_server.step_round t do
+    ()
+  done;
+  let st = Tenant_server.finish t in
+  Alcotest.(check (array int)) "two pools for three bindings" [| 2 |]
+    (Tenant_server.retained_pools t);
+  Alcotest.(check (list int)) "served A, B, A" [ 0; 1; 2 ]
+    (List.map
+       (fun c -> c.Tenant_server.c_item.Admission.request.Request.id)
+       st.Tenant_server.completions);
+  Alcotest.(check int) "one demand bind" 1 st.Tenant_server.binds;
+  Alcotest.(check int) "two rebinds" 2 st.Tenant_server.rebinds;
+  check_all_solo "reuse" st
+
+(* A shard binding more distinct digests than [max_retained] keeps no
+   more pools than that, after every round, through a device kill; every
+   completion still matches its solo run. *)
+let test_server_retention_bounded () =
+  let n = Tenant_server.max_retained + 3 in
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(default_mesh 1)) with
+      Tenant_server.lanes_per_shard = 1;
+      checkpoint_interval = 3;
+      faults = [ { Fault.superstep = 30; device = 0; kind = Fault.Device_kill } ];
+    }
+  in
+  let t =
+    Tenant_server.create ~config
+      (Tenant_server.source_of_list
+         (List.init n (fun i -> mk_item ~tenant:(mk_tenant 0) ~id:i ~k:i ~n:(3 + (i mod 4)) ())))
+  in
+  let most = ref 0 in
+  while Tenant_server.step_round t do
+    most := Stdlib.max !most (Tenant_server.retained_pools t).(0)
+  done;
+  let st = Tenant_server.finish t in
+  Alcotest.(check int) "the kill fired" 1 st.Tenant_server.restores;
+  Alcotest.(check int) "one pool built per digest" n
+    (st.Tenant_server.binds + st.Tenant_server.rebinds);
+  Alcotest.(check int) "never more than the bound" Tenant_server.max_retained !most;
+  Alcotest.(check int) "all served" n (List.length st.Tenant_server.completions);
+  check_all_solo "bounded" st
 
 let kill_scenario () =
   let config =
@@ -1026,10 +1123,10 @@ let arb_server_case =
 let admission_modes = [| Admission.Fair; Admission.Fifo; Admission.Shortest_first |]
 
 (* After every round each arrival handed to the server is in exactly one
-   place and [on_complete] has fired once per flushed completion; at the
-   end the outcome ids partition the arrivals, and a sampled completion
-   matches its solo run bitwise. *)
-let check_server_case
+   place, [on_complete] has fired once per flushed completion, and
+   [each_round] holds; at the end the outcome ids partition the
+   arrivals, and a sampled completion matches its solo run bitwise. *)
+let check_server_case ~each_round
     ( (shards, lanes, depth, mode, preempt, synchronous, interval),
       (kill, second_kill, spec, (follow_ups, sample, cooldown, eager_shrink, ladder)) ) =
   (* Counts are generated as offsets from their minimum, so QCheck's
@@ -1103,6 +1200,7 @@ let check_server_case
   let round = ref 0 in
   while Tenant_server.step_round t do
     incr round;
+    each_round ~round:!round t;
     let c = Tenant_server.census t in
     let placed =
       c.arriving + c.queued + c.parked + c.in_flight + c.unflushed + c.completed
@@ -1143,7 +1241,44 @@ let check_server_case
 let prop_server_conservation ~count =
   QCheck.Test.make ~count
     ~name:(Printf.sprintf "conservation every round (%d cases)" count)
-    arb_server_case check_server_case
+    arb_server_case
+    (check_server_case ~each_round:(fun ~round:_ _ -> ()))
+
+(* The per-digest backlog as the server once rebuilt it for every
+   binding pass: one fold over the queued items, then the parked ones,
+   summing each item's score (its class weight under [Fair] admission,
+   1 otherwise) and keeping the earliest arrival. *)
+let backlog_oracle ~fair items =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (it : Admission.item) ->
+      let w = if fair then Admission.weight it else 1
+      and a = it.Admission.request.Request.arrival in
+      match Hashtbl.find_opt tbl it.Admission.digest with
+      | Some (n, a0) -> Hashtbl.replace tbl it.Admission.digest (n + w, Float.min a0 a)
+      | None -> Hashtbl.replace tbl it.Admission.digest (w, a))
+    items;
+  Hashtbl.fold (fun d (n, a0) acc -> (d, n, a0) :: acc) tbl [] |> List.sort compare
+
+(* The running backlog tallies equal the fold after every round of the
+   random servers above, whose rounds offer, pop, shed, re-queue after
+   kills, park and resume. *)
+let prop_backlog_tallies ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "backlog tallies match the fold (%d cases)" count)
+    arb_server_case
+    (fun (((_, _, _, mode, _, _, _), _) as case) ->
+      let fair = admission_modes.(mode) = Admission.Fair in
+      let show l =
+        String.concat "; "
+          (List.map (fun (d, n, a) -> Printf.sprintf "%Lx:%d@%g" d n a) l)
+      in
+      check_server_case case ~each_round:(fun ~round t ->
+          let got = Tenant_server.backlog t
+          and want = backlog_oracle ~fair (Tenant_server.waiting t) in
+          if got <> want then
+            QCheck.Test.fail_reportf "round %d: tallies [%s], fold [%s]" round (show got)
+              (show want)))
 
 (* ---------- suites ---------- *)
 
@@ -1160,6 +1295,7 @@ let suites =
         t "digest values are pinned" `Quick test_digest_values_pinned;
         t "hit returns the same artifact" `Quick test_cache_hit_and_identity;
         t "LRU eviction" `Quick test_cache_lru_eviction;
+        t "identity memo" `Quick test_cache_identity_memo;
       ] );
     ( "tenant-admission",
       [
@@ -1185,8 +1321,12 @@ let suites =
         t "kill replay is deterministic" `Quick test_server_kill_replay_deterministic;
         t "wasted rounds = replayed steps" `Quick test_server_wasted_rounds_match_steps;
         t "malformed inputs rejected at ingest" `Quick test_server_rejects_malformed_inputs;
+        t "a shard reuses its pools" `Quick test_server_reuses_pools;
+        t "retained pools are bounded" `Quick test_server_retention_bounded;
         QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_server_conservation ~count:50);
         QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_server_conservation ~count:2000);
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_backlog_tallies ~count:300);
+        QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_backlog_tallies ~count:3000);
       ] );
     ( "tenant-load",
       [

@@ -414,6 +414,75 @@ let test_lanes_restore_in_place () =
     (fun a b -> Alcotest.(check bool) "outputs bitwise" true (Tensor.equal a b))
     outs outs'
 
+(* A pool restored to the image it had when empty is a fresh pool, event
+   for event. One engine carries a fib pool that serves deep requests,
+   then a second program's pool (the shard serving digest A, then B),
+   then the fib pool again after the engine is reset and the pool is
+   restored to its empty image (A again, as a shard rebinding to a
+   digest it kept does). Serving shallow requests, that pool gives the
+   outputs, step count and Step / Occupancy / Launched stream of a fresh
+   pool on a fresh engine — including Occupancy's [depth], which the
+   deep requests had raised. *)
+let test_lanes_reuse_is_fresh () =
+  let z = 4 in
+  let record () =
+    let events = ref [] in
+    let sink ev =
+      match ev with
+      | Obs_sink.Step _ | Obs_sink.Occupancy _ | Obs_sink.Launched _ ->
+        events := ev :: !events
+      | _ -> ()
+    in
+    let engine = Engine.create ~device:Device.gpu ~mode:Engine.Hybrid () in
+    Engine.set_sink engine sink;
+    (engine, { Pc_vm.default_config with engine = Some engine; sink = Some sink }, events)
+  in
+  let pool config (c : Autobatch.compiled) =
+    Pc_vm.Lanes.create ~config c.Autobatch.registry c.Autobatch.stack ~z
+  in
+  let serve lanes inputs =
+    List.iteri
+      (fun lane inputs -> Pc_vm.Lanes.load lanes ~lane ~member:(10 + lane) ~inputs)
+      inputs;
+    while Pc_vm.Lanes.step lanes do
+      ()
+    done;
+    List.concat (List.mapi (fun lane _ -> Pc_vm.Lanes.retire lanes ~lane) inputs)
+  in
+  let fib ns = List.map (fun n -> [ Tensor.scalar n ]) ns in
+  let shallow = fib [ 3.; 1.; 4.; 2. ] in
+  let fresh_outs, fresh_steps, fresh_events =
+    let _, config, events = record () in
+    let lanes = pool config fib_compiled in
+    let outs = serve lanes shallow in
+    (outs, Pc_vm.Lanes.steps lanes, List.rev !events)
+  in
+  let engine, config, events = record () in
+  let a = pool config fib_compiled in
+  let empty = Pc_vm.Lanes.capture a in
+  ignore (serve a (fib [ 12.; 11.; 9.; 10. ]));
+  let b =
+    pool config
+      (Autobatch.compile ~input_shapes:[ [| 3 |]; Shape.scalar ] Test_programs.vec_double)
+  in
+  ignore
+    (serve b
+       [ [ Tensor.of_array [| 3 |] [| 1.; 2.; 3. |]; Tensor.scalar 4. ];
+         [ Tensor.of_array [| 3 |] [| 0.5; 0.; 1. |]; Tensor.scalar 2. ] ]);
+  Engine.reset engine;
+  events := [];
+  Pc_vm.Lanes.restore a empty;
+  let outs = serve a shallow in
+  Alcotest.(check int) "same step count" fresh_steps (Pc_vm.Lanes.steps a);
+  List.iter2
+    (fun x y -> Alcotest.(check bool) "outputs bitwise" true (Tensor.equal x y))
+    fresh_outs outs;
+  let depths evs =
+    List.filter_map (function Obs_sink.Occupancy { depth; _ } -> Some depth | _ -> None) evs
+  in
+  Alcotest.(check (list int)) "Occupancy depths" (depths fresh_events) (depths (List.rev !events));
+  Alcotest.(check bool) "same event stream" true (fresh_events = List.rev !events)
+
 (* A pool checkpoint is its occupied lanes' states. Requests stream
    through a pool whose lanes retire and refill mid-run; at a random
    superstep the pool is captured. The image is restored into a fresh
@@ -679,6 +748,7 @@ let lanes_suite =
       t "active rows are bitwise" `Quick test_pc_active_rows;
       QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_recycled_restore ~count:200);
       QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_recycled_restore ~count:5_000);
+      t "a pool restored empty is a fresh pool" `Quick test_lanes_reuse_is_fresh;
     ] )
 
 (* ---------- the program-counter stack itself ---------- *)
