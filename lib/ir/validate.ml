@@ -1,5 +1,3 @@
-module S = Set.Make (String)
-
 let bad_ident name =
   String.contains name '/' || String.contains name '$' || String.length name = 0
 
@@ -90,26 +88,29 @@ let func_shape_errors (f : Lang.func) errs =
         f.Lang.fname
       :: !errs
 
-(* Must-defined forward dataflow over one CFG function. *)
+(* Must-defined forward dataflow over one CFG function, on bitsets over
+   its variables numbered once by [Var_index]. *)
 let check_defined_before_use (f : Cfg.func) =
   let n = Array.length f.Cfg.blocks in
   let errs = ref [] in
   if n = 0 then [ Printf.sprintf "%s: empty function" f.Cfg.name ]
   else begin
-    let all = S.of_list (Cfg.all_vars f) in
-    let params = S.of_list f.Cfg.params in
+    let vars = Var_index.number f in
     (* defined_in.(i): variables surely defined on entry to block i. *)
-    let defined_in = Array.make n all in
-    defined_in.(0) <- params;
+    let defined_in = Array.init n (fun _ -> Var_index.full vars) in
+    defined_in.(0) <- Var_index.empty vars;
+    Var_index.add_all defined_in.(0) (Var_index.params vars);
+    let defs =
+      Array.init n (fun block ->
+          let d = Var_index.empty vars in
+          Array.iter (Var_index.add_all d) (Var_index.op_defs vars ~block);
+          d)
+    in
     let preds = Array.make n [] in
     for i = 0 to n - 1 do
       List.iter (fun j -> preds.(j) <- i :: preds.(j)) (Cfg.successors f i)
     done;
-    let block_out i start =
-      List.fold_left
-        (fun acc op -> S.union acc (S.of_list (Cfg.op_defs op)))
-        start f.Cfg.blocks.(i).Cfg.ops
-    in
+    let inp = Var_index.empty vars in
     let changed = ref true in
     while !changed do
       changed := false;
@@ -117,13 +118,20 @@ let check_defined_before_use (f : Cfg.func) =
         match preds.(i) with
         | [] -> ()  (* unreachable: keep ⊤, never reported *)
         | ps ->
-          let inp =
-            List.fold_left (fun acc p -> S.inter acc (block_out p defined_in.(p))) all ps
-          in
-          if not (S.equal inp defined_in.(i)) then begin
-            defined_in.(i) <- inp;
-            changed := true
-          end
+          Array.fill inp 0 (Array.length inp) (-1);
+          List.iter
+            (fun p ->
+              for w = 0 to Array.length inp - 1 do
+                inp.(w) <- inp.(w) land (defined_in.(p).(w) lor defs.(p).(w))
+              done)
+            ps;
+          let cur = defined_in.(i) in
+          for w = 0 to Array.length inp - 1 do
+            if inp.(w) <> cur.(w) then begin
+              cur.(w) <- inp.(w);
+              changed := true
+            end
+          done
       done
     done;
     (* Reachability from entry, to avoid reporting dead blocks. *)
@@ -135,30 +143,25 @@ let check_defined_before_use (f : Cfg.func) =
       end
     in
     visit 0;
+    let report ~where i defined uses =
+      Array.iter
+        (fun u ->
+          if not (Var_index.mem defined u) then
+            errs :=
+              Printf.sprintf "%s: variable %S may be used before definition (%s%d)"
+                f.Cfg.name (Var_index.name vars u) where i
+              :: !errs)
+        uses
+    in
     for i = 0 to n - 1 do
       if reachable.(i) then begin
-        let defined = ref defined_in.(i) in
-        List.iter
-          (fun op ->
-            List.iter
-              (fun u ->
-                if not (S.mem u !defined) then
-                  errs :=
-                    Printf.sprintf "%s: variable %S may be used before definition (block %d)"
-                      f.Cfg.name u i
-                    :: !errs)
-              (Cfg.op_uses op);
-            defined := S.union !defined (S.of_list (Cfg.op_defs op)))
-          f.Cfg.blocks.(i).Cfg.ops;
-        List.iter
-          (fun u ->
-            if not (S.mem u !defined) then
-              errs :=
-                Printf.sprintf
-                  "%s: variable %S may be used before definition (terminator of block %d)"
-                  f.Cfg.name u i
-                :: !errs)
-          (Cfg.term_uses f f.Cfg.blocks.(i).Cfg.term)
+        let defined = Array.copy defined_in.(i) in
+        Array.iteri
+          (fun k uses ->
+            report ~where:"block " i defined uses;
+            Var_index.add_all defined (Var_index.op_defs vars ~block:i).(k))
+          (Var_index.op_uses vars ~block:i);
+        report ~where:"terminator of block " i defined (Var_index.term_uses vars ~block:i)
       end
     done;
     List.sort_uniq compare !errs

@@ -62,14 +62,20 @@ let digest ?input_shapes p =
 
 type entry = { compiled : Autobatch.compiled; mutable last_use : int }
 
-(* A program looked up recently, with the shapes it came with and their
-   digest. *)
-type seen = { s_program : Lang.program; s_shapes : Shape.t list; s_digest : int64 }
+(* A program looked up recently, with the shapes it came with, their
+   digest and the entry the cache holds for it. *)
+type seen = {
+  s_program : Lang.program;
+  s_shapes : Shape.t list;
+  s_digest : int64;
+  s_entry : entry;
+}
 
 type t = {
   capacity : int;
   registry : Prim.registry;
   entries : (int64, entry) Hashtbl.t;
+  door : Doorkeeper.t;  (* digests that missed the full cache recently *)
   mutable tick : int;  (* bumps on every access; LRU = smallest tick *)
   mutable memo : seen array;  (* most recent first, at most [capacity] *)
   mutable n_hits : int;
@@ -86,6 +92,7 @@ let create ?registry ?sink ?(clock = fun () -> 0.) ~capacity () =
     capacity;
     registry = (match registry with Some r -> r | None -> Prim.standard ());
     entries = Hashtbl.create (Stdlib.max 16 capacity);
+    door = Doorkeeper.create ~capacity;
     tick = 0;
     memo = [||];
     n_hits = 0; n_misses = 0; n_evictions = 0;
@@ -97,6 +104,7 @@ let create ?registry ?sink ?(clock = fun () -> 0.) ~capacity () =
 let hits t = t.n_hits
 let misses t = t.n_misses
 let evictions t = t.n_evictions
+let length t = Hashtbl.length t.entries
 
 let hit_rate t =
   let total = t.n_hits + t.n_misses in
@@ -137,6 +145,8 @@ let miss t =
   t.n_misses <- t.n_misses + 1;
   emit_instant t "cache-miss"
 
+(* Drop the least recently used entry, and the memo's programs with its
+   digest. *)
 let evict_lru t =
   let victim =
     Hashtbl.fold
@@ -150,14 +160,23 @@ let evict_lru t =
   | None -> ()
   | Some (key, _) ->
     Hashtbl.remove t.entries key;
+    t.memo <-
+      Array.of_list
+        (List.filter (fun s -> not (Int64.equal s.s_digest key)) (Array.to_list t.memo));
     t.n_evictions <- t.n_evictions + 1
 
+(* Keep a freshly compiled artifact: always below capacity; into a full
+   cache only on the digest's second recent miss, evicting the least
+   recently used entry. *)
 let insert t key compiled =
-  if t.capacity > 0 then begin
+  if Hashtbl.length t.entries < t.capacity || Doorkeeper.admit t.door key then begin
     if Hashtbl.length t.entries >= t.capacity then evict_lru t;
     t.tick <- t.tick + 1;
-    Hashtbl.add t.entries key { compiled; last_use = t.tick }
+    let e = { compiled; last_use = t.tick } in
+    Hashtbl.add t.entries key e;
+    Some e
   end
+  else None
 
 let find t key =
   match Hashtbl.find_opt t.entries key with
@@ -168,47 +187,51 @@ let find t key =
     miss t;
     None
 
-(* The digest of [program] with [input_shapes]: from the memo when the
-   same physical program came with equal shapes, which moves it to the
-   front; otherwise computed and remembered, dropping the least recent
-   entry past [capacity]. *)
-let memo_digest t ~input_shapes program =
+(* The memo's entry for the same physical program with equal shapes,
+   moved to the front. *)
+let memo_find t ~input_shapes program =
   let memo = t.memo in
   let same e =
     e.s_program == program
     && (e.s_shapes == input_shapes || List.equal Shape.equal e.s_shapes input_shapes)
   in
   let rec find k =
-    if k = Array.length memo then begin
-      let d = digest ~input_shapes program in
-      if t.capacity > 0 then
-        t.memo <-
-          Array.append
-            [| { s_program = program; s_shapes = input_shapes; s_digest = d } |]
-            (Array.sub memo 0 (Stdlib.min k (t.capacity - 1)));
-      d
-    end
+    if k = Array.length memo then None
     else if same memo.(k) then begin
       let e = memo.(k) in
       Array.blit memo 0 memo 1 k;
       memo.(0) <- e;
-      e.s_digest
+      Some e.s_entry
     end
     else find (k + 1)
   in
   find 0
 
+(* Remember [program] as the newest memo entry, dropping the least recent
+   past [capacity]. *)
+let remember t ~input_shapes program key e =
+  let seen = { s_program = program; s_shapes = input_shapes; s_digest = key; s_entry = e } in
+  t.memo <-
+    Array.append [| seen |]
+      (Array.sub t.memo 0 (Stdlib.min (Array.length t.memo) (t.capacity - 1)))
+
 let find_or_compile t ?optimize ?fuse ~input_shapes program =
-  let key = memo_digest t ~input_shapes program in
-  match Hashtbl.find_opt t.entries key with
+  match memo_find t ~input_shapes program with
   | Some e ->
     hit t e;
     (e.compiled, `Hit)
-  | None ->
-    miss t;
-    let compiled =
-      Autobatch.compile ~registry:t.registry ?optimize ?fuse ~input_shapes program
-    in
-    emit_instant t "compile";
-    insert t key compiled;
-    (compiled, `Miss)
+  | None -> (
+    let key = digest ~input_shapes program in
+    match Hashtbl.find_opt t.entries key with
+    | Some e ->
+      hit t e;
+      remember t ~input_shapes program key e;
+      (e.compiled, `Hit)
+    | None ->
+      miss t;
+      let compiled =
+        Autobatch.compile ~registry:t.registry ?optimize ?fuse ~input_shapes program
+      in
+      emit_instant t "compile";
+      Option.iter (remember t ~input_shapes program key) (insert t key compiled);
+      (compiled, `Miss))

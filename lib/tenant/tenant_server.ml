@@ -142,8 +142,10 @@ type binding = {
    building the pool again. *)
 type retained = { r_digest : int64; r_lanes : Pc_vm.Lanes.t; r_empty : Pc_vm.Lanes.image }
 
-(* How many pools a shard keeps, most recently bound first; the bound
-   one is among them. *)
+(* How many pools a shard keeps, most recently bound first. A pool built
+   for a digest that missed a full set recently is kept in place of the
+   least recently bound; any other pool built past the bound serves its
+   binding and is dropped. *)
 let max_retained = 8
 
 type shard = {
@@ -151,6 +153,8 @@ type shard = {
   s_engine : Engine.t;
   mutable s_b : binding option;
   mutable s_pools : retained list;
+  s_door : Doorkeeper.t;  (* digests that missed the full set recently *)
+  mutable s_built : int;  (* pools built with [Lanes.create] *)
 }
 
 let bytes_of outputs =
@@ -425,10 +429,11 @@ let restore_shard t s b =
 
 (* ---------- binding ---------- *)
 
-(* Shard [s]'s empty pool for [digest], most recently used from now on:
-   a retained one restored to its empty image, or a new one built from
-   [program] (any program carrying the digest) that displaces the least
-   recently used past [max_retained]. *)
+(* Shard [s]'s empty pool for [digest]: a retained one restored to its
+   empty image and moved to the front, or a new one built from [program]
+   (any program carrying the digest), kept in front below
+   [max_retained] or when the doorkeeper admits the digest, displacing
+   the least recently bound. *)
 let empty_pool t s digest (program : Autobatch.compiled) =
   match List.find_opt (fun r -> r.r_digest = digest) s.s_pools with
   | Some r ->
@@ -449,7 +454,9 @@ let empty_pool t s digest (program : Autobatch.compiled) =
         program.Autobatch.stack ~z:t.cfg.lanes_per_shard
     in
     let r = { r_digest = digest; r_lanes = lanes; r_empty = Pc_vm.Lanes.capture lanes } in
-    s.s_pools <- r :: List.filteri (fun i _ -> i < max_retained - 1) s.s_pools;
+    s.s_built <- s.s_built + 1;
+    if List.compare_length_with s.s_pools max_retained < 0 || Doorkeeper.admit s.s_door digest
+    then s.s_pools <- r :: List.filteri (fun i _ -> i < max_retained - 1) s.s_pools;
     r
 
 let bind t s digest program =
@@ -1037,7 +1044,8 @@ let create ?config ?on_complete src =
         (match cfg.sink with
         | Some s -> Engine.set_sink engine (Obs_sink.tag_shard i s)
         | None -> ());
-        { s_id = i; s_engine = engine; s_b = None; s_pools = [] })
+        { s_id = i; s_engine = engine; s_b = None; s_pools = [];
+          s_door = Doorkeeper.create ~capacity:max_retained; s_built = 0 })
   in
   let kills = List.filter (fun e -> e.Fault.kind = Fault.Device_kill) cfg.faults in
   (* Ladder transitions surface as first-class events, stamped with the
@@ -1153,6 +1161,7 @@ let census t : census =
   }
 
 let retained_pools t = Array.map (fun s -> List.length s.s_pools) t.shards
+let pools_built t = Array.map (fun s -> s.s_built) t.shards
 
 let backlog t =
   Hashtbl.fold

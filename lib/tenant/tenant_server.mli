@@ -4,10 +4,11 @@
 
     The server binds each mesh device ("shard") at any moment to one
     program digest (the {!Prog_cache} identity) and runs it on a
-    {!Pc_vm.Lanes} pool for that digest; a shard keeps the pools it
-    built, up to {!max_retained}, and reuses one when it binds that
-    digest again. The server is one explicit state {!t}; {!step_round}
-    runs one deterministic round on the simulated clock, in this order:
+    {!Pc_vm.Lanes} pool for that digest; a shard keeps up to
+    {!max_retained} of the pools it built, admitted as {!Prog_cache}
+    admits programs, and reuses one when it binds that digest again.
+    The server is one explicit state {!t}; {!step_round} runs one
+    deterministic round on the simulated clock, in this order:
 
     + ingest due arrivals (the source's and [on_complete]'s follow-ups):
       refuse malformed or too-wide requests, then pass the tenant token
@@ -197,14 +198,25 @@ type census = {
 val census : t -> census
 
 val max_retained : int
-(** How many lane pools a shard keeps (8), the bound one included. A
-    shard rebinding to a digest it kept resets that pool to its empty
-    image ({!Pc_vm.Lanes.restore}) instead of building one with
-    {!Pc_vm.Lanes.create}; past the bound the least recently bound pool
-    is dropped. A reused pool is indistinguishable from a fresh one. *)
+(** How many lane pools a shard keeps (8). A shard rebinding to a digest
+    it kept resets that pool to its empty image ({!Pc_vm.Lanes.restore})
+    instead of building one with {!Pc_vm.Lanes.create}. A reused pool is
+    indistinguishable from a fresh one.
+
+    Below the bound every pool built is kept. Past it, a shard admits
+    pools as {!Prog_cache} admits programs ({!Doorkeeper}): a digest
+    whose pool the shard does not keep gets a new pool, which serves that
+    binding and is dropped when the shard unbinds, displacing nothing —
+    unless the digest was one of the last {!max_retained} such misses on
+    this shard, in which case its pool replaces the least recently bound
+    one. So one-off digests never push a hot digest's pool out. *)
 
 val retained_pools : t -> int array
 (** The number of lane pools each shard keeps, at most {!max_retained}. *)
+
+val pools_built : t -> int array
+(** The number of lane pools each shard has built with
+    {!Pc_vm.Lanes.create} (every other binding restored a kept one). *)
 
 val backlog : t -> (int64 * int * float) list
 (** The per-digest backlog the binding pass reads, ascending by digest:

@@ -348,6 +348,288 @@ let test_live_after_op () =
     f.Cfg.blocks;
   Alcotest.(check bool) "found first call" true !found
 
+(* ---------- dense dataflow vs the string-set oracle ----------
+
+   [Liveness] and [Validate.check_defined_before_use] run their
+   fixpoints on bitsets over densely numbered variables. The string-set
+   implementations they replaced are kept here as the oracle. *)
+
+module Oracle = struct
+  module S = Ir_util.Sset
+
+  let op_backward live op =
+    S.union (S.diff live (S.of_list (Cfg.op_defs op))) (S.of_list (Cfg.op_uses op))
+
+  let block_backward f (b : Cfg.block) live_out =
+    let live = S.union live_out (S.of_list (Cfg.term_uses f b.Cfg.term)) in
+    List.fold_left op_backward live (List.rev b.Cfg.ops)
+
+  (* Per-block (live_in, live_out). *)
+  let liveness (f : Cfg.func) =
+    let n = Array.length f.Cfg.blocks in
+    let live_in = Array.make n S.empty and live_out = Array.make n S.empty in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for i = n - 1 downto 0 do
+        let out =
+          List.fold_left (fun acc j -> S.union acc live_in.(j)) S.empty (Cfg.successors f i)
+        in
+        let inp = block_backward f f.Cfg.blocks.(i) out in
+        if not (S.equal out live_out.(i) && S.equal inp live_in.(i)) then begin
+          live_out.(i) <- out;
+          live_in.(i) <- inp;
+          changed := true
+        end
+      done
+    done;
+    (live_in, live_out)
+
+  let live_after_op (_, live_out) f ~block ~op =
+    let b = f.Cfg.blocks.(block) in
+    let ops = Array.of_list b.Cfg.ops in
+    let live = ref (S.union live_out.(block) (S.of_list (Cfg.term_uses f b.Cfg.term))) in
+    for k = Array.length ops - 1 downto op + 1 do
+      live := op_backward !live ops.(k)
+    done;
+    !live
+
+  let cross_block_vars (live_in, live_out) =
+    Array.fold_left S.union live_in.(0) live_out
+
+  let check_defined_before_use (f : Cfg.func) =
+    let n = Array.length f.Cfg.blocks in
+    let errs = ref [] in
+    if n = 0 then [ Printf.sprintf "%s: empty function" f.Cfg.name ]
+    else begin
+      let all = S.of_list (Cfg.all_vars f) in
+      let defined_in = Array.make n all in
+      defined_in.(0) <- S.of_list f.Cfg.params;
+      let preds = Array.make n [] in
+      for i = 0 to n - 1 do
+        List.iter (fun j -> preds.(j) <- i :: preds.(j)) (Cfg.successors f i)
+      done;
+      let block_out i start =
+        List.fold_left
+          (fun acc op -> S.union acc (S.of_list (Cfg.op_defs op)))
+          start f.Cfg.blocks.(i).Cfg.ops
+      in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for i = 1 to n - 1 do
+          match preds.(i) with
+          | [] -> ()
+          | ps ->
+            let inp =
+              List.fold_left (fun acc p -> S.inter acc (block_out p defined_in.(p))) all ps
+            in
+            if not (S.equal inp defined_in.(i)) then begin
+              defined_in.(i) <- inp;
+              changed := true
+            end
+        done
+      done;
+      let reachable = Array.make n false in
+      let rec visit i =
+        if not reachable.(i) then begin
+          reachable.(i) <- true;
+          List.iter visit (Cfg.successors f i)
+        end
+      in
+      visit 0;
+      for i = 0 to n - 1 do
+        if reachable.(i) then begin
+          let defined = ref defined_in.(i) in
+          List.iter
+            (fun op ->
+              List.iter
+                (fun u ->
+                  if not (S.mem u !defined) then
+                    errs :=
+                      Printf.sprintf "%s: variable %S may be used before definition (block %d)"
+                        f.Cfg.name u i
+                      :: !errs)
+                (Cfg.op_uses op);
+              defined := S.union !defined (S.of_list (Cfg.op_defs op)))
+            f.Cfg.blocks.(i).Cfg.ops;
+          List.iter
+            (fun u ->
+              if not (S.mem u !defined) then
+                errs :=
+                  Printf.sprintf
+                    "%s: variable %S may be used before definition (terminator of block %d)"
+                    f.Cfg.name u i
+                  :: !errs)
+            (Cfg.term_uses f f.Cfg.blocks.(i).Cfg.term)
+        end
+      done;
+      List.sort_uniq compare !errs
+    end
+
+  (* What [Lower_stack.lower] (default options) derives from liveness:
+     every function variable's storage class, and the variables each
+     call site saves, in emission order (entry function first). *)
+  let stack_decisions (p : Cfg.program) =
+    let cg = Callgraph.build p in
+    let funcs =
+      (p.Cfg.entry, Cfg.entry_func p)
+      :: List.filter (fun (name, _) -> name <> p.Cfg.entry) p.Cfg.funcs
+    in
+    let stacked = ref S.empty and saves = ref [] and temps = ref [] in
+    List.iter
+      (fun (fname, (f : Cfg.func)) ->
+        let lv = liveness f in
+        let across = ref S.empty in
+        Array.iteri
+          (fun bi (b : Cfg.block) ->
+            List.iteri
+              (fun oi op ->
+                match op with
+                | Cfg.Call_op { dsts; func = callee; _ } ->
+                  let live = live_after_op lv f ~block:bi ~op:oi in
+                  across := S.union !across live;
+                  let saved =
+                    if Callgraph.may_clobber_caller cg ~caller:fname ~callee then
+                      S.diff live (S.of_list dsts)
+                    else S.empty
+                  in
+                  stacked := S.union !stacked saved;
+                  saves := List.rev_append (S.elements saved) !saves
+                | Cfg.Prim_op _ | Cfg.Const_op _ | Cfg.Mov _ -> ())
+              b.Cfg.ops)
+          f.Cfg.blocks;
+        let non_temp =
+          S.union (cross_block_vars lv)
+            (S.union !across (S.of_list (f.Cfg.params @ f.Cfg.result_vars)))
+        in
+        temps := (f, S.diff (S.of_list (Cfg.all_vars f)) non_temp) :: !temps)
+      funcs;
+    let classes =
+      List.concat_map
+        (fun (f, temps) ->
+          List.map
+            (fun v ->
+              ( v,
+                if S.mem v !stacked then Var_class.Stacked
+                else if S.mem v temps then Var_class.Temp
+                else Var_class.Masked ))
+            (Cfg.all_vars f))
+        !temps
+      |> List.sort compare
+    in
+    (classes, List.rev !saves)
+end
+
+(* Delete the [k]th assignment (pre-order, modulo their number), so the
+   must-defined check has uses before definition to report. *)
+let delete_assign (p : Lang.program) k =
+  let rec count l =
+    List.fold_left
+      (fun acc (s : Lang.stmt) ->
+        match s with
+        | Lang.Assign _ -> acc + 1
+        | Lang.If (_, a, b) -> acc + count a + count b
+        | Lang.While (_, b) -> acc + count b
+        | Lang.Call_stmt _ | Lang.Return _ -> acc)
+      0 l
+  in
+  let n = List.fold_left (fun acc (f : Lang.func) -> acc + count f.Lang.body) 0 p.Lang.funcs in
+  if n = 0 then p
+  else begin
+    let seen = ref 0 and target = k mod n in
+    let rec drop l =
+      List.concat_map
+        (fun (s : Lang.stmt) ->
+          match s with
+          | Lang.Assign _ ->
+            incr seen;
+            if !seen - 1 = target then [] else [ s ]
+          | Lang.If (c, a, b) ->
+            let a = drop a in
+            [ Lang.If (c, a, drop b) ]
+          | Lang.While (c, b) -> [ Lang.While (c, drop b) ]
+          | Lang.Call_stmt _ | Lang.Return _ -> [ s ])
+        l
+    in
+    let drop_in (f : Lang.func) = { f with Lang.body = drop f.Lang.body } in
+    { p with Lang.funcs = List.map drop_in p.Lang.funcs }
+  end
+
+let dense_matches_oracle (prog, k) =
+  let fail what p =
+    QCheck.Test.fail_reportf "%s differs from the string-set oracle on\n%s" what
+      (Test_random_programs.print_program p)
+  in
+  List.iter
+    (fun p ->
+      let cfg = Lower_cfg.lower p in
+      List.iter
+        (fun (_, (f : Cfg.func)) ->
+          if Validate.check_defined_before_use f <> Oracle.check_defined_before_use f then
+            fail "check_defined_before_use" p;
+          let lv = Liveness.analyze f and ((o_in, o_out) as o) = Oracle.liveness f in
+          Array.iteri
+            (fun bi (b : Cfg.block) ->
+              let same a b = Ir_util.Sset.equal a b in
+              if not (same (Liveness.live_in lv bi) o_in.(bi)) then fail "live_in" p;
+              if not (same (Liveness.live_out lv bi) o_out.(bi)) then fail "live_out" p;
+              List.iteri
+                (fun op _ ->
+                  if
+                    not
+                      (Ir_util.Sset.equal
+                         (Liveness.live_after_op lv f ~block:bi ~op)
+                         (Oracle.live_after_op o f ~block:bi ~op))
+                  then fail "live_after_op" p)
+                b.Cfg.ops)
+            f.Cfg.blocks;
+          if not (Ir_util.Sset.equal (Liveness.cross_block_vars lv f) (Oracle.cross_block_vars o))
+          then fail "cross_block_vars" p)
+        cfg.Cfg.funcs;
+      let sp = Lower_stack.lower cfg in
+      let classes, saves = Oracle.stack_decisions cfg in
+      if List.exists (fun (v, c) -> Stack_ir.class_of sp v <> c) classes then
+        fail "Lower_stack's storage classes" p;
+      let moved pick =
+        List.concat_map
+          (fun (b : Stack_ir.block) -> List.filter_map pick b.Stack_ir.ops)
+          (Array.to_list sp.Stack_ir.blocks)
+      in
+      if moved (function Stack_ir.Spush v -> Some v | _ -> None) <> saves then
+        fail "Lower_stack's saves" p;
+      if moved (function Stack_ir.Spop v -> Some v | _ -> None) <> saves then
+        fail "Lower_stack's restores" p)
+    [ prog; delete_assign prog k ];
+  true
+
+let prop_dense_dataflow =
+  QCheck.Test.make ~count:150 ~name:"dense dataflow = string-set oracle"
+    QCheck.(pair Test_random_programs.arb_program small_nat)
+    dense_matches_oracle
+
+(* The random programs branch only on fresh comparison temporaries, so
+   no terminator reads an undefined variable there; here [u] is defined
+   on one arm only and a loop branches on it directly. *)
+let test_dense_terminator_uses () =
+  let open Lang in
+  let p =
+    program ~main:"main"
+      [
+        func "main" ~params:[ "p" ]
+          [
+            if_ (var "p") [ assign "u" (var "p") ] [];
+            while_ (var "u") [ assign "u" (prim "sub" [ var "u"; flt 1. ]) ];
+            return_ [ var "u" ];
+          ];
+      ]
+  in
+  ignore (dense_matches_oracle (p, 0));
+  let errs = Validate.check_defined_before_use (Cfg.entry_func (Lower_cfg.lower p)) in
+  Alcotest.(check bool) "a terminator's use is reported" true
+    (List.mem {|main: variable "main/u" may be used before definition (terminator of block 4)|}
+       errs)
+
 (* ---------- call graph ---------- *)
 
 let test_callgraph () =
@@ -527,6 +809,8 @@ let suites =
         t "shape inference fib" `Quick test_shape_infer_fib;
         t "shape inference vectors" `Quick test_shape_infer_vector_recursion;
         t "shape inference errors" `Quick test_shape_infer_errors;
+        QCheck_alcotest.to_alcotest prop_dense_dataflow;
+        t "dense dataflow on terminator uses" `Quick test_dense_terminator_uses;
       ] );
     ( "lower-stack",
       [

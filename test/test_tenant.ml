@@ -15,7 +15,7 @@ let shapes = Tenant_load.element_shapes
 (* Members of the program family, each compiled once on first use:
    distinct digests make the server bind, rebind and drain. *)
 let family =
-  Array.init 12 (fun k ->
+  Array.init 20 (fun k ->
       lazy
         (let p = Tenant_load.family_program ~k in
          (Autobatch.compile ~input_shapes:shapes p, Prog_cache.digest ~input_shapes:shapes p)))
@@ -147,19 +147,72 @@ let test_cache_hit_and_identity () =
   Alcotest.(check int) "one miss" 1 (Prog_cache.misses cache);
   Alcotest.(check (float 1e-12)) "hit rate" 0.5 (Prog_cache.hit_rate cache)
 
+(* A full cache keeps a missing digest only on its second recent miss:
+   the first is compiled and served but evicts nothing; the second evicts
+   the least-recently-used entry. *)
 let test_cache_lru_eviction () =
   let cache = Prog_cache.create ~capacity:2 () in
   let p k = Tenant_load.family_program ~k in
   let d k = Prog_cache.digest ~input_shapes:shapes (p k) in
-  ignore (Prog_cache.find_or_compile cache ~input_shapes:shapes (p 0));
-  ignore (Prog_cache.find_or_compile cache ~input_shapes:shapes (p 1));
-  (* Touch 0 so 1 becomes least-recently-used, then insert 2. *)
-  ignore (Prog_cache.find_or_compile cache ~input_shapes:shapes (p 0));
-  ignore (Prog_cache.find_or_compile cache ~input_shapes:shapes (p 2));
+  let look k = snd (Prog_cache.find_or_compile cache ~input_shapes:shapes (p k)) in
+  ignore (look 0);
+  ignore (look 1);
+  (* Touch 0 so 1 becomes least-recently-used, then miss 2 twice. *)
+  ignore (look 0);
+  Alcotest.(check bool) "first miss of 2" true (look 2 = `Miss);
+  Alcotest.(check int) "a first miss evicts nothing" 0 (Prog_cache.evictions cache);
+  Alcotest.(check int) "and keeps nothing" 2 (Prog_cache.length cache);
+  Alcotest.(check bool) "second miss of 2" true (look 2 = `Miss);
   Alcotest.(check int) "one eviction" 1 (Prog_cache.evictions cache);
   Alcotest.(check bool) "LRU entry gone" true (Prog_cache.find cache (d 1) = None);
   Alcotest.(check bool) "recent entry kept" true (Prog_cache.find cache (d 0) <> None);
   Alcotest.(check bool) "new entry kept" true (Prog_cache.find cache (d 2) <> None)
+
+(* The cache against a plain LRU model of the same capacity, on random
+   lookup sequences over a few tiny programs (each looked up as the
+   shared value or as a structurally equal copy, so the identity memo
+   and the digest path both run). Until the first miss into a full
+   cache the two agree lookup for lookup; a digest's first miss into a
+   full cache evicts nothing; the cache never holds more than
+   [capacity]; every lookup is a hit or a miss. *)
+let tiny_program c =
+  let open Lang.Infix in
+  Lang.program ~main:"main"
+    [ Lang.func "main" ~params:[ "x" ] [ Lang.return_ [ Lang.var "x" + Lang.flt c ] ] ]
+
+let tiny_programs = Array.init 6 (fun k -> tiny_program (float_of_int k))
+
+let prop_cache_vs_lru =
+  QCheck.Test.make ~count:200 ~name:"cache vs a plain LRU model"
+    QCheck.(pair (int_range 1 4) (small_list (pair (int_range 0 5) bool)))
+    (fun (capacity, lookups) ->
+      let cache = Prog_cache.create ~capacity () in
+      let tshapes = [ [||] ] in
+      let model = ref [] (* most recent first *) and diverged = ref false in
+      let missed_full = Hashtbl.create 8 in
+      List.iteri
+        (fun i (k, copy) ->
+          let p = if copy then tiny_program (float_of_int k) else tiny_programs.(k) in
+          let was_full = Prog_cache.length cache = capacity in
+          let evictions0 = Prog_cache.evictions cache in
+          let _, got = Prog_cache.find_or_compile cache ~input_shapes:tshapes p in
+          let want = if List.mem k !model then `Hit else `Miss in
+          model := List.filteri (fun j _ -> j < capacity) (k :: List.filter (( <> ) k) !model);
+          if got = `Miss && was_full then begin
+            if (not (Hashtbl.mem missed_full k)) && Prog_cache.evictions cache <> evictions0
+            then
+              QCheck.Test.fail_reportf "lookup %d: first miss of %d into a full cache evicted"
+                i k;
+            Hashtbl.replace missed_full k ();
+            diverged := true
+          end;
+          if (not !diverged) && got <> want then
+            QCheck.Test.fail_reportf "lookup %d: the cache and the LRU model disagree on %d" i k;
+          if Prog_cache.length cache > capacity then
+            QCheck.Test.fail_reportf "lookup %d: %d entries past capacity %d" i
+              (Prog_cache.length cache) capacity)
+        lookups;
+      Prog_cache.hits cache + Prog_cache.misses cache = List.length lookups)
 
 (* The identity memo. A second lookup of the same physical program with
    equal shapes takes its digest from the memo; a structurally equal copy
@@ -605,6 +658,55 @@ let test_server_retention_bounded () =
   Alcotest.(check int) "never more than the bound" Tenant_server.max_retained !most;
   Alcotest.(check int) "all served" n (List.length st.Tenant_server.completions);
   check_all_solo "bounded" st
+
+(* A one-lane shard cycling the 8 hot digests, with a one-off digest
+   after every second hot request once all 8 are warm: each one-off gets
+   a pool of its own, but no hot pool is ever displaced, so after warm-up
+   only the one-offs run [Lanes.create]. Arrivals are spaced so the
+   shard serves them in order. *)
+let test_server_one_offs_keep_hot_pools () =
+  let hot = Tenant_server.max_retained in
+  let cycles = 2 in
+  let ks =
+    List.init hot Fun.id
+    @ List.concat
+        (List.init (cycles * hot) (fun i ->
+             (i mod hot) :: (if i mod 2 = 1 then [ hot + (i / 2) ] else [])))
+  in
+  let n_one_offs = List.length ks - (hot * (cycles + 1)) in
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(default_mesh 1)) with
+      Tenant_server.lanes_per_shard = 1;
+      checkpoint_interval = 4;
+    }
+  in
+  let t =
+    Tenant_server.create ~config
+      (Tenant_server.source_of_list
+         (List.mapi
+            (fun i k ->
+              mk_item ~tenant:(mk_tenant 0) ~id:i ~arrival:(float_of_int i) ~k
+                ~n:(3 + (i mod 4)) ())
+            ks))
+  in
+  let warm = ref None in
+  while Tenant_server.step_round t do
+    let c = Tenant_server.census t in
+    if !warm = None && c.Tenant_server.completed + c.Tenant_server.unflushed >= hot then
+      warm := Some (Tenant_server.pools_built t).(0);
+    if (Tenant_server.retained_pools t).(0) > Tenant_server.max_retained then
+      Alcotest.fail "more pools retained than the bound"
+  done;
+  let st = Tenant_server.finish t in
+  Alcotest.(check int) "one-offs interleaved" 8 n_one_offs;
+  Alcotest.(check (option int)) "warm-up built one pool per hot digest" (Some hot) !warm;
+  Alcotest.(check int) "after warm-up only the one-offs built pools" (hot + n_one_offs)
+    (Tenant_server.pools_built t).(0);
+  Alcotest.(check (array int)) "the hot pools are the ones kept" [| hot |]
+    (Tenant_server.retained_pools t);
+  Alcotest.(check int) "all served" (List.length ks) (List.length st.Tenant_server.completions);
+  check_all_solo "one-offs" st
 
 let kill_scenario () =
   let config =
@@ -1296,6 +1398,7 @@ let suites =
         t "hit returns the same artifact" `Quick test_cache_hit_and_identity;
         t "LRU eviction" `Quick test_cache_lru_eviction;
         t "identity memo" `Quick test_cache_identity_memo;
+        QCheck_alcotest.to_alcotest prop_cache_vs_lru;
       ] );
     ( "tenant-admission",
       [
@@ -1327,6 +1430,7 @@ let suites =
         QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_server_conservation ~count:2000);
         QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_backlog_tallies ~count:300);
         QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_backlog_tallies ~count:3000);
+        t "one-off pools keep the hot ones" `Quick test_server_one_offs_keep_hot_pools;
       ] );
     ( "tenant-load",
       [
