@@ -70,6 +70,9 @@ module Counters = struct
       ]
 end
 
+(* The counts, and the three float totals in a record of their own: an
+   all-float record stores its fields unboxed, so a charge writes them
+   without allocating. *)
 type state = {
   mutable kernel_launches : int;
   mutable fused_launches : int;
@@ -78,10 +81,9 @@ type state = {
   mutable blocks : int;
   mutable lane_refills : int;
   mutable lane_retires : int;
-  mutable flops : float;
-  mutable traffic_bytes : float;
-  mutable time : float;
 }
+
+type totals = { mutable flops : float; mutable traffic_bytes : float; mutable time : float }
 
 (* The per-op tally is keyed by interned op ids: [ids] maps a name to its
    id and only grows, so an id (and every [priced] handle holding it) stays
@@ -92,6 +94,7 @@ type t = {
   device : Device.t;
   mode : mode;
   st : state;
+  tot : totals;
   ids : (string, int) Hashtbl.t;
   mutable names : string array;
   mutable counts : int array;
@@ -113,10 +116,8 @@ let create ~device ~mode () =
         blocks = 0;
         lane_refills = 0;
         lane_retires = 0;
-        flops = 0.;
-        traffic_bytes = 0.;
-        time = 0.;
       };
+    tot = { flops = 0.; traffic_bytes = 0.; time = 0. };
     ids = Hashtbl.create 64;
     names = [||];
     counts = [||];
@@ -132,12 +133,10 @@ let mode t = t.mode
 let set_sink t sink = t.sink <- Some sink
 let clear_sink t = t.sink <- None
 
-let emit t ev = match t.sink with None -> () | Some sink -> sink ev
-
 let intern t name =
-  match Hashtbl.find_opt t.ids name with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find t.ids name with
+  | id -> id
+  | exception Not_found ->
     let id = Hashtbl.length t.ids in
     if id = Array.length t.names then begin
       let cap = max 16 (2 * id) in
@@ -166,48 +165,58 @@ let host_call_factor = 4.
    [Launched] span so profilers can attribute every simulated second, but
    no [Launch] fault point: they are host-side actions, not poisonable
    kernel launches, and fault-injection schedules must not shift when a
-   profiler is watching. *)
-let charge_span t ~name ~t0 =
-  emit t (Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 = t.st.time })
+   profiler is watching. Events are built only when a sink is set, so an
+   unobserved charge allocates nothing. *)
+let[@inline] charge_span t ~name ~t0 =
+  match t.sink with
+  | None -> ()
+  | Some sink ->
+    sink (Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 = t.tot.time })
 
 let charge_traffic t ~bytes =
-  let t0 = t.st.time in
-  t.st.traffic_bytes <- t.st.traffic_bytes +. bytes;
-  t.st.time <- t.st.time +. traffic_time t bytes;
+  let t0 = t.tot.time in
+  t.tot.traffic_bytes <- t.tot.traffic_bytes +. bytes;
+  t.tot.time <- t.tot.time +. traffic_time t bytes;
   charge_span t ~name:"transfer" ~t0
 
-let charge_kernel t ~name ~flops =
-  emit t (Obs_sink.Launch { kind = Obs_sink.Kernel; name });
-  let t0 = t.st.time in
+let add_kernel t ~name ~flops =
   bump t (intern t name);
   t.st.kernel_launches <- t.st.kernel_launches + 1;
   t.st.host_ops <- t.st.host_ops + 1;
-  t.st.flops <- t.st.flops +. flops;
-  t.st.time <-
-    t.st.time
+  t.tot.flops <- t.tot.flops +. flops;
+  t.tot.time <-
+    t.tot.time
     +. t.device.Device.kernel_launch_overhead
     +. t.device.Device.host_op_overhead
-    +. compute_time t flops;
-  emit t (Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 = t.st.time })
+    +. compute_time t flops
+
+let charge_kernel t ~name ~flops =
+  match t.sink with
+  | None -> add_kernel t ~name ~flops
+  | Some sink ->
+    sink (Obs_sink.Launch { kind = Obs_sink.Kernel; name });
+    let t0 = t.tot.time in
+    add_kernel t ~name ~flops;
+    sink (Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 = t.tot.time })
 
 (* Lane recycling in the continuous-batching server: a refill writes the
    incoming request's input rows and a retire reads the finished lane's
    output rows, each dispatched from the host like any other small
    bookkeeping action. *)
 let charge_refill t ~bytes =
-  let t0 = t.st.time in
+  let t0 = t.tot.time in
   t.st.lane_refills <- t.st.lane_refills + 1;
   t.st.host_ops <- t.st.host_ops + 1;
-  t.st.traffic_bytes <- t.st.traffic_bytes +. bytes;
-  t.st.time <- t.st.time +. t.device.Device.host_op_overhead +. traffic_time t bytes;
+  t.tot.traffic_bytes <- t.tot.traffic_bytes +. bytes;
+  t.tot.time <- t.tot.time +. t.device.Device.host_op_overhead +. traffic_time t bytes;
   charge_span t ~name:"lane-refill" ~t0
 
 let charge_retire t ~bytes =
-  let t0 = t.st.time in
+  let t0 = t.tot.time in
   t.st.lane_retires <- t.st.lane_retires + 1;
   t.st.host_ops <- t.st.host_ops + 1;
-  t.st.traffic_bytes <- t.st.traffic_bytes +. bytes;
-  t.st.time <- t.st.time +. t.device.Device.host_op_overhead +. traffic_time t bytes;
+  t.tot.traffic_bytes <- t.tot.traffic_bytes +. bytes;
+  t.tot.time <- t.tot.time +. t.device.Device.host_op_overhead +. traffic_time t bytes;
   charge_span t ~name:"lane-retire" ~t0
 
 (* A lane migration: one host dispatch moving [bytes] of lane state, plus
@@ -217,18 +226,18 @@ let charge_retire t ~bytes =
    record is serialized field-by-field by the resilience codec, so
    migration counts live with the scheduler's own result instead. *)
 let charge_transfer t ~name ~bytes ~seconds =
-  let t0 = t.st.time in
+  let t0 = t.tot.time in
   t.st.host_ops <- t.st.host_ops + 1;
-  t.st.traffic_bytes <- t.st.traffic_bytes +. bytes;
-  t.st.time <-
-    t.st.time +. t.device.Device.host_op_overhead +. traffic_time t bytes
+  t.tot.traffic_bytes <- t.tot.traffic_bytes +. bytes;
+  t.tot.time <-
+    t.tot.time +. t.device.Device.host_op_overhead +. traffic_time t bytes
     +. seconds;
   charge_span t ~name ~t0
 
 let charge_host_call t =
-  let t0 = t.st.time in
+  let t0 = t.tot.time in
   t.st.host_calls <- t.st.host_calls + 1;
-  t.st.time <- t.st.time +. (host_call_factor *. t.device.Device.host_op_overhead);
+  t.tot.time <- t.tot.time +. (host_call_factor *. t.device.Device.host_op_overhead);
   charge_span t ~name:"host-call" ~t0
 
 let block_name = "block"
@@ -268,45 +277,49 @@ let price t ~ops ~flops ~control_ops ~traffic_bytes =
     traffic = traffic_time t traffic_bytes;
   }
 
-let charge_priced t p =
-  if p.owner != t then invalid_arg "Engine.charge_priced: priced by another engine";
-  emit t (Obs_sink.Launch { kind = Obs_sink.Fused_block; name = block_name });
-  let t0 = t.st.time in
+let add_priced t p =
   let d = t.device in
   t.st.blocks <- t.st.blocks + 1;
-  t.st.flops <- t.st.flops +. p.p_flops;
+  t.tot.flops <- t.tot.flops +. p.p_flops;
   let op_ids = p.op_ids in
   for k = 0 to Array.length op_ids - 1 do
     bump t op_ids.(k)
   done;
-  t.st.traffic_bytes <- t.st.traffic_bytes +. p.p_traffic_bytes;
-  begin
-    match t.mode with
-    | Eager ->
-      (* Every primitive and every control action is its own kernel, each
-         dispatched from the host language. *)
-      let launches = Array.length op_ids + p.p_control_ops in
-      t.st.kernel_launches <- t.st.kernel_launches + launches;
-      t.st.host_ops <- t.st.host_ops + launches;
-      t.st.time <- t.st.time +. p.dispatch +. p.arithmetic +. p.traffic
-    | Fused ->
-      (* One launch covers arithmetic, control and bookkeeping; fusion
-         keeps intermediates on-chip. *)
-      t.st.fused_launches <- t.st.fused_launches + 1;
-      t.st.time <- t.st.time +. d.Device.fused_launch_overhead +. p.arithmetic +. p.traffic
-    | Hybrid ->
-      (* Block arithmetic is fused; control actions are dispatched from the
-         host as individual small kernels. *)
-      t.st.fused_launches <- t.st.fused_launches + 1;
-      t.st.kernel_launches <- t.st.kernel_launches + p.p_control_ops;
-      t.st.host_ops <- t.st.host_ops + p.p_control_ops;
-      t.st.time <-
-        t.st.time +. d.Device.fused_launch_overhead +. p.dispatch +. p.arithmetic
-        +. p.traffic
-  end;
-  emit t
-    (Obs_sink.Launched
-       { kind = Obs_sink.Fused_block; name = block_name; t0; t1 = t.st.time })
+  t.tot.traffic_bytes <- t.tot.traffic_bytes +. p.p_traffic_bytes;
+  match t.mode with
+  | Eager ->
+    (* Every primitive and every control action is its own kernel, each
+       dispatched from the host language. *)
+    let launches = Array.length op_ids + p.p_control_ops in
+    t.st.kernel_launches <- t.st.kernel_launches + launches;
+    t.st.host_ops <- t.st.host_ops + launches;
+    t.tot.time <- t.tot.time +. p.dispatch +. p.arithmetic +. p.traffic
+  | Fused ->
+    (* One launch covers arithmetic, control and bookkeeping; fusion
+       keeps intermediates on-chip. *)
+    t.st.fused_launches <- t.st.fused_launches + 1;
+    t.tot.time <- t.tot.time +. d.Device.fused_launch_overhead +. p.arithmetic +. p.traffic
+  | Hybrid ->
+    (* Block arithmetic is fused; control actions are dispatched from the
+       host as individual small kernels. *)
+    t.st.fused_launches <- t.st.fused_launches + 1;
+    t.st.kernel_launches <- t.st.kernel_launches + p.p_control_ops;
+    t.st.host_ops <- t.st.host_ops + p.p_control_ops;
+    t.tot.time <-
+      t.tot.time +. d.Device.fused_launch_overhead +. p.dispatch +. p.arithmetic
+      +. p.traffic
+
+let charge_priced t p =
+  if p.owner != t then invalid_arg "Engine.charge_priced: priced by another engine";
+  match t.sink with
+  | None -> add_priced t p
+  | Some sink ->
+    sink (Obs_sink.Launch { kind = Obs_sink.Fused_block; name = block_name });
+    let t0 = t.tot.time in
+    add_priced t p;
+    sink
+      (Obs_sink.Launched
+         { kind = Obs_sink.Fused_block; name = block_name; t0; t1 = t.tot.time })
 
 let charge_block t ~ops ~control_ops ~traffic_bytes =
   charge_priced t
@@ -314,7 +327,7 @@ let charge_block t ~ops ~control_ops ~traffic_bytes =
        ~flops:(List.fold_left (fun acc (_, f) -> acc +. f) 0. ops)
        ~control_ops ~traffic_bytes)
 
-let elapsed t = t.st.time
+let elapsed t = t.tot.time
 
 let clear_tally t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
@@ -328,9 +341,9 @@ let reset t =
   t.st.blocks <- 0;
   t.st.lane_refills <- 0;
   t.st.lane_retires <- 0;
-  t.st.flops <- 0.;
-  t.st.traffic_bytes <- 0.;
-  t.st.time <- 0.;
+  t.tot.flops <- 0.;
+  t.tot.traffic_bytes <- 0.;
+  t.tot.time <- 0.;
   clear_tally t
 
 let current t : Counters.t =
@@ -342,9 +355,9 @@ let current t : Counters.t =
     blocks = t.st.blocks;
     lane_refills = t.st.lane_refills;
     lane_retires = t.st.lane_retires;
-    flops = t.st.flops;
-    traffic_bytes = t.st.traffic_bytes;
-    elapsed_seconds = t.st.time;
+    flops = t.tot.flops;
+    traffic_bytes = t.tot.traffic_bytes;
+    elapsed_seconds = t.tot.time;
   }
 
 type snapshot = { at : Counters.t; ops : (string * int) list }
@@ -368,9 +381,9 @@ let restore t (s : snapshot) =
   t.st.blocks <- s.at.Counters.blocks;
   t.st.lane_refills <- s.at.Counters.lane_refills;
   t.st.lane_retires <- s.at.Counters.lane_retires;
-  t.st.flops <- s.at.Counters.flops;
-  t.st.traffic_bytes <- s.at.Counters.traffic_bytes;
-  t.st.time <- s.at.Counters.elapsed_seconds;
+  t.tot.flops <- s.at.Counters.flops;
+  t.tot.traffic_bytes <- s.at.Counters.traffic_bytes;
+  t.tot.time <- s.at.Counters.elapsed_seconds;
   clear_tally t;
   List.iter
     (fun (name, n) ->
@@ -387,9 +400,9 @@ let merge ~into:t (s : snapshot) =
   t.st.blocks <- t.st.blocks + s.at.Counters.blocks;
   t.st.lane_refills <- t.st.lane_refills + s.at.Counters.lane_refills;
   t.st.lane_retires <- t.st.lane_retires + s.at.Counters.lane_retires;
-  t.st.flops <- t.st.flops +. s.at.Counters.flops;
-  t.st.traffic_bytes <- t.st.traffic_bytes +. s.at.Counters.traffic_bytes;
-  t.st.time <- t.st.time +. s.at.Counters.elapsed_seconds;
+  t.tot.flops <- t.tot.flops +. s.at.Counters.flops;
+  t.tot.traffic_bytes <- t.tot.traffic_bytes +. s.at.Counters.traffic_bytes;
+  t.tot.time <- t.tot.time +. s.at.Counters.elapsed_seconds;
   List.iter
     (fun (name, n) ->
       let id = intern t name in

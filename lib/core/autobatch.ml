@@ -4,6 +4,7 @@ type compiled = {
   cfg : Cfg.program;
   stack : Stack_ir.program;
   fuse : Fuse.report option;
+  pool_template : Pc_vm.Lanes.template Lazy.t;
 }
 
 let compile ?registry ?options ?(optimize = false) ?fuse ~input_shapes
@@ -30,10 +31,16 @@ let compile ?registry ?options ?(optimize = false) ?fuse ~input_shapes
       let stack, report = Fuse.apply_stack staged stack in
       (stack, Some report)
   in
-  { source; registry; cfg; stack; fuse = fuse_report }
+  (* The pool template is built on the first run, not here: a serving
+     miss compiles on the request path, and a program that never reaches
+     the pc VM never needs one. *)
+  { source; registry; cfg; stack; fuse = fuse_report;
+    pool_template = lazy (Pc_vm.Lanes.template stack) }
+
+let template c = Lazy.force c.pool_template
 
 let run_local ?config c ~batch = Local_vm.run ?config c.registry c.cfg ~batch
-let run_pc ?config c ~batch = Pc_vm.run ?config c.registry c.stack ~batch
+let run_pc ?config c ~batch = Pc_vm.run_template ?config c.registry (template c) ~batch
 
 let run_sharded ?config c ~batch = Sched_vm.run ?config c.registry c.stack ~batch
 

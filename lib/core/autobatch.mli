@@ -23,6 +23,10 @@ type compiled = {
   cfg : Cfg.program;
   stack : Stack_ir.program;  (** carries the inferred element shapes *)
   fuse : Fuse.report option;  (** fusion report, when compiled with [fuse] *)
+  pool_template : Pc_vm.Lanes.template Lazy.t;
+      (** [stack]'s lane-pool template, built on first use; read it with
+          {!template}. It names primitives rather than holding them, so a
+          copy of the record with another [registry] may share it. *)
 }
 
 val compile :
@@ -48,13 +52,19 @@ val compile :
     Raises [Invalid_argument] with the validation errors on a malformed
     program, and {!Shape_infer.Error} when the shapes do not check. *)
 
+val template : compiled -> Pc_vm.Lanes.template
+(** The program's {!Pc_vm.Lanes.template}, built on the first call and
+    kept with the compiled program: {!run_pc} and every lane pool a
+    server binds for this program reuse it. *)
+
 val run_local :
   ?config:Local_vm.config -> compiled -> batch:Tensor.t list -> Tensor.t list
 (** Local static autobatching (Algorithm 1) over a batch; every input
     carries a leading batch dimension. *)
 
 val run_pc : ?config:Pc_vm.config -> compiled -> batch:Tensor.t list -> Tensor.t list
-(** Program-counter autobatching (Algorithm 2) over a batch. *)
+(** Program-counter autobatching (Algorithm 2) over a batch, on a pool
+    bound from {!template}[ c] with [c.registry]. *)
 
 val run_sharded :
   ?config:Sched_vm.config -> compiled -> batch:Tensor.t list -> Sched_vm.result

@@ -137,7 +137,7 @@ let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
   let migrated_bytes = ref 0. in
   let migration_seconds = ref 0. in
   let lanes_src =
-    Pc_vm.Lanes.create el.Eff.el_registry compiled.Autobatch.stack
+    Pc_vm.Lanes.bind el.Eff.el_registry (Autobatch.template compiled)
       ~z:n_particles
   in
   for t = 0 to steps - 1 do
@@ -187,7 +187,7 @@ let run ?(seed = 0x5EEDL) ?(n_particles = 256) ?(steps = 25)
       (Tensor.data !x);
     while Pc_vm.Lanes.step lanes_src do () done;
     let lanes_dst =
-      Pc_vm.Lanes.create el.Eff.el_registry compiled.Autobatch.stack
+      Pc_vm.Lanes.bind el.Eff.el_registry (Autobatch.template compiled)
         ~z:n_particles
     in
     Array.iteri

@@ -112,7 +112,7 @@ let run ?(seed = 0x73EEL) ?(depth = 6) ?(n_features = 8) ?(z = 64) () =
   (* The lane pool exposes the superstep count: how many basic blocks
      the scheduler needed to drain all the divergent paths. *)
   let lanes =
-    Pc_vm.Lanes.create el.Eff.el_registry compiled.Autobatch.stack ~z
+    Pc_vm.Lanes.bind el.Eff.el_registry (Autobatch.template compiled) ~z
   in
   Array.iteri
     (fun lane x ->

@@ -501,11 +501,10 @@ let parse_string ?main source =
   | program -> Ok program
   | exception Parse_error e -> Error e
 
+(* Read to end of file rather than by [in_channel_length], so a pipe or
+   a terminal (which cannot seek) reads like a regular file. *)
 let parse_file ?main path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
+  let source = In_channel.with_open_bin path In_channel.input_all in
   parse_string ?main source
 
 (* ---------- source emission ---------- *)

@@ -81,22 +81,41 @@ let dq_pop d =
     d.len <- d.len - 1;
     Some it
 
-(* Remove the first (oldest) element satisfying [pred]. Queues are
-   bounded by [depth], so the full normalization is cheap. *)
+(* The oldest element of [back] (newest first) satisfying [pred], and
+   [back] without it. [pred] sees the elements oldest first and none past
+   the match, as it would on the normalized queue. *)
+let rec remove_oldest pred = function
+  | [] -> None
+  | x :: older -> (
+    match remove_oldest pred older with
+    | Some (y, older') -> Some (y, x :: older')
+    | None -> if pred x then Some (x, older) else None)
+
+(* Remove the first (oldest) element satisfying [pred], without
+   normalizing: [front] is searched in place, then [back]; only the
+   elements ahead of the match are rebuilt. *)
 let dq_pop_first d pred =
-  d.front <- d.front @ List.rev d.back;
-  d.back <- [];
   let rec split acc = function
     | [] -> None
     | x :: tl ->
       if pred x then begin
         d.front <- List.rev_append acc tl;
-        d.len <- d.len - 1;
         Some x
       end
       else split (x :: acc) tl
   in
-  split [] d.front
+  let found =
+    match split [] d.front with
+    | Some _ as found -> found
+    | None -> (
+      match remove_oldest pred d.back with
+      | Some (x, back) ->
+        d.back <- back;
+        Some x
+      | None -> None)
+  in
+  if Option.is_some found then d.len <- d.len - 1;
+  found
 
 let dq_exists d pred = List.exists pred d.front || List.exists pred d.back
 

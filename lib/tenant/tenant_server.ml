@@ -154,7 +154,7 @@ type shard = {
   mutable s_b : binding option;
   mutable s_pools : retained list;
   s_door : Doorkeeper.t;  (* digests that missed the full set recently *)
-  mutable s_built : int;  (* pools built with [Lanes.create] *)
+  mutable s_built : int;  (* pools built, kept or not *)
 }
 
 let bytes_of outputs =
@@ -449,14 +449,25 @@ let empty_pool t s digest (program : Autobatch.compiled) =
         sink = Option.map (Obs_sink.tag_shard s.s_id) t.cfg.sink;
       }
     in
+    let keep =
+      List.compare_length_with s.s_pools max_retained < 0 || Doorkeeper.admit s.s_door digest
+    in
+    (* A kept pool binds from the program's own template, which every
+       later bind of the digest reuses. A pool that serves one binding
+       builds a template of its own: forcing the program's would keep a
+       one-off's template alive as long as anything holds the program
+       (its completions do). *)
     let lanes =
-      Pc_vm.Lanes.create ~config:vm_config program.Autobatch.registry
-        program.Autobatch.stack ~z:t.cfg.lanes_per_shard
+      if keep then
+        Pc_vm.Lanes.bind ~config:vm_config program.Autobatch.registry
+          (Autobatch.template program) ~z:t.cfg.lanes_per_shard
+      else
+        Pc_vm.Lanes.create ~config:vm_config program.Autobatch.registry
+          program.Autobatch.stack ~z:t.cfg.lanes_per_shard
     in
     let r = { r_digest = digest; r_lanes = lanes; r_empty = Pc_vm.Lanes.capture lanes } in
     s.s_built <- s.s_built + 1;
-    if List.compare_length_with s.s_pools max_retained < 0 || Doorkeeper.admit s.s_door digest
-    then s.s_pools <- r :: List.filteri (fun i _ -> i < max_retained - 1) s.s_pools;
+    if keep then s.s_pools <- r :: List.filteri (fun i _ -> i < max_retained - 1) s.s_pools;
     r
 
 let bind t s digest program =
@@ -562,12 +573,19 @@ let kill_pending t s =
       e.Fault.superstep >= t.round && e.Fault.device mod Array.length t.shards = s.s_id)
     t.kills
 
-let retire_shard t s b =
+(* Whether every lane of [lanes.(i..)] has halted, and whether some
+   flight has: plain recursions, so the per-round scan allocates nothing. *)
+let rec lanes_finished pool lanes i =
+  i = Array.length lanes
+  || (Pc_vm.Lanes.finished pool ~lane:lanes.(i) && lanes_finished pool lanes (i + 1))
+
+let rec some_finished pool = function
+  | [] -> false
+  | f :: rest -> lanes_finished pool f.f_lanes 0 || some_finished pool rest
+
+let retire_finished t s b =
   let finished, rest =
-    List.partition
-      (fun f ->
-        Array.for_all (fun lane -> Pc_vm.Lanes.finished b.b_lanes ~lane) f.f_lanes)
-      b.b_flight
+    List.partition (fun f -> lanes_finished b.b_lanes f.f_lanes 0) b.b_flight
   in
   b.b_flight <- rest;
   List.iter
@@ -618,8 +636,13 @@ let retire_shard t s b =
   (* A closed loop must not wait for the next checkpoint to see its
      completions: once no planned kill can still reach this shard,
      nothing can roll them back, so they leave the window now. *)
-  if Option.is_some t.on_complete && finished <> [] && not (kill_pending t s) then
+  if Option.is_some t.on_complete && not (kill_pending t s) then
     flush_done t b
+
+(* Most rounds retire nothing: scan the flights first, and partition
+   them only when one has finished. *)
+let retire_shard t s b =
+  if some_finished b.b_lanes b.b_flight then retire_finished t s b
 
 (* Digests with pending work and no free lane anywhere serving them,
    most loaded first (ties: earliest arrival, then digest). *)

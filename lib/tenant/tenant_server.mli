@@ -200,8 +200,10 @@ val census : t -> census
 val max_retained : int
 (** How many lane pools a shard keeps (8). A shard rebinding to a digest
     it kept resets that pool to its empty image ({!Pc_vm.Lanes.restore})
-    instead of building one with {!Pc_vm.Lanes.create}. A reused pool is
-    indistinguishable from a fresh one.
+    instead of building one. A pool the shard keeps is bound from the
+    program's {!Autobatch.template}; one it will drop after the binding
+    builds a template of its own, so a one-off program carries none. A
+    reused pool is indistinguishable from a fresh one.
 
     Below the bound every pool built is kept. Past it, a shard admits
     pools as {!Prog_cache} admits programs ({!Doorkeeper}): a digest
@@ -215,8 +217,8 @@ val retained_pools : t -> int array
 (** The number of lane pools each shard keeps, at most {!max_retained}. *)
 
 val pools_built : t -> int array
-(** The number of lane pools each shard has built with
-    {!Pc_vm.Lanes.create} (every other binding restored a kept one). *)
+(** The number of lane pools each shard has built (every other binding
+    restored a kept one). *)
 
 val backlog : t -> (int64 * int * float) list
 (** The per-digest backlog the binding pass reads, ascending by digest:

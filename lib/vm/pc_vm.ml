@@ -107,7 +107,7 @@ module Pc_stack = struct
     t.top.(lane) <- l.pl_top
 end
 
-(* One variable's storage, allocated once by [Lanes.create] from the
+(* One variable's storage, allocated once by [Lanes.bind] from the
    variable's inferred element shape. *)
 type storage = Reg of Tensor.t | Msk of Tensor.t | Stk of Stacked.t
 
@@ -138,16 +138,6 @@ let batch_size batch =
       batch;
     z
 
-(* A variable's slot: its index in the sorted [names], by binary search. *)
-let slot_of names v =
-  let rec go lo hi =
-    if lo >= hi then invalid_arg (Printf.sprintf "Pc_vm: unknown variable %s" v);
-    let mid = (lo + hi) / 2 in
-    let c = compare v names.(mid) in
-    if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
-  in
-  go 0 (Array.length names)
-
 (* A variable with no inferred shape has no storage: only dead or
    never-returning code mentions one, and touching it is an error. *)
 let no_shape names k =
@@ -158,11 +148,11 @@ let no_shape names k =
    width either way. *)
 type rows = All_rows | Active_rows
 
-(* A block with its variables resolved to slots, its primitives looked up
-   and its constants broadcast to the pool's width. [cond] is the slot of
-   the terminator's branch condition, if it has one. A primitive op that
-   mentions a variable with no storage resolves to [Unshaped] with that
-   variable's slot. *)
+(* A block bound to one pool: its primitives looked up, their argument
+   tensors fixed to the pool's storage and its constants broadcast to the
+   pool's width. [cond] is the slot of the terminator's branch condition,
+   if it has one. A primitive op that mentions a variable with no storage
+   is [Unshaped] with that variable's slot. *)
 type op =
   | Prim of {
       dst : int;
@@ -179,45 +169,6 @@ type op =
 
 type block = { ops : op array; term : Stack_ir.terminator; cond : int }
 
-(* A primitive op over allocated storage: its argument tensors, and how
-   it runs on masked supersteps, decided from shapes that cannot change. *)
-let resolve_prim slots ~dst ~args impl =
-  let unshaped k = Option.is_none slots.(k) in
-  match if unshaped dst then Some dst else Array.find_opt unshaped args with
-  | Some k -> Unshaped k
-  | None ->
-    let stored k = Option.get slots.(k) in
-    let elem k = storage_elem (stored k) in
-    let arg_elems = Array.to_list (Array.map elem args) in
-    let moved =
-      List.fold_left (fun n e -> n + Shape.numel e) (Shape.numel (elem dst)) arg_elems
-    in
-    let rows =
-      if impl.Prim.flops arg_elems >= gather_ratio *. float_of_int moved then Active_rows
-      else All_rows
-    in
-    let read k = match stored k with Reg r | Msk r -> r | Stk s -> Stacked.top s in
-    Prim { dst; args; impl; rows; inputs = Array.to_list (Array.map read args) }
-
-let resolve names slots reg ~z (b : Stack_ir.block) =
-  let slot = slot_of names in
-  let op : Stack_ir.op -> op = function
-    | Stack_ir.Sprim { dst; prim; args } ->
-      resolve_prim slots ~dst:(slot dst) ~args:(Array.of_list (List.map slot args))
-        (Prim.find_exn reg prim)
-    | Stack_ir.Sconst { dst; value } ->
-      Const { dst = slot dst; value = Tensor.broadcast_rows value z }
-    | Stack_ir.Smov { dst; src } -> Mov { dst = slot dst; src = slot src }
-    | Stack_ir.Spush v -> Push (slot v)
-    | Stack_ir.Spop v -> Pop (slot v)
-  in
-  let cond =
-    match b.Stack_ir.term with
-    | Stack_ir.Sbranch { cond; _ } | Stack_ir.Spushbranch { cond; _ } -> slot cond
-    | Stack_ir.Sjump _ | Stack_ir.Spushjump _ | Stack_ir.Sreturn -> -1
-  in
-  { ops = Array.of_list (List.map op b.Stack_ir.ops); term = b.Stack_ir.term; cond }
-
 (* The steppable lane pool: all of the program-counter VM's state, with
    per-lane occupancy so a serving layer can retire a halted lane and
    refill it with a new request mid-run. [run] below is the classic
@@ -231,12 +182,165 @@ let resolve names slots reg ~z (b : Stack_ir.block) =
 module Lanes = struct
   type lane_var = { lv_name : string; lv_class : Var_class.t; lv_elem : Shape.t }
 
+  (* A template op: a block op over slot indices, its primitive an index
+     into the template's primitive names. A primitive op carries its
+     arguments' element shapes and the elements it moves per row, for the
+     pool's gather decision. *)
+  type top =
+    | Tprim of { dst : int; args : int array; prim : int; arg_elems : Shape.t list; moved : int }
+    | Tconst of { dst : int; value : Tensor.t }
+    | Tmov of { dst : int; src : int }
+    | Tpush of int
+    | Tpop of int
+    | Tunshaped of int
+
+  type tblock = { t_ops : top array; t_term : Stack_ir.terminator; t_cond : int }
+
+  (* Everything about a pool that depends on the program alone. *)
+  type template = {
+    program : Stack_ir.program;
+    names : string array;  (* slot -> variable, sorted *)
+    classes : Var_class.t array;  (* per slot *)
+    elems : Shape.t option array;  (* per slot; [None]: no inferred shape *)
+    tblocks : tblock array;
+    prims : string array;  (* the primitives the ops name, each once *)
+    in_slots : int list;  (* the program's inputs *)
+    out_slots : int list;  (* the program's outputs *)
+    (* The stored variables as lane states describe them, and the length
+       of a lane state's [ls_rows]. *)
+    vars : lane_var array;
+    width : int;
+  }
+
+  (* [Smap.find_opt] of each of the sorted [names] in [map], in one
+     ordered walk of both. *)
+  let lookup_sorted names map =
+    let found = Array.make (Array.length names) None in
+    let rec go k seq =
+      if k < Array.length names then
+        match seq () with
+        | Seq.Nil -> ()
+        | Seq.Cons ((v, x), rest) ->
+          let c = String.compare names.(k) v in
+          if c = 0 then begin
+            found.(k) <- Some x;
+            go (k + 1) rest
+          end
+          else if c < 0 then go (k + 1) seq
+          else go k rest
+    in
+    go 0 (Ir_util.Smap.to_seq map);
+    found
+
+  let template (p : Stack_ir.program) =
+    (* Every variable the program mentions or gave a shape, each once,
+       in name order. *)
+    let index = Hashtbl.create 256 and seen = ref [] in
+    let see v =
+      if not (Hashtbl.mem index v) then begin
+        Hashtbl.add index v (-1);
+        seen := v :: !seen
+      end
+    in
+    List.iter see p.Stack_ir.inputs;
+    List.iter see p.Stack_ir.outputs;
+    Array.iter
+      (fun (b : Stack_ir.block) ->
+        List.iter
+          (function
+            | Stack_ir.Sprim { dst; args; _ } ->
+              see dst;
+              List.iter see args
+            | Stack_ir.Sconst { dst; _ } -> see dst
+            | Stack_ir.Smov { dst; src } ->
+              see dst;
+              see src
+            | Stack_ir.Spush v | Stack_ir.Spop v -> see v)
+          b.Stack_ir.ops;
+        match b.Stack_ir.term with
+        | Stack_ir.Sbranch { cond; _ } | Stack_ir.Spushbranch { cond; _ } -> see cond
+        | Stack_ir.Sjump _ | Stack_ir.Spushjump _ | Stack_ir.Sreturn -> ())
+      p.Stack_ir.blocks;
+    Ir_util.Smap.iter (fun v _ -> see v) p.Stack_ir.shapes;
+    let names = Array.of_list !seen in
+    Array.stable_sort String.compare names;
+    Array.iteri (fun k v -> Hashtbl.replace index v k) names;
+    let slot = Hashtbl.find index in
+    let classes =
+      Array.map (Option.value ~default:Var_class.Masked) (lookup_sorted names p.Stack_ir.classes)
+    in
+    let elems = lookup_sorted names p.Stack_ir.shapes in
+    let prim_index = Hashtbl.create 64 and prims = ref [] in
+    let prim_id name =
+      match Hashtbl.find prim_index name with
+      | id -> id
+      | exception Not_found ->
+        let id = Hashtbl.length prim_index in
+        Hashtbl.add prim_index name id;
+        prims := name :: !prims;
+        id
+    in
+    let prim ~dst ~args name =
+      let unshaped k = Option.is_none elems.(k) in
+      match if unshaped dst then Some dst else Array.find_opt unshaped args with
+      | Some k -> Tunshaped k
+      | None ->
+        let elem k = Option.get elems.(k) in
+        let arg_elems = Array.to_list (Array.map elem args) in
+        let moved =
+          List.fold_left (fun n e -> n + Shape.numel e) (Shape.numel (elem dst)) arg_elems
+        in
+        Tprim { dst; args; prim = prim_id name; arg_elems; moved }
+    in
+    let op : Stack_ir.op -> top = function
+      | Stack_ir.Sprim { dst; prim = name; args } ->
+        prim ~dst:(slot dst) ~args:(Array.of_list (List.map slot args)) name
+      | Stack_ir.Sconst { dst; value } -> Tconst { dst = slot dst; value }
+      | Stack_ir.Smov { dst; src } -> Tmov { dst = slot dst; src = slot src }
+      | Stack_ir.Spush v -> Tpush (slot v)
+      | Stack_ir.Spop v -> Tpop (slot v)
+    in
+    let tblock (b : Stack_ir.block) =
+      let t_cond =
+        match b.Stack_ir.term with
+        | Stack_ir.Sbranch { cond; _ } | Stack_ir.Spushbranch { cond; _ } -> slot cond
+        | Stack_ir.Sjump _ | Stack_ir.Spushjump _ | Stack_ir.Sreturn -> -1
+      in
+      { t_ops = Array.of_list (List.map op b.Stack_ir.ops); t_term = b.Stack_ir.term; t_cond }
+    in
+    (* The stored variables are the shaped ones, in name order. *)
+    let vars = ref [] in
+    for k = Array.length names - 1 downto 0 do
+      match elems.(k) with
+      | Some lv_elem -> vars := { lv_name = names.(k); lv_class = classes.(k); lv_elem } :: !vars
+      | None -> ()
+    done;
+    let vars = Array.of_list !vars in
+    (* Resolving the blocks numbers their primitives. *)
+    let tblocks = Array.map tblock p.Stack_ir.blocks in
+    let prims = Array.of_list (List.rev !prims) in
+    {
+      program = p;
+      names;
+      classes;
+      elems;
+      tblocks;
+      prims;
+      in_slots = List.map slot p.Stack_ir.inputs;
+      out_slots = List.map slot p.Stack_ir.outputs;
+      vars;
+      width =
+        Array.fold_left
+          (fun n lv ->
+            if lv.lv_class = Var_class.Stacked then n else n + Shape.numel lv.lv_elem)
+          0 vars;
+    }
+
   type t = {
     config : config;
-    p : Stack_ir.program;
+    tpl : template;
     z : int;
     halt : int;
-    names : string array;    (* slot -> variable, sorted *)
     slots : storage option array;  (* [None]: no inferred shape *)
     blocks : block array;
     priced : Engine.priced option array;  (* per block, on [config.engine] *)
@@ -255,25 +359,17 @@ module Lanes = struct
     tables : Sched_policy.tables option;  (* for the table-driven policies *)
     mutable last : int;
     mutable steps : int;
-    (* The stored variables as lane states describe them, and the length
-       of a lane state's [ls_rows]. *)
-    vars : lane_var array;
-    width : int;
   }
 
-  let slot t v = slot_of t.names v
-
-  let storage t k = match t.slots.(k) with Some s -> s | None -> no_shape t.names k
+  let storage t k = match t.slots.(k) with Some s -> s | None -> no_shape t.tpl.names k
 
   let read_slot t k =
     match storage t k with Reg r | Msk r -> r | Stk s -> Stacked.top s
 
-  let read t v = read_slot t (slot t v)
-
   let check_shape t k cur_shape shape =
     if not (Shape.equal cur_shape shape) then
       invalid_arg
-        (Printf.sprintf "Pc_vm: variable %s changes shape from %s to %s" t.names.(k)
+        (Printf.sprintf "Pc_vm: variable %s changes shape from %s to %s" t.tpl.names.(k)
            (Shape.to_string cur_shape) (Shape.to_string shape))
 
   (* Write the active lanes' rows of the full-width [out]. *)
@@ -309,7 +405,7 @@ module Lanes = struct
     | Stk s -> s
     | Reg _ | Msk _ ->
       invalid_arg
-        (Printf.sprintf "Pc_vm: %s of non-stacked variable %s" what t.names.(k))
+        (Printf.sprintf "Pc_vm: %s of non-stacked variable %s" what t.tpl.names.(k))
 
   let gather_lanes t =
     if not t.gathered then begin
@@ -332,7 +428,7 @@ module Lanes = struct
     | Mov { dst; src } -> write t dst (read_slot t src)
     | Push k -> Stacked.push (stacked t k "push") ~active:t.active ~n:t.n_active
     | Pop k -> Stacked.pop (stacked t k "pop") ~active:t.active ~n:t.n_active
-    | Unshaped k -> no_shape t.names k
+    | Unshaped k -> no_shape t.tpl.names k
 
   (* Point every active lane's pc at [if_true] or [if_false] by [cond]. *)
   let branch t cond ~if_true ~if_false =
@@ -411,7 +507,7 @@ module Lanes = struct
           write dst;
           charge "mov" (float_of_int (row src * z))
         | Push k | Pop k -> add (Vm_util.stack_move_bytes ~lanes:z ~row:(row k))
-        | Unshaped k -> no_shape t.names k)
+        | Unshaped k -> no_shape t.tpl.names k)
       b.ops;
     let pc_move () = add (Vm_util.stack_move_bytes ~lanes:z ~row:1) in
     let control_ops =
@@ -432,40 +528,57 @@ module Lanes = struct
       t.priced.(i) <- Some p;
       p
 
-  let create ?(config = default_config) reg (p : Stack_ir.program) ~z =
+  (* A template op bound to a pool's storage, its primitive one of
+     [impls]. The gather decision is taken from shapes that cannot
+     change. *)
+  let bind_op impls slots ~z = function
+    | Tprim { dst; args; prim; arg_elems; moved } ->
+      let impl = impls.(prim) in
+      let rows =
+        if impl.Prim.flops arg_elems >= gather_ratio *. float_of_int moved then Active_rows
+        else All_rows
+      in
+      let read k =
+        match slots.(k) with
+        | Some (Reg r | Msk r) -> r
+        | Some (Stk s) -> Stacked.top s
+        | None -> assert false (* the template made the op [Tunshaped] *)
+      in
+      Prim { dst; args; impl; rows; inputs = Array.to_list (Array.map read args) }
+    | Tconst { dst; value } -> Const { dst; value = Tensor.broadcast_rows value z }
+    | Tmov { dst; src } -> Mov { dst; src }
+    | Tpush k -> Push k
+    | Tpop k -> Pop k
+    | Tunshaped k -> Unshaped k
+
+  let bind ?(config = default_config) reg tpl ~z =
     if z <= 0 then invalid_arg "Pc_vm.Lanes: need at least one lane";
+    let p = tpl.program in
     let halt = Stack_ir.halt p in
-    let nb = Array.length p.Stack_ir.blocks in
-    let names =
-      Stack_ir.all_vars p @ List.map fst (Ir_util.Smap.bindings p.Stack_ir.shapes)
-      |> List.sort_uniq compare |> Array.of_list
-    in
-    let alloc v elem =
-      match Stack_ir.class_of p v with
-      | Var_class.Temp -> Reg (Tensor.zeros (Shape.concat_outer z elem))
-      | Var_class.Masked -> Msk (Tensor.zeros (Shape.concat_outer z elem))
-      | Var_class.Stacked -> Stk (Stacked.create ~z ~elem ~initial_depth ())
-    in
+    let nb = Array.length tpl.tblocks in
     let slots =
-      Array.map
-        (fun v -> Option.map (alloc v) (Ir_util.Smap.find_opt v p.Stack_ir.shapes))
-        names
+      Array.mapi
+        (fun k elem ->
+          Option.map
+            (fun elem ->
+              match tpl.classes.(k) with
+              | Var_class.Temp -> Reg (Tensor.zeros (Shape.concat_outer z elem))
+              | Var_class.Masked -> Msk (Tensor.zeros (Shape.concat_outer z elem))
+              | Var_class.Stacked -> Stk (Stacked.create ~z ~elem ~initial_depth ()))
+            elem)
+        tpl.elems
     in
-    (* The stored variables are the shaped ones, in name order. *)
-    let vars =
-      Ir_util.Smap.bindings p.Stack_ir.shapes
-      |> List.map (fun (lv_name, lv_elem) ->
-             { lv_name; lv_class = Stack_ir.class_of p lv_name; lv_elem })
-      |> Array.of_list
+    let impls = Array.map (Prim.find_exn reg) tpl.prims in
+    let bind_block tb =
+      { ops = Array.map (bind_op impls slots ~z) tb.t_ops; term = tb.t_term; cond = tb.t_cond }
     in
     {
       config;
-      p;
+      tpl;
       z;
       halt;
-      names;
       slots;
-      blocks = Array.map (resolve names slots reg ~z) p.Stack_ir.blocks;
+      blocks = Array.map bind_block tpl.tblocks;
       priced = Array.make nb None;
       (* All lanes start idle: pc top parked at [halt]. *)
       pc = Pc_stack.create ~z ~bottom:halt ~start:halt ~initial_depth;
@@ -483,13 +596,9 @@ module Lanes = struct
          else None);
       last = -1;
       steps = 0;
-      vars;
-      width =
-        Array.fold_left
-          (fun n lv ->
-            if lv.lv_class = Var_class.Stacked then n else n + Shape.numel lv.lv_elem)
-          0 vars;
     }
+
+  let create ?config reg p ~z = bind ?config reg (template p) ~z
 
   let z t = t.z
   let steps t = t.steps
@@ -540,12 +649,12 @@ module Lanes = struct
      row must have exactly the declared element shape, as equal element
      counts are not enough (a [2;3] row would be silently reinterpreted
      as [3;2]). *)
-  let input_storage t v elem_t =
-    let r = read t v in
+  let input_storage t k elem_t =
+    let r = read_slot t k in
     let want = Vm_util.elem_shape_of_batched r in
     if not (Shape.equal want (Tensor.shape elem_t)) then
       invalid_arg
-        (Printf.sprintf "Pc_vm.Lanes: input %s has row shape %s, expected %s" v
+        (Printf.sprintf "Pc_vm.Lanes: input %s has row shape %s, expected %s" t.tpl.names.(k)
            (Shape.to_string (Tensor.shape elem_t))
            (Shape.to_string want));
     r
@@ -554,11 +663,11 @@ module Lanes = struct
     if lane < 0 || lane >= t.z then invalid_arg "Pc_vm.Lanes.load: lane out of range";
     if live t ~lane then
       invalid_arg (Printf.sprintf "Pc_vm.Lanes.load: lane %d is still running" lane);
-    if List.length t.p.Stack_ir.inputs <> List.length inputs then
+    if List.compare_lengths t.tpl.in_slots inputs <> 0 then
       invalid_arg "Pc_vm: input count mismatch";
     (* Check every input before writing any: a refused load leaves the
        lane (and the rest of the pool) exactly as it was. *)
-    let dsts = List.map2 (input_storage t) t.p.Stack_ir.inputs inputs in
+    let dsts = List.map2 (input_storage t) t.tpl.in_slots inputs in
     reset_lane_storage t ~lane;
     List.iter2
       (fun dst e ->
@@ -570,7 +679,7 @@ module Lanes = struct
     Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:0
 
   let lane_outputs t ~lane =
-    List.map (fun v -> Tensor.copy (Tensor.slice_row (read t v) lane)) t.p.Stack_ir.outputs
+    List.map (fun k -> Tensor.copy (Tensor.slice_row (read_slot t k) lane)) t.tpl.out_slots
 
   let retire t ~lane =
     if not (finished t ~lane) then
@@ -606,7 +715,7 @@ module Lanes = struct
      holds every occupied lane, and its blocks are what a capture
      allocates and the collector later copies. *)
   let lane_state t lane =
-    let rows = Array.create_float t.width and pos = ref 0 and stacks = ref [] in
+    let rows = Array.create_float t.tpl.width and pos = ref 0 and stacks = ref [] in
     Array.iter
       (function
         | None -> ()
@@ -622,7 +731,7 @@ module Lanes = struct
     {
       ls_member = t.members.(lane);
       ls_pc = Pc_stack.capture_lane t.pc ~lane;
-      ls_vars = t.vars;
+      ls_vars = t.tpl.vars;
       ls_rows = rows;
       ls_stacks = Array.of_list (List.rev !stacks);
     }
@@ -644,7 +753,7 @@ module Lanes = struct
     (* Park the pc at halt, as create does for idle lanes. *)
     Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:t.halt
 
-  let same_vars t vars = vars == t.vars || vars = t.vars
+  let same_vars t vars = vars == t.tpl.vars || vars = t.tpl.vars
 
   (* The inverse of [lane_state], over the pool's own storage. *)
   let import_lane t ~lane st =
@@ -653,7 +762,7 @@ module Lanes = struct
     if t.occupied.(lane) then
       invalid_arg
         (Printf.sprintf "Pc_vm.Lanes.import_lane: lane %d is occupied" lane);
-    if not (same_vars t st.ls_vars && Array.length st.ls_rows = t.width) then
+    if not (same_vars t st.ls_vars && Array.length st.ls_rows = t.tpl.width) then
       invalid_arg "Pc_vm.Lanes.import_lane: the state's variables differ from the pool's";
     let pos = ref 0 and next_stack = ref 0 in
     Array.iter
@@ -681,7 +790,7 @@ module Lanes = struct
     Vm_util.bytes_per_elem
     *. float_of_int (var_elems + Array.length st.ls_pc.Pc_stack.pl_stack + 1)
 
-  let outputs t = List.map (fun v -> Tensor.copy (read t v)) t.p.Stack_ir.outputs
+  let outputs t = List.map (fun k -> Tensor.copy (read_slot t k)) t.tpl.out_slots
 
   type image = {
     li_steps : int;
@@ -696,7 +805,7 @@ module Lanes = struct
       li_steps = t.steps;
       li_last = t.last;
       li_members = Array.copy t.members;
-      li_vars = t.vars;
+      li_vars = t.tpl.vars;
       li_lanes =
         Array.init t.z (fun lane ->
             if t.occupied.(lane) then Some (lane_state t lane) else None);
@@ -798,9 +907,9 @@ module Lanes = struct
       true
 end
 
-let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
+let run_template ?(config = default_config) reg tpl ~batch =
   let z = batch_size batch in
-  let lanes = Lanes.create ~config reg p ~z in
+  let lanes = Lanes.bind ~config reg tpl ~z in
   for lane = 0 to z - 1 do
     Lanes.load lanes ~lane ~member:(config.member_base + lane)
       ~inputs:(List.map (fun t -> Tensor.slice_row t lane) batch)
@@ -810,3 +919,5 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
   done;
   (* Fresh tensors: the VM's storage buffers must not escape. *)
   Lanes.outputs lanes
+
+let run ?config reg p ~batch = run_template ?config reg (Lanes.template p) ~batch

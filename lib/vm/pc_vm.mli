@@ -32,19 +32,23 @@
     copies whole tensors with one blit.
 
     Shapes are static, as on the paper's target accelerators: storage is
-    allocated once per lane pool, in {!Lanes.create}, from the element
+    allocated once per lane pool, in {!Lanes.bind}, from the element
     shapes {!Shape_infer} gave every variable, and nothing allocates
     storage after it. A variable with no inferred shape (possible only in
     dead or never-returning code) has no storage; touching one raises
     [Invalid_argument "Pc_vm: variable v has no inferred shape"].
 
-    The interpretive work is done once per lane pool too: every variable
-    is resolved to a storage slot, every block's operands to slot indices,
-    its primitives to their implementations and argument tensors and its
-    constants to batch-wide tensors, and each block's engine charge (op
-    flops, control actions, traffic) is priced into an {!Engine.priced}
-    handle on its first execution and reused. A superstep then does no
-    name lookups and no pricing. *)
+    The interpretive work is split between the program and the pool. A
+    {!Lanes.template}, built once per program, sorts the variables into
+    storage slots, fixes each slot's class and element shape, and resolves
+    every block's operands to slot indices (primitives stay names). A
+    pool bound from it ({!Lanes.bind}) only allocates its storage, looks
+    each primitive up in the registry it is given, takes each op's gather
+    decision, fixes its argument tensors to the pool's storage and
+    broadcasts its constants to the pool's width. Each block's engine
+    charge (op flops, control actions, traffic) is priced into an
+    {!Engine.priced} handle on its first execution and reused. A
+    superstep then does no name lookups and no pricing. *)
 
 type config = {
   sched : Sched_policy.t;
@@ -72,7 +76,7 @@ type config = {
           applied. Right after [Step] comes the superstep's
           [Obs_sink.Occupancy] (issued [width = total], and [depth] the
           deepest any pc or variable stack of this pool has been pushed
-          to since {!Lanes.create} or the last {!Lanes.restore}) — the
+          to since {!Lanes.bind} or the last {!Lanes.restore}) — the
           runtime's only utilization report: lane, primitive
           and push/pop counts are all derived from it ({!Obs_prof}).
           Default [None]; the off path is one match per step. *)
@@ -150,9 +154,28 @@ end
 module Lanes : sig
   type t
 
+  type template
+  (** What every pool of one program shares: the sorted slot table, each
+      slot's storage class and element shape, every block's ops over slot
+      indices (primitives by name, constants at element shape, branch
+      condition slots), and the stored variables ({!lane_var}). It holds
+      no primitive implementation and no storage, so one template serves
+      pools on any registry and any width. *)
+
+  val template : Stack_ir.program -> template
+
+  val bind : ?config:config -> Prim.registry -> template -> z:int -> t
+  (** [z] lanes, all idle, running the template's program: allocates the
+      pool's storage, looks each primitive up in [registry] and fixes its
+      argument tensors and gather decision, and broadcasts constants.
+      [config.member_base] seeds the default member identities; [load]
+      overrides them per lane. Pools bound from one template share its
+      [lane_var] array, so lane states and images move between them by
+      the physical-equality check. *)
+
   val create : ?config:config -> Prim.registry -> Stack_ir.program -> z:int -> t
-  (** [z] lanes, all idle. [config.member_base] seeds the default member
-      identities; [load] overrides them per lane. *)
+  (** [bind] from a fresh {!template}: a pool that shares nothing with
+      any other. *)
 
   val z : t -> int
   val steps : t -> int
@@ -281,6 +304,10 @@ module Lanes : sig
       when the image's [li_vars] differ from the pool's, i.e. [t] does
       not run the program the image was captured from. *)
 end
+
+val run_template :
+  ?config:config -> Prim.registry -> Lanes.template -> batch:Tensor.t list -> Tensor.t list
+(** {!run} on a pool bound from an existing template. *)
 
 val run :
   ?config:config ->

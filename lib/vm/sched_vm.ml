@@ -92,6 +92,8 @@ let create ?(config = default_config) reg (p : Stack_ir.program) ~batch =
   in
   let engine i mode = Engine.create ~device:(Mesh.device config.mesh i) ~mode () in
   let engines = Array.mapi (fun i _ -> Option.map (engine i) config.mode) parts in
+  (* One template for every pool: each pool only allocates and binds. *)
+  let template = Pc_vm.Lanes.template p in
   (* Every pool runs on the calling domain, stepped shard 0 first: a
      migration schedule must be a deterministic function of the lane state
      for the bitwise gate (and the seeded-schedule fuzzer) to mean
@@ -113,7 +115,7 @@ let create ?(config = default_config) reg (p : Stack_ir.program) ~batch =
             sink;
           }
         in
-        Pc_vm.Lanes.create ~config:pool_config reg p ~z:part.length)
+        Pc_vm.Lanes.bind ~config:pool_config reg template ~z:part.length)
       parts
   in
   let t =

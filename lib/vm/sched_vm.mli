@@ -101,7 +101,9 @@ type t
 val create :
   ?config:config -> Prim.registry -> Stack_ir.program -> batch:Tensor.t list -> t
 (** Build one pool per device (static partition: one per non-empty part,
-    so [min (size mesh) z] pools) and queue or load the members. Raises
+    so [min (size mesh) z] pools), all bound from one
+    {!Pc_vm.Lanes.template} of the program, and queue or load the
+    members. Raises
     [Invalid_argument] on an empty batch, or [lanes <= 0] under a
     refilling plan. *)
 

@@ -509,6 +509,60 @@ let prop_admission_counters =
         ops;
       !ok)
 
+(* A FIFO queue pops the oldest item that fits, wherever it sits in the
+   queue's two internal lists, and pushes a re-queued item back at the
+   head. Random offers (widths 1-4, some refused at the depth), fitting
+   pops (width at most 1-4) and head re-queues against a plain list in
+   queue order: every pop returns the model's item, and the queued ids
+   match after every operation. *)
+let prop_admission_fifo_model =
+  QCheck.Test.make ~name:"fifo pops the oldest fitting item" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 80) (pair (int_range 0 3) (int_range 1 4)))
+    (fun ops ->
+      let depth = 6 in
+      let adm = Admission.create ~config:(Admission.fifo ~depth ()) () in
+      let model = ref [] and popped = ref [] and ok = ref true in
+      let id it = it.Admission.request.Request.id in
+      let width it = Request.width it.Admission.request in
+      let rec remove_first fits = function
+        | [] -> (None, [])
+        | x :: rest ->
+          if fits x then (Some x, rest)
+          else
+            let found, rest = remove_first fits rest in
+            (found, x :: rest)
+      in
+      List.iteri
+        (fun i (op, k) ->
+          (match op with
+          | 0 | 1 ->
+            let it = mk_item ~id:i ~width:k ~n:4 () in
+            let admitted = List.length !model < depth in
+            (match Admission.offer adm it with
+            | `Admitted -> if not admitted then ok := false
+            | `Rejected _ | `Shed _ -> if admitted then ok := false);
+            if admitted then model := !model @ [ it ]
+          | 2 ->
+            let fits it = width it <= k in
+            let want, rest = remove_first fits !model in
+            model := rest;
+            (match (Admission.pop adm ~fits, want) with
+            | Some got, Some want ->
+              if id got <> id want then ok := false;
+              popped := got :: !popped
+            | None, None -> ()
+            | _ -> ok := false)
+          | _ -> (
+            match !popped with
+            | it :: rest ->
+              Admission.push_front adm it;
+              model := it :: !model;
+              popped := rest
+            | [] -> ()));
+          if item_ids adm <> List.map id !model then ok := false)
+        ops;
+      !ok)
+
 (* ---------- pool controller ---------- *)
 
 let test_pool_decide () =
@@ -1411,6 +1465,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_shed_victim;
         QCheck_alcotest.to_alcotest prop_admission_deterministic;
         QCheck_alcotest.to_alcotest prop_admission_counters;
+        QCheck_alcotest.to_alcotest prop_admission_fifo_model;
       ] );
     ("tenant-pool", [ t "decide" `Quick test_pool_decide ]);
     ( "tenant-server",

@@ -1140,4 +1140,230 @@ let serve_suites =
       [ t "engine refill/retire counters" `Quick test_engine_refill_retire_counters ] );
   ]
 
-let suites = suites @ [ lanes_suite; pc_stack_suite; active_lanes_suite ] @ serve_suites
+(* ---------- pool templates ---------- *)
+
+(* The eight-schools NUTS program and a 4-chain batch of two iterations. *)
+let es_nuts =
+  lazy
+    (let model = Eight_schools.model () in
+     let reg, _ = Nuts_dsl.setup ~model () in
+     let cfg = Nuts.default_config ~eps:0.2 () in
+     let prog = Nuts_dsl.program ~params:(Nuts_dsl.params_of_config cfg) () in
+     ( Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model) prog,
+       Nuts_dsl.inputs ~q0:(Tensor.zeros [| model.Model.dim |]) ~eps:0.2 ~n_iter:2 ~n_burn:0
+         ~batch:4 () ))
+
+(* Run [batch] to completion on the pool [make] builds, on a fresh
+   engine: the outputs, the Step / Occupancy / Launched stream and the
+   engine's snapshot. *)
+let drive make batch =
+  let events = ref [] in
+  let sink ev =
+    match ev with
+    | Obs_sink.Step _ | Obs_sink.Occupancy _ | Obs_sink.Launched _ -> events := ev :: !events
+    | _ -> ()
+  in
+  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Hybrid () in
+  Engine.set_sink engine sink;
+  let config = { Pc_vm.default_config with engine = Some engine; sink = Some sink } in
+  let z = (Tensor.shape (List.hd batch)).(0) in
+  let lanes = make ~config ~z in
+  for lane = 0 to z - 1 do
+    Pc_vm.Lanes.load lanes ~lane ~member:(7 + lane)
+      ~inputs:(List.map (fun x -> Tensor.slice_row x lane) batch)
+  done;
+  while Pc_vm.Lanes.step lanes do
+    ()
+  done;
+  (Pc_vm.Lanes.outputs lanes, List.rev !events, Engine.snapshot engine)
+
+(* Pools bound from one template run exactly as pools that share
+   nothing: two pools bound in turn from one template and a pool from
+   [create] give bitwise the same outputs, event stream and engine
+   counters, on fib and on NUTS. *)
+let test_template_pools_bitwise () =
+  let es, es_batch = Lazy.force es_nuts in
+  List.iter
+    (fun (name, (c : Autobatch.compiled), batch) ->
+      let reg = c.Autobatch.registry in
+      let outs, events, snap =
+        drive (fun ~config ~z -> Pc_vm.Lanes.create ~config reg c.Autobatch.stack ~z) batch
+      in
+      let tpl = Pc_vm.Lanes.template c.Autobatch.stack in
+      for i = 1 to 2 do
+        let outs', events', snap' =
+          drive (fun ~config ~z -> Pc_vm.Lanes.bind ~config reg tpl ~z) batch
+        in
+        let what = Printf.sprintf "%s, pool %d of the template" name i in
+        Alcotest.(check bool) (what ^ ": outputs bitwise") true
+          (List.for_all2 Tensor.equal outs outs');
+        Alcotest.(check int) (what ^ ": event count") (List.length events)
+          (List.length events');
+        Alcotest.(check bool) (what ^ ": same event stream") true (events = events');
+        Alcotest.(check bool) (what ^ ": same engine snapshot") true (snap = snap')
+      done)
+    [ ("fib", fib_compiled, [ Tensor.of_list [ 5.; 3.; 7.; 1. ] ]); ("nuts", es, es_batch) ]
+
+(* The template names primitives and never holds them, so a copy of a
+   compiled program on another registry (the e2e benchmark's probe
+   swaps in a timed one) runs that registry's primitives even after the
+   shared template was built. Counted through [run_pc] on the copy and
+   through an independent pool on a second counting registry, every
+   [add] call is seen. *)
+let test_template_registry_swap () =
+  let counting () =
+    let reg = Prim.copy fib_compiled.Autobatch.registry and calls = ref 0 in
+    let add = Prim.find_exn reg "add" in
+    Prim.register reg
+      { add with Prim.batched = (fun ~members args -> incr calls; add.Prim.batched ~members args) };
+    (reg, calls)
+  in
+  let batch = [ Tensor.of_list [ 6.; 2.; 9. ] ] in
+  ignore (Autobatch.run_pc fib_compiled ~batch);
+  let reg, calls = counting () in
+  let probed = { fib_compiled with Autobatch.registry = reg } in
+  Alcotest.(check bool) "the copy shares the built template" true
+    (Autobatch.template probed == Autobatch.template fib_compiled);
+  let outs = Autobatch.run_pc probed ~batch in
+  let reg', calls' = counting () in
+  let outs' = Pc_vm.run reg' fib_compiled.Autobatch.stack ~batch in
+  Alcotest.(check bool) "outputs bitwise" true (List.for_all2 Tensor.equal outs outs');
+  Alcotest.(check bool) "add ran" true (!calls' > 0);
+  Alcotest.(check int) "every add call seen" !calls' !calls
+
+(* Pools of one template share its stored-variable array, so lane states
+   and images cross between them on [same_vars]'s physical-equality
+   test; pools from separate [create]s hold equal but distinct arrays,
+   and still accept each other's states. *)
+let test_template_shares_vars () =
+  let reg = fib_compiled.Autobatch.registry and stack = fib_compiled.Autobatch.stack in
+  let tpl = Pc_vm.Lanes.template stack in
+  let a = Pc_vm.Lanes.bind reg tpl ~z:2 and b = Pc_vm.Lanes.bind reg tpl ~z:3 in
+  let c = Pc_vm.Lanes.create reg stack ~z:2 in
+  Pc_vm.Lanes.load a ~lane:1 ~member:4 ~inputs:[ Tensor.scalar 8. ];
+  for _ = 1 to 5 do
+    ignore (Pc_vm.Lanes.step a)
+  done;
+  let st = Pc_vm.Lanes.export_lane a ~lane:1 and img = Pc_vm.Lanes.capture a in
+  let vars p = (Pc_vm.Lanes.capture p).Pc_vm.Lanes.li_vars in
+  Alcotest.(check bool) "one array for the template's pools" true
+    (st.Pc_vm.Lanes.ls_vars == vars b && img.Pc_vm.Lanes.li_vars == vars b);
+  Alcotest.(check bool) "another create's array is equal, not shared" true
+    (vars c != vars a && vars c = vars a);
+  Pc_vm.Lanes.evict a ~lane:1;
+  Pc_vm.Lanes.import_lane b ~lane:2 st;
+  Pc_vm.Lanes.restore c img;
+  let drain p lane =
+    while Pc_vm.Lanes.step p do
+      ()
+    done;
+    Pc_vm.Lanes.retire p ~lane
+  in
+  let want = Autobatch.run_single fib_compiled ~member:4 ~args:[ Tensor.scalar 8. ] in
+  List.iter
+    (fun (name, got) ->
+      Alcotest.(check bool) name true (List.for_all2 Tensor.equal want got))
+    [ ("migrated lane", drain b 2); ("restored image", drain c 1) ]
+
+(* ---------- allocation gates ---------- *)
+
+(* Allocation counts do not move with code placement or host load, so
+   these bounds can be tight. A later change may lower them, never raise
+   them. *)
+
+(* fib's stepping at z = 64 on a fixed pool, priced on a fused GPU engine
+   with no sink: depths 6..15, 8,423 supersteps. It allocated 75.6 minor
+   words per superstep while the engine boxed its float totals and built
+   its launch events unobserved, and 64.6 since. *)
+let test_fib_stepping_words () =
+  let z = 64 in
+  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  let lanes =
+    Pc_vm.Lanes.create
+      ~config:{ Pc_vm.default_config with engine = Some engine }
+      fib_compiled.Autobatch.registry fib_compiled.Autobatch.stack ~z
+  in
+  for lane = 0 to z - 1 do
+    Pc_vm.Lanes.load lanes ~lane ~member:lane
+      ~inputs:[ Tensor.scalar (float_of_int (6 + (lane mod 10))) ]
+  done;
+  let steps = ref 0 in
+  let before = Gc.minor_words () in
+  while Pc_vm.Lanes.step lanes do
+    incr steps
+  done;
+  let per_step = (Gc.minor_words () -. before) /. float_of_int !steps in
+  Alcotest.(check int) "supersteps" 8423 !steps;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per superstep, under 70" per_step)
+    true (per_step < 70.)
+
+(* With no sink set, an engine charge builds no event and boxes no
+   float: a thousand of each kind of charge allocate (almost) nothing. *)
+let test_engine_charge_words () =
+  List.iter
+    (fun mode ->
+      let e = Engine.create ~device:Device.gpu ~mode () in
+      let p = Engine.price e ~ops:[ "add"; "mul" ] ~flops:8. ~control_ops:2 ~traffic_bytes:64. in
+      Engine.charge_kernel e ~name:"k" ~flops:1.;
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        Engine.charge_priced e p;
+        Engine.charge_kernel e ~name:"k" ~flops:1.;
+        Engine.charge_refill e ~bytes:8.;
+        Engine.charge_retire e ~bytes:8.;
+        Engine.charge_traffic e ~bytes:8.;
+        Engine.charge_host_call e;
+        Engine.charge_transfer e ~name:"move" ~bytes:8. ~seconds:0.
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 7,000 charges allocate %.0f words, under 16"
+           (Engine.mode_to_string mode) words)
+        true (words < 16.))
+    [ Engine.Eager; Engine.Fused; Engine.Hybrid ]
+
+(* Binding a z = 2 pool of the eight-schools NUTS program from a built
+   template allocates its storage and bound blocks only: ~10k words,
+   against ~28k for [create], which builds the template too (and ~49k
+   before the template existed). *)
+let test_bind_words () =
+  let c, _ = Lazy.force es_nuts in
+  let reg = c.Autobatch.registry in
+  let tpl = Autobatch.template c in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let bound = 14_000. in
+  let bind = words (fun () -> Pc_vm.Lanes.bind reg tpl ~z:2) in
+  let create = words (fun () -> Pc_vm.Lanes.create reg c.Autobatch.stack ~z:2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "bind allocates %.0f words, under %.0f" bind bound)
+    true (bind < bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates %.0f words, over %.0f" create bound)
+    true (create > bound)
+
+let template_suite =
+  ( "pool-template",
+    [
+      t "pools of one template are bitwise fresh pools" `Quick test_template_pools_bitwise;
+      t "a swapped registry sees every call" `Quick test_template_registry_swap;
+      t "pools of one template share vars" `Quick test_template_shares_vars;
+    ] )
+
+let alloc_suite =
+  ( "alloc-gate",
+    [
+      t "engine charges without a sink" `Quick test_engine_charge_words;
+      t "fib stepping words per superstep" `Quick test_fib_stepping_words;
+      t "bind from a template" `Quick test_bind_words;
+    ] )
+
+let suites =
+  suites
+  @ [ lanes_suite; pc_stack_suite; active_lanes_suite ]
+  @ serve_suites
+  @ [ template_suite; alloc_suite ]
