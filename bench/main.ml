@@ -1098,9 +1098,9 @@ let run_observe ?seed () =
           | Some ts -> List.map Tensor.data ts ))
       r.Tenant_load.fair.Tenant_load.stats.Tenant_server.completions
   in
-  let tenant ?sink ?slo () =
+  let tenant ?sink () =
     Tenant_load.run ?seed ~n_requests ~verify:false ~keep_outputs:true ~baseline:false
-      ?sink ?slo ()
+      ?sink ()
   in
   let r_off = tenant () in
   (* One recorder takes the whole stream, spans included; its bound sits
@@ -1108,14 +1108,14 @@ let run_observe ?seed () =
   let tr = Obs_trace.create ~limit:2_000_000 () in
   let prof = Obs_prof.create () in
   let r_on =
+    let record =
+      Obs_trace.sink tr ~track:(Obs_trace.track tr "tenant") ~clock:(fun () -> 0.)
+    in
+    let slo = Obs_slo.create ~classes:(slo_classes ()) () in
     tenant
       ~sink:
         (Obs_sink.fanout
-           [
-             Obs_trace.sink tr ~track:(Obs_trace.track tr "tenant") ~clock:(fun () -> 0.);
-             Obs_prof.sink prof;
-           ])
-      ~slo:(Obs_slo.create ~classes:(slo_classes ()) ())
+           [ record; Obs_prof.sink prof; Obs_slo.sink slo ~alerts:record ])
       ()
   in
   let s_off = r_off.Tenant_load.fair.Tenant_load.stats in
@@ -1175,7 +1175,7 @@ let run_observe ?seed () =
     let slo = Obs_slo.create ~classes:(slo_classes ()) () in
     ignore
       (Tenant_load.run ?seed ~pattern ~n_requests:2000 ~verify:false
-         ~baseline:false ~slo ());
+         ~baseline:false ~sink:(Obs_slo.sink slo ~alerts:ignore) ());
     Obs_slo.fired_total slo
   in
   let adv = slo_run Tenant_load.Adversarial in

@@ -902,11 +902,12 @@ let slo_cmd =
         [ "latency"; "throughput"; "best-effort" ]
     in
     let slo = Obs_slo.create ~classes () in
-    (* Alert edges and ladder transitions arrive as ordinary sink
-       events; collecting them here is exactly what a production
-       alerting pipe would do. *)
+    (* The monitor reads the server's event stream like any sink; its
+       alert edges and the ladder transitions arrive as ordinary events,
+       and collecting them here is exactly what a production alerting
+       pipe would do. *)
     let alerts = ref [] and ladder = ref [] in
-    let sink = function
+    let collect = function
       | Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; at } ->
         alerts := (slo, fired, burn_fast, burn_slow, at) :: !alerts
       | Obs_sink.Ladder { level; occupancy; at } ->
@@ -915,7 +916,9 @@ let slo_cmd =
     in
     let r =
       Tenant_load.run ?seed ~pattern ~n_requests:requests ~load ~verify:false
-        ~baseline:false ~sink ~slo ()
+        ~baseline:false
+        ~sink:(Obs_sink.fanout [ Obs_slo.sink slo ~alerts:collect; collect ])
+        ()
     in
     let makespan =
       r.Tenant_load.fair.Tenant_load.stats.Tenant_server.makespan

@@ -287,7 +287,7 @@ let run ?(seed = 0x7E47L) ?(pattern = Bursty) ?(n_requests = 2000)
     ?(n_tenants = 24) ?(n_programs = 8) ?cache_capacity ?(load = 0.35)
     ?(mesh_size = 4) ?(lanes_per_shard = 8) ?(checkpoint_interval = 16)
     ?(kill_round = 40) ?(baseline = true) ?(verify = true) ?keep_outputs
-    ?sink ?slo () =
+    ?sink () =
   let cache_capacity =
     match cache_capacity with Some c -> c | None -> n_programs
   in
@@ -364,7 +364,6 @@ let run ?(seed = 0x7E47L) ?(pattern = Bursty) ?(n_requests = 2000)
         faults;
         keep_outputs;
         sink = arm_sink;
-        slo = (if observed then slo else None);
       }
     in
     let stats = Tenant_server.run ~config source in

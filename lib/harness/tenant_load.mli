@@ -97,7 +97,6 @@ val run :
   ?verify:bool ->
   ?keep_outputs:bool ->
   ?sink:Obs_sink.t ->
-  ?slo:Obs_slo.t ->
   unit ->
   result
 (** Defaults: seed [0x7E47L], [Bursty], 2000 requests, 24 tenants, an
@@ -114,12 +113,12 @@ val run :
     to override, e.g. [~verify:false ~keep_outputs:true] for bitwise
     sink-on/off comparisons without the solo re-runs).
 
-    [sink] and [slo] attach to the {e fair arm only} (the baseline stays
-    a clean pair): [sink] receives the fair server's full event stream —
-    spans included — plus the program cache's hit/miss/compile instants
-    stamped with the trace clock; [slo] is a caller-owned {!Obs_slo}
-    monitor wired into the fair server. Both only observe: attaching
-    them leaves outputs and the simulated clock bitwise unchanged. *)
+    [sink] attaches to the {e fair arm only} (the baseline stays a clean
+    pair): it receives the fair server's full event stream — spans and
+    [Round]s included — plus the program cache's hit/miss/compile
+    instants stamped with the trace clock. A burn-rate monitor rides in
+    it as {!Obs_slo.sink}. It only observes: attaching it leaves outputs
+    and the simulated clock bitwise unchanged. *)
 
 val to_json : result -> Obs_json.t
 val print_table : result -> unit

@@ -210,7 +210,7 @@ let sink t : Obs_sink.t =
   | Obs_sink.Launch _ | Obs_sink.Request_enqueued _ | Obs_sink.Request_shed _
   | Obs_sink.Request_rejected _ | Obs_sink.Request_completed _
   | Obs_sink.Checkpoint _ | Obs_sink.Span _
-  | Obs_sink.Ladder _ | Obs_sink.Slo_alert _ ->
+  | Obs_sink.Ladder _ | Obs_sink.Slo_alert _ | Obs_sink.Round _ ->
     ()
 
 (* ------------------------------------------------------------------ *)

@@ -6,10 +6,11 @@ type event =
   | Launched of { kind : launch_kind; name : string; t0 : float; t1 : float }
   | Collective of { name : string; bytes : float; t0 : float; t1 : float }
   | Request_enqueued of { id : int; at : float }
-  | Request_shed of { id : int; at : float }
-  | Request_rejected of { id : int; at : float }
+  | Request_shed of { id : int; cls : string; at : float }
+  | Request_rejected of { id : int; cls : string; reason : string; at : float }
   | Request_completed of {
       id : int;
+      cls : string;
       queued : float;
       started : float;
       finished : float;
@@ -50,10 +51,10 @@ type event =
       burn_slow : float;
       at : float;
     }
+  | Round of { round : int; at : float }
 
 type t = event -> unit
 
-let null (_ : event) = ()
 let fanout sinks ev = List.iter (fun sink -> sink ev) sinks
 
 let tag_shard shard sink ev =
@@ -78,3 +79,4 @@ let kind_name = function
   | Span _ -> "span"
   | Ladder _ -> "ladder"
   | Slo_alert _ -> "slo-alert"
+  | Round _ -> "round"

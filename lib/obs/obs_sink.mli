@@ -30,10 +30,18 @@ type event =
   | Collective of { name : string; bytes : float; t0 : float; t1 : float }
       (** A mesh collective (all-reduce, all-gather) span. *)
   | Request_enqueued of { id : int; at : float }
-  | Request_shed of { id : int; at : float }
-  | Request_rejected of { id : int; at : float }
+  | Request_shed of { id : int; cls : string; at : float }
+      (** A queued or offered request was dropped to make room. [cls] is
+          the shed request's SLO class key ([Tenant.slo_name]), as on the
+          two events below. *)
+  | Request_rejected of { id : int; cls : string; reason : string; at : float }
+      (** A request was refused on arrival. [reason] is the
+          [Admission.reason_name] of an admission or input refusal
+          (["queue-full"], ["overloaded:<level>"], ["invalid-input"],
+          ["too-wide"]), or ["throttled"] for a token-bucket refusal. *)
   | Request_completed of {
       id : int;
+      cls : string;
       queued : float;
       started : float;
       finished : float;
@@ -123,11 +131,13 @@ type event =
       (** A multi-window burn-rate alert for SLO class [slo] changed
           state: [fired = true] when both window burn rates crossed the
           threshold, [false] when the alert resolved. *)
+  | Round of { round : int; at : float }
+      (** A serving round ended: [round] counts from 1 and [at] is the
+          server clock after the round's advance. Readers that evaluate
+          on a schedule ({!Obs_slo.sink} polls its windows) key on it;
+          recorders and the profiler drop it. *)
 
 type t = event -> unit
-
-val null : t
-(** Discards everything. *)
 
 val fanout : t list -> t
 (** Deliver each event to every sink, in list order. An exception from an
@@ -141,5 +151,5 @@ val tag_shard : int -> t -> t
 
 val kind_name : event -> string
 (** Short stable tag for CSV export ("step", "launch", ..., "span",
-    "ladder", "slo-alert"). Every constructor maps to a distinct tag;
+    "ladder", "slo-alert", "round"). Every constructor maps to a distinct tag;
     existing tags never change (downstream CSV consumers key on them). *)

@@ -75,11 +75,6 @@ let observe t ~cls ~now ~ok =
       Obs_window.add s.slow_bad ~now 1.
     end
 
-let observe_latency t ~cls ~now latency =
-  match find t cls with
-  | None -> ()
-  | Some s -> observe t ~cls ~now ~ok:(latency <= s.config.threshold)
-
 let burn total bad budget ~now =
   let n = Obs_window.total total ~now in
   if n <= 0. then 0. else Obs_window.total bad ~now /. n /. budget
@@ -94,46 +89,50 @@ let burn_rates t ~cls ~now =
 let firing t ~cls =
   match find t cls with None -> false | Some s -> s.firing
 
-
-type alert = {
-  a_cls : string;
-  a_fired : bool;  (* true = fired, false = resolved *)
-  a_burn_fast : float;
-  a_burn_slow : float;
-  a_at : float;
-}
-
-let poll t ~now =
-  List.filter_map
+(* Evaluate every class at [now] and report its state transitions:
+   steady states report nothing, so polling every round reports each
+   edge once. *)
+let poll t ~now ~alerts =
+  List.iter
     (fun (cls, s) ->
       let bf = burn s.fast_total s.fast_bad s.config.budget ~now in
       let bs = burn s.slow_total s.slow_bad s.config.budget ~now in
       let thr = s.config.burn_threshold in
+      let edge fired =
+        alerts
+          (Obs_sink.Slo_alert { slo = cls; fired; burn_fast = bf; burn_slow = bs; at = now })
+      in
       if (not s.firing) && bf >= thr && bs >= thr then begin
         s.firing <- true;
         s.fired_count <- s.fired_count + 1;
-        Some { a_cls = cls; a_fired = true; a_burn_fast = bf; a_burn_slow = bs; a_at = now }
+        edge true
       end
       else if s.firing && bf < thr /. 2. && bs < thr /. 2. then begin
         s.firing <- false;
         s.resolved_count <- s.resolved_count + 1;
-        Some { a_cls = cls; a_fired = false; a_burn_fast = bf; a_burn_slow = bs; a_at = now }
-      end
-      else None)
+        edge false
+      end)
     t.classes
 
 let fired_total t =
   List.fold_left (fun acc (_, s) -> acc + s.fired_count) 0 t.classes
 
-let alert_to_event al =
-  Obs_sink.Slo_alert
-    {
-      slo = al.a_cls;
-      fired = al.a_fired;
-      burn_fast = al.a_burn_fast;
-      burn_slow = al.a_burn_slow;
-      at = al.a_at;
-    }
+(* Only admission's own refusals burn the budget: a full queue or a
+   ladder rung. Throttled, malformed and too-wide requests never
+   reached the queue. *)
+let admission_refused reason =
+  String.equal reason "queue-full" || String.starts_with ~prefix:"overloaded:" reason
+
+let sink t ~alerts = function
+  | Obs_sink.Request_shed { cls; at; _ } -> observe t ~cls ~now:at ~ok:false
+  | Obs_sink.Request_rejected { cls; reason; at; _ } when admission_refused reason ->
+    observe t ~cls ~now:at ~ok:false
+  | Obs_sink.Request_completed { cls; queued; finished; _ } -> (
+    match find t cls with
+    | Some s -> observe t ~cls ~now:finished ~ok:(finished -. queued <= s.config.threshold)
+    | None -> ())
+  | Obs_sink.Round { at; _ } -> poll t ~now:at ~alerts
+  | _ -> ()
 
 let to_json t ~now =
   Obs_json.Obj

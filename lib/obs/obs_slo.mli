@@ -13,10 +13,11 @@
 
     The monitor is deterministic — windows are {!Obs_window} counters on
     the simulated clock — and string-keyed so it lives below the tenant
-    layer: callers feed it [Tenant.slo_name] (or any class key) without
-    this module depending on tenant types. [Tenant_server] forwards
-    {!poll} results to its sink as [Obs_sink.Slo_alert] events; the
-    monitor only observes and never steers the server. *)
+    layer: the class key is whatever the events carry ([Tenant.slo_name]
+    for [Tenant_server]), and this module depends on no tenant type.
+    A serving run feeds it through {!sink}, one more reader on the
+    server's event stream; the monitor only observes and never steers
+    the server. *)
 
 type class_config = {
   cls : string;  (** class key, e.g. ["latency"]. *)
@@ -46,14 +47,21 @@ type t
 val create : classes:class_config list -> unit -> t
 (** Raises [Invalid_argument] on an empty class list. *)
 
-(** {1 Feeding observations} *)
+(** {1 Feeding the monitor} *)
 
-val observe : t -> cls:string -> now:float -> ok:bool -> unit
-(** Record one request outcome for [cls] at simulated time [now].
-    Unknown classes are ignored (a tenant with no monitored SLO). *)
-
-val observe_latency : t -> cls:string -> now:float -> float -> unit
-(** [observe] with [ok = latency <= threshold] for the class. *)
+val sink : t -> alerts:Obs_sink.t -> Obs_sink.t
+(** The monitor's one input, a reader of a serving run's events:
+    - [Request_shed]: a bad observation of its [cls] at [at];
+    - [Request_rejected]: a bad observation only when admission refused
+      the request ([reason] ["queue-full"] or ["overloaded:<level>"]);
+    - [Request_completed]: an observation at [finished], bad when
+      [finished -. queued] exceeds the class threshold;
+    - [Round]: evaluate every class at [at] and hand each {e transition}
+      (newly fired or newly resolved) to [alerts] as an
+      [Obs_sink.Slo_alert], so each edge is reported once.
+    Unknown classes and every other event are ignored. A restore's
+    replayed completions are reported, and so counted, twice: acceptable
+    for a rate, where span trees stay exactly-once. *)
 
 (** {1 Reading state} *)
 
@@ -65,25 +73,6 @@ val firing : t -> cls:string -> bool
 
 val fired_total : t -> int
 (** Total fire transitions across all classes since creation. *)
-
-(** {1 Polling for alert transitions} *)
-
-type alert = {
-  a_cls : string;
-  a_fired : bool;  (** [true] = fired, [false] = resolved. *)
-  a_burn_fast : float;
-  a_burn_slow : float;
-  a_at : float;
-}
-
-val poll : t -> now:float -> alert list
-(** Evaluate every class at [now] and return the state {e transitions}
-    (newly fired or newly resolved) — steady states return nothing, so a
-    caller polling every round emits each alert edge exactly once. *)
-
-val alert_to_event : alert -> Obs_sink.event
-(** The [Obs_sink.Slo_alert] image of an alert, for forwarding to a
-    sink. *)
 
 val to_json : t -> now:float -> Obs_json.t
 (** Per-class document: config, lifetime observed/breached counts,

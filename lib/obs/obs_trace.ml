@@ -22,7 +22,7 @@ let record t ~track ~ts ev =
 let sink t ~track ~clock : Obs_sink.t =
  fun ev ->
   match ev with
-  | Obs_sink.Launch _ -> ()
+  | Obs_sink.Launch _ | Obs_sink.Round _ -> ()
   | Obs_sink.Launched { t0; _ } | Obs_sink.Collective { t0; _ } ->
     record t ~track ~ts:t0 ev
   | Obs_sink.Request_enqueued { at; _ }
@@ -208,17 +208,17 @@ let to_chrome t =
             (instant
                ~name:(Printf.sprintf "enqueue r%d" id)
                ~cat:"request" ~tid ~ts:at ())
-        | Obs_sink.Request_shed { id; at } ->
+        | Obs_sink.Request_shed { id; at; _ } ->
           emit
             (instant
                ~name:(Printf.sprintf "shed r%d" id)
                ~cat:"request" ~tid ~ts:at ())
-        | Obs_sink.Request_rejected { id; at } ->
+        | Obs_sink.Request_rejected { id; at; _ } ->
           emit
             (instant
                ~name:(Printf.sprintf "reject r%d" id)
                ~cat:"request" ~tid ~ts:at ())
-        | Obs_sink.Request_completed { id; queued; started; finished } ->
+        | Obs_sink.Request_completed { id; queued; started; finished; _ } ->
           touch finished;
           emit
             (chrome_event
@@ -313,7 +313,8 @@ let to_chrome t =
                    ("burn_fast", Obs_json.Float burn_fast);
                    ("burn_slow", Obs_json.Float burn_slow);
                  ]
-               ()))
+               ())
+        | Obs_sink.Round _ -> ())
       entries;
     close_span !last_ts;
     List.rev !out
@@ -355,7 +356,7 @@ let to_csv ?policy t =
         | Obs_sink.Request_enqueued { id; _ }
         | Obs_sink.Request_shed { id; _ }
         | Obs_sink.Request_rejected { id; _ } -> (Printf.sprintf "r%d" id, "")
-        | Obs_sink.Request_completed { id; queued; started; finished } ->
+        | Obs_sink.Request_completed { id; queued; started; finished; _ } ->
           ( Printf.sprintf "r%d" id,
             Printf.sprintf "queued=%.9f started=%.9f finished=%.9f" queued
               started finished )
@@ -380,6 +381,7 @@ let to_csv ?policy t =
           ( Printf.sprintf "slo %s" slo,
             Printf.sprintf "fired=%b burn_fast=%.3f burn_slow=%.3f" fired
               burn_fast burn_slow )
+        | Obs_sink.Round { round; _ } -> ("round", Printf.sprintf "round=%d" round)
       in
       let suffix =
         match policy with None -> "" | Some p -> "," ^ p

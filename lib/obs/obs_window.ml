@@ -17,8 +17,6 @@ let counter ~window () =
   if window <= 0. then invalid_arg "Obs_window.counter: window must be positive";
   { width = window /. float_of_int k; sums = Array.make k 0.; epoch = 0 }
 
-let window c = c.width *. float_of_int k
-
 let bucket_index c ~now =
   if now <= 0. then 0 else int_of_float (Float.floor (now /. c.width))
 
@@ -42,5 +40,3 @@ let add c ~now v =
 let total c ~now =
   advance_counter c (bucket_index c ~now);
   Array.fold_left ( +. ) 0. c.sums
-
-let rate c ~now = total c ~now /. window c

@@ -13,8 +13,6 @@ type counter
 val counter : window:float -> unit -> counter
 (** Raises [Invalid_argument] on a non-positive [window]. *)
 
-val window : counter -> float
-
 val add : counter -> now:float -> float -> unit
 (** Accumulate a value at simulated time [now]. Observations older than
     the window (the clock already slid past their sub-bucket) are
@@ -22,6 +20,3 @@ val add : counter -> now:float -> float -> unit
 
 val total : counter -> now:float -> float
 (** Sum over the window ending at [now]. *)
-
-val rate : counter -> now:float -> float
-(** [total / window]: events (or value units) per simulated second. *)

@@ -1,19 +1,8 @@
 type kind = Device_kill | Kernel_poison | Link_drop
 
-let kind_name = function
-  | Device_kill -> "device-kill"
-  | Kernel_poison -> "kernel-poison"
-  | Link_drop -> "link-drop"
-
 type event = { superstep : int; device : int; kind : kind }
 
 exception Injected of event
-
-let pp_event ppf e =
-  Format.fprintf ppf "%s on device %d at superstep %d" (kind_name e.kind) e.device
-    e.superstep
-
-let all_kinds = [ Device_kill; Kernel_poison; Link_drop ]
 
 (* A seeded plan: Bernoulli(rate) per superstep of the horizon, victim
    device and fault kind uniform — at most one event per superstep. One

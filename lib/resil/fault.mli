@@ -24,15 +24,10 @@ type kind =
       (** a mesh link drops a message; surfaced by {!drops_now} for the
           driver to retry the collective *)
 
-val kind_name : kind -> string
-val all_kinds : kind list
-
 type event = { superstep : int; device : int; kind : kind }
 
 exception Injected of event
 (** Raised by {!tick} and {!launch_check} when their event is due. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val schedule :
   seed:int ->

@@ -9,13 +9,6 @@ type stats = {
   link_retries : int;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<hov 2>supersteps %d (%d useful, %d wasted),@ %d checkpoints (%d bytes),@ %d \
-     restores,@ %d faults,@ %d link retries@]"
-    s.supersteps s.useful_supersteps s.wasted_supersteps s.checkpoints
-    s.checkpoint_bytes s.restores s.faults_injected s.link_retries
-
 (* Young's first-order optimal checkpoint interval: with checkpoint cost
    delta and mean time between failures M (both in the same unit —
    supersteps here), T_opt = sqrt(2 delta M). *)

@@ -28,8 +28,6 @@ type stats = {
   link_retries : int;  (** collectives retried after a link drop *)
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 val young_interval : checkpoint_cost:float -> mtbf:float -> float
 (** Young's first-order optimal checkpoint interval
     [sqrt (2 * cost * mtbf)], with cost and mean-time-between-failures in

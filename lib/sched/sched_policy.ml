@@ -37,9 +37,6 @@ let needs_tables = function
   | Cost_lookahead | Critical_path -> true
   | Earliest | Most_active | Round_robin -> false
 
-let uniform_tables ~blocks =
-  { cost = Array.make blocks 1.; depth = Array.make blocks 0. }
-
 let check_tables tables ~n =
   if Array.length tables.cost < n || Array.length tables.depth < n then
     invalid_arg "Sched_policy.pick: tables do not cover every block"

@@ -60,10 +60,6 @@ val needs_tables : t -> bool
 (** Whether {!pick} consults {!tables} for this policy — lets a runtime
     skip building cost tables for the legacy heuristics. *)
 
-val uniform_tables : blocks:int -> tables
-(** Unit cost, zero depth: table-driven policies fall back to their
-    documented no-tables behaviour. *)
-
 val pick : ?tables:tables -> t -> last:int -> counts:int array -> int option
 (** Choose a block index with [counts.(i) > 0], or [None] if all zero.
     [last] is the previously chosen block (for [Round_robin]; pass [-1]

@@ -12,7 +12,6 @@ type config = {
   faults : Fault.event list;
   keep_outputs : bool;
   sink : Obs_sink.t option;
-  slo : Obs_slo.t option;
 }
 
 let default_config ~mesh =
@@ -28,7 +27,6 @@ let default_config ~mesh =
     faults = [];
     keep_outputs = true;
     sink = None;
-    slo = None;
   }
 
 (* The safety valve: a run still going after this many rounds is stuck. *)
@@ -501,20 +499,16 @@ let take t it =
   | f :: rest when f == it -> t.followups <- rest
   | _ -> ignore (src_pop t.src)
 
-let slo_bad t (victim : Admission.item) =
-  match t.cfg.slo with
-  | Some slo ->
-    Obs_slo.observe slo
-      ~cls:(Tenant.slo_name (Admission.item_slo victim))
-      ~now:t.now ~ok:false
-  | None -> ()
+let cls (it : Admission.item) = Tenant.slo_name (Admission.item_slo it)
 
-let emit_rejected t (it : Admission.item) =
-  emit t (Obs_sink.Request_rejected { id = it.Admission.request.Request.id; at = t.now })
+let emit_rejected t (it : Admission.item) ~reason =
+  emit t
+    (Obs_sink.Request_rejected
+       { id = it.Admission.request.Request.id; cls = cls it; reason; at = t.now })
 
 let reject t it reason =
   t.rejected <- (it, reason) :: t.rejected;
-  emit_rejected t it
+  emit_rejected t it ~reason:(Admission.reason_name reason)
 
 let enqueued t (it : Admission.item) =
   emit t (Obs_sink.Request_enqueued { id = it.Admission.request.Request.id; at = t.now })
@@ -537,7 +531,7 @@ let ingest t =
              ~cost:r.Request.cost_hint)
       then begin
         t.throttled <- it :: t.throttled;
-        emit_rejected t it
+        emit_rejected t it ~reason:"throttled"
       end
       else begin
         match Admission.offer t.adm it with
@@ -546,19 +540,17 @@ let ingest t =
           enqueued t it
         | `Shed victim ->
           t.shed <- victim :: t.shed;
-          slo_bad t victim;
           emit t
             (Obs_sink.Request_shed
-               { id = victim.Admission.request.Request.id; at = t.now });
+               { id = victim.Admission.request.Request.id; cls = cls victim;
+                 at = t.now });
           if victim.Admission.request.Request.id <> r.Request.id then begin
             (* The victim left the queue to make room for the offer. *)
             backlog_remove t victim;
             backlog_add t it;
             enqueued t it
           end
-        | `Rejected reason ->
-          slo_bad t it;
-          reject t it reason
+        | `Rejected reason -> reject t it reason
       end
     | _ -> continue := false
   done
@@ -617,21 +609,15 @@ let retire_finished t s b =
         }
       in
       b.b_done_since <- c :: b.b_done_since;
-      (* The burn-rate monitor is fed at retire (like the completion
-         event): a restore replays retired-but-unflushed work, so rates
-         can briefly double-count — acceptable for a rate monitor, where
-         the span trees above stay exactly-once. *)
-      (match t.cfg.slo with
-      | Some slo ->
-        Obs_slo.observe_latency slo
-          ~cls:(Tenant.slo_name (Admission.item_slo f.f_item))
-          ~now:t.now
-          (t.now -. r.Request.arrival)
-      | None -> ());
-      emit t
-        (Obs_sink.Request_completed
-           { id = r.Request.id; queued = r.Request.arrival; started = f.f_started;
-             finished = t.now }))
+      (* Built only for a listener: without a sink a completion costs no
+         event record. *)
+      match t.cfg.sink with
+      | Some sink ->
+        sink
+          (Obs_sink.Request_completed
+             { id = r.Request.id; cls = cls f.f_item; queued = r.Request.arrival;
+               started = f.f_started; finished = t.now })
+      | None -> ())
     finished;
   (* A closed loop must not wait for the next checkpoint to see its
      completions: once no planned kill can still reach this shard,
@@ -1016,9 +1002,9 @@ let fault_tick t =
     let s = t.shards.(ev.Fault.device mod Array.length t.shards) in
     (match s.s_b with Some b -> restore_shard t s b | None -> ())
 
-(* Advance the clock past the round, poll the burn-rate monitor, and
-   jump an idle server to its next arrival; [true] once nothing is left
-   to serve. *)
+(* Advance the clock past the round, report the round's end, and jump
+   an idle server to its next arrival; [true] once nothing is left to
+   serve. *)
 let tail t ~e0 =
   (* Shards run in parallel in simulated time, so the clock advances by
      the slowest shard's round. *)
@@ -1027,10 +1013,8 @@ let tail t ~e0 =
     +. Array.fold_left
          (fun acc s -> Float.max acc (Engine.elapsed s.s_engine -. e0.(s.s_id)))
          0. t.shards;
-  (* Alert edges become sink events; the monitor only observes. *)
-  (match t.cfg.slo with
-  | Some slo ->
-    List.iter (fun a -> emit t (Obs_slo.alert_to_event a)) (Obs_slo.poll slo ~now:t.now)
+  (match t.cfg.sink with
+  | Some sink -> sink (Obs_sink.Round { round = t.round; at = t.now })
   | None -> ());
   t.peak_active <- Stdlib.max t.peak_active (active_count t);
   let idle =

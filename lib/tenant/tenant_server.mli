@@ -43,7 +43,7 @@
       the fleet never notices, and re-execution is bitwise identical;
     + advance the clock by the {e maximum} per-shard engine delta —
       shards serve independent traffic in parallel, there is no
-      cross-shard barrier — and poll the SLO monitor;
+      cross-shard barrier — and emit [Obs_sink.Round] at the new clock;
     + when nothing is queued, parked or in flight, jump the clock to the
       next arrival, or end the run once none is left.
 
@@ -83,23 +83,18 @@ type config = {
           completion leaves the rollback window; plus server-lifecycle
           instants (["pool-grow"], ["pool-shrink"], ["checkpoint"],
           ["restore"]) on {!Obs_span.ops_trace}, [Obs_sink.Ladder]
-          transition events, and [Obs_sink.Slo_alert] edges. Attaching a
-          sink charges no simulated cost and leaves outputs bitwise
-          identical. *)
-  slo : Obs_slo.t option;
-      (** burn-rate monitor, keyed by {!Tenant.slo_name}. Completions
-          feed it at retire time (total latency vs its class threshold);
-          sheds and ladder rejections feed as unconditionally bad; it is
-          polled once per round and alert edges go to [sink]. It only
-          observes: outputs and the simulated clock stay bitwise
-          identical to running without it. *)
+          transition events, and one [Obs_sink.Round] per round. Request
+          events carry the request's class key ({!Tenant.slo_name}), and
+          a rejection its reason, so a burn-rate monitor is one more sink
+          on this stream. Attaching a sink charges no simulated cost
+          and leaves outputs bitwise identical. *)
 }
 
 val default_config : mesh:Mesh.t -> config
 (** 8 lanes per shard, [Sched_policy.Earliest],
     {!Admission.default}, {!Pool.default}, preemption on, [Continuous]
-    refill, checkpoint every 32 rounds, no faults, outputs kept, no SLO
-    monitor. *)
+    refill, checkpoint every 32 rounds, no faults, outputs kept, no
+    sink. *)
 
 type completion = {
   c_item : Admission.item;

@@ -41,5 +41,3 @@ let masked_write_bytes ~lanes ~row = 3. *. bytes_per_elem *. float_of_int (lanes
 let stack_move_bytes ~lanes ~row = 2. *. bytes_per_elem *. float_of_int (lanes * row)
 
 let elem_shape_of_batched t = Shape.drop_outer (Tensor.shape t)
-
-let all_members z = Array.init z (fun i -> i)

@@ -26,6 +26,3 @@ val stack_move_bytes : lanes:int -> row:int -> float
 
 val elem_shape_of_batched : Tensor.t -> Shape.t
 (** Drop the leading batch dimension. *)
-
-val all_members : int -> int array
-(** [[|0; 1; ...; z-1|]] — the identity lane-to-member map. *)

@@ -71,12 +71,14 @@ let golden_trace () =
     (Obs_sink.Collective
        { name = "all_reduce"; bytes = 1024.; t0 = 1.2e-3; t1 = 1.5e-3 });
   Obs_trace.record tr ~track:srv ~ts:0. (Obs_sink.Request_enqueued { id = 0; at = 0. });
-  Obs_trace.record tr ~track:srv ~ts:5e-4 (Obs_sink.Request_shed { id = 7; at = 5e-4 });
+  Obs_trace.record tr ~track:srv ~ts:5e-4
+    (Obs_sink.Request_shed { id = 7; cls = "best-effort"; at = 5e-4 });
   Obs_trace.record tr ~track:srv ~ts:6e-4
-    (Obs_sink.Request_rejected { id = 8; at = 6e-4 });
+    (Obs_sink.Request_rejected
+       { id = 8; cls = "best-effort"; reason = "queue-full"; at = 6e-4 });
   Obs_trace.record tr ~track:srv ~ts:3e-3
     (Obs_sink.Request_completed
-       { id = 0; queued = 0.; started = 1e-3; finished = 3e-3 });
+       { id = 0; cls = "latency"; queued = 0.; started = 1e-3; finished = 3e-3 });
   Obs_trace.record tr ~track:vm ~ts:2e-3 (Obs_sink.Checkpoint { step = 2; bytes = 128 });
   Obs_trace.record tr ~track:vm ~ts:2.5e-3 (Obs_sink.Restore { step = 2; rolled_back = 0. });
   tr

@@ -61,12 +61,20 @@ let all_events : Obs_sink.event list =
     Obs_sink.Launched { kind = Obs_sink.Kernel; name = "k"; t0 = 0.; t1 = 1. };
     Obs_sink.Collective { name = "all_reduce"; bytes = 8.; t0 = 0.; t1 = 1. };
     Obs_sink.Request_enqueued { id = 0; at = 0. };
-    Obs_sink.Request_shed { id = 0; at = 0. };
-    Obs_sink.Request_rejected { id = 0; at = 0. };
-    Obs_sink.Request_completed { id = 0; queued = 0.; started = 0.; finished = 1. };
+    Obs_sink.Request_shed { id = 0; cls = "latency"; at = 0. };
+    Obs_sink.Request_rejected { id = 0; cls = "latency"; reason = "queue-full"; at = 0. };
+    Obs_sink.Request_completed
+      { id = 0; cls = "latency"; queued = 0.; started = 0.; finished = 1. };
     Obs_sink.Checkpoint { step = 1; bytes = 8 };
     Obs_sink.Restore { step = 1; rolled_back = 0. };
     occupancy ~active:1 ~live:2 ~total:4 ~width:4 ~depth:1 ();
+    Obs_sink.Migration { src_shard = 0; dst_shard = 1; member = 0; bytes = 8.; step = 1 };
+    Obs_sink.Span
+      { trace = 0; span = 0; parent = -1; track = 0; name = "request"; t0 = 0.; t1 = 1. };
+    Obs_sink.Ladder { level = "normal"; occupancy = 0.; at = 0. };
+    Obs_sink.Slo_alert
+      { slo = "latency"; fired = true; burn_fast = 1.; burn_slow = 1.; at = 0. };
+    Obs_sink.Round { round = 1; at = 0. };
   ]
 
 let test_kind_names_distinct () =
@@ -76,6 +84,7 @@ let test_kind_names_distinct () =
     [
       "step"; "launch"; "launched"; "collective"; "enqueue"; "shed";
       "reject"; "complete"; "checkpoint"; "restore"; "occupancy";
+      "migration"; "span"; "ladder"; "slo-alert"; "round";
     ]
     tags;
   Alcotest.(check int) "all distinct"

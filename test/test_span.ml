@@ -1,6 +1,7 @@
 (* The request-scoped tracing layer: span recording into Obs_trace and
    tree validation (Obs_span), sliding-window counters (Obs_window), the
-   multi-window burn-rate monitor (Obs_slo), wall-clock probes
+   multi-window burn-rate monitor (Obs_slo) and the sink that feeds it
+   from request events, wall-clock probes
    (Obs_wall), and a QCheck round-trip fuzzer for the JSON layer
    everything exports through. The end-to-end invariants — spans cost
    zero simulated time, every completion gets exactly one tree — are
@@ -228,7 +229,6 @@ let test_window_counter () =
     Obs_window.add c ~now:(float_of_int i) 1.
   done;
   Alcotest.(check (float 1e-9)) "total in window" 5. (Obs_window.total c ~now:4.);
-  Alcotest.(check (float 1e-9)) "rate" 0.5 (Obs_window.rate c ~now:4.);
   Alcotest.(check (float 1e-9)) "all expired" 0. (Obs_window.total c ~now:100.);
   Obs_window.add c ~now:100. 3.;
   Alcotest.(check (float 1e-9)) "fresh after slide" 3.
@@ -249,36 +249,51 @@ let slo_monitor () =
       ]
     ()
 
+(* A completion of class [cls] that finished at [finished] after
+   [latency] simulated seconds. *)
+let completed ?(cls = "lat") ~finished latency =
+  Obs_sink.Request_completed
+    { id = 0; cls; queued = finished -. latency; started = finished; finished }
+
+let shed ?(cls = "lat") at = Obs_sink.Request_shed { id = 0; cls; at }
+let round at = Obs_sink.Round { round = 0; at }
+
 let test_slo_fire_and_resolve () =
   let t = slo_monitor () in
+  let edges = ref [] in
+  let feed = Obs_slo.sink t ~alerts:(fun ev -> edges := ev :: !edges) in
+  (* The edges the round at [at] reported. *)
+  let poll at =
+    edges := [];
+    feed (round at);
+    List.rev !edges
+  in
   (* Clean traffic: nothing fires. *)
   for i = 0 to 19 do
-    Obs_slo.observe t ~cls:"lat" ~now:(0.1 *. float_of_int i) ~ok:true
+    feed (completed ~finished:(0.1 *. float_of_int i) 0.05)
   done;
-  Alcotest.(check (list Alcotest.bool)) "quiet" []
-    (List.map (fun a -> a.Obs_slo.a_fired) (Obs_slo.poll t ~now:2.));
+  Alcotest.(check int) "quiet" 0 (List.length (poll 2.));
   Alcotest.(check bool) "not firing" false (Obs_slo.firing t ~cls:"lat");
   (* Sustained badness: both windows burn, one fire edge. *)
   for i = 0 to 19 do
-    Obs_slo.observe t ~cls:"lat" ~now:(2. +. (0.1 *. float_of_int i)) ~ok:false
+    feed (shed (2. +. (0.1 *. float_of_int i)))
   done;
-  (match Obs_slo.poll t ~now:4. with
-  | [ a ] ->
-    Alcotest.(check bool) "fired" true a.Obs_slo.a_fired;
-    Alcotest.(check string) "class" "lat" a.Obs_slo.a_cls;
-    Alcotest.(check bool) "burns reported" true
-      (a.Obs_slo.a_burn_fast >= 2. && a.Obs_slo.a_burn_slow >= 2.)
+  (match poll 4. with
+  | [ Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; _ } ] ->
+    Alcotest.(check bool) "fired" true fired;
+    Alcotest.(check string) "class" "lat" slo;
+    Alcotest.(check bool) "burns reported" true (burn_fast >= 2. && burn_slow >= 2.)
   | alerts -> Alcotest.failf "expected one fire edge, got %d" (List.length alerts));
   Alcotest.(check bool) "firing" true (Obs_slo.firing t ~cls:"lat");
   (* Steady state: the edge is not re-reported. *)
-  Alcotest.(check int) "no repeat" 0 (List.length (Obs_slo.poll t ~now:4.5));
+  Alcotest.(check int) "no repeat" 0 (List.length (poll 4.5));
   (* Recovery: the bad window ages out entirely, burns drop under half
      the threshold, one resolve edge. *)
   for i = 0 to 99 do
-    Obs_slo.observe t ~cls:"lat" ~now:(10. +. float_of_int i) ~ok:true
+    feed (completed ~finished:(10. +. float_of_int i) 0.05)
   done;
-  (match Obs_slo.poll t ~now:109. with
-  | [ a ] -> Alcotest.(check bool) "resolved" false a.Obs_slo.a_fired
+  (match poll 109. with
+  | [ Obs_sink.Slo_alert { fired; _ } ] -> Alcotest.(check bool) "resolved" false fired
   | alerts ->
     Alcotest.failf "expected one resolve edge, got %d" (List.length alerts));
   Alcotest.(check bool) "not firing after" false (Obs_slo.firing t ~cls:"lat");
@@ -286,20 +301,21 @@ let test_slo_fire_and_resolve () =
 
 let test_slo_latency_and_unknown () =
   let t = slo_monitor () in
-  (* observe_latency classifies against the class threshold. *)
+  let feed = Obs_slo.sink t ~alerts:ignore in
+  (* A completion is classified against the class threshold. *)
   for i = 0 to 9 do
-    Obs_slo.observe_latency t ~cls:"lat" ~now:(float_of_int i) 0.05
+    feed (completed ~finished:(float_of_int i) 0.05)
   done;
   let fast, slow = Obs_slo.burn_rates t ~cls:"lat" ~now:9. in
   Alcotest.(check (float 1e-9)) "fast burn clean" 0. fast;
   Alcotest.(check (float 1e-9)) "slow burn clean" 0. slow;
   for i = 0 to 9 do
-    Obs_slo.observe_latency t ~cls:"lat" ~now:(9. +. float_of_int i) 0.5
+    feed (completed ~finished:(9. +. float_of_int i) 0.5)
   done;
   let fast, _ = Obs_slo.burn_rates t ~cls:"lat" ~now:18. in
   Alcotest.(check bool) "fast burn hot" true (fast > 2.);
   (* Unknown classes are ignored, not errors. *)
-  Obs_slo.observe t ~cls:"nope" ~now:0. ~ok:false;
+  feed (shed ~cls:"nope" 0.);
   let f, s = Obs_slo.burn_rates t ~cls:"nope" ~now:1. in
   Alcotest.(check (float 0.)) "unknown fast" 0. f;
   Alcotest.(check (float 0.)) "unknown slow" 0. s
@@ -324,43 +340,116 @@ let test_slo_config_validation () =
       Obs_slo.class_config ~cls:"x" ~threshold:1. ~burn_threshold:0. ());
   check_invalid (fun () -> Obs_slo.create ~classes:[] ())
 
-let test_slo_alert_event () =
-  let a =
-    {
-      Obs_slo.a_cls = "lat";
-      a_fired = true;
-      a_burn_fast = 3.5;
-      a_burn_slow = 2.5;
-      a_at = 7.;
-    }
+(* What the sink counts: [(observed, breached)] after feeding [events]
+   to a fresh monitor (threshold 0.125 s, exact in binary). *)
+let sink_counts events =
+  let t =
+    Obs_slo.create
+      ~classes:[ Obs_slo.class_config ~cls:"lat" ~threshold:0.125 ~budget:0.1 () ]
+      ()
   in
-  match Obs_slo.alert_to_event a with
-  | Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; at } ->
+  List.iter (Obs_slo.sink t ~alerts:(fun _ -> Alcotest.fail "alert without a round")) events;
+  let count k =
+    match Obs_json.member "lat" (Obs_slo.to_json t ~now:10.) with
+    | Some doc -> (
+      match Obs_json.member k doc with
+      | Some (Obs_json.Int n) -> n
+      | _ -> Alcotest.failf "no %s count" k)
+    | None -> Alcotest.fail "no class document"
+  in
+  (count "observed", count "breached")
+
+let test_slo_sink_counting () =
+  let counts = Alcotest.(pair int int) in
+  let rejected reason =
+    Obs_sink.Request_rejected { id = 0; cls = "lat"; reason; at = 1. }
+  in
+  (* Sheds and admission's own refusals burn the budget. *)
+  Alcotest.check counts "shed" (1, 1) (sink_counts [ shed 1. ]);
+  List.iter
+    (fun reason -> Alcotest.check counts reason (1, 1) (sink_counts [ rejected reason ]))
+    [ "queue-full"; "overloaded:shed-best-effort"; "overloaded:cap-width";
+      "overloaded:reject-new" ];
+  (* Refusals before the queue, and enqueues, are not observed. *)
+  List.iter
+    (fun reason -> Alcotest.check counts reason (0, 0) (sink_counts [ rejected reason ]))
+    [ "throttled"; "invalid-input"; "too-wide" ];
+  Alcotest.check counts "enqueue" (0, 0)
+    (sink_counts [ Obs_sink.Request_enqueued { id = 0; at = 1. } ]);
+  (* A completion is bad exactly when finished - queued exceeds the
+     threshold. *)
+  Alcotest.check counts "at threshold" (1, 0)
+    (sink_counts [ completed ~finished:1.125 0.125 ]);
+  Alcotest.check counts "over threshold" (1, 1)
+    (sink_counts
+       [
+         Obs_sink.Request_completed
+           { id = 0; cls = "lat"; queued = 1.; started = Float.succ 1.125;
+             finished = Float.succ 1.125 };
+       ]);
+  (* Other classes and other events are not this class's business. *)
+  Alcotest.check counts "unknown class" (0, 0)
+    (sink_counts
+       [
+         shed ~cls:"nope" 1.;
+         Obs_sink.Ladder { level = "normal"; occupancy = 0.; at = 1. };
+         Obs_sink.Checkpoint { step = 1; bytes = 8 };
+       ])
+
+(* Alert edges leave the sink only on a [Round], stamped with its clock,
+   as [Slo_alert] events. *)
+let test_slo_alert_event () =
+  let t = slo_monitor () in
+  let alerts = ref [] in
+  let feed = Obs_slo.sink t ~alerts:(fun ev -> alerts := ev :: !alerts) in
+  for i = 0 to 19 do
+    feed (shed (0.1 *. float_of_int i))
+  done;
+  Alcotest.(check int) "no edge before a round" 0 (List.length !alerts);
+  feed (Obs_sink.Round { round = 7; at = 2.5 });
+  (match !alerts with
+  | [ Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; at } ] ->
     Alcotest.(check string) "slo" "lat" slo;
     Alcotest.(check bool) "fired" true fired;
-    Alcotest.(check (float 0.)) "fast" 3.5 burn_fast;
-    Alcotest.(check (float 0.)) "slow" 2.5 burn_slow;
-    Alcotest.(check (float 0.)) "at" 7. at
-  | _ -> Alcotest.fail "expected Slo_alert"
+    (* Every observation is bad: both burns are 1 / budget. *)
+    Alcotest.(check (float 0.)) "fast" 10. burn_fast;
+    Alcotest.(check (float 0.)) "slow" 10. burn_slow;
+    Alcotest.(check (float 0.)) "at" 2.5 at
+  | _ -> Alcotest.fail "expected one Slo_alert");
+  feed (Obs_sink.Round { round = 8; at = 2.6 });
+  Alcotest.(check int) "steady state is silent" 1 (List.length !alerts);
+  Alcotest.(check bool) "firing" true (Obs_slo.firing t ~cls:"lat")
+
+(* The 500-request adversarial run, once without a monitor and once
+   with one in its sink; the monitored run also keeps every alert edge,
+   oldest first. *)
+let adversarial_runs =
+  lazy
+    (let run ?sink () =
+       Tenant_load.run ~pattern:Tenant_load.Adversarial ~n_requests:500 ~verify:false
+         ~keep_outputs:true ~baseline:false ?sink ()
+     in
+     let slo =
+       Obs_slo.create
+         ~classes:
+           (List.map
+              (fun cls -> Obs_slo.class_config ~cls ~threshold:infinity ~burn_threshold:6. ())
+              [ "latency"; "throughput"; "best-effort" ])
+         ()
+     in
+     let alerts = ref [] in
+     let bare = run () in
+     let monitored =
+       run ~sink:(Obs_slo.sink slo ~alerts:(fun ev -> alerts := ev :: !alerts)) ()
+     in
+     (bare, monitored, slo, List.rev !alerts))
 
 (* A monitor that fires must still only observe: the adversarial flood
    rejects far more than a 5% budget allows, so alerts fire, yet every
    completion (id, start, finish, outputs), the makespan and the round
    count match the same run without a monitor bit for bit. *)
 let test_slo_firing_monitor_unperturbed () =
-  let run slo =
-    Tenant_load.run ~pattern:Tenant_load.Adversarial ~n_requests:500 ~verify:false
-      ~keep_outputs:true ~baseline:false ?slo ()
-  in
-  let slo =
-    Obs_slo.create
-      ~classes:
-        (List.map
-           (fun cls -> Obs_slo.class_config ~cls ~threshold:infinity ~burn_threshold:6. ())
-           [ "latency"; "throughput"; "best-effort" ])
-      ()
-  in
-  let bare = run None and monitored = run (Some slo) in
+  let bare, monitored, slo, _ = Lazy.force adversarial_runs in
   Alcotest.(check bool) "monitor fired" true (Obs_slo.fired_total slo >= 1);
   let stats (r : Tenant_load.result) = r.Tenant_load.fair.Tenant_load.stats in
   let digest r =
@@ -381,6 +470,21 @@ let test_slo_firing_monitor_unperturbed () =
     (Int64.bits_of_float (stats monitored).Tenant_server.makespan);
   Alcotest.(check int) "same rounds" (stats bare).Tenant_server.rounds
     (stats monitored).Tenant_server.rounds
+
+(* Every alert edge of the adversarial run, pinned bit for bit: class,
+   edge, clock and both burn rates, floats in hex. *)
+let test_slo_alerts_golden () =
+  let _, _, _, alerts = Lazy.force adversarial_runs in
+  let line = function
+    | Obs_sink.Slo_alert { slo; fired; burn_fast; burn_slow; at } ->
+      Printf.sprintf "%s %s at=%h fast=%h slow=%h\n" slo
+        (if fired then "fired" else "resolved")
+        at burn_fast burn_slow
+    | _ -> assert false
+  in
+  Alcotest.(check bool) "some edges" true (alerts <> []);
+  Result.iter_error Alcotest.fail
+    (Golden.check ~path:"slo_alerts_golden.txt" (String.concat "" (List.map line alerts)))
 
 (* ---------- Obs_wall ---------- *)
 
@@ -506,8 +610,10 @@ let suites =
           test_slo_latency_and_unknown;
         Alcotest.test_case "config validation" `Quick test_slo_config_validation;
         Alcotest.test_case "alert to event" `Quick test_slo_alert_event;
+        Alcotest.test_case "sink counting rule" `Quick test_slo_sink_counting;
         Alcotest.test_case "firing monitor leaves the run unperturbed" `Quick
           test_slo_firing_monitor_unperturbed;
+        Alcotest.test_case "alert edges golden" `Quick test_slo_alerts_golden;
       ] );
     ( "wall",
       [
