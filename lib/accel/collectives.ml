@@ -1,7 +1,5 @@
 type algorithm = Ring | Tree
 
-let algorithm_to_string = function Ring -> "ring" | Tree -> "tree"
-
 let log2_ceil n =
   let rec go acc p = if p >= n then acc else go (acc + 1) (p * 2) in
   go 0 1
@@ -46,16 +44,3 @@ let all_gather_time mesh algo ~bytes =
 
 let p2p_time mesh ~bytes =
   if Mesh.size mesh <= 1 then 0. else step_time (Mesh.link mesh) ~bytes
-
-let broadcast_time mesh algo ~bytes =
-  let n = Mesh.size mesh in
-  if n <= 1 then 0.
-  else begin
-    let l = Mesh.link mesh in
-    match algo with
-    | Ring ->
-      (* Pipelined chain: the payload streams once, paying one latency per
-         hop down the line. *)
-      (bytes /. l.Mesh.bytes_per_sec) +. (float_of_int (n - 1) *. l.Mesh.latency)
-    | Tree -> float_of_int (log2_ceil n) *. step_time l ~bytes
-  end

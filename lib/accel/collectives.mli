@@ -13,15 +13,12 @@
     - ring all-gather:   [(N-1)/N · bytes/bw + (N-1) · lat]
     - tree all-gather:   [(N-1)/N · bytes/bw + ceil(log2 N) · lat]
       (recursive doubling)
-    - ring broadcast:    [bytes/bw + (N-1) · lat] (pipelined chain)
-    - tree broadcast:    [ceil(log2 N) · (bytes/bw + lat)]
+    - point-to-point:    [bytes/bw + lat]
 
     Ring wins on bandwidth for large payloads; tree wins on latency for
     the small per-superstep convergence reductions. *)
 
 type algorithm = Ring | Tree
-
-val algorithm_to_string : algorithm -> string
 
 val all_reduce_time : Mesh.t -> algorithm -> bytes:float -> float
 (** Every device ends with the reduction of all devices' [bytes]-sized
@@ -30,9 +27,6 @@ val all_reduce_time : Mesh.t -> algorithm -> bytes:float -> float
 val all_gather_time : Mesh.t -> algorithm -> bytes:float -> float
 (** [bytes] is the {e total} gathered payload (each device contributes
     [bytes/N] and ends with all of it). *)
-
-val broadcast_time : Mesh.t -> algorithm -> bytes:float -> float
-(** One device's [bytes]-sized payload reaches every other device. *)
 
 val p2p_time : Mesh.t -> bytes:float -> float
 (** A single point-to-point transfer over one mesh link:

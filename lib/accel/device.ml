@@ -52,9 +52,3 @@ let stan_cpu =
     bytes_per_sec = 20e9;
     fused_flops_multiplier = 1.;
   }
-
-let pp ppf d =
-  Format.fprintf ppf
-    "@[<hov 2>device %s:@ launch %gs,@ fused %gs,@ host %gs,@ %g flop/s,@ %g B/s@]"
-    d.name d.kernel_launch_overhead d.fused_launch_overhead d.host_op_overhead
-    d.flops_per_sec d.bytes_per_sec

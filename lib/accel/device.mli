@@ -45,5 +45,3 @@ val cpu : t
 val stan_cpu : t
 (** Single-core optimized native code: no framework overhead at all, scalar
     throughput. Used for the Stan baseline series. *)
-
-val pp : Format.formatter -> t -> unit

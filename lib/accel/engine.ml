@@ -1,10 +1,5 @@
 type mode = Eager | Fused | Hybrid
 
-let mode_to_string = function
-  | Eager -> "eager"
-  | Fused -> "fused"
-  | Hybrid -> "hybrid"
-
 module Counters = struct
   type t = {
     kernel_launches : int;
@@ -124,7 +119,6 @@ let create ~device ~mode () =
     marked = [||];
   }
 
-let device t = t.device
 let mode t = t.mode
 
 (* The shared observability/fault seam: tracing reads the [Launched] spans,
@@ -172,12 +166,6 @@ let[@inline] charge_span t ~name ~t0 =
   | None -> ()
   | Some sink ->
     sink (Obs_sink.Launched { kind = Obs_sink.Kernel; name; t0; t1 = t.tot.time })
-
-let charge_traffic t ~bytes =
-  let t0 = t.tot.time in
-  t.tot.traffic_bytes <- t.tot.traffic_bytes +. bytes;
-  t.tot.time <- t.tot.time +. traffic_time t bytes;
-  charge_span t ~name:"transfer" ~t0
 
 let add_kernel t ~name ~flops =
   bump t (intern t name);
@@ -389,23 +377,5 @@ let restore t (s : snapshot) =
     (fun (name, n) ->
       let id = intern t name in
       t.counts.(id) <- n;
-      t.marked.(id) <- true)
-    s.ops
-
-let merge ~into:t (s : snapshot) =
-  t.st.kernel_launches <- t.st.kernel_launches + s.at.Counters.kernel_launches;
-  t.st.fused_launches <- t.st.fused_launches + s.at.Counters.fused_launches;
-  t.st.host_ops <- t.st.host_ops + s.at.Counters.host_ops;
-  t.st.host_calls <- t.st.host_calls + s.at.Counters.host_calls;
-  t.st.blocks <- t.st.blocks + s.at.Counters.blocks;
-  t.st.lane_refills <- t.st.lane_refills + s.at.Counters.lane_refills;
-  t.st.lane_retires <- t.st.lane_retires + s.at.Counters.lane_retires;
-  t.tot.flops <- t.tot.flops +. s.at.Counters.flops;
-  t.tot.traffic_bytes <- t.tot.traffic_bytes +. s.at.Counters.traffic_bytes;
-  t.tot.time <- t.tot.time +. s.at.Counters.elapsed_seconds;
-  List.iter
-    (fun (name, n) ->
-      let id = intern t name in
-      t.counts.(id) <- t.counts.(id) + n;
       t.marked.(id) <- true)
     s.ops

@@ -15,8 +15,8 @@
 
     Reading an engine back out goes through exactly one door: {!snapshot},
     which captures the cumulative {!Counters.t} record and the per-op
-    tally together. Snapshots merge ({!merge}), restore ({!restore}), and
-    serialize (lib/resil); there is no separate counters-only or
+    tally together. Snapshots restore ({!restore}) and serialize
+    (lib/resil); there is no separate counters-only or
     tally-only readout.
 
     The tally is kept by interned op id, not by name: an engine assigns
@@ -26,8 +26,6 @@
     hashing. *)
 
 type mode = Eager | Fused | Hybrid
-
-val mode_to_string : mode -> string
 
 (** Cumulative cost counters. A plain record: shardable, serializable,
     and summable without touching an engine. *)
@@ -58,7 +56,6 @@ end
 type t
 
 val create : device:Device.t -> mode:mode -> unit -> t
-val device : t -> Device.t
 val mode : t -> mode
 
 val charge_block :
@@ -73,7 +70,7 @@ type priced
 (** A block priced once, ahead of execution, for one engine: its ops as
     the engine's interned op ids, its summed flops, control actions and
     traffic, and the simulated-time terms a charge adds. Op ids are stable
-    for an engine's lifetime (across {!reset}, {!restore} and {!merge}),
+    for an engine's lifetime (across {!reset} and {!restore}),
     so a handle stays valid as long as its engine does — and only on that
     engine. *)
 
@@ -113,10 +110,9 @@ val charge_transfer : t -> name:string -> bytes:float -> seconds:float -> unit
     {!Counters} field (the resilience codec round-trips that record by
     field), so migration tallies ride with [Sched_vm]'s result. *)
 
-val charge_traffic : t -> bytes:float -> unit
 (** The bookkeeping charges above each emit an {!Obs_sink.Launched} span
-    (["host-call"], ["lane-refill"], ["lane-retire"], ["transfer"]) so the
-    profiler can attribute every simulated second, but no
+    (["host-call"], ["lane-refill"], ["lane-retire"], or the transfer's
+    [name]) so the profiler can attribute every simulated second, but no
     {!Obs_sink.Launch} fault point — host-side bookkeeping is not a
     poisonable kernel launch, and fault-injection schedules must not shift
     when a profiler is attached. *)
@@ -142,12 +138,6 @@ val restore : t -> snapshot -> unit
     cumulative cost from time zero. Device and mode are not part of the
     snapshot: restore into an engine built with the same [create]
     arguments. *)
-
-val merge : into:t -> snapshot -> unit
-(** Fold another engine's snapshot into [into]'s mutable state: counts,
-    simulated time and per-op tallies all accumulate. This is how
-    per-shard engines combine after a multi-device run without reaching
-    into each other's state. *)
 
 val set_sink : t -> Obs_sink.t -> unit
 (** Install a structured event sink observing every launch. Each

@@ -4,26 +4,14 @@ let nvlink = { name = "nvlink"; bytes_per_sec = 300e9; latency = 2e-6 }
 let pcie = { name = "pcie"; bytes_per_sec = 32e9; latency = 5e-6 }
 let ethernet = { name = "ethernet"; bytes_per_sec = 12.5e9; latency = 30e-6 }
 
-type t = { name : string; devices : Device.t array; link : link }
+type t = { devices : Device.t array; link : link }
 
-let create ?name ~device ~(link : link) ~n () =
+let create ~device ~link ~n () =
   if n <= 0 then invalid_arg "Mesh.create: need at least one device";
-  let name =
-    match name with
-    | Some s -> s
-    | None -> Printf.sprintf "%dx%s/%s" n device.Device.name link.name
-  in
-  { name; devices = Array.make n device; link }
+  { devices = Array.make n device; link }
 
 let gpu_pod ?(link = nvlink) ~n () = create ~device:Device.gpu ~link ~n ()
-let cpu_cluster ?(link = ethernet) ~n () = create ~device:Device.cpu ~link ~n ()
 
 let size t = Array.length t.devices
 let device t i = t.devices.(i)
 let link t = t.link
-let name t = t.name
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<hov 2>mesh %s:@ %d devices,@ link %s (%g B/s,@ %gs latency)@]" t.name
-    (size t) t.link.name t.link.bytes_per_sec t.link.latency

@@ -24,17 +24,12 @@ val ethernet : link
 
 type t
 
-val create : ?name:string -> device:Device.t -> link:link -> n:int -> unit -> t
+val create : device:Device.t -> link:link -> n:int -> unit -> t
 (** [n] identical devices; raises [Invalid_argument] when [n <= 0]. *)
 
 val gpu_pod : ?link:link -> n:int -> unit -> t
 (** [n] simulated GPUs over NVLink (the default scaling-study mesh). *)
 
-val cpu_cluster : ?link:link -> n:int -> unit -> t
-(** [n] simulated CPUs over Ethernet. *)
-
 val size : t -> int
 val device : t -> int -> Device.t
 val link : t -> link
-val name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -19,7 +19,6 @@ let mk_node tape value backward =
 
 let input tape value = { tape; node = mk_node tape value None }
 let const = input
-let scalar tape v = input tape (Tensor.scalar v)
 let value v = v.node.value
 
 let accumulate node g =

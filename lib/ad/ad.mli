@@ -20,7 +20,6 @@ val input : tape -> Tensor.t -> var
 val const : tape -> Tensor.t -> var
 (** A non-differentiated constant. *)
 
-val scalar : tape -> float -> var
 val value : var -> Tensor.t
 
 (** {1 Operations} *)

@@ -70,11 +70,7 @@ let run_unbatched ?engine c ~batch =
   let reg =
     match engine with None -> c.registry | Some e -> charging_registry e c.registry
   in
-  let z =
-    match batch with
-    | [] -> invalid_arg "Autobatch.run_unbatched: at least one input required"
-    | t :: _ -> (Tensor.shape t).(0)
-  in
+  let z = Vm_util.batch_size ~who:"Autobatch.run_unbatched" batch in
   let per_member =
     List.init z (fun b ->
         let args = List.map (fun t -> Tensor.slice_row t b) batch in

@@ -32,8 +32,6 @@ let log_prob d x =
   | Bernoulli_logit logit -> prim "log_sigmoid" [ ~-logit ] + (x * logit)
   | Flat -> flt 0.
 
-let needs_counter = function Flat -> false | _ -> true
-
 let to_string = function
   | Normal _ -> "normal"
   | Half_cauchy _ -> "half_cauchy"

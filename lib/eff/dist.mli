@@ -36,8 +36,4 @@ type t =
 val log_prob : t -> value -> value
 (** Per-element log density at a value expression. *)
 
-val needs_counter : t -> bool
-(** Whether drawing from this distribution consumes RNG counter ticks
-    (everything except [Flat], which cannot be drawn). *)
-
 val to_string : t -> string

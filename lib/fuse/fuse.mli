@@ -69,9 +69,6 @@ val apply_stack : staged -> Stack_ir.program -> Stack_ir.program * report
 val megablock_count : report -> int
 (** Fused blocks that absorbed more than one source block. *)
 
-val blocks_saved : report -> int
-(** Static block-count reduction summed over both levels. *)
-
 val to_json : report -> Obs_json.t
 (** An {!Obs_report} document named ["fuse"]. *)
 

@@ -30,11 +30,6 @@ type work = {
   mutable prov : int list array;
 }
 
-let term_succ = function
-  | Cfg.Jump j -> [ j ]
-  | Cfg.Branch { if_true; if_false; _ } -> [ if_true; if_false ]
-  | Cfg.Return -> []
-
 let preds w =
   let n = Array.length w.blocks in
   let p = Array.make n 0 in
@@ -43,7 +38,7 @@ let preds w =
   if n > 0 then p.(0) <- p.(0) + 1;
   Array.iter
     (fun (b : Cfg.block) ->
-      List.iter (fun s -> p.(s) <- p.(s) + 1) (term_succ b.Cfg.term))
+      List.iter (fun s -> p.(s) <- p.(s) + 1) (Cfg.successors b.Cfg.term))
     w.blocks;
   p
 
@@ -151,50 +146,6 @@ let speculatable reg ~speculate_rng (ops : Cfg.op list) =
            | Some impl -> impl.Prim.deterministic || speculate_rng))
        ops
 
-(* Definite assignment: for each block, the set of variables every path
-   from the entry has written before the block starts ([None] =
-   unreachable / not yet visited). Meet is intersection over
-   predecessors. Used to prove a select's "keep the incoming value" arm
-   actually has an incoming value to keep. *)
-let definite_assign (fn : Cfg.func) (blocks : Cfg.block array) =
-  let n = Array.length blocks in
-  let din = Array.make n None in
-  if n > 0 then din.(0) <- Some (sset_of_list fn.Cfg.params);
-  let defs_of i =
-    List.fold_left
-      (fun acc op -> Sset.union acc (sset_of_list (Cfg.op_defs op)))
-      Sset.empty blocks.(i).Cfg.ops
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      match din.(i) with
-      | None -> ()
-      | Some s ->
-        let out = Sset.union s (defs_of i) in
-        List.iter
-          (fun j ->
-            let updated =
-              match din.(j) with
-              | None -> Some out
-              | Some cur -> Some (Sset.inter cur out)
-            in
-            let same =
-              match (din.(j), updated) with
-              | Some a, Some b -> Sset.equal a b
-              | None, None -> true
-              | _ -> false
-            in
-            if not same then begin
-              din.(j) <- updated;
-              changed := true
-            end)
-          (term_succ blocks.(i).Cfg.term)
-    done
-  done;
-  din
-
 (* Rename every arm definition to a fresh name so the two speculated arms
    (and the incoming values) coexist in one block. Uses are substituted
    BEFORE the dst is renamed: an op reading its own destination must read
@@ -258,7 +209,8 @@ let if_convert_pass w (st : counters) reg (fn : Cfg.func) ~speculate_rng
       let p = preds w in
       let tmp_fn = { fn with Cfg.blocks = w.blocks } in
       let lv = Liveness.analyze tmp_fn in
-      let din = definite_assign fn w.blocks in
+      let vars = Var_index.number tmp_fn in
+      let din = Validate.must_defined tmp_fn vars in
       try
         Array.iteri
           (fun i (b : Cfg.block) ->
@@ -301,12 +253,10 @@ let if_convert_pass w (st : counters) reg (fn : Cfg.func) ~speculate_rng
                   match din.(i) with
                   | None -> () (* unreachable branch: leave for cleanup *)
                   | Some din_i ->
-                    let def_before =
-                      List.fold_left
-                        (fun acc op ->
-                          Sset.union acc (sset_of_list (Cfg.op_defs op)))
-                        din_i b.Cfg.ops
-                    in
+                    let def_before = Array.copy din_i in
+                    Array.iter (Var_index.add_all def_before)
+                      (Var_index.op_defs vars ~block:i);
+                    let def_before = Var_index.to_sset vars def_before in
                     let live_join = Liveness.live_in lv join in
                     let t_defs = arm_defs t_ops in
                     let f_defs = arm_defs f_ops in
@@ -418,7 +368,7 @@ let remove_unreachable w (st : counters) =
     let rec go i =
       if not reach.(i) then begin
         reach.(i) <- true;
-        List.iter go (term_succ w.blocks.(i).Cfg.term)
+        List.iter go (Cfg.successors w.blocks.(i).Cfg.term)
       end
     in
     go 0;

@@ -138,10 +138,3 @@ let func_weight t fn = Option.value ~default:0. (Hashtbl.find_opt t.by_func fn)
 
 let block_weight t ~fn ~block =
   Option.value ~default:0. (List.assoc_opt (fn, block) t.blocks)
-
-let funcs t =
-  Hashtbl.fold (fun fn w acc -> (fn, w) :: acc) t.by_func []
-  |> List.sort (fun (fa, wa) (fb, wb) ->
-         match compare wb wa with 0 -> compare fa fb | c -> c)
-
-let total t = Hashtbl.fold (fun _ w acc -> acc +. w) t.by_func 0.

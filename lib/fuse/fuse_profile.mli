@@ -19,7 +19,6 @@
 
 type t
 
-val empty : t
 val is_empty : t -> bool
 
 val of_blocks : ((string * int) * float) list -> t
@@ -29,7 +28,6 @@ val of_folded : string -> t
 (** Parse folded-stacks contents. Unparseable lines are skipped; a leaf
     frame without [#k] weights the whole function. *)
 
-val of_json : string -> (t, string) result
 val parse : string -> (t, string) result
 (** Sniff the contents: JSON when the first non-blank byte is ['{'] or
     ['['], folded stacks otherwise. *)
@@ -41,7 +39,3 @@ val func_weight : t -> string -> float
 (** Total weight attributed to a function (0. when absent). *)
 
 val block_weight : t -> fn:string -> block:int -> float
-val funcs : t -> (string * float) list
-(** Per-function weights, heaviest first. *)
-
-val total : t -> float

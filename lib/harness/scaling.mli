@@ -44,12 +44,9 @@ type point = {
   shard_times : float array;   (** per-shard simulated seconds *)
 }
 
-val series_name : [ `Weak | `Strong ] -> string
-
 val run : ?scale:scale -> unit -> point list
 (** Both series, weak first; within a series, ascending device count. *)
 
-val points_of : point list -> [ `Weak | `Strong ] -> point list
 val print : point list -> unit
 
 val to_csv : point list -> string

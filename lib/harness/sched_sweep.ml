@@ -26,12 +26,6 @@ let profiled_pc ?label ~policy (compiled : Autobatch.compiled) ~batch =
     Profile.view_of_prof ~label ~policy:(policy_name policy)
       ~sim_seconds:(Engine.elapsed engine) prof )
 
-let policy_views ?(policies = Sched_policy.all) (compiled : Autobatch.compiled)
-    ~batch () =
-  List.map
-    (fun policy -> snd (profiled_pc ~policy compiled ~batch))
-    policies
-
 let defrag_view ?label ?(policy = Sched_policy.Earliest)
     ?(plan = Sched_plan.default) ~shards ~lanes
     (compiled : Autobatch.compiled) ~batch () =
@@ -82,11 +76,7 @@ let equal_outputs a b =
    reassemble completions in id order — the serving-runtime leg of the
    differential: one tenant on one shard of [lanes] lanes. *)
 let run_server ~policy (compiled : Autobatch.compiled) ~lanes ~batch =
-  let n =
-    match batch with
-    | [] -> invalid_arg "Sched_sweep: at least one input required"
-    | t :: _ -> (Tensor.shape t).(0)
-  in
+  let n = Vm_util.batch_size ~who:"Sched_sweep" batch in
   let tenant = Tenant.make ~id:0 ~name:"sched" () in
   let items =
     List.init n (fun id ->
@@ -176,16 +166,3 @@ let bitwise_matrix ?(policies = Sched_policy.all) ?(plans = default_plans)
         plans)
     policies;
   List.rev !checks
-
-let checks_to_json checks =
-  Obs_json.List
-    (List.map
-       (fun c ->
-         Obs_json.Obj
-           [
-             ("runtime", Obs_json.Str c.c_runtime);
-             ("policy", Obs_json.Str c.c_policy);
-             ("plan", Obs_json.Str c.c_plan);
-             ("bitwise", Obs_json.Bool c.c_ok);
-           ])
-       checks)

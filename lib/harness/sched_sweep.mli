@@ -3,9 +3,9 @@
 
     Three readouts over one compiled workload:
 
-    - {!policy_views}: a profiled program-counter run per policy
+    - {!profiled_pc}: a profiled program-counter run under one policy
       (profiler + fused-GPU engine, wired as {!Profile.run} wires them),
-      as {!Profile.view} rows for {!Profile.print_compare};
+      as a {!Profile.view} row for {!Profile.print_compare};
     - {!defrag_view}: the defragmenting {!Sched_vm} runtime on a mesh of
       small lane pools — the before/after utilization comparison the
       [bench sched] gate scores;
@@ -22,15 +22,6 @@ val profiled_pc :
 (** One profiled whole-batch PC run; returns the outputs (for bitwise
     checks) and the utilization view. [label] defaults to the policy
     name. *)
-
-val policy_views :
-  ?policies:Sched_policy.t list ->
-  Autobatch.compiled ->
-  batch:Tensor.t list ->
-  unit ->
-  Profile.view list
-(** One view per policy (default {!Sched_policy.all}, so the [Earliest]
-    baseline comes first — {!Profile.print_compare}'s convention). *)
 
 val defrag_view :
   ?label:string ->
@@ -57,9 +48,6 @@ type check = {
   c_ok : bool;
 }
 
-val default_plans : (string * Sched_plan.config) list
-(** [no-migration] and [aggressive]. *)
-
 val bitwise_matrix :
   ?policies:Sched_policy.t list ->
   ?plans:(string * Sched_plan.config) list ->
@@ -75,5 +63,3 @@ val bitwise_matrix :
     baseline. *)
 
 val failures : check list -> check list
-
-val checks_to_json : check list -> Obs_json.t

@@ -17,19 +17,6 @@ type params = {
   r_sd : float;  (** observation noise sd *)
 }
 
-val default_params : params
-(** [a = 0.9], [q_sd = 1], [r_sd = 0.5]. *)
-
-val simulate_data :
-  ?seed:int64 -> steps:int -> params -> float array * float array
-(** Ground-truth latent path and observations, [(xs, ys)]. *)
-
-val kalman_log_marginal : params -> float array -> float
-(** Exact [log p(y_{1..T})] by the prediction-error decomposition. *)
-
-val step_elaborated : ?seed:int64 -> params -> Eff.elaborated
-(** The one-step program [(x_prev, y_obs, cnt) -> (x, lp, cnt')]. *)
-
 type result = {
   n_particles : int;
   steps : int;

@@ -21,17 +21,8 @@ type config = {
 val default_config : config
 (** mu0 3, 8 chains, beta floor 0.12, 10-step sweeps, 400 rounds. *)
 
-val betas : config -> float array
-(** The geometric inverse-temperature ladder, [betas.(0) = 1]. *)
-
-val logpi : config -> float -> float
-(** Unnormalized mixture log density (host reference). *)
-
 val second_moment : config -> float
 (** Closed form: [1 + mu0^2]. *)
-
-val sweep_elaborated : ?seed:int64 -> config -> Eff.elaborated
-(** The sweep program [(x, beta, step, cnt) -> (x', lp, cnt')]. *)
 
 type result = {
   config : config;

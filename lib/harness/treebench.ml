@@ -9,14 +9,6 @@ type tree =
   | Leaf of float
   | Node of { feature : int; threshold : float; lo : tree; hi : tree }
 
-let rec depth = function
-  | Leaf _ -> 0
-  | Node { lo; hi; _ } -> 1 + Stdlib.max (depth lo) (depth hi)
-
-let rec leaves = function
-  | Leaf _ -> 1
-  | Node { lo; hi; _ } -> leaves lo + leaves hi
-
 (* A random full tree: features and thresholds from the stream, leaf
    values distinct so path mix-ups cannot cancel. *)
 let random_tree ?(seed = 0x73EEL) ~depth:d ~n_features () =

@@ -11,18 +11,6 @@ type tree =
   | Leaf of float
   | Node of { feature : int; threshold : float; lo : tree; hi : tree }
 
-val depth : tree -> int
-val leaves : tree -> int
-
-val random_tree : ?seed:int64 -> depth:int -> n_features:int -> unit -> tree
-(** A random full tree with distinct leaf values. *)
-
-val eval : tree -> float array -> float
-(** Direct host evaluation — the reference. *)
-
-val elaborated : ?seed:int64 -> n_features:int -> tree -> Eff.elaborated
-(** The program [(x : [n_features]) -> (value, lp)]. *)
-
 type result = {
   depth : int;
   n_features : int;

@@ -45,8 +45,3 @@ let callees t name = Option.value ~default:Sset.empty (Smap.find_opt name t.dire
 let reachable t name = Option.value ~default:(Sset.singleton name) (Smap.find_opt name t.reach)
 
 let may_clobber_caller t ~caller ~callee = Sset.mem caller (reachable t callee)
-
-let is_recursive_program t ~entry =
-  Sset.exists
-    (fun f -> Sset.exists (fun g -> may_clobber_caller t ~caller:f ~callee:g) (callees t f))
-    (reachable t entry)

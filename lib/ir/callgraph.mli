@@ -12,12 +12,6 @@ val build : Cfg.program -> t
 val callees : t -> string -> Ir_util.Sset.t
 (** Direct callees of a function. *)
 
-val reachable : t -> string -> Ir_util.Sset.t
-(** Functions transitively callable from [f], including [f] itself. *)
-
 val may_clobber_caller : t -> caller:string -> callee:string -> bool
 (** Whether a call from [caller] to [callee] can re-enter [caller]
     (i.e. [caller] is reachable from [callee]). *)
-
-val is_recursive_program : t -> entry:string -> bool
-(** Whether any call site reachable from [entry] may clobber its caller. *)

@@ -36,8 +36,6 @@ let block_base p name =
   in
   go 0 p.funcs
 
-let exit_index f = Array.length f.blocks
-
 let op_defs = function
   | Prim_op { dst; _ } | Const_op { dst; _ } | Mov { dst; _ } -> [ dst ]
   | Call_op { dsts; _ } -> dsts
@@ -53,8 +51,7 @@ let term_uses f = function
   | Branch { cond; _ } -> [ cond ]
   | Return -> f.result_vars
 
-let successors f i =
-  match f.blocks.(i).term with
+let successors = function
   | Jump j -> [ j ]
   | Branch { if_true; if_false; _ } -> [ if_true; if_false ]
   | Return -> []

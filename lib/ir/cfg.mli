@@ -34,7 +34,6 @@ type func = {
 
 type program = { funcs : (string * func) list; entry : string }
 
-val find_func : program -> string -> func option
 val find_func_exn : program -> string -> func
 val entry_func : program -> func
 
@@ -43,16 +42,13 @@ val block_base : program -> string -> int
     function [f] is [block_base p f + k], with functions laid end to end
     in [funcs] order. Raises [Invalid_argument] for an unknown name. *)
 
-val exit_index : func -> int
-(** The "done" program-counter value: [Array.length blocks]. *)
-
 val op_defs : op -> string list
 val op_uses : op -> string list
 val term_uses : func -> terminator -> string list
 (** [Return] uses the function's result variables. *)
 
-val successors : func -> int -> int list
-(** Successor block indices ([Return] has none). *)
+val successors : terminator -> int list
+(** A terminator's successor block indices ([Return] has none). *)
 
 val all_vars : func -> string list
 (** Every variable defined or used in the function (params first, sorted
@@ -61,5 +57,4 @@ val all_vars : func -> string list
 val n_ops : func -> int
 
 val pp_op : Format.formatter -> op -> unit
-val pp_func : Format.formatter -> func -> unit
 val pp_program : Format.formatter -> program -> unit

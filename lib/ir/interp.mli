@@ -21,6 +21,3 @@ val run :
     programs). Raises [Invalid_argument]/[Failure] on malformed
     programs — run {!Validate.check_program} first for good error
     messages. *)
-
-val truthy : Tensor.t -> bool
-(** Branch semantics: a condition is a one-element tensor, false iff 0. *)

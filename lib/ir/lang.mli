@@ -72,7 +72,4 @@ end
 val find_func : program -> string -> func option
 val func_names : program -> string list
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_func : Format.formatter -> func -> unit
 val pp_program : Format.formatter -> program -> unit

@@ -40,7 +40,9 @@ let analyze (f : Cfg.func) =
     changed := false;
     for i = n - 1 downto 0 do
       let out = live_out.(i) and inp = live_in.(i) and g = gen.(i) and k = kill.(i) in
-      List.iter (fun j -> Var_index.union_into out live_in.(j)) (Cfg.successors f i);
+      List.iter
+        (fun j -> Var_index.union_into out live_in.(j))
+        (Cfg.successors f.Cfg.blocks.(i).Cfg.term);
       for w = 0 to Array.length inp - 1 do
         let x = g.(w) lor (out.(w) land lnot k.(w)) in
         if x <> inp.(w) then begin

@@ -18,11 +18,6 @@
     RNG primitives are never folded ([Prim.deterministic = false]): their
     value depends on the batch member. *)
 
-val constant_fold : Prim.registry -> Cfg.program -> Cfg.program
-val cse : Prim.registry -> Cfg.program -> Cfg.program
-val copy_propagate : Cfg.program -> Cfg.program
-val dead_code : Cfg.program -> Cfg.program
-
 val run : ?rounds:int -> Prim.registry -> Cfg.program -> Cfg.program
 (** Iterate fold → CSE → propagate → eliminate until a fixpoint or
     [rounds] (default 4) iterations. *)

@@ -87,13 +87,6 @@ val elementwise : string -> ?flops_per_elem:float -> (Tensor.t -> Tensor.t) -> t
     or [Tensor.map f] for a custom float function [f]). Element shape is
     preserved; flops are [flops_per_elem] (default 1) per element. *)
 
-val elementwise2 :
-  string -> ?flops_per_elem:float -> (Tensor.t -> Tensor.t -> Tensor.t) -> t
-(** [elementwise2 name op]: a binary elementwise primitive applying the
-    broadcasting tensor operation [op] (e.g. [Tensor.add], or
-    [Tensor.map2 f]). The batched form first aligns element ranks with
-    {!batch_rank_align}. *)
-
 val batch_rank_align : Tensor.t -> Tensor.t -> Tensor.t * Tensor.t
 (** Insert size-1 axes after the batch axis of the lower-element-rank
     operand so that batched elementwise broadcasting matches the

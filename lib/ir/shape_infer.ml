@@ -70,13 +70,3 @@ let infer reg (p : Cfg.program) ~inputs =
   in
   fixpoint ();
   !shapes
-
-let output_shapes reg p ~inputs =
-  let shapes = infer reg p ~inputs in
-  let entry = Cfg.entry_func p in
-  List.map
-    (fun ret ->
-      match Smap.find_opt ret shapes with
-      | Some s -> s
-      | None -> err "result %s of entry %s has unresolved shape" ret entry.Cfg.name)
-    entry.Cfg.result_vars

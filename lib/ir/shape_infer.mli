@@ -18,8 +18,3 @@ val infer :
     seeding the entry function's parameters with [inputs]. Raises {!Error}
     on arity mismatch, conflicting assignments, a primitive shape error, or
     a non-scalar branch condition. *)
-
-val output_shapes :
-  Prim.registry -> Cfg.program -> inputs:Shape.t list -> Shape.t list
-(** Element shapes of the entry function's results. Raises {!Error} if
-    they cannot be resolved (e.g. no base case ever returns). *)

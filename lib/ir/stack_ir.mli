@@ -49,10 +49,7 @@ val halt : program -> int
 val class_of : program -> string -> Var_class.t
 (** Defaults to [Masked] for variables missing from the map. *)
 
-val all_vars : program -> string list
-
 val op_defs : op -> string list
-val op_uses : op -> string list
 
 val stats : program -> int * int * int
 (** Counts of (temp, masked, stacked) variables. *)

@@ -89,60 +89,68 @@ let func_shape_errors (f : Lang.func) errs =
       :: !errs
 
 (* Must-defined forward dataflow over one CFG function, on bitsets over
-   its variables numbered once by [Var_index]. *)
-let check_defined_before_use (f : Cfg.func) =
+   its variables numbered once by [Var_index]. Blocks start at ⊤ (the
+   entry at its parameters) and the fixpoint intersects over
+   predecessors, so it is the greatest one; an unreachable block is
+   [None]. *)
+let must_defined (f : Cfg.func) vars =
   let n = Array.length f.Cfg.blocks in
-  let errs = ref [] in
-  if n = 0 then [ Printf.sprintf "%s: empty function" f.Cfg.name ]
-  else begin
-    let vars = Var_index.number f in
-    (* defined_in.(i): variables surely defined on entry to block i. *)
-    let defined_in = Array.init n (fun _ -> Var_index.full vars) in
+  let succ i = Cfg.successors f.Cfg.blocks.(i).Cfg.term in
+  (* defined_in.(i): variables surely defined on entry to block i. *)
+  let defined_in = Array.init n (fun _ -> Var_index.full vars) in
+  let defs =
+    Array.init n (fun block ->
+        let d = Var_index.empty vars in
+        Array.iter (Var_index.add_all d) (Var_index.op_defs vars ~block);
+        d)
+  in
+  let preds = Array.make n [] in
+  for i = 0 to n - 1 do
+    List.iter (fun j -> preds.(j) <- i :: preds.(j)) (succ i)
+  done;
+  let reachable = Array.make n false in
+  let rec visit i =
+    if not reachable.(i) then begin
+      reachable.(i) <- true;
+      List.iter visit (succ i)
+    end
+  in
+  if n > 0 then begin
     defined_in.(0) <- Var_index.empty vars;
     Var_index.add_all defined_in.(0) (Var_index.params vars);
-    let defs =
-      Array.init n (fun block ->
-          let d = Var_index.empty vars in
-          Array.iter (Var_index.add_all d) (Var_index.op_defs vars ~block);
-          d)
-    in
-    let preds = Array.make n [] in
-    for i = 0 to n - 1 do
-      List.iter (fun j -> preds.(j) <- i :: preds.(j)) (Cfg.successors f i)
-    done;
-    let inp = Var_index.empty vars in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for i = 1 to n - 1 do
-        match preds.(i) with
-        | [] -> ()  (* unreachable: keep ⊤, never reported *)
-        | ps ->
-          Array.fill inp 0 (Array.length inp) (-1);
-          List.iter
-            (fun p ->
-              for w = 0 to Array.length inp - 1 do
-                inp.(w) <- inp.(w) land (defined_in.(p).(w) lor defs.(p).(w))
-              done)
-            ps;
-          let cur = defined_in.(i) in
-          for w = 0 to Array.length inp - 1 do
-            if inp.(w) <> cur.(w) then begin
-              cur.(w) <- inp.(w);
-              changed := true
-            end
-          done
-      done
-    done;
-    (* Reachability from entry, to avoid reporting dead blocks. *)
-    let reachable = Array.make n false in
-    let rec visit i =
-      if not reachable.(i) then begin
-        reachable.(i) <- true;
-        List.iter visit (Cfg.successors f i)
-      end
-    in
-    visit 0;
+    visit 0
+  end;
+  let inp = Var_index.empty vars in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 1 to n - 1 do
+      match preds.(i) with
+      | [] -> ()  (* unreachable: keep ⊤ *)
+      | ps ->
+        Array.fill inp 0 (Array.length inp) (-1);
+        List.iter
+          (fun p ->
+            for w = 0 to Array.length inp - 1 do
+              inp.(w) <- inp.(w) land (defined_in.(p).(w) lor defs.(p).(w))
+            done)
+          ps;
+        let cur = defined_in.(i) in
+        for w = 0 to Array.length inp - 1 do
+          if inp.(w) <> cur.(w) then begin
+            cur.(w) <- inp.(w);
+            changed := true
+          end
+        done
+    done
+  done;
+  Array.mapi (fun i d -> if reachable.(i) then Some d else None) defined_in
+
+let check_defined_before_use (f : Cfg.func) =
+  let errs = ref [] in
+  if Array.length f.Cfg.blocks = 0 then [ Printf.sprintf "%s: empty function" f.Cfg.name ]
+  else begin
+    let vars = Var_index.number f in
     let report ~where i defined uses =
       Array.iter
         (fun u ->
@@ -153,17 +161,18 @@ let check_defined_before_use (f : Cfg.func) =
               :: !errs)
         uses
     in
-    for i = 0 to n - 1 do
-      if reachable.(i) then begin
-        let defined = Array.copy defined_in.(i) in
-        Array.iteri
-          (fun k uses ->
-            report ~where:"block " i defined uses;
-            Var_index.add_all defined (Var_index.op_defs vars ~block:i).(k))
-          (Var_index.op_uses vars ~block:i);
-        report ~where:"terminator of block " i defined (Var_index.term_uses vars ~block:i)
-      end
-    done;
+    Array.iteri
+      (fun i -> function
+        | None -> ()  (* dead blocks are never reported *)
+        | Some defined_in ->
+          let defined = Array.copy defined_in in
+          Array.iteri
+            (fun k uses ->
+              report ~where:"block " i defined uses;
+              Var_index.add_all defined (Var_index.op_defs vars ~block:i).(k))
+            (Var_index.op_uses vars ~block:i);
+          report ~where:"terminator of block " i defined (Var_index.term_uses vars ~block:i))
+      (must_defined f vars);
     List.sort_uniq compare !errs
   end
 

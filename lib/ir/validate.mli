@@ -26,6 +26,13 @@ val lower_exn : Prim.registry -> Lang.program -> Cfg.program
     one the dataflow check ran on — so a compile lowers once. Raises as
     {!check_exn} does. *)
 
+val must_defined : Cfg.func -> Var_index.t -> Var_index.bits option array
+(** The must-defined analysis behind the dataflow check, on [vars] (the
+    function's {!Var_index.number}ing): per block, [Some] the variables
+    every path from the entry has defined before the block starts, [None]
+    for a block the entry cannot reach. {!Fuse_cfg}'s if-conversion reads
+    it to prove a select's incoming value exists. *)
+
 val check_defined_before_use : Cfg.func -> string list
 (** The CFG-level must-defined check on one function; returns error
     messages (exposed for testing). *)

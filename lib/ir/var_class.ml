@@ -4,6 +4,3 @@ let to_string = function
   | Temp -> "temp"
   | Masked -> "masked"
   | Stacked -> "stacked"
-
-let pp ppf c = Format.pp_print_string ppf (to_string c)
-let equal (a : t) b = a = b

@@ -13,5 +13,3 @@
 type t = Temp | Masked | Stacked
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -28,4 +28,3 @@ let update t ~accept_stat =
 
 let current_eps t = Stdlib.exp t.log_eps
 let adapted_eps t = if t.m = 0 then Stdlib.exp t.log_eps else Stdlib.exp t.log_eps_bar
-let iterations t = t.m

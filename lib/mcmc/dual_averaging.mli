@@ -26,5 +26,3 @@ val current_eps : t -> float
 
 val adapted_eps : t -> float
 (** The averaged step size to use after warmup. *)
-
-val iterations : t -> int

@@ -19,9 +19,6 @@
 
 type params = { n_leapfrog : int }
 
-val default_params : params
-(** 10 leapfrog steps per proposal. *)
-
 val program : ?params:params -> unit -> Lang.program
 
 val input_shapes : model:Model.t -> Shape.t list

@@ -29,12 +29,6 @@ val steps_mass :
     posterior variances): positions advance along the velocity
     [minv ⊙ p]. *)
 
-val kinetic : Tensor.t -> float
-(** [0.5 * p·p] (identity mass). *)
-
-val kinetic_mass : minv:Tensor.t -> Tensor.t -> float
-(** [0.5 * p·(minv ⊙ p)]. *)
-
 val log_joint : logp:(Tensor.t -> float) -> q:Tensor.t -> p:Tensor.t -> float
 (** [logp q - 0.5 p·p] — the negative Hamiltonian (identity mass). *)
 

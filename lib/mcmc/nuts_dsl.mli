@@ -28,9 +28,6 @@ type params = {
   variant : Nuts.variant;  (** the paper's slice sampler, or multinomial *)
 }
 
-val default_params : params
-(** max_depth 10, leaf_steps 4 (paper §4.1), delta_max 1000, slice. *)
-
 val program : ?params:params -> unit -> Lang.program
 
 val params_of_config : Nuts.config -> params

@@ -23,9 +23,6 @@ val y : float array
 val sigma : float array
 (** Their standard errors. *)
 
-val dim : int
-(** 10. *)
-
 val school_effects : Tensor.t -> Tensor.t
 (** Map a position (or posterior-mean) vector to the 8 school effects
     [theta_j = mu + exp(log_tau) * t_j]. *)

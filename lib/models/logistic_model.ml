@@ -65,4 +65,3 @@ let model_of_data { x; y; beta_true = _ } =
     ()
 
 let model ?seed ~n ~dim () = model_of_data (synth ?seed ~n ~dim ())
-let n_data d = (Tensor.shape d.x).(0)

@@ -26,5 +26,3 @@ val model_of_data : data -> Model.t
 
 val model : ?seed:int64 -> n:int -> dim:int -> unit -> Model.t
 (** [model_of_data (synth ?seed ~n ~dim ())]. *)
-
-val n_data : data -> int

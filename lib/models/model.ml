@@ -22,7 +22,6 @@ let spec_exn m =
       (Printf.sprintf "Model.%s: model has no handler-DSL spec" m.name)
 
 let log_density ?seed m = Eff.log_density ?seed ~fn_name:m.name (spec_exn m)
-let simulate ?seed m = Eff.simulate ?seed ~fn_name:m.name (spec_exn m)
 
 let with_grad_counter m =
   let n = ref 0 in

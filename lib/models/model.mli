@@ -43,11 +43,6 @@ val log_density : ?seed:int64 -> t -> Eff.elaborated
     acceptance decision consumes. Raises [Invalid_argument] when the
     model has no [spec]. *)
 
-val simulate : ?seed:int64 -> t -> Eff.elaborated
-(** Elaborate [spec] under the seed interpretation ({!Eff.simulate}):
-    latents drawn through the counter-based RNG primitives, observations
-    scored. Raises [Invalid_argument] when the model has no [spec]. *)
-
 val with_grad_counter : t -> t * int ref
 (** A copy whose [grad] increments the returned counter on every
     evaluation — how the reference samplers report gradient counts. *)

@@ -90,10 +90,15 @@ type event =
       step : int;
     }
       (** A live batch member's lane state moved between lanes — within
-          one shard ([src_shard = dst_shard], a defragmentation move) or
-          across shards (a work steal, priced by [Collectives.p2p_time]).
-          [step] is the defragmenting runtime's planning round; [bytes]
-          the migrated payload. Occupancy improvements then show up in
+          one shard ([src_shard = dst_shard], a [Sched_vm]
+          defragmentation move) or across shards (a [Sched_vm] work steal,
+          or a [Tenant_server] drain or cross-shard resume, priced by
+          [Collectives.p2p_time]). [Tenant_server] reports only the
+          cross-shard kind, one event per lane it counts in its
+          [migrations] stat.
+          [step] is the emitting runtime's round ([Sched_vm]'s planning
+          round, [Tenant_server]'s serving round); [bytes] the migrated
+          payload. Occupancy improvements then show up in
           the ordinary {!Occupancy} stream, and this event attributes
           them to the migrations that caused them. *)
   | Span of {

@@ -39,26 +39,23 @@ val iter : t -> (entry -> unit) -> unit
 val length : t -> int
 (** Kept entries (at most [limit]). *)
 
-val tracks : t -> (int * string) list
 val dropped : t -> int
 
-val to_chrome : t -> Obs_json.t
-(** Chrome trace-event document: [{"traceEvents": [...]}] with
-    thread-name metadata per track, B/E span pairs for supersteps (one
-    span per scheduled block), X complete events for launches, collectives
-    and request queue/service phases, instant events for enqueue/shed/
-    reject/checkpoint/restore, and C counter tracks from
-    {!Obs_sink.Occupancy} events (stacked active/masked/halted lane
-    counts plus a utilization-percent series, per track/shard).
-    {!Obs_sink.Span} events render as ["span"] X events (instants when
-    [t1 = t0]) with [trace]/[span]/[parent] args, on one thread per span
-    [track] — ["tenant N"], and ["ops"] for a negative track — of each
-    recording track (prefixed with that track's name when more than one
-    recording track holds spans), numbered after every track's shard
-    threads, so they never share a thread with a superstep timeline.
-    Timestamps are microseconds. *)
-
 val to_chrome_string : t -> string
+(** The Chrome trace-event document as compact JSON:
+    [{"traceEvents": [...]}] with thread-name metadata per track, B/E
+    span pairs for supersteps (one span per scheduled block), X complete
+    events for launches, collectives and request queue/service phases,
+    instant events for enqueue/shed/reject/checkpoint/restore, and C
+    counter tracks from {!Obs_sink.Occupancy} events (stacked
+    active/masked/halted lane counts plus a utilization-percent series,
+    per track/shard). {!Obs_sink.Span} events render as ["span"] X events
+    (instants when [t1 = t0]) with [trace]/[span]/[parent] args, on one
+    thread per span [track] — ["tenant N"], and ["ops"] for a negative
+    track — of each recording track (prefixed with that track's name
+    when more than one recording track holds spans), numbered after every
+    track's shard threads, so they never share a thread with a superstep
+    timeline. Timestamps are microseconds. *)
 
 val to_csv : ?policy:string -> t -> string
 (** One row per entry: [track,ts,kind,name,detail]. When [policy] is
@@ -67,4 +64,4 @@ val to_csv : ?policy:string -> t -> string
     different scheduling policies concatenate cleanly. *)
 
 val write : t -> path:string -> unit
-(** Write the Chrome document (compact JSON) to [path]. *)
+(** Write {!to_chrome_string} to [path]. *)

@@ -17,17 +17,6 @@ type sample = {
   major_collections : int;
 }
 
-let add a b =
-  {
-    wall_s = a.wall_s +. b.wall_s;
-    cpu_s = a.cpu_s +. b.cpu_s;
-    minor_words = a.minor_words +. b.minor_words;
-    major_words = a.major_words +. b.major_words;
-    promoted_words = a.promoted_words +. b.promoted_words;
-    minor_collections = a.minor_collections + b.minor_collections;
-    major_collections = a.major_collections + b.major_collections;
-  }
-
 (* Allocated words = minor + major - promoted (promoted words would
    otherwise be counted in both generations). *)
 let alloc_words s = s.minor_words +. s.major_words -. s.promoted_words

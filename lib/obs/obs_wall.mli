@@ -22,14 +22,9 @@ val time : (unit -> 'a) -> 'a * sample
 (** [time f] runs [f] and returns its result with the wall, CPU and GC
     deltas across the call. *)
 
-val add : sample -> sample -> sample
-
 val alloc_words : sample -> float
 (** Words allocated: [minor + major - promoted] (promoted words appear
     in both generation counters). *)
-
-val alloc_rate : sample -> float
-(** Allocation rate in words per wall second; 0 when [wall_s] is 0. *)
 
 (** {1 Export} *)
 
@@ -43,6 +38,3 @@ val summary : sample -> string
 
 val span_of_seconds : float -> string
 (** Human duration for table cells: ["312us"], ["4.1ms"], ["1.24s"]. *)
-
-val words : float -> string
-(** Human word count: ["512w"], ["3.1kw"], ["1.2Mw"], ["2.40Gw"]. *)

@@ -32,7 +32,6 @@ type reader = { src : string; mutable pos : int }
 val reader : string -> reader
 val remaining : reader -> int
 val skip : reader -> int -> unit
-val r_i64 : reader -> int64
 val r_int : reader -> int
 val r_float : reader -> float
 val r_bool : reader -> bool

@@ -39,8 +39,6 @@ let injector plan =
   let sorted = List.stable_sort (fun a b -> compare a.superstep b.superstep) plan in
   { pending = sorted; clock = 0; fired = [] }
 
-let clock t = t.clock
-let fired t = List.rev t.fired
 let injected t = List.length t.fired
 
 (* Drop events whose superstep has passed without firing (e.g. a

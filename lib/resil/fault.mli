@@ -48,31 +48,22 @@ type injector
 val injector : event list -> injector
 (** Start an injector at wall-clock 0 over the plan (sorted internally). *)
 
-val clock : injector -> int
-(** Wall supersteps ticked so far (monotone; never rewound by restore). *)
-
 val tick : injector -> unit
 (** Advance the wall clock one superstep. Expires events whose superstep
     has passed unfired, then raises {!Injected} if a [Device_kill] is due
     this superstep. *)
 
-val launch_check : injector -> unit
-(** Raise {!Injected} if a [Kernel_poison] is due at the current wall
-    superstep (the engine's [Launch] seam — fires before the launch is
-    charged). *)
-
 val sink : injector -> Obs_sink.t
 (** The injector as an observability sink: [Step] events run {!tick},
-    [Launch] events run {!launch_check}, everything else is ignored.
+    [Launch] events raise {!Injected} when a [Kernel_poison] is due at
+    the current wall superstep (before the launch is charged), and
+    everything else is ignored.
     Compose it after a user's own sink with {!Obs_sink.fanout} so tracing
     observes a superstep before the fault aborts it. *)
 
 val drops_now : injector -> event list
 (** Pop every [Link_drop] due at the current wall superstep (the driver
     retries the collective and accounts the wasted superstep). *)
-
-val fired : injector -> event list
-(** Events fired so far, oldest first. *)
 
 val injected : injector -> int
 (** [List.length (fired t)]. *)

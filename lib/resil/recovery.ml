@@ -44,13 +44,6 @@ let finish tl inj ~useful =
 let check_interval interval =
   if interval < 0 then invalid_arg "Recovery: checkpoint interval must be >= 0"
 
-let batch_z = function
-  | [] -> invalid_arg "Recovery: at least one input required"
-  | first :: _ ->
-    if Tensor.rank first = 0 then
-      invalid_arg "Recovery: inputs must carry a leading batch dimension";
-    (Tensor.shape first).(0)
-
 (* Install the kernel-poison seam on an engine for the duration of [f].
    The sink is cleared afterwards so the caller's engine is left clean. *)
 let with_engine_sink engine inj f =
@@ -78,7 +71,7 @@ let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg pro
   let inj = Fault.injector plan in
   let user_sink = config.Pc_vm.sink in
   let config = { config with Pc_vm.sink = Some (fault_sink user_sink inj) } in
-  let z = batch_z batch in
+  let z = Vm_util.batch_size ~who:"Recovery" batch in
   let lanes = Pc_vm.Lanes.create ~config reg program ~z in
   for lane = 0 to z - 1 do
     Pc_vm.Lanes.load lanes ~lane ~member:(config.Pc_vm.member_base + lane)

@@ -30,9 +30,6 @@ val decode : kind:string -> string -> (Codec.reader -> 'a) -> 'a
     Exposed so composite snapshots (and tests) can reuse them. Each
     [w_x]/[r_x] pair round-trips exactly. *)
 
-val w_shape : Buffer.t -> Shape.t -> unit
-val r_shape : Codec.reader -> Shape.t
-
 val w_lane_state :
   Pc_vm.Lanes.lane_var array -> Buffer.t -> Pc_vm.Lanes.lane_state -> unit
 (** [w_lane_state vars] writes one lane of a pool whose allocated
@@ -49,11 +46,7 @@ val w_lanes : Buffer.t -> Pc_vm.Lanes.image -> unit
 (** The pool-level fields, the variable list once (name, storage class,
     element shape), then one optional {!w_lane_state} per lane. *)
 
-val r_lanes : Codec.reader -> Pc_vm.Lanes.image
-val w_counters : Buffer.t -> Engine.Counters.t -> unit
-val r_counters : Codec.reader -> Engine.Counters.t
 val w_engine : Buffer.t -> Engine.snapshot -> unit
-val r_engine : Codec.reader -> Engine.snapshot
 
 (** {1 Snapshot kinds} *)
 

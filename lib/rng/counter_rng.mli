@@ -18,8 +18,6 @@ type key
 val key : int64 -> key
 (** Make a key from an experiment seed. *)
 
-val seed_of : key -> int64
-
 val uniform : key -> member:int -> counter:int -> slot:int -> float
 (** Uniform in the open interval (0,1). *)
 
@@ -28,20 +26,3 @@ val normal : key -> member:int -> counter:int -> slot:int -> float
 
 val exponential : key -> member:int -> counter:int -> slot:int -> float
 (** Rate-1 exponential. *)
-
-val bernoulli : key -> p:float -> member:int -> counter:int -> slot:int -> bool
-
-(** {1 Batched draws}
-
-    Counters are given per batch member as a float tensor of shape [[z]]
-    (holding exact small integers, as all VM data does); results get a
-    leading batch dimension. *)
-
-val uniform_batch : key -> counters:Tensor.t -> Tensor.t
-(** Shape [[z]]: one uniform per member at slot 0. *)
-
-val normal_batch : key -> counters:Tensor.t -> dim:int -> Tensor.t
-(** Shape [[z; dim]]: [dim] normals per member (slots [0..dim-1]). *)
-
-val exponential_batch : key -> counters:Tensor.t -> Tensor.t
-(** Shape [[z]]: one exponential per member at slot 0. *)

@@ -84,4 +84,5 @@ let func_tables (p : Cfg.program) ~fn =
   let n = Array.length f.Cfg.blocks in
   if Array.length cost <> n then
     invalid_arg "Sched_cost.func_tables: op counts disagree with block count";
-  { Sched_policy.cost; depth = depths_of ~costs:cost ~n (Cfg.successors f) }
+  let succ i = Cfg.successors f.Cfg.blocks.(i).Cfg.term in
+  { Sched_policy.cost; depth = depths_of ~costs:cost ~n succ }

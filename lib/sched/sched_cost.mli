@@ -10,16 +10,6 @@
     exactly the "remaining road if this lane exits now" the
     [Critical_path] policy wants to prioritize. *)
 
-val stack_costs :
-  ?registry:Prim.registry ->
-  ?profile:Fuse_profile.t ->
-  Stack_ir.program ->
-  float array
-(** Expected cost of one launch of each merged block. *)
-
-val stack_depths : costs:float array -> Stack_ir.program -> float array
-(** Longest cost-weighted forward path to halt, per merged block. *)
-
 val stack_tables :
   ?registry:Prim.registry ->
   ?profile:Fuse_profile.t ->

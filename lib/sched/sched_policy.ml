@@ -25,14 +25,6 @@ let of_string = function
   | "critical-path" | "critical" -> Some Critical_path
   | _ -> None
 
-let of_string_exn s =
-  match of_string s with
-  | Some p -> p
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Sched_policy.of_string_exn: unknown policy %S (%s)" s
-         (String.concat "|" (List.map to_string all)))
-
 let needs_tables = function
   | Cost_lookahead | Critical_path -> true
   | Earliest | Most_active | Round_robin -> false

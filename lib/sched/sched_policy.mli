@@ -53,9 +53,6 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string} (also accepts ["cost"] and ["critical"]). *)
 
-val of_string_exn : string -> t
-(** Raises [Invalid_argument] naming the known policies. *)
-
 val needs_tables : t -> bool
 (** Whether {!pick} consults {!tables} for this policy — lets a runtime
     skip building cost tables for the legacy heuristics. *)

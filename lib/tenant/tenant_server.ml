@@ -155,9 +155,6 @@ type shard = {
   mutable s_built : int;  (* pools built, kept or not *)
 }
 
-let bytes_of outputs =
-  List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. outputs
-
 (* A request's inputs agree with its program: one tensor per program
    input, each row shaped as the program declares. *)
 let inputs_fit (r : Request.t) =
@@ -220,8 +217,6 @@ type t = {
   mutable checkpoints : int; mutable restores : int; mutable wasted : int;
   mutable peak_active : int;
 }
-
-let emit t ev = match t.cfg.sink with Some s -> s ev | None -> ()
 
 (* Span ids are a server-global sequence, assigned at emission time
    only — a rolled-back round never consumes ids, so replays stay
@@ -422,8 +417,11 @@ let restore_shard t s b =
   b.b_force_ckpt <- false;
   t.restores <- t.restores + 1;
   ops_span t "restore";
-  emit t
-    (Obs_sink.Restore { step = t.round; rolled_back = before -. Engine.elapsed s.s_engine })
+  match t.cfg.sink with
+  | Some sink ->
+    sink
+      (Obs_sink.Restore { step = t.round; rolled_back = before -. Engine.elapsed s.s_engine })
+  | None -> ()
 
 (* ---------- binding ---------- *)
 
@@ -502,16 +500,22 @@ let take t it =
 let cls (it : Admission.item) = Tenant.slo_name (Admission.item_slo it)
 
 let emit_rejected t (it : Admission.item) ~reason =
-  emit t
-    (Obs_sink.Request_rejected
-       { id = it.Admission.request.Request.id; cls = cls it; reason; at = t.now })
+  match t.cfg.sink with
+  | Some sink ->
+    sink
+      (Obs_sink.Request_rejected
+         { id = it.Admission.request.Request.id; cls = cls it; reason; at = t.now })
+  | None -> ()
 
 let reject t it reason =
   t.rejected <- (it, reason) :: t.rejected;
   emit_rejected t it ~reason:(Admission.reason_name reason)
 
 let enqueued t (it : Admission.item) =
-  emit t (Obs_sink.Request_enqueued { id = it.Admission.request.Request.id; at = t.now })
+  match t.cfg.sink with
+  | Some sink ->
+    sink (Obs_sink.Request_enqueued { id = it.Admission.request.Request.id; at = t.now })
+  | None -> ()
 
 let ingest t =
   let continue = ref true in
@@ -540,10 +544,13 @@ let ingest t =
           enqueued t it
         | `Shed victim ->
           t.shed <- victim :: t.shed;
-          emit t
-            (Obs_sink.Request_shed
-               { id = victim.Admission.request.Request.id; cls = cls victim;
-                 at = t.now });
+          (match t.cfg.sink with
+          | Some sink ->
+            sink
+              (Obs_sink.Request_shed
+                 { id = victim.Admission.request.Request.id; cls = cls victim;
+                   at = t.now })
+          | None -> ());
           if victim.Admission.request.Request.id <> r.Request.id then begin
             (* The victim left the queue to make room for the offer. *)
             backlog_remove t victim;
@@ -586,7 +593,7 @@ let retire_finished t s b =
         Array.map
           (fun lane ->
             let outs = Pc_vm.Lanes.retire b.b_lanes ~lane in
-            Engine.charge_retire s.s_engine ~bytes:(bytes_of outs);
+            Engine.charge_retire s.s_engine ~bytes:(Vm_util.tensors_bytes outs);
             outs)
           f.f_lanes
       in
@@ -676,7 +683,7 @@ let start_flight t s b (it : Admission.item) =
     (fun i lane ->
       let inputs = Request.lane_inputs r ~row:i in
       Pc_vm.Lanes.load b.b_lanes ~lane ~member:(r.Request.member + i) ~inputs;
-      Engine.charge_refill s.s_engine ~bytes:(bytes_of inputs))
+      Engine.charge_refill s.s_engine ~bytes:(Vm_util.tensors_bytes inputs))
     lanes;
   add_flight b
     { f_item = it; f_lanes = lanes; f_started = t.now; f_preempted = 0; f_marks = [] };
@@ -710,9 +717,10 @@ let export_flight b f =
   b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
   states
 
-(* Import exported lane states into free lanes of shard [s]'s binding,
-   each reported as a migration from shard [src]; returns the lanes and
-   the bytes moved. *)
+(* Import lane states exported from shard [src] into free lanes of
+   shard [s]'s binding; returns the lanes and the bytes moved. A lane
+   that lands on another shard is a migration: counted and reported
+   here, whether a drain or a resume moved it. *)
 let import_states t s b states ~src =
   let lanes = choose_free t b ~width:(Array.length states) in
   let bytes = ref 0. in
@@ -722,10 +730,17 @@ let import_states t s b states ~src =
       Pc_vm.Lanes.import_lane b.b_lanes ~lane st;
       let sb = Pc_vm.Lanes.lane_state_bytes st in
       bytes := !bytes +. sb;
-      emit t
-        (Obs_sink.Migration
-           { src_shard = src; dst_shard = s.s_id; member = st.Pc_vm.Lanes.ls_member;
-             bytes = sb; step = t.round }))
+      if src <> s.s_id then begin
+        t.migrations <- t.migrations + 1;
+        t.migration_bytes <- t.migration_bytes +. sb;
+        match t.cfg.sink with
+        | Some sink ->
+          sink
+            (Obs_sink.Migration
+               { src_shard = src; dst_shard = s.s_id; member = st.Pc_vm.Lanes.ls_member;
+                 bytes = sb; step = t.round })
+        | None -> ()
+      end)
     lanes;
   (lanes, !bytes)
 
@@ -931,11 +946,6 @@ let drain_pass t =
               let states = export_flight b f in
               land_flight t dst ~name:"drain-migrate" ~src:s.s_id states
                 { f with f_marks = ("migrate", t.now, t.now) :: f.f_marks };
-              Array.iter
-                (fun st ->
-                  t.migrations <- t.migrations + 1;
-                  t.migration_bytes <- t.migration_bytes +. Pc_vm.Lanes.lane_state_bytes st)
-                states;
               b.b_force_ckpt <- true)
           b.b_flight;
         if b.b_flight = [] then unbind t s b
@@ -1063,11 +1073,10 @@ let create ?config ?on_complete src =
     Admission.create ~config:cfg.admission
       ~on_transition:(fun ~new_level ~occupancy ->
         match !self with
-        | Some t ->
-          emit t
-            (Obs_sink.Ladder
-               { level = Admission.level_name new_level; occupancy; at = t.now })
-        | None -> ())
+        | Some { cfg = { sink = Some sink; _ }; now; _ } ->
+          sink
+            (Obs_sink.Ladder { level = Admission.level_name new_level; occupancy; at = now })
+        | Some _ | None -> ())
       ()
   in
   let max_target = Stdlib.min n_shards cfg.pool.Pool.max_shards in

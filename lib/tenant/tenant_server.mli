@@ -28,8 +28,8 @@
       of the weakest, most-recently-started victim flights
       ({!Pc_vm.Lanes.export_lane}), park them, and start the head in the
       freed lanes;
-    + resume parked jobs wherever a same-digest shard has room (a
-      cross-shard resume is a migration); they re-import and continue
+    + resume parked jobs wherever a same-digest shard has room; they
+      re-import and continue
       bitwise-exactly — the RNG keys on (seed, member, counter), never
       on lane, shard, or wall time;
     + checkpoint each shard every [checkpoint_interval] rounds (plus a
@@ -46,6 +46,13 @@
       cross-shard barrier — and emit [Obs_sink.Round] at the new clock;
     + when nothing is queued, parked or in flight, jump the clock to the
       next arrival, or end the run once none is left.
+
+    A migration is one lane state landing on a shard other than the one
+    that exported it, by a drain or by a resume: each is counted in
+    {!stats}' [migrations] and [migration_bytes] and reported as one
+    [Obs_sink.Migration] event, so the two always agree. A job resumed
+    on the shard it was parked from moves no state between shards and
+    is neither counted nor reported.
 
     Every completed request's outputs are bitwise-identical to running
     it alone with [member_base = member] — cache hit or miss, preempted
@@ -122,8 +129,8 @@ type stats = {
                                       work to last completion *)
   preemptions : int;
   resumes : int;
-  migrations : int;
-  migration_bytes : float;
+  migrations : int;  (** lanes landed on another shard (drain or resume) *)
+  migration_bytes : float;  (** their lane-state bytes *)
   binds : int;
   rebinds : int;
   grows : int;

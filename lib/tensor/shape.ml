@@ -66,9 +66,6 @@ let broadcast2 a b =
   done;
   out
 
-let broadcastable a b =
-  match broadcast2 a b with _ -> true | exception Invalid_argument _ -> false
-
 let remove_axis s axis =
   let n = Array.length s in
   if axis < 0 || axis >= n then invalid_arg "Shape.remove_axis: bad axis";
@@ -84,5 +81,3 @@ let drop_outer s =
 
 let to_string s =
   Printf.sprintf "[%s]" (String.concat ";" (Array.to_list (Array.map string_of_int s)))
-
-let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -36,8 +36,6 @@ val broadcast2 : t -> t -> t
     trailing end; a dimension broadcasts against an equal one or against 1,
     and 1 against 0 gives 0. Raises [Invalid_argument] when the shapes are incompatible. *)
 
-val broadcastable : t -> t -> bool
-
 val remove_axis : t -> int -> t
 (** Shape with dimension [axis] removed, e.g. for a reduction along it. *)
 
@@ -49,5 +47,3 @@ val drop_outer : t -> t
 
 val to_string : t -> string
 (** E.g. ["[2;3]"]; ["[]"] for scalars. *)
-
-val pp : Format.formatter -> t -> unit

@@ -356,10 +356,6 @@ let[@inline] axis_reduce op init t axis =
   done;
   { shape = out_shape; data = out }
 
-let check_nonempty_axis name t axis =
-  if t.shape.(axis) = 0 then
-    invalid_arg (Printf.sprintf "Tensor.%s: reduction over empty axis %d" name axis)
-
 let sum ?axis t =
   match axis with
   | None -> scalar (full_reduce Add 0. t)
@@ -371,27 +367,6 @@ let mean ?axis t =
   | Some a ->
     let s = axis_reduce Add 0. t a in
     mul_scalar s (1. /. float_of_int t.shape.(a))
-
-let max_reduce ?axis t =
-  match axis with
-  | None ->
-    if numel t = 0 then invalid_arg "Tensor.max_reduce: empty tensor";
-    scalar (full_reduce Max Float.neg_infinity t)
-  | Some a ->
-    check_nonempty_axis "max_reduce" t a;
-    axis_reduce Max Float.neg_infinity t a
-
-let min_reduce ?axis t =
-  match axis with
-  | None ->
-    if numel t = 0 then invalid_arg "Tensor.min_reduce: empty tensor";
-    scalar (full_reduce Min Float.infinity t)
-  | Some a ->
-    check_nonempty_axis "min_reduce" t a;
-    axis_reduce Min Float.infinity t a
-
-let sum_last t =
-  if rank t = 0 then copy t else sum ~axis:(rank t - 1) t
 
 (* Linear algebra *)
 
@@ -514,18 +489,6 @@ let put_rows t idx src =
       Array.blit src.data (i * rn) out (r * rn) rn)
     idx;
   { shape = t.shape; data = out }
-
-let select_rows mask a b =
-  if not (Shape.equal a.shape b.shape) then
-    invalid_arg "Tensor.select_rows: operand shapes differ";
-  if nrows a <> Array.length mask then
-    invalid_arg "Tensor.select_rows: mask length does not match rows";
-  let rn = row_numel a in
-  let out = Array.copy b.data in
-  Array.iteri
-    (fun i m -> if m then Array.blit a.data (i * rn) out (i * rn) rn)
-    mask;
-  { shape = a.shape; data = out }
 
 let blit_rows_masked ~mask ~src ~dst =
   if not (Shape.equal src.shape dst.shape) then

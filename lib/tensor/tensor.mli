@@ -133,14 +133,9 @@ val where : t -> t -> t -> t
 
 val sum : ?axis:int -> t -> t
 val mean : ?axis:int -> t -> t
-val max_reduce : ?axis:int -> t -> t
-val min_reduce : ?axis:int -> t -> t
 (** Without [axis]: full reduction to a scalar tensor. With [axis]: that
-    dimension is removed. Reducing an empty axis raises for min/max and
-    yields 0 (or NaN for mean) for sum/mean. *)
-
-val sum_last : t -> t
-(** Reduce along the last axis: convenience for batched inner products. *)
+    dimension is removed. Reducing an empty axis yields 0 (or NaN for
+    mean). *)
 
 (** {1 Linear algebra (rank-2 / rank-1)} *)
 
@@ -173,11 +168,6 @@ val take_rows : t -> int array -> t
 val put_rows : t -> int array -> t -> t
 (** [put_rows t idx src] returns a copy of [t] with row [idx.(i)]
     replaced by row [i] of [src]. Later duplicates win. *)
-
-val select_rows : bool array -> t -> t -> t
-(** [select_rows mask a b] picks row [i] from [a] when [mask.(i)], else
-    from [b]. [a] and [b] must have identical shapes with
-    [nrows = Array.length mask]. *)
 
 val blit_rows_masked : mask:bool array -> src:t -> dst:t -> unit
 (** In-place masked row update: [dst.(i) <- src.(i)] where [mask.(i)].

@@ -21,22 +21,8 @@ let default_config =
     sink = None;
   }
 
-let batch_size batch =
-  match batch with
-  | [] -> invalid_arg "Local_vm: at least one input required"
-  | first :: _ ->
-    if Tensor.rank first = 0 then
-      invalid_arg "Local_vm: inputs must carry a leading batch dimension";
-    let z = (Tensor.shape first).(0) in
-    List.iter
-      (fun t ->
-        if Tensor.rank t = 0 || (Tensor.shape t).(0) <> z then
-          invalid_arg "Local_vm: inputs disagree on the batch dimension")
-      batch;
-    z
-
 let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
-  let z = batch_size batch in
+  let z = Vm_util.batch_size ~who:"Local_vm" batch in
   if Array.length active <> z then
     invalid_arg "Local_vm: active mask length must equal the batch size";
   if Vm_util.count_mask active = 0 then
@@ -256,5 +242,5 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
   run_function (Cfg.entry_func p) ~depth:1 batch active
 
 let run ?config reg p ~batch =
-  let z = batch_size batch in
+  let z = Vm_util.batch_size ~who:"Local_vm" batch in
   run_active ?config reg p ~batch ~active:(Array.make z true)

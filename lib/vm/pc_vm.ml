@@ -124,20 +124,6 @@ let initial_depth = 4
    scattering the rows costs about what the skipped rows would. *)
 let gather_ratio = 16.
 
-let batch_size batch =
-  match batch with
-  | [] -> invalid_arg "Pc_vm: at least one input required"
-  | first :: _ ->
-    if Tensor.rank first = 0 then
-      invalid_arg "Pc_vm: inputs must carry a leading batch dimension";
-    let z = (Tensor.shape first).(0) in
-    List.iter
-      (fun t ->
-        if Tensor.rank t = 0 || (Tensor.shape t).(0) <> z then
-          invalid_arg "Pc_vm: inputs disagree on the batch dimension")
-      batch;
-    z
-
 (* A variable with no inferred shape has no storage: only dead or
    never-returning code mentions one, and touching it is an error. *)
 let no_shape names k =
@@ -908,7 +894,7 @@ module Lanes = struct
 end
 
 let run_template ?(config = default_config) reg tpl ~batch =
-  let z = batch_size batch in
+  let z = Vm_util.batch_size ~who:"Pc_vm" batch in
   let lanes = Lanes.bind ~config reg tpl ~z in
   for lane = 0 to z - 1 do
     Lanes.load lanes ~lane ~member:(config.member_base + lane)

@@ -55,30 +55,12 @@ type t = {
    live/free counts the planner reads). *)
 let sync_bytes = 8.
 
-let batch_size batch =
-  match batch with
-  | [] -> invalid_arg "Sched_vm: at least one input required"
-  | first :: _ ->
-    if Tensor.rank first = 0 then
-      invalid_arg "Sched_vm: inputs must carry a leading batch dimension";
-    let n = (Tensor.shape first).(0) in
-    if n = 0 then invalid_arg "Sched_vm: empty batch";
-    List.iter
-      (fun t ->
-        if Tensor.rank t = 0 || (Tensor.shape t).(0) <> n then
-          invalid_arg "Sched_vm: inputs disagree on the batch dimension")
-      batch;
-    n
-
-let bytes_of ts =
-  List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. ts
-
 let static t = not t.config.plan.Sched_plan.refill
 
 let member_inputs t m = List.map (fun x -> Tensor.slice_row x m) t.batch
 
 let create ?(config = default_config) reg (p : Stack_ir.program) ~batch =
-  let n = batch_size batch in
+  let n = Vm_util.batch_size ~who:"Sched_vm" batch in
   let k = Mesh.size config.mesh in
   (* The static partition gives each device a pool exactly as wide as its
      slice of the batch; the refilling plans give every device [lanes]. *)
@@ -205,7 +187,7 @@ let planned_round t =
           let m = Pc_vm.Lanes.member pool ~lane in
           let outs = Pc_vm.Lanes.retire pool ~lane in
           Option.iter
-            (fun e -> Engine.charge_retire e ~bytes:(bytes_of outs))
+            (fun e -> Engine.charge_retire e ~bytes:(Vm_util.tensors_bytes outs))
             t.engines.(s);
           t.outputs.(m) <- Some outs;
           activity := true)
@@ -233,7 +215,7 @@ let planned_round t =
         let inputs = member_inputs t m in
         Pc_vm.Lanes.load t.pools.(r_shard) ~lane:r_lane ~member:m ~inputs;
         Option.iter
-          (fun e -> Engine.charge_refill e ~bytes:(bytes_of inputs))
+          (fun e -> Engine.charge_refill e ~bytes:(Vm_util.tensors_bytes inputs))
           t.engines.(r_shard);
         t.refills <- t.refills + 1;
         activity := true)
@@ -288,7 +270,7 @@ let finish t =
     Array.map (function Some e -> Engine.elapsed e | None -> 0.) t.engines
   in
   let compute_time = Array.fold_left Float.max 0. shard_times in
-  let output_bytes = bytes_of outputs in
+  let output_bytes = Vm_util.tensors_bytes outputs in
   let all_reduce_total =
     float_of_int t.rounds
     *. Collectives.all_reduce_time t.config.mesh t.config.collective

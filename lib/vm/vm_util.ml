@@ -2,6 +2,24 @@
 
 let bytes_per_elem = 8.
 
+let tensors_bytes ts =
+  List.fold_left (fun acc x -> acc +. (bytes_per_elem *. float_of_int (Tensor.numel x))) 0. ts
+
+let batch_size ~who batch =
+  match batch with
+  | [] -> invalid_arg (who ^ ": at least one input required")
+  | first :: _ ->
+    if Tensor.rank first = 0 then
+      invalid_arg (who ^ ": inputs must carry a leading batch dimension");
+    let z = (Tensor.shape first).(0) in
+    if z = 0 then invalid_arg (who ^ ": empty batch");
+    List.iter
+      (fun t ->
+        if Tensor.rank t = 0 || (Tensor.shape t).(0) <> z then
+          invalid_arg (who ^ ": inputs disagree on the batch dimension"))
+      batch;
+    z
+
 let indices_of_mask mask =
   let n = Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 mask in
   let out = Array.make n 0 in

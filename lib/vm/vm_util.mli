@@ -1,8 +1,18 @@
-(** Shared helpers for the autobatching runtimes (mask bookkeeping and the
-    cost model's byte accounting). *)
+(** Shared helpers for the autobatching runtimes (mask bookkeeping, the
+    whole-batch input check, and the cost model's byte accounting). *)
 
 val bytes_per_elem : float
 (** Every element is a float64. *)
+
+val tensors_bytes : Tensor.t list -> float
+(** The bytes the tensors hold: what a lane refill writes or a retire
+    reads back. *)
+
+val batch_size : who:string -> Tensor.t list -> int
+(** The common leading dimension of a runtime's whole-batch inputs.
+    Raises [Invalid_argument], prefixed with [who], when there is no
+    input, an input is a scalar, the batch is empty, or the inputs
+    disagree on it. *)
 
 val indices_of_mask : bool array -> int array
 (** Positions of the set lanes, in order. *)

@@ -55,8 +55,9 @@ let test_kernel_and_call () =
 
 let test_traffic_and_reset () =
   let e = Engine.create ~device:tiny_device ~mode:Engine.Fused () in
-  Engine.charge_traffic e ~bytes:25.;
-  check_f "traffic time" 0.5 (Engine.elapsed e);
+  Engine.charge_transfer e ~name:"move" ~bytes:25. ~seconds:0.25;
+  (* 0.5 host dispatch + 25/50 traffic + 0.25 link *)
+  check_f "traffic time" 1.25 (Engine.elapsed e);
   Engine.reset e;
   check_f "reset time" 0. (Engine.elapsed e);
   Alcotest.(check int) "reset counters" 0 ((Engine.snapshot e).Engine.at).Engine.Counters.blocks
@@ -99,21 +100,14 @@ let prop_time_monotone =
 (* The interned tally against a model with the semantics the tally had
    as a name-keyed hash table: a bump adds one to the name's count (from 0
    when absent), [reset] empties it, [restore] empties it and writes each
-   entry (the last duplicate wins), [merge] adds each entry (an absent name
-   starts at 0), and a readout lists every entry by name. A name a restore
-   or merge wrote stays in the readout even at count zero. *)
+   entry (the last duplicate wins), and a readout lists every entry by
+   name. A name a restore wrote stays in the readout even at count zero. *)
 module Model = struct
   let bump m name =
     (name, 1 + Option.value ~default:0 (List.assoc_opt name m)) :: List.remove_assoc name m
 
   let restore ops =
     List.fold_left (fun m (name, n) -> (name, n) :: List.remove_assoc name m) [] ops
-
-  let merge m ops =
-    List.fold_left
-      (fun m (name, n) ->
-        (name, n + Option.value ~default:0 (List.assoc_opt name m)) :: List.remove_assoc name m)
-      m ops
 
   let readout m = List.sort (fun (a, _) (b, _) -> compare a b) m
 end
@@ -124,12 +118,11 @@ type tally_op =
   | Kernel of string
   | Reset
   | Restore of (string * int) list
-  | Merge of (string * int) list
 
 let op_names = [| "a"; "add"; "b"; "grad"; "mov"; "const" |]
 
 (* Blocks the [Priced] steps charge through handles priced up front, so a
-   handle outlives every reset/restore/merge that follows it. *)
+   handle outlives every reset and restore that follows it. *)
 let priced_blocks = [| [ "grad"; "add"; "grad" ]; [ "mov" ]; []; [ "b"; "const" ] |]
 
 let gen_tally_op =
@@ -143,7 +136,6 @@ let gen_tally_op =
       (2, map (fun n -> Kernel n) name);
       (1, return Reset);
       (1, map (fun e -> Restore e) entries);
-      (1, map (fun e -> Merge e) entries);
     ]
 
 let show_entries e =
@@ -155,7 +147,6 @@ let show_tally_op = function
   | Kernel n -> "kernel " ^ n
   | Reset -> "reset"
   | Restore e -> "restore" ^ show_entries e
-  | Merge e -> "merge" ^ show_entries e
 
 let encode snap =
   let b = Buffer.create 64 in
@@ -217,18 +208,14 @@ let prop_tally_model =
             model := []
           | Restore ops ->
             both (fun e -> Engine.restore e { Engine.at = snap_at 3; ops });
-            model := Model.restore ops
-          | Merge ops ->
-            both (fun e -> Engine.merge ~into:e { Engine.at = snap_at 1; ops });
-            model := Model.merge !model ops);
+            model := Model.restore ops);
           agree ())
         steps;
       true)
 
 let test_zero_counts_kept () =
   let e = Engine.create ~device:tiny_device ~mode:Engine.Fused () in
-  Engine.restore e { Engine.at = Engine.Counters.zero; ops = [ ("b", 0) ] };
-  Engine.merge ~into:e { Engine.at = Engine.Counters.zero; ops = [ ("a", 0) ] };
+  Engine.restore e { Engine.at = Engine.Counters.zero; ops = [ ("b", 0); ("a", 0) ] };
   Alcotest.(check (list (pair string int))) "zero entries survive"
     [ ("a", 0); ("b", 0) ] (Engine.snapshot e).Engine.ops;
   Engine.reset e;

@@ -117,8 +117,7 @@ let test_dual_averaging_monotone_response () =
     Dual_averaging.update da_high ~accept_stat:1.
   done;
   Alcotest.(check bool) "acceptances grow eps" true
-    (Dual_averaging.adapted_eps da_high > 1.);
-  Alcotest.(check int) "iteration count" 50 (Dual_averaging.iterations da_high)
+    (Dual_averaging.adapted_eps da_high > 1.)
 
 let test_hmc_posterior_moments () =
   let m = gaussian 3 in

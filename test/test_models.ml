@@ -75,7 +75,6 @@ let test_gaussian_errors () =
 
 let test_logistic_construction () =
   let l = Logistic_model.synth ~n:200 ~dim:5 () in
-  Alcotest.(check int) "n_data" 200 (Logistic_model.n_data l);
   Alcotest.(check (array int)) "x shape" [| 200; 5 |] (Tensor.shape l.Logistic_model.x);
   Alcotest.(check (array int)) "y shape" [| 200 |] (Tensor.shape l.Logistic_model.y);
   Tensor.fold (fun () v ->

@@ -57,41 +57,6 @@ let test_exponential_moments () =
   done;
   Alcotest.(check bool) "mean ~ 1" true (Float.abs ((!acc /. float_of_int n) -. 1.) < 0.03)
 
-let test_bernoulli () =
-  let n = 10_000 in
-  let hits = ref 0 in
-  for i = 0 to n - 1 do
-    if Counter_rng.bernoulli key ~p:0.3 ~member:0 ~counter:i ~slot:0 then incr hits
-  done;
-  let p = float_of_int !hits /. float_of_int n in
-  Alcotest.(check bool) "p ~ 0.3" true (Float.abs (p -. 0.3) < 0.02)
-
-let test_batched_match_single () =
-  let counters = Tensor.of_list [ 0.; 5.; 2. ] in
-  let u = Counter_rng.uniform_batch key ~counters in
-  for b = 0 to 2 do
-    Alcotest.(check (float 0.)) "uniform batch = single"
-      (Counter_rng.uniform key ~member:b
-         ~counter:(int_of_float (Tensor.data counters).(b))
-         ~slot:0)
-      (Tensor.data u).(b)
-  done;
-  let nt = Counter_rng.normal_batch key ~counters ~dim:4 in
-  Alcotest.(check (array int)) "normal batch shape" [| 3; 4 |] (Tensor.shape nt);
-  for b = 0 to 2 do
-    for j = 0 to 3 do
-      Alcotest.(check (float 0.)) "normal batch = single"
-        (Counter_rng.normal key ~member:b
-           ~counter:(int_of_float (Tensor.data counters).(b))
-           ~slot:j)
-        (Tensor.get nt [| b; j |])
-    done
-  done;
-  let e = Counter_rng.exponential_batch key ~counters in
-  Alcotest.(check (float 0.)) "exponential batch = single"
-    (Counter_rng.exponential key ~member:1 ~counter:5 ~slot:0)
-    (Tensor.data e).(1)
-
 let test_stream () =
   let s1 = Splitmix.Stream.create 1L in
   let s2 = Splitmix.Stream.create 1L in
@@ -147,8 +112,6 @@ let suites =
         t "uniform range and moments" `Quick test_uniform_range_and_moments;
         t "normal moments" `Quick test_normal_moments;
         t "exponential moments" `Quick test_exponential_moments;
-        t "bernoulli" `Quick test_bernoulli;
-        t "batched draws match single" `Quick test_batched_match_single;
         t "sequential stream" `Quick test_stream;
         t "stream state round trip" `Quick test_stream_state_roundtrip;
         t "mix64 no collisions" `Quick test_mix64_bijective_sample;

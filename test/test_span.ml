@@ -495,16 +495,7 @@ let test_wall_measures_allocation () =
   Alcotest.(check int) "result passed through" 200_000 (List.length xs);
   Alcotest.(check bool) "wall nonneg" true (s.Obs_wall.wall_s >= 0.);
   Alcotest.(check bool) "allocation observed" true
-    (Obs_wall.alloc_words s > 0.);
-  Alcotest.(check bool) "rate consistent" true
-    (s.Obs_wall.wall_s = 0. || Obs_wall.alloc_rate s > 0.);
-  (* add is fieldwise. *)
-  let two = Obs_wall.add s s in
-  Alcotest.(check (float 1e-12)) "add wall" (2. *. s.Obs_wall.wall_s)
-    two.Obs_wall.wall_s;
-  Alcotest.(check (float 1e-3)) "add alloc"
-    (2. *. Obs_wall.alloc_words s)
-    (Obs_wall.alloc_words two)
+    (Obs_wall.alloc_words s > 0.)
 
 (* ---------- Obs_json round-trip fuzzing ---------- *)
 

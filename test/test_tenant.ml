@@ -1251,6 +1251,31 @@ let test_load_verifies_bitwise () =
   Alcotest.(check int) "no mismatches" 0 r.Tenant_load.mismatches;
   Alcotest.(check bool) "completions verified" true (r.Tenant_load.verified > 0)
 
+(* A lane landing on another shard is a migration, whichever path moved
+   it (a drain or a cross-shard resume): the server's count and bytes
+   equal its [Migration] events, and a lane resumed on its own shard is
+   neither counted nor reported. *)
+let test_load_migrations_match_events () =
+  let events = ref [] in
+  let sink = function
+    | Obs_sink.Migration { src_shard; dst_shard; bytes; _ } ->
+      events := (src_shard, dst_shard, bytes) :: !events
+    | _ -> ()
+  in
+  let r =
+    Tenant_load.run ~n_requests:1000 ~baseline:false ~verify:false ~sink ()
+  in
+  let st = r.Tenant_load.fair.Tenant_load.stats in
+  Alcotest.(check bool) "the trace migrates lanes" true (!events <> []);
+  Alcotest.(check int) "one count per event" (List.length !events)
+    st.Tenant_server.migrations;
+  List.iter
+    (fun (src, dst, _) -> Alcotest.(check bool) "lands on another shard" true (src <> dst))
+    !events;
+  Alcotest.(check (float 0.)) "bytes are the events' bytes"
+    (List.fold_left (fun acc (_, _, b) -> acc +. b) 0. (List.rev !events))
+    st.Tenant_server.migration_bytes
+
 (* ---------- tenant server: conservation, round by round ---------- *)
 
 (* A random small server driven one [step_round] at a time: 1-3 shards
@@ -1491,6 +1516,7 @@ let suites =
       [
         t "deterministic under --seed" `Quick test_load_deterministic_under_seed;
         t "completions verify against solo" `Quick test_load_verifies_bitwise;
+        t "migrations are the cross-shard landings" `Quick test_load_migrations_match_events;
       ] );
       (* Suite names kept from the retired request server's tests, whose
        behaviour these now check on the one serving runtime. *)

@@ -114,9 +114,6 @@ let test_reductions () =
   close (Tensor.sum ~axis:1 m) (Tensor.of_list [ 6.; 15. ]) "sum axis 1";
   close (Tensor.mean ~axis:1 m) (Tensor.of_list [ 2.; 5. ]) "mean axis 1";
   check_f "mean all" 3.5 (Tensor.item (Tensor.mean m));
-  close (Tensor.max_reduce ~axis:0 m) (Tensor.of_list [ 4.; 5.; 6. ]) "max axis 0";
-  close (Tensor.min_reduce ~axis:1 m) (Tensor.of_list [ 1.; 4. ]) "min axis 1";
-  close (Tensor.sum_last m) (Tensor.of_list [ 6.; 15. ]) "sum_last";
   (* Rank-3 middle-axis reduction. *)
   let c = Tensor.init [| 2; 3; 2 |] (fun i -> float_of_int ((i.(0) * 6) + (i.(1) * 2) + i.(2))) in
   close (Tensor.sum ~axis:1 c)
@@ -156,9 +153,6 @@ let test_rows () =
     "put_rows";
   let mask = [| true; false; false; true |] in
   let alt = Tensor.full [| 4; 2 |] 9. in
-  close (Tensor.select_rows mask alt m)
-    (Tensor.create [| 4; 2 |] [| 9.; 9.; 2.; 3.; 4.; 5.; 9.; 9. |])
-    "select_rows";
   let dst = Tensor.copy m in
   Tensor.blit_rows_masked ~mask ~src:alt ~dst;
   close dst
@@ -496,13 +490,7 @@ let prop_reduce_oracle =
         same_bits (Tensor.sum t)
           (Tensor.scalar (Array.fold_left ( +. ) 0. (Tensor.data t)))
       in
-      full_sum_ok
-      && check "sum" sum ( +. ) 0.
-      && (shape.(axis) = 0
-         || check "max_reduce" (fun ~axis t -> Tensor.max_reduce ~axis t) Float.max
-              Float.neg_infinity
-            && check "min_reduce" (fun ~axis t -> Tensor.min_reduce ~axis t) Float.min
-                 Float.infinity))
+      full_sum_ok && check "sum" sum ( +. ) 0.)
 
 let prop_matmul_oracle =
   QCheck.Test.make ~name:"matmul matches the naive i-l-j loop bitwise" ~count:300

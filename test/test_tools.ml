@@ -104,7 +104,7 @@ let stack_invariants (prog : Lang.program) =
           (fun op ->
             match op with
             | Stack_ir.Spush v | Stack_ir.Spop v ->
-              if not (Var_class.equal (Stack_ir.class_of sp v) Var_class.Stacked)
+              if Stack_ir.class_of sp v <> Var_class.Stacked
               then
                 QCheck.Test.fail_reportf "block %d: stack op on %s (%s)" i v
                   (Var_class.to_string (Stack_ir.class_of sp v))
