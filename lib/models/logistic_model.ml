@@ -33,20 +33,53 @@ let model_of_data { x; y; beta_true = _ } =
     let resid = Tensor.sub y (Tensor.sigmoid z) in
     Tensor.sub (Tensor.matvec xt resid) beta
   in
+  (* The batched kernels keep the reference operations' order and
+     operand order (see the interface): only the [+ - *] passes are
+     fused here, while [exp]/[log1p] stay in [Tensor]'s own loops, where
+     their floats stay unboxed. *)
+  let yd = Tensor.data y in
   let logp_batch betas =
     (* z : [zb; n] with zb the batch size. *)
+    let zb = Tensor.nrows betas in
     let z = Tensor.matmul betas xt in
-    let ll =
-      Tensor.sum ~axis:1
-        (Tensor.add (Tensor.log_sigmoid (Tensor.neg z)) (Tensor.mul z y))
-    in
-    let prior = Tensor.mul_scalar (Tensor.sum ~axis:1 (Tensor.square betas)) (-0.5) in
-    Tensor.add ll prior
+    let ls = Tensor.log_sigmoid (Tensor.neg z) in
+    let zd = Tensor.data z and lsd = Tensor.data ls and bd = Tensor.data betas in
+    let out = Tensor.zeros [| zb |] in
+    let od = Tensor.data out in
+    for i = 0 to zb - 1 do
+      let zo = i * n and bo = i * dim in
+      let acc = ref 0. in
+      for j = 0 to n - 1 do
+        let l = lsd.(zo + j) and zj = zd.(zo + j) and yj = yd.(j) in
+        acc := !acc +. (l +. (zj *. yj))
+      done;
+      let p = ref 0. in
+      for l = 0 to dim - 1 do
+        let b = bd.(bo + l) in
+        p := !p +. (b *. b)
+      done;
+      od.(i) <- !acc +. (!p *. -0.5)
+    done;
+    out
   in
   let grad_batch betas =
-    let z = Tensor.matmul betas xt in
-    let resid = Tensor.sub (Tensor.broadcast_rows y (Tensor.nrows betas)) (Tensor.sigmoid z) in
-    Tensor.sub (Tensor.matmul resid x) betas
+    let zb = Tensor.nrows betas in
+    let resid = Tensor.sigmoid (Tensor.matmul betas xt) in
+    let rd = Tensor.data resid in
+    for i = 0 to zb - 1 do
+      let ro = i * n in
+      for j = 0 to n - 1 do
+        let yj = yd.(j) and s = rd.(ro + j) in
+        rd.(ro + j) <- yj -. s
+      done
+    done;
+    let g = Tensor.matmul resid x in
+    let gd = Tensor.data g and bd = Tensor.data betas in
+    for o = 0 to Array.length gd - 1 do
+      let gi = gd.(o) and b = bd.(o) in
+      gd.(o) <- gi -. b
+    done;
+    g
   in
   let y_data = Array.copy (Tensor.data y) in
   let spec () =

@@ -6,7 +6,17 @@
     gradient: Xᵀ(y − σ(z)) − β, with z = X β.
 
     The batched forms are two dense matmuls per evaluation, which is what
-    gives the GPU its linear batch scaling in Figure 5. *)
+    gives the GPU its linear batch scaling in Figure 5.
+
+    Each row of a batched form carries the bits of the single-chain form
+    on that row ([models-rows]); the kernels keep the order and operands
+    of the [Tensor] operations they replace. For a batch of [zb] members
+    and [n] data points, [grad_batch] allocates two [[zb; n]] buffers (the
+    logits and their sigmoid, overwritten in place by the residual
+    [y - σ(z)]) and its [[zb; dim]] result (the residual times [X],
+    minus [β] in place). [logp_batch] allocates three [[zb; n]] buffers
+    (the logits, their negation and its log-sigmoid) and its [[zb]]
+    result, filled in one pass per row: the data term, then the prior. *)
 
 type data = {
   x : Tensor.t;         (** design matrix [n; dim] *)

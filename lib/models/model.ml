@@ -112,14 +112,3 @@ let check_shapes m =
              m.name trial b)
     done
   done
-
-let of_single ~name ~dim ?spec ~logp ~grad ~logp_flops ~grad_flops () =
-  let logp_batch q =
-    let z = (Tensor.shape q).(0) in
-    Tensor.init [| z |] (fun idx -> logp (Tensor.slice_row q idx.(0)))
-  in
-  let grad_batch q =
-    let z = (Tensor.shape q).(0) in
-    Tensor.stack_rows (List.init z (fun b -> grad (Tensor.slice_row q b)))
-  in
-  { name; dim; spec; logp; grad; logp_batch; grad_batch; logp_flops; grad_flops }

@@ -53,17 +53,3 @@ val register_prims : Prim.registry -> t -> unit
 val check_shapes : t -> unit
 (** Sanity-check single/batched agreement on a few synthetic points;
     raises [Failure] on disagreement. Used by tests. *)
-
-val of_single :
-  name:string ->
-  dim:int ->
-  ?spec:(unit -> Lang.expr list) ->
-  logp:(Tensor.t -> float) ->
-  grad:(Tensor.t -> Tensor.t) ->
-  logp_flops:float ->
-  grad_flops:float ->
-  unit ->
-  t
-(** Build a model from single-example functions; the batched forms loop
-    over rows (convenient for tests and custom targets — the built-in
-    models implement genuinely vectorized batches). *)

@@ -14,6 +14,9 @@ type t = {
           this request land on *)
   program : Autobatch.compiled; (** the program the request's digest names *)
   inputs : Tensor.t list;       (** leading width dimension, like [run_pc]'s batch *)
+  width : int;
+      (** the inputs' leading dimension, checked once by {!make}; a copy
+          [{ r with ... }] must keep [inputs] *)
   member : int;                 (** global RNG member of the request's first lane *)
   arrival : float;              (** when the request reaches the server *)
   cost_hint : float;
@@ -34,7 +37,8 @@ val make :
     the inputs are empty or disagree on the leading width dimension. *)
 
 val width : t -> int
-(** Lanes the request occupies (the inputs' leading dimension). *)
+(** Lanes the request occupies: the [width] field, so a call costs one
+    load (the admission and refill scans call it per queued item). *)
 
 val lane_inputs : t -> row:int -> Tensor.t list
 (** Element tensors for one of the request's rows, ready for

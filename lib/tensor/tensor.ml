@@ -378,25 +378,82 @@ let matmul a b =
     invalid_arg
       (Printf.sprintf "Tensor.matmul: inner dimensions %d and %d differ" k k');
   let ad = a.data and bd = b.data in
+  (* The one bounds check for the unchecked loads below. *)
+  if Array.length ad <> n * k || Array.length bd <> k * m then
+    invalid_arg "Tensor.matmul: operand data does not match its shape";
   let out = Array.create_float (n * m) in
   (* Each output sums [a.(i).(l) *. b.(l).(j)] in ascending [l] starting
-     from [0.], exactly like {!matvec}; four outputs of a row accumulate
-     in registers at a time. No skip-zero fast path: exact IEEE agreement
-     with the equivalent vector accumulation matters more than sparse
-     speedups here (signed zeros and NaN payloads must propagate
-     identically). *)
-  for i = 0 to n - 1 do
-    let ao = i * k and oo = i * m in
+     from [0.], exactly like {!matvec}. No skip-zero fast path: exact
+     IEEE agreement with the equivalent vector accumulation matters more
+     than sparse speedups here (signed zeros and NaN payloads must
+     propagate identically).
+
+     Register tiles: two rows of [a] times four columns of [b] (eight
+     accumulators), then a 2x1 tail over the last [m mod 4] columns; an
+     odd last row runs a 1x4 tile and a 1x1 tail. Every factor is
+     let-bound before its product, [a]'s first: ocamlopt may swap the
+     operands of [x *. y] when only one of them is a fresh load, and when
+     both are NaN the swapped product keeps the other payload. *)
+  let i = ref 0 in
+  while !i + 1 < n do
+    let ao0 = !i * k and oo0 = !i * m in
+    let ao1 = ao0 + k and oo1 = oo0 + m in
+    let j = ref 0 in
+    while !j + 3 < m do
+      let j0 = !j in
+      let s00 = ref 0. and s01 = ref 0. and s02 = ref 0. and s03 = ref 0. in
+      let s10 = ref 0. and s11 = ref 0. and s12 = ref 0. and s13 = ref 0. in
+      for l = 0 to k - 1 do
+        let x0 = Array.unsafe_get ad (ao0 + l) and x1 = Array.unsafe_get ad (ao1 + l) in
+        let bo = (l * m) + j0 in
+        let y0 = Array.unsafe_get bd bo and y1 = Array.unsafe_get bd (bo + 1)
+        and y2 = Array.unsafe_get bd (bo + 2) and y3 = Array.unsafe_get bd (bo + 3) in
+        s00 := !s00 +. (x0 *. y0);
+        s01 := !s01 +. (x0 *. y1);
+        s02 := !s02 +. (x0 *. y2);
+        s03 := !s03 +. (x0 *. y3);
+        s10 := !s10 +. (x1 *. y0);
+        s11 := !s11 +. (x1 *. y1);
+        s12 := !s12 +. (x1 *. y2);
+        s13 := !s13 +. (x1 *. y3)
+      done;
+      out.(oo0 + j0) <- !s00;
+      out.(oo0 + j0 + 1) <- !s01;
+      out.(oo0 + j0 + 2) <- !s02;
+      out.(oo0 + j0 + 3) <- !s03;
+      out.(oo1 + j0) <- !s10;
+      out.(oo1 + j0 + 1) <- !s11;
+      out.(oo1 + j0 + 2) <- !s12;
+      out.(oo1 + j0 + 3) <- !s13;
+      j := j0 + 4
+    done;
+    for j = !j to m - 1 do
+      let s0 = ref 0. and s1 = ref 0. in
+      for l = 0 to k - 1 do
+        let x0 = Array.unsafe_get ad (ao0 + l) and x1 = Array.unsafe_get ad (ao1 + l) in
+        let y = Array.unsafe_get bd ((l * m) + j) in
+        s0 := !s0 +. (x0 *. y);
+        s1 := !s1 +. (x1 *. y)
+      done;
+      out.(oo0 + j) <- !s0;
+      out.(oo1 + j) <- !s1
+    done;
+    i := !i + 2
+  done;
+  if !i < n then begin
+    let ao = !i * k and oo = !i * m in
     let j = ref 0 in
     while !j + 3 < m do
       let j0 = !j in
       let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
       for l = 0 to k - 1 do
-        let x = ad.(ao + l) and bo = (l * m) + j0 in
-        s0 := !s0 +. (x *. bd.(bo));
-        s1 := !s1 +. (x *. bd.(bo + 1));
-        s2 := !s2 +. (x *. bd.(bo + 2));
-        s3 := !s3 +. (x *. bd.(bo + 3))
+        let x = Array.unsafe_get ad (ao + l) and bo = (l * m) + j0 in
+        let y0 = Array.unsafe_get bd bo and y1 = Array.unsafe_get bd (bo + 1)
+        and y2 = Array.unsafe_get bd (bo + 2) and y3 = Array.unsafe_get bd (bo + 3) in
+        s0 := !s0 +. (x *. y0);
+        s1 := !s1 +. (x *. y1);
+        s2 := !s2 +. (x *. y2);
+        s3 := !s3 +. (x *. y3)
       done;
       out.(oo + j0) <- !s0;
       out.(oo + j0 + 1) <- !s1;
@@ -407,11 +464,12 @@ let matmul a b =
     for j = !j to m - 1 do
       let s = ref 0. in
       for l = 0 to k - 1 do
-        s := !s +. (ad.(ao + l) *. bd.((l * m) + j))
+        let x = Array.unsafe_get ad (ao + l) and y = Array.unsafe_get bd ((l * m) + j) in
+        s := !s +. (x *. y)
       done;
       out.(oo + j) <- !s
     done
-  done;
+  end;
   { shape = [| n; m |]; data = out }
 
 let matvec a x =
@@ -474,21 +532,6 @@ let take_rows t idx =
       Array.blit t.data (r * rn) out (i * rn) rn)
     idx;
   create (Array.append [| k |] (Shape.drop_outer t.shape)) out
-
-let put_rows t idx src =
-  if rank t = 0 then invalid_arg "Tensor.put_rows: scalar tensor";
-  let rn = row_numel t in
-  if row_numel src <> rn || nrows src <> Array.length idx then
-    invalid_arg "Tensor.put_rows: source rows do not match index count/shape";
-  let out = Array.copy t.data in
-  let z = t.shape.(0) in
-  Array.iteri
-    (fun i r ->
-      if r < 0 || r >= z then
-        invalid_arg (Printf.sprintf "Tensor.put_rows: row %d out of %d" r z);
-      Array.blit src.data (i * rn) out (r * rn) rn)
-    idx;
-  { shape = t.shape; data = out }
 
 let blit_rows_masked ~mask ~src ~dst =
   if not (Shape.equal src.shape dst.shape) then

@@ -140,7 +140,10 @@ val mean : ?axis:int -> t -> t
 (** {1 Linear algebra (rank-2 / rank-1)} *)
 
 val matmul : t -> t -> t
-(** [matmul a b] for [a : [n;k]] and [b : [k;m]] is [[n;m]]. *)
+(** [matmul a b] for [a : [n;k]] and [b : [k;m]] is [[n;m]]. It runs in
+    register tiles of two rows by four columns, and each output still
+    sums in ascending [l] from [0.], with [a]'s element the first
+    operand of each product. *)
 
 val matvec : t -> t -> t
 (** [matvec a x] for [a : [n;k]] and [x : [k]] is [[n]]. *)
@@ -164,10 +167,6 @@ val row_numel : t -> int
 
 val take_rows : t -> int array -> t
 (** [take_rows t idx] gathers rows [idx] along axis 0. *)
-
-val put_rows : t -> int array -> t -> t
-(** [put_rows t idx src] returns a copy of [t] with row [idx.(i)]
-    replaced by row [i] of [src]. Later duplicates win. *)
 
 val blit_rows_masked : mask:bool array -> src:t -> dst:t -> unit
 (** In-place masked row update: [dst.(i) <- src.(i)] where [mask.(i)].

@@ -129,18 +129,6 @@ let test_register_prims () =
     (gm.Model.logp q)
     (Tensor.item (logp.Prim.single ~member:0 [ q ]))
 
-let test_of_single () =
-  let m =
-    Model.of_single ~name:"quad" ~dim:2
-      ~logp:(fun q -> -.Tensor.item (Tensor.dot q q))
-      ~grad:(fun q -> Tensor.mul_scalar q (-2.))
-      ~logp_flops:4. ~grad_flops:2. ()
-  in
-  Model.check_shapes m;
-  let qs = Tensor.create [| 2; 2 |] [| 1.; 2.; 3.; 4. |] in
-  Alcotest.(check bool) "batched logp from single" true
-    (Tensor.allclose (m.Model.logp_batch qs) (Tensor.of_list [ -5.; -25. ]))
-
 let suites =
   [
     ( "models",
@@ -158,7 +146,6 @@ let suites =
           test_logistic_logp_decreases_away_from_truth;
         t "logistic seeding" `Quick test_logistic_deterministic_by_seed;
         t "prim registration" `Quick test_register_prims;
-        t "of_single" `Quick test_of_single;
       ] );
   ]
 
@@ -316,6 +303,19 @@ let suites = suites @ [ schools_suite ]
    references, so each row of [logp_batch]/[grad_batch] must carry the
    same bits as [logp]/[grad] of that row; [Model.check_shapes] only
    checks agreement to [rtol 1e-8]. *)
+let check_rows (m : Model.t) ~what q =
+  let lp = Tensor.data (m.Model.logp_batch q) and g = m.Model.grad_batch q in
+  for i = 0 to Tensor.nrows q - 1 do
+    let row = Tensor.slice_row q i in
+    let what = Printf.sprintf "%s row %d" what i in
+    Alcotest.(check int64) (what ^ " logp bits")
+      (Int64.bits_of_float (m.Model.logp row))
+      (Int64.bits_of_float lp.(i));
+    Alcotest.(check (list int64)) (what ^ " grad bits")
+      (List.map Int64.bits_of_float (Tensor.to_flat_list (m.Model.grad row)))
+      (List.map Int64.bits_of_float (Tensor.to_flat_list (Tensor.slice_row g i)))
+  done
+
 let check_rows_bitwise (m : Model.t) =
   let stream = Splitmix.Stream.create 0xB175L in
   let z = 6 in
@@ -324,17 +324,29 @@ let check_rows_bitwise (m : Model.t) =
     let q =
       Tensor.init [| z; m.Model.dim |] (fun _ -> scale *. Splitmix.Stream.normal stream)
     in
-    let lp = Tensor.data (m.Model.logp_batch q) and g = m.Model.grad_batch q in
-    for i = 0 to z - 1 do
-      let row = Tensor.slice_row q i in
-      let what = Printf.sprintf "%s trial %d row %d" m.Model.name trial i in
-      Alcotest.(check int64) (what ^ " logp bits")
-        (Int64.bits_of_float (m.Model.logp row))
-        (Int64.bits_of_float lp.(i));
-      Alcotest.(check (list int64)) (what ^ " grad bits")
-        (List.map Int64.bits_of_float (Tensor.to_flat_list (m.Model.grad row)))
-        (List.map Int64.bits_of_float (Tensor.to_flat_list (Tensor.slice_row g i)))
-    done
+    check_rows m ~what:(Printf.sprintf "%s trial %d" m.Model.name trial) q
+  done
+
+(* Every register-tile remainder of [Tensor.matmul]: widths 1, 3 and 5
+   end on the odd-row path, 2 and 33 run the two-row tile (33 with an
+   odd row after 16 pairs), and the caller picks dimensions that leave
+   column tails. About 30% of the entries are special floats: signed
+   zeros, infinities, NaNs with payloads, subnormals. *)
+let check_rows_remainders (m : Model.t) =
+  let stream = Splitmix.Stream.create 0x7113L in
+  let specials = Test_tensor.special_floats in
+  let draw _ =
+    if Splitmix.Stream.uniform stream < 0.3 then
+      specials.(Splitmix.Stream.int_below stream (Array.length specials))
+    else Splitmix.Stream.normal stream
+  in
+  for trial = 0 to 11 do
+    List.iter
+      (fun z ->
+        check_rows m
+          ~what:(Printf.sprintf "%s trial %d width %d" m.Model.name trial z)
+          (Tensor.init [| z; m.Model.dim |] draw))
+      [ 1; 2; 3; 5; 33 ]
   done
 
 let rows_bitwise_suite =
@@ -345,6 +357,13 @@ let rows_bitwise_suite =
       t "eight schools" `Quick (fun () -> check_rows_bitwise (Eight_schools.model ()));
       t "gaussian" `Quick (fun () -> check_rows_bitwise (Gaussian_model.model ~dim:9 ()));
       t "funnel" `Quick (fun () -> check_rows_bitwise (Funnel_model.model ~dim:6 ()));
+      (* β·Xᵀ leaves a 1-column tail (n = 61) and resid·X a 3-column
+         tail (dim = 7). *)
+      t "logistic tile remainders" `Quick (fun () ->
+          check_rows_remainders (Logistic_model.model ~n:61 ~dim:7 ()));
+      (* q·Λ leaves a 1-column tail (dim = 9). *)
+      t "gaussian tile remainders" `Quick (fun () ->
+          check_rows_remainders (Gaussian_model.model ~dim:9 ()));
     ] )
 
 let suites = suites @ [ rows_bitwise_suite ]

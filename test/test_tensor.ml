@@ -147,10 +147,6 @@ let test_rows () =
   close (Tensor.take_rows m [| 2; 0; 2 |])
     (Tensor.create [| 3; 2 |] [| 4.; 5.; 0.; 1.; 4.; 5. |])
     "take_rows";
-  let src = Tensor.create [| 2; 2 |] [| 100.; 101.; 200.; 201. |] in
-  close (Tensor.put_rows m [| 3; 1 |] src)
-    (Tensor.create [| 4; 2 |] [| 0.; 1.; 200.; 201.; 4.; 5.; 100.; 101. |])
-    "put_rows";
   let mask = [| true; false; false; true |] in
   let alt = Tensor.full [| 4; 2 |] 9. in
   let dst = Tensor.copy m in
@@ -211,17 +207,6 @@ let prop_sum_linear =
         (Tensor.item (Tensor.sum (Tensor.add ta tb))
         -. (Tensor.item (Tensor.sum ta) +. Tensor.item (Tensor.sum tb)))
       < 1e-6)
-
-let prop_take_put_roundtrip =
-  QCheck.Test.make ~name:"put_rows t idx (take_rows t idx) = t" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         int_range 1 8 >>= fun z ->
-         list_size (int_bound 6) (int_bound (z - 1)) >|= fun idx -> (z, idx)))
-    (fun (z, idx) ->
-      let m = Tensor.init [| z; 3 |] (fun i -> float_of_int ((i.(0) * 3) + i.(1))) in
-      let idx = Array.of_list idx in
-      Tensor.equal m (Tensor.put_rows m idx (Tensor.take_rows m idx)))
 
 let prop_transpose_involutive =
   QCheck.Test.make ~name:"transpose (transpose m) = m" ~count:100
@@ -507,6 +492,29 @@ let prop_matmul_oracle =
          || same_bits (Tensor.reshape c [| (Tensor.shape a).(0) |])
               (Tensor.matvec a (Tensor.reshape b [| (Tensor.shape b).(0) |]))))
 
+(* A NaN in [a] times a different NaN in [b] keeps one of the two
+   payloads, and which one depends on the product's operand order. Rows
+   0-1 of a [3; 2] x [2; 5] product run the two-row tile and its 2x1
+   column tail, row 2 the odd-row 1x4 tile and its 1x1 tail. *)
+let test_matmul_nan_payloads () =
+  let pa = Int64.float_of_bits 0x7FF8_0000_0000_0123L
+  and pb = Int64.float_of_bits 0xFFF8_0000_DEAD_BEEFL in
+  let a = Tensor.full [| 3; 2 |] pa and b = Tensor.full [| 2; 5 |] pb in
+  let want = Naive.matmul a b in
+  Alcotest.(check bool) "the oracle keeps one operand's payload" true
+    (List.for_all
+       (fun x ->
+         let bits = Int64.bits_of_float x in
+         Int64.equal bits (Int64.bits_of_float pa)
+         || Int64.equal bits (Int64.bits_of_float pb))
+       (Tensor.to_flat_list want));
+  List.iteri
+    (fun o (w, g) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "row %d column %d payload" (o / 5) (o mod 5))
+        (Int64.bits_of_float w) (Int64.bits_of_float g))
+    (List.combine (Tensor.to_flat_list want) (Tensor.to_flat_list (Tensor.matmul a b)))
+
 (* Every elementwise primitive of the standard registry, with the float
    function it computes. *)
 let prim_unary =
@@ -730,7 +738,6 @@ let suites =
         t "equality semantics" `Quick test_equality;
         QCheck_alcotest.to_alcotest prop_add_commutes;
         QCheck_alcotest.to_alcotest prop_sum_linear;
-        QCheck_alcotest.to_alcotest prop_take_put_roundtrip;
         QCheck_alcotest.to_alcotest prop_transpose_involutive;
         QCheck_alcotest.to_alcotest prop_matmul_transpose;
         t "one-element broadcast shapes" `Quick test_one_element_broadcast_shape;
@@ -739,6 +746,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_where_oracle;
         QCheck_alcotest.to_alcotest prop_reduce_oracle;
         QCheck_alcotest.to_alcotest prop_matmul_oracle;
+        t "matmul keeps NaN payloads in every tile" `Quick test_matmul_nan_payloads;
         t "standard prims all classified" `Quick test_prim_table_complete;
         QCheck_alcotest.to_alcotest prop_prim_elementwise;
         t "row-separability table covers the registry" `Quick test_row_table_complete;

@@ -1353,12 +1353,37 @@ let template_suite =
       t "pools of one template share vars" `Quick test_template_shares_vars;
     ] )
 
+(* The batched logistic-regression kernels at z = 32 on nuts-logreg-z32's
+   250 x 20 data. [Gc.minor_words] counts the minor heap only: the
+   tensor records, the [z] logp result and shape arrays. The [z; n]
+   buffers and the [z; dim] gradient are over [Max_young_wosize] (256
+   words) and are allocated directly on the major heap, so the bound does
+   not count them. What it catches is per-element work that allocates:
+   one boxed float per element would read 32,000 words. The unfused
+   kernels read 29 (grad) and 208 (logp) words; the fused ones 15 and
+   50. *)
+let test_logistic_kernel_words () =
+  let m = Logistic_model.model ~seed:0xDA7AL ~n:250 ~dim:20 () in
+  let stream = Splitmix.Stream.create 0x6A7EL in
+  let q = Tensor.init [| 32; 20 |] (fun _ -> Splitmix.Stream.normal stream) in
+  List.iter
+    (fun (name, f) ->
+      ignore (Sys.opaque_identity (f q));
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (f q));
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s allocates %.0f minor words, under 256" name words)
+        true (words < 256.))
+    [ ("grad_batch", m.Model.grad_batch); ("logp_batch", m.Model.logp_batch) ]
+
 let alloc_suite =
   ( "alloc-gate",
     [
       t "engine charges without a sink" `Quick test_engine_charge_words;
       t "fib stepping words per superstep" `Quick test_fib_stepping_words;
       t "bind from a template" `Quick test_bind_words;
+      t "logistic kernels at z = 32" `Quick test_logistic_kernel_words;
     ] )
 
 let suites =
