@@ -82,9 +82,9 @@ type totals = { mutable flops : float; mutable traffic_bytes : float; mutable ti
 
 (* The per-op tally is keyed by interned op ids: [ids] maps a name to its
    id and only grows, so an id (and every [priced] handle holding it) stays
-   valid for the engine's lifetime, across [reset], [restore] and [merge].
-   [counts] is indexed by id; [marked] records the ids a [restore] or
-   [merge] wrote, which are tally entries even at count zero. *)
+   valid for the engine's lifetime, across [restore]. [counts] is indexed
+   by id; [marked] records the ids a [restore] wrote, which are tally
+   entries even at count zero. *)
 type t = {
   device : Device.t;
   mode : mode;
@@ -317,23 +317,6 @@ let charge_block t ~ops ~control_ops ~traffic_bytes =
 
 let elapsed t = t.tot.time
 
-let clear_tally t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  Array.fill t.marked 0 (Array.length t.marked) false
-
-let reset t =
-  t.st.kernel_launches <- 0;
-  t.st.fused_launches <- 0;
-  t.st.host_ops <- 0;
-  t.st.host_calls <- 0;
-  t.st.blocks <- 0;
-  t.st.lane_refills <- 0;
-  t.st.lane_retires <- 0;
-  t.tot.flops <- 0.;
-  t.tot.traffic_bytes <- 0.;
-  t.tot.time <- 0.;
-  clear_tally t
-
 let current t : Counters.t =
   {
     kernel_launches = t.st.kernel_launches;
@@ -372,7 +355,8 @@ let restore t (s : snapshot) =
   t.tot.flops <- s.at.Counters.flops;
   t.tot.traffic_bytes <- s.at.Counters.traffic_bytes;
   t.tot.time <- s.at.Counters.elapsed_seconds;
-  clear_tally t;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Array.fill t.marked 0 (Array.length t.marked) false;
   List.iter
     (fun (name, n) ->
       let id = intern t name in

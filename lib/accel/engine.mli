@@ -70,7 +70,7 @@ type priced
 (** A block priced once, ahead of execution, for one engine: its ops as
     the engine's interned op ids, its summed flops, control actions and
     traffic, and the simulated-time terms a charge adds. Op ids are stable
-    for an engine's lifetime (across {!reset} and {!restore}),
+    for an engine's lifetime (across {!restore}),
     so a handle stays valid as long as its engine does — and only on that
     engine. *)
 
@@ -120,8 +120,6 @@ val charge_transfer : t -> name:string -> bytes:float -> seconds:float -> unit
 val elapsed : t -> float
 (** Simulated seconds so far. *)
 
-val reset : t -> unit
-
 type snapshot = {
   at : Counters.t;             (** cumulative counters at capture time *)
   ops : (string * int) list;   (** per-op tally, sorted by name *)
@@ -129,8 +127,8 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 (** The engine's complete readout — counters {e and} the per-op tally.
-    Snapshots of equal states are structurally equal, so they compare,
-    merge and serialize directly. *)
+    Snapshots of equal states are structurally equal, so they compare
+    and serialize directly. *)
 
 val restore : t -> snapshot -> unit
 (** Overwrite the engine's state with a snapshot (counts, simulated time,

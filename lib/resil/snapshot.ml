@@ -2,8 +2,10 @@ let magic = "ABRESIL1"
 
 (* Version 2 added the trace context (ri_trace/ri_parent) to request
    images; version 3 dropped the instrument section of pc checkpoints;
-   version 4 stores a lane pool as its occupied lanes' states. *)
-let version = 4
+   version 4 stores a lane pool as its occupied lanes' states; version 5
+   writes a lane's pc as a stacked column, its block indices as float
+   bits. *)
+let version = 5
 
 (* ---- Envelope -------------------------------------------------------- *)
 
@@ -78,31 +80,39 @@ let r_lane_var r : Pc_vm.Lanes.lane_var =
 
 (* A lane state carries no names, shapes or lengths: the pool's variable
    list, written once, fixes how many floats its rows and each stacked
-   column's frames and top hold. *)
+   column's frames and top hold (one each for the pc column). *)
 let w_floats b a = Array.iter (Codec.w_float b) a
 
 let r_floats r n =
   if Codec.remaining r < 8 * n then Codec.corrupt "truncated lane at byte %d" r.Codec.pos;
   Array.init n (fun _ -> Codec.r_float r)
 
+(* One stack column, the pc's or a stacked variable's: its depth, its
+   saved frames, then its top row. *)
+let w_column b (l : Stacked.lane) =
+  Codec.w_int b l.Stacked.l_sp;
+  w_floats b l.Stacked.l_frames;
+  w_floats b l.Stacked.l_top
+
+let r_column r ~owner elem =
+  let row = Shape.numel elem in
+  let l_sp = Codec.r_int r in
+  if l_sp < 0 || (row > 0 && l_sp > Codec.remaining r / (8 * row)) then
+    Codec.corrupt "%s: implausible stack depth %d" owner l_sp;
+  let l_frames = r_floats r (l_sp * row) in
+  { Stacked.l_elem = elem; l_sp; l_frames; l_top = r_floats r row }
+
 let w_lane_state vars b (st : Pc_vm.Lanes.lane_state) =
   if st.Pc_vm.Lanes.ls_vars != vars && st.Pc_vm.Lanes.ls_vars <> vars then
     invalid_arg "Snapshot.w_lane_state: variables disagree with the pool";
   Codec.w_int b st.Pc_vm.Lanes.ls_member;
-  Codec.w_int_array b st.Pc_vm.Lanes.ls_pc.Pc_vm.Pc_stack.pl_stack;
-  Codec.w_int b st.Pc_vm.Lanes.ls_pc.Pc_vm.Pc_stack.pl_top;
+  w_column b st.Pc_vm.Lanes.ls_pc;
   w_floats b st.Pc_vm.Lanes.ls_rows;
-  Array.iter
-    (fun l ->
-      Codec.w_int b l.Stacked.l_sp;
-      w_floats b l.Stacked.l_frames;
-      w_floats b l.Stacked.l_top)
-    st.Pc_vm.Lanes.ls_stacks
+  Array.iter (w_column b) st.Pc_vm.Lanes.ls_stacks
 
 let r_lane_state vars r : Pc_vm.Lanes.lane_state =
   let ls_member = Codec.r_int r in
-  let pl_stack = Codec.r_int_array r in
-  let pl_top = Codec.r_int r in
+  let ls_pc = r_column r ~owner:"the pc" Shape.scalar in
   let is_stacked (lv : Pc_vm.Lanes.lane_var) = lv.Pc_vm.Lanes.lv_class = Var_class.Stacked in
   let width =
     Array.fold_left
@@ -111,17 +121,12 @@ let r_lane_state vars r : Pc_vm.Lanes.lane_state =
   in
   let ls_rows = r_floats r width in
   let column (lv : Pc_vm.Lanes.lane_var) =
-    let row = Shape.numel lv.Pc_vm.Lanes.lv_elem in
-    let l_sp = Codec.r_int r in
-    if l_sp < 0 || (row > 0 && l_sp > Codec.remaining r / (8 * row)) then
-      Codec.corrupt "variable %s: implausible stack depth %d" lv.Pc_vm.Lanes.lv_name l_sp;
-    let l_frames = r_floats r (l_sp * row) in
-    { Stacked.l_elem = lv.Pc_vm.Lanes.lv_elem; l_sp; l_frames; l_top = r_floats r row }
+    r_column r ~owner:("variable " ^ lv.Pc_vm.Lanes.lv_name) lv.Pc_vm.Lanes.lv_elem
   in
   let ls_stacks = Array.map column (Array.of_list (List.filter is_stacked (Array.to_list vars))) in
   {
     Pc_vm.Lanes.ls_member;
-    ls_pc = { Pc_vm.Pc_stack.pl_stack; pl_top };
+    ls_pc;
     ls_vars = vars;
     ls_rows;
     ls_stacks;

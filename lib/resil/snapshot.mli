@@ -14,8 +14,10 @@
     the captured one — the foundation of deterministic replay. *)
 
 val version : int
-(** 4: a pool is its lane states. Blobs of any other version (3 wrote a
-    pool's whole storage) are {!Codec.Corrupt}. *)
+(** 5: a pool is its lane states, and a lane's pc is a stack column like
+    a stacked variable's, its block indices as float bits. Blobs of any
+    other version (4 wrote the pc as integers, 3 a pool's whole storage)
+    are {!Codec.Corrupt}. *)
 
 val encode : kind:string -> (Buffer.t -> unit) -> string
 (** Wrap a payload writer in the envelope. *)
@@ -34,9 +36,10 @@ val w_lane_state :
   Pc_vm.Lanes.lane_var array -> Buffer.t -> Pc_vm.Lanes.lane_state -> unit
 (** [w_lane_state vars] writes one lane of a pool whose allocated
     variables are [vars] (the image's [li_vars]): member, pc column, the
-    rows, and each stacked column's depth, frames and top — no names,
-    shapes or lengths, which [vars] fixes. Raises [Invalid_argument] if
-    the lane's variables are not [vars]. *)
+    rows, then each stacked variable's column, every column in one
+    format (depth, frames, top) — no names, shapes or lengths, which
+    [vars] fixes. Raises [Invalid_argument] if the lane's variables are
+    not [vars]. *)
 
 val r_lane_state : Pc_vm.Lanes.lane_var array -> Codec.reader -> Pc_vm.Lanes.lane_state
 (** The inverse, given the same [vars] (which the decoded lane shares);

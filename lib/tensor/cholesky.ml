@@ -54,10 +54,6 @@ let solve_upper u b =
   done;
   Tensor.create [| n |] x
 
-let solve_posdef a b =
-  let l = factor a in
-  solve_upper (Tensor.transpose l) (solve_lower l b)
-
 let inverse_from_factor l =
   let n = check_square "inverse_from_factor" l in
   let lt = Tensor.transpose l in

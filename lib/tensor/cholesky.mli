@@ -17,9 +17,6 @@ val solve_upper : Tensor.t -> Tensor.t -> Tensor.t
 (** [solve_upper u b] solves [u x = b] by back substitution
     ([u] upper triangular, [b] rank-1). *)
 
-val solve_posdef : Tensor.t -> Tensor.t -> Tensor.t
-(** [solve_posdef a b] solves [a x = b] for SPD [a] via {!factor}. *)
-
 val inverse_from_factor : Tensor.t -> Tensor.t
 (** [inverse_from_factor l] is [(l lᵀ)⁻¹], i.e. Σ⁻¹ given the factor. *)
 

@@ -19,94 +19,6 @@ let default_config =
     sink = None;
   }
 
-(* The program-counter stack: same layout as Stacked but over ints. *)
-module Pc_stack = struct
-  type t = {
-    z : int;
-    mutable cap : int;
-    mutable data : int array;
-    sp : int array;
-    top : int array;
-    mutable high : int;  (* deepest sp any push has reached *)
-  }
-
-  let create ~z ~bottom ~start ~initial_depth =
-    let cap = max 1 initial_depth in
-    let t =
-      { z; cap; data = Array.make (cap * z) 0; sp = Array.make z 1;
-        top = Array.make z start; high = 0 }
-    in
-    for b = 0 to z - 1 do
-      t.data.(b) <- bottom
-    done;
-    t
-
-  let grow t =
-    let cap' = t.cap * 2 in
-    let data' = Array.make (cap' * t.z) 0 in
-    Array.blit t.data 0 data' 0 (t.cap * t.z);
-    t.cap <- cap';
-    t.data <- data'
-
-  (* The members [active.(0..n-1)], as in [Stacked]: growing on the
-     first lane that needs it ends at the same capacity as one pass for
-     the deepest lane. *)
-  let push t ~active ~n =
-    for j = 0 to n - 1 do
-      let b = active.(j) in
-      let sp = t.sp.(b) in
-      while sp >= t.cap do
-        grow t
-      done;
-      t.data.((sp * t.z) + b) <- t.top.(b);
-      t.sp.(b) <- sp + 1;
-      if sp >= t.high then t.high <- sp + 1
-    done
-
-  let pop t ~active ~n =
-    for j = 0 to n - 1 do
-      let b = active.(j) in
-      let sp = t.sp.(b) - 1 in
-      if sp < 0 then invalid_arg (Printf.sprintf "Pc_vm: pc stack underflow for member %d" b);
-      t.sp.(b) <- sp;
-      t.top.(b) <- t.data.((sp * t.z) + b)
-    done
-
-  let set_top t ~active ~n v =
-    for j = 0 to n - 1 do
-      t.top.(active.(j)) <- v
-    done
-
-  let reset_lane t ~lane ~bottom ~start =
-    if lane < 0 || lane >= t.z then invalid_arg "Pc_stack.reset_lane: lane out of range";
-    t.sp.(lane) <- 1;
-    t.data.(lane) <- bottom;
-    t.top.(lane) <- start
-
-  (* One member's pc column: stack entries below sp (bottom first, the
-     halt sentinel included) plus the cached top. *)
-  type lane = { pl_stack : int array; pl_top : int }
-
-  let capture_lane t ~lane =
-    if lane < 0 || lane >= t.z then
-      invalid_arg "Pc_stack.capture_lane: lane out of range";
-    {
-      pl_stack = Array.init t.sp.(lane) (fun d -> t.data.((d * t.z) + lane));
-      pl_top = t.top.(lane);
-    }
-
-  let restore_lane t ~lane l =
-    if lane < 0 || lane >= t.z then
-      invalid_arg "Pc_stack.restore_lane: lane out of range";
-    let sp = Array.length l.pl_stack in
-    while sp > t.cap do
-      grow t
-    done;
-    t.sp.(lane) <- sp;
-    Array.iteri (fun d v -> t.data.((d * t.z) + lane) <- v) l.pl_stack;
-    t.top.(lane) <- l.pl_top
-end
-
 (* One variable's storage, allocated once by [Lanes.bind] from the
    variable's inferred element shape. *)
 type storage = Reg of Tensor.t | Msk of Tensor.t | Stk of Stacked.t
@@ -326,14 +238,28 @@ module Lanes = struct
     config : config;
     tpl : template;
     z : int;
-    halt : int;
+    halt : float;  (* the program's halt index *)
     slots : storage option array;  (* [None]: no inferred shape *)
     blocks : block array;
     priced : Engine.priced option array;  (* per block, on [config.engine] *)
-    pc : Pc_stack.t;
+    (* The pc stack: a scalar [Stacked] over block indices stored as
+       floats (exact below 2^53), and its cached tops, which the
+       superstep's scans and the terminators read and write in place. *)
+    pc : Stacked.t;
+    pc_top : float array;
+    (* The columns a lane's pc is seeded with: a halt sentinel below,
+       executing from block 0 ([fresh], a loaded lane) or parked at halt
+       ([idle], a free lane). *)
+    fresh : Stacked.lane;
+    idle : Stacked.lane;
     members : int array;     (* per-lane global RNG member identity *)
     occupied : bool array;   (* lane currently carries a request *)
-    counts : int array;
+    counts : int array;      (* per block, the live lanes whose pc is there *)
+    (* Those lanes as one list per block, threaded through [next] from
+       [head]: built by the tally's scan, so no second scan is needed to
+       list a block's lanes. *)
+    head : int array;
+    next : int array;
     active : int array;      (* lanes the current block runs on: the first
                                 [n_active], ascending *)
     mutable n_active : int;
@@ -418,18 +344,23 @@ module Lanes = struct
 
   (* Point every active lane's pc at [if_true] or [if_false] by [cond]. *)
   let branch t cond ~if_true ~if_false =
-    let top = t.pc.Pc_stack.top in
+    let top = t.pc_top and if_true = float_of_int if_true
+    and if_false = float_of_int if_false in
     for j = 0 to t.n_active - 1 do
       let b = t.active.(j) in
       top.(b) <- (if cond.(b) <> 0. then if_true else if_false)
     done
 
-  let set_pc t v = Pc_stack.set_top t.pc ~active:t.active ~n:t.n_active v
+  let set_pc t v =
+    let top = t.pc_top and v = float_of_int v in
+    for j = 0 to t.n_active - 1 do
+      top.(t.active.(j)) <- v
+    done
 
   (* Save [ret] as the active lanes' return address. *)
   let push_return t ret =
     set_pc t ret;
-    Pc_stack.push t.pc ~active:t.active ~n:t.n_active
+    Stacked.push t.pc ~active:t.active ~n:t.n_active
 
   let exec_term t (b : block) =
     match b.term with
@@ -443,7 +374,7 @@ module Lanes = struct
       let cond = Tensor.data (read_slot t b.cond) in
       push_return t ret;
       branch t cond ~if_true ~if_false
-    | Stack_ir.Sreturn -> Pc_stack.pop t.pc ~active:t.active ~n:t.n_active
+    | Stack_ir.Sreturn -> Stacked.pop t.pc ~active:t.active ~n:t.n_active
 
   (* The engine charge of block [b] on [eng], from the shapes of the
      variables it touches (all stored once it has executed). Traffic is
@@ -540,7 +471,17 @@ module Lanes = struct
   let bind ?(config = default_config) reg tpl ~z =
     if z <= 0 then invalid_arg "Pc_vm.Lanes: need at least one lane";
     let p = tpl.program in
-    let halt = Stack_ir.halt p in
+    let halt = float_of_int (Stack_ir.halt p) in
+    (* A pc column: the halt sentinel below [top]. *)
+    let column top =
+      { Stacked.l_elem = Shape.scalar; l_sp = 1; l_frames = [| halt |]; l_top = [| top |] }
+    in
+    let idle = column halt in
+    (* All lanes start idle. *)
+    let pc = Stacked.create ~z ~elem:Shape.scalar ~initial_depth () in
+    for lane = 0 to z - 1 do
+      Stacked.restore_lane pc lane idle
+    done;
     let nb = Array.length tpl.tblocks in
     let slots =
       Array.mapi
@@ -566,11 +507,15 @@ module Lanes = struct
       slots;
       blocks = Array.map bind_block tpl.tblocks;
       priced = Array.make nb None;
-      (* All lanes start idle: pc top parked at [halt]. *)
-      pc = Pc_stack.create ~z ~bottom:halt ~start:halt ~initial_depth;
+      pc;
+      pc_top = Tensor.data (Stacked.top pc);
+      fresh = column 0.;
+      idle;
       members = Array.init z (fun i -> config.member_base + i);
       occupied = Array.make z false;
       counts = Array.make nb 0;
+      head = Array.make nb 0;
+      next = Array.make z 0;
       active = Array.make z 0;
       n_active = 0;
       gathered = false;
@@ -590,9 +535,9 @@ module Lanes = struct
   let steps t = t.steps
   let occupied t ~lane = t.occupied.(lane)
 
-  let finished t ~lane = t.occupied.(lane) && t.pc.Pc_stack.top.(lane) = t.halt
+  let finished t ~lane = t.occupied.(lane) && t.pc_top.(lane) = t.halt
 
-  let live t ~lane = t.occupied.(lane) && t.pc.Pc_stack.top.(lane) <> t.halt
+  let live t ~lane = t.occupied.(lane) && t.pc_top.(lane) <> t.halt
 
   let live_count t =
     let n = ref 0 in
@@ -662,7 +607,7 @@ module Lanes = struct
       dsts inputs;
     t.members.(lane) <- member;
     t.occupied.(lane) <- true;
-    Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:0
+    Stacked.restore_lane t.pc lane t.fresh
 
   let lane_outputs t ~lane =
     List.map (fun k -> Tensor.copy (Tensor.slice_row (read_slot t k) lane)) t.tpl.out_slots
@@ -691,7 +636,7 @@ module Lanes = struct
 
   type lane_state = {
     ls_member : int;
-    ls_pc : Pc_stack.lane;
+    ls_pc : Stacked.lane;
     ls_vars : lane_var array;  (* sorted by name; the pool's [vars] *)
     ls_rows : float array;  (* register and masked rows, in [ls_vars] order *)
     ls_stacks : Stacked.lane array;  (* stacked columns, in [ls_vars] order *)
@@ -716,7 +661,7 @@ module Lanes = struct
       t.slots;
     {
       ls_member = t.members.(lane);
-      ls_pc = Pc_stack.capture_lane t.pc ~lane;
+      ls_pc = Stacked.capture_lane t.pc lane;
       ls_vars = t.tpl.vars;
       ls_rows = rows;
       ls_stacks = Array.of_list (List.rev !stacks);
@@ -736,10 +681,26 @@ module Lanes = struct
     if not t.occupied.(lane) then
       invalid_arg (Printf.sprintf "Pc_vm.Lanes.evict: lane %d is idle" lane);
     t.occupied.(lane) <- false;
-    (* Park the pc at halt, as create does for idle lanes. *)
-    Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:t.halt
+    (* Park the pc at halt, as [bind] does for idle lanes. *)
+    Stacked.restore_lane t.pc lane t.idle
+
+  let pc_column t ~lane = Stacked.capture_lane t.pc lane
 
   let same_vars t vars = vars == t.tpl.vars || vars = t.tpl.vars
+
+  (* A pc column holds block indices: integers in [0, halt]. Anything
+     else would index [counts] out of bounds, or leave a live lane that
+     no superstep can run. *)
+  let valid_pc t (l : Stacked.lane) =
+    (* The range test first: it fails NaN and the infinities, and keeps
+       [int_of_float] within range. *)
+    let index x = x >= 0. && x <= t.halt && Float.of_int (int_of_float x) = x in
+    let frames = l.Stacked.l_frames in
+    let ok = ref (Array.length frames = l.Stacked.l_sp && Array.length l.Stacked.l_top = 1) in
+    for d = 0 to Array.length frames - 1 do
+      if not (index frames.(d)) then ok := false
+    done;
+    !ok && Shape.rank l.Stacked.l_elem = 0 && index l.Stacked.l_top.(0)
 
   (* The inverse of [lane_state], over the pool's own storage. *)
   let import_lane t ~lane st =
@@ -750,6 +711,8 @@ module Lanes = struct
         (Printf.sprintf "Pc_vm.Lanes.import_lane: lane %d is occupied" lane);
     if not (same_vars t st.ls_vars && Array.length st.ls_rows = t.tpl.width) then
       invalid_arg "Pc_vm.Lanes.import_lane: the state's variables differ from the pool's";
+    if not (valid_pc t st.ls_pc) then
+      invalid_arg "Pc_vm.Lanes.import_lane: the pc column holds a value that is not a block index";
     let pos = ref 0 and next_stack = ref 0 in
     Array.iter
       (function
@@ -762,19 +725,15 @@ module Lanes = struct
           Stacked.restore_lane s lane st.ls_stacks.(!next_stack);
           incr next_stack)
       t.slots;
-    Pc_stack.restore_lane t.pc ~lane st.ls_pc;
+    Stacked.restore_lane t.pc lane st.ls_pc;
     t.members.(lane) <- st.ls_member;
     t.occupied.(lane) <- true
 
   let lane_state_bytes st =
-    let var_elems =
-      Array.fold_left
-        (fun acc l -> acc + Array.length l.Stacked.l_frames + Array.length l.Stacked.l_top)
-        (Array.length st.ls_rows) st.ls_stacks
-    in
-    (* pc entries price like elements: sp saved slots plus the top. *)
+    let column acc l = acc + Array.length l.Stacked.l_frames + Array.length l.Stacked.l_top in
     Vm_util.bytes_per_elem
-    *. float_of_int (var_elems + Array.length st.ls_pc.Pc_stack.pl_stack + 1)
+    *. float_of_int
+         (Array.fold_left column (column (Array.length st.ls_rows) st.ls_pc) st.ls_stacks)
 
   let outputs t = List.map (fun k -> Tensor.copy (read_slot t k)) t.tpl.out_slots
 
@@ -806,9 +765,9 @@ module Lanes = struct
     t.last <- img.li_last;
     (* Zero the store in place, registers included, so every lane the
        image leaves idle holds what a fresh pool would; the stacks'
-       high-water marks restart at 0 too, so [depth] counts from the
-       restore. *)
-    t.pc.Pc_stack.high <- 0;
+       high-water marks, the pc's included, restart at 0 too, so [depth]
+       counts from the restore. *)
+    Stacked.reset t.pc;
     Array.iter
       (function
         | None -> ()
@@ -821,7 +780,7 @@ module Lanes = struct
         | Some st -> import_lane t ~lane st
         | None ->
           t.members.(lane) <- img.li_members.(lane);
-          Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:t.halt)
+          Stacked.restore_lane t.pc lane t.idle)
       img.li_lanes
 
   (* Report superstep [t.steps], about to run block [i] with [live] lanes
@@ -833,7 +792,7 @@ module Lanes = struct
     let depth =
       Array.fold_left
         (fun d -> function Some (Stk s) -> Int.max d (Stacked.high_water s) | _ -> d)
-        t.pc.Pc_stack.high t.slots
+        (Stacked.high_water t.pc) t.slots
     in
     sink
       (Obs_sink.Occupancy
@@ -851,16 +810,24 @@ module Lanes = struct
   (* Execute one scheduled basic block over the currently live lanes.
      Returns [false] (and does nothing) when no lane is runnable. *)
   let step t =
-    let z = t.z and halt = t.halt and pc = t.pc and config = t.config in
-    Array.fill t.counts 0 (Array.length t.counts) 0;
+    let z = t.z and halt = t.halt and top = t.pc_top and config = t.config in
+    let counts = t.counts and head = t.head and next = t.next in
+    Array.fill counts 0 (Array.length counts) 0;
     let live = ref 0 in
-    for b = 0 to z - 1 do
-      if pc.Pc_stack.top.(b) < halt then begin
-        t.counts.(pc.Pc_stack.top.(b)) <- t.counts.(pc.Pc_stack.top.(b)) + 1;
+    (* Walking down, each lane goes to the front of its block's list, so
+       every list comes out ascending. A list ends after [counts.(i)]
+       lanes; the [next] of its last lane is stale and never followed. *)
+    for b = z - 1 downto 0 do
+      let pc = top.(b) in
+      if pc < halt then begin
+        let i = int_of_float pc in
+        counts.(i) <- counts.(i) + 1;
+        next.(b) <- head.(i);
+        head.(i) <- b;
         incr live
       end
     done;
-    match Sched_policy.pick ?tables:t.tables config.sched ~last:t.last ~counts:t.counts with
+    match Sched_policy.pick ?tables:t.tables config.sched ~last:t.last ~counts with
     | None -> false
     | Some i ->
       t.steps <- t.steps + 1;
@@ -873,14 +840,12 @@ module Lanes = struct
          utilization report this runtime makes. *)
       (match config.sink with None -> () | Some sink -> observe t sink i ~live:!live);
       t.last <- i;
-      let n = ref 0 in
-      for b = 0 to z - 1 do
-        if pc.Pc_stack.top.(b) = i then begin
-          t.active.(!n) <- b;
-          incr n
-        end
+      let n = counts.(i) and lane = ref head.(i) in
+      for j = 0 to n - 1 do
+        t.active.(j) <- !lane;
+        lane := next.(!lane)
       done;
-      t.n_active <- !n;
+      t.n_active <- n;
       t.gathered <- false;
       let (b : block) = t.blocks.(i) in
       for j = 0 to Array.length b.ops - 1 do

@@ -2,8 +2,10 @@
 
     Executes the merged stack-machine program ({!Stack_ir}) on a whole
     batch with no host recursion at all: every batch member's call stack
-    lives in per-variable data stacks ({!Stacked}) and a program-counter
-    stack. The locally active set is recomputed every step from the pc
+    lives in per-variable data stacks and a program-counter stack, all of
+    them {!Stacked} stacks (the pc stack's elements are scalars: block
+    indices stored as floats, exact below 2^53, over a bottom halt
+    sentinel). The locally active set is recomputed every step from the pc
     tops, so members at *different stack depths* batch together — the
     property that lets NUTS chains synchronize on gradient evaluations
     rather than trajectory boundaries (Figure 6), and the whole runtime
@@ -84,50 +86,6 @@ type config = {
 
 val default_config : config
 
-(** The program-counter stack: the {!Stacked} layout over block indices.
-    Exposed for direct testing of the hot growth/underflow paths the VM
-    (and each shard of a sharded run) exercises. *)
-module Pc_stack : sig
-  type t = {
-    z : int;
-    mutable cap : int;
-    mutable data : int array;  (** [cap × z], depth-major *)
-    sp : int array;            (** per-member stack pointer *)
-    top : int array;           (** cached top element per member *)
-    mutable high : int;
-        (** the largest [sp] a {!push} has left any member at since
-            [create] or the pool's last {!Lanes.restore} *)
-  }
-
-  val create : z:int -> bottom:int -> start:int -> initial_depth:int -> t
-
-  (** [push], [pop] and [set_top] act on the members [active.(0)] ..
-      [active.(n-1)], listed in ascending order, at a cost proportional
-      to [n] (the VM passes the superstep's active lanes). *)
-
-  val push : t -> active:int array -> n:int -> unit
-  val pop : t -> active:int array -> n:int -> unit
-  (** Raises [Invalid_argument] at the first listed member whose stack
-      is empty; members listed before it have already popped. *)
-
-  val set_top : t -> active:int array -> n:int -> int -> unit
-
-  val reset_lane : t -> lane:int -> bottom:int -> start:int -> unit
-  (** Re-seed one member's pc stack as [create] would: sentinel [bottom]
-      below, executing from [start]. Other members are untouched. *)
-
-  (** One member's pc column, for the lane seam: the saved entries
-      below its stack pointer, bottom first (so the pointer is the array's
-      length), plus the cached top. *)
-  type lane = { pl_stack : int array; pl_top : int }
-
-  val capture_lane : t -> lane:int -> lane
-
-  val restore_lane : t -> lane:int -> lane -> unit
-  (** Overwrite one member's pc column; capacity grows as needed, other
-      members untouched. *)
-end
-
 (** The steppable lane pool behind {!run} and every serving and
     migration client ([Tenant_server], [Sched_vm], the recovery
     drivers).
@@ -145,9 +103,10 @@ end
     identity — the contract in HACKING.md), masked writes never touch
     other lanes, and [load] resets the lane's slice of every masked and
     stacked variable to the all-zero fresh-VM state and re-seeds its pc
-    stack. Registers ([Var_class.Temp]) keep their stale rows: every
-    block writes a register before reading it, so no lane reads an
-    inherited register row, and only an exported lane state shows them.
+    column (the halt sentinel below, block 0 on top). Registers
+    ([Var_class.Temp]) keep their stale rows: every block writes a
+    register before reading it, so no lane reads an inherited register
+    row, and only an exported lane state shows them.
     A request served in any lane of any mix of neighbours is therefore
     bitwise identical to running it alone with [member_base] equal to
     its member. *)
@@ -223,7 +182,9 @@ module Lanes : sig
 
       A lane's complete execution state — Algorithm 2's column of one
       batch member: member identity, pc column, and one row of every
-      stored variable. Batched primitives are row-wise and the RNG
+      stored variable. The pc column is a {!Stacked.lane} like every
+      stacked variable's, so the one column format (and the one column
+      codec) carries both. Batched primitives are row-wise and the RNG
       keys on the member identity carried here — never on the lane
       index — so a lane state imported into any free lane of any pool
       running the same program continues the member's trajectory
@@ -239,7 +200,9 @@ module Lanes : sig
 
   type lane_state = {
     ls_member : int;
-    ls_pc : Pc_stack.lane;
+    ls_pc : Stacked.lane;
+        (** the pc stack's column: scalar block indices as floats, the
+            halt sentinel at the bottom while the lane runs *)
     ls_vars : lane_var array;
         (** the source pool's stored variables, sorted by name; every
             lane state a pool exports shares the pool's one array *)
@@ -256,17 +219,25 @@ module Lanes : sig
   (** Free an occupied lane without reading outputs (the member left via
       {!export_lane}); the pc parks at halt like a fresh idle lane. *)
 
+  val pc_column : t -> lane:int -> Stacked.lane
+  (** A copy of any lane's pc column, occupied or not: [[halt]] with top
+      [0] right after {!load}, and [[halt]] with top [halt] on a lane that
+      {!bind}, {!evict} or {!restore} left idle. Read-only. *)
+
   val import_lane : t -> lane:int -> lane_state -> unit
   (** Install a captured lane state into a free lane of a pool running
       the same program: the inverse of {!export_lane}, writing the lane's
-      row of every stored variable. Raises [Invalid_argument] if the lane
-      is occupied or the state's [ls_vars] (or its row count) differ from
-      the pool's. *)
+      row of every stored variable. Raises [Invalid_argument], before
+      writing anything, if the lane is occupied, the state's [ls_vars]
+      (or its row count) differ from the pool's, or its pc column is not
+      scalar block indices: every saved entry and the top an integer in
+      [[0, halt]], so NaN and the infinities are refused too. *)
 
   val lane_state_bytes : lane_state -> float
   (** Payload size of a migration or of one lane of a checkpoint, for
-      transfer pricing: 8 bytes per element of every variable row and
-      stacked frame, and per pc entry. *)
+      transfer pricing: 8 bytes per element of every variable row, every
+      stacked frame and top, and every pc entry (saved entries plus
+      top). *)
 
   val outputs : t -> Tensor.t list
   (** The full-width output tensors (leading batch dimension), freshly
@@ -294,10 +265,10 @@ module Lanes : sig
 
   val restore : t -> image -> unit
   (** Overwrite the pool's state with the image, in place: the existing
-      storage is zeroed (stacks emptied with {!Stacked.reset}, and the
-      pc stack's high-water mark reset to 0), each captured lane is
-      {!import_lane}d, and every other lane is freed with its member
-      identity from the image. No storage is reallocated. Restoring the
+      storage is zeroed (every stack, the pc's included, emptied with
+      {!Stacked.reset}, which restarts its high-water mark at 0), each
+      captured lane is {!import_lane}d, and every other lane is freed
+      with its member identity from the image and an idle pc column. No storage is reallocated. Restoring the
       {!capture} a pool gave right after {!create} therefore makes it
       indistinguishable from a fresh pool, event for event: the server
       reuses a shard's pools this way. Raises [Invalid_argument] on lane-count mismatch or

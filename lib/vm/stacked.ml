@@ -97,26 +97,33 @@ type lane = {
    a lane moves the member between batch slots bitwise-exactly. *)
 let capture_lane t b =
   if b < 0 || b >= t.z then invalid_arg "Stacked.capture_lane: lane out of range";
-  let frames = Array.make (t.sp.(b) * t.row) 0. in
-  for d = 0 to t.sp.(b) - 1 do
-    Array.blit t.data (slot t d b) frames (d * t.row) t.row
+  let sp = t.sp.(b) and row = t.row and top = Tensor.data t.top in
+  let frames = Array.create_float (sp * row) in
+  (* A row of one element is an assignment, not an [Array.blit] call:
+     the pc stack's rows and most scalar variables' are one element. *)
+  for d = 0 to sp - 1 do
+    if row = 1 then frames.(d) <- t.data.((d * t.z) + b)
+    else Array.blit t.data (slot t d b) frames (d * row) row
   done;
   {
     l_elem = t.elem;
-    l_sp = t.sp.(b);
+    l_sp = sp;
     l_frames = frames;
-    l_top = Array.sub (Tensor.data t.top) (b * t.row) t.row;
+    l_top = (if row = 1 then [| top.(b) |] else Array.sub top (b * row) row);
   }
 
 let restore_lane t b lane =
   if b < 0 || b >= t.z then invalid_arg "Stacked.restore_lane: lane out of range";
-  if not (Shape.equal lane.l_elem t.elem) then
+  if not (lane.l_elem == t.elem || Shape.equal lane.l_elem t.elem) then
     invalid_arg "Stacked.restore_lane: element shape mismatch";
   while lane.l_sp > t.cap do
     grow t
   done;
   t.sp.(b) <- lane.l_sp;
+  let row = t.row and top = Tensor.data t.top in
   for d = 0 to lane.l_sp - 1 do
-    Array.blit lane.l_frames (d * t.row) t.data (slot t d b) t.row
+    if row = 1 then t.data.((d * t.z) + b) <- lane.l_frames.(d)
+    else Array.blit lane.l_frames (d * row) t.data (slot t d b) row
   done;
-  Array.blit lane.l_top 0 (Tensor.data t.top) (b * t.row) t.row
+  if row = 1 then top.(b) <- lane.l_top.(0)
+  else Array.blit lane.l_top 0 top (b * row) row

@@ -1,4 +1,6 @@
-(** Per-variable batched stacks with a cached top (optimization O4).
+(** Batched stacks with a cached top (optimization O4): one per stacked
+    variable, plus {!Pc_vm}'s program-counter stack, whose elements are
+    scalars (block indices stored as floats).
 
     The logical stack of batch member [b] is
     [data[0..sp(b)-1, b] ++ [top(b)]]: the cached top holds the current
@@ -65,7 +67,8 @@ val capacity : t -> int
     member's future pops can observe, so moving a lane between batch
     slots (or pools) through capture/restore preserves its execution
     bitwise. The lane seam ({!Pc_vm.Lanes.export_lane}), and with it
-    every pool checkpoint, is built on this. *)
+    every pool checkpoint, is built on this: a lane's pc column and its
+    stacked variables' columns are all of this type. *)
 type lane = {
   l_elem : Shape.t;
   l_sp : int;

@@ -53,12 +53,15 @@ let test_kernel_and_call () =
   check_f "host call time" 4.5 (Engine.elapsed e);
   Alcotest.(check int) "host calls" 1 ((Engine.snapshot e).Engine.at).Engine.Counters.host_calls
 
+(* What a fresh engine reads out; restoring it resets an engine. *)
+let fresh_state () = Engine.snapshot (Engine.create ~device:tiny_device ~mode:Engine.Eager ())
+
 let test_traffic_and_reset () =
   let e = Engine.create ~device:tiny_device ~mode:Engine.Fused () in
   Engine.charge_transfer e ~name:"move" ~bytes:25. ~seconds:0.25;
   (* 0.5 host dispatch + 25/50 traffic + 0.25 link *)
   check_f "traffic time" 1.25 (Engine.elapsed e);
-  Engine.reset e;
+  Engine.restore e (fresh_state ());
   check_f "reset time" 0. (Engine.elapsed e);
   Alcotest.(check int) "reset counters" 0 ((Engine.snapshot e).Engine.at).Engine.Counters.blocks
 
@@ -99,7 +102,7 @@ let prop_time_monotone =
 
 (* The interned tally against a model with the semantics the tally had
    as a name-keyed hash table: a bump adds one to the name's count (from 0
-   when absent), [reset] empties it, [restore] empties it and writes each
+   when absent), [restore] empties it and writes each
    entry (the last duplicate wins), and a readout lists every entry by
    name. A name a restore wrote stays in the readout even at count zero. *)
 module Model = struct
@@ -116,13 +119,12 @@ type tally_op =
   | Block of string list * int
   | Priced of int
   | Kernel of string
-  | Reset
   | Restore of (string * int) list
 
 let op_names = [| "a"; "add"; "b"; "grad"; "mov"; "const" |]
 
 (* Blocks the [Priced] steps charge through handles priced up front, so a
-   handle outlives every reset and restore that follows it. *)
+   handle outlives every restore that follows it. *)
 let priced_blocks = [| [ "grad"; "add"; "grad" ]; [ "mov" ]; []; [ "b"; "const" ] |]
 
 let gen_tally_op =
@@ -134,7 +136,6 @@ let gen_tally_op =
       (4, map2 (fun ops c -> Block (ops, c)) (list_size (int_bound 4) name) (int_bound 3));
       (4, map (fun i -> Priced i) (int_bound (Array.length priced_blocks - 1)));
       (2, map (fun n -> Kernel n) name);
-      (1, return Reset);
       (1, map (fun e -> Restore e) entries);
     ]
 
@@ -145,7 +146,6 @@ let show_tally_op = function
   | Block (ops, c) -> Printf.sprintf "block[%s]/%d" (String.concat "," ops) c
   | Priced i -> Printf.sprintf "priced#%d" i
   | Kernel n -> "kernel " ^ n
-  | Reset -> "reset"
   | Restore e -> "restore" ^ show_entries e
 
 let encode snap =
@@ -203,9 +203,6 @@ let prop_tally_model =
           | Kernel name ->
             both (fun e -> Engine.charge_kernel e ~name ~flops:7.);
             model := Model.bump !model name
-          | Reset ->
-            both Engine.reset;
-            model := []
           | Restore ops ->
             both (fun e -> Engine.restore e { Engine.at = snap_at 3; ops });
             model := Model.restore ops);
@@ -218,7 +215,7 @@ let test_zero_counts_kept () =
   Engine.restore e { Engine.at = Engine.Counters.zero; ops = [ ("b", 0); ("a", 0) ] };
   Alcotest.(check (list (pair string int))) "zero entries survive"
     [ ("a", 0); ("b", 0) ] (Engine.snapshot e).Engine.ops;
-  Engine.reset e;
+  Engine.restore e (fresh_state ());
   Alcotest.(check (list (pair string int))) "reset drops them" [] (Engine.snapshot e).Engine.ops
 
 (* Everything a charge makes visible: counters, clock bits and events. *)
@@ -297,10 +294,9 @@ let test_priced_on_other_engine () =
     (Invalid_argument "Engine.charge_priced: priced by another engine")
     (fun () -> Engine.charge_priced e2 p);
   check_f "other engine untouched" 0. (Engine.elapsed e2);
-  Engine.reset e1;
   Engine.restore e1 { Engine.at = Engine.Counters.zero; ops = [ ("z", 2) ] };
   Engine.charge_priced e1 p;
-  Alcotest.(check (list (pair string int))) "handle outlives reset and restore"
+  Alcotest.(check (list (pair string int))) "handle outlives restore"
     [ ("a", 1); ("z", 2) ] (Engine.snapshot e1).Engine.ops
 
 let suites =

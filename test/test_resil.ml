@@ -240,6 +240,51 @@ let test_envelope_rejects_v3_pc () =
   in
   expect_corrupt "version-3 pc checkpoint" (fun () -> Snapshot.decode_pc blob)
 
+(* Version 5 writes a lane's pc as a stack column of float bits. A
+   version-4 blob — a two-lane pool with one loaded lane, its pc written
+   byte for byte as version 4 did (an int array of saved entries, then an
+   int top) — has the same length but is refused, not misread. *)
+let test_envelope_rejects_v4_pc () =
+  let compiled = Lazy.force fib_compiled in
+  let lanes = Pc_vm.Lanes.create compiled.Autobatch.registry compiled.Autobatch.stack ~z:2 in
+  Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[ Tensor.scalar 5. ];
+  let img = Pc_vm.Lanes.capture lanes in
+  let w_v4_lane b (st : Pc_vm.Lanes.lane_state) =
+    Codec.w_int b st.Pc_vm.Lanes.ls_member;
+    Codec.w_int_array b [| Stack_ir.halt compiled.Autobatch.stack |];
+    Codec.w_int b 0;
+    Array.iter (Codec.w_float b) st.Pc_vm.Lanes.ls_rows;
+    Array.iter
+      (fun l ->
+        Codec.w_int b l.Stacked.l_sp;
+        Array.iter (Codec.w_float b) l.Stacked.l_frames;
+        Array.iter (Codec.w_float b) l.Stacked.l_top)
+      st.Pc_vm.Lanes.ls_stacks
+  in
+  let pool payload =
+    Codec.w_int payload img.Pc_vm.Lanes.li_steps;
+    Codec.w_int payload img.Pc_vm.Lanes.li_last;
+    Codec.w_int_array payload img.Pc_vm.Lanes.li_members;
+    Codec.w_list
+      (fun b (lv : Pc_vm.Lanes.lane_var) ->
+        Codec.w_string b lv.Pc_vm.Lanes.lv_name;
+        Codec.w_int b
+          (match lv.Pc_vm.Lanes.lv_class with
+          | Var_class.Temp -> 0
+          | Var_class.Masked -> 1
+          | Var_class.Stacked -> 2);
+        Codec.w_int_array b lv.Pc_vm.Lanes.lv_elem)
+      payload
+      (Array.to_list img.Pc_vm.Lanes.li_vars);
+    Array.iter (Codec.w_option w_v4_lane payload) img.Pc_vm.Lanes.li_lanes;
+    Codec.w_option Snapshot.w_engine payload None
+  in
+  let v4 = old_pc_envelope ~version:4 pool in
+  Alcotest.(check int) "same length as a current blob"
+    (String.length (Snapshot.encode_pc { Snapshot.ck_vm = img; ck_engine = None }))
+    (String.length v4);
+  expect_corrupt "version-4 pc checkpoint" (fun () -> Snapshot.decode_pc v4)
+
 (* The request server's checkpoint kind is retired with it (the serving
    runtime checkpoints in memory): such a blob decodes as nothing. *)
 let test_envelope_rejects_retired_server_kind () =
@@ -285,14 +330,14 @@ let test_lane_state_roundtrip () =
   let blob = encode st in
   expect_corrupt "truncated lane" (fun () ->
       Snapshot.r_lane_state vars (Codec.reader (String.sub blob 0 (String.length blob - 8))));
-  (* The first stacked column's depth follows the member, the pc stack,
-     its top and the rows. *)
+  (* The first stacked column's depth follows the member, the pc column
+     (its depth, frames and top) and the rows. *)
   Alcotest.(check bool) "fib has stacked columns" true
     (Array.length st.Pc_vm.Lanes.ls_stacks > 0);
   let depth_at =
     8
     * (3
-      + Array.length st.Pc_vm.Lanes.ls_pc.Pc_vm.Pc_stack.pl_stack
+      + Array.length st.Pc_vm.Lanes.ls_pc.Stacked.l_frames
       + Array.length st.Pc_vm.Lanes.ls_rows)
   in
   let bad = Bytes.of_string blob in
@@ -512,6 +557,7 @@ let suites =
         t "rejects the retired server kind" `Quick test_envelope_rejects_retired_server_kind;
         t "rejects a version-2 pc checkpoint" `Quick test_envelope_rejects_v2_pc;
         t "rejects a version-3 pc checkpoint" `Quick test_envelope_rejects_v3_pc;
+        t "rejects a version-4 pc checkpoint" `Quick test_envelope_rejects_v4_pc;
       ] );
     ( "resil-images",
       [

@@ -45,8 +45,8 @@ let prop_sched_picks_nonzero =
 
 (* ---------- Stacked ---------- *)
 
-(* The active list [Stacked], [Pc_stack] and the VM's writes take: the
-   set lanes of [mask], ascending, and how many there are. *)
+(* The active list [Stacked] and the VM's writes take: the set lanes of
+   [mask], ascending, and how many there are. *)
 let lanes mask =
   let active = Vm_util.indices_of_mask mask in
   (active, Array.length active)
@@ -63,6 +63,17 @@ let pop s mask =
   let active, n = lanes mask in
   Stacked.pop s ~active ~n
 
+(* A stack of scalars seeded as the VM seeds its pc stack: every member
+   holds one saved frame [bottom] (the halt sentinel) below its top
+   [start]. Seeding moves no high-water mark. *)
+let seeded ~z ~bottom ~start ~initial_depth =
+  let s = Stacked.create ~z ~elem:Shape.scalar ~initial_depth () in
+  for b = 0 to z - 1 do
+    Stacked.restore_lane s b
+      { Stacked.l_elem = Shape.scalar; l_sp = 1; l_frames = [| bottom |]; l_top = [| start |] }
+  done;
+  s
+
 let test_stacked_basic () =
   let s = Stacked.create ~z:3 ~elem:[| 2 |] () in
   Alcotest.(check (array int)) "top shape" [| 3; 2 |] (Tensor.shape (Stacked.top s));
@@ -76,7 +87,15 @@ let test_stacked_basic () =
   pop s [| false; true; false |];
   let top = Stacked.top s in
   Alcotest.(check (float 0.)) "member 1 restored" 2. (Tensor.get top [| 1; 0 |]);
-  Alcotest.(check (float 0.)) "member 0 untouched" 9. (Tensor.get top [| 0; 0 |])
+  Alcotest.(check (float 0.)) "member 0 untouched" 9. (Tensor.get top [| 0; 0 |]);
+  (* On a seeded pc-style stack, pushing member 0 alone leaves member 1's
+     stack pointer where the sentinel put it. *)
+  let s = seeded ~z:2 ~bottom:(-1.) ~start:7. ~initial_depth:2 in
+  push s [| true; false |];
+  Alcotest.(check int) "pc member 0 sp" 2 (Stacked.depth s 0);
+  Alcotest.(check int) "pc member 1 sp" 1 (Stacked.depth s 1);
+  pop s [| true; false |];
+  Alcotest.(check (float 0.)) "pc member 0 restored" 7. (Tensor.get (Stacked.top s) [| 0 |])
 
 let test_stacked_growth () =
   let s = Stacked.create ~z:2 ~elem:[||] ~initial_depth:1 () in
@@ -92,13 +111,43 @@ let test_stacked_growth () =
     pop s all;
     Alcotest.(check (float 0.)) "LIFO restore" (float_of_int i)
       (Tensor.get (Stacked.top s) [| 0 |])
-  done
+  done;
+  (* A seeded pc-style stack from capacity 1: every member pushes 20
+     block indices, then member 1 unwinds alone. Its frames come back in
+     LIFO order down to the sentinel, and member 0's stack is
+     untouched. *)
+  let z = 3 in
+  let s = seeded ~z ~bottom:99. ~start:0. ~initial_depth:1 in
+  let all = Array.make z true in
+  for depth = 1 to 20 do
+    write_top s all (Tensor.full [| z |] (float_of_int depth));
+    push s all
+  done;
+  Alcotest.(check bool) "pc capacity grew" true (Stacked.capacity s >= 21);
+  Alcotest.(check int) "pc high water" 21 (Stacked.high_water s);
+  let only_1 = [| false; true; false |] in
+  for depth = 20 downto 1 do
+    pop s only_1;
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "pc member 1 depth %d" depth)
+      (float_of_int depth) (Tensor.get (Stacked.top s) [| 1 |])
+  done;
+  pop s only_1;
+  Alcotest.(check (float 0.)) "pc member 1 bottom" 99. (Tensor.get (Stacked.top s) [| 1 |]);
+  Alcotest.(check int) "pc member 0 untouched" 21 (Stacked.depth s 0)
 
 let test_stacked_underflow () =
   let s = Stacked.create ~z:1 ~elem:[||] () in
   Alcotest.check_raises "underflow"
     (Invalid_argument "Stacked.pop: underflow for member 0") (fun () ->
-      pop s [| true |])
+      pop s [| true |]);
+  (* A seeded pc-style stack holds one sentinel frame per member: one
+     pop is fine, a second raises rather than read out of bounds. *)
+  let s = seeded ~z:2 ~bottom:0. ~start:0. ~initial_depth:1 in
+  pop s [| false; true |];
+  Alcotest.check_raises "pc underflow"
+    (Invalid_argument "Stacked.pop: underflow for member 1") (fun () ->
+      pop s [| false; true |])
 
 let prop_stacked_push_pop_identity =
   QCheck.Test.make ~name:"push;pop is identity on the top" ~count:100
@@ -417,8 +466,8 @@ let test_lanes_restore_in_place () =
 (* A pool restored to the image it had when empty is a fresh pool, event
    for event. One engine carries a fib pool that serves deep requests,
    then a second program's pool (the shard serving digest A, then B),
-   then the fib pool again after the engine is reset and the pool is
-   restored to its empty image (A again, as a shard rebinding to a
+   then the fib pool again after the engine is restored to a fresh
+   engine's snapshot and the pool to its empty image (A again, as a shard rebinding to a
    digest it kept does). Serving shallow requests, that pool gives the
    outputs, step count and Step / Occupancy / Launched stream of a fresh
    pool on a fresh engine — including Occupancy's [depth], which the
@@ -469,7 +518,9 @@ let test_lanes_reuse_is_fresh () =
     (serve b
        [ [ Tensor.of_array [| 3 |] [| 1.; 2.; 3. |]; Tensor.scalar 4. ];
          [ Tensor.of_array [| 3 |] [| 0.5; 0.; 1. |]; Tensor.scalar 2. ] ]);
-  Engine.reset engine;
+  (* A fresh engine's state, restored into the one the pools priced
+     their blocks on. *)
+  Engine.restore engine (Engine.snapshot (Engine.create ~device:Device.gpu ~mode:Engine.Hybrid ()));
   events := [];
   Pc_vm.Lanes.restore a empty;
   let outs = serve a shallow in
@@ -689,14 +740,15 @@ let test_lanes_counts_golden () =
 (* Active-row execution. A primitive op whose flops per row dwarf the
    elements it moves computes only the active rows of a masked
    superstep; give every primitive huge flops and every op does. Row
-   counts are recorded to show the gathered path ran, and the outputs
+   counts are recorded to show the gathered path ran, the gathered
+   member ids must come in ascending lane order, and the outputs
    must equal the plain registry's bitwise — the random walk's draws key
    on the gathered member ids and fib recurses at mixed depths. Under the
    plain registry every call stays full width: the standard primitives
    are all below the gate. *)
 let test_pc_active_rows () =
   let std = Prim.standard () in
-  let rows = ref [] in
+  let rows = ref [] and ascending = ref true in
   let wrap flops =
     let reg = Prim.create_registry () in
     List.iter
@@ -709,6 +761,9 @@ let test_pc_active_rows () =
             batched =
               (fun ~members args ->
                 rows := Array.length members :: !rows;
+                Array.iteri
+                  (fun j m -> if j > 0 && members.(j - 1) >= m then ascending := false)
+                  members;
                 p.Prim.batched ~members args);
           })
       (Prim.names std);
@@ -735,8 +790,122 @@ let test_pc_active_rows () =
         (List.for_all (( = ) z) plain_rows);
       Alcotest.(check bool) (label ^ ": heavy gathers") true
         (List.exists (fun n -> n > 0 && n < z) heavy_rows);
+      Alcotest.(check bool) (label ^ ": lanes in ascending order") true !ascending;
       Alcotest.(check bool) (label ^ ": bitwise") true (List.for_all2 Tensor.equal plain heavy))
     [ ("random walk", Test_programs.random_walk); ("fib", Test_programs.fib) ]
+
+(* Every lane's pc column holds the halt sentinel below its top: a lane
+   that [bind], [evict] or [restore] leaves idle has top halt, a loaded
+   lane top 0. Occupancy's [depth] counts pushes with the sentinel as a
+   frame: 0 until the first call, then the deepest the pc stack has
+   been (fib's variable stacks are never deeper), and 0 again after a
+   restore. *)
+let test_lanes_pc_columns () =
+  let halt = float_of_int (Stack_ir.halt fib_compiled.Autobatch.stack) in
+  let idle = { Stacked.l_elem = Shape.scalar; l_sp = 1; l_frames = [| halt |]; l_top = [| halt |] } in
+  let fresh = { idle with Stacked.l_top = [| 0. |] } in
+  let depths = ref [] in
+  let sink = function
+    | Obs_sink.Occupancy { depth; _ } -> depths := depth :: !depths
+    | _ -> ()
+  in
+  let config = { Pc_vm.default_config with sink = Some sink } in
+  let lanes =
+    Pc_vm.Lanes.create ~config fib_compiled.Autobatch.registry fib_compiled.Autobatch.stack ~z:2
+  in
+  let column what lane want =
+    Alcotest.(check bool) what true (Pc_vm.Lanes.pc_column lanes ~lane = want)
+  in
+  column "bound lane 0" 0 idle;
+  column "bound lane 1" 1 idle;
+  let empty = Pc_vm.Lanes.capture lanes in
+  (* Run lane 0 to the end, reading the pc depth the sentinel counts in
+     after every superstep: each Occupancy reports the deepest so far. *)
+  let run_lane_0 n =
+    Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[ Tensor.scalar n ];
+    column "loaded lane" 0 fresh;
+    column "idle neighbour" 1 idle;
+    depths := [];
+    let deepest = ref 0 and want = ref [] in
+    while
+      want := !deepest :: !want;
+      Pc_vm.Lanes.step lanes
+    do
+      let sp = (Pc_vm.Lanes.pc_column lanes ~lane:0).Stacked.l_sp in
+      if sp > 1 then deepest := max !deepest sp
+    done;
+    Alcotest.(check (list int)) "Occupancy depth" (List.tl !want) !depths;
+    Alcotest.(check bool) "called" true (!deepest > 2);
+    Alcotest.(check bool) "halted past the sentinel" true
+      (Pc_vm.Lanes.pc_column lanes ~lane:0
+      = { idle with Stacked.l_sp = 0; l_frames = [||] })
+  in
+  run_lane_0 6.;
+  ignore (Pc_vm.Lanes.retire lanes ~lane:0);
+  Pc_vm.Lanes.load lanes ~lane:1 ~member:1 ~inputs:[ Tensor.scalar 5. ];
+  for _ = 1 to 8 do
+    ignore (Pc_vm.Lanes.step lanes)
+  done;
+  Alcotest.(check bool) "mid-call" true ((Pc_vm.Lanes.pc_column lanes ~lane:1).Stacked.l_sp > 1);
+  Pc_vm.Lanes.evict lanes ~lane:1;
+  column "evicted lane" 1 idle;
+  Pc_vm.Lanes.restore lanes empty;
+  column "restored lane 0" 0 idle;
+  column "restored lane 1" 1 idle;
+  run_lane_0 6.
+
+(* [import_lane] takes a pc column only if it holds block indices: every
+   saved entry and the top an integer in [0, halt]. A top of -1 would
+   index the block counts out of bounds on the next step, and a top of
+   halt + 1 would leave a live lane that never runs. Each refusal comes
+   before anything is written. *)
+let test_lanes_import_checks_pc () =
+  let reg = fib_compiled.Autobatch.registry and stack = fib_compiled.Autobatch.stack in
+  let halt = float_of_int (Stack_ir.halt stack) in
+  let src = Pc_vm.Lanes.create reg stack ~z:1 in
+  Pc_vm.Lanes.load src ~lane:0 ~member:3 ~inputs:[ Tensor.scalar 7. ];
+  for _ = 1 to 5 do
+    ignore (Pc_vm.Lanes.step src)
+  done;
+  let st = Pc_vm.Lanes.export_lane src ~lane:0 in
+  let pc = st.Pc_vm.Lanes.ls_pc in
+  Alcotest.(check bool) "saved entries" true (pc.Stacked.l_sp > 1);
+  let dst = Pc_vm.Lanes.create reg stack ~z:2 in
+  Pc_vm.Lanes.load dst ~lane:1 ~member:4 ~inputs:[ Tensor.scalar 4. ];
+  let before = Pc_vm.Lanes.capture dst in
+  let with_top x = { pc with Stacked.l_top = [| x |] } in
+  let with_entry x =
+    let f = Array.copy pc.Stacked.l_frames in
+    f.(Array.length f - 1) <- x;
+    { pc with Stacked.l_frames = f }
+  in
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Pc_vm.Lanes.import_lane: the pc column holds a value that is not a block index")
+        (fun () -> Pc_vm.Lanes.import_lane dst ~lane:0 { st with Pc_vm.Lanes.ls_pc = bad });
+      Alcotest.(check bool) (what ^ ": pool unchanged") true (Pc_vm.Lanes.capture dst = before))
+    [
+      ("top -1", with_top (-1.));
+      ("top halt + 1", with_top (halt +. 1.));
+      ("top 2.5", with_top 2.5);
+      ("top NaN", with_top Float.nan);
+      ("top infinity", with_top Float.infinity);
+      ("entry -1", with_entry (-1.));
+      ("entry halt + 1", with_entry (halt +. 1.));
+      ("entry NaN", with_entry Float.nan);
+      ("entry -infinity", with_entry Float.neg_infinity);
+      ("frames shorter than the depth", { pc with Stacked.l_sp = pc.Stacked.l_sp + 1 });
+    ];
+  (* The state itself imports and runs to the solo result. *)
+  Pc_vm.Lanes.import_lane dst ~lane:0 st;
+  while Pc_vm.Lanes.step dst do
+    ()
+  done;
+  let solo n = List.hd (Autobatch.run_pc fib_compiled ~batch:[ Tensor.of_list [ n ] ]) in
+  Alcotest.(check (float 0.)) "imported lane finishes" (Tensor.get (solo 7.) [| 0 |])
+    (Tensor.get (List.hd (Pc_vm.Lanes.retire dst ~lane:0)) [||])
 
 let lanes_suite =
   ( "pc-lanes",
@@ -749,60 +918,8 @@ let lanes_suite =
       QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_recycled_restore ~count:200);
       QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_recycled_restore ~count:5_000);
       t "a pool restored empty is a fresh pool" `Quick test_lanes_reuse_is_fresh;
-    ] )
-
-(* ---------- the program-counter stack itself ---------- *)
-
-let test_pc_stack_growth () =
-  (* Start with capacity 1 and push far past it: the backing array must
-     regrow without losing any member's saved frames. *)
-  let z = 3 in
-  let s = Pc_vm.Pc_stack.create ~z ~bottom:99 ~start:0 ~initial_depth:1 in
-  let all = Array.init z Fun.id in
-  let only b = [| b |] in
-  for depth = 1 to 20 do
-    Pc_vm.Pc_stack.set_top s ~active:all ~n:z depth;
-    Pc_vm.Pc_stack.push s ~active:all ~n:z
-  done;
-  Alcotest.(check bool) "capacity grew" true (s.Pc_vm.Pc_stack.cap >= 21);
-  Alcotest.(check int) "high water" 21 s.Pc_vm.Pc_stack.high;
-  (* Unwind member 1 alone; its frames come back in LIFO order while the
-     other members' stacks are untouched. *)
-  for depth = 20 downto 1 do
-    Pc_vm.Pc_stack.pop s ~active:(only 1) ~n:1;
-    Alcotest.(check int)
-      (Printf.sprintf "member 1 depth %d" depth)
-      depth s.Pc_vm.Pc_stack.top.(1)
-  done;
-  Pc_vm.Pc_stack.pop s ~active:(only 1) ~n:1;
-  Alcotest.(check int) "member 1 bottom" 99 s.Pc_vm.Pc_stack.top.(1);
-  Alcotest.(check int) "member 0 untouched" 21 s.Pc_vm.Pc_stack.sp.(0)
-
-let test_pc_stack_masked_push () =
-  let z = 2 in
-  let s = Pc_vm.Pc_stack.create ~z ~bottom:(-1) ~start:7 ~initial_depth:2 in
-  (* Push only member 0: member 1's stack pointer must not move. *)
-  Pc_vm.Pc_stack.push s ~active:[| 0 |] ~n:1;
-  Alcotest.(check int) "member 0 sp" 2 s.Pc_vm.Pc_stack.sp.(0);
-  Alcotest.(check int) "member 1 sp" 1 s.Pc_vm.Pc_stack.sp.(1);
-  Pc_vm.Pc_stack.pop s ~active:[| 0 |] ~n:1;
-  Alcotest.(check int) "member 0 restored" 7 s.Pc_vm.Pc_stack.top.(0)
-
-let test_pc_stack_underflow () =
-  let s = Pc_vm.Pc_stack.create ~z:2 ~bottom:0 ~start:0 ~initial_depth:1 in
-  (* Each member starts with the single bottom sentinel frame: one pop is
-     fine, a second must raise rather than read out of bounds. *)
-  Pc_vm.Pc_stack.pop s ~active:[| 1 |] ~n:1;
-  Alcotest.check_raises "underflow"
-    (Invalid_argument "Pc_vm: pc stack underflow for member 1") (fun () ->
-      Pc_vm.Pc_stack.pop s ~active:[| 1 |] ~n:1)
-
-let pc_stack_suite =
-  ( "pc-stack",
-    [
-      t "growth preserves frames" `Quick test_pc_stack_growth;
-      t "masked push isolates members" `Quick test_pc_stack_masked_push;
-      t "underflow raises" `Quick test_pc_stack_underflow;
+      t "pc columns and depth from the sentinel" `Quick test_lanes_pc_columns;
+      t "import refuses a pc that is no block" `Quick test_lanes_import_checks_pc;
     ] )
 
 (* ---------- active-list lane loops against the mask scan ---------- *)
@@ -878,49 +995,15 @@ module Mask_scan = struct
                 List.init t.sp.(b) (fun d -> Array.sub t.data (slot t d b) t.row))))
     in
     (Array.copy t.sp, frames, Array.copy t.top, t.high, t.cap)
-
-  module Pc = struct
-    open Pc_vm.Pc_stack
-
-    let grow t =
-      let cap' = t.cap * 2 in
-      let data' = Array.make (cap' * t.z) 0 in
-      Array.blit t.data 0 data' 0 (t.cap * t.z);
-      t.cap <- cap';
-      t.data <- data'
-
-    let push t ~mask =
-      let need = ref 0 in
-      Array.iteri (fun b m -> if m && t.sp.(b) >= !need then need := t.sp.(b) + 1) mask;
-      while !need > t.cap do
-        grow t
-      done;
-      if !need > t.high then t.high <- !need;
-      Array.iteri
-        (fun b m ->
-          if m then begin
-            t.data.((t.sp.(b) * t.z) + b) <- t.top.(b);
-            t.sp.(b) <- t.sp.(b) + 1
-          end)
-        mask
-
-    let pop t ~mask =
-      Array.iteri
-        (fun b m ->
-          if m then begin
-            if t.sp.(b) = 0 then
-              invalid_arg (Printf.sprintf "Pc_vm: pc stack underflow for member %d" b);
-            t.sp.(b) <- t.sp.(b) - 1;
-            t.top.(b) <- t.data.((t.sp.(b) * t.z) + b)
-          end)
-        mask
-
-    let set_top_masked t ~mask v = Array.iteri (fun b m -> if m then t.top.(b) <- v) mask
-  end
 end
 
+(* [Pc] is the VM's pc stack: a [Stacked] of scalars, each member seeded
+   with the halt sentinel [pc_halt] below a top of 0, written with
+   integer block indices. *)
 type lane_storage = Msk | Stk | Pc
 type lane_op = Write | Push | Pop
+
+let pc_halt = 99.
 
 type lane_case = {
   storage : lane_storage;
@@ -957,7 +1040,8 @@ let print_lane_case c =
    raised exception (if any) after every op. *)
 let lane_case_agrees c =
   let result f = match f () with () -> None | exception Invalid_argument m -> Some m in
-  let value i = Array.init (c.z * c.row) (fun e -> float_of_int ((i * 1000) + e) +. 0.25) in
+  let frac = if c.storage = Pc then 0. else 0.25 in
+  let value i = Array.init (c.z * c.row) (fun e -> float_of_int ((i * 1000) + e) +. frac) in
   let step, state =
     match c.storage with
     | Msk ->
@@ -968,15 +1052,28 @@ let lane_case_agrees c =
           ( result (fun () -> Vm_util.blit_active_rows ~active ~n ~src ~dst:live),
             result (fun () -> Tensor.blit_rows_masked ~mask ~src ~dst:model) )),
         fun () -> Tensor.data live = Tensor.data model )
-    | Stk ->
-      let live = Stacked.create ~z:c.z ~elem:[| c.row |] ~initial_depth:c.depth () in
-      let model = Mask_scan.create ~z:c.z ~row:c.row ~initial_depth:c.depth in
+    | Stk | Pc ->
+      let elem = if c.storage = Pc then Shape.scalar else [| c.row |] in
+      let live, model =
+        if c.storage = Pc then begin
+          let model = Mask_scan.create ~z:c.z ~row:1 ~initial_depth:c.depth in
+          for b = 0 to c.z - 1 do
+            model.Mask_scan.sp.(b) <- 1;
+            model.Mask_scan.data.(b) <- pc_halt
+          done;
+          (seeded ~z:c.z ~bottom:pc_halt ~start:0. ~initial_depth:c.depth, model)
+        end
+        else
+          ( Stacked.create ~z:c.z ~elem ~initial_depth:c.depth (),
+            Mask_scan.create ~z:c.z ~row:c.row ~initial_depth:c.depth )
+      in
       ( (fun i op mask ->
           let active, n = lanes mask in
           match op with
           | Write ->
             ( result (fun () ->
-                  Stacked.write_top live ~active ~n (Tensor.create [| c.z; c.row |] (value i))),
+                  Stacked.write_top live ~active ~n
+                    (Tensor.create (Shape.concat_outer c.z elem) (value i))),
               result (fun () -> Mask_scan.write_top model ~mask (value i)) )
           | Push ->
             ( result (fun () -> Stacked.push live ~active ~n),
@@ -993,24 +1090,6 @@ let lane_case_agrees c =
             Stacked.high_water live,
             Stacked.capacity live )
           = Mask_scan.image model )
-    | Pc ->
-      let create () =
-        Pc_vm.Pc_stack.create ~z:c.z ~bottom:(-1) ~start:0 ~initial_depth:c.depth
-      in
-      let live = create () and model = create () in
-      ( (fun i op mask ->
-          let active, n = lanes mask in
-          match op with
-          | Write ->
-            ( result (fun () -> Pc_vm.Pc_stack.set_top live ~active ~n i),
-              result (fun () -> Mask_scan.Pc.set_top_masked model ~mask i) )
-          | Push ->
-            ( result (fun () -> Pc_vm.Pc_stack.push live ~active ~n),
-              result (fun () -> Mask_scan.Pc.push model ~mask) )
-          | Pop ->
-            ( result (fun () -> Pc_vm.Pc_stack.pop live ~active ~n),
-              result (fun () -> Mask_scan.Pc.pop model ~mask) )),
-        fun () -> live = model )
   in
   List.for_all
     (fun (i, (op, mask)) ->
@@ -1388,6 +1467,6 @@ let alloc_suite =
 
 let suites =
   suites
-  @ [ lanes_suite; pc_stack_suite; active_lanes_suite ]
+  @ [ lanes_suite; active_lanes_suite ]
   @ serve_suites
   @ [ template_suite; alloc_suite ]
