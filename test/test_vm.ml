@@ -87,15 +87,7 @@ let test_stacked_basic () =
   pop s [| false; true; false |];
   let top = Stacked.top s in
   Alcotest.(check (float 0.)) "member 1 restored" 2. (Tensor.get top [| 1; 0 |]);
-  Alcotest.(check (float 0.)) "member 0 untouched" 9. (Tensor.get top [| 0; 0 |]);
-  (* On a seeded pc-style stack, pushing member 0 alone leaves member 1's
-     stack pointer where the sentinel put it. *)
-  let s = seeded ~z:2 ~bottom:(-1.) ~start:7. ~initial_depth:2 in
-  push s [| true; false |];
-  Alcotest.(check int) "pc member 0 sp" 2 (Stacked.depth s 0);
-  Alcotest.(check int) "pc member 1 sp" 1 (Stacked.depth s 1);
-  pop s [| true; false |];
-  Alcotest.(check (float 0.)) "pc member 0 restored" 7. (Tensor.get (Stacked.top s) [| 0 |])
+  Alcotest.(check (float 0.)) "member 0 untouched" 9. (Tensor.get top [| 0; 0 |])
 
 let test_stacked_growth () =
   let s = Stacked.create ~z:2 ~elem:[||] ~initial_depth:1 () in
@@ -111,11 +103,21 @@ let test_stacked_growth () =
     pop s all;
     Alcotest.(check (float 0.)) "LIFO restore" (float_of_int i)
       (Tensor.get (Stacked.top s) [| 0 |])
-  done;
-  (* A seeded pc-style stack from capacity 1: every member pushes 20
-     block indices, then member 1 unwinds alone. Its frames come back in
-     LIFO order down to the sentinel, and member 0's stack is
-     untouched. *)
+  done
+
+let test_stacked_underflow () =
+  let s = Stacked.create ~z:1 ~elem:[||] () in
+  Alcotest.check_raises "underflow"
+    (Invalid_argument "Stacked.pop: underflow for member 0") (fun () ->
+      pop s [| true |])
+
+(* ---------- the program-counter stack ---------- *)
+
+(* The pool's pc stack is a [Stacked] of scalars seeded by [seeded]. *)
+
+let test_pc_stack_growth () =
+  (* Start with capacity 1 and push far past it: the backing array must
+     regrow without losing any member's saved frames. *)
   let z = 3 in
   let s = seeded ~z ~bottom:99. ~start:0. ~initial_depth:1 in
   let all = Array.make z true in
@@ -123,29 +125,36 @@ let test_stacked_growth () =
     write_top s all (Tensor.full [| z |] (float_of_int depth));
     push s all
   done;
-  Alcotest.(check bool) "pc capacity grew" true (Stacked.capacity s >= 21);
-  Alcotest.(check int) "pc high water" 21 (Stacked.high_water s);
+  Alcotest.(check bool) "capacity grew" true (Stacked.capacity s >= 21);
+  Alcotest.(check int) "high water" 21 (Stacked.high_water s);
+  (* Unwind member 1 alone; its frames come back in LIFO order down to
+     the sentinel while the other members' stacks are untouched. *)
   let only_1 = [| false; true; false |] in
   for depth = 20 downto 1 do
     pop s only_1;
     Alcotest.(check (float 0.))
-      (Printf.sprintf "pc member 1 depth %d" depth)
+      (Printf.sprintf "member 1 depth %d" depth)
       (float_of_int depth) (Tensor.get (Stacked.top s) [| 1 |])
   done;
   pop s only_1;
-  Alcotest.(check (float 0.)) "pc member 1 bottom" 99. (Tensor.get (Stacked.top s) [| 1 |]);
-  Alcotest.(check int) "pc member 0 untouched" 21 (Stacked.depth s 0)
+  Alcotest.(check (float 0.)) "member 1 bottom" 99. (Tensor.get (Stacked.top s) [| 1 |]);
+  Alcotest.(check int) "member 0 untouched" 21 (Stacked.depth s 0)
 
-let test_stacked_underflow () =
-  let s = Stacked.create ~z:1 ~elem:[||] () in
-  Alcotest.check_raises "underflow"
-    (Invalid_argument "Stacked.pop: underflow for member 0") (fun () ->
-      pop s [| true |]);
-  (* A seeded pc-style stack holds one sentinel frame per member: one
-     pop is fine, a second raises rather than read out of bounds. *)
+let test_pc_stack_masked_push () =
+  let s = seeded ~z:2 ~bottom:(-1.) ~start:7. ~initial_depth:2 in
+  (* Push only member 0: member 1's stack pointer must not move. *)
+  push s [| true; false |];
+  Alcotest.(check int) "member 0 sp" 2 (Stacked.depth s 0);
+  Alcotest.(check int) "member 1 sp" 1 (Stacked.depth s 1);
+  pop s [| true; false |];
+  Alcotest.(check (float 0.)) "member 0 restored" 7. (Tensor.get (Stacked.top s) [| 0 |])
+
+let test_pc_stack_underflow () =
   let s = seeded ~z:2 ~bottom:0. ~start:0. ~initial_depth:1 in
+  (* Each member starts with the single sentinel frame: one pop is fine,
+     a second must raise rather than read out of bounds. *)
   pop s [| false; true |];
-  Alcotest.check_raises "pc underflow"
+  Alcotest.check_raises "underflow"
     (Invalid_argument "Stacked.pop: underflow for member 1") (fun () ->
       pop s [| false; true |])
 
@@ -359,6 +368,12 @@ let suites =
         t "growth and LIFO" `Quick test_stacked_growth;
         t "underflow" `Quick test_stacked_underflow;
         QCheck_alcotest.to_alcotest prop_stacked_push_pop_identity;
+      ] );
+    ( "pc-stack",
+      [
+        t "growth preserves frames" `Quick test_pc_stack_growth;
+        t "masked push isolates members" `Quick test_pc_stack_masked_push;
+        t "underflow raises" `Quick test_pc_stack_underflow;
       ] );
     ( "vm",
       [
