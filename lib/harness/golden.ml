@@ -19,12 +19,21 @@ let first_difference a b =
   let i = go 0 in
   (i + 1, line a i, line b i)
 
+let rec make_dirs dir =
+  if not (Sys.file_exists dir) then begin
+    make_dirs (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 let check ?(bless = bless_dir ()) ~path doc =
   match bless with
-  | Some dir ->
+  | Some dir -> (
     let out = Filename.concat dir path in
-    Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc doc);
-    Ok (Blessed out)
+    try
+      make_dirs (Filename.dirname out);
+      Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc doc);
+      Ok (Blessed out)
+    with Sys_error msg -> Error (Printf.sprintf "%s: cannot bless (%s)" out msg))
   | None when not (Sys.file_exists path) ->
     Error (path ^ ": missing (rerun with AUTOBATCH_BLESS set to create it)")
   | None ->

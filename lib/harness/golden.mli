@@ -15,6 +15,7 @@ val check : ?bless:string option -> path:string -> string -> (outcome, string) r
 (** [check ~path doc] compares [doc] with the contents of [path].
     A missing file or any difference is an [Error] naming [path] and,
     for a difference, the first differing line on both sides. With
-    [bless] set to [Some dir], writes [doc] to [Filename.concat dir path]
-    and returns [Blessed] instead. [bless] defaults to [AUTOBATCH_BLESS]
+    [bless] set to [Some dir], writes [doc] to [Filename.concat dir path],
+    creating any missing directory on the way, and returns [Blessed]
+    instead; a write that fails is an [Error] naming that path. [bless] defaults to [AUTOBATCH_BLESS]
     when that is set and non-empty, and to [None] otherwise. *)

@@ -4,11 +4,12 @@
     while checkpointing every [interval] supersteps through {!Snapshot}
     (a genuine serialization round trip: every restore {e decodes} the
     stored blob). A checkpoint is each pool's {!Pc_vm.Lanes.image} — the
-    state of every occupied lane (variable rows, and the pc's and every
+    state of every occupied lane (masked rows, and the pc's and every
     stacked variable's column of saved frames and top, all in one column
     format; RNG member identity; RNG counters live in variables), the
     scheduler cursor and the step count — plus the engine tallies. That
-    is all the state the execution depends on, so a faulted-and-recovered
+    is all the state the execution depends on (registers are dead between
+    supersteps), so a faulted-and-recovered
     run produces output bitwise identical to the fault-free run, and its
     engine state reports true cumulative cost from time zero.
 

@@ -4,8 +4,8 @@ let magic = "ABRESIL1"
    images; version 3 dropped the instrument section of pc checkpoints;
    version 4 stores a lane pool as its occupied lanes' states; version 5
    writes a lane's pc as a stacked column, its block indices as float
-   bits. *)
-let version = 5
+   bits; version 6 drops registers (class tag 0) from lane states. *)
+let version = 6
 
 (* ---- Envelope -------------------------------------------------------- *)
 
@@ -60,7 +60,10 @@ let decode ~kind blob read =
 let w_shape b (s : Shape.t) = Codec.w_int_array b s
 let r_shape r : Shape.t = Codec.r_int_array r
 
-let class_tag = function Var_class.Temp -> 0 | Var_class.Masked -> 1 | Var_class.Stacked -> 2
+let class_tag = function
+  | Var_class.Masked -> 1
+  | Var_class.Stacked -> 2
+  | Var_class.Temp -> invalid_arg "Snapshot: a lane state holds no register"
 
 let w_lane_var b (lv : Pc_vm.Lanes.lane_var) =
   Codec.w_string b lv.Pc_vm.Lanes.lv_name;
@@ -71,7 +74,6 @@ let r_lane_var r : Pc_vm.Lanes.lane_var =
   let lv_name = Codec.r_string r in
   let lv_class =
     match Codec.r_int r with
-    | 0 -> Var_class.Temp
     | 1 -> Var_class.Masked
     | 2 -> Var_class.Stacked
     | n -> Codec.corrupt "variable %s: unknown storage class tag %d" lv_name n
@@ -110,27 +112,16 @@ let w_lane_state vars b (st : Pc_vm.Lanes.lane_state) =
   w_floats b st.Pc_vm.Lanes.ls_rows;
   Array.iter (w_column b) st.Pc_vm.Lanes.ls_stacks
 
-let r_lane_state vars r : Pc_vm.Lanes.lane_state =
-  let ls_member = Codec.r_int r in
-  let ls_pc = r_column r ~owner:"the pc" Shape.scalar in
-  let is_stacked (lv : Pc_vm.Lanes.lane_var) = lv.Pc_vm.Lanes.lv_class = Var_class.Stacked in
-  let width =
-    Array.fold_left
-      (fun n lv -> if is_stacked lv then n else n + Shape.numel lv.Pc_vm.Lanes.lv_elem)
-      0 vars
-  in
-  let ls_rows = r_floats r width in
-  let column (lv : Pc_vm.Lanes.lane_var) =
-    r_column r ~owner:("variable " ^ lv.Pc_vm.Lanes.lv_name) lv.Pc_vm.Lanes.lv_elem
-  in
-  let ls_stacks = Array.map column (Array.of_list (List.filter is_stacked (Array.to_list vars))) in
-  {
-    Pc_vm.Lanes.ls_member;
-    ls_pc;
-    ls_vars = vars;
-    ls_rows;
-    ls_stacks;
-  }
+let r_lane_state vars =
+  let width, stacked = Pc_vm.Lanes.layout vars in
+  fun r : Pc_vm.Lanes.lane_state ->
+    let ls_member = Codec.r_int r in
+    let ls_pc = r_column r ~owner:"the pc" Shape.scalar in
+    let ls_rows = r_floats r width in
+    let column (lv : Pc_vm.Lanes.lane_var) =
+      r_column r ~owner:("variable " ^ lv.Pc_vm.Lanes.lv_name) lv.Pc_vm.Lanes.lv_elem
+    in
+    { Pc_vm.Lanes.ls_member; ls_pc; ls_vars = vars; ls_rows; ls_stacks = Array.map column stacked }
 
 let w_lanes b (img : Pc_vm.Lanes.image) =
   let vars = img.Pc_vm.Lanes.li_vars in
@@ -145,10 +136,8 @@ let r_lanes r : Pc_vm.Lanes.image =
   let li_last = Codec.r_int r in
   let li_members = Codec.r_int_array r in
   let li_vars = Array.of_list (Codec.r_list r_lane_var r) in
-  let li_lanes =
-    Array.init (Array.length li_members) (fun _ ->
-        Codec.r_option (r_lane_state li_vars) r)
-  in
+  let r_lane = r_lane_state li_vars in
+  let li_lanes = Array.init (Array.length li_members) (fun _ -> Codec.r_option r_lane r) in
   { Pc_vm.Lanes.li_steps; li_last; li_members; li_vars; li_lanes }
 
 let w_counters b (c : Engine.Counters.t) =

@@ -14,10 +14,11 @@
     the captured one — the foundation of deterministic replay. *)
 
 val version : int
-(** 5: a pool is its lane states, and a lane's pc is a stack column like
-    a stacked variable's, its block indices as float bits. Blobs of any
-    other version (4 wrote the pc as integers, 3 a pool's whole storage)
-    are {!Codec.Corrupt}. *)
+(** 6: a pool is its lane states, with no register (class tag 0 is
+    refused), and a lane's pc is a stack column like a stacked
+    variable's, its block indices as float bits. Blobs of any other
+    version (5 wrote registers, 4 the pc as integers, 3 a pool's whole
+    storage) are {!Codec.Corrupt}. *)
 
 val encode : kind:string -> (Buffer.t -> unit) -> string
 (** Wrap a payload writer in the envelope. *)
@@ -36,9 +37,9 @@ val w_lane_state :
   Pc_vm.Lanes.lane_var array -> Buffer.t -> Pc_vm.Lanes.lane_state -> unit
 (** [w_lane_state vars] writes one lane of a pool whose allocated
     variables are [vars] (the image's [li_vars]): member, pc column, the
-    rows, then each stacked variable's column, every column in one
-    format (depth, frames, top) — no names, shapes or lengths, which
-    [vars] fixes. Raises [Invalid_argument] if the lane's variables are
+    masked rows, then each stacked variable's column, every column in
+    one format (depth, frames, top) — no names, shapes or lengths, which
+    [vars] fixes through {!Pc_vm.Lanes.layout}. Raises [Invalid_argument] if the lane's variables are
     not [vars]. *)
 
 val r_lane_state : Pc_vm.Lanes.lane_var array -> Codec.reader -> Pc_vm.Lanes.lane_state

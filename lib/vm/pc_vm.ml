@@ -104,11 +104,17 @@ module Lanes = struct
     prims : string array;  (* the primitives the ops name, each once *)
     in_slots : int list;  (* the program's inputs *)
     out_slots : int list;  (* the program's outputs *)
-    (* The stored variables as lane states describe them, and the length
-       of a lane state's [ls_rows]. *)
+    (* The variables a lane state carries, its [ls_rows] length and its
+       [ls_stacks] count ([layout]). *)
     vars : lane_var array;
     width : int;
+    columns : int;
   }
+
+  let layout vars =
+    let stacked lv = lv.lv_class = Var_class.Stacked in
+    ( Array.fold_left (fun n lv -> if stacked lv then n else n + Shape.numel lv.lv_elem) 0 vars,
+      Array.of_list (List.filter stacked (Array.to_list vars)) )
 
   (* [Smap.find_opt] of each of the sorted [names] in [map], in one
      ordered walk of both. *)
@@ -206,14 +212,15 @@ module Lanes = struct
       in
       { t_ops = Array.of_list (List.map op b.Stack_ir.ops); t_term = b.Stack_ir.term; t_cond }
     in
-    (* The stored variables are the shaped ones, in name order. *)
+    (* Lane states carry the shaped variables but the registers, by name. *)
     let vars = ref [] in
     for k = Array.length names - 1 downto 0 do
-      match elems.(k) with
-      | Some lv_elem -> vars := { lv_name = names.(k); lv_class = classes.(k); lv_elem } :: !vars
-      | None -> ()
+      match (elems.(k), classes.(k)) with
+      | None, _ | Some _, Var_class.Temp -> ()
+      | Some lv_elem, lv_class -> vars := { lv_name = names.(k); lv_class; lv_elem } :: !vars
     done;
     let vars = Array.of_list !vars in
+    let width, stacked = layout vars in
     (* Resolving the blocks numbers their primitives. *)
     let tblocks = Array.map tblock p.Stack_ir.blocks in
     let prims = Array.of_list (List.rev !prims) in
@@ -227,11 +234,8 @@ module Lanes = struct
       in_slots = List.map slot p.Stack_ir.inputs;
       out_slots = List.map slot p.Stack_ir.outputs;
       vars;
-      width =
-        Array.fold_left
-          (fun n lv ->
-            if lv.lv_class = Var_class.Stacked then n else n + Shape.numel lv.lv_elem)
-          0 vars;
+      width;
+      columns = Array.length stacked;
     }
 
   type t = {
@@ -564,8 +568,7 @@ module Lanes = struct
      to the all-zeros state a fresh VM would give it, so a recycled lane
      is indistinguishable from lane [lane] of a brand-new VM. Registers
      ([Var_class.Temp]) are skipped: each block writes one before reading
-     it, so no lane ever reads a register row it inherited (an exported
-     lane state still carries its stale rows). *)
+     it, so no lane ever reads a register row it inherited. *)
   let reset_lane_storage t ~lane =
     Array.iter
       (function
@@ -627,8 +630,8 @@ module Lanes = struct
   (* ---- The lane-migration seam (DESIGN.md S20). ----
 
      A lane's complete execution state is its member identity, its pc
-     column and its row of every stored variable (for stacked
-     variables: the saved frames plus the cached top). Batched
+     column, its masked rows and its stacked columns (no register is
+     live between supersteps). Batched
      primitives are row-wise and the RNG keys on the member identity
      carried here — never on the lane index — so exporting this record
      and importing it into any free lane of any pool running the same
@@ -638,7 +641,7 @@ module Lanes = struct
     ls_member : int;
     ls_pc : Stacked.lane;
     ls_vars : lane_var array;  (* sorted by name; the pool's [vars] *)
-    ls_rows : float array;  (* register and masked rows, in [ls_vars] order *)
+    ls_rows : float array;  (* masked rows, in [ls_vars] order *)
     ls_stacks : Stacked.lane array;  (* stacked columns, in [ls_vars] order *)
   }
 
@@ -649,8 +652,8 @@ module Lanes = struct
     let rows = Array.create_float t.tpl.width and pos = ref 0 and stacks = ref [] in
     Array.iter
       (function
-        | None -> ()
-        | Some (Reg r | Msk r) ->
+        | None | Some (Reg _) -> ()
+        | Some (Msk r) ->
           let d = Tensor.data r and w = Tensor.row_numel r in
           if w = 1 then
             (* A scalar row: an assignment beats [Array.blit]'s call. *)
@@ -688,36 +691,53 @@ module Lanes = struct
 
   let same_vars t vars = vars == t.tpl.vars || vars = t.tpl.vars
 
-  (* A pc column holds block indices: integers in [0, halt]. Anything
-     else would index [counts] out of bounds, or leave a live lane that
-     no superstep can run. *)
-  let valid_pc t (l : Stacked.lane) =
-    (* The range test first: it fails NaN and the infinities, and keeps
-       [int_of_float] within range. *)
-    let index x = x >= 0. && x <= t.halt && Float.of_int (int_of_float x) = x in
-    let frames = l.Stacked.l_frames in
-    let ok = ref (Array.length frames = l.Stacked.l_sp && Array.length l.Stacked.l_top = 1) in
-    for d = 0 to Array.length frames - 1 do
-      if not (index frames.(d)) then ok := false
-    done;
-    !ok && Shape.rank l.Stacked.l_elem = 0 && index l.Stacked.l_top.(0)
+  (* A pc entry is a block index: an integer in [0, halt]. Anything else
+     would index [counts] out of bounds, or leave a live lane that no
+     superstep can run. The range test comes first: it fails NaN and the
+     infinities, and keeps [int_of_float] within range. *)
+  let block_index t x = x >= 0. && x <= t.halt && Float.of_int (int_of_float x) = x
 
-  (* The inverse of [lane_state], over the pool's own storage. *)
-  let import_lane t ~lane st =
-    if lane < 0 || lane >= t.z then
-      invalid_arg "Pc_vm.Lanes.import_lane: lane out of range";
-    if t.occupied.(lane) then
-      invalid_arg
-        (Printf.sprintf "Pc_vm.Lanes.import_lane: lane %d is occupied" lane);
-    if not (same_vars t st.ls_vars && Array.length st.ls_rows = t.tpl.width) then
-      invalid_arg "Pc_vm.Lanes.import_lane: the state's variables differ from the pool's";
-    if not (valid_pc t st.ls_pc) then
-      invalid_arg "Pc_vm.Lanes.import_lane: the pc column holds a value that is not a block index";
+  let valid_pc t (l : Stacked.lane) =
+    let ok = ref (block_index t l.Stacked.l_top.(0)) in
+    for d = 0 to Array.length l.Stacked.l_frames - 1 do
+      if not (block_index t l.Stacked.l_frames.(d)) then ok := false
+    done;
+    !ok
+
+  let refuse ~who what = invalid_arg (Printf.sprintf "Pc_vm.Lanes.%s: %s" who what)
+
+  (* Refuse a state this pool could not have exported — other variables,
+     a column that does not fit its stack, a pc entry that is no block —
+     before anything is written. [who] names the refusing entry point.
+     A restore checks every lane this way, so the check allocates
+     nothing. *)
+  let check_state t ~who st =
+    if
+      not
+        (same_vars t st.ls_vars
+        && Array.length st.ls_rows = t.tpl.width
+        && Array.length st.ls_stacks = t.tpl.columns)
+    then refuse ~who "the state's variables differ from the pool's";
+    if not (Stacked.fits t.pc st.ls_pc && valid_pc t st.ls_pc) then
+      refuse ~who "the pc column holds a value that is not a block index";
+    let next_stack = ref 0 in
+    for k = 0 to Array.length t.slots - 1 do
+      match t.slots.(k) with
+      | Some (Stk s) ->
+        if not (Stacked.fits s st.ls_stacks.(!next_stack)) then
+          refuse ~who (Printf.sprintf "the column of %s does not fit its stack" t.tpl.names.(k));
+        incr next_stack
+      | None | Some (Reg _ | Msk _) -> ()
+    done
+
+  (* The inverse of [lane_state], over the pool's own storage, for a state
+     [check_state] passed. *)
+  let install t ~lane st =
     let pos = ref 0 and next_stack = ref 0 in
     Array.iter
       (function
-        | None -> ()
-        | Some (Reg r | Msk r) ->
+        | None | Some (Reg _) -> ()
+        | Some (Msk r) ->
           let w = Tensor.row_numel r in
           Array.blit st.ls_rows !pos (Tensor.data r) (lane * w) w;
           pos := !pos + w
@@ -728,6 +748,15 @@ module Lanes = struct
     Stacked.restore_lane t.pc lane st.ls_pc;
     t.members.(lane) <- st.ls_member;
     t.occupied.(lane) <- true
+
+  let import_lane t ~lane st =
+    if lane < 0 || lane >= t.z then
+      invalid_arg "Pc_vm.Lanes.import_lane: lane out of range";
+    if t.occupied.(lane) then
+      invalid_arg
+        (Printf.sprintf "Pc_vm.Lanes.import_lane: lane %d is occupied" lane);
+    check_state t ~who:"import_lane" st;
+    install t ~lane st
 
   let lane_state_bytes st =
     let column acc l = acc + Array.length l.Stacked.l_frames + Array.length l.Stacked.l_top in
@@ -761,23 +790,24 @@ module Lanes = struct
       invalid_arg "Pc_vm.Lanes.restore: batch size mismatch";
     if not (same_vars t img.li_vars) then
       invalid_arg "Pc_vm.Lanes.restore: the image's variables differ from the pool's";
+    Array.iter (function Some st -> check_state t ~who:"restore" st | None -> ()) img.li_lanes;
     t.steps <- img.li_steps;
     t.last <- img.li_last;
-    (* Zero the store in place, registers included, so every lane the
-       image leaves idle holds what a fresh pool would; the stacks'
+    (* Zero the masked rows and empty every stack in place, so every lane
+       the image leaves idle holds what a fresh pool would; the stacks'
        high-water marks, the pc's included, restart at 0 too, so [depth]
        counts from the restore. *)
     Stacked.reset t.pc;
     Array.iter
       (function
-        | None -> ()
-        | Some (Reg r | Msk r) -> Array.fill (Tensor.data r) 0 (Tensor.numel r) 0.
+        | None | Some (Reg _) -> ()
+        | Some (Msk r) -> Array.fill (Tensor.data r) 0 (Tensor.numel r) 0.
         | Some (Stk s) -> Stacked.reset s)
       t.slots;
     Array.fill t.occupied 0 t.z false;
     Array.iteri
       (fun lane -> function
-        | Some st -> import_lane t ~lane st
+        | Some st -> install t ~lane st
         | None ->
           t.members.(lane) <- img.li_members.(lane);
           Stacked.restore_lane t.pc lane t.idle)

@@ -104,9 +104,8 @@ val default_config : config
     other lanes, and [load] resets the lane's slice of every masked and
     stacked variable to the all-zero fresh-VM state and re-seeds its pc
     column (the halt sentinel below, block 0 on top). Registers
-    ([Var_class.Temp]) keep their stale rows: every block writes a
-    register before reading it, so no lane reads an inherited register
-    row, and only an exported lane state shows them.
+    ([Var_class.Temp]) are never reset: every block writes a register
+    before reading it, so no lane reads a register row it inherited.
     A request served in any lane of any mix of neighbours is therefore
     bitwise identical to running it alone with [member_base] equal to
     its member. *)
@@ -117,9 +116,9 @@ module Lanes : sig
   (** What every pool of one program shares: the sorted slot table, each
       slot's storage class and element shape, every block's ops over slot
       indices (primitives by name, constants at element shape, branch
-      condition slots), and the stored variables ({!lane_var}). It holds
-      no primitive implementation and no storage, so one template serves
-      pools on any registry and any width. *)
+      condition slots), and the variables lane states carry ({!layout}).
+      It holds no primitive implementation and no storage, so one
+      template serves pools on any registry and any width. *)
 
   val template : Stack_ir.program -> template
 
@@ -181,22 +180,26 @@ module Lanes : sig
   (** {2 The lane seam (DESIGN.md S15, S20)}
 
       A lane's complete execution state — Algorithm 2's column of one
-      batch member: member identity, pc column, and one row of every
-      stored variable. The pc column is a {!Stacked.lane} like every
-      stacked variable's, so the one column format (and the one column
-      codec) carries both. Batched primitives are row-wise and the RNG
-      keys on the member identity carried here — never on the lane
-      index — so a lane state imported into any free lane of any pool
-      running the same program continues the member's trajectory
-      bitwise-exactly, under any scheduling policy. It is the VM's one
-      lane-state format: migrations ({!Sched_vm}), serving preemption and
-      drain, and pool checkpoints ({!image}) all move lanes as this
-      record. *)
+      batch member: member identity, pc column, masked rows and stacked
+      columns (no register is live between supersteps, where lanes move).
+      The pc column is a {!Stacked.lane} like every stacked variable's,
+      so the one column format (and the one column codec) carries both.
+      Batched primitives are row-wise and the RNG keys on the member
+      identity carried here — never on the lane index — so a lane state
+      imported into any free lane of any pool running the same program
+      continues the member's trajectory bitwise-exactly, under any
+      scheduling policy. It is the VM's one lane-state format: migrations
+      ({!Sched_vm}), serving preemption and drain, and pool checkpoints
+      ({!image}) all move lanes as this record. *)
 
-  (** One stored variable as a lane state holds it: its storage class
-      decides whether its row lives in [ls_rows] ([Temp], [Masked]) or
-      its column in [ls_stacks] ([Stacked]). *)
+  (** One variable as a lane state holds it: its storage class decides
+      whether its row lives in [ls_rows] ([Masked]) or its column in
+      [ls_stacks] ([Stacked]). A register ([Temp]) is never one. *)
   type lane_var = { lv_name : string; lv_class : Var_class.t; lv_elem : Shape.t }
+
+  val layout : lane_var array -> int * lane_var array
+  (** A lane state's layout over [vars], for the pool and the codec: its
+      [ls_rows] length (the masked elements) and its stacked variables. *)
 
   type lane_state = {
     ls_member : int;
@@ -207,7 +210,7 @@ module Lanes : sig
         (** the source pool's stored variables, sorted by name; every
             lane state a pool exports shares the pool's one array *)
     ls_rows : float array;
-        (** the register and masked rows, concatenated in [ls_vars] order *)
+        (** the masked rows, concatenated in [ls_vars] order *)
     ls_stacks : Stacked.lane array;  (** the stacked columns, in [ls_vars] order *)
   }
 
@@ -226,16 +229,17 @@ module Lanes : sig
 
   val import_lane : t -> lane:int -> lane_state -> unit
   (** Install a captured lane state into a free lane of a pool running
-      the same program: the inverse of {!export_lane}, writing the lane's
-      row of every stored variable. Raises [Invalid_argument], before
-      writing anything, if the lane is occupied, the state's [ls_vars]
-      (or its row count) differ from the pool's, or its pc column is not
-      scalar block indices: every saved entry and the top an integer in
-      [[0, halt]], so NaN and the infinities are refused too. *)
+      the same program: the inverse of {!export_lane}, writing its masked
+      rows and stacked columns. Raises [Invalid_argument], before writing
+      anything, if the lane is occupied, the state's [ls_vars] (or its
+      row or column count) differ from the pool's, a column (the pc's or
+      a stacked variable's) does not {!Stacked.fits} its stack, or the pc
+      column is not block indices: every saved entry and the top an
+      integer in [[0, halt]], so NaN and the infinities are refused too. *)
 
   val lane_state_bytes : lane_state -> float
   (** Payload size of a migration or of one lane of a checkpoint, for
-      transfer pricing: 8 bytes per element of every variable row, every
+      transfer pricing: 8 bytes per element of every masked row, every
       stacked frame and top, and every pc entry (saved entries plus
       top). *)
 
@@ -247,8 +251,8 @@ module Lanes : sig
       count, scheduler cursor, every lane's member identity, and the
       stored variables with their storage classes and element shapes,
       sorted by name) plus the {!export_lane} state of each occupied lane
-      — idle lanes, their register rows and dead pc-stack entries are not
-      stored. Together
+      — idle lanes, registers and dead pc-stack entries are not stored.
+      Together
       with the engine snapshot this is the VM's complete execution state:
       a pool restored from an image replays bitwise identically to the
       original, and images of equal states are structurally equal. *)
@@ -256,7 +260,7 @@ module Lanes : sig
     li_steps : int;
     li_last : int;                       (** scheduler cursor (Round_robin uses it) *)
     li_members : int array;              (** every lane's member identity *)
-    li_vars : lane_var array;            (** stored variables; every lane's [ls_vars] *)
+    li_vars : lane_var array;            (** every lane's [ls_vars] *)
     li_lanes : lane_state option array;  (** [Some] exactly for occupied lanes *)
   }
 
@@ -264,16 +268,19 @@ module Lanes : sig
   (** {!export_lane} over the occupied lanes, plus the pool-level fields. *)
 
   val restore : t -> image -> unit
-  (** Overwrite the pool's state with the image, in place: the existing
-      storage is zeroed (every stack, the pc's included, emptied with
-      {!Stacked.reset}, which restarts its high-water mark at 0), each
-      captured lane is {!import_lane}d, and every other lane is freed
-      with its member identity from the image and an idle pc column. No storage is reallocated. Restoring the
-      {!capture} a pool gave right after {!create} therefore makes it
+  (** Overwrite the pool's state with the image, in place: the masked
+      rows are zeroed, every stack (the pc's included) is emptied with
+      {!Stacked.reset}, which restarts its high-water mark at 0, each
+      captured lane is installed as by {!import_lane}, and every other
+      lane is freed with its member identity from the image and an idle
+      pc column. Registers and storage stay. Restoring the {!capture} a
+      pool gave right after {!create} therefore makes it
       indistinguishable from a fresh pool, event for event: the server
-      reuses a shard's pools this way. Raises [Invalid_argument] on lane-count mismatch or
-      when the image's [li_vars] differ from the pool's, i.e. [t] does
-      not run the program the image was captured from. *)
+      reuses a shard's pools this way. Raises [Invalid_argument], before
+      changing anything, on lane-count mismatch, when the image's
+      [li_vars] differ from the pool's (i.e. [t] does not run the
+      program the image was captured from), or on a captured lane
+      {!import_lane} would refuse. *)
 end
 
 val run_template :

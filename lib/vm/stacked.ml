@@ -112,10 +112,15 @@ let capture_lane t b =
     l_top = (if row = 1 then [| top.(b) |] else Array.sub top (b * row) row);
   }
 
+let fits t lane =
+  (lane.l_elem == t.elem || Shape.equal lane.l_elem t.elem)
+  && lane.l_sp >= 0
+  && Array.length lane.l_frames = lane.l_sp * t.row
+  && Array.length lane.l_top = t.row
+
 let restore_lane t b lane =
   if b < 0 || b >= t.z then invalid_arg "Stacked.restore_lane: lane out of range";
-  if not (lane.l_elem == t.elem || Shape.equal lane.l_elem t.elem) then
-    invalid_arg "Stacked.restore_lane: element shape mismatch";
+  if not (fits t lane) then invalid_arg "Stacked.restore_lane: the column does not fit the stack";
   while lane.l_sp > t.cap do
     grow t
   done;

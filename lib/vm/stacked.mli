@@ -78,7 +78,13 @@ type lane = {
 
 val capture_lane : t -> int -> lane
 
+val fits : t -> lane -> bool
+(** The column could have been captured from this stack: its element
+    shape is the stack's, its depth is not negative, it holds [depth]
+    frames of one row each, and its top is one row. *)
+
 val restore_lane : t -> int -> lane -> unit
 (** Overwrite one member's column with a captured lane; capacity grows as
-    needed, other members are untouched. Raises [Invalid_argument] if the
-    lane index is out of range or the element shape disagrees. *)
+    needed, other members are untouched. Raises [Invalid_argument],
+    before writing anything, if the lane index is out of range or the
+    column does not {!fits}. *)

@@ -338,6 +338,33 @@ let test_golden_bless () =
       Alcotest.(check bool) "the next check passes" true
         (Golden.check ~bless:None ~path:written golden_doc = Ok Golden.Matched))
 
+(* Blessing a nested path into a fresh directory creates the missing
+   directories on the way; a path that cannot be written (its parent is a
+   file) is an [Error] naming it, not an exception. *)
+let test_golden_bless_nested () =
+  let dir = Filename.temp_dir "autobatch-golden" "" in
+  let path = Filename.concat "test" (Filename.concat "deeper" "doc.txt") in
+  let written = Filename.concat dir path in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists written then Sys.remove written;
+      List.iter
+        (fun d -> if Sys.file_exists d then Sys.rmdir d)
+        [ Filename.dirname written; Filename.concat dir "test"; dir ])
+    (fun () ->
+      (match Golden.check ~bless:(Some dir) ~path golden_doc with
+      | Ok (Golden.Blessed out) -> Alcotest.(check string) "writes <dir>/<path>" written out
+      | Ok Golden.Matched -> Alcotest.fail "bless compared instead of writing"
+      | Error msg -> Alcotest.fail msg);
+      Alcotest.(check bool) "the next check passes" true
+        (Golden.check ~bless:None ~path:written golden_doc = Ok Golden.Matched));
+  with_scratch_golden golden_doc (fun file ->
+      match Golden.check ~bless:(Some file) ~path golden_doc with
+      | Ok _ -> Alcotest.fail "blessed under a file"
+      | Error msg ->
+        Alcotest.(check bool) ("names the path: " ^ msg) true
+          (Test_tools.contains msg (Filename.concat file path)))
+
 let suites =
   suites
   @ [
@@ -347,5 +374,6 @@ let suites =
           t "one-byte change fails" `Quick test_golden_one_byte;
           t "missing file fails" `Quick test_golden_missing;
           t "bless writes dir/path" `Quick test_golden_bless;
+          t "bless creates missing directories" `Quick test_golden_bless_nested;
         ] );
     ]

@@ -285,6 +285,68 @@ let test_envelope_rejects_v4_pc () =
     (String.length v4);
   expect_corrupt "version-4 pc checkpoint" (fun () -> Snapshot.decode_pc v4)
 
+(* Version 6 drops registers from lane states. A version-5 blob — the
+   same two-lane pool, written byte for byte as version 5 did: every
+   shaped variable in the list, a register with class tag 0, and a lane's
+   rows holding its register rows (zero on a fresh pool's loaded lane)
+   among its masked ones — is refused. So is the same payload under
+   version 6, for its tag-0 variables. *)
+let test_envelope_rejects_v5_pc () =
+  let compiled = Lazy.force fib_compiled in
+  let stack = compiled.Autobatch.stack in
+  let lanes = Pc_vm.Lanes.create compiled.Autobatch.registry stack ~z:2 in
+  Pc_vm.Lanes.load lanes ~lane:0 ~member:0 ~inputs:[ Tensor.scalar 5. ];
+  let img = Pc_vm.Lanes.capture lanes in
+  let v5_vars =
+    List.map
+      (fun (name, elem) -> (name, Stack_ir.class_of stack name, elem))
+      (Ir_util.Smap.bindings stack.Stack_ir.shapes)
+  in
+  Alcotest.(check bool) "fib has registers" true
+    (List.exists (fun (_, c, _) -> c = Var_class.Temp) v5_vars);
+  let w_column b (l : Stacked.lane) =
+    Codec.w_int b l.Stacked.l_sp;
+    Array.iter (Codec.w_float b) l.Stacked.l_frames;
+    Array.iter (Codec.w_float b) l.Stacked.l_top
+  in
+  let w_v5_lane b (st : Pc_vm.Lanes.lane_state) =
+    Codec.w_int b st.Pc_vm.Lanes.ls_member;
+    w_column b st.Pc_vm.Lanes.ls_pc;
+    let pos = ref 0 in
+    List.iter
+      (fun (_, c, elem) ->
+        let n = Shape.numel elem in
+        match c with
+        | Var_class.Temp -> for _ = 1 to n do Codec.w_float b 0. done
+        | Var_class.Masked ->
+          Array.iter (Codec.w_float b) (Array.sub st.Pc_vm.Lanes.ls_rows !pos n);
+          pos := !pos + n
+        | Var_class.Stacked -> ())
+      v5_vars;
+    Array.iter (w_column b) st.Pc_vm.Lanes.ls_stacks
+  in
+  let pool payload =
+    Codec.w_int payload img.Pc_vm.Lanes.li_steps;
+    Codec.w_int payload img.Pc_vm.Lanes.li_last;
+    Codec.w_int_array payload img.Pc_vm.Lanes.li_members;
+    Codec.w_list
+      (fun b (name, c, elem) ->
+        Codec.w_string b name;
+        Codec.w_int b
+          (match c with Var_class.Temp -> 0 | Var_class.Masked -> 1 | Var_class.Stacked -> 2);
+        Codec.w_int_array b elem)
+      payload v5_vars;
+    Array.iter (Codec.w_option w_v5_lane payload) img.Pc_vm.Lanes.li_lanes;
+    Codec.w_option Snapshot.w_engine payload None
+  in
+  expect_corrupt "version-5 pc checkpoint" (fun () ->
+      Snapshot.decode_pc (old_pc_envelope ~version:5 pool));
+  match Snapshot.decode_pc (old_pc_envelope ~version:6 pool) with
+  | _ -> Alcotest.fail "a register under version 6 was accepted"
+  | exception Codec.Corrupt msg ->
+    Alcotest.(check bool) ("tag 0 is an unknown class: " ^ msg) true
+      (Test_tools.contains msg "unknown storage class tag 0")
+
 (* The request server's checkpoint kind is retired with it (the serving
    runtime checkpoints in memory): such a blob decodes as nothing. *)
 let test_envelope_rejects_retired_server_kind () =
@@ -558,6 +620,7 @@ let suites =
         t "rejects a version-2 pc checkpoint" `Quick test_envelope_rejects_v2_pc;
         t "rejects a version-3 pc checkpoint" `Quick test_envelope_rejects_v3_pc;
         t "rejects a version-4 pc checkpoint" `Quick test_envelope_rejects_v4_pc;
+        t "rejects a version-5 pc checkpoint" `Quick test_envelope_rejects_v5_pc;
       ] );
     ( "resil-images",
       [

@@ -428,8 +428,9 @@ let test_lanes_reusable () =
     [ [ 12.; 11.; 10. ]; [ 3.; 1.; 5. ]; [ 9.; 0.; 13. ]; [ 2.; 2.; 2. ] ]
 
 (* Restoring rewrites the pool's own storage in place: it allocates
-   fewer words than that storage holds (the registers and stack tops
-   alone are z words per element of every variable), and the replay then
+   fewer words than that storage holds (the masked rows and stack tops
+   alone are z words per element of every variable an image lists), and
+   the replay then
    passes through exactly the states of the uninterrupted run, image for
    image. *)
 let test_lanes_restore_in_place () =
@@ -922,6 +923,94 @@ let test_lanes_import_checks_pc () =
   Alcotest.(check (float 0.)) "imported lane finishes" (Tensor.get (solo 7.) [| 0 |])
     (Tensor.get (List.hd (Pc_vm.Lanes.retire dst ~lane:0)) [||])
 
+(* Every column of a lane state, the pc's and each stacked variable's,
+   must fit its stack: the element shape, a depth that is not negative,
+   that many frames of one row each, and a top of one row. A state with a
+   column that does not fit is refused with [Invalid_argument] before
+   anything is written, by [import_lane] and by [restore] (which checks
+   every lane of an image before it zeroes the store; a pc top of -1
+   passes the checkpoint codec, so only [restore] can refuse it). The
+   genuine state then imports, and restores, and finishes with the solo
+   result. *)
+let test_lanes_refuse_bad_columns () =
+  let reg = fib_compiled.Autobatch.registry and stack = fib_compiled.Autobatch.stack in
+  let src = Pc_vm.Lanes.create reg stack ~z:1 in
+  Pc_vm.Lanes.load src ~lane:0 ~member:3 ~inputs:[ Tensor.scalar 7. ];
+  for _ = 1 to 5 do
+    ignore (Pc_vm.Lanes.step src)
+  done;
+  let st = Pc_vm.Lanes.export_lane src ~lane:0 in
+  let stacked = snd (Pc_vm.Lanes.layout st.Pc_vm.Lanes.ls_vars) in
+  Alcotest.(check bool) "fib has stacked columns" true (Array.length stacked > 0);
+  let dst = Pc_vm.Lanes.create reg stack ~z:2 in
+  Pc_vm.Lanes.load dst ~lane:1 ~member:4 ~inputs:[ Tensor.scalar 4. ];
+  ignore (Pc_vm.Lanes.step dst);
+  let before = Pc_vm.Lanes.capture dst in
+  let malformed (l : Stacked.lane) =
+    [
+      ("depth past the frames", { l with Stacked.l_sp = l.Stacked.l_sp + 1 });
+      ("negative depth", { l with Stacked.l_sp = -1 });
+      ("short top", { l with Stacked.l_top = [||] });
+      ("long top", { l with Stacked.l_top = Array.append l.Stacked.l_top [| 0. |] });
+      ("wrong element shape", { l with Stacked.l_elem = [| 1 |] });
+    ]
+  in
+  let bad_states =
+    List.map
+      (fun (what, l) -> ("pc: " ^ what, "the pc column holds a value that is not a block index",
+                         { st with Pc_vm.Lanes.ls_pc = l }))
+      (malformed st.Pc_vm.Lanes.ls_pc)
+    @ List.concat
+        (List.mapi
+           (fun i (lv : Pc_vm.Lanes.lane_var) ->
+             List.map
+               (fun (what, l) ->
+                 let stacks = Array.copy st.Pc_vm.Lanes.ls_stacks in
+                 stacks.(i) <- l;
+                 ( lv.Pc_vm.Lanes.lv_name ^ ": " ^ what,
+                   Printf.sprintf "the column of %s does not fit its stack" lv.Pc_vm.Lanes.lv_name,
+                   { st with Pc_vm.Lanes.ls_stacks = stacks } ))
+               (malformed st.Pc_vm.Lanes.ls_stacks.(i)))
+           (Array.to_list stacked))
+  in
+  let image lane0 = { before with Pc_vm.Lanes.li_lanes = [| Some lane0; before.Pc_vm.Lanes.li_lanes.(1) |] } in
+  List.iter
+    (fun (what, why, bad) ->
+      Alcotest.check_raises ("import, " ^ what)
+        (Invalid_argument ("Pc_vm.Lanes.import_lane: " ^ why))
+        (fun () -> Pc_vm.Lanes.import_lane dst ~lane:0 bad);
+      Alcotest.(check bool) (what ^ ": import left the pool unchanged") true
+        (Pc_vm.Lanes.capture dst = before);
+      Alcotest.check_raises ("restore, " ^ what)
+        (Invalid_argument ("Pc_vm.Lanes.restore: " ^ why))
+        (fun () -> Pc_vm.Lanes.restore dst (image bad));
+      Alcotest.(check bool) (what ^ ": restore left the pool unchanged") true
+        (Pc_vm.Lanes.capture dst = before))
+    bad_states;
+  (* A pc top of -1 survives the checkpoint codec. *)
+  let below = { st with Pc_vm.Lanes.ls_pc = { st.Pc_vm.Lanes.ls_pc with Stacked.l_top = [| -1. |] } } in
+  let decoded =
+    (Snapshot.decode_pc (Snapshot.encode_pc { Snapshot.ck_vm = image below; ck_engine = None }))
+      .Snapshot.ck_vm
+  in
+  Alcotest.check_raises "restore, decoded pc top -1"
+    (Invalid_argument "Pc_vm.Lanes.restore: the pc column holds a value that is not a block index")
+    (fun () -> Pc_vm.Lanes.restore dst decoded);
+  Alcotest.(check bool) "decoded pc top -1: pool unchanged" true (Pc_vm.Lanes.capture dst = before);
+  let drain p =
+    while Pc_vm.Lanes.step p do
+      ()
+    done;
+    List.map (fun lane -> Tensor.get (List.hd (Pc_vm.Lanes.retire p ~lane)) [||]) [ 0; 1 ]
+  in
+  let solo n = Tensor.get (List.hd (Autobatch.run_pc fib_compiled ~batch:[ Tensor.of_list [ n ] ])) [| 0 |] in
+  let want = [ solo 7.; solo 4. ] in
+  let restored = Pc_vm.Lanes.create reg stack ~z:2 in
+  Pc_vm.Lanes.restore restored (image st);
+  Pc_vm.Lanes.import_lane dst ~lane:0 st;
+  Alcotest.(check (list (float 0.))) "imported state finishes" want (drain dst);
+  Alcotest.(check (list (float 0.))) "restored state finishes" want (drain restored)
+
 let lanes_suite =
   ( "pc-lanes",
     [
@@ -935,6 +1024,8 @@ let lanes_suite =
       t "a pool restored empty is a fresh pool" `Quick test_lanes_reuse_is_fresh;
       t "pc columns and depth from the sentinel" `Quick test_lanes_pc_columns;
       t "import refuses a pc that is no block" `Quick test_lanes_import_checks_pc;
+      t "import and restore refuse a column that does not fit" `Quick
+        test_lanes_refuse_bad_columns;
     ] )
 
 (* ---------- active-list lane loops against the mask scan ---------- *)
@@ -1359,6 +1450,141 @@ let test_template_shares_vars () =
       Alcotest.(check bool) name true (List.for_all2 Tensor.equal want got))
     [ ("migrated lane", drain b 2); ("restored image", drain c 1) ]
 
+(* ---------- registers are dead between supersteps ---------- *)
+
+(* A lane state carries no register rows, since no register is live
+   between supersteps, where lanes are captured. Each program runs a
+   batch, and a different batch that dirties a second pool's registers
+   when run to halt on it: fib, eight-schools NUTS, and the same NUTS
+   program built with superblock fusion (its megablocks keep more values
+   in registers). Per program, the uninterrupted run of the batch (lane
+   [i] is member [7 + i]) gives the reference outputs, its superstep
+   count and its (step, block, active, live) log. *)
+let register_programs =
+  lazy
+    (let es, es_batch = Lazy.force es_nuts in
+     let model = Eight_schools.model () in
+     let input_shapes = Nuts_dsl.input_shapes ~model in
+     let fused =
+       let cfg = Nuts.default_config ~eps:0.2 () in
+       Autobatch.compile ~registry:es.Autobatch.registry ~fuse:Fuse.default_options ~input_shapes
+         (Nuts_dsl.program ~params:(Nuts_dsl.params_of_config cfg) ())
+     in
+     let es_junk =
+       Nuts_dsl.inputs ~q0:(Tensor.ones [| model.Model.dim |]) ~eps:0.3 ~n_iter:1 ~n_burn:0
+         ~batch:4 ()
+     in
+     List.map
+       (fun (name, (c : Autobatch.compiled), batch, junk) ->
+         let log = ref [] in
+         let sink = function
+           | Obs_sink.Occupancy { step; block; active; live; _ } ->
+             log := (step, block, active, live) :: !log
+           | _ -> ()
+         in
+         let config = { Pc_vm.default_config with member_base = 7; sink = Some sink } in
+         let outs = Autobatch.run_pc ~config c ~batch in
+         (name, (c, batch, junk, outs, List.rev !log)))
+       [
+         ("fib", fib_compiled, [ Tensor.of_list [ 9.; 4.; 12.; 6. ] ],
+           [ Tensor.of_list [ 11.; 3.; 8.; 13. ] ]);
+         ("nuts", es, es_batch, es_junk);
+         ("fused nuts", fused, es_batch, es_junk);
+       ])
+
+let bits ts = List.map (fun t -> Array.map Int64.bits_of_float (Tensor.data t)) ts
+
+(* At superstep [at] of the batch's run, capture the pool, then export a
+   live lane ([pick] chooses which) and evict it. The lane state imported
+   into a free lane of a second pool of the template, whose registers
+   the other batch left dirty, finishes with the member's solo outputs,
+   bitwise. The capture restored into a fresh pool and into a dirtied
+   one gives the same Step / Occupancy stream, which replays the
+   reference's supersteps past the capture, and the reference's
+   outputs. *)
+let registers_dead_agrees (name, at, pick) =
+  let c, batch, junk, want, log = List.assoc name (Lazy.force register_programs) in
+  let reg = c.Autobatch.registry and tpl = Autobatch.template c in
+  let z = (Tensor.shape (List.hd batch)).(0) in
+  let drain p =
+    while Pc_vm.Lanes.step p do
+      ()
+    done
+  in
+  let load_all p batch =
+    for lane = 0 to z - 1 do
+      Pc_vm.Lanes.load p ~lane ~member:(7 + lane)
+        ~inputs:(List.map (fun x -> Tensor.slice_row x lane) batch)
+    done
+  in
+  let dirty config =
+    let p = Pc_vm.Lanes.bind ~config reg tpl ~z in
+    load_all p junk;
+    drain p;
+    for lane = 0 to z - 1 do
+      ignore (Pc_vm.Lanes.retire p ~lane)
+    done;
+    p
+  in
+  let a = Pc_vm.Lanes.bind reg tpl ~z in
+  load_all a batch;
+  let at = at mod List.length log in
+  for _ = 1 to at do
+    ignore (Pc_vm.Lanes.step a)
+  done;
+  let img = Pc_vm.Lanes.capture a in
+  let live = List.filter (fun lane -> Pc_vm.Lanes.live a ~lane) (List.init z Fun.id) in
+  let lane = List.nth live (pick mod List.length live) in
+  let member = Pc_vm.Lanes.member a ~lane in
+  let st = Pc_vm.Lanes.export_lane a ~lane in
+  Pc_vm.Lanes.evict a ~lane;
+  let b = dirty Pc_vm.default_config in
+  let into = pick mod z in
+  Pc_vm.Lanes.import_lane b ~lane:into st;
+  drain b;
+  let solo =
+    Autobatch.run_pc ~config:{ Pc_vm.default_config with member_base = member } c
+      ~batch:(List.map (fun x -> Tensor.take_rows x [| lane |]) batch)
+  in
+  let migrated = bits (Pc_vm.Lanes.retire b ~lane:into) = bits solo in
+  let restored config_of =
+    let events = ref [] in
+    let sink = function
+      | (Obs_sink.Step _ | Obs_sink.Occupancy _) as ev -> events := ev :: !events
+      | _ -> ()
+    in
+    let p = config_of { Pc_vm.default_config with sink = Some sink } in
+    events := [];
+    Pc_vm.Lanes.restore p img;
+    drain p;
+    (List.rev !events, bits (Pc_vm.Lanes.outputs p))
+  in
+  let fresh_events, fresh_outs = restored (fun config -> Pc_vm.Lanes.bind ~config reg tpl ~z) in
+  let dirty_events, dirty_outs = restored dirty in
+  let replayed =
+    List.filter_map
+      (function
+        | Obs_sink.Occupancy { step; block; active; live; _ } -> Some (step, block, active, live)
+        | _ -> None)
+      dirty_events
+  in
+  migrated && dirty_events = fresh_events && dirty_outs = fresh_outs && dirty_outs = bits want
+  && replayed = List.filter (fun (step, _, _, _) -> step > at) log
+
+let prop_registers_dead ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "%d migrations and restores over dirty registers are bitwise" count)
+    QCheck.(
+      triple (oneofl [ "fib"; "nuts"; "fused nuts" ]) (int_bound 1_000_000) (int_bound 1_000))
+    registers_dead_agrees
+
+let registers_suite =
+  ( "pc-registers",
+    [
+      QCheck_alcotest.to_alcotest ~speed_level:`Quick (prop_registers_dead ~count:20);
+      QCheck_alcotest.to_alcotest ~speed_level:`Slow (prop_registers_dead ~count:200);
+    ] )
+
 (* ---------- allocation gates ---------- *)
 
 (* Allocation counts do not move with code placement or host load, so
@@ -1439,6 +1665,50 @@ let test_bind_words () =
     (Printf.sprintf "create allocates %.0f words, over %.0f" create bound)
     true (create > bound)
 
+(* A lane state of a mid-run eight-schools NUTS pool at z = 8 carries
+   357 row elements: its masked variables. It carried 704 while register
+   rows rode along. [lane_state_bytes] prices exactly what the state
+   holds: the masked rows, every stacked frame and top, and the pc
+   column. Capturing the pool allocated 2,252 minor words: every
+   column's arrays and the records around them. Each lane's row array
+   is over [Max_young_wosize] (256 words) and goes straight to the major
+   heap, so the row count above is what gates it. *)
+let test_lane_state_words () =
+  let c, _ = Lazy.force es_nuts in
+  let model = Eight_schools.model () in
+  let z = 8 in
+  let batch =
+    Nuts_dsl.inputs ~q0:(Tensor.zeros [| model.Model.dim |]) ~eps:0.2 ~n_iter:2 ~n_burn:0 ~batch:z ()
+  in
+  let lanes = Pc_vm.Lanes.bind c.Autobatch.registry (Autobatch.template c) ~z in
+  for lane = 0 to z - 1 do
+    Pc_vm.Lanes.load lanes ~lane ~member:lane
+      ~inputs:(List.map (fun x -> Tensor.slice_row x lane) batch)
+  done;
+  for _ = 1 to 60 do
+    ignore (Pc_vm.Lanes.step lanes)
+  done;
+  Alcotest.(check int) "every lane still runs" z (Pc_vm.Lanes.live_count lanes);
+  ignore (Sys.opaque_identity (Pc_vm.Lanes.capture lanes));
+  let before = Gc.minor_words () in
+  let img = Sys.opaque_identity (Pc_vm.Lanes.capture lanes) in
+  let words = Gc.minor_words () -. before in
+  let column n (l : Stacked.lane) = n + Array.length l.Stacked.l_frames + Array.length l.Stacked.l_top in
+  Array.iter
+    (function
+      | None -> Alcotest.fail "every lane is occupied"
+      | Some st ->
+        let rows = Array.length st.Pc_vm.Lanes.ls_rows in
+        Alcotest.(check int) "row elements" 357 rows;
+        Alcotest.(check (float 0.)) "lane_state_bytes"
+          (8. *. float_of_int (Array.fold_left column (column rows st.Pc_vm.Lanes.ls_pc) st.Pc_vm.Lanes.ls_stacks))
+          (Pc_vm.Lanes.lane_state_bytes st))
+    img.Pc_vm.Lanes.li_lanes;
+  let bound = 2_300. in
+  Alcotest.(check bool)
+    (Printf.sprintf "capture allocates %.0f minor words, under %.0f" words bound)
+    true (words < bound)
+
 let template_suite =
   ( "pool-template",
     [
@@ -1478,10 +1748,11 @@ let alloc_suite =
       t "fib stepping words per superstep" `Quick test_fib_stepping_words;
       t "bind from a template" `Quick test_bind_words;
       t "logistic kernels at z = 32" `Quick test_logistic_kernel_words;
+      t "eight-schools lane states at z = 8" `Quick test_lane_state_words;
     ] )
 
 let suites =
   suites
   @ [ lanes_suite; active_lanes_suite ]
   @ serve_suites
-  @ [ template_suite; alloc_suite ]
+  @ [ template_suite; registers_suite; alloc_suite ]
